@@ -63,7 +63,6 @@ fn pool(seed: u64, holes: usize, partial: bool, p: Policy) -> RunReport {
             max_attempts: 60,
             ..ScheddPolicy::default()
         })
-        .without_trace()
         .run(SimTime::from_secs(7 * 24 * 3600))
 }
 

@@ -77,8 +77,7 @@ fn pool(mode: Mode, period: u64, busy: u64, seed: u64, corrupt: bool) -> RunRepo
                 ..JobSpec::java(i, "ada", programs::calls_exit(0), JavaMode::Scoped)
                     .with_exec_time(SimDuration::from_secs(JOB_SECS))
             }
-        }))
-        .without_trace();
+        }));
     if mode != Mode::Off {
         b = b.with_checkpoint_server();
     }

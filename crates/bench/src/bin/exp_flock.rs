@@ -87,7 +87,6 @@ fn federation_run() -> FlockReport {
     }
     b.jobs((1..=FEDERATION_JOBS).map(|i| job(i, 60 + u64::from(i % 5) * 30)))
         .schedd_policy(policy())
-        .without_trace()
         .run(t(8 * 3600))
 }
 

@@ -41,22 +41,12 @@ use chirp::cookie::Cookie;
 use chirp::server::ChirpServer;
 use chirp::transport::DirectTransport;
 use chirp::ChirpClient;
+use ckpt::fnv1a;
 use gridvm::jvmio::{ChirpJobIo, NoIo};
 use gridvm::machine::{load_and_run, Machine, RunOutput, Termination};
 use gridvm::programs;
 use gridvm::{Installation, Instr, IoMode, ProgramImage, TraceConfig};
 use std::collections::BTreeMap;
-
-/// FNV-1a over a byte stream: a stable, dependency-free digest for the
-/// exported fingerprints.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// SplitMix64 finalizer: derives the per-seed arm choices without
 /// perturbing the program generator's own stream.

@@ -91,7 +91,6 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
                     JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(120))
                 }))
-                .without_trace()
                 .run(SimTime::from_secs(7200));
             (plan, report)
         }
@@ -118,7 +117,6 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
                     JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(20))
                 }))
-                .without_trace()
                 .run(SimTime::from_secs(7200));
             (plan, report)
         }
@@ -145,7 +143,6 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
                     JobSpec::java(i, "ada", programs::uses_stdlib(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(10))
                 }))
-                .without_trace()
                 .run(SimTime::from_secs(7200));
             (plan, report)
         }
@@ -175,8 +172,7 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
                     universe: Universe::Standard,
                     ..JobSpec::java(1, "ada", programs::calls_exit(0), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(600))
-                })
-                .without_trace();
+                });
             if faulty {
                 builder = builder.corrupt_checkpoints_for(1);
             }

@@ -282,7 +282,6 @@ fn pool_run(seed: u64) -> RunReport {
         .jobs(
             (1..=8).map(|i| JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)),
         )
-        .without_trace()
         .run(SimTime::from_secs(3600))
 }
 

@@ -59,7 +59,6 @@ fn pool(seed: u64, faulty: usize, mode: JavaMode) -> RunReport {
             max_attempts: 40,
             ..ScheddPolicy::default()
         })
-        .without_trace()
         .run(SimTime::from_secs(7 * 24 * 3600))
 }
 

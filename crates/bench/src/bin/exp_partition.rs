@@ -110,7 +110,6 @@ fn pool_with_plan(mode: Mode, seed: u64, plan: FaultPlan) -> RunReport {
             JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(JOB_SECS))
         }))
-        .without_trace()
         .run(SimTime::from_secs(DEADLINE_SECS))
 }
 

@@ -39,6 +39,7 @@
 use bench::{f, render_table};
 use campaign::gen::deadline;
 use campaign::generate;
+use ckpt::fnv1a;
 use condor::prelude::*;
 use desim::{ParConfig, SimDuration, SimTime, World};
 
@@ -49,17 +50,6 @@ fn t(s: u64) -> SimTime {
 const SHARDS: usize = 4;
 const THREADS: [usize; 3] = [1, 2, 8];
 const CAMPAIGN_SEEDS: [u64; 3] = [1042, 1207, 1333];
-
-/// FNV-1a over a byte stream: a stable, dependency-free digest for the
-/// exported fingerprints.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Everything observable from one sharded run, reduced to comparable
 /// form. `stream` is the full merged JSONL (byte-compared across thread
@@ -187,7 +177,6 @@ fn federation_world() -> World<condor::Msg> {
     }
     b.jobs((1..=30).map(|i| job(i, 60 + u64::from(i % 5) * 30)))
         .schedd_policy(policy())
-        .without_trace()
         .build()
         .0
 }
@@ -236,7 +225,6 @@ fn scale_world(shape: &ScaleShape) -> World<condor::Msg> {
     let (mut world, _, _) = b
         .jobs((1..=shape.jobs).map(|i| job(i, 60 + u64::from(i % 7) * 30)))
         .schedd_policy(policy())
-        .without_trace()
         .build();
     world.net_mut().set_default_latency(SCALE_LATENCY);
     // The stream at this scale would be hundreds of MB; the scaling gate

@@ -45,7 +45,6 @@ fn pool(universe: Universe, period: u64, busy: u64, seed: u64) -> RunReport {
                     .with_exec_time(SimDuration::from_secs(JOB_SECS))
             }
         }))
-        .without_trace()
         .run(SimTime::from_secs(14 * 24 * 3600))
 }
 

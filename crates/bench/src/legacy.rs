@@ -1,114 +1,6 @@
-//! The pre-interning telemetry kernel, preserved as an A/B baseline.
-//!
-//! Before the hot-path overhaul, the collector stored an owned `String`
-//! actor name per record and exported JSONL by concatenating per-record
-//! `String`s, and the registry keyed every counter touch on a freshly
-//! allocated [`MetricKey`] (name + sorted label `String`s) in a `BTreeMap`
-//! whose comparisons walk those strings. This module replicates that
-//! design byte-for-byte so `exp_throughput` can measure the interned
-//! kernel against its predecessor *in the same run, on the same machine,
-//! over the same logical work* — not against a number recorded some other
-//! day.
-//!
-//! It is deliberately frozen: do not "optimize" it, it exists to stay
-//! slow in exactly the way the old code was.
+//! Reference implementations the experiments compare against.
 
-use obs::{Event, EventRecord, MetricKey, RingBuffer};
 use std::collections::BTreeMap;
-
-/// The old collector: one owned `String` per record.
-#[derive(Debug, Clone)]
-pub struct LegacyCollector {
-    ring: RingBuffer<EventRecord>,
-}
-
-impl LegacyCollector {
-    /// Same default capacity as [`obs::Collector`].
-    pub fn new() -> Self {
-        LegacyCollector {
-            ring: RingBuffer::new(obs::Collector::DEFAULT_CAPACITY),
-        }
-    }
-
-    /// Record an event, allocating the actor name (the old hot path).
-    pub fn record(&mut self, at_us: u64, actor: &str, event: Event) {
-        self.ring.push(EventRecord {
-            at_us,
-            actor: actor.to_string(),
-            event,
-        });
-    }
-
-    /// Retained record count.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The old exporter: a fresh `String` per record, concatenated.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in self.ring.iter() {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Default for LegacyCollector {
-    fn default() -> Self {
-        LegacyCollector::new()
-    }
-}
-
-/// The old registry: every touch allocates a [`MetricKey`] and probes a
-/// string-compared `BTreeMap`.
-#[derive(Debug, Clone, Default)]
-pub struct LegacyRegistry {
-    counters: BTreeMap<MetricKey, u64>,
-}
-
-impl LegacyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        LegacyRegistry::default()
-    }
-
-    /// Add to a counter, allocating its key (the old hot path).
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = if labels.is_empty() {
-            MetricKey::plain(name)
-        } else {
-            MetricKey::labeled(name, labels)
-        };
-        *self.counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Read a counter back (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = if labels.is_empty() {
-            MetricKey::plain(name)
-        } else {
-            MetricKey::labeled(name, labels)
-        };
-        self.counters.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// True when no counter was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-}
 
 /// The pre-index negotiation kernel: a full O(jobs × machines) interpreted
 /// scan per cycle, exactly as the matchmaker actor ran it before the
@@ -160,41 +52,4 @@ pub fn naive_negotiate(
         }
     }
     (notifications, pairs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn legacy_kernel_matches_optimized_semantics() {
-        // The baseline must agree with the real kernel on *what* it
-        // computes — only *how* differs.
-        let mut legacy = LegacyRegistry::new();
-        let mut real = obs::Registry::new();
-        for i in 0..100u64 {
-            let m = format!("m{}", i % 4);
-            legacy.counter_add("jobs", &[("machine", &m)], i);
-            real.counter_add("jobs", &[("machine", &m)], i);
-        }
-        for i in 0..4u64 {
-            let m = format!("m{i}");
-            assert_eq!(
-                legacy.counter("jobs", &[("machine", &m)]),
-                real.counter("jobs", &[("machine", &m)])
-            );
-        }
-
-        let mut lc = LegacyCollector::new();
-        let mut rc = obs::Collector::new();
-        for i in 0..50u64 {
-            let e = obs::Event::Dispatch { job: i, machine: 1 };
-            lc.record(i, "schedd", e.clone());
-            rc.record(i, "schedd", e);
-        }
-        assert_eq!(lc.to_jsonl(), rc.to_jsonl());
-        assert_eq!(lc.len(), rc.len());
-        assert!(!lc.is_empty() && !legacy.is_empty());
-        assert_eq!(legacy.len(), 4);
-    }
 }

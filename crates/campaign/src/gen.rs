@@ -474,10 +474,7 @@ impl Campaign {
         } else {
             FaultPlan::none()
         };
-        builder
-            .with_checkpoint_server()
-            .faults(plan)
-            .without_trace()
+        builder.with_checkpoint_server().faults(plan)
     }
 
     /// Run the campaign (or its fault-free reference) to the deadline.
@@ -579,7 +576,6 @@ pub fn negative_control_pool(seed: u64, faulty: bool) -> PoolBuilder {
             JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Naive)
                 .with_exec_time(SimDuration::from_secs(60))
         }))
-        .without_trace()
 }
 
 /// Which remote-pool fault a [`FlockCampaign`] window injects.
@@ -749,7 +745,6 @@ impl FlockCampaign {
         })
         .patience(SimDuration::from_secs(30))
         .faults(plan)
-        .without_trace()
     }
 
     /// Run the campaign (or its fault-free reference) to the deadline.

@@ -6,7 +6,7 @@
 //!   message still passing through the real wire encoding. This is what the
 //!   simulated grid uses: deterministic, allocation-cheap, but bytes on the
 //!   "wire" are real bytes.
-//! * [`ChannelTransport`] — the server on its own thread behind crossbeam
+//! * [`ChannelTransport`] — the server on its own thread behind bounded
 //!   channels, demonstrating the protocol is not simulation-only. The
 //!   connection established "from one process to another on the loopback
 //!   network interface" (§2.2).
@@ -22,9 +22,8 @@ use crate::server::{ChirpServer, DisconnectReason, ServerOutcome};
 use crate::wire::{
     decode_request, decode_response, deframe, encode_request, encode_response, frame,
 };
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// The connection is gone. Whatever the client was doing cannot be
@@ -117,7 +116,7 @@ impl<B: FileBackend> Transport for DirectTransport<B> {
 
 /// The threaded loopback transport.
 pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
+    tx: SyncSender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     /// Disconnect reason recorded by the server thread (the starter's view).
     pub server_side_reason: Arc<Mutex<Option<DisconnectReason>>>,
@@ -130,10 +129,15 @@ impl ChannelTransport {
     pub fn spawn<B: FileBackend + 'static>(
         mut server: ChirpServer<B>,
     ) -> (ChannelTransport, JoinHandle<ChirpServer<B>>) {
-        let (req_tx, req_rx) = bounded::<Vec<u8>>(16);
-        let (resp_tx, resp_rx) = bounded::<Vec<u8>>(16);
+        let (req_tx, req_rx) = sync_channel::<Vec<u8>>(16);
+        let (resp_tx, resp_rx) = sync_channel::<Vec<u8>>(16);
         let reason: Arc<Mutex<Option<DisconnectReason>>> = Arc::new(Mutex::new(None));
         let reason_server = Arc::clone(&reason);
+        let record = move |r: DisconnectReason| {
+            *reason_server
+                .lock()
+                .expect("reason lock is never held across a panic") = Some(r);
+        };
 
         let handle = std::thread::spawn(move || {
             let mut buf: Vec<u8> = Vec::new();
@@ -146,8 +150,7 @@ impl ChannelTransport {
                             let req = match decode_request(&payload) {
                                 Ok(r) => r,
                                 Err(e) => {
-                                    *reason_server.lock() =
-                                        Some(DisconnectReason::ProtocolViolation(e.to_string()));
+                                    record(DisconnectReason::ProtocolViolation(e.to_string()));
                                     return server; // drop channels: connection breaks
                                 }
                             };
@@ -159,15 +162,14 @@ impl ChannelTransport {
                                     }
                                 }
                                 ServerOutcome::Disconnect(r) => {
-                                    *reason_server.lock() = Some(r);
+                                    record(r);
                                     return server;
                                 }
                             }
                         }
                         Ok(None) => break, // need more bytes
                         Err(e) => {
-                            *reason_server.lock() =
-                                Some(DisconnectReason::ProtocolViolation(e.to_string()));
+                            record(DisconnectReason::ProtocolViolation(e.to_string()));
                             return server;
                         }
                     }
@@ -186,6 +188,13 @@ impl ChannelTransport {
             handle,
         )
     }
+
+    fn server_reason(&self) -> Option<DisconnectReason> {
+        self.server_side_reason
+            .lock()
+            .expect("reason lock is never held across a panic")
+            .clone()
+    }
 }
 
 impl Transport for ChannelTransport {
@@ -193,7 +202,7 @@ impl Transport for ChannelTransport {
         if self.closed {
             return Err(Broken {
                 detail: "connection already closed".into(),
-                reason: self.server_side_reason.lock().clone(),
+                reason: self.server_reason(),
             });
         }
         let bytes = frame(&encode_request(req));
@@ -201,7 +210,7 @@ impl Transport for ChannelTransport {
             self.closed = true;
             return Err(Broken {
                 detail: "send failed: server hung up".into(),
-                reason: self.server_side_reason.lock().clone(),
+                reason: self.server_reason(),
             });
         }
         match self.rx.recv() {
@@ -224,7 +233,7 @@ impl Transport for ChannelTransport {
                 self.closed = true;
                 Err(Broken {
                     detail: "recv failed: server hung up".into(),
-                    reason: self.server_side_reason.lock().clone(),
+                    reason: self.server_reason(),
                 })
             }
         }
@@ -372,10 +381,7 @@ mod tests {
         let b = broke.expect("connection should break");
         // The starter-side reason is recorded even if the client only saw a
         // hangup.
-        let reason = b
-            .reason
-            .clone()
-            .or_else(|| t.server_side_reason.lock().clone());
+        let reason = b.reason.clone().or_else(|| t.server_reason());
         assert_eq!(
             reason,
             Some(DisconnectReason::Env(EnvFault::CredentialsExpired))

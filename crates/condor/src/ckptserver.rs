@@ -129,18 +129,16 @@ impl Actor<Msg> for CkptServer {
             let (payload, consumed) = match wire::deframe_with_limit(rest, self.max_frame) {
                 Ok(Some(hit)) => hit,
                 Ok(None) => break,
-                Err(e) => {
+                Err(_) => {
                     self.stats.rejected_frames += 1;
-                    ctx.trace_with(|| format!("rejected frame: {e}"));
                     break;
                 }
             };
             rest = &rest[consumed..];
             let mut req = match wire::decode_request(&payload) {
                 Ok(req) => req,
-                Err(e) => {
+                Err(_) => {
                     self.stats.rejected_frames += 1;
-                    ctx.trace_with(|| format!("undecodable request: {e}"));
                     break;
                 }
             };
@@ -149,10 +147,7 @@ impl Actor<Msg> for CkptServer {
                 ServerOutcome::Reply(resp) => {
                     out.extend_from_slice(&wire::frame(&wire::encode_response(&resp)));
                 }
-                ServerOutcome::Disconnect(reason) => {
-                    ctx.trace_with(|| format!("disconnect: {reason:?}"));
-                    break;
-                }
+                ServerOutcome::Disconnect(_) => break,
             }
         }
         ctx.send_net(from, Msg::CkptResponse { frames: out });

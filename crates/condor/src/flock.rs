@@ -108,7 +108,6 @@ pub struct FederationBuilder {
     schedd_policy: ScheddPolicy,
     startd_policy: StartdPolicy,
     plan: FaultPlan,
-    trace: bool,
     patience: SimDuration,
     probe_timeout: SimDuration,
     denial_delay: SimDuration,
@@ -128,7 +127,6 @@ impl FederationBuilder {
             schedd_policy: ScheddPolicy::default(),
             startd_policy: StartdPolicy::default(),
             plan: FaultPlan::none(),
-            trace: true,
             patience: defaults.patience,
             probe_timeout: defaults.probe_timeout,
             denial_delay: defaults.denial_delay,
@@ -182,9 +180,9 @@ impl FederationBuilder {
         self
     }
 
-    /// Disable tracing (large sweeps).
-    pub fn without_trace(mut self) -> FederationBuilder {
-        self.trace = false;
+    /// Does nothing: the trace log it used to disable is gone. Kept only
+    /// for the frozen `crates/ledger` call site.
+    pub fn without_trace(self) -> FederationBuilder {
         self
     }
 
@@ -252,9 +250,6 @@ impl FederationBuilder {
             "a federation needs at least one pool"
         );
         let mut world: World<Msg> = World::new(self.seed);
-        if !self.trace {
-            world = world.without_trace();
-        }
         let plan = self.plan.build();
         let n_pools = self.pools.len();
 

@@ -787,7 +787,6 @@ impl Actor<Msg> for Matchmaker {
                     .record(t0.elapsed().as_micros() as u64);
                 for (schedd, job, machine) in notifications {
                     self.matches_made += 1;
-                    ctx.trace_with(|| format!("match job {job} -> machine {machine}"));
                     ctx.emit(obs::Event::Match {
                         job: u64::from(job),
                         machine: machine as u64,

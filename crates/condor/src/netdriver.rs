@@ -101,14 +101,6 @@ impl NetFaultDriver {
                 link: Self::link_label(&tf.fault),
                 active: should,
             });
-            ctx.trace_with(|| {
-                format!(
-                    "net fault {} {} on {}",
-                    tf.fault.kind(),
-                    if should { "applied" } else { "cleared" },
-                    Self::link_label(&tf.fault),
-                )
-            });
         }
     }
 }

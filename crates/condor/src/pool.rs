@@ -51,7 +51,7 @@ pub struct RunReport {
     /// cycles, …).
     pub matchmaker: MatchmakerStats,
     /// The run's typed event stream: protocol events, remote I/O
-    /// operations, and error-journey spans. Survives `without_trace()`.
+    /// operations, and error-journey spans.
     pub telemetry: obs::Collector,
     /// What the simulated fabric did to messages: per-link drop and
     /// duplication counts.
@@ -176,7 +176,6 @@ pub struct PoolBuilder {
     schedd_policy: ScheddPolicy,
     startd_policy: StartdPolicy,
     plan: FaultPlan,
-    trace: bool,
     ckpt_server: bool,
     ckpt_corrupt_prefixes: Vec<String>,
 }
@@ -193,7 +192,6 @@ impl PoolBuilder {
             schedd_policy: ScheddPolicy::default(),
             startd_policy: StartdPolicy::default(),
             plan: FaultPlan::none(),
-            trace: true,
             ckpt_server: false,
             ckpt_corrupt_prefixes: Vec::new(),
         }
@@ -274,9 +272,9 @@ impl PoolBuilder {
         self
     }
 
-    /// Disable tracing (large sweeps).
-    pub fn without_trace(mut self) -> PoolBuilder {
-        self.trace = false;
+    /// Does nothing: the trace log it used to disable is gone. Kept only
+    /// for the frozen `crates/ledger` call site.
+    pub fn without_trace(self) -> PoolBuilder {
         self
     }
 
@@ -362,9 +360,6 @@ impl PoolBuilder {
     /// the network or inspect mid-flight state).
     pub fn build(self) -> (World<Msg>, usize, Vec<usize>) {
         let mut world: World<Msg> = World::new(self.seed);
-        if !self.trace {
-            world = world.without_trace();
-        }
         let plan = self.plan.build();
 
         let mm = world.add_actor(Box::new(Matchmaker::new()));
@@ -462,6 +457,33 @@ mod tests {
         // User saw exactly one line, the completion.
         assert_eq!(report.user_log.len(), 1);
         assert!(report.user_log[0].text.contains("exit code 0"));
+    }
+
+    #[test]
+    fn healthy_job_stream_walks_the_figure_1_phases_in_order() {
+        let report = PoolBuilder::new(1)
+            .machine(MachineSpec::healthy("m1", 256))
+            .job(JobSpec::java(
+                1,
+                "ada",
+                programs::completes_main(),
+                JavaMode::Scoped,
+            ))
+            .run(deadline());
+        let lines: Vec<String> = report.telemetry.iter().map(|r| r.to_string()).collect();
+        // `any` consumes through its match, so each phase must appear
+        // strictly after the one before it.
+        let mut rest = lines.iter();
+        for phase in [
+            "match job=1 machine=2",
+            "claim job=1 machine=2 requested",
+            "claim job=1 machine=2 accepted",
+            "dispatch job=1 machine=2",
+            "io auth ok",
+            "disposition job=1 return-completed",
+        ] {
+            assert!(rest.any(|l| l.contains(phase)), "{phase:?} missing or late");
+        }
     }
 
     #[test]

@@ -321,13 +321,6 @@ impl Schedd {
                 from: tr.from.name().to_string(),
                 to: tr.to.name().to_string(),
             });
-            ctx.trace_with(|| {
-                format!(
-                    "breaker for machine {machine}: {} -> {}",
-                    tr.from.name(),
-                    tr.to.name()
-                )
-            });
         }
     }
 
@@ -343,7 +336,6 @@ impl Schedd {
                     from: tr.from.name().to_string(),
                     to: tr.to.name().to_string(),
                 });
-                ctx.trace_with(|| format!("breaker for machine {machine}: closed"));
             }
         }
     }
@@ -363,9 +355,6 @@ impl Schedd {
             kind: kind.to_string(),
             got,
             current,
-        });
-        ctx.trace_with(|| {
-            format!("fenced stale {kind} for job {job}: epoch {got}, current {current}")
         });
     }
 
@@ -454,15 +443,8 @@ impl Actor<Msg> for Schedd {
                 if !matches!(rec.state, JobState::Idle) {
                     return;
                 }
-                if avoided {
-                    ctx.trace_with(|| format!("avoiding chronic host {machine} for job {job}"));
+                if avoided || breaker_open {
                     return; // stays idle; re-advertised next tick
-                }
-                if breaker_open {
-                    ctx.trace_with(|| {
-                        format!("breaker open for machine {machine}; job {job} stays idle")
-                    });
-                    return;
                 }
                 // Opening a claim starts a new epoch: every message about
                 // this claim carries it, and older epochs are fenced.
@@ -470,7 +452,6 @@ impl Actor<Msg> for Schedd {
                 let epoch = rec.epoch;
                 rec.state = JobState::Claiming { machine };
                 let ad = rec.spec.ad();
-                ctx.trace_with(|| format!("claiming machine {machine} for job {job}"));
                 ctx.emit(obs::Event::Claim {
                     job: u64::from(job),
                     machine: machine as u64,
@@ -513,9 +494,6 @@ impl Actor<Msg> for Schedd {
                 if self.plan.fs_fault_at(ctx.self_id, ctx.now).is_some()
                     && !self.jobs[&job].spec.inputs.is_empty()
                 {
-                    ctx.trace_with(|| {
-                        format!("staging failed for job {job}: home file system offline")
-                    });
                     ctx.send_net(machine, Msg::ReleaseClaim { job });
                     self.metrics.reschedules += 1;
                     let rec = self.jobs.get_mut(&job).unwrap();
@@ -549,7 +527,6 @@ impl Actor<Msg> for Schedd {
                 let epoch = rec.epoch;
                 let snapshot = self.snapshot_for(&spec);
                 let pool = self.machine_pool.get(&machine).copied().unwrap_or(0);
-                ctx.trace_with(|| format!("shadow activating job {job} on machine {machine}"));
                 ctx.emit(obs::Event::Dispatch {
                     job: u64::from(job),
                     machine: machine as u64,
@@ -595,7 +572,7 @@ impl Actor<Msg> for Schedd {
                 );
             }
 
-            Msg::ClaimReject { job, reason, epoch } => {
+            Msg::ClaimReject { job, epoch, .. } => {
                 let Some(rec) = self.jobs.get(&job) else {
                     return;
                 };
@@ -610,7 +587,6 @@ impl Actor<Msg> for Schedd {
                 if machine != from {
                     return;
                 }
-                ctx.trace_with(|| format!("claim rejected for job {job}: {reason}"));
                 self.metrics.failed_claims += 1;
                 let rec = self.jobs.get_mut(&job).unwrap();
                 rec.epoch += 1; // claim closed
@@ -622,7 +598,6 @@ impl Actor<Msg> for Schedd {
                     return;
                 };
                 if rec.state == (JobState::Claiming { machine }) {
-                    ctx.trace_with(|| format!("claim timeout for job {job} on machine {machine}"));
                     ctx.emit(obs::Event::Claim {
                         job: u64::from(job),
                         machine: machine as u64,
@@ -698,9 +673,6 @@ impl Actor<Msg> for Schedd {
                 // The claim evaporated: machine crash or partition. An
                 // escaping error whose only representation is silence —
                 // time gives it scope (§5).
-                ctx.trace_with(|| {
-                    format!("report timeout: job {job} vanished on machine {machine}")
-                });
                 ctx.emit(obs::Event::Reschedule {
                     job: u64::from(job),
                     machine: machine as u64,
@@ -770,9 +742,6 @@ impl Actor<Msg> for Schedd {
                     );
                 } else {
                     self.flock_states.insert(pool, FlockState::Granted);
-                    ctx.trace_with(|| {
-                        format!("pool {pool} granted flocking ({free} machines advertised)")
-                    });
                 }
             }
 
@@ -823,9 +792,6 @@ impl Actor<Msg> for Schedd {
                 if machine != from {
                     return;
                 }
-                ctx.trace_with(|| {
-                    format!("remote pool revoked the claim for job {job} on machine {machine}")
-                });
                 ctx.emit(obs::Event::Reschedule {
                     job: u64::from(job),
                     machine: machine as u64,
@@ -869,7 +835,6 @@ impl Actor<Msg> for Schedd {
                     return;
                 }
                 self.metrics.postmortems += 1;
-                ctx.trace_with(|| format!("user resubmits job {job} after postmortem"));
                 self.reschedule_or_hold(job, SimDuration::from_micros(1), ctx);
             }
 
@@ -956,12 +921,6 @@ impl Schedd {
             self.flock_states.insert(target.pool, FlockState::Probing);
             self.flock_probe_job.insert(target.pool, job);
             self.metrics.flock_escalations += 1;
-            ctx.trace_with(|| {
-                format!(
-                    "job {job} starved past patience; probing pool {} for flocking",
-                    target.pool
-                )
-            });
             ctx.send_net(target.matchmaker, Msg::FlockRequest { pool: target.pool });
             ctx.send_self_after(cfg.probe_timeout, Msg::FlockTimeout { pool: target.pool });
             return;
@@ -990,7 +949,6 @@ impl Schedd {
             pool,
             kind: kind.to_string(),
         });
-        ctx.trace_with(|| format!("pool-scope fault for job {job}: {note}"));
         let err = errorscope::ScopedError::escaping(code, Scope::Network, "shadow", note);
         if self.flock.as_ref().is_some_and(|f| f.swallow_escapes) {
             // The deliberate bug: the escape dies here, unwidened and
@@ -1033,13 +991,6 @@ impl Schedd {
                 from: tr.from.name().to_string(),
                 to: tr.to.name().to_string(),
             });
-            ctx.trace_with(|| {
-                format!(
-                    "breaker for pool {pool}: {} -> {}",
-                    tr.from.name(),
-                    tr.to.name()
-                )
-            });
         }
         self.flock_states
             .insert(pool, FlockState::Denied { at: ctx.now });
@@ -1054,7 +1005,6 @@ impl Schedd {
                     from: tr.from.name().to_string(),
                     to: tr.to.name().to_string(),
                 });
-                ctx.trace_with(|| format!("breaker for pool {pool}: closed"));
             }
         }
     }
@@ -1131,9 +1081,6 @@ impl Schedd {
             ctx.send_self_after(remaining, Msg::LeaseCheck { job, epoch });
             return;
         }
-        ctx.trace_with(|| {
-            format!("lease expired for job {job} on machine {machine}: silent for {silent}")
-        });
         ctx.emit(obs::Event::LeaseExpired {
             job: u64::from(job),
             machine: machine as u64,
@@ -1219,7 +1166,6 @@ impl Schedd {
                 self.metrics.work_lost_to_eviction += rec.progress;
                 rec.progress = SimDuration::ZERO;
                 rec.ckpt_key = None;
-                ctx.trace_with(|| format!("job {job} discarded its checkpoint: {reason}"));
                 Some(format!("checkpoint discarded ({reason}); cold-restarted"))
             }
         };
@@ -1267,7 +1213,6 @@ impl Schedd {
                     scope: None,
                     note,
                 });
-                ctx.trace_with(|| format!("job {job} evicted from machine {machine}"));
                 // Owner policy, not a chronic failure: reschedule without
                 // blaming the host, reset the backoff, and tell the breaker
                 // the machine is demonstrably alive.
@@ -1400,9 +1345,6 @@ impl Schedd {
                         // "Anything in between causes it to log the error
                         // and then attempt to execute the program at a new
                         // site."
-                        ctx.trace_with(|| {
-                            format!("logged {scope}-scope error for job {job}; rescheduling")
-                        });
                         ctx.emit(obs::Event::Reschedule {
                             job: u64::from(job),
                             machine: machine as u64,

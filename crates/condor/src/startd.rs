@@ -196,12 +196,6 @@ impl Actor<Msg> for Startd {
         self.advertising_java =
             self.spec.asserts_java && self_test(&self.spec.installation, self.policy.self_test);
         self.stats.advertising_java = self.advertising_java;
-        ctx.trace_with(|| {
-            format!(
-                "self-test depth {:?}: advertising_java={}",
-                self.policy.self_test, self.advertising_java
-            )
-        });
         ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
     }
 
@@ -321,7 +315,6 @@ impl Actor<Msg> for Startd {
                     job,
                     epoch,
                 };
-                ctx.trace_with(|| format!("claim accepted for job {job}"));
                 ctx.send_net(from, Msg::ClaimAccept { job, epoch });
                 // If the activation never arrives (lost, or the schedd gave
                 // up), free the machine instead of wedging on a dead claim.
@@ -335,7 +328,6 @@ impl Actor<Msg> for Startd {
                 } = self.state
                 {
                     if claimed == job && current == epoch {
-                        ctx.trace_with(|| format!("claim for job {job} never activated; freeing"));
                         self.state = State::Free;
                     }
                 }
@@ -364,7 +356,6 @@ impl Actor<Msg> for Startd {
                     // worst moment (or the activation is fenced to the
                     // wrong pool): revoke explicitly — the visiting schedd
                     // hears a claim-scope error, never silence.
-                    ctx.trace_with(|| format!("revoking flocked claim for job {job}"));
                     self.state = State::Free;
                     ctx.send_net(from, Msg::ClaimRevoked { job, epoch });
                     return;
@@ -383,7 +374,6 @@ impl Actor<Msg> for Startd {
                             key: resume.key.clone(),
                         },
                     )));
-                    ctx.trace_with(|| format!("fetching checkpoint for job {job}"));
                     self.state = State::AwaitCkpt {
                         schedd,
                         act,
@@ -435,9 +425,6 @@ impl Actor<Msg> for Startd {
                             machine: ctx.self_id as u64,
                             saved_us: banked.as_micros(),
                         });
-                        ctx.trace_with(|| {
-                            format!("job {} resumed from checkpoint ({banked} banked)", act.job)
-                        });
                         self.activate(
                             schedd,
                             act,
@@ -466,7 +453,6 @@ impl Actor<Msg> for Startd {
                     // The machine died mid-run: no report, ever. The claim
                     // evaporates; the shadow's timeout is the escaping
                     // error's only witness.
-                    ctx.trace_with(|| format!("crashed during job {job}; report lost"));
                     self.state = State::Free;
                     return;
                 }
@@ -503,7 +489,6 @@ impl Actor<Msg> for Startd {
                         ctx.send_net(server, Msg::CkptRequest { frames });
                     }
                 }
-                ctx.trace_with(|| format!("report for job {job}"));
                 ctx.send_net(
                     schedd,
                     Msg::StarterReport {
@@ -541,7 +526,6 @@ impl Actor<Msg> for Startd {
                         machine: ctx.self_id as u64,
                         side: "startd".to_string(),
                     });
-                    ctx.trace_with(|| format!("lease expired for job {job}; abandoning claim"));
                     self.state = State::Free;
                     return;
                 }
@@ -662,12 +646,6 @@ impl Startd {
                 }
                 checkpointed = stored.is_some();
             }
-            ctx.trace_with(|| {
-                format!(
-                    "owner returning at {evict_at}; job {job} will be evicted{}",
-                    if checkpointed { " (checkpointing)" } else { "" }
-                )
-            });
             report = ExecutionReport::Evicted {
                 completed: elapsed,
                 checkpointed,
@@ -675,7 +653,6 @@ impl Startd {
             };
             cpu = elapsed;
         }
-        ctx.trace_with(|| format!("starter running job {job}"));
         self.state = State::Running {
             schedd,
             job,
@@ -719,12 +696,6 @@ impl Startd {
             job: u64::from(act.job),
             machine: ctx.self_id as u64,
             reason: reason.clone(),
-        });
-        ctx.trace_with(|| {
-            format!(
-                "checkpoint for job {} discarded ({reason}); cold restart",
-                act.job
-            )
         });
         // The banked work is gone: the cold restart redoes it.
         act.exec_time += banked;

@@ -8,7 +8,6 @@
 use crate::net::Network;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 use obs::Collector;
 use std::any::Any;
 
@@ -30,7 +29,7 @@ pub struct Envelope<M> {
 ///
 /// `M` is the message alphabet shared by all actors in one world.
 pub trait Actor<M>: Any {
-    /// Stable display name used in traces.
+    /// Stable display name used in telemetry records.
     fn name(&self) -> String;
 
     /// Called once when the world starts, before any messages flow.
@@ -66,7 +65,7 @@ impl<M: 'static> dyn Actor<M> + Send {
 
 /// The capabilities an actor has while handling a message: learn the time,
 /// send messages (reliably or over the simulated network), draw randomness,
-/// record trace entries, and stop the world.
+/// record telemetry events, and stop the world.
 ///
 /// A `Context` is assembled from disjoint borrows of the [`crate::World`]
 /// for exactly one handler invocation: the actor's name is a borrowed
@@ -82,7 +81,6 @@ pub struct Context<'a, M> {
     pub rng: &'a mut SimRng,
     /// The simulated network fabric (mutable: actors may inject faults).
     pub net: &'a mut Network,
-    pub(crate) tracelog: &'a mut TraceLog,
     pub(crate) collector: &'a mut Collector,
     pub(crate) actor_name: &'a str,
     pub(crate) stop_requested: &'a mut bool,
@@ -116,36 +114,9 @@ impl<'a, M> Context<'a, M> {
         self.send_after(delay, id, msg);
     }
 
-    /// Record a trace entry attributed to this actor.
-    ///
-    /// When the argument is built with `format!`, the formatting happens
-    /// whether or not tracing is on; prefer [`Context::trace_with`] on hot
-    /// paths so disabled-trace worlds skip it entirely.
-    pub fn trace(&mut self, text: impl Into<String>) {
-        if self.tracelog.is_enabled() {
-            self.tracelog.record(self.now, self.actor_name, text);
-        }
-    }
-
-    /// Record a trace entry whose text is produced lazily. When tracing is
-    /// disabled the closure never runs, so a `trace_with(|| format!(…))`
-    /// on a hot path costs one branch and nothing else.
-    pub fn trace_with(&mut self, text: impl FnOnce() -> String) {
-        if self.tracelog.is_enabled() {
-            self.tracelog.record(self.now, self.actor_name, text());
-        }
-    }
-
-    /// Is the trace log recording? Lets callers skip building expensive
-    /// diagnostics that only exist to be traced.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracelog.is_enabled()
-    }
-
     /// Record a typed telemetry event attributed to this actor, timestamped
-    /// with the current virtual time. Unlike [`Context::trace`], emission
-    /// survives `without_trace()` worlds — the typed stream is the primary
-    /// record.
+    /// with the current virtual time. The typed stream is the only record
+    /// of a run.
     pub fn emit(&mut self, event: obs::Event) {
         self.collector
             .record(self.now.as_micros(), self.actor_name, event);
@@ -242,7 +213,10 @@ mod tests {
         }
         fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
             if let Msg::Ping(n) = msg {
-                ctx.trace(format!("ping {n}"));
+                ctx.emit(obs::Event::IoOp {
+                    op: format!("ping {n}"),
+                    outcome: obs::IoOutcome::Ok,
+                });
                 ctx.send(from, Msg::Pong(n));
             }
         }
@@ -259,7 +233,8 @@ mod tests {
         w.run(10_000);
         let p: &Pinger = w.get(pinger).unwrap();
         assert_eq!(p.got, vec![1, 2, 3]);
-        assert_eq!(w.trace().containing("ping").count(), 3);
+        let pings = w.telemetry().iter().map(|r| r.to_string());
+        assert_eq!(pings.filter(|line| line.contains("ponger")).count(), 3);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The substrate the simulated Condor pool runs on: virtual time, a
 //! deterministic event queue, message-passing actors, a fault-injectable
-//! network model, seeded randomness, a structured trace log, and a typed
-//! telemetry collector (see the `obs` crate; actors record events with
-//! [`Context::emit`]).
+//! network model, seeded randomness, and a typed telemetry collector —
+//! the one record of a run (see the `obs` crate; actors record events
+//! with [`Context::emit`]).
 //!
 //! Each world is reproducible: the same seed and the same actor set
 //! always produce the same history, which is what lets the test suite
@@ -28,7 +28,8 @@
 //! impl Actor<String> for Echo {
 //!     fn name(&self) -> String { "echo".into() }
 //!     fn on_message(&mut self, from: ActorId, msg: String, ctx: &mut Context<'_, String>) {
-//!         ctx.trace(format!("got {msg}"));
+//!         let op = format!("got {msg}");
+//!         ctx.emit(obs::Event::IoOp { op, outcome: obs::IoOutcome::Ok });
 //!         if from != ctx.self_id { ctx.send(from, msg); }
 //!     }
 //! }
@@ -37,7 +38,7 @@
 //! let echo = world.add_actor(Box::new(Echo));
 //! world.inject(echo, "hello".to_string());
 //! world.run(100);
-//! assert!(world.trace().has("got hello"));
+//! assert!(world.telemetry().iter().any(|r| r.to_string().contains("got hello")));
 //! ```
 
 #![warn(missing_docs)]
@@ -51,7 +52,6 @@ pub mod queue;
 pub mod rng;
 pub mod sweep;
 pub mod time;
-pub mod trace;
 pub mod world;
 
 pub use actor::{Actor, ActorId, Context, Envelope};
@@ -61,7 +61,6 @@ pub use queue::{EventKey, EventQueue, KeyedEventQueue};
 pub use rng::SimRng;
 pub use sweep::{default_width, run_sweep, SeedRun, Sweep};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceLog};
 pub use world::World;
 
 /// Convenient glob import.
@@ -70,6 +69,5 @@ pub mod prelude {
     pub use crate::net::Network;
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::TraceLog;
     pub use crate::world::World;
 }

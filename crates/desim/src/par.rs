@@ -54,7 +54,6 @@ use crate::net::{NetOp, NetStats, Network};
 use crate::queue::{EventKey, KeyedEventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 use crate::world::World;
 use obs::Collector;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -115,7 +114,6 @@ struct Shard<M> {
     queue: KeyedEventQueue<Envelope<M>>,
     rng: SimRng,
     net: Network,
-    trace: TraceLog,
     collector: Collector,
     /// Reused handler outbox (same discipline as [`World`]).
     outbox: Vec<(SimTime, Envelope<M>)>,
@@ -185,7 +183,6 @@ impl<M: 'static> Shard<M> {
                     outbox: &mut self.outbox,
                     rng: &mut self.rng,
                     net: &mut self.net,
-                    tracelog: &mut self.trace,
                     collector: &mut self.collector,
                     actor_name: &names[env.to],
                     stop_requested: &mut self.stop,
@@ -269,10 +266,9 @@ pub struct ParWorld<M> {
     now: SimTime,
     started: bool,
     stopped: bool,
-    /// The world's original collector/trace: pre-run records stay, shard
-    /// staging is merged in behind them by [`ParWorld::finish`].
+    /// The world's original collector: pre-run records stay, shard staging
+    /// is merged in behind them by [`ParWorld::finish`].
     master_collector: Collector,
-    master_trace: TraceLog,
 }
 
 impl<M: Send + 'static> World<M> {
@@ -305,11 +301,6 @@ impl<M: Send + 'static> ParWorld<M> {
                     let mut replica = world.net.clone();
                     replica.set_op_recording(true);
                     replica
-                },
-                trace: if world.trace.is_enabled() {
-                    TraceLog::with_capacity(world.trace.capacity())
-                } else {
-                    TraceLog::disabled()
                 },
                 collector: if world.collector.is_enabled() {
                     Collector::with_capacity(world.collector.capacity())
@@ -353,7 +344,6 @@ impl<M: Send + 'static> ParWorld<M> {
             started: false,
             stopped: false,
             master_collector: std::mem::replace(&mut world.collector, Collector::disabled()),
-            master_trace: std::mem::replace(&mut world.trace, TraceLog::disabled()),
         }
     }
 
@@ -430,7 +420,6 @@ impl<M: Send + 'static> ParWorld<M> {
                     outbox: &mut shard.outbox,
                     rng: &mut shard.rng,
                     net: &mut shard.net,
-                    tracelog: &mut shard.trace,
                     collector: &mut shard.collector,
                     actor_name: &self.names[id],
                     stop_requested: &mut shard.stop,
@@ -594,14 +583,13 @@ impl<M: Send + 'static> ParWorld<M> {
         self.collect_stop();
     }
 
-    /// Dismantle the run: merge every shard's telemetry, trace, and
-    /// network statistics into single deterministic streams (ordered by
-    /// `(time, shard, record)`) and hand back the actors for inspection.
+    /// Dismantle the run: merge every shard's telemetry and network
+    /// statistics into one deterministic stream (ordered by `(time, shard,
+    /// record)`) and hand back the actors for inspection.
     pub fn finish(self) -> ParFinished<M> {
         let mut actors: Vec<Option<Box<dyn Actor<M> + Send>>> =
             (0..self.assignment.len()).map(|_| None).collect();
         let mut collector = self.master_collector;
-        let mut trace = self.master_trace;
         let mut net_stats = NetStats::default();
         let mut events_processed = 0;
 
@@ -610,7 +598,6 @@ impl<M: Send + 'static> ParWorld<M> {
         // order. Records re-record through the master collector so
         // interning and ring eviction happen once, deterministically.
         let mut staged: Vec<(u64, obs::EventRecord)> = Vec::new();
-        let mut traced: Vec<(SimTime, crate::trace::TraceEntry)> = Vec::new();
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("shard mutex");
             events_processed += shard.events;
@@ -618,9 +605,6 @@ impl<M: Send + 'static> ParWorld<M> {
             for r in shard.collector.iter() {
                 let rec = r.to_record();
                 staged.push((rec.at_us, rec));
-            }
-            for e in shard.trace.entries() {
-                traced.push((e.at, e.clone()));
             }
             for (id, slot) in shard.actors.iter_mut().enumerate() {
                 if let Some(actor) = slot.take() {
@@ -632,16 +616,11 @@ impl<M: Send + 'static> ParWorld<M> {
         for (_, rec) in staged {
             collector.record(rec.at_us, &rec.actor, rec.event);
         }
-        traced.sort_by_key(|(at, _)| *at);
-        for (_, e) in traced {
-            trace.record(e.at, e.actor, e.text);
-        }
 
         ParFinished {
             actors,
             names: Arc::try_unwrap(self.names).unwrap_or_else(|a| (*a).clone()),
             telemetry: collector,
-            trace,
             net_stats,
             events_processed,
             now: self.now,
@@ -656,8 +635,6 @@ pub struct ParFinished<M> {
     names: Vec<String>,
     /// The merged typed event stream.
     pub telemetry: Collector,
-    /// The merged trace log.
-    pub trace: TraceLog,
     /// Per-link delivery statistics summed across shard replicas.
     pub net_stats: NetStats,
     /// Total events processed across all shards.
@@ -690,9 +667,9 @@ mod tests {
         Kick,
     }
 
-    /// Gossips over the network ring: every hop emits telemetry, traces,
-    /// consumes randomness, and forwards — so cross-shard traffic, RNG
-    /// streams, span ids, and both output streams are all exercised.
+    /// Gossips over the network ring: every hop emits telemetry, consumes
+    /// randomness, and forwards — so cross-shard traffic, RNG streams,
+    /// span ids, and the merged output stream are all exercised.
     struct Gossip {
         peers: usize,
         received: u32,
@@ -713,9 +690,8 @@ mod tests {
                 span,
                 layer: "gossip".into(),
                 action: obs::SpanAction::Raised,
-                scope: "hop".into(),
+                scope: format!("hop {left}"),
             });
-            ctx.trace_with(|| format!("hop {left}"));
             let _ = ctx.rng.range_u64(1, 100);
             if left > 0 {
                 let next = (ctx.self_id + 1) % self.peers;
@@ -737,18 +713,13 @@ mod tests {
         shards: usize,
         threads: usize,
         window: Option<SimDuration>,
-    ) -> (String, String, u64, SimTime) {
+    ) -> (String, u64, SimTime) {
         let mut cfg = ParConfig::new(shards, threads);
         cfg.window = window;
         let mut pw = gossip_world(7, 12).into_parallel(cfg);
         pw.run_until(SimTime::from_millis(500));
         let fin = pw.finish();
-        (
-            fin.telemetry.to_jsonl(),
-            fin.trace.render(),
-            fin.events_processed,
-            fin.now,
-        )
+        (fin.telemetry.to_jsonl(), fin.events_processed, fin.now)
     }
 
     #[test]
@@ -757,13 +728,12 @@ mod tests {
         for threads in [2, 3, 8] {
             let other = run_sharded(4, threads, None);
             assert_eq!(base.0, other.0, "telemetry must match at {threads} threads");
-            assert_eq!(base.1, other.1, "trace must match at {threads} threads");
             assert_eq!(
-                base.2, other.2,
+                base.1, other.1,
                 "event count must match at {threads} threads"
             );
             assert_eq!(
-                base.3, other.3,
+                base.2, other.2,
                 "final time must match at {threads} threads"
             );
         }
@@ -777,7 +747,6 @@ mod tests {
         let narrow = run_sharded(4, 8, Some(SimDuration::from_micros(200)));
         assert_eq!(auto.0, narrow.0);
         assert_eq!(auto.1, narrow.1);
-        assert_eq!(auto.2, narrow.2);
     }
 
     #[test]
@@ -930,7 +899,7 @@ mod tests {
     #[test]
     fn deferred_net_ops_hit_every_replica_and_stay_deterministic() {
         let run = |threads: usize| {
-            let mut w: World<Msg> = World::new(5).without_trace();
+            let mut w: World<Msg> = World::new(5);
             let driver = w.add_actor(Box::new(Downer { victim: 2 }));
             let beacon = w.add_actor(Box::new(Beacon { to: 2, sent: 0 }));
             let sink = w.add_actor(Box::new(Sink { got: 0 }));

@@ -261,7 +261,7 @@ mod tests {
     }
 
     fn run_seed(seed: u64) -> SeedRun {
-        let mut w: World<Work> = World::new(seed).without_trace();
+        let mut w: World<Work> = World::new(seed);
         w.add_actor(Box::new(Churner { remaining: 40 }));
         w.run(10_000);
         let mut reg = Registry::new();

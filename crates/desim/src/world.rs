@@ -5,12 +5,11 @@ use crate::net::Network;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 use obs::Collector;
 
 /// A complete simulated system: a set of actors, a pending-event queue, a
-/// virtual clock, a network fabric, a random stream, a trace log, and a
-/// typed event collector.
+/// virtual clock, a network fabric, a random stream, and a typed event
+/// collector.
 pub struct World<M> {
     // Actors are stored `+ Send` so a built world can be converted into a
     // sharded parallel run ([`crate::par::ParWorld`]); the classic
@@ -21,7 +20,6 @@ pub struct World<M> {
     pub(crate) now: SimTime,
     pub(crate) rng: SimRng,
     pub(crate) net: Network,
-    pub(crate) trace: TraceLog,
     pub(crate) collector: Collector,
     // Reused across dispatches: drained into the queue after each handler,
     // keeping its capacity so steady-state dispatch allocates nothing.
@@ -33,7 +31,7 @@ pub struct World<M> {
 
 impl<M: 'static> World<M> {
     /// A new world with the given random seed, a default 1 ms network, and
-    /// tracing enabled.
+    /// a default-capacity collector.
     pub fn new(seed: u64) -> Self {
         World {
             actors: Vec::new(),
@@ -42,7 +40,6 @@ impl<M: 'static> World<M> {
             now: SimTime::ZERO,
             rng: SimRng::seed_from_u64(seed),
             net: Network::default(),
-            trace: TraceLog::new(),
             collector: Collector::new(),
             outbox: Vec::new(),
             started: false,
@@ -57,11 +54,11 @@ impl<M: 'static> World<M> {
         self
     }
 
-    /// Disable tracing (for benchmarks). The typed event collector stays
-    /// on — it is bounded and is the primary record; use
-    /// [`World::with_collector`] to disable or resize it.
-    pub fn without_trace(mut self) -> Self {
-        self.trace = TraceLog::disabled();
+    /// Does nothing: the free-text trace log this used to disable is gone
+    /// (the typed collector is the only record of a run; size or disable
+    /// it with [`World::with_collector`]). Kept only because the frozen
+    /// `crates/ledger` still calls it; goes when those calls do.
+    pub fn without_trace(self) -> Self {
         self
     }
 
@@ -87,11 +84,6 @@ impl<M: 'static> World<M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The trace log.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// The typed event collector.
@@ -171,7 +163,6 @@ impl<M: 'static> World<M> {
                 outbox: &mut self.outbox,
                 rng: &mut self.rng,
                 net: &mut self.net,
-                tracelog: &mut self.trace,
                 collector: &mut self.collector,
                 actor_name: &self.names[id],
                 stop_requested: &mut self.stop_requested,
@@ -213,7 +204,6 @@ impl<M: 'static> World<M> {
                 outbox: &mut self.outbox,
                 rng: &mut self.rng,
                 net: &mut self.net,
-                tracelog: &mut self.trace,
                 collector: &mut self.collector,
                 actor_name: &self.names[env.to],
                 stop_requested: &mut self.stop_requested,

@@ -43,7 +43,6 @@ fn run(policy_name: &str, self_test: SelfTestDepth, avoid: bool) -> (String, Run
             avoid_threshold: 2,
             ..ScheddPolicy::default()
         })
-        .without_trace()
         .run(SimTime::from_secs(24 * 3600));
     (policy_name.to_string(), report)
 }

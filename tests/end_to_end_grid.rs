@@ -85,7 +85,6 @@ fn naive_discipline_costs_postmortems() {
                 ..ScheddPolicy::default()
             })
             .jobs(mk(mode))
-            .without_trace()
             .run(day())
     };
     let naive = build(JavaMode::Naive);
@@ -210,7 +209,6 @@ fn whole_pool_determinism() {
                 (1..=5)
                     .map(|i| JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)),
             )
-            .without_trace()
             .run(day())
     };
     let a = run(1);

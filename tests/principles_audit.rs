@@ -76,7 +76,6 @@ fn recorded_spans_audit_clean_in_scoped_mode() {
             JobSpec::java(i, "ada", programs::uses_stdlib(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(30))
         }))
-        .without_trace()
         .run(SimTime::from_secs(24 * 3600));
 
     let stack = java_universe_stack();
@@ -107,7 +106,6 @@ fn naive_violations_are_recorded_as_events() {
             JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Naive)
                 .with_exec_time(SimDuration::from_secs(20))
         }))
-        .without_trace()
         .run(SimTime::from_secs(24 * 3600));
 
     assert!(report.metrics.incidental_errors_shown_to_user > 0);
@@ -153,7 +151,6 @@ fn naive_baseline_exhibits_the_section_2_3_failures() {
                 JobSpec::java(i, "ada", programs::completes_main(), mode)
                     .with_exec_time(SimDuration::from_secs(20))
             }))
-            .without_trace()
             .run(SimTime::from_secs(24 * 3600))
     };
     let naive = build(JavaMode::Naive);

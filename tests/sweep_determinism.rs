@@ -29,7 +29,6 @@ fn run_seed(seed: u64) -> SeedRun {
             JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(30))
         }))
-        .without_trace()
         .run(SimTime::from_secs(3600));
     assert!(report.quiescent, "seed {seed}: pool must drain");
     SeedRun {
