@@ -76,11 +76,12 @@ enum Slot {
     Code(Program),
 }
 
-/// A [`ClassAd`] plus its compiled form: a dense, lexically sorted
-/// attribute table whose entries are constant values or [`Program`]s.
+/// The compiled form of a [`ClassAd`]: a dense, lexically sorted attribute
+/// table whose entries are constant values or [`Program`]s. It holds no
+/// copy of the source ad — a caller that needs it keeps (or shares) its
+/// own.
 #[derive(Debug, Clone)]
 pub struct CompiledAd {
-    ad: ClassAd,
     /// Lower-cased attribute names, sorted (mirrors the ad's `BTreeMap`
     /// iteration order), parallel to `slots`.
     names: Vec<String>,
@@ -109,8 +110,7 @@ impl Scratch {
 }
 
 impl CompiledAd {
-    /// Compile every attribute of `ad`. The original ad is retained and
-    /// accessible via [`CompiledAd::ad`].
+    /// Compile every attribute of `ad`.
     pub fn compile(ad: &ClassAd) -> CompiledAd {
         let names: Vec<String> = ad
             .iter()
@@ -131,17 +131,11 @@ impl CompiledAd {
         let requirements = slot_of(&REQUIREMENTS.to_ascii_lowercase()).map(|i| i as u32);
         let rank = slot_of(&RANK.to_ascii_lowercase()).map(|i| i as u32);
         CompiledAd {
-            ad: ad.clone(),
             names,
             slots,
             requirements,
             rank,
         }
-    }
-
-    /// The source ad.
-    pub fn ad(&self) -> &ClassAd {
-        &self.ad
     }
 
     /// Slot index of a lower-cased attribute name.

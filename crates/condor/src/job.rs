@@ -1,5 +1,6 @@
 //! Jobs: what users submit to the schedd.
 
+use classads::ast::{BinOp, Expr};
 use classads::ClassAd;
 use desim::{SimDuration, SimTime};
 use errorscope::resultfile::ResultFile;
@@ -103,14 +104,15 @@ impl JobSpec {
             .with_int("ClusterId", i64::from(self.id))
             .with_str("Universe", universe)
             .with_int("ImageSize", self.image_size);
-        let requirements = match self.universe {
-            Universe::Vanilla | Universe::Standard => "TARGET.Memory >= MY.ImageSize".to_string(),
-            Universe::Java(_) => {
-                "TARGET.Memory >= MY.ImageSize && TARGET.HasJava =?= true".to_string()
-            }
-        };
-        ad = ad.with_expr("Requirements", &requirements);
-        ad = ad.with_expr("Rank", "TARGET.Memory");
+        // The expressions are fixed, so they are built directly rather
+        // than parsed from text (a test pins the two forms equal).
+        let mut requirements = Expr::target("Memory").ge(Expr::my("ImageSize"));
+        if let Universe::Java(_) = self.universe {
+            requirements =
+                requirements.and(Expr::target("HasJava").bin(BinOp::MetaEq, Expr::boolean(true)));
+        }
+        ad.insert_expr("Requirements", requirements);
+        ad.insert_expr("Rank", Expr::target("Memory"));
         ad
     }
 }
@@ -263,6 +265,42 @@ mod tests {
             .with_expr("Requirements", "true");
         assert!(!requirements_met(&jad, &machine_no_java));
         assert!(requirements_met(&jad, &machine_java));
+    }
+
+    /// `ad()` builds its constant expressions with the `Expr` constructors;
+    /// they must equal what the parser makes of the text form, or compiled
+    /// programs — and every digest downstream — would move.
+    #[test]
+    fn constructed_ad_equals_its_parsed_text_form() {
+        for (universe, name, requirements) in [
+            (
+                Universe::Java(JavaMode::Scoped),
+                "java",
+                "TARGET.Memory >= MY.ImageSize && TARGET.HasJava =?= true",
+            ),
+            (
+                Universe::Vanilla,
+                "vanilla",
+                "TARGET.Memory >= MY.ImageSize",
+            ),
+            (
+                Universe::Standard,
+                "standard",
+                "TARGET.Memory >= MY.ImageSize",
+            ),
+        ] {
+            let mut spec = JobSpec::java(7, "ada", vec![], JavaMode::Scoped);
+            spec.universe = universe;
+            let parsed = ClassAd::new()
+                .with_str("Owner", "ada")
+                .with_int("ClusterId", 7)
+                .with_str("Universe", name)
+                .with_int("ImageSize", 64)
+                .with_expr("Requirements", requirements)
+                .with_expr("Rank", "TARGET.Memory");
+            assert_eq!(spec.ad(), parsed, "{name}");
+            assert_eq!(spec.ad().to_string(), parsed.to_string(), "{name}");
+        }
     }
 
     #[test]

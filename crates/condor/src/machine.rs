@@ -71,8 +71,10 @@ impl MachineSpec {
             .with_int("Memory", self.memory)
             .with_str("Arch", &self.arch)
             .with_str("OpSys", &self.opsys)
+            // The owner's policy is free text and must be parsed; the
+            // constant rank need not be.
             .with_expr("Requirements", &self.owner_requirements)
-            .with_expr("Rank", "0");
+            .with_int("Rank", 0);
         if advertise_java {
             ad = ad.with_bool("HasJava", true);
         }
@@ -91,6 +93,23 @@ mod tests {
         let m = MachineSpec::healthy("node1", 256);
         assert!(m.ad(true).has("HasJava"));
         assert!(!m.ad(false).has("HasJava"));
+    }
+
+    /// The constant `Rank` is built as a literal; it must equal what the
+    /// parser makes of `"0"`, or the compiled ad (and every digest
+    /// downstream) would move.
+    #[test]
+    fn constructed_ad_equals_its_parsed_text_form() {
+        let m = MachineSpec::healthy("node1", 256);
+        let parsed = ClassAd::new()
+            .with_str("Name", "node1")
+            .with_int("Memory", 256)
+            .with_str("Arch", "INTEL")
+            .with_str("OpSys", "LINUX")
+            .with_expr("Requirements", "TARGET.ImageSize <= MY.Memory")
+            .with_expr("Rank", "0");
+        assert_eq!(m.ad(false), parsed);
+        assert_eq!(m.ad(true), parsed.with_bool("HasJava", true));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use desim::{SimDuration, SimTime};
 use errorscope::resultfile::ResultFile;
 use errorscope::Scope;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A snapshot of the submitter's home file system, shipped with a claim
 /// activation (the shadow "providing the details of the job to be run,
@@ -225,15 +226,17 @@ pub enum Msg {
     // ---- matchmaking (Figure 1: "Matchmaking Protocol") ----
     /// A startd advertises its machine.
     MachineAd {
-        /// The machine's ClassAd (with `HasJava` per the self-test).
-        ad: Box<ClassAd>,
+        /// The machine's ClassAd (with `HasJava` per the self-test). Shared:
+        /// the startd builds it once and every re-advertisement sends the
+        /// same allocation, which the matchmaker recognises by pointer.
+        ad: Arc<ClassAd>,
     },
     /// A schedd advertises one idle job.
     JobAd {
         /// Which job.
         job: JobId,
-        /// The job's ClassAd.
-        ad: Box<ClassAd>,
+        /// The job's ClassAd, shared the same way.
+        ad: Arc<ClassAd>,
     },
     /// The matchmaker notifies the schedd of a compatible partner
     /// ("notifies schedds and startds of compatible partners").
@@ -278,7 +281,7 @@ pub enum Msg {
         /// The job ad, for the startd's own verification ("matched
         /// processes are individually responsible for … verifying that
         /// their needs are met").
-        ad: Box<ClassAd>,
+        ad: Arc<ClassAd>,
         /// The claim epoch this request opens. Every later message about
         /// the claim carries it; stale epochs are fenced.
         epoch: u64,

@@ -18,6 +18,7 @@ use crate::metrics::Metrics;
 use crate::msg::{
     Activation, CkptAttempt, ExecutionReport, FsSnapshot, LeaseInfo, Msg, ResumeInfo,
 };
+use classads::ClassAd;
 use desim::prelude::*;
 use errorscope::propagate::Disposition;
 use errorscope::resultfile::{Outcome, ResultFile};
@@ -198,6 +199,15 @@ pub struct Schedd {
     /// Which pool each matched machine belongs to, learned from
     /// [`Msg::MatchNotify`]. Claims and activations are stamped with it.
     pub machine_pool: BTreeMap<usize, u64>,
+    /// Each job's plain `spec.ad()` — what a claim request carries — built
+    /// once, at the job's first advertisement or claim.
+    claim_ads: BTreeMap<JobId, Arc<ClassAd>>,
+    /// Each job's advertised ad: its claim ad plus one exclusion clause per
+    /// machine in `advertised_for`. Re-sent by reference every tick, and
+    /// rebuilt only when that list changes.
+    advertised: BTreeMap<JobId, Arc<ClassAd>>,
+    /// The avoided-machine list the ads in `advertised` were built for.
+    advertised_for: Vec<usize>,
     self_id: usize,
 }
 
@@ -220,6 +230,9 @@ impl Schedd {
             flock_probe_job: BTreeMap::new(),
             first_idle: BTreeMap::new(),
             machine_pool: BTreeMap::new(),
+            claim_ads: BTreeMap::new(),
+            advertised: BTreeMap::new(),
+            advertised_for: Vec::new(),
             self_id: usize::MAX,
         }
     }
@@ -262,15 +275,36 @@ impl Schedd {
                 .is_some_and(|c| *c >= self.policy.avoid_threshold)
     }
 
-    /// The job's ad with `TARGET.MachineId =!= id` clauses appended for
-    /// every avoided host — how the schedd "avoids hosts with chronic
-    /// failures" (§5) without the matchmaker needing to know why.
-    fn ad_excluding(spec: &JobSpec, avoided: &[usize]) -> classads::ClassAd {
-        use classads::ast::{BinOp, Expr};
-        let mut ad = spec.ad();
-        if avoided.is_empty() {
-            return ad;
+    /// The job's plain ad, built on first use.
+    fn claim_ad(&mut self, job: JobId) -> Arc<ClassAd> {
+        let ad = self
+            .claim_ads
+            .entry(job)
+            .or_insert_with(|| Arc::new(self.jobs[&job].spec.ad()));
+        Arc::clone(ad)
+    }
+
+    /// The job's ad as advertised under the current `advertised_for` list,
+    /// built on first use.
+    fn advertised_ad(&mut self, job: JobId) -> Arc<ClassAd> {
+        if let Some(ad) = self.advertised.get(&job) {
+            return Arc::clone(ad);
         }
+        let ad = Self::ad_excluding(&self.claim_ad(job), &self.advertised_for);
+        self.advertised.insert(job, Arc::clone(&ad));
+        ad
+    }
+
+    /// `base` with `TARGET.MachineId =!= id` clauses appended for every
+    /// avoided host — how the schedd "avoids hosts with chronic failures"
+    /// (§5) without the matchmaker needing to know why. With nothing to
+    /// avoid it is `base` itself, not a copy.
+    fn ad_excluding(base: &Arc<ClassAd>, avoided: &[usize]) -> Arc<ClassAd> {
+        use classads::ast::{BinOp, Expr};
+        if avoided.is_empty() {
+            return Arc::clone(base);
+        }
+        let mut ad = ClassAd::clone(base);
         let mut req = ad
             .get("Requirements")
             .cloned()
@@ -279,7 +313,7 @@ impl Schedd {
             req = req.and(Expr::target("MachineId").bin(BinOp::MetaNe, Expr::int(*id as i64)));
         }
         ad.insert_expr("Requirements", req);
-        ad
+        Arc::new(ad)
     }
 
     fn snapshot_for(&self, spec: &JobSpec) -> FsSnapshot {
@@ -400,31 +434,25 @@ impl Actor<Msg> for Schedd {
                     }
                 }
                 avoided.sort_unstable();
-                let ads: Vec<(JobId, classads::ClassAd)> = self
+                if avoided != self.advertised_for {
+                    self.advertised.clear();
+                    self.advertised_for = avoided;
+                }
+                let idle: Vec<JobId> = self
                     .jobs
                     .values()
                     .filter(|j| matches!(j.state, JobState::Idle))
-                    .map(|j| (j.spec.id, Self::ad_excluding(&j.spec, &avoided)))
+                    .map(|j| j.spec.id)
                     .collect();
                 self.note_idle_jobs(ctx.now);
                 let remotes = self.granted_matchmakers(ctx.now);
-                for (job, ad) in ads {
+                for job in idle {
+                    let ad = self.advertised_ad(job);
                     for &mm in &remotes {
-                        ctx.send_net(
-                            mm,
-                            Msg::JobAd {
-                                job,
-                                ad: Box::new(ad.clone()),
-                            },
-                        );
+                        let ad = Arc::clone(&ad);
+                        ctx.send_net(mm, Msg::JobAd { job, ad });
                     }
-                    ctx.send_net(
-                        self.matchmaker,
-                        Msg::JobAd {
-                            job,
-                            ad: Box::new(ad),
-                        },
-                    );
+                    ctx.send_net(self.matchmaker, Msg::JobAd { job, ad });
                 }
                 self.maybe_flock(ctx);
                 ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
@@ -451,7 +479,7 @@ impl Actor<Msg> for Schedd {
                 rec.epoch += 1;
                 let epoch = rec.epoch;
                 rec.state = JobState::Claiming { machine };
-                let ad = rec.spec.ad();
+                let ad = self.claim_ad(job);
                 ctx.emit(obs::Event::Claim {
                     job: u64::from(job),
                     machine: machine as u64,
@@ -461,7 +489,7 @@ impl Actor<Msg> for Schedd {
                     machine,
                     Msg::ClaimRequest {
                         job,
-                        ad: Box::new(ad),
+                        ad,
                         epoch,
                         pool,
                     },

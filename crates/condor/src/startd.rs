@@ -29,6 +29,7 @@ use chirp::transport::DirectTransport;
 use chirp::wire;
 use chirp::{Request, Response};
 use classads::matchmaking::requirements_met;
+use classads::ClassAd;
 use desim::prelude::*;
 use errorscope::error::codes;
 use errorscope::resultfile::ResultFile;
@@ -124,6 +125,13 @@ pub struct Startd {
     plan: Arc<FaultPlan>,
     state: State,
     advertising_java: bool,
+    /// The ad this machine advertises (with `MachineId`), built at the
+    /// first advertisement and re-sent by reference on every later tick;
+    /// dropped when `advertising_java` changes.
+    wire_ad: Option<Arc<ClassAd>>,
+    /// The ad incoming claims are checked against (no `MachineId`), built
+    /// at the first claim; dropped with `wire_ad`.
+    claim_ad: Option<ClassAd>,
     /// The pool this machine belongs to. Claims stamped with a different
     /// pool are rejected; activations are revoked. Defaults to 0.
     pool_id: u64,
@@ -156,6 +164,8 @@ impl Startd {
             plan,
             state: State::Free,
             advertising_java: false,
+            wire_ad: None,
+            claim_ad: None,
             pool_id: 0,
             ckpt_server: None,
             stats_id: usize::MAX,
@@ -230,9 +240,12 @@ impl Actor<Msg> for Startd {
                     // pool (an already-running job was evicted at the
                     // window onset by the ExecutionComplete path).
                 } else if matches!(self.state, State::Free) {
-                    let mut ad = self.spec.ad(self.advertising_java);
-                    ad.insert("MachineId", classads::Value::Int(ctx.self_id as i64));
-                    ctx.send_net(self.matchmaker, Msg::MachineAd { ad: Box::new(ad) });
+                    let ad = self.wire_ad.get_or_insert_with(|| {
+                        let mut ad = self.spec.ad(self.advertising_java);
+                        ad.insert("MachineId", classads::Value::Int(ctx.self_id as i64));
+                        Arc::new(ad)
+                    });
+                    ctx.send_net(self.matchmaker, Msg::MachineAd { ad: Arc::clone(ad) });
                 }
                 ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
             }
@@ -288,8 +301,10 @@ impl Actor<Msg> for Startd {
                 }
                 // "Matched processes are individually responsible for …
                 // verifying that their needs are met."
-                let my_ad = self.spec.ad(self.advertising_java);
-                if !requirements_met(&my_ad, &ad) || !requirements_met(&ad, &my_ad) {
+                let my_ad = self
+                    .claim_ad
+                    .get_or_insert_with(|| self.spec.ad(self.advertising_java));
+                if !requirements_met(my_ad, &ad) || !requirements_met(&ad, my_ad) {
                     self.stats.claims_rejected += 1;
                     self.emit_claim(
                         ctx,
@@ -973,6 +988,9 @@ impl Startd {
             if self.policy.learn_from_failures && self.advertising_java {
                 self.advertising_java = false;
                 self.stats.advertising_java = false;
+                // Both cached ads carry `HasJava`: rebuild at next use.
+                self.wire_ad = None;
+                self.claim_ad = None;
             }
         }
     }

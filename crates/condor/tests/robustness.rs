@@ -5,6 +5,7 @@ use condor::prelude::*;
 use condor::{Msg, PoolBuilder, Schedd, Startd};
 use desim::{SimDuration, SimTime};
 use gridvm::programs;
+use std::sync::Arc;
 
 fn one_job_pool(seed: u64) -> (desim::World<Msg>, usize, Vec<usize>) {
     PoolBuilder::new(seed)
@@ -156,7 +157,7 @@ fn busy_machine_rejects_second_claim() {
             m,
             Msg::ClaimRequest {
                 job: 2,
-                ad: Box::new(ad),
+                ad: Arc::new(ad),
                 epoch: 0,
                 pool: 0,
             },

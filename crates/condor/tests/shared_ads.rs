@@ -1,0 +1,339 @@
+//! Ads travel by reference: a daemon builds its ad once and re-sends the
+//! same allocation every tick. These tests tap the wire to pin both halves
+//! of that bargain — the ad *is* shared while its inputs hold still, and it
+//! is rebuilt the moment one of them changes.
+
+use classads::ClassAd;
+use condor::prelude::*;
+use condor::{
+    Activation, BreakerState, CircuitBreaker, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd,
+    Startd,
+};
+use desim::prelude::*;
+use gridvm::config::SelfTestDepth;
+use gridvm::programs;
+use std::sync::Arc;
+
+/// Stands where a matchmaker (or a machine) would and keeps every ad sent
+/// to it, in arrival order.
+#[derive(Default)]
+struct Wiretap {
+    machine_ads: Vec<Arc<ClassAd>>,
+    /// `(tick time, job, ad)`.
+    job_ads: Vec<(SimTime, u32, Arc<ClassAd>)>,
+    claim_ads: Vec<Arc<ClassAd>>,
+}
+
+impl Actor<Msg> for Wiretap {
+    fn name(&self) -> String {
+        "wiretap".into()
+    }
+    fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        match msg {
+            Msg::MachineAd { ad } => self.machine_ads.push(ad),
+            Msg::JobAd { job, ad } => self.job_ads.push((ctx.now, job, ad)),
+            Msg::ClaimRequest { ad, .. } => self.claim_ads.push(ad),
+            _ => {}
+        }
+    }
+}
+
+fn java_job(id: u32) -> JobSpec {
+    JobSpec::java(id, "ada", programs::uses_stdlib(), JavaMode::Scoped)
+        .with_exec_time(SimDuration::from_secs(10))
+}
+
+fn requirements(ad: &ClassAd) -> String {
+    ad.get("Requirements").expect("Requirements").to_string()
+}
+
+/// (a) A learning startd that meets a remote-resource failure drops its
+/// cached ads: the next tick advertises a fresh ad without `HasJava`, and
+/// the matchmaker stops offering the machine to java jobs.
+#[test]
+fn learning_startd_rebuilds_its_ad_without_java() {
+    let mut world: World<Msg> = World::new(3);
+    let tap = world.add_actor(Box::new(Wiretap::default()));
+    let policy = StartdPolicy {
+        self_test: SelfTestDepth::None, // the broken stdlib goes unnoticed…
+        learn_from_failures: true,      // …until a job trips over it
+        ..StartdPolicy::default()
+    };
+    let spec = MachineSpec::partially_misconfigured("half", 256);
+    let startd = world.add_actor(Box::new(Startd::new(
+        spec,
+        policy,
+        tap,
+        FaultPlan::none().build(),
+    )));
+
+    world.run_until(SimTime::from_secs(11));
+    let before = world.get::<Wiretap>(tap).unwrap().machine_ads.clone();
+    assert_eq!(before.len(), 2);
+    assert!(Arc::ptr_eq(&before[0], &before[1]), "one ad, sent twice");
+    assert!(before[0].has("HasJava") && before[0].has("MachineId"));
+
+    // Claim and activate the machine "from outside" (injected messages
+    // arrive as if from the startd itself, which is all its checks need).
+    let job = java_job(1);
+    world.inject(
+        startd,
+        Msg::ClaimRequest {
+            job: 1,
+            ad: Arc::new(job.ad()),
+            epoch: 1,
+            pool: 0,
+        },
+    );
+    world.run_until(SimTime::from_secs(12));
+    world.inject(
+        startd,
+        Msg::ActivateClaim(Box::new(Activation {
+            job: 1,
+            image: job.image.clone(),
+            universe: job.universe,
+            snapshot: FsSnapshot::default(),
+            exec_time: job.exec_time,
+            does_remote_io: false,
+            schedd: startd,
+            attempt: 0,
+            resume: None,
+            epoch: 1,
+            lease: None,
+            pool: 0,
+        })),
+    );
+    world.run_until(SimTime::from_secs(41));
+    let st = world.get::<Startd>(startd).unwrap();
+    assert_eq!(st.stats.claims_accepted, 1);
+    assert_eq!(st.stats.remote_resource_failures, 1);
+    assert!(!st.advertising_java());
+
+    let after = world.get::<Wiretap>(tap).unwrap().machine_ads[before.len()..].to_vec();
+    assert!(
+        after.len() >= 2,
+        "the machine is free and advertising again"
+    );
+    assert!(!after[0].has("HasJava"), "the capability is revoked");
+    assert!(!Arc::ptr_eq(&after[0], &before[0]));
+    assert!(after.iter().all(|ad| Arc::ptr_eq(ad, &after[0])));
+
+    // The claim-time ad was dropped too: a java claim is now refused.
+    world.inject(
+        startd,
+        Msg::ClaimRequest {
+            job: 2,
+            ad: Arc::new(java_job(2).ad()),
+            epoch: 1,
+            pool: 0,
+        },
+    );
+    world.run_until(SimTime::from_secs(42));
+    assert_eq!(
+        world.get::<Startd>(startd).unwrap().stats.claims_rejected,
+        1
+    );
+
+    // And what the matchmaker makes of the two ads.
+    let mut engine = MatchEngine::new();
+    let mut rng = SimRng::seed_from_u64(1);
+    let now = SimTime::from_secs(10);
+    engine.insert_machine(startd, Arc::clone(&before[0]), now);
+    engine.insert_job(9, 1, job.ad());
+    assert_eq!(engine.negotiate(now, &mut rng), vec![(9, 1, startd)]);
+    engine.insert_machine(startd, Arc::clone(&after[0]), now);
+    engine.insert_job(9, 1, job.ad());
+    assert_eq!(engine.negotiate(now, &mut rng), vec![]);
+}
+
+/// (b) Every idle job's advertised ad follows the avoided-machine list:
+/// shared between ticks while the list holds, rebuilt with a
+/// `TARGET.MachineId =!= id` clause when a machine crosses
+/// `avoid_threshold` or its breaker opens, and rebuilt without it when the
+/// breaker goes half-open. The claim-time ad never carries exclusions.
+#[test]
+fn job_ads_follow_the_avoided_list() {
+    let breaker = BreakerPolicy {
+        threshold: 1,
+        open_for: SimDuration::from_secs(20),
+        max_open: SimDuration::from_secs(20),
+    };
+    let policy = ScheddPolicy {
+        avoid_chronic_hosts: true,
+        avoid_threshold: 2,
+        breaker: Some(breaker),
+        ..ScheddPolicy::default()
+    };
+    let mut world: World<Msg> = World::new(4);
+    let tap = world.add_actor(Box::new(Wiretap::default()));
+    let mut schedd = Schedd::new(tap, policy, FaultPlan::none().build());
+    schedd.submit(java_job(1));
+    schedd.submit(java_job(2));
+    let schedd = world.add_actor(Box::new(schedd));
+    let (chronic, tripped) = (7usize, 9usize);
+
+    // Ticks at 5 and 10: nothing avoided.
+    world.run_until(SimTime::from_secs(11));
+    // Machine 7 crosses the chronic threshold: ticks at 15 and 20 exclude it.
+    let s = world.get_mut::<Schedd>(schedd).unwrap();
+    s.chronic.insert(chronic, 2);
+    world.run_until(SimTime::from_secs(21));
+    // Machine 9's breaker opens until t=41: ticks at 25..=40 exclude both.
+    let mut b = CircuitBreaker::new(breaker);
+    let opened = b
+        .on_failure(world.now())
+        .expect("threshold 1 opens at once");
+    assert!(matches!(opened.to, BreakerState::Open { .. }));
+    let s = world.get_mut::<Schedd>(schedd).unwrap();
+    s.breakers.insert(tripped, b);
+    // While both are excluded, a match arrives: the claim goes out with the
+    // job's plain ad (the tap stands in for the machine, too).
+    world.run_until(SimTime::from_secs(31));
+    world.inject(
+        schedd,
+        Msg::MatchNotify {
+            job: 2,
+            machine: tap,
+            pool: 0,
+        },
+    );
+    // From t=41 the breaker is half-open: the probe readmits machine 9.
+    world.run_until(SimTime::from_secs(51));
+
+    let tap = world.get::<Wiretap>(tap).unwrap();
+    // Job 1's ad as sent at the tick at `secs`.
+    let ad_at = |secs: u64| -> &Arc<ClassAd> {
+        let mut sent = tap
+            .job_ads
+            .iter()
+            .filter(|(at, job, _)| at.as_secs_f64().floor() as u64 == secs && *job == 1);
+        let (_, _, ad) = sent.next().expect("advertised at this tick");
+        assert!(sent.next().is_none(), "advertised once per tick (t={secs})");
+        ad
+    };
+    let excludes =
+        |ad: &ClassAd, id: usize| requirements(ad).contains(&format!("TARGET.MachineId =!= {id}"));
+    // (tick, excludes 7, excludes 9, same allocation as the tick before)
+    let expected = [
+        (5, false, false, false),
+        (10, false, false, true),
+        (15, true, false, false),
+        (20, true, false, true),
+        (25, true, true, false),
+        (30, true, true, true),
+        (35, true, true, true),
+        (40, true, true, true),
+        (45, true, false, false),
+        (50, true, false, true),
+    ];
+    let mut previous: Option<&Arc<ClassAd>> = None;
+    for (tick, no_7, no_9, shared) in expected {
+        let ad = ad_at(tick);
+        assert_eq!(
+            excludes(ad, chronic),
+            no_7,
+            "t={tick}: {}",
+            requirements(ad)
+        );
+        assert_eq!(
+            excludes(ad, tripped),
+            no_9,
+            "t={tick}: {}",
+            requirements(ad)
+        );
+        assert_eq!(
+            previous.is_some_and(|p| Arc::ptr_eq(p, ad)),
+            shared,
+            "t={tick}"
+        );
+        previous = Some(ad);
+    }
+    // Job 2 left the idle queue at t=31 and is no longer advertised.
+    assert!(tap
+        .job_ads
+        .iter()
+        .all(|(at, job, _)| *job != 2 || *at < SimTime::from_secs(32)));
+    assert_eq!(tap.claim_ads.len(), 1);
+    assert_eq!(*tap.claim_ads[0], java_job(2).ad());
+}
+
+/// Sends one never-matchable job ad at startup, so a live machine is probed
+/// (and its verdict cached) every cycle.
+struct StuckJob {
+    matchmaker: ActorId,
+}
+
+impl Actor<Msg> for StuckJob {
+    fn name(&self) -> String {
+        "stuck-job".into()
+    }
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        // The `+ 0` defeats the index's memory pruning.
+        let ad = ClassAd::new()
+            .with_int("ImageSize", 1 << 20)
+            .with_expr("Requirements", "TARGET.Memory + 0 >= MY.ImageSize")
+            .with_expr("Rank", "TARGET.Memory");
+        ctx.send_net(
+            self.matchmaker,
+            Msg::JobAd {
+                job: 1,
+                ad: Arc::new(ad),
+            },
+        );
+    }
+    fn on_message(&mut self, _: ActorId, _: Msg, _: &mut Context<'_, Msg>) {}
+}
+
+/// (c) A crash window silences a startd past `AD_LIFETIME`: its ad expires,
+/// and when it comes back it re-advertises the very same allocation — which
+/// the matchmaker re-admits under a new generation (a miss, not a hit).
+#[test]
+fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
+    // Ticks at 5 and 10 advertise; 15..=55 fall in the crash window; the
+    // ad last refreshed at t≈10 outlives the t=40 cycle and is gone at t=50.
+    let crash = Window::new(SimTime::from_secs(12), SimTime::from_secs(58));
+    let spec = || MachineSpec::healthy("m", 256);
+
+    // On the wire: the ad survives the crash.
+    let mut world: World<Msg> = World::new(5);
+    let tap = world.add_actor(Box::new(Wiretap::default()));
+    let plan = FaultPlan::none().crash(tap + 1, crash).build();
+    world.add_actor(Box::new(Startd::new(
+        spec(),
+        StartdPolicy::default(),
+        tap,
+        plan,
+    )));
+    world.run_until(SimTime::from_secs(71));
+    let ads = &world.get::<Wiretap>(tap).unwrap().machine_ads;
+    assert_eq!(ads.len(), 5, "ticks at 5, 10, 60, 65, 70");
+    assert!(ads.iter().all(|ad| Arc::ptr_eq(ad, &ads[0])));
+
+    // At the matchmaker: expiry, then re-admission under a new generation.
+    let mut world: World<Msg> = World::new(5);
+    let mm = world.add_actor(Box::new(Matchmaker::new()));
+    let plan = FaultPlan::none().crash(mm + 1, crash).build();
+    world.add_actor(Box::new(Startd::new(
+        spec(),
+        StartdPolicy::default(),
+        mm,
+        plan,
+    )));
+    world.add_actor(Box::new(StuckJob { matchmaker: mm }));
+    let stats = |world: &World<Msg>| {
+        let s = world.get::<Matchmaker>(mm).unwrap().stats();
+        (s.pairs_evaluated, s.cache_hits, s.ads_active)
+    };
+    // Cycles at 10..=40: one evaluation, then hits, while the ad lives.
+    world.run_until(SimTime::from_secs(45));
+    assert_eq!(stats(&world), (1, 3, 2));
+    // Cycles at 50 and 60: the ad expired; only the job is left.
+    world.run_until(SimTime::from_secs(65));
+    assert_eq!(stats(&world), (1, 3, 1));
+    // Cycle at 70: the same ad is back, as a new generation — a miss.
+    world.run_until(SimTime::from_secs(75));
+    assert_eq!(stats(&world), (2, 3, 2));
+    // Cycle at 80: and from then on it hits again.
+    world.run_until(SimTime::from_secs(85));
+    assert_eq!(stats(&world), (2, 4, 2));
+}

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Behaviour parity between two commits: the step that says a `perf_opt` or
+# `simplicity` change altered no simulated outcome.
+#
+#   scripts/ab_digests.sh <base-ref>
+#
+# Builds `ledger` at <base-ref> (in a `git worktree` under target/) and at
+# the current checkout, runs every workload once per side at gate and full
+# size for seeds 1 and 2, and compares each run's `sim_digest` and
+# `ops_failed`. Exits non-zero iff any of them differs. Timings are not
+# compared — that is `ledger compare` and the benchmark driver's job.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+base_ref=${1:?usage: scripts/ab_digests.sh <base-ref>}
+target="${CARGO_TARGET_DIR:-$PWD/target}"
+tree="$target/ab_digests/base"
+workloads="pool_drain fed_scale fed_scale_par campaign_sweep vm_short_jobs vm_hot_loops"
+
+git worktree remove --force "$tree" 2>/dev/null || true
+git worktree add --quiet --detach "$tree" "$base_ref"
+trap 'git worktree remove --force "$tree"' EXIT
+
+cargo build --release --quiet -p ledger
+(cd "$tree" && CARGO_TARGET_DIR="$target/ab_digests/build" cargo build --release --quiet -p ledger)
+head_bin="$target/release/ledger"
+base_bin="$target/ab_digests/build/release/ledger"
+
+# "<sim_digest> <ops_failed>" of one run.
+outcome() {
+    "$1" gate --entry --workload "$2" --size "$3" --seed "$4" --reps 1 --trace 0 |
+        sed -n 's/^{"sim_digest":"\([0-9a-f]*\)".*"ops_failed":\([0-9]*\),.*/\1 \2/p'
+}
+
+status=0
+printf '%-15s %-5s %-4s %-22s %-22s\n' workload size seed "base ($base_ref)" change
+for size in gate full; do
+    for seed in 1 2; do
+        for w in $workloads; do
+            b=$(outcome "$base_bin" "$w" "$size" "$seed")
+            h=$(outcome "$head_bin" "$w" "$size" "$seed")
+            verdict=
+            if [ -z "$b" ] || [ "$b" != "$h" ]; then
+                verdict=DIFFERS
+                status=1
+            fi
+            printf '%-15s %-5s %-4s %-22s %-22s %s\n' "$w" "$size" "$seed" "$b" "$h" "$verdict"
+        done
+    done
+done
+if [ "$status" -eq 0 ]; then
+    echo "ab_digests: every sim_digest and ops_failed equal to $base_ref"
+else
+    echo "ab_digests: behaviour differs from $base_ref" >&2
+fi
+exit "$status"
