@@ -22,12 +22,20 @@
 //! flips (`TARGET.X` evaluates X in the target's frame), cycle detection,
 //! and the depth limit. `tests/compiled_equivalence.rs` enforces this
 //! differentially on generated ads.
+//!
+//! A compiled ad also knows what a match partner can *see* of it:
+//! [`CompiledAd::partner_reads`] lists the names its programs ask of the
+//! other side, and [`CompiledAd::match_key`] cuts an ad down to the slots
+//! an evaluation can reach. Two ads with equal [`MatchKey`]s are
+//! indistinguishable to every partner asking at most those names.
 
 use crate::ad::ClassAd;
 use crate::ast::{AttrScope, BinOp, Expr, UnOp};
 use crate::eval::{apply_bin, call_builtin, MAX_DEPTH};
 use crate::matchmaking::{MatchResult, RANK, REQUIREMENTS};
 use crate::value::Value;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 /// One instruction of a compiled expression. Programs are postfix: operand
 /// instructions push onto the value stack, operators pop and push.
@@ -210,6 +218,136 @@ impl CompiledAd {
             Value::Real(r) if r.is_finite() => r,
             Value::Bool(true) => 1.0,
             _ => 0.0,
+        }
+    }
+
+    /// The (lower-cased) names this ad's programs read of a match partner:
+    /// every [`Inst::OtherAttr`] of every slot, reachable or not.
+    pub fn partner_reads(&self) -> impl Iterator<Item = &str> {
+        let programs = self.slots.iter().filter_map(|s| match s {
+            Slot::Code(p) => Some(&p.code),
+            Slot::Const(_) => None,
+        });
+        programs.flatten().filter_map(|inst| match inst {
+            Inst::OtherAttr(name) => Some(name.as_str()),
+            _ => None,
+        })
+    }
+
+    /// This ad as a match partner asking at most the names in `asked`
+    /// (lower-cased) can read it. A [`symmetric_match_compiled`] enters an
+    /// ad at `Requirements` and `Rank`; the partner's programs enter it at
+    /// the names they ask for; from there an evaluation only follows
+    /// [`Inst::OwnSlot`] references (an `OtherAttr` leaves for the partner
+    /// again). So the slots kept are those three roots closed under
+    /// `OwnSlot`, renumbered densely. An asked name the ad lacks needs no
+    /// marker: it is missing from the projection exactly when it is
+    /// missing from the ad.
+    pub fn match_key(&self, asked: &BTreeSet<String>) -> MatchKey {
+        let roots = (self.requirements.into_iter().chain(self.rank))
+            .chain(asked.iter().filter_map(|name| self.slot_of(name)));
+        let mut keep: BTreeSet<u32> = roots.collect();
+        let mut todo: Vec<u32> = keep.iter().copied().collect();
+        while let Some(slot) = todo.pop() {
+            if let Slot::Code(p) = &self.slots[slot as usize] {
+                for inst in &p.code {
+                    match inst {
+                        Inst::OwnSlot(next) if keep.insert(*next) => todo.push(*next),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // Ascending slot order is name order, as `slot_of` needs.
+        let kept: Vec<u32> = keep.into_iter().collect();
+        let renumber = |slot: u32| kept.binary_search(&slot).expect("closed under OwnSlot") as u32;
+        let project = |inst: &Inst| match inst {
+            Inst::OwnSlot(slot) => Inst::OwnSlot(renumber(*slot)),
+            other => other.clone(),
+        };
+        MatchKey(CompiledAd {
+            names: kept
+                .iter()
+                .map(|&s| self.names[s as usize].clone())
+                .collect(),
+            slots: kept
+                .iter()
+                .map(|&s| match &self.slots[s as usize] {
+                    Slot::Const(v) => Slot::Const(v.clone()),
+                    Slot::Code(p) => Slot::Code(Program {
+                        code: p.code.iter().map(project).collect(),
+                    }),
+                })
+                .collect(),
+            requirements: self.requirements.map(renumber),
+            rank: self.rank.map(renumber),
+        })
+    }
+}
+
+/// A [`CompiledAd`] cut down by [`CompiledAd::match_key`] to what a match
+/// evaluation can read of it, comparable and hashable *by value*: names,
+/// constants and instructions one by one, floats by bit pattern (so `0.0`
+/// and `-0.0`, which divide differently, never share a key, and a NaN
+/// equals itself). Matching [`MatchKey::ad`] against a partner is
+/// value-identical to matching the ad it was cut from.
+#[derive(Debug, Clone)]
+pub struct MatchKey(CompiledAd);
+
+impl MatchKey {
+    /// The projected ad, ready to evaluate.
+    pub fn ad(&self) -> &CompiledAd {
+        &self.0
+    }
+
+    // The key as a sequence of comparable words: per slot its name and
+    // program length, then its constant or its instructions.
+    fn words(&self) -> impl Iterator<Item = (u8, u64, &str)> {
+        fn value(v: &Value) -> (u8, u64, &str) {
+            match v {
+                Value::Undefined => (0, 0, ""),
+                Value::Error => (1, 0, ""),
+                Value::Bool(b) => (2, u64::from(*b), ""),
+                Value::Int(i) => (3, *i as u64, ""),
+                Value::Real(r) => (4, r.to_bits(), ""),
+                Value::Str(s) => (5, 0, s),
+            }
+        }
+        fn inst(i: &Inst) -> (u8, u64, &str) {
+            match i {
+                Inst::Push(v) => value(v),
+                Inst::Unary(op) => (6, *op as u64, ""),
+                Inst::Binary(op) => (7, *op as u64, ""),
+                Inst::Call { name, argc } => (8, *argc as u64, name),
+                Inst::OwnSlot(slot) => (9, u64::from(*slot), ""),
+                Inst::OtherAttr(name) => (10, 0, name),
+            }
+        }
+        let ad = &self.0;
+        ad.names.iter().zip(&ad.slots).flat_map(|(name, slot)| {
+            let (constant, code) = match slot {
+                Slot::Const(v) => (Some(v), &[][..]),
+                Slot::Code(p) => (None, &p.code[..]),
+            };
+            std::iter::once((11, code.len() as u64, name.as_str()))
+                .chain(constant.map(value))
+                .chain(code.iter().map(inst))
+        })
+    }
+}
+
+impl PartialEq for MatchKey {
+    fn eq(&self, other: &MatchKey) -> bool {
+        self.words().eq(other.words())
+    }
+}
+
+impl Eq for MatchKey {}
+
+impl Hash for MatchKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.words() {
+            word.hash(state);
         }
     }
 }
@@ -508,5 +646,95 @@ mod tests {
             assert!(s.stack.is_empty());
             assert!(s.chasing.is_empty());
         }
+    }
+
+    #[test]
+    fn partner_reads_lists_every_other_attr() {
+        let m = machine(128, true).with_expr("Spare", "Memory - TARGET.DiskUsage");
+        let c = CompiledAd::compile(&m);
+        let asked: BTreeSet<&str> = c.partner_reads().collect();
+        assert_eq!(asked, BTreeSet::from(["diskusage", "imagesize"]));
+        // A bare name the ad lacks is the partner's; one it defines is not.
+        let bare = CompiledAd::compile(&ClassAd::new().with_expr("x", "y + z").with_int("z", 1));
+        assert_eq!(bare.partner_reads().collect::<Vec<_>>(), ["y"]);
+    }
+
+    fn asked(names: &[&str]) -> BTreeSet<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn match_key_keeps_what_a_partner_can_reach_and_nothing_else() {
+        let base = job()
+            .with_int("ClusterId", 1)
+            .with_expr("Requirements", "TARGET.Memory >= MY.Need")
+            .with_expr("Need", "MY.Base * 2")
+            .with_int("Base", 24);
+        let key = |ad: &ClassAd, names: &[&str]| CompiledAd::compile(ad).match_key(&asked(names));
+
+        // Unread attributes do not tell two ads apart...
+        let other_owner = base
+            .clone()
+            .with_str("Owner", "bob")
+            .with_int("ClusterId", 2);
+        assert_eq!(
+            key(&base, &["imagesize"]),
+            key(&other_owner, &["imagesize"])
+        );
+        // ...an asked one does, present against present or against absent...
+        assert_ne!(
+            key(&base, &["clusterid"]),
+            key(&other_owner, &["clusterid"])
+        );
+        let mut anonymous = base.clone();
+        anonymous.remove("ClusterId");
+        assert_eq!(key(&base, &[]), key(&anonymous, &[]));
+        assert_ne!(key(&base, &["clusterid"]), key(&anonymous, &["clusterid"]));
+        // ...and so does one reached only through the ad's own references.
+        let hungrier = base.clone().with_int("Base", 48);
+        assert_ne!(key(&base, &[]), key(&hungrier, &[]));
+        // `ImageSize` is no longer read by this ad's own Requirements.
+        let bigger = base.clone().with_int("ImageSize", 96);
+        assert_eq!(key(&base, &[]), key(&bigger, &[]));
+        assert_ne!(key(&base, &["imagesize"]), key(&bigger, &["imagesize"]));
+
+        // The projection is a smaller ad that matches identically.
+        let k = key(&base, &["imagesize"]);
+        assert_eq!(
+            k.ad().names,
+            ["base", "imagesize", "need", "rank", "requirements"]
+        );
+        let mut s = Scratch::new();
+        for m in [machine(128, true), machine(32, true), machine(64, false)] {
+            let cm = CompiledAd::compile(&m);
+            assert_eq!(
+                symmetric_match_compiled(k.ad(), &cm, &mut s),
+                symmetric_match(&base, &m)
+            );
+        }
+    }
+
+    #[test]
+    fn match_key_compares_floats_by_bit_pattern() {
+        let with = |r: f64| {
+            CompiledAd::compile(
+                &job()
+                    .with_real("Scale", r)
+                    .with_expr("Rank", "1.0 / MY.Scale"),
+            )
+            .match_key(&BTreeSet::new())
+        };
+        // 0.0 == -0.0 as values, but they rank a machine +inf and -inf.
+        assert_ne!(with(0.0), with(-0.0));
+        // NaN != NaN as values, but the same ad must find its own shape.
+        assert_eq!(with(f64::NAN), with(f64::NAN));
+        assert_eq!(with(1.5), with(1.5));
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |k: &MatchKey| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&with(f64::NAN)), hash(&with(f64::NAN)));
     }
 }

@@ -16,20 +16,27 @@
 //!
 //! * ads are [compiled](classads::compile) once per *content change*, not
 //!   re-walked per pair;
+//! * the unit of negotiation is the job *shape* (HTCondor's autocluster),
+//!   not the job: ads equal in everything a match evaluation can read —
+//!   their own `Requirements` and `Rank`, every attribute any machine ad
+//!   has ever asked for, and whatever those reach through the ad's own
+//!   references — share one compiled projection, one verdict per machine
+//!   and, within a cycle, one candidate list, which later jobs of the
+//!   shape draw from minus the machines picked since;
 //! * machine ads are indexed by their discrete gating attributes (literal
-//!   `HasJava`) and sorted literal `Memory`, so a job only probes machines
+//!   `HasJava`) and sorted literal `Memory`, so a shape only probes machines
 //!   that could possibly satisfy its extracted `Requirements` conjuncts —
 //!   pruning is conservative: any conjunct we cannot prove False (or
 //!   never-True) for a machine keeps that machine in the probe set;
-//! * jobs whose `Rank` is recognizably `TARGET.Memory` descend the sorted
+//! * shapes whose `Rank` is recognizably `TARGET.Memory` descend the sorted
 //!   index from the top — walked in place, tier by tier, never copied or
 //!   re-sorted — and stop as soon as no lower memory tier can beat the
 //!   best candidate found;
-//! * per-(job, machine) verdicts are cached keyed by ad *generation*
-//!   counters, so unchanged ad pairs are never re-evaluated across cycles.
-//!   Only a job that ends a cycle *unmatched* has its verdicts admitted: a
-//!   matched job leaves the engine and can only come back under a fresh
-//!   generation, so nothing cached for it could ever hit.
+//! * per-(shape, machine) verdicts are cached against the machine ad's
+//!   *generation* counter, so unchanged pairs are never re-evaluated
+//!   across cycles. Only an evaluation that ends with *no candidate* has
+//!   its verdicts admitted: a shape that found a machine consumes it, and
+//!   usually leaves with its jobs.
 //!
 //! Ads arrive as `Arc<ClassAd>`: a daemon builds its ad once and
 //! re-advertises the same allocation, so the common refresh is a pointer
@@ -43,11 +50,12 @@
 use crate::faults::FaultPlan;
 use crate::msg::Msg;
 use classads::ast::{AttrScope, BinOp, Expr};
-use classads::compile::{symmetric_match_compiled, CompiledAd, Scratch};
+use classads::compile::{symmetric_match_compiled, CompiledAd, MatchKey, Scratch};
 use classads::ClassAd;
 use classads::Value;
 use desim::prelude::*;
 use std::collections::btree_set::Range;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -367,10 +375,23 @@ struct MachineEntry {
     gate: MachineGate,
 }
 
+/// A queued job: its ad, and the shape it negotiates as.
 struct JobEntry {
     ad: Arc<ClassAd>,
+    shape: u64,
+}
+
+/// Everything negotiation needs of a job ad, kept once per *shape*
+/// (HTCondor's autocluster): the jobs whose ads are equal in every
+/// attribute a match evaluation can read. A shape's id is the generation
+/// drawn when it was first seen, and never reused.
+struct Shape {
+    /// The projection all the shape's jobs share. Evaluating it is
+    /// value-identical to evaluating any of their ads, so a verdict is a
+    /// function of (shape, machine) and nothing else.
     compiled: CompiledAd,
-    generation: u64,
+    /// Extracted from the first member's source ad. Pruning only drops
+    /// machines that cannot match that member — hence none of them.
     needs: JobNeeds,
     rank_is_memory: bool,
 }
@@ -389,10 +410,9 @@ struct Verdict {
     left_rank: f64,
 }
 
-/// The negotiation engine: ad storage, the incremental match index, the
-/// generation-keyed verdict cache, and a reusable scan buffer. Drivable
-/// directly (as the scale benchmarks do) or through the [`Matchmaker`]
-/// actor.
+/// The negotiation engine: ad storage, job shapes, the incremental match
+/// index and the generation-keyed verdict cache. Drivable directly (as
+/// the scale benchmarks do) or through the [`Matchmaker`] actor.
 ///
 /// Matching semantics — including which machine wins each job, and the
 /// single RNG tie-break draw per matched job — are bit-identical to the
@@ -403,14 +423,21 @@ pub struct MatchEngine {
     // Keyed by (schedd, job) so several schedds can coexist.
     jobs: BTreeMap<(ActorId, u32), JobEntry>,
     index: MatchIndex,
-    // (schedd, job, machine) -> (job generation, machine generation,
-    // verdict). Lookup-only (never iterated), so a HashMap cannot leak
-    // nondeterminism.
-    cache: HashMap<(ActorId, u32, ActorId), (u64, u64, Verdict)>,
+    // Every (lower-cased) name a machine ad has ever read of its match
+    // partner: what a job ad can be told apart by, beyond its own
+    // `Requirements` and `Rank`. Grow-only — a name stays asked after the
+    // machine that asked it is gone, which can only keep shapes finer
+    // than they need to be.
+    asked: BTreeSet<String>,
+    // Live shapes by id, and the id of each live key. Both lookup-only
+    // (never iterated for effect), like the cache.
+    shapes: HashMap<u64, Shape>,
+    shape_ids: HashMap<MatchKey, u64>,
+    // (shape, machine) -> (machine generation, verdict). Lookup-only, so
+    // a HashMap cannot leak nondeterminism.
+    cache: HashMap<(u64, ActorId), (u64, Verdict)>,
     next_generation: u64,
     scratch: Scratch,
-    // Reused scan buffer.
-    candidate_buf: Vec<ActorId>,
     /// Counters.
     pub stats: MatchmakerStats,
 }
@@ -428,10 +455,12 @@ impl MatchEngine {
             machines: BTreeMap::new(),
             jobs: BTreeMap::new(),
             index: MatchIndex::default(),
+            asked: BTreeSet::new(),
+            shapes: HashMap::new(),
+            shape_ids: HashMap::new(),
             cache: HashMap::new(),
             next_generation: 0,
             scratch: Scratch::new(),
-            candidate_buf: Vec::new(),
             stats: MatchmakerStats::default(),
         }
     }
@@ -450,11 +479,13 @@ impl MatchEngine {
         self.remove_machine(id);
         self.next_generation += 1;
         let gate = machine_gate(&ad);
+        let compiled = CompiledAd::compile(&ad);
+        self.ask(&compiled);
         self.index.insert(id, gate);
         self.machines.insert(
             id,
             MachineEntry {
-                compiled: CompiledAd::compile(&ad),
+                compiled,
                 ad,
                 fresh_at: now,
                 generation: self.next_generation,
@@ -463,8 +494,28 @@ impl MatchEngine {
         );
     }
 
-    /// Insert or replace a job ad. Identical resubmissions keep their
-    /// generation (and cached verdicts).
+    // Record what `machine` reads of a job. A name no machine has asked
+    // for before can tell apart jobs that shared a shape, so every job is
+    // keyed again; shapes only ever split.
+    fn ask(&mut self, machine: &CompiledAd) {
+        let known = self.asked.len();
+        for name in machine.partner_reads() {
+            if !self.asked.contains(name) {
+                self.asked.insert(name.to_owned());
+            }
+        }
+        if self.asked.len() > known {
+            let mut jobs = std::mem::take(&mut self.jobs);
+            for entry in jobs.values_mut() {
+                entry.shape = self.shape_of(&entry.ad);
+            }
+            self.jobs = jobs;
+        }
+    }
+
+    /// Insert or replace a job ad. An identical resubmission changes
+    /// nothing; a changed ad keeps its shape (and the shape's cached
+    /// verdicts) unless the change is one a machine could read.
     pub fn insert_job(&mut self, schedd: ActorId, job: u32, ad: impl Into<Arc<ClassAd>>) {
         let ad = ad.into();
         if let Some(existing) = self.jobs.get(&(schedd, job)) {
@@ -472,17 +523,27 @@ impl MatchEngine {
                 return;
             }
         }
+        let shape = self.shape_of(&ad);
+        self.jobs.insert((schedd, job), JobEntry { ad, shape });
+    }
+
+    // The shape `ad` negotiates as, created on first sight.
+    fn shape_of(&mut self, ad: &ClassAd) -> u64 {
+        let key = CompiledAd::compile(ad).match_key(&self.asked);
+        if let Some(&id) = self.shape_ids.get(&key) {
+            return id;
+        }
         self.next_generation += 1;
-        self.jobs.insert(
-            (schedd, job),
-            JobEntry {
-                needs: job_needs(&ad),
-                rank_is_memory: rank_is_target_memory(&ad),
-                compiled: CompiledAd::compile(&ad),
-                ad,
-                generation: self.next_generation,
+        self.shapes.insert(
+            self.next_generation,
+            Shape {
+                compiled: key.ad().clone(),
+                needs: job_needs(ad),
+                rank_is_memory: rank_is_target_memory(ad),
             },
         );
+        self.shape_ids.insert(key, self.next_generation);
+        self.next_generation
     }
 
     /// Drop a machine ad (consumed or expired): it leaves every index
@@ -530,83 +591,104 @@ impl MatchEngine {
         self.stats.ads_active = (self.machines.len() + self.jobs.len()) as u64;
 
         let mut notifications: Vec<(ActorId, u32, ActorId)> = Vec::new();
-        // The current job's newly evaluated verdicts, as `(machine, machine
-        // generation, verdict)`: admitted to the cache only if the job ends
-        // the cycle unmatched.
-        let mut fresh: Vec<(ActorId, u64, Verdict)> = Vec::new();
+        // This cycle's match list per shape: the machines the naive kernel
+        // would draw the shape's next job from. The first job of a shape
+        // evaluates it; a pick removes the machine from every list; a list
+        // *emptied by picks* is dropped and evaluated again on demand (the
+        // next rank tier), while a list *evaluated empty* stays — within a
+        // cycle the machine set only shrinks.
+        let mut lists: HashMap<u64, Vec<ActorId>> = HashMap::new();
+        // Jobs of each shape not matched so far. When a job draws from
+        // its shape's list every earlier job of the shape has too, so this
+        // counts the jobs still to come: a list nobody is left to draw
+        // from is dropped rather than kept up to date, and a queue of
+        // one-job shapes costs what it did job by job.
+        let mut queued: HashMap<u64, usize> = HashMap::new();
+        for entry in self.jobs.values() {
+            *queued.entry(entry.shape).or_default() += 1;
+        }
 
         // Matched ads are consumed on the spot (the schedd re-advertises if
         // the claim falls through, the startd re-advertises while alive):
-        // a machine serves at most one match per cycle, and later jobs
-        // walk an index it has already left.
+        // a machine serves at most one match per cycle, and later
+        // evaluations walk an index it has already left.
         let mut jobs = std::mem::take(&mut self.jobs);
         jobs.retain(|&(schedd, job), entry| {
-            fresh.clear();
-            match self.best_machine_for(schedd, job, entry, &mut fresh, rng) {
-                Some(mid) => {
-                    self.remove_machine(mid);
-                    notifications.push((schedd, job, mid));
-                    false
-                }
-                None => {
-                    // Still queued: these verdicts are the ones a later
-                    // cycle can reuse.
-                    self.cache.extend(fresh.iter().map(|&(mid, generation, v)| {
-                        ((schedd, job, mid), (entry.generation, generation, v))
-                    }));
-                    true
-                }
+            let list = match lists.entry(entry.shape) {
+                Entry::Occupied(live) => live.into_mut(),
+                Entry::Vacant(unseen) => unseen.insert(self.match_list(entry.shape)),
+            };
+            if list.is_empty() {
+                return true; // still queued
             }
+            // "Ties must not always favour the same host, or a free
+            // fast-failing machine becomes a deterministic magnet."
+            let mid = list[rng.index(list.len())];
+            self.remove_machine(mid);
+            notifications.push((schedd, job, mid));
+            let left = queued.get_mut(&entry.shape).expect("counted above");
+            *left -= 1;
+            if *left == 0 {
+                lists.remove(&entry.shape);
+            }
+            lists.retain(|_, list| match list.binary_search(&mid) {
+                Ok(at) => {
+                    list.remove(at);
+                    !list.is_empty()
+                }
+                Err(_) => true,
+            });
+            false
         });
         self.jobs = jobs;
         self.stats.matches_made += notifications.len() as u64;
 
-        // Evict cache entries whose ads died or changed generation, so the
-        // cache tracks the live pair set instead of growing monotonically.
-        let (jobs, machines) = (&self.jobs, &self.machines);
-        self.cache.retain(|&(s, j, m), &mut (jg, mg, _)| {
-            jobs.get(&(s, j)).is_some_and(|e| e.generation == jg)
-                && machines.get(&m).is_some_and(|e| e.generation == mg)
+        // A shape outlives the cycle iff one of its jobs stayed queued.
+        // Cache entries go with their shape, or when their machine died or
+        // changed generation, so the cache tracks the live pair set
+        // instead of growing monotonically.
+        self.shapes
+            .retain(|id, _| queued.get(id).is_some_and(|&jobs| jobs > 0));
+        let (shapes, machines) = (&self.shapes, &self.machines);
+        self.shape_ids.retain(|_, id| shapes.contains_key(id));
+        self.cache.retain(|&(shape, m), &mut (mg, _)| {
+            shapes.contains_key(&shape) && machines.get(&m).is_some_and(|e| e.generation == mg)
         });
 
         notifications
     }
 
-    // Find the job's best machine: all compatible machines at the highest
-    // job-assigned rank, one chosen uniformly. "Ties must not always
-    // favour the same host, or a free fast-failing machine becomes a
-    // deterministic magnet."
+    // A shape's match list: all compatible machines at the highest rank
+    // the shape assigns, ascending.
     //
-    // Equivalence contract with the naive kernel: the candidate list below
-    // must equal (as a sorted set) the naive scan's list, and exactly one
-    // `rng.index` draw happens iff it is non-empty.
-    fn best_machine_for(
-        &mut self,
-        schedd: ActorId,
-        job: u32,
-        entry: &JobEntry,
-        fresh: &mut Vec<(ActorId, u64, Verdict)>,
-        rng: &mut SimRng,
-    ) -> Option<ActorId> {
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
-        candidates.clear();
+    // Equivalence contract with the naive kernel: this list must equal the
+    // naive scan's candidate list for any job of the shape, and the caller
+    // makes exactly one `rng.index` draw iff it is non-empty.
+    fn match_list(&mut self, shape_id: u64) -> Vec<ActorId> {
+        let shape = &self.shapes[&shape_id];
+        let (index, needs) = (&self.index, shape.needs);
+        let mut candidates: Vec<ActorId> = Vec::new();
         let mut best_rank = f64::NEG_INFINITY;
-        let (index, needs) = (&self.index, entry.needs);
+        // Newly evaluated verdicts, as `(machine, machine generation,
+        // verdict)`: admitted to the cache only if the list comes out
+        // empty. A shape that found a machine is about to lose it (and,
+        // usually, its jobs), so nothing cached for it would hit.
+        let mut fresh: Vec<(ActorId, u64, Verdict)> = Vec::new();
 
         // The naive accumulation step, shared by every probe order: the
         // final candidate set is the argmax by rank regardless of the
         // order machines are considered in.
         let mut consider = |mid: ActorId, best_rank: &mut f64| {
             let m = &self.machines[&mid];
-            let v = match self.cache.get(&(schedd, job, mid)) {
-                Some(&(jg, mg, v)) if jg == entry.generation && mg == m.generation => {
+            let v = match self.cache.get(&(shape_id, mid)) {
+                Some(&(mg, v)) if mg == m.generation => {
                     self.stats.cache_hits += 1;
                     v
                 }
                 _ => {
                     self.stats.pairs_evaluated += 1;
                     let r =
-                        symmetric_match_compiled(&entry.compiled, &m.compiled, &mut self.scratch);
+                        symmetric_match_compiled(&shape.compiled, &m.compiled, &mut self.scratch);
                     let v = Verdict {
                         matched: r.matched,
                         left_rank: r.left_rank,
@@ -639,7 +721,7 @@ impl MatchEngine {
             }
         }
 
-        if entry.rank_is_memory {
+        if shape.rank_is_memory {
             // Rank == TARGET.Memory and these machines carry literal
             // memory: a matched candidate's rank *is* its index key. Walk
             // memory tiers top-down, merging the java classes, and stop
@@ -670,16 +752,17 @@ impl MatchEngine {
         }
 
         // The naive kernel builds its candidate list in ascending machine
-        // order; restore that order before the tie-break draw so the
-        // chosen index selects the same machine.
+        // order; restore that order so the caller's tie-break index
+        // selects the same machine.
         candidates.sort_unstable();
-        let pick = if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[rng.index(candidates.len())])
-        };
-        self.candidate_buf = candidates;
-        pick
+        if candidates.is_empty() {
+            self.cache.extend(
+                fresh
+                    .into_iter()
+                    .map(|(mid, generation, v)| ((shape_id, mid), (generation, v))),
+            );
+        }
+        candidates
     }
 }
 
@@ -1039,81 +1122,83 @@ mod tests {
 
     /// Cumulative [`Counters`] after each of the six cycles of
     /// [`engine_is_bit_identical_to_naive_kernel`], per `(seed, quirky)`
-    /// arm, recorded from the engine as it stood before the cache admitted
-    /// unmatched jobs only (commit 02fa848): the admission rule, the
-    /// in-place tier walk and consume-on-pick must not move a single
-    /// counter.
+    /// arm, recorded when negotiation moved from jobs to shapes. Against
+    /// the per-job engine before it (commit bab636b) `matches_made` is
+    /// the same in every cell and `pairs_evaluated` lower in every cell
+    /// (arm totals 363 → 267, 1616 → 1535, 344 → 277, 801 → 659,
+    /// 386 → 271, 996 → 905): 25 jobs drawn from a handful of templates
+    /// share evaluations and match lists.
     const RECORDED_COUNTERS: [(u64, bool, [Counters; 6]); 6] = [
         (
             1,
             false,
             [
-                (64, 0, 18),
-                (132, 0, 37),
-                (193, 0, 55),
-                (252, 0, 73),
-                (312, 0, 91),
-                (363, 0, 109),
+                (47, 0, 18),
+                (97, 0, 37),
+                (142, 0, 55),
+                (185, 0, 73),
+                (229, 0, 91),
+                (267, 0, 109),
             ],
         ),
         (
             1,
             true,
             [
-                (290, 0, 19),
-                (542, 34, 37),
-                (771, 70, 56),
-                (1064, 104, 75),
-                (1347, 149, 94),
-                (1616, 192, 113),
+                (277, 0, 19),
+                (519, 33, 37),
+                (739, 69, 56),
+                (1015, 103, 75),
+                (1281, 146, 94),
+                (1535, 189, 113),
             ],
         ),
         (
             7,
             false,
             [
-                (57, 0, 21),
-                (118, 0, 42),
-                (177, 0, 63),
-                (234, 0, 84),
-                (285, 0, 105),
-                (344, 0, 126),
+                (45, 0, 21),
+                (89, 0, 42),
+                (137, 0, 63),
+                (186, 0, 84),
+                (226, 0, 105),
+                (277, 0, 126),
             ],
         ),
         (
             7,
             true,
             [
-                (144, 0, 17),
-                (280, 19, 34),
-                (415, 45, 50),
-                (548, 72, 66),
-                (681, 94, 83),
-                (801, 116, 100),
+                (118, 0, 17),
+                (231, 21, 34),
+                (343, 47, 50),
+                (444, 73, 66),
+                (555, 96, 83),
+                (659, 120, 100),
             ],
         ),
         (
             42,
             false,
             [
-                (65, 0, 18),
-                (130, 0, 36),
-                (192, 0, 54),
-                (257, 0, 72),
-                (316, 0, 90),
-                (386, 0, 108),
+                (50, 0, 18),
+                (96, 0, 36),
+                (141, 0, 54),
+                (187, 0, 72),
+                (225, 0, 90),
+                (271, 0, 108),
             ],
         ),
         (
             42,
             true,
             [
-                (163, 0, 16),
-                (325, 19, 33),
-                (494, 38, 50),
-                (658, 57, 66),
-                (840, 80, 83),
-                (996, 103, 100),
+                (159, 0, 16),
+                (305, 27, 33),
+                (455, 54, 50),
+                (601, 82, 66),
+                (766, 114, 83),
+                (905, 147, 100),
             ],
         ),
     ];
@@ -1121,8 +1206,7 @@ mod tests {
     /// Multi-cycle differential test against the naive kernel: same ads,
     /// same seed, expiry + consumption + re-advertisement churn, indexable
     /// and quirky (opaque/generic/disjunctive) ads alike — and, cycle by
-    /// cycle, the very counters the engine produced before this cache
-    /// admission rule existed.
+    /// cycle, the recorded work counters.
     #[test]
     fn engine_is_bit_identical_to_naive_kernel() {
         for (seed, quirky, recorded) in RECORDED_COUNTERS {
@@ -1179,6 +1263,99 @@ mod tests {
         }
     }
 
+    /// Shapes split on what a match can read, and on nothing else. Jobs
+    /// differ in attributes nothing reads (`ClusterId`, `Owner`), in one
+    /// only a *machine* reads (`ImageSize`), and in one reached only
+    /// through the job's own references (`Requirements` → `MY.Need` →
+    /// `MY.Base`). Mid-run a machine ad arrives that reads
+    /// `TARGET.ClusterId`: the queued jobs must re-key into one shape each,
+    /// and the naive kernel must agree before, at and after the split.
+    #[test]
+    fn shapes_split_on_what_a_match_can_read() {
+        let mut gen_rng = SimRng::seed_from_u64(23);
+        let mut rng_a = SimRng::seed_from_u64(23 ^ 0xabcd);
+        let mut rng_b = SimRng::seed_from_u64(23 ^ 0xabcd);
+        let machine_ads: Vec<ClassAd> =
+            (0..10).map(|_| pool_machine(&mut gen_rng, false)).collect();
+        let job_ads: Vec<ClassAd> = (0..40)
+            .map(|j| {
+                ClassAd::new()
+                    .with_int("ClusterId", j)
+                    .with_str("Owner", ["ada", "bob", "eve"][gen_rng.index(3)])
+                    .with_int("ImageSize", [32, 200][gen_rng.index(2)])
+                    .with_int("Base", [48, 300][gen_rng.index(2)])
+                    .with_expr("Need", "MY.Base * 2")
+                    .with_expr("Requirements", "TARGET.Memory >= MY.Need")
+                    .with_expr("Rank", "TARGET.Memory")
+            })
+            .collect();
+        let picky = ClassAd::new()
+            .with_int("Memory", 4096)
+            .with_expr(
+                "Requirements",
+                "TARGET.ClusterId % 3 == 0 && TARGET.ImageSize <= MY.Memory",
+            )
+            .with_expr("Rank", "0");
+
+        let mut engine = MatchEngine::new();
+        let mut naive_jobs: BTreeMap<(ActorId, u32), ClassAd> = job_ads
+            .iter()
+            .enumerate()
+            .map(|(j, ad)| ((1, j as u32), ad.clone()))
+            .collect();
+        let mut naive_machines: BTreeMap<ActorId, ClassAd> = BTreeMap::new();
+        let shapes_in_use = |engine: &MatchEngine| {
+            let ids: BTreeSet<u64> = engine.jobs.values().map(|j| j.shape).collect();
+            ids.len()
+        };
+
+        let mut now = SimTime::ZERO;
+        for cycle in 0..4 {
+            now += NEGOTIATE_PERIOD;
+            for (i, ad) in machine_ads.iter().enumerate() {
+                engine.insert_machine(100 + i, ad.clone(), now);
+                naive_machines.insert(100 + i, ad.clone());
+            }
+            for (&(s, j), ad) in &naive_jobs {
+                engine.insert_job(s, j, ad.clone());
+            }
+            if cycle == 0 {
+                // 40 jobs, but only ImageSize x Base tells them apart.
+                assert_eq!(shapes_in_use(&engine), 4);
+            }
+            if cycle >= 2 {
+                let queued = engine.job_count();
+                if cycle == 2 {
+                    assert!(queued > 4 && shapes_in_use(&engine) <= 4);
+                }
+                engine.insert_machine(99, picky.clone(), now);
+                naive_machines.insert(99, picky.clone());
+                // `ClusterId` is readable now: no two queued jobs are alike.
+                assert_eq!(shapes_in_use(&engine), queued);
+            }
+
+            let fast = engine.negotiate(now, &mut rng_a);
+            let slow = naive_cycle(&naive_jobs, &naive_machines, &mut rng_b);
+            assert_eq!(fast, slow, "cycle {cycle}");
+            assert!(!slow.is_empty(), "cycle {cycle} exercises nothing");
+            if cycle >= 2 {
+                // The picky machine took a job only it could tell apart.
+                let taken = slow.iter().find(|&&(_, _, m)| m == 99).expect("99 matched");
+                assert_eq!(taken.1 % 3, 0);
+            }
+            for &(s, j, m) in &slow {
+                naive_jobs.remove(&(s, j));
+                naive_machines.remove(&m);
+            }
+        }
+        // Far fewer evaluations than the 40-job queue would need alone.
+        assert!(
+            engine.stats.pairs_evaluated < 40 * 10,
+            "{} pairs",
+            engine.stats.pairs_evaluated
+        );
+    }
+
     /// The cache's whole clientele: a cohort of jobs that can never match,
     /// probed every cycle while the machines under them churn.
     #[test]
@@ -1222,42 +1399,48 @@ mod tests {
             (out, engine.stats.pairs_evaluated, engine.stats.cache_hits)
         };
 
-        // Cold: every pair evaluated. Then the same allocations again:
-        // refreshed by pointer, every pair a hit.
-        assert_eq!(cycle(&mut engine, &machines), (vec![], 12, 0));
-        assert_eq!(cycle(&mut engine, &machines), (vec![], 12, 12));
+        // Cold: the three jobs differ only in `ClusterId`, which nothing
+        // reads, so they are one shape and each machine is evaluated once.
+        // Then the same allocations again: refreshed by pointer, every
+        // pair a hit.
+        assert_eq!(cycle(&mut engine, &machines), (vec![], 4, 0));
+        assert_eq!(engine.shapes.len(), 1);
+        assert_eq!(cycle(&mut engine, &machines), (vec![], 4, 4));
 
         // Same content in fresh allocations (deep-equal, not `ptr_eq`):
         // the generations — and the cached verdicts — survive.
         for ad in &mut machines {
             *ad = Arc::new(ClassAd::clone(ad));
         }
-        assert_eq!(cycle(&mut engine, &machines), (vec![], 12, 24));
+        assert_eq!(cycle(&mut engine, &machines), (vec![], 4, 8));
 
-        // One machine changes its ad: exactly its pairs are re-evaluated.
+        // One machine changes its ad: exactly its pair is re-evaluated.
         machines[0] = machine(512);
-        assert_eq!(cycle(&mut engine, &machines), (vec![], 15, 33));
+        assert_eq!(cycle(&mut engine, &machines), (vec![], 5, 11));
 
         // A matchable job sorts ahead of the cohort and consumes the big
-        // machine on the spot: it evaluates the top tier only, its verdict
-        // is never admitted, and the cohort no longer sees that machine.
+        // machine on the spot: its shape evaluates the top tier only, finds
+        // a candidate and so is never admitted, and the cohort no longer
+        // sees that machine.
         let taker = ClassAd::new()
             .with_int("ImageSize", 64)
             .with_expr("Requirements", "TARGET.Memory >= MY.ImageSize")
             .with_expr("Rank", "TARGET.Memory");
         engine.insert_job(1, 0, taker);
-        assert_eq!(cycle(&mut engine, &machines), (vec![(1, 0, 100)], 16, 42));
-        assert_eq!(engine.cache.len(), 9);
+        assert_eq!(cycle(&mut engine, &machines), (vec![(1, 0, 100)], 6, 14));
+        let cohort_shape = engine.jobs[&(1, 1)].shape;
+        assert_eq!(engine.shapes.len(), 1);
+        assert_eq!(engine.cache.len(), 3);
         assert!(engine
             .cache
             .keys()
-            .all(|&(_, job, mid)| job != 0 && mid != 100));
+            .all(|&(shape, mid)| shape == cohort_shape && mid != 100));
 
         // The consumed machine re-advertises the very same allocation, but
-        // under a new generation: the cohort's pairs with it miss.
-        assert_eq!(cycle(&mut engine, &machines), (vec![], 19, 51));
+        // under a new generation: the cohort's pair with it misses.
+        assert_eq!(cycle(&mut engine, &machines), (vec![], 7, 17));
         assert_eq!(engine.stats.matches_made, 1);
-        assert_eq!(engine.cache.len(), 12);
+        assert_eq!(engine.cache.len(), 4);
     }
 
     #[test]

@@ -329,8 +329,9 @@ pub enum Msg {
     StarterReport {
         /// Which job.
         job: JobId,
-        /// The outcome.
-        report: ExecutionReport,
+        /// The outcome, boxed as the startd already holds it: inline it
+        /// would set the size of every message in the event queue.
+        report: Box<ExecutionReport>,
         /// CPU time consumed at the execution site.
         cpu: SimDuration,
         /// When execution started (for the attempt record).
@@ -371,4 +372,20 @@ pub enum Msg {
         /// The framed response bytes.
         frames: Vec<u8>,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every queued event carries a `Msg` by value, so its size is what a
+    /// 40k-deep heap moves per sift: the big payloads stay boxed.
+    #[test]
+    fn msg_fits_one_cache_line() {
+        assert!(
+            std::mem::size_of::<Msg>() <= 64,
+            "size_of::<Msg>() = {}",
+            std::mem::size_of::<Msg>()
+        );
+    }
 }

@@ -684,7 +684,7 @@ impl Actor<Msg> for Schedd {
                 ckpt,
                 epoch,
             } => {
-                self.handle_report(job, from, report, cpu, started, ckpt, epoch, ctx);
+                self.handle_report(job, from, *report, cpu, started, ckpt, epoch, ctx);
             }
 
             Msg::ReportTimeout {

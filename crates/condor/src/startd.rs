@@ -508,7 +508,7 @@ impl Actor<Msg> for Startd {
                     schedd,
                     Msg::StarterReport {
                         job,
-                        report: *report,
+                        report,
                         cpu,
                         started,
                         ckpt,

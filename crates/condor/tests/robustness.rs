@@ -66,12 +66,12 @@ fn stale_claim_messages_are_ignored() {
         schedd_id,
         Msg::StarterReport {
             job: 1,
-            report: condor::ExecutionReport::NaiveExit {
+            report: Box::new(condor::ExecutionReport::NaiveExit {
                 code: 0,
                 stdout: String::new(),
                 truth_scope: errorscope::Scope::Program,
                 truth_note: "forged".into(),
-            },
+            }),
             cpu: SimDuration::from_secs(1),
             started: SimTime::ZERO,
             ckpt: condor::CkptAttempt::None,

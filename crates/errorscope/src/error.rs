@@ -447,6 +447,9 @@ mod tests {
         ));
     }
 
+    // The guard is a `debug_assert!`: there is nothing to observe in the
+    // release profile the experiments are built with.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn widen_refuses_to_shrink() {

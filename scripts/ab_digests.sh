@@ -2,24 +2,28 @@
 # Behaviour parity between two commits: the step that says a `perf_opt` or
 # `simplicity` change altered no simulated outcome.
 #
-#   scripts/ab_digests.sh <base-ref>
+#   scripts/ab_digests.sh <base-ref> [workload ...]
 #
-# Builds `ledger` at <base-ref> (in a `git worktree` under target/) and at
-# the current checkout, runs every workload once per side at gate and full
-# size for seeds 1 and 2, and compares each run's `sim_digest` and
-# `ops_failed`. Exits non-zero iff any of them differs. Timings are not
-# compared — that is `ledger compare` and the benchmark driver's job.
+# Builds `ledger` at <base-ref> (a `git archive` unpacked under target/) and
+# at the current checkout, runs each named workload (default: all six) once
+# per side at gate and full size for seeds 1 and 2, and compares each run's
+# `sim_digest` and `ops_failed`. Exits non-zero iff any of them differs.
+# Naming workloads lets a change that honestly moves one digest still prove
+# the rest. Timings are not compared — that is `ledger compare` and the
+# benchmark driver's job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-base_ref=${1:?usage: scripts/ab_digests.sh <base-ref>}
+base_ref=${1:?usage: scripts/ab_digests.sh <base-ref> [workload ...]}
+shift
 target="${CARGO_TARGET_DIR:-$PWD/target}"
 tree="$target/ab_digests/base"
-workloads="pool_drain fed_scale fed_scale_par campaign_sweep vm_short_jobs vm_hot_loops"
+workloads=${*:-pool_drain fed_scale fed_scale_par campaign_sweep vm_short_jobs vm_hot_loops}
 
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --quiet --detach "$tree" "$base_ref"
-trap 'git worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$base_ref" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 
 cargo build --release --quiet -p ledger
 (cd "$tree" && CARGO_TARGET_DIR="$target/ab_digests/build" cargo build --release --quiet -p ledger)
