@@ -2,7 +2,7 @@
 //! hot loops with bit-identical error-scope semantics.
 //!
 //! The trace tier records hot bytecode loops and replays them as
-//! superinstruction programs whose only error behavior is a *guard exit*:
+//! register programs whose only error behavior is a *guard exit*:
 //! a bail back to the interpreter at the exact faulting pc, before the
 //! faulting instruction, so the interpreter re-executes it and produces
 //! the identical scoped [`gridvm::Termination`] it always would. This

@@ -32,8 +32,8 @@ pub enum InstallHealth {
 ///
 /// The interpreter counts taken backward branches; when a target's count
 /// reaches `hot_threshold` it records one linear trace through the loop and
-/// compiles it into a flattened program of superinstructions with explicit
-/// guard exits (see [`crate::compile`]). Compilation is a pure
+/// lowers it into a three-address program over a register file with
+/// explicit guard exits (see [`crate::compile`]). Compilation is a pure
 /// *containment-preserving* optimization: every observable — exit codes,
 /// [`crate::machine::Termination`] scopes, instruction counts, checkpoint
 /// state — is bit-identical with the tier on or off, so it defaults to on.

@@ -5,7 +5,7 @@
 //! Used for debugging job images and in tests as an inverse of the
 //! assembler.
 
-use crate::compile::{CompiledTrace, OpKind};
+use crate::compile::{CompiledTrace, OpKind, Reg, TraceOp};
 use crate::image::ProgramImage;
 use crate::isa::{Instr, IoMode};
 use std::collections::BTreeSet;
@@ -43,10 +43,13 @@ pub fn disassemble(img: &ProgramImage) -> String {
     out
 }
 
-/// Render a compiled trace as a listing: one flattened op per line with
-/// its covering base pc and fused-instruction cost. Not assembler input —
-/// traces are an execution artifact, not a program representation — but
-/// the format mirrors [`disassemble`] so the two read side by side.
+/// Render a compiled trace as a listing: one register op per line with
+/// the first pc and instruction count of the group it covers, and the
+/// operand-stack snapshot where one is not empty. Registers print as
+/// `l<n>` (a local), `#<value>` (a constant) or `t<n>` (a temp). Not
+/// assembler input — traces are an execution artifact, not a program
+/// representation — but the format mirrors [`disassemble`] so the two
+/// read side by side.
 pub fn disassemble_trace(t: &CompiledTrace) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -58,71 +61,75 @@ pub fn disassemble_trace(t: &CompiledTrace) -> String {
         t.base_len
     );
     for op in &t.ops {
-        let _ = writeln!(
+        let group = t.snapshot(op.snap);
+        let _ = write!(
             out,
             "    [pc {:>4} cost {}] {}",
-            op.pc,
+            group.pc,
             op.cost,
-            render_op(&op.kind)
+            render_op(t, op)
         );
+        if !group.regs.is_empty() {
+            let regs: Vec<String> = group.regs.iter().map(|&r| reg(t, r)).collect();
+            let _ = write!(out, " ; stack [{}]", regs.join(" "));
+        }
+        out.push('\n');
     }
     out
 }
 
-fn render_op(k: &OpKind) -> String {
-    match k {
-        OpKind::Push(v) => format!("push {v}"),
-        OpKind::Pop => "pop".into(),
-        OpKind::Dup => "dup".into(),
-        OpKind::Swap => "swap".into(),
-        OpKind::Add => "add".into(),
-        OpKind::Sub => "sub".into(),
-        OpKind::Mul => "mul".into(),
-        OpKind::Div => "div ; guards /0".into(),
-        OpKind::Mod => "mod ; guards %0".into(),
-        OpKind::Neg => "neg".into(),
-        OpKind::CmpEq => "cmpeq".into(),
-        OpKind::CmpLt => "cmplt".into(),
-        OpKind::CmpGt => "cmpgt".into(),
-        OpKind::Load(n) => format!("load {n}"),
-        OpKind::Store(n) => format!("store {n}"),
-        OpKind::Print => "print".into(),
-        OpKind::NewArray => "newarray ; guards size/heap".into(),
-        OpKind::ALen => "alen ; guards null".into(),
-        OpKind::ALoad => "aload ; guards null/bounds".into(),
-        OpKind::AStore => "astore ; guards null/bounds".into(),
-        OpKind::StdCall(n) => format!("stdcall {n} ; guards install"),
-        OpKind::AddConst(k) => format!("add.k {k}"),
-        OpKind::SubConst(k) => format!("sub.k {k}"),
-        OpKind::MulConst(k) => format!("mul.k {k}"),
-        OpKind::DivConst(k) => format!("div.k {k}"),
-        OpKind::ModConst(k) => format!("mod.k {k}"),
-        OpKind::StoreConst { local, k } => format!("store.k {local} <- {k}"),
-        OpKind::CopyLocal { src, dst } => format!("copy {src} -> {dst}"),
-        OpKind::IncLocal { local, k } => format!("inc {local} += {k}"),
-        OpKind::LoadLoad(a, b) => format!("load2 {a} {b}"),
-        OpKind::AddLocal(n) => format!("add.l {n}"),
-        OpKind::SubLocal(n) => format!("sub.l {n}"),
-        OpKind::MulLocal(n) => format!("mul.l {n}"),
-        OpKind::LoadCmpLtConstBranch {
-            local,
-            k,
-            expect_zero,
-            diverge,
-        } => format!(
-            "loopcond {local} < {k} stay-if-{} else L{diverge}",
-            if *expect_zero { "zero" } else { "nonzero" }
-        ),
-        OpKind::Branch {
-            expect_zero,
-            diverge,
-        } => format!(
-            "branch stay-if-{} else L{diverge}",
-            if *expect_zero { "zero" } else { "nonzero" }
-        ),
-        OpKind::Goto => "goto".into(),
+fn reg(t: &CompiledTrace, r: Reg) -> String {
+    let r = usize::from(r);
+    let temps = t.nlocals + t.consts.len();
+    if r < t.nlocals {
+        format!("l{r}")
+    } else if r < temps {
+        format!("#{}", t.consts[r - t.nlocals])
+    } else {
+        format!("t{}", r - temps)
+    }
+}
+
+fn render_op(t: &CompiledTrace, op: &TraceOp) -> String {
+    let r = |r: &Reg| reg(t, *r);
+    // Where a branch or the terminal bail hands over to the interpreter.
+    let leaves_to = || t.snapshot(op.snap + 1).pc;
+    let way = |stay: &bool| {
+        let truth = if *stay { "true" } else { "false" };
+        format!("stay-if-{truth} else L{}", leaves_to())
+    };
+    match &op.kind {
+        OpKind::Mov(dst, src) => format!("{} = {}", r(dst), r(src)),
+        OpKind::PopReal(dst) => format!("{} = pop ; guards underflow", r(dst)),
+        OpKind::Add(dst, a, b) => format!("{} = {} + {}", r(dst), r(a), r(b)),
+        OpKind::Sub(dst, a, b) => format!("{} = {} - {}", r(dst), r(a), r(b)),
+        OpKind::Mul(dst, a, b) => format!("{} = {} * {}", r(dst), r(a), r(b)),
+        OpKind::Div(dst, a, b) => format!("{} = {} / {} ; guards /0", r(dst), r(a), r(b)),
+        OpKind::Mod(dst, a, b) => format!("{} = {} % {} ; guards %0", r(dst), r(a), r(b)),
+        OpKind::Neg(dst, a) => format!("{} = -{}", r(dst), r(a)),
+        OpKind::CmpEq(dst, a, b) => format!("{} = {} == {}", r(dst), r(a), r(b)),
+        OpKind::CmpLt(dst, a, b) => format!("{} = {} < {}", r(dst), r(a), r(b)),
+        OpKind::CmpGt(dst, a, b) => format!("{} = {} > {}", r(dst), r(a), r(b)),
+        OpKind::BrEq(a, b, stay) => format!("br {} == {} {}", r(a), r(b), way(stay)),
+        OpKind::BrLt(a, b, stay) => format!("br {} < {} {}", r(a), r(b), way(stay)),
+        OpKind::BrGt(a, b, stay) => format!("br {} > {} {}", r(a), r(b), way(stay)),
+        OpKind::Br(a, stay) => format!("br {} != 0 {}", r(a), way(stay)),
+        OpKind::Print(a) => format!("print {}", r(a)),
+        OpKind::NewArray(dst, size) => {
+            format!("{} = newarray {} ; guards size/heap", r(dst), r(size))
+        }
+        OpKind::ALen(dst, arr) => format!("{} = alen {} ; guards null", r(dst), r(arr)),
+        OpKind::ALoad(dst, arr, idx) => {
+            format!("{} = {}[{}] ; guards null/bounds", r(dst), r(arr), r(idx))
+        }
+        OpKind::AStore(arr, idx, val) => {
+            format!("{}[{}] = {} ; guards null/bounds", r(arr), r(idx), r(val))
+        }
+        OpKind::StdCall(dst, a, routine) => {
+            format!("{} = stdcall {routine} {} ; guards install", r(dst), r(a))
+        }
         OpKind::LoopBack => "loopback".into(),
-        OpKind::Bail => "bail ; terminal guard exit".into(),
+        OpKind::Bail => format!("bail L{} ; terminal guard exit", leaves_to()),
     }
 }
 
@@ -264,8 +271,8 @@ mod tests {
         assert!(src.starts_with(".trace func=0 head=L4"), "{src}");
         assert!(src.contains("base_len=15"), "{src}");
         // The fused loop condition and induction step both render.
-        assert!(src.contains("loopcond 1 < 100 stay-if-nonzero"), "{src}");
-        assert!(src.contains("inc 1 += 1"), "{src}");
+        assert!(src.contains("br l1 < #100 stay-if-true else L19"), "{src}");
+        assert!(src.contains("l1 = l1 + #1"), "{src}");
         assert!(src.contains("loopback"), "{src}");
         // One line per op plus the header.
         assert_eq!(src.lines().count(), traces[0].ops.len() + 1, "{src}");

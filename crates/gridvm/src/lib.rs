@@ -30,9 +30,10 @@
 //! * [`asm`] — a small text assembler for writing jobs by hand.
 //! * [`disasm`] — the matching disassembler.
 //! * [`trace`] / [`mod@compile`] — the trace tier: hot loops are recorded
-//!   and compiled to flattened superinstruction programs whose guard exits
-//!   bail back to the interpreter on every scope-relevant condition, so
-//!   compiled execution is bit-identical to interpreted execution.
+//!   and lowered to three-address programs over a register file whose
+//!   guard exits bail back to the interpreter on every scope-relevant
+//!   condition, so compiled execution is bit-identical to interpreted
+//!   execution.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

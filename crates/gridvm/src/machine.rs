@@ -6,6 +6,7 @@
 //! scope — this is the information the JVM's bare exit code destroys
 //! (Figure 4) and the wrapper preserves.
 
+use crate::compile::MAX_REGS;
 use crate::config::Installation;
 use crate::image::{ProgramImage, MAGIC};
 use crate::isa::Instr;
@@ -167,8 +168,9 @@ pub struct Machine {
     io_ops: u64,
     stdout: String,
     /// Trace-tier state: hotness counts, compiled traces, the active
-    /// recording, counters. Never checkpointed — [`Machine::snapshot`]
-    /// captures pure interpreter state, so a restored machine starts cold.
+    /// recording, register scratch, counters. Never checkpointed —
+    /// [`Machine::snapshot`] captures pure interpreter state, so a
+    /// restored machine starts cold.
     trace: TraceState,
 }
 
@@ -711,6 +713,9 @@ impl Machine {
                             let frame = self.frames.last_mut().unwrap();
                             let exit = crate::compile::run_trace(
                                 &tr,
+                                self.trace
+                                    .regs
+                                    .get_or_insert_with(|| Box::new([0; MAX_REGS])),
                                 &mut self.stack,
                                 &mut frame.locals,
                                 &mut self.heap,

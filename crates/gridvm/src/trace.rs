@@ -6,9 +6,9 @@
 //! that reaches [`crate::config::TraceConfig::hot_threshold`] taken edges
 //! becomes a trace head: the next iteration through it is recorded as a
 //! linear instruction sequence (the [`Recorder`]) and handed to
-//! [`crate::compile`] to be lowered into a flattened superinstruction
-//! program. Recording never changes execution — it observes the
-//! interpreter doing exactly what it always does.
+//! [`crate::compile`] to be lowered into a register program. Recording
+//! never changes execution — it observes the interpreter doing exactly
+//! what it always does.
 //!
 //! None of this state is checkpointed: [`crate::machine::Machine::snapshot`]
 //! captures pure interpreter state, so a restored machine starts with a
@@ -16,9 +16,8 @@
 //! mid-trace checkpoints bit-identical whether the snapshot host had
 //! compilation on or off.
 
-use crate::compile::CompiledTrace;
+use crate::compile::{CompiledTrace, MAX_REGS};
 use crate::isa::Instr;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Deterministic counters for the trace tier. These are a pure function of
@@ -86,18 +85,33 @@ pub enum Plan {
     Nothing,
 }
 
+/// What the tier knows about one backward-branch target.
+#[derive(Debug)]
+enum Head {
+    /// Taken edges seen so far, short of the hot threshold.
+    Counting(u32),
+    /// Compiled: entered on every taken edge.
+    Compiled(Rc<CompiledTrace>),
+    /// Recording aborted or lowered to nothing (e.g. an unrolled inner
+    /// loop blew the length cap): interpreted for good.
+    Blacklisted,
+}
+
 /// All per-machine trace-tier state. Lives on the [`crate::machine::Machine`]
 /// but outside its checkpointable state.
 #[derive(Debug, Default)]
 pub struct TraceState {
-    /// Taken-edge counts per backward-branch target, dropped once the
-    /// target is compiled or blacklisted.
-    hotness: HashMap<(u32, u32), u32>,
-    /// Compiled traces by head; `None` marks a blacklisted head (recording
-    /// aborted — e.g. an unrolled inner loop blew the length cap).
-    traces: HashMap<(u32, u32), Option<Rc<CompiledTrace>>>,
+    /// One entry per backward-branch target seen, keyed `(func, pc)`. A
+    /// program has a handful of loop heads, so the taken-back-edge path
+    /// searches this linearly and hashes nothing; a machine that never
+    /// loops allocates nothing.
+    heads: Vec<((u32, u32), Head)>,
     /// The active recording, if any.
     pub recorder: Option<Recorder>,
+    /// The last recording's step buffer, kept for the next one.
+    spare_steps: Vec<Recorded>,
+    /// Register-file scratch for compiled executions, made at the first.
+    pub(crate) regs: Option<Box<[i64; MAX_REGS]>>,
     /// Deterministic tier counters.
     pub stats: VmStats,
 }
@@ -107,19 +121,27 @@ impl TraceState {
     /// while no recording is active.
     pub fn plan(&mut self, func: u32, target: u32, hot_threshold: u32) -> Plan {
         let key = (func, target);
-        if let Some(entry) = self.traces.get(&key) {
-            return match entry {
-                Some(t) => Plan::Enter(Rc::clone(t)),
-                None => Plan::Nothing,
-            };
-        }
-        let count = self.hotness.entry(key).or_insert(0);
-        *count += 1;
-        if *count >= hot_threshold {
-            self.hotness.remove(&key);
-            Plan::Record
-        } else {
-            Plan::Nothing
+        let at = match self.heads.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.heads.push((key, Head::Counting(0)));
+                self.heads.len() - 1
+            }
+        };
+        match &mut self.heads[at].1 {
+            Head::Compiled(t) => Plan::Enter(Rc::clone(t)),
+            Head::Blacklisted => Plan::Nothing,
+            Head::Counting(count) => {
+                *count += 1;
+                if *count >= hot_threshold {
+                    // A compile or blacklist follows; until then the
+                    // target counts again from zero.
+                    *count = 0;
+                    Plan::Record
+                } else {
+                    Plan::Nothing
+                }
+            }
         }
     }
 
@@ -128,15 +150,27 @@ impl TraceState {
         self.recorder = Some(Recorder {
             func,
             head,
-            steps: Vec::new(),
+            steps: std::mem::take(&mut self.spare_steps),
         });
+    }
+
+    /// Give a closed recording's head its verdict and shelve the step
+    /// buffer for the next recording.
+    fn retire(&mut self, mut r: Recorder, verdict: Head) {
+        let key = (r.func, r.head);
+        match self.heads.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, head)) => *head = verdict,
+            None => self.heads.push((key, verdict)),
+        }
+        r.steps.clear();
+        self.spare_steps = r.steps;
     }
 
     /// Abandon the active recording and blacklist its head so the
     /// interpreter stops re-trying it.
     pub fn abort_recording(&mut self) {
         if let Some(r) = self.recorder.take() {
-            self.traces.insert((r.func, r.head), None);
+            self.retire(r, Head::Blacklisted);
         }
     }
 
@@ -150,32 +184,28 @@ impl TraceState {
             return;
         };
         self.stats.traces_recorded += 1;
-        match crate::compile::compile(&r, bail_pc) {
+        let verdict = match crate::compile::compile(&r, bail_pc) {
             Some(t) => {
                 self.stats.traces_compiled += 1;
-                self.traces.insert((r.func, r.head), Some(Rc::new(t)));
+                Head::Compiled(Rc::new(t))
             }
-            None => {
-                self.traces.insert((r.func, r.head), None);
-            }
-        }
-    }
-
-    /// The compiled trace headed at `(func, pc)`, if any (for tests and
-    /// the disassembler).
-    pub fn compiled(&self, func: u32, pc: u32) -> Option<Rc<CompiledTrace>> {
-        self.traces.get(&(func, pc)).and_then(|t| t.clone())
+            None => Head::Blacklisted,
+        };
+        self.retire(r, verdict);
     }
 
     /// Every compiled trace, in deterministic (func, head) order.
     pub fn compiled_traces(&self) -> Vec<Rc<CompiledTrace>> {
-        let mut keys: Vec<_> = self
-            .traces
+        let mut traces: Vec<_> = self
+            .heads
             .iter()
-            .filter_map(|(k, v)| v.as_ref().map(|t| (*k, Rc::clone(t))))
+            .filter_map(|(_, head)| match head {
+                Head::Compiled(t) => Some(Rc::clone(t)),
+                _ => None,
+            })
             .collect();
-        keys.sort_by_key(|(k, _)| *k);
-        keys.into_iter().map(|(_, t)| t).collect()
+        traces.sort_by_key(|t| (t.func, t.head));
+        traces
     }
 }
 

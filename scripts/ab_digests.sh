@@ -2,12 +2,14 @@
 # Behaviour parity between two commits: the step that says a `perf_opt` or
 # `simplicity` change altered no simulated outcome.
 #
-#   scripts/ab_digests.sh <base-ref> [workload ...]
+#   [SIZES="gate full"] scripts/ab_digests.sh <base-ref> [workload ...]
 #
 # Builds `ledger` at <base-ref> (a `git archive` unpacked under target/) and
 # at the current checkout, runs each named workload (default: all six) once
-# per side at gate and full size for seeds 1 and 2, and compares each run's
-# `sim_digest` and `ops_failed`. Exits non-zero iff any of them differs.
+# per side at each size in $SIZES (default: gate and full) for seeds 1 and
+# 2, and compares each run's `sim_digest` and `ops_failed`. Exits non-zero
+# iff any of them differs. `SIZES=gate` is the pull-request check (CI's
+# `parity` job); the full sizes take about ten minutes on two cores.
 # Naming workloads lets a change that honestly moves one digest still prove
 # the rest. Timings are not compared — that is `ledger compare` and the
 # benchmark driver's job.
@@ -19,6 +21,7 @@ shift
 target="${CARGO_TARGET_DIR:-$PWD/target}"
 tree="$target/ab_digests/base"
 workloads=${*:-pool_drain fed_scale fed_scale_par campaign_sweep vm_short_jobs vm_hot_loops}
+sizes=${SIZES:-gate full}
 
 rm -rf "$tree"
 mkdir -p "$tree"
@@ -38,7 +41,7 @@ outcome() {
 
 status=0
 printf '%-15s %-5s %-4s %-22s %-22s\n' workload size seed "base ($base_ref)" change
-for size in gate full; do
+for size in $sizes; do
     for seed in 1 2; do
         for w in $workloads; do
             b=$(outcome "$base_bin" "$w" "$size" "$seed")
