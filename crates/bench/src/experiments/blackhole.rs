@@ -13,9 +13,11 @@
 //! (missing stdlib), which only a thorough test or schedd avoidance
 //! catches.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_blackhole`
+//! Run with: `cargo run --release -p bench --bin exp -- e2`
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{makespan_secs, mean_over_seeds};
+use crate::{f, render_table};
 use condor::prelude::*;
 use desim::{SimDuration, SimTime};
 use gridvm::config::SelfTestDepth;
@@ -92,23 +94,25 @@ fn sweep(partial: bool) {
     let mut rows = Vec::new();
     for holes in [1usize, 3, 6] {
         for p in policies {
-            let seeds = [5u64, 15, 25];
-            let (mut waste, mut resched, mut makespan, mut done) = (0.0, 0.0, 0.0, 0.0);
-            for s in seeds {
-                let r = pool(s, holes, partial, p);
-                waste += r.metrics.wasted_cpu.as_secs_f64();
-                resched += r.metrics.reschedules as f64;
-                makespan += r.makespan().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
-                done += r.metrics.jobs_completed as f64;
-            }
-            let n = seeds.len() as f64;
+            let [done, waste, resched, makespan] = mean_over_seeds(
+                &[5, 15, 25],
+                |s| pool(s, holes, partial, p),
+                |r| {
+                    [
+                        r.metrics.jobs_completed as f64,
+                        r.metrics.wasted_cpu.as_secs_f64(),
+                        r.metrics.reschedules as f64,
+                        makespan_secs(r),
+                    ]
+                },
+            );
             rows.push(vec![
                 holes.to_string(),
                 p.name.to_string(),
-                f(done / n, 1),
-                f(waste / n, 0),
-                f(resched / n, 1),
-                f(makespan / n, 0),
+                f(done, 1),
+                f(waste, 0),
+                f(resched, 1),
+                f(makespan, 0),
             ]);
         }
     }
@@ -128,7 +132,7 @@ fn sweep(partial: bool) {
     );
 }
 
-fn main() {
+pub fn run(size: Size, _: &[String]) {
     println!(
         "E2: black-hole machines (§5)\n\
          pool: {HEALTHY} healthy + N black holes (higher-ranked), {JOBS} stdlib jobs x 90s\n"
@@ -152,30 +156,23 @@ fn main() {
          of testing matters."
     );
 
-    export_telemetry();
+    drive(size, export, |(), _| ());
 }
 
 /// A representative blind-trust run against partially broken holes — the
 /// configuration with the richest error traffic — exported to stable paths:
 /// a JSON metrics snapshot and the JSONL event stream (claims, dispatches,
 /// escapes, journey hops, reschedules, dispositions).
-fn export_telemetry() {
+fn export(_: Size) -> ((), Vec<Artifact>) {
     let p = Policy {
         name: "blind trust",
         self_test: SelfTestDepth::None,
         avoid: false,
     };
     let r = pool(5, 3, true, p);
-    let snapshot = r.registry().snapshot_json();
-    std::fs::write("BENCH_blackhole.json", &snapshot).expect("write metrics snapshot");
-    let events = r.telemetry.to_jsonl();
-    std::fs::write("BENCH_blackhole.events.jsonl", &events).expect("write event stream");
-
-    obs::json::parse(&snapshot).expect("metrics snapshot is valid JSON");
-    let parsed = obs::Collector::parse_jsonl(&events).expect("event stream is valid JSONL");
-    println!(
-        "\nTelemetry: BENCH_blackhole.json (metrics snapshot) and\n\
-         BENCH_blackhole.events.jsonl ({} events) written and re-parsed cleanly.",
-        parsed.len()
-    );
+    let files = vec![
+        artifact("BENCH_blackhole.json", r.registry().snapshot_json()),
+        artifact("BENCH_blackhole.events.jsonl", r.telemetry.to_jsonl()),
+    ];
+    ((), files)
 }

@@ -28,10 +28,11 @@
 //! totals) and `BENCH_campaign.violations.txt` (expected to hold only
 //! the header).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_campaign`
+//! Run with: `cargo run --release -p bench --bin exp -- e12`
 //! (pass `--smoke` for the CI-sized campaign set).
 
-use bench::render_table;
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::render_table;
 use campaign::{check, flip_stats, generate, postmortem, FlipStats, RunSummary};
 use condor::prelude::JobState;
 use desim::sweep::run_sweep;
@@ -41,15 +42,6 @@ use std::collections::BTreeSet;
 
 const FULL_CAMPAIGNS: u64 = 5000;
 const SMOKE_CAMPAIGNS: u64 = 64;
-
-fn seeds(smoke: bool) -> Vec<u64> {
-    let n = if smoke {
-        SMOKE_CAMPAIGNS
-    } else {
-        FULL_CAMPAIGNS
-    };
-    (1000..1000 + n).collect()
-}
 
 /// One campaign's verdict, ready for the snapshot.
 struct CampaignResult {
@@ -105,10 +97,6 @@ fn run_campaign(seed: u64) -> CampaignResult {
     }
 }
 
-fn evaluate(seeds: &[u64], threads: usize) -> Vec<CampaignResult> {
-    run_sweep(seeds, threads, |_, seed| run_campaign(seed))
-}
-
 /// Deterministic by construction: fixed iteration order, no timestamps.
 fn snapshot(results: &[CampaignResult], totals: &FlipStats) -> String {
     let mut rows = Vec::new();
@@ -153,24 +141,55 @@ fn snapshot(results: &[CampaignResult], totals: &FlipStats) -> String {
     )
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seeds = seeds(smoke);
-    let threads = desim::sweep::default_width();
+/// The violations document: its header alone when the oracle stayed silent.
+fn violations_doc(results: &[CampaignResult]) -> String {
+    let mut doc =
+        String::from("E12 oracle violations (this file is expected to contain only this header)\n");
+    for r in results.iter().filter(|r| !r.violations.is_empty()) {
+        doc.push_str(&format!("\ncampaign seed {}:\n", r.seed));
+        for v in &r.violations {
+            doc.push_str(&format!("  {v}\n"));
+        }
+        if let Some(post) = &r.post {
+            doc.push_str(post);
+        }
+    }
+    doc
+}
 
-    println!(
-        "E12: fault-campaign fuzzing — {} randomized campaigns, {} worker thread(s)\n\
-         every run judged by the P1-P4 oracle over its exported event stream\n",
-        seeds.len(),
-        threads
-    );
-
-    let results = evaluate(&seeds, threads);
+/// One pass: every campaign run and judged (same thread count on both
+/// passes covers scheduling nondeterminism; the property tests cover
+/// widths).
+fn pass(size: Size) -> ((Vec<CampaignResult>, FlipStats), Vec<Artifact>) {
+    let n = size.pick(SMOKE_CAMPAIGNS, FULL_CAMPAIGNS);
+    let seeds: Vec<u64> = (1000..1000 + n).collect();
+    let results = run_sweep(&seeds, desim::sweep::default_width(), |_, seed| {
+        run_campaign(seed)
+    });
     let mut totals = FlipStats::default();
     for r in &results {
         totals.add(r.stats);
     }
+    let files = vec![
+        artifact("BENCH_campaign.json", snapshot(&results, &totals)),
+        artifact("BENCH_campaign.violations.txt", violations_doc(&results)),
+    ];
+    ((results, totals), files)
+}
 
+pub fn run(size: Size, _: &[String]) {
+    println!(
+        "E12: fault-campaign fuzzing — {} randomized campaigns, {} worker thread(s)\n\
+         every run judged by the P1-P4 oracle over its exported event stream\n",
+        size.pick(SMOKE_CAMPAIGNS, FULL_CAMPAIGNS),
+        desim::sweep::default_width()
+    );
+    drive(size, pass, |(results, totals), files| {
+        report(&results, &totals, &files[1].body)
+    });
+}
+
+fn report(results: &[CampaignResult], totals: &FlipStats, violations_doc: &str) {
     let total_jobs: usize = results.iter().map(|r| r.jobs).sum();
     let total_completed: usize = results.iter().map(|r| r.completed).sum();
     let total_unex: usize = results.iter().map(|r| r.unexecutable).sum();
@@ -223,29 +242,21 @@ fn main() {
     );
 
     // Gate 1: the oracle stayed silent on every campaign. Violating
-    // seeds print their full post-mortem before the gate trips.
-    let mut violations_doc =
-        String::from("E12 oracle violations (this file is expected to contain only this header)\n");
-    let mut total_violations = 0usize;
-    for r in &results {
-        if r.violations.is_empty() {
-            continue;
+    // seeds print their schedule and full post-mortem, and the violations
+    // file is on disk, before the gate trips.
+    let total_violations: usize = results.iter().map(|r| r.violations.len()).sum();
+    if total_violations > 0 {
+        for r in results.iter().filter(|r| !r.violations.is_empty()) {
+            println!(
+                "\ncampaign seed {}:\n{}",
+                r.seed,
+                generate(r.seed).describe()
+            );
         }
-        total_violations += r.violations.len();
-        println!("\nVIOLATIONS in campaign seed {}:", r.seed);
-        println!("{}", generate(r.seed).describe());
-        violations_doc.push_str(&format!("\ncampaign seed {}:\n", r.seed));
-        for v in &r.violations {
-            println!("  {v}");
-            violations_doc.push_str(&format!("  {v}\n"));
-        }
-        if let Some(post) = &r.post {
-            println!("{post}");
-            violations_doc.push_str(post);
-        }
+        println!("\n{violations_doc}");
+        std::fs::write("BENCH_campaign.violations.txt", violations_doc)
+            .expect("write BENCH_campaign.violations.txt");
     }
-    std::fs::write("BENCH_campaign.violations.txt", &violations_doc)
-        .expect("write BENCH_campaign.violations.txt");
     assert_eq!(
         total_violations, 0,
         "the oracle found {total_violations} principle violation(s); \
@@ -280,8 +291,9 @@ fn main() {
     // Gate 3: the negative control. A deliberately broken kernel (naive
     // mode around a black hole) must trip the oracle and localize to the
     // rogue machine — proof the zero above is a verdict, not blindness.
+    let seed = results[0].seed;
     let broken =
-        campaign::gen::negative_control_pool(seeds[0], true).run(SimTime::from_secs(24 * 3600));
+        campaign::gen::negative_control_pool(seed, true).run(SimTime::from_secs(24 * 3600));
     let bs = Stream::from_collector(&broken.telemetry).expect("negative control stream");
     let bv = check(&bs, &RunSummary::of(&broken));
     assert!(
@@ -289,7 +301,7 @@ fn main() {
         "negative control: the oracle failed to flag a naive-mode kernel"
     );
     let healthy =
-        campaign::gen::negative_control_pool(seeds[0], false).run(SimTime::from_secs(24 * 3600));
+        campaign::gen::negative_control_pool(seed, false).run(SimTime::from_secs(24 * 3600));
     let hs = Stream::from_collector(&healthy.telemetry).expect("reference stream");
     let post = postmortem(&bs, &hs);
     assert!(
@@ -299,29 +311,5 @@ fn main() {
     println!(
         "negative control: naive kernel flagged ({} violation(s)) and localized to machine:2",
         bv.len()
-    );
-
-    // Gate 4: determinism — a second full pass (same thread count covers
-    // scheduling nondeterminism; the property tests cover widths)
-    // serializes byte-identically.
-    let snap = snapshot(&results, &totals);
-    let second = evaluate(&seeds, threads);
-    let mut totals2 = FlipStats::default();
-    for r in &second {
-        totals2.add(r.stats);
-    }
-    let again = snapshot(&second, &totals2);
-    assert_eq!(snap, again, "two passes must serialize byte-identically");
-    println!(
-        "determinism: two full passes byte-identical ({} bytes)",
-        snap.len()
-    );
-
-    std::fs::write("BENCH_campaign.json", &snap).expect("write BENCH_campaign.json");
-    obs::json::parse(&snap).expect("snapshot is valid JSON");
-    println!(
-        "\nTelemetry: BENCH_campaign.json ({} campaigns) and \
-         BENCH_campaign.violations.txt written.",
-        results.len()
     );
 }

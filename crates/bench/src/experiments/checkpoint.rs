@@ -18,17 +18,16 @@
 //!    `ckpt-discarded` event), cold-restarts, and the job still completes.
 //!    No implicit error ever surfaces to the user (P1/P2).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_checkpoint`
+//! Run with: `cargo run --release -p bench --bin exp -- e6`
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{
+    makespan_secs, mean_over_seeds, owner_interrupted, OWNER_HORIZON, OWNER_JOBS as JOBS,
+    OWNER_JOB_SECS as JOB_SECS, OWNER_MACHINES as MACHINES,
+};
+use crate::{f, render_table};
 use condor::prelude::*;
-use condor::PoolBuilder;
-use desim::{SimDuration, SimTime};
-use gridvm::programs;
-
-const MACHINES: usize = 4;
-const JOBS: u32 = 4;
-const JOB_SECS: u64 = 1800;
+use desim::SimDuration;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -41,43 +40,17 @@ enum Mode {
     Periodic(u64),
 }
 
-/// An eviction-heavy pool: every machine's owner comes back on a
-/// staggered cycle — busy for `busy` seconds every `period` seconds.
-///
-/// With `corrupt` set, every stored checkpoint for every job is corrupted
-/// on the server, and each owner interrupts only once: banked progress is
-/// always discarded on resume, but a cold restart can still finish — the
+/// The owner-interrupted pool under a checkpointing `mode`. With `corrupt`
+/// set, every stored checkpoint for every job is corrupted on the server,
+/// and each owner interrupts only once: banked progress is always
+/// discarded on resume, but a cold restart can still finish — the
 /// configuration that isolates the discard-then-complete path.
 fn pool(mode: Mode, period: u64, busy: u64, seed: u64, corrupt: bool) -> RunReport {
-    let mut plan = FaultPlan::none();
-    for m in 0..MACHINES {
-        let phase = (period / MACHINES as u64) * m as u64;
-        let mut start = phase + period;
-        while start < 7 * 24 * 3600 {
-            plan = plan.owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID + m,
-                condor::Window::new(SimTime::from_secs(start), SimTime::from_secs(start + busy)),
-            );
-            start += period + busy;
-            if corrupt {
-                break; // one interruption per machine, then idle forever
-            }
-        }
-    }
     let universe = match mode {
         Mode::Off => Universe::Vanilla,
         _ => Universe::Standard,
     };
-    let mut b = PoolBuilder::new(seed)
-        .machines((0..MACHINES).map(|i| MachineSpec::healthy(&format!("ws{i}"), 256)))
-        .faults(plan)
-        .jobs((1..=JOBS).map(|i| {
-            JobSpec {
-                universe,
-                ..JobSpec::java(i, "ada", programs::calls_exit(0), JavaMode::Scoped)
-                    .with_exec_time(SimDuration::from_secs(JOB_SECS))
-            }
-        }));
+    let mut b = owner_interrupted(universe, period, busy, seed, corrupt);
     if mode != Mode::Off {
         b = b.with_checkpoint_server();
     }
@@ -92,10 +65,10 @@ fn pool(mode: Mode, period: u64, busy: u64, seed: u64, corrupt: bool) -> RunRepo
             b = b.corrupt_checkpoints_for(j);
         }
     }
-    b.run(SimTime::from_secs(14 * 24 * 3600))
+    b.run(OWNER_HORIZON)
 }
 
-fn main() {
+pub fn run(size: Size, _: &[String]) {
     println!(
         "E6: checkpoint server vs restart-from-zero under owner evictions\n\
          {MACHINES} machines, {JOBS} jobs x {JOB_SECS}s; owners return every <period>s for <busy>s\n"
@@ -109,28 +82,29 @@ fn main() {
     let mut rows = Vec::new();
     for (period, busy) in [(3600u64, 600u64), (1200, 600), (600, 600)] {
         for (name, mode) in modes {
-            let seeds = [41u64, 42, 43];
-            let (mut lost, mut saved, mut taken, mut restored, mut makespan, mut done) =
-                (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-            for s in seeds {
-                let r = pool(mode, period, busy, s, false);
-                lost += r.metrics.work_lost_to_eviction.as_secs_f64();
-                saved += r.metrics.work_saved_by_checkpoint.as_secs_f64();
-                taken += r.metrics.checkpoints_taken as f64;
-                restored += r.metrics.checkpoints_restored as f64;
-                makespan += r.makespan().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
-                done += r.metrics.jobs_completed as f64;
-            }
-            let n = seeds.len() as f64;
+            let [lost, saved, taken, restored, makespan, done] = mean_over_seeds(
+                &[41, 42, 43],
+                |s| pool(mode, period, busy, s, false),
+                |r| {
+                    [
+                        r.metrics.work_lost_to_eviction.as_secs_f64(),
+                        r.metrics.work_saved_by_checkpoint.as_secs_f64(),
+                        r.metrics.checkpoints_taken as f64,
+                        r.metrics.checkpoints_restored as f64,
+                        makespan_secs(r),
+                        r.metrics.jobs_completed as f64,
+                    ]
+                },
+            );
             rows.push(vec![
                 format!("{period}/{busy}"),
                 name.to_string(),
-                f(done / n, 1),
-                f(taken / n, 1),
-                f(restored / n, 1),
-                f(lost / n, 0),
-                f(saved / n, 0),
-                f(makespan / n, 0),
+                f(done, 1),
+                f(taken, 1),
+                f(restored, 1),
+                f(lost, 0),
+                f(saved, 0),
+                f(makespan, 0),
             ]);
         }
     }
@@ -158,7 +132,7 @@ fn main() {
 
     verify_work_lost_reduction();
     verify_checkpoint_scope();
-    export_telemetry();
+    drive(size, export, |(), _| ());
 }
 
 /// Acceptance gate: same fault plan, same seed — work lost to eviction is
@@ -216,7 +190,7 @@ fn verify_checkpoint_scope() {
 /// off/on/corrupt under the same plan and seed, the checkpointing run's
 /// event stream (the `ckpt-taken` -> `ckpt-restored` journey), and the
 /// corrupt run's stream (the `ckpt-taken` -> `ckpt-discarded` path).
-fn export_telemetry() {
+fn export(_: Size) -> ((), Vec<Artifact>) {
     let off = pool(Mode::Off, 1200, 600, 41, false);
     let on = pool(Mode::On, 1200, 600, 41, false);
     let corrupt = pool(Mode::On, 1200, 600, 41, true);
@@ -226,23 +200,13 @@ fn export_telemetry() {
         on.registry().snapshot_json(),
         corrupt.registry().snapshot_json()
     );
-    std::fs::write("BENCH_checkpoint.json", &snapshot).expect("write metrics snapshot");
-    let events = on.telemetry.to_jsonl();
-    std::fs::write("BENCH_checkpoint.events.jsonl", &events).expect("write event stream");
-    let corrupt_events = corrupt.telemetry.to_jsonl();
-    std::fs::write("BENCH_checkpoint_corrupt.events.jsonl", &corrupt_events)
-        .expect("write corrupt event stream");
-
-    // Prove the artifacts parse cleanly before anything downstream tries.
-    obs::json::parse(&snapshot).expect("metrics snapshot is valid JSON");
-    let parsed = obs::Collector::parse_jsonl(&events).expect("event stream is valid JSONL");
-    let parsed_corrupt =
-        obs::Collector::parse_jsonl(&corrupt_events).expect("corrupt stream is valid JSONL");
-    println!(
-        "Telemetry: BENCH_checkpoint.json (off/on/corrupt metrics snapshots),\n\
-         BENCH_checkpoint.events.jsonl ({} events) and\n\
-         BENCH_checkpoint_corrupt.events.jsonl ({} events) written and re-parsed cleanly.",
-        parsed.len(),
-        parsed_corrupt.len()
-    );
+    let files = vec![
+        artifact("BENCH_checkpoint.json", snapshot),
+        artifact("BENCH_checkpoint.events.jsonl", on.telemetry.to_jsonl()),
+        artifact(
+            "BENCH_checkpoint_corrupt.events.jsonl",
+            corrupt.telemetry.to_jsonl(),
+        ),
+    ];
+    ((), files)
 }

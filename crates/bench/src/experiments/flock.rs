@@ -37,81 +37,29 @@
 //! `BENCH_flock.events.jsonl` (the partition scenario's event stream,
 //! also byte-identical across passes).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_flock`
+//! Run with: `cargo run --release -p bench --bin exp -- e11`
 //! (pass `--smoke` for the CI-sized study).
 
-use bench::legacy::naive_negotiate;
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{
+    federation, negotiate_cycles, partition_during_flock, Negotiation, FEDERATION_HORIZON,
+    FEDERATION_JOBS, IMAGE_SIZES, MEM_TIERS, OVERSIZE, PARTITION_HORIZON,
+};
+use crate::{f, render_table};
 use campaign::{check, generate_flock, FlockFaultKind, RunSummary};
 use classads::ClassAd;
 use condor::prelude::*;
-use condor::MatchEngine;
 use desim::sweep::run_sweep;
-use desim::{SimDuration, SimRng, SimTime};
+use desim::SimRng;
 use errorscope::Scope;
-use gridvm::programs;
 use obs_analyze::Stream;
-use std::collections::BTreeMap;
-
-fn t(s: u64) -> SimTime {
-    SimTime::from_secs(s)
-}
-
-fn job(id: u32, exec_s: u64) -> JobSpec {
-    JobSpec::java(id, "ada", programs::completes_main(), JavaMode::Scoped)
-        .with_exec_time(SimDuration::from_secs(exec_s))
-}
-
-fn policy() -> ScheddPolicy {
-    ScheddPolicy {
-        lease: Some(LeaseInfo {
-            interval: SimDuration::from_secs(10),
-            timeout: SimDuration::from_secs(30),
-        }),
-        max_attempts: 60,
-        ..ScheddPolicy::default()
-    }
-}
 
 // ---------------------------------------------------------------------
-// Section 1: the five-pool federation
+// Sections 1 and 2 run `scenarios::federation` and
+// `scenarios::partition_during_flock`.
 // ---------------------------------------------------------------------
 
-const FEDERATION_JOBS: u32 = 30;
-
-fn federation_run() -> FlockReport {
-    let mut b = FederationBuilder::new(47)
-        .pool((0..2).map(|i| MachineSpec::healthy(&format!("home{i}"), 256)));
-    for p in 1..5 {
-        b = b.pool((0..3).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
-    }
-    b.jobs((1..=FEDERATION_JOBS).map(|i| job(i, 60 + u64::from(i % 5) * 30)))
-        .schedd_policy(policy())
-        .run(t(8 * 3600))
-}
-
-// ---------------------------------------------------------------------
-// Section 2: partition during flock
-// ---------------------------------------------------------------------
-
-fn partition_run() -> FlockReport {
-    let b = FederationBuilder::new(48)
-        .pool([])
-        .pool([MachineSpec::healthy("r1", 256)])
-        .pool([MachineSpec::healthy("r2", 256)]);
-    // The inter-pool link to pool 1 — its matchmaker and its machines at
-    // once — goes down after the flocked claim lands and stays down long
-    // past the lease, then heals.
-    let mut far = vec![FederationBuilder::matchmaker_id(1)];
-    far.extend(b.machine_ids(1));
-    let schedd = b.schedd_id();
-    b.schedd_policy(policy())
-        .faults(FaultPlan::none().net_partition([schedd], far, Window::new(t(80), t(900))))
-        .job(job(1, 120))
-        .run(t(4 * 3600))
-}
-
-/// The partition scenario's gates, shared by both determinism passes.
+/// The partition scenario's gates, asserted on both determinism passes.
 fn check_partition(report: &FlockReport) -> (usize, usize, usize) {
     assert!(
         report.quiescent,
@@ -213,28 +161,16 @@ fn campaign_rows(seeds: &[u64], threads: usize) -> Vec<CampaignRow> {
 // ---------------------------------------------------------------------
 
 const CYCLES: usize = 4;
-const SCHEDD: usize = 1;
-const FIRST_MACHINE: usize = 1000;
-const MEM_TIERS: [i64; 7] = [128, 256, 512, 1024, 2048, 4096, 8192];
-const IMAGE_SIZES: [i64; 6] = [100, 200, 400, 800, 1600, 3200];
-/// Never fits: keeps queue pressure across cycles.
-const OVERSIZE: i64 = 9000;
 
 struct PoolScale {
     pool: u64,
     machines: usize,
     jobs: usize,
-    matches: u64,
-    indexed_pairs: u64,
-    naive_pairs: u64,
+    n: Negotiation,
 }
 
-/// Drive `CYCLES` negotiation cycles for one pool of the federation:
-/// wave job arrivals, per-cycle re-advertisement, matched ads consumed.
-/// With `check_naive`, the frozen naive kernel runs beside the engine on
-/// mirrored maps with a same-seed RNG and every cycle's assignments must
-/// be bit-identical; the analytic naive pair count (which only depends
-/// on pool sizes and the pinned match sequence) is computed either way.
+/// Negotiate [`CYCLES`] cycles for one pool of the federation through the
+/// shared driver; no startd crashes here, only consumption.
 fn negotiate_pool(pool: u64, n_machines: usize, n_jobs: usize, check_naive: bool) -> PoolScale {
     let seed = 0xF10C_u64 ^ (pool << 8);
     let mut gen_rng = SimRng::seed_from_u64(seed ^ 0xe11);
@@ -260,94 +196,20 @@ fn negotiate_pool(pool: u64, n_machines: usize, n_jobs: usize, check_naive: bool
                 .with_expr("Rank", "TARGET.Memory")
         })
         .collect();
-
-    let mut engine = MatchEngine::new();
-    let mut engine_rng = SimRng::seed_from_u64(seed.wrapping_mul(31) + 7);
-    let mut naive_rng = SimRng::seed_from_u64(seed.wrapping_mul(31) + 7);
-    let mut naive_machines: BTreeMap<usize, ClassAd> = BTreeMap::new();
-    let mut naive_jobs: BTreeMap<(usize, u32), ClassAd> = BTreeMap::new();
-
-    let mut consumed = vec![false; n_machines];
-    let mut matches = 0u64;
-    let mut naive_pairs = 0u64;
-    let mut naive_pairs_measured = 0u64;
-    let mut queued: Vec<u32> = Vec::new();
-    let mut next_job = 0usize;
-    let wave = n_jobs.div_ceil(CYCLES);
-
-    for cycle in 0..CYCLES {
-        let now = SimTime::from_secs(10 * (cycle as u64 + 1));
-        for (i, ad) in machine_ads.iter().enumerate() {
-            if consumed[i] {
-                continue;
-            }
-            engine.insert_machine(FIRST_MACHINE + i, ad.clone(), now);
-            if check_naive {
-                naive_machines.insert(FIRST_MACHINE + i, ad.clone());
-            }
-        }
-        for _ in 0..wave {
-            if next_job >= n_jobs {
-                break;
-            }
-            engine.insert_job(SCHEDD, next_job as u32, job_ads[next_job].clone());
-            if check_naive {
-                naive_jobs.insert((SCHEDD, next_job as u32), job_ads[next_job].clone());
-            }
-            queued.push(next_job as u32);
-            next_job += 1;
-        }
-
-        let notifications = engine.negotiate(now, &mut engine_rng);
-
-        // Exact naive work: each queued job scans every machine not yet
-        // taken by an earlier job of the same cycle.
-        let live = consumed.iter().filter(|&&c| !c).count() as u64;
-        let matched: std::collections::BTreeSet<u32> =
-            notifications.iter().map(|&(_, j, _)| j).collect();
-        let mut taken = 0u64;
-        for &j in &queued {
-            naive_pairs += live - taken;
-            if matched.contains(&j) {
-                taken += 1;
-            }
-        }
-
-        if check_naive {
-            let (slow, pairs) = naive_negotiate(&naive_jobs, &naive_machines, &mut naive_rng);
-            assert_eq!(
-                notifications, slow,
-                "flocked assignments must be bit-identical to the naive kernel \
-                 (pool={pool} machines={n_machines} cycle={cycle})"
-            );
-            naive_pairs_measured += pairs;
-        }
-
-        matches += notifications.len() as u64;
-        for &(s, j, m) in &notifications {
-            if check_naive {
-                naive_jobs.remove(&(s, j));
-                naive_machines.remove(&m);
-            }
-            consumed[m - FIRST_MACHINE] = true;
-            queued.retain(|&q| q != j);
-        }
-    }
-
-    if check_naive {
-        assert_eq!(
-            naive_pairs_measured, naive_pairs,
-            "analytic naive pair count must match the measured scan (pool {pool})"
-        );
-    }
-
+    let n = negotiate_cycles(
+        &format!("pool={pool} machines={n_machines}"),
+        &machine_ads,
+        &job_ads,
+        CYCLES,
+        seed.wrapping_mul(31) + 7,
+        |_, _| false,
+        check_naive,
+    );
     PoolScale {
         pool,
         machines: n_machines,
         jobs: n_jobs,
-        matches,
-        indexed_pairs: engine.stats.pairs_evaluated,
-        naive_pairs,
+        n,
     }
 }
 
@@ -368,20 +230,27 @@ fn scale_study(
 // The deterministic snapshot
 // ---------------------------------------------------------------------
 
-struct Snapshot<'a> {
-    federation: &'a FlockReport,
-    partition: (usize, usize, usize),
-    partition_report: &'a FlockReport,
-    campaigns: &'a [CampaignRow],
-    scale: &'a [PoolScale],
+struct Pass {
+    federation: FlockReport,
+    partition: FlockReport,
+    partition_gates: (usize, usize, usize),
+    campaigns: Vec<CampaignRow>,
+    scale: Vec<PoolScale>,
+}
+
+/// (campaign seeds, (pools, machines per pool, jobs per pool)) of the study.
+fn shape(size: Size) -> (Vec<u64>, (u64, usize, usize)) {
+    let n = size.pick(SMOKE_CAMPAIGNS, FULL_CAMPAIGNS);
+    let big = size.pick((5, 600, 120), (5, 20_000, 200_000));
+    ((2000..2000 + n).collect(), big)
 }
 
 /// Deterministic by construction: fixed iteration order, no timestamps,
 /// no span-dependent fields.
-fn snapshot(s: &Snapshot<'_>) -> String {
-    let fed = s.federation;
+fn snapshot(p: &Pass) -> String {
+    let fed = &p.federation;
     let grants: Vec<String> = fed.flock_grants.iter().map(u64::to_string).collect();
-    let campaign_rows: Vec<String> = s
+    let campaign_rows: Vec<String> = p
         .campaigns
         .iter()
         .map(|r| {
@@ -398,18 +267,18 @@ fn snapshot(s: &Snapshot<'_>) -> String {
             )
         })
         .collect();
-    let scale_rows: Vec<String> = s
+    let scale_rows: Vec<String> = p
         .scale
         .iter()
         .map(|r| {
             format!(
                 "{{\"pool\":{},\"machines\":{},\"jobs\":{},\"matches\":{},\
                  \"indexed_pairs\":{},\"naive_pairs\":{}}}",
-                r.pool, r.machines, r.jobs, r.matches, r.indexed_pairs, r.naive_pairs
+                r.pool, r.machines, r.jobs, r.n.matches, r.n.indexed_pairs, r.n.naive_pairs
             )
         })
         .collect();
-    let (pfaults, prulings, pevents) = s.partition;
+    let (pfaults, prulings, pevents) = p.partition_gates;
     format!(
         "{{\"federation\":{{\"jobs\":{},\"completed\":{},\"flock_escalations\":{},\
          \"flock_faults\":{},\"flock_grants\":[{}],\"events\":{}}},\
@@ -422,7 +291,7 @@ fn snapshot(s: &Snapshot<'_>) -> String {
         fed.metrics.flock_faults,
         grants.join(","),
         fed.telemetry.len(),
-        s.partition_report.metrics.jobs_completed,
+        p.partition.metrics.jobs_completed,
         pfaults,
         prulings,
         pevents,
@@ -431,70 +300,54 @@ fn snapshot(s: &Snapshot<'_>) -> String {
     )
 }
 
-struct Pass {
-    federation: FlockReport,
-    partition: FlockReport,
-    partition_gates: (usize, usize, usize),
-    campaigns: Vec<CampaignRow>,
-    scale: Vec<PoolScale>,
-    events: String,
-}
-
-fn run_pass(
-    seeds: &[u64],
-    threads: usize,
-    big: (u64, usize, usize),
-    small: (u64, usize, usize),
-) -> Pass {
-    obs::reset_span_ids(0);
-    let federation = federation_run();
+/// One pass over all four sections. The partition stream deliberately
+/// numbers its spans from 1,000,000 so it can be told from the
+/// federation's in a merged view.
+fn pass(size: Size) -> (Pass, Vec<Artifact>) {
+    let (seeds, big) = shape(size);
+    let threads = desim::sweep::default_width();
+    let federation = federation().run(FEDERATION_HORIZON);
     obs::reset_span_ids(1_000_000);
-    let partition = partition_run();
+    let partition = partition_during_flock().run(PARTITION_HORIZON);
     let partition_gates = check_partition(&partition);
-    let events = partition.telemetry.to_jsonl();
-    let campaigns = campaign_rows(seeds, threads);
+    let campaigns = campaign_rows(&seeds, threads);
     // The downscaled differential always runs the naive kernel for real;
     // the big study's naive pair count is analytic (gate 1 of the small
     // study pins the match sequence the analytic count depends on).
-    let mut scale = scale_study(small.0, small.1, small.2, true, threads);
+    let mut scale = scale_study(3, 200, 60, true, threads);
     scale.extend(scale_study(big.0, big.1, big.2, false, threads));
-    Pass {
+    let pass = Pass {
         federation,
         partition,
         partition_gates,
         campaigns,
         scale,
-        events,
-    }
+    };
+    let files = vec![
+        artifact("BENCH_flock.json", snapshot(&pass)),
+        artifact(
+            "BENCH_flock.events.jsonl",
+            pass.partition.telemetry.to_jsonl(),
+        ),
+    ];
+    (pass, files)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke {
-        SMOKE_CAMPAIGNS
-    } else {
-        FULL_CAMPAIGNS
-    };
-    let seeds: Vec<u64> = (2000..2000 + n).collect();
-    let threads = desim::sweep::default_width();
-    // (pools, machines per pool, jobs per pool)
-    let big = if smoke {
-        (5, 600, 120)
-    } else {
-        (5, 20_000, 200_000)
-    };
-    let small = (3, 200, 60);
-
+pub fn run(size: Size, _: &[String]) {
+    let (seeds, big) = shape(size);
     println!(
         "E11: flocking — federated pools, every remote-pool failure an explicit\n\
          scoped error; {} flock campaigns, {}x{} machine scale study, {} thread(s)\n",
         seeds.len(),
         big.0,
         big.1,
-        threads
+        desim::sweep::default_width()
     );
+    drive(size, pass, |pass, _| report(size, &pass));
+}
 
-    let pass = run_pass(&seeds, threads, big, small);
+fn report(size: Size, pass: &Pass) {
+    let (seeds, big) = shape(size);
 
     // Gate 1: the federation drains through flocking, and remote pools
     // actually served.
@@ -543,7 +396,7 @@ fn main() {
     );
     println!("federation: 5 pools drain a starved home queue; oracle clean\n");
 
-    // Gate 2 ran inside run_pass (check_partition); report it.
+    // Gate 2 ran inside the pass (check_partition); report it.
     let (pfaults, prulings, _) = pass.partition_gates;
     println!(
         "partition-during-flock: exactly-once execution, {pfaults} explicit pool \
@@ -608,7 +461,9 @@ fn main() {
     );
 
     // Gate 4: bit-identical downscaled differential (asserted inside
-    // negotiate_pool) plus the pair-reduction figure at federation scale.
+    // the negotiation driver) plus the pair-reduction figure at
+    // federation scale.
+    let reduction = |naive: u64, indexed: u64| f(naive as f64 / indexed.max(1) as f64, 1);
     let rows: Vec<Vec<String>> = pass
         .scale
         .iter()
@@ -617,13 +472,10 @@ fn main() {
                 r.pool.to_string(),
                 r.machines.to_string(),
                 r.jobs.to_string(),
-                r.matches.to_string(),
-                r.naive_pairs.to_string(),
-                r.indexed_pairs.to_string(),
-                format!(
-                    "{}x",
-                    f(r.naive_pairs as f64 / r.indexed_pairs.max(1) as f64, 1)
-                ),
+                r.n.matches.to_string(),
+                r.n.naive_pairs.to_string(),
+                r.n.indexed_pairs.to_string(),
+                format!("{}x", reduction(r.n.naive_pairs, r.n.indexed_pairs)),
             ]
         })
         .collect();
@@ -643,9 +495,9 @@ fn main() {
         )
     );
     let big_rows: Vec<&PoolScale> = pass.scale.iter().filter(|r| r.machines == big.1).collect();
-    let naive_total: u64 = big_rows.iter().map(|r| r.naive_pairs).sum();
-    let indexed_total: u64 = big_rows.iter().map(|r| r.indexed_pairs).sum();
-    let floor = if smoke { 10 } else { 100 };
+    let naive_total: u64 = big_rows.iter().map(|r| r.n.naive_pairs).sum();
+    let indexed_total: u64 = big_rows.iter().map(|r| r.n.indexed_pairs).sum();
+    let floor = size.pick(10, 100);
     assert!(
         indexed_total * floor <= naive_total,
         "at {}x{} machines the federation must evaluate >={floor}x fewer pairs \
@@ -654,51 +506,11 @@ fn main() {
         big.1
     );
     println!(
-        "scale: {} pools x {} machines, naive {} pairs -> indexed {} ({}x)\n",
+        "scale: {} pools x {} machines, naive {} pairs -> indexed {} ({}x)",
         big.0,
         big.1,
         naive_total,
         indexed_total,
-        f(naive_total as f64 / indexed_total.max(1) as f64, 1)
-    );
-
-    // Gate 5: determinism — a second full pass serializes byte-identical
-    // artifacts (same thread count covers sweep scheduling).
-    let snap = snapshot(&Snapshot {
-        federation: &pass.federation,
-        partition: pass.partition_gates,
-        partition_report: &pass.partition,
-        campaigns: &pass.campaigns,
-        scale: &pass.scale,
-    });
-    let second = run_pass(&seeds, threads, big, small);
-    let again = snapshot(&Snapshot {
-        federation: &second.federation,
-        partition: second.partition_gates,
-        partition_report: &second.partition,
-        campaigns: &second.campaigns,
-        scale: &second.scale,
-    });
-    assert_eq!(snap, again, "two passes must serialize byte-identically");
-    assert_eq!(
-        pass.events, second.events,
-        "the partition event stream must be byte-identical across passes"
-    );
-    println!(
-        "determinism: two full passes byte-identical ({} bytes, {} event bytes)",
-        snap.len(),
-        pass.events.len()
-    );
-
-    std::fs::write("BENCH_flock.json", &snap).expect("write BENCH_flock.json");
-    std::fs::write("BENCH_flock.events.jsonl", &pass.events).expect("write event stream");
-    obs::json::parse(&snap).expect("snapshot is valid JSON");
-    let parsed = obs::Collector::parse_jsonl(&pass.events).expect("event stream is valid JSONL");
-    println!(
-        "\nTelemetry: BENCH_flock.json ({} campaigns, {} scale rows) and\n\
-         BENCH_flock.events.jsonl ({} events) written and re-parsed cleanly.",
-        pass.campaigns.len(),
-        pass.scale.len(),
-        parsed.len()
+        reduction(naive_total, indexed_total)
     );
 }

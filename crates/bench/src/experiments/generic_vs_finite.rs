@@ -11,9 +11,10 @@
 //! * **generic** (naive): everything is delivered to the program as an
 //!   "IOException" — contract violations the auditor counts.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_generic_vs_finite`
+//! Run with: `cargo run --release -p bench --bin exp -- e4`
 
-use bench::render_table;
+use crate::harness::Size;
+use crate::render_table;
 use chirp::backend::{EnvFault, MemFs};
 use chirp::client::{ChirpClient, ClientDiscipline, IoError};
 use chirp::cookie::Cookie;
@@ -110,7 +111,7 @@ fn session(server_disc: ErrorDiscipline, client_disc: ClientDiscipline, fault: E
     tally
 }
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     println!("E4: generic vs finite error interfaces (Principle 4)\n");
 
     // The interface contracts themselves.

@@ -32,10 +32,11 @@
 //! must serialize byte-identically) plus a `throughput` section
 //! (wall-clock, excluded from the two-pass gate).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_gridvm`
+//! Run with: `cargo run --release -p bench --bin exp -- e14`
 //! (pass `--smoke` for the CI-sized study).
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::{f, render_table};
 use chirp::backend::{EnvFault, MemFs};
 use chirp::cookie::Cookie;
 use chirp::server::ChirpServer;
@@ -276,13 +277,27 @@ struct Forced {
     expect_compiled: bool,
 }
 
+/// A case on the common arm: healthy installation, no I/O, the hot loop
+/// compiles and the fault leaves through a guard exit.
+fn guarded(name: &'static str, expect: &'static str, image: Vec<u8>) -> Forced {
+    Forced {
+        name,
+        image,
+        install: Installation::healthy(),
+        io: IoArm::None,
+        expect,
+        expect_guard: true,
+        expect_compiled: true,
+    }
+}
+
 fn forced_cases() -> Vec<Forced> {
-    let healthy = Installation::healthy;
     vec![
-        Forced {
-            name: "div-zero-mid-loop",
-            // acc /= (i - 25): divisor hits zero on iteration 25.
-            image: counted_loop(
+        // acc /= (i - 25): divisor hits zero on iteration 25.
+        guarded(
+            "div-zero-mid-loop",
+            "exception:ArithmeticException",
+            counted_loop(
                 "div0",
                 vec![],
                 60,
@@ -296,16 +311,12 @@ fn forced_cases() -> Vec<Forced> {
                 ],
             )
             .to_bytes(),
-            install: healthy(),
-            io: IoArm::None,
-            expect: "exception:ArithmeticException",
-            expect_guard: true,
-            expect_compiled: true,
-        },
-        Forced {
-            name: "bounds-mid-loop",
-            // arr[i] walks off the end of a 20-element array at i = 20.
-            image: counted_loop(
+        ),
+        // arr[i] walks off the end of a 20-element array at i = 20.
+        guarded(
+            "bounds-mid-loop",
+            "exception:ArrayIndexOutOfBoundsException",
+            counted_loop(
                 "oob",
                 vec![Instr::Push(20), Instr::NewArray, Instr::Store(2)],
                 64,
@@ -317,20 +328,16 @@ fn forced_cases() -> Vec<Forced> {
                 ],
             )
             .to_bytes(),
-            install: healthy(),
-            io: IoArm::None,
-            expect: "exception:ArrayIndexOutOfBoundsException",
-            expect_guard: true,
-            expect_compiled: true,
-        },
-        Forced {
-            name: "null-deref-mid-loop",
-            // The dereferenced handle is `arr * (1 - (i == 30))` — data-
-            // dependently null on iteration 30, with no branch in the
-            // body, so the ALoad *null guard* itself must fire (a
-            // conditional fault block would exit through branch
-            // divergence instead and never test the guard).
-            image: counted_loop(
+        ),
+        // The dereferenced handle is `arr * (1 - (i == 30))` — data-
+        // dependently null on iteration 30, with no branch in the
+        // body, so the ALoad *null guard* itself must fire (a
+        // conditional fault block would exit through branch
+        // divergence instead and never test the guard).
+        guarded(
+            "null-deref-mid-loop",
+            "exception:NullPointerException",
+            counted_loop(
                 "null",
                 vec![Instr::Push(8), Instr::NewArray, Instr::Store(2)],
                 64,
@@ -348,127 +355,121 @@ fn forced_cases() -> Vec<Forced> {
                 ],
             )
             .to_bytes(),
-            install: healthy(),
-            io: IoArm::None,
-            expect: "exception:NullPointerException",
-            expect_guard: true,
-            expect_compiled: true,
-        },
+        ),
+        // `Throw` lives behind an `i == 40` branch: the recorded
+        // iteration skips it, so the compiled trace reaches it by
+        // *branch divergence* — a committed side exit, not a guard —
+        // and the interpreter throws. The differential still gates
+        // bit-identity; `expect_guard` is false by design.
         Forced {
-            name: "user-throw-mid-loop",
-            // `Throw` lives behind an `i == 40` branch: the recorded
-            // iteration skips it, so the compiled trace reaches it by
-            // *branch divergence* — a committed side exit, not a guard —
-            // and the interpreter throws. The differential still gates
-            // bit-identity; `expect_guard` is false by design.
-            image: counted_loop(
-                "thrower",
-                vec![],
-                64,
-                vec![
-                    Instr::Load(1),
-                    Instr::Push(40),
-                    Instr::CmpEq,
-                    Instr::JumpIfZero(13), // skip the throw
-                    Instr::Throw(6),
-                ],
-            )
-            .to_bytes(),
-            install: healthy(),
-            io: IoArm::None,
-            expect: "exception:UserException6",
             expect_guard: false,
-            expect_compiled: true,
-        },
-        Forced {
-            name: "heap-exhaustion-mid-loop",
-            // Allocate i+1 words per iteration under a small heap.
-            image: counted_loop(
-                "oom",
-                vec![],
-                200,
-                vec![
-                    Instr::Load(1),
-                    Instr::Push(1),
-                    Instr::Add,
-                    Instr::NewArray,
-                    Instr::Pop,
-                ],
+            ..guarded(
+                "user-throw-mid-loop",
+                "exception:UserException6",
+                counted_loop(
+                    "thrower",
+                    vec![],
+                    64,
+                    vec![
+                        Instr::Load(1),
+                        Instr::Push(40),
+                        Instr::CmpEq,
+                        Instr::JumpIfZero(13), // skip the throw
+                        Instr::Throw(6),
+                    ],
+                )
+                .to_bytes(),
             )
-            .to_bytes(),
-            install: healthy().with_heap_limit(1 << 8),
-            io: IoArm::None,
-            expect: "env:virtual-machine:OutOfMemoryError",
-            expect_guard: true,
-            expect_compiled: true,
         },
+        // Allocate i+1 words per iteration under a small heap.
         Forced {
-            name: "fuel-exhaustion-mid-loop",
-            image: programs::cpu_bound(10_000),
-            install: healthy().with_fuel(1_000),
-            io: IoArm::None,
-            expect: "env:virtual-machine:CpuLimitExceeded",
-            expect_guard: true,
-            expect_compiled: true,
-        },
-        Forced {
-            name: "bad-install-stdcall",
-            // abs(acc) every iteration against a stdlib-less install. A
-            // statically broken install faults on the very first StdCall,
-            // before the loop can ever become hot — so no trace compiles
-            // and the in-trace install guard is purely defensive. The
-            // differential equality is the gate: both tiers must escape
-            // with the identical remote-resource scoped failure.
-            image: counted_loop(
-                "stdcall",
-                vec![],
-                64,
-                vec![Instr::Load(0), Instr::StdCall(0), Instr::Store(0)],
+            install: Installation::healthy().with_heap_limit(1 << 8),
+            ..guarded(
+                "heap-exhaustion-mid-loop",
+                "env:virtual-machine:OutOfMemoryError",
+                counted_loop(
+                    "oom",
+                    vec![],
+                    200,
+                    vec![
+                        Instr::Load(1),
+                        Instr::Push(1),
+                        Instr::Add,
+                        Instr::NewArray,
+                        Instr::Pop,
+                    ],
+                )
+                .to_bytes(),
             )
-            .to_bytes(),
+        },
+        Forced {
+            install: Installation::healthy().with_fuel(1_000),
+            ..guarded(
+                "fuel-exhaustion-mid-loop",
+                "env:virtual-machine:CpuLimitExceeded",
+                programs::cpu_bound(10_000),
+            )
+        },
+        // abs(acc) every iteration against a stdlib-less install. A
+        // statically broken install faults on the very first StdCall,
+        // before the loop can ever become hot — so no trace compiles
+        // and the in-trace install guard is purely defensive. The
+        // differential equality is the gate: both tiers must escape
+        // with the identical remote-resource scoped failure.
+        Forced {
             install: Installation::missing_stdlib(),
-            io: IoArm::None,
-            expect: "env:remote-resource:MisconfiguredInstallation",
             expect_guard: false,
             expect_compiled: false,
-        },
-        Forced {
-            name: "offline-io-mid-loop",
-            // Re-read input.txt every iteration; the home file system
-            // goes offline after a few operations — the trace's terminal
-            // bail hands the faulting IoOpen to the interpreter, which
-            // escapes with local-resource scope.
-            image: counted_loop(
-                "io-loop",
-                vec![],
-                64,
-                vec![
-                    Instr::IoOpen {
-                        path: 0,
-                        mode: IoMode::Read,
-                    },
-                    Instr::Dup,
-                    Instr::IoReadSum,
-                    Instr::Pop,
-                    Instr::IoClose,
-                ],
+            ..guarded(
+                "bad-install-stdcall",
+                "env:remote-resource:MisconfiguredInstallation",
+                counted_loop(
+                    "stdcall",
+                    vec![],
+                    64,
+                    vec![Instr::Load(0), Instr::StdCall(0), Instr::Store(0)],
+                )
+                .to_bytes(),
             )
-            .to_bytes(),
-            install: healthy(),
+        },
+        // Re-read input.txt every iteration; the home file system
+        // goes offline after a few operations — the trace's terminal
+        // bail hands the faulting IoOpen to the interpreter, which
+        // escapes with local-resource scope.
+        Forced {
             io: IoArm::Chirp {
                 with_input: true,
                 offline_after: Some(9),
             },
-            expect: "env:local-resource:FilesystemOffline",
             expect_guard: false, // terminal bails are the exit path here
-            expect_compiled: true,
+            ..guarded(
+                "offline-io-mid-loop",
+                "env:local-resource:FilesystemOffline",
+                counted_loop(
+                    "io-loop",
+                    vec![],
+                    64,
+                    vec![
+                        Instr::IoOpen {
+                            path: 0,
+                            mode: IoMode::Read,
+                        },
+                        Instr::Dup,
+                        Instr::IoReadSum,
+                        Instr::Pop,
+                        Instr::IoClose,
+                    ],
+                )
+                .to_bytes(),
+            )
         },
-        Forced {
-            name: "isqrt-negative-mid-loop",
-            // isqrt(100 - 3i): the operand decays and goes negative at
-            // i == 34, well after the loop is hot — the compiled StdCall's
-            // negative-operand guard fires mid-trace.
-            image: counted_loop(
+        // isqrt(100 - 3i): the operand decays and goes negative at
+        // i == 34, well after the loop is hot — the compiled StdCall's
+        // negative-operand guard fires mid-trace.
+        guarded(
+            "isqrt-negative-mid-loop",
+            "exception:ArithmeticException",
+            counted_loop(
                 "isqrt",
                 vec![],
                 64,
@@ -483,12 +484,7 @@ fn forced_cases() -> Vec<Forced> {
                 ],
             )
             .to_bytes(),
-            install: healthy(),
-            io: IoArm::None,
-            expect: "exception:ArithmeticException",
-            expect_guard: true,
-            expect_compiled: true,
-        },
+        ),
     ]
 }
 
@@ -664,12 +660,14 @@ struct Pass {
     ckpt: Vec<CkptRow>,
 }
 
-fn run_pass(seeds: u64) -> Pass {
-    Pass {
-        corpus: corpus_differential(seeds),
+fn pass(size: Size) -> (Pass, Vec<Artifact>) {
+    let pass = Pass {
+        corpus: corpus_differential(size.pick(80, 600)),
         forced: forced_differential(),
         ckpt: checkpoint_interaction(),
-    }
+    };
+    let core = deterministic_core(&pass);
+    (pass, vec![artifact("BENCH_gridvm.json", core)])
 }
 
 /// The deterministic core: outcome digests and counts only, no
@@ -722,18 +720,25 @@ fn deterministic_core(pass: &Pass) -> String {
     )
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seeds: u64 = if smoke { 80 } else { 600 };
-    let loop_n: i64 = if smoke { 200_000 } else { 2_000_000 };
-
+pub fn run(size: Size, _: &[String]) {
     println!(
-        "E14: trace-compiled gridvm — {seeds}-program differential corpus,\n\
-         forced guard-class coverage, checkpoint interaction, hot-loop throughput\n"
+        "E14: trace-compiled gridvm — {}-program differential corpus,\n\
+         forced guard-class coverage, checkpoint interaction, hot-loop throughput\n",
+        size.pick(80, 600)
     );
+    drive(size, pass, |pass, files| {
+        report(&pass);
+        // Section 3, wall-clock: run once, after the two-pass comparison,
+        // and spliced in beside the deterministic core.
+        let throughput = throughput_section(size);
+        files[0].body = format!(
+            "{{\"deterministic\":{},\"throughput\":{throughput}}}",
+            files[0].body
+        );
+    });
+}
 
-    let pass = run_pass(seeds);
-
+fn report(pass: &Pass) {
     // Corpus gates: the tier must actually engage, and guards must fire.
     assert!(
         pass.corpus.compiled_engaged * 2 > pass.corpus.seeds,
@@ -803,8 +808,11 @@ fn main() {
         );
     }
     println!();
+}
 
-    // Section 3: throughput.
+/// Run the hot-loop study, print and gate it, and return its JSON section.
+fn throughput_section(size: Size) -> String {
+    let loop_n: i64 = size.pick(200_000, 2_000_000);
     let t = throughput_study(loop_n);
     println!(
         "{}",
@@ -820,44 +828,23 @@ fn main() {
             ],
         )
     );
-    if smoke {
-        println!(
-            "(smoke mode: throughput reported, not gated — the full study \
-             requires >=3x)\n"
-        );
-    } else {
+    let gated = size == Size::Full;
+    if gated {
         assert!(
             t.speedup >= 3.0,
             "hot-loop speedup gate: need >=3x, got {:.2}x",
             t.speedup
         );
-        println!("throughput gate: {:.2}x (>=3x required)\n", t.speedup);
+        println!("throughput gate: {:.2}x (>=3x required)", t.speedup);
+    } else {
+        println!(
+            "(smoke mode: throughput reported, not gated — the full study \
+             requires >=3x)"
+        );
     }
-
-    // The export: deterministic core (two-pass byte-identical) + throughput.
-    let core = deterministic_core(&pass);
-    let second = run_pass(seeds);
-    let core_again = deterministic_core(&second);
-    assert_eq!(
-        core, core_again,
-        "two passes must serialize byte-identical deterministic cores"
-    );
-    println!(
-        "determinism: two full passes byte-identical ({} core bytes)",
-        core.len()
-    );
-
-    let doc = format!(
-        "{{\"deterministic\":{core},\"throughput\":{{\"loop_n\":{loop_n},\
-         \"instructions\":{},\"interpreter_minstr_s\":{:.3},\
-         \"compiled_minstr_s\":{:.3},\"speedup\":{:.3},\"gated\":{}}}}}",
-        t.instructions, t.interp_mips, t.compiled_mips, t.speedup, !smoke
-    );
-    std::fs::write("BENCH_gridvm.json", &doc).expect("write BENCH_gridvm.json");
-    obs::json::parse(&doc).expect("gridvm metrics are valid JSON");
-    println!(
-        "\nTelemetry: BENCH_gridvm.json written and re-parsed cleanly \
-         ({} outcome categories).",
-        pass.corpus.categories.len()
-    );
+    format!(
+        "{{\"loop_n\":{loop_n},\"instructions\":{},\"interpreter_minstr_s\":{:.3},\
+         \"compiled_minstr_s\":{:.3},\"speedup\":{:.3},\"gated\":{gated}}}",
+        t.instructions, t.interp_mips, t.compiled_mips, t.speedup
+    )
 }

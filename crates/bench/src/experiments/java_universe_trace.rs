@@ -6,8 +6,9 @@
 //! the proxy in the starter, authenticated by a shared secret; the proxy
 //! reaches the shadow's file system.
 //!
-//! Run with: `cargo run -p bench --bin fig2_java_universe_trace`
+//! Run with: `cargo run -p bench --bin exp -- f2`
 
+use crate::harness::Size;
 use chirp::backend::MemFs;
 use chirp::client::ChirpClient;
 use chirp::cookie::Cookie;
@@ -19,7 +20,7 @@ use gridvm::prelude::*;
 use gridvm::programs;
 use gridvm::wrapper::run_wrapped;
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     println!("Figure 2: The Java Universe — component activation sequence\n");
 
     // [starter] creates the scratch directory and transfers input files.

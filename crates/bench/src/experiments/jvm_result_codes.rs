@@ -4,9 +4,10 @@
 //! wrapper's result file reports. The JVM result code collapses five error
 //! scopes into `1`; the result file preserves them.
 //!
-//! Run with: `cargo run -p bench --bin fig4_jvm_result_codes`
+//! Run with: `cargo run -p bench --bin exp -- f4`
 
-use bench::render_table;
+use crate::harness::Size;
+use crate::render_table;
 use chirp::backend::{EnvFault, MemFs};
 use chirp::client::ChirpClient;
 use chirp::cookie::Cookie;
@@ -28,7 +29,7 @@ fn offline_io() -> ChirpJobIo<DirectTransport<MemFs>> {
     ChirpJobIo::new(client)
 }
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     let healthy = Installation::healthy();
     let small_heap = Installation::healthy().with_heap_limit(1 << 12);
     let bad_path = Installation::bad_path();

@@ -5,14 +5,15 @@
 //! notification), the claiming protocol (request/accept), and the control
 //! protocol (shadow ↔ starter activation and report).
 //!
-//! Run with: `cargo run -p bench --bin fig1_kernel_trace`
+//! Run with: `cargo run -p bench --bin exp -- f1`
 
+use crate::harness::Size;
 use condor::prelude::*;
 use condor::{PoolBuilder, Schedd};
 use desim::{SimDuration, SimTime};
 use gridvm::programs;
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     let (mut world, schedd_id, _machines) = PoolBuilder::new(1)
         .machine(MachineSpec::healthy("node1", 256))
         .job(

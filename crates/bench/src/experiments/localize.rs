@@ -27,11 +27,13 @@
 //! two full passes produce byte-identical `BENCH_localize.json`; no
 //! analyzed stream dropped a single event.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_localize`
+//! Run with: `cargo run --release -p bench --bin exp -- e10`
 //! (pass `--smoke` for the CI-sized seed set, or
-//! `--analyze FAULTY.jsonl REFERENCE.jsonl` to localize exported streams).
+//! `exp e10 FAULTY.jsonl REFERENCE.jsonl` to localize exported streams).
 
-use bench::render_table;
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::render_table;
+use crate::scenarios::adaptive_schedd_policy;
 use condor::prelude::*;
 use condor::{culprit_machine, CULPRIT_CKPT_SERVER};
 use desim::{SimDuration, SimTime};
@@ -41,32 +43,6 @@ use obs_analyze::{localize, render_report, Localization, Stream};
 
 const SCENARIOS: [&str; 4] = ["partition", "blackhole", "badinstall", "corrupt-ckpt"];
 const ACCURACY_GATE: f64 = 0.95;
-
-fn seeds(smoke: bool) -> Vec<u64> {
-    if smoke {
-        vec![11, 12]
-    } else {
-        (11..=20).collect()
-    }
-}
-
-/// A lease-and-backoff schedd: silence becomes explicit lease-expired
-/// errors the localizer can read.
-fn adaptive_policy() -> ScheddPolicy {
-    ScheddPolicy {
-        retry: RetryPolicy::Backoff {
-            base: SimDuration::from_secs(10),
-            max: SimDuration::from_secs(60),
-            jitter: 0.1,
-        },
-        lease: Some(LeaseInfo {
-            interval: SimDuration::from_secs(10),
-            timeout: SimDuration::from_secs(30),
-        }),
-        breaker: Some(BreakerPolicy::default()),
-        ..ScheddPolicy::default()
-    }
-}
 
 /// One scenario run: the fault plan carries its own ground-truth labels;
 /// `faulty = false` builds the same pool with the fault removed.
@@ -85,7 +61,7 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
             };
             let report = PoolBuilder::new(seed)
                 .machines((0..3).map(|i| MachineSpec::healthy(&format!("ws{i}"), 256)))
-                .schedd_policy(adaptive_policy())
+                .schedd_policy(adaptive_schedd_policy())
                 .faults(plan.clone())
                 .jobs((1..=4).map(|i| {
                     JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
@@ -293,72 +269,61 @@ fn analyze_files(faulty_path: &str, reference_path: &str) {
     print!("{}", render_report(&fs, &loc));
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--analyze") {
-        let (f, r) = (
-            args.get(i + 1)
-                .expect("--analyze FAULTY.jsonl REFERENCE.jsonl"),
-            args.get(i + 2)
-                .expect("--analyze FAULTY.jsonl REFERENCE.jsonl"),
-        );
-        analyze_files(f, r);
-        return;
+/// One pass: every scenario x seed scored, plus the representative
+/// blackhole post-mortem.
+fn pass(size: Size) -> (Vec<Case>, Vec<Artifact>) {
+    let seeds: Vec<u64> = size.pick(11..=12, 11..=20).collect();
+    // The report quotes span ids, so its run goes first: they then depend
+    // on the scenario alone, not on how many cases ran before it.
+    let (case, stream) = run_case("blackhole", seeds[0]);
+    let cases = evaluate(&seeds);
+    let files = vec![
+        artifact("BENCH_localize.json", snapshot(&cases)),
+        artifact(
+            "BENCH_localize.report.txt",
+            render_report(&stream, &case.loc),
+        ),
+    ];
+    (cases, files)
+}
+
+pub fn run(size: Size, operands: &[String]) {
+    match operands {
+        [] => {}
+        [faulty, reference] => return analyze_files(faulty, reference),
+        other => panic!("e10 takes FAULTY.jsonl REFERENCE.jsonl, got {other:?}"),
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seeds = seeds(smoke);
 
     println!(
         "E10: post-mortem fault localization — faulty vs same-seed reference\n\
          {} scenarios x {} seeds; culprit named from the event streams alone\n",
         SCENARIOS.len(),
-        seeds.len()
+        size.pick(2, 10)
     );
 
-    let cases = evaluate(&seeds);
-    print_table(&cases);
+    drive(size, pass, |cases, _| {
+        print_table(&cases);
 
-    // Gate 1: accuracy.
-    let correct = cases.iter().filter(|c| c.correct).count();
-    let accuracy = correct as f64 / cases.len() as f64;
-    for c in cases.iter().filter(|c| !c.correct) {
-        println!(
-            "MISS: {} seed {}: named {:?} ({}), accepted {:?}",
-            c.scenario, c.seed, c.loc.culprit, c.loc.fault_class, c.expected
+        // Gate: accuracy.
+        let correct = cases.iter().filter(|c| c.correct).count();
+        let accuracy = correct as f64 / cases.len() as f64;
+        for c in cases.iter().filter(|c| !c.correct) {
+            println!(
+                "MISS: {} seed {}: named {:?} ({}), accepted {:?}",
+                c.scenario, c.seed, c.loc.culprit, c.loc.fault_class, c.expected
+            );
+        }
+        assert!(
+            accuracy >= ACCURACY_GATE,
+            "localization accuracy {accuracy:.3} below the {ACCURACY_GATE} gate \
+             ({correct}/{} cases)",
+            cases.len()
         );
-    }
-    assert!(
-        accuracy >= ACCURACY_GATE,
-        "localization accuracy {accuracy:.3} below the {ACCURACY_GATE} gate \
-         ({correct}/{} cases)",
-        cases.len()
-    );
-    println!(
-        "\naccuracy: {correct}/{} cases ({:.1}%) — gate {:.0}% passed",
-        cases.len(),
-        100.0 * accuracy,
-        100.0 * ACCURACY_GATE
-    );
-
-    // Gate 2: determinism — a second full pass serializes byte-identically.
-    let snap = snapshot(&cases);
-    let again = snapshot(&evaluate(&seeds));
-    assert_eq!(snap, again, "two passes must serialize byte-identically");
-    println!(
-        "determinism: two full passes byte-identical ({} bytes)",
-        snap.len()
-    );
-
-    // Artifacts: the snapshot and a representative journey report.
-    std::fs::write("BENCH_localize.json", &snap).expect("write BENCH_localize.json");
-    obs::json::parse(&snap).expect("snapshot is valid JSON");
-    let (case, stream) = run_case("blackhole", seeds[0]);
-    let report = render_report(&stream, &case.loc);
-    std::fs::write("BENCH_localize.report.txt", &report).expect("write report");
-    println!(
-        "\nTelemetry: BENCH_localize.json ({} cases) and BENCH_localize.report.txt\n\
-         (blackhole seed {} post-mortem) written.",
-        cases.len(),
-        seeds[0]
-    );
+        println!(
+            "\naccuracy: {correct}/{} cases ({:.1}%) — gate {:.0}% passed",
+            cases.len(),
+            100.0 * accuracy,
+            100.0 * ACCURACY_GATE
+        );
+    });
 }

@@ -9,9 +9,11 @@
 //! and scoped Java Universes on: incidental errors shown to users, human
 //! postmortems, jobs finished, makespan, and CPU efficiency.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_naive_vs_scoped`
+//! Run with: `cargo run --release -p bench --bin exp -- e1`
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{makespan_secs, mean_over_seeds};
+use crate::{f, render_table};
 use condor::prelude::*;
 use desim::{SimDuration, SimTime};
 use gridvm::programs;
@@ -62,7 +64,7 @@ fn pool(seed: u64, faulty: usize, mode: JavaMode) -> RunReport {
         .run(SimTime::from_secs(7 * 24 * 3600))
 }
 
-fn main() {
+pub fn run(size: Size, _: &[String]) {
     println!(
         "E1: naive (§2.3) vs scoped (§4) Java Universe\n\
          pool: {MACHINES} machines, {JOBS} jobs x 120s, postmortem cost 600s\n"
@@ -71,30 +73,27 @@ fn main() {
     let mut rows = Vec::new();
     for faulty in [0usize, 2, 4, 8] {
         for (label, mode) in [("naive", JavaMode::Naive), ("scoped", JavaMode::Scoped)] {
-            // Average over seeds to smooth the random tie-breaks.
-            let seeds = [11u64, 22, 33];
-            let mut incidental = 0.0;
-            let mut postmortems = 0.0;
-            let mut completed = 0.0;
-            let mut makespan = 0.0;
-            let mut eff = 0.0;
-            for s in seeds {
-                let r = pool(s, faulty, mode);
-                incidental += r.metrics.incidental_errors_shown_to_user as f64;
-                postmortems += r.metrics.postmortems as f64;
-                completed += r.metrics.jobs_completed as f64;
-                makespan += r.makespan().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
-                eff += r.metrics.cpu_efficiency();
-            }
-            let n = seeds.len() as f64;
+            let [incidental, postmortems, completed, makespan, eff] = mean_over_seeds(
+                &[11, 22, 33],
+                |s| pool(s, faulty, mode),
+                |r| {
+                    [
+                        r.metrics.incidental_errors_shown_to_user as f64,
+                        r.metrics.postmortems as f64,
+                        r.metrics.jobs_completed as f64,
+                        makespan_secs(r),
+                        r.metrics.cpu_efficiency(),
+                    ]
+                },
+            );
             rows.push(vec![
                 format!("{faulty}/{MACHINES}"),
                 label.to_string(),
-                f(incidental / n, 1),
-                f(postmortems / n, 1),
-                f(completed / n, 1),
-                f(makespan / n, 0),
-                f(eff / n * 100.0, 1),
+                f(incidental, 1),
+                f(postmortems, 1),
+                f(completed, 1),
+                f(makespan, 0),
+                f(eff * 100.0, 1),
             ]);
         }
     }
@@ -121,13 +120,13 @@ fn main() {
          error messages abated.'"
     );
 
-    export_telemetry();
+    drive(size, export, |(), _| ());
 }
 
 /// One representative run per discipline, exported to stable paths for
 /// downstream tooling: a JSON metrics snapshot (CPU in integer
 /// microseconds) and the scoped run's JSONL event stream.
-fn export_telemetry() {
+fn export(_: Size) -> ((), Vec<Artifact>) {
     let naive = pool(11, 4, JavaMode::Naive);
     let scoped = pool(11, 4, JavaMode::Scoped);
     let snapshot = format!(
@@ -135,16 +134,12 @@ fn export_telemetry() {
         naive.registry().snapshot_json(),
         scoped.registry().snapshot_json()
     );
-    std::fs::write("BENCH_naive_vs_scoped.json", &snapshot).expect("write metrics snapshot");
-    let events = scoped.telemetry.to_jsonl();
-    std::fs::write("BENCH_naive_vs_scoped.events.jsonl", &events).expect("write event stream");
-
-    // Prove both artifacts parse cleanly before anything downstream tries.
-    obs::json::parse(&snapshot).expect("metrics snapshot is valid JSON");
-    let parsed = obs::Collector::parse_jsonl(&events).expect("event stream is valid JSONL");
-    println!(
-        "\nTelemetry: BENCH_naive_vs_scoped.json (metrics snapshot) and\n\
-         BENCH_naive_vs_scoped.events.jsonl ({} events) written and re-parsed cleanly.",
-        parsed.len()
-    );
+    let files = vec![
+        artifact("BENCH_naive_vs_scoped.json", snapshot),
+        artifact(
+            "BENCH_naive_vs_scoped.events.jsonl",
+            scoped.telemetry.to_jsonl(),
+        ),
+    ];
+    ((), files)
 }

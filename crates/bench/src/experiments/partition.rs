@@ -25,9 +25,11 @@
 //! 3. **Determinism.** Two runs with the same seed produce bit-identical
 //!    metrics snapshots and event streams.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_partition`
+//! Run with: `cargo run --release -p bench --bin exp -- e7`
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{adaptive_schedd_policy, makespan_secs};
+use crate::{f, render_table};
 use condor::prelude::*;
 use desim::{SimDuration, SimTime};
 use gridvm::programs;
@@ -88,19 +90,7 @@ fn pool_with_plan(mode: Mode, seed: u64, plan: FaultPlan) -> RunReport {
             breaker: None,
             ..ScheddPolicy::default()
         },
-        Mode::Adaptive => ScheddPolicy {
-            retry: RetryPolicy::Backoff {
-                base: SimDuration::from_secs(10),
-                max: SimDuration::from_secs(60),
-                jitter: 0.1,
-            },
-            lease: Some(LeaseInfo {
-                interval: SimDuration::from_secs(10),
-                timeout: SimDuration::from_secs(30),
-            }),
-            breaker: Some(BreakerPolicy::default()),
-            ..ScheddPolicy::default()
-        },
+        Mode::Adaptive => adaptive_schedd_policy(),
     };
     PoolBuilder::new(seed)
         .machines((0..MACHINES).map(|i| MachineSpec::healthy(&format!("ws{i}"), 256)))
@@ -136,10 +126,11 @@ fn requests_during_outage(r: &RunReport) -> usize {
         .count()
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--localize") {
-        verify_localization();
-        return;
+pub fn run(size: Size, operands: &[String]) {
+    match operands {
+        [] => {}
+        [flag] if flag == "--localize" => return verify_localization(),
+        other => panic!("e7 takes only --localize, got {other:?}"),
     }
     println!(
         "E7: partition-tolerant scheduling — naive vs lease+backoff+breaker\n\
@@ -148,25 +139,33 @@ fn main() {
         OUTAGE.0, OUTAGE.1
     );
 
-    let mut rows = Vec::new();
-    for seed in [41u64, 42, 43] {
-        for (name, mode) in [("naive", Mode::Naive), ("adaptive", Mode::Adaptive)] {
-            let r = pool(mode, seed);
-            rows.push(vec![
+    // Every (seed, kernel) pair runs once; the table and the first two
+    // gates read the same reports.
+    let runs: Vec<(u64, &str, RunReport)> = [41u64, 42, 43]
+        .into_iter()
+        .flat_map(|seed| {
+            [("naive", Mode::Naive), ("adaptive", Mode::Adaptive)]
+                .map(|(name, mode)| (seed, name, pool(mode, seed)))
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(seed, name, r)| {
+            vec![
                 seed.to_string(),
                 name.to_string(),
                 r.metrics.jobs_completed.to_string(),
-                requests_during_outage(&r).to_string(),
+                requests_during_outage(r).to_string(),
                 r.metrics.failed_claims.to_string(),
                 r.metrics.leases_expired.to_string(),
                 r.metrics.stale_epochs_dropped.to_string(),
                 r.metrics.breaker_opens.to_string(),
                 r.net.dropped_total().to_string(),
                 r.net.duplicated_total().to_string(),
-                f(r.makespan().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN), 0),
-            ]);
-        }
-    }
+                f(makespan_secs(r), 0),
+            ]
+        })
+        .collect();
     println!(
         "{}",
         render_table(
@@ -193,64 +192,66 @@ fn main() {
          converts the silent partition into explicit lease-expired errors.\n"
     );
 
-    verify_exactly_once();
-    verify_quieter_outage();
+    verify_exactly_once(&runs);
+    verify_quieter_outage(&runs);
     verify_determinism();
-    export_telemetry();
+    drive(size, export, |(), _| ());
 }
 
 /// Acceptance gate: under the mixed partition/loss/duplication plan every
 /// job completes exactly once, and every stale-epoch frame was counted but
 /// never acted upon.
-fn verify_exactly_once() {
-    for seed in [41u64, 42, 43] {
-        for mode in [Mode::Naive, Mode::Adaptive] {
-            let r = pool(mode, seed);
-            assert!(r.quiescent, "seed {seed}: pool must drain");
-            assert_eq!(
-                r.metrics.jobs_completed,
-                u64::from(JOBS),
-                "seed {seed}: every job completes"
-            );
-            for (job, rec) in &r.jobs {
-                assert!(
-                    matches!(rec.state, JobState::Completed { .. }),
-                    "job {job} must finish Completed: {:?}",
-                    rec.state
-                );
-                let delivered = rec
-                    .attempts
-                    .iter()
-                    .filter(|a| a.scope == Some(errorscope::Scope::Program))
-                    .count();
-                assert_eq!(delivered, 1, "seed {seed} job {job}: exactly one result");
-            }
-            // The duplicating link guarantees stale frames existed; the
-            // epoch fence guarantees they were only ever counted.
+fn verify_exactly_once(runs: &[(u64, &str, RunReport)]) {
+    for (seed, _, r) in runs {
+        assert!(r.quiescent, "seed {seed}: pool must drain");
+        assert_eq!(
+            r.metrics.jobs_completed,
+            u64::from(JOBS),
+            "seed {seed}: every job completes"
+        );
+        for (job, rec) in &r.jobs {
             assert!(
-                r.metrics.stale_epochs_dropped
-                    + r.machines
-                        .values()
-                        .map(|m| m.stale_epochs_dropped)
-                        .sum::<u64>()
-                    >= 1,
-                "seed {seed}: duplicated frames must be fenced and counted"
+                matches!(rec.state, JobState::Completed { .. }),
+                "job {job} must finish Completed: {:?}",
+                rec.state
             );
-            assert_eq!(
-                r.metrics.incidental_errors_shown_to_user, 0,
-                "seed {seed}: no implicit error reaches the user"
-            );
+            let delivered = rec
+                .attempts
+                .iter()
+                .filter(|a| a.scope == Some(errorscope::Scope::Program))
+                .count();
+            assert_eq!(delivered, 1, "seed {seed} job {job}: exactly one result");
         }
+        // The duplicating link guarantees stale frames existed; the
+        // epoch fence guarantees they were only ever counted.
+        assert!(
+            r.metrics.stale_epochs_dropped
+                + r.machines
+                    .values()
+                    .map(|m| m.stale_epochs_dropped)
+                    .sum::<u64>()
+                >= 1,
+            "seed {seed}: duplicated frames must be fenced and counted"
+        );
+        assert_eq!(
+            r.metrics.incidental_errors_shown_to_user, 0,
+            "seed {seed}: no implicit error reaches the user"
+        );
     }
     println!("exactly-once: all {JOBS} jobs, both kernels, seeds 41-43; stale frames fenced\n");
 }
 
 /// Acceptance gate: during the outage the adaptive kernel sends strictly
 /// fewer claim requests than the fixed-delay kernel, for every seed tried.
-fn verify_quieter_outage() {
-    for seed in [41u64, 42, 43] {
-        let naive = requests_during_outage(&pool(Mode::Naive, seed));
-        let adaptive = requests_during_outage(&pool(Mode::Adaptive, seed));
+fn verify_quieter_outage(runs: &[(u64, &str, RunReport)]) {
+    for pair in runs.chunks(2) {
+        let [(seed, _, naive), (_, _, adaptive)] = pair else {
+            unreachable!("runs come in naive/adaptive pairs")
+        };
+        let (naive, adaptive) = (
+            requests_during_outage(naive),
+            requests_during_outage(adaptive),
+        );
         assert!(
             adaptive < naive,
             "seed {seed}: backoff+breaker must send fewer claims during the \
@@ -316,7 +317,7 @@ fn verify_localization() {
 /// naive/adaptive metrics snapshot (with per-link `net_msgs_dropped` /
 /// `net_msgs_duplicated` counters) and the adaptive run's event stream
 /// (the lease-expired / stale-epoch / breaker journey).
-fn export_telemetry() {
+fn export(_: Size) -> ((), Vec<Artifact>) {
     let naive = pool(Mode::Naive, 41);
     let adaptive = pool(Mode::Adaptive, 41);
     let snapshot = format!(
@@ -324,20 +325,16 @@ fn export_telemetry() {
         naive.registry().snapshot_json(),
         adaptive.registry().snapshot_json()
     );
-    std::fs::write("BENCH_partition.json", &snapshot).expect("write metrics snapshot");
-    let events = adaptive.telemetry.to_jsonl();
-    std::fs::write("BENCH_partition.events.jsonl", &events).expect("write event stream");
-
-    // Prove the artifacts parse cleanly before anything downstream tries.
-    obs::json::parse(&snapshot).expect("metrics snapshot is valid JSON");
-    let parsed = obs::Collector::parse_jsonl(&events).expect("event stream is valid JSONL");
     assert!(
         snapshot.contains("net_msgs_dropped") && snapshot.contains("net_msgs_duplicated"),
         "per-link counters must be in the snapshot"
     );
-    println!(
-        "Telemetry: BENCH_partition.json (naive/adaptive metrics snapshots) and\n\
-         BENCH_partition.events.jsonl ({} events) written and re-parsed cleanly.",
-        parsed.len()
-    );
+    let files = vec![
+        artifact("BENCH_partition.json", snapshot),
+        artifact(
+            "BENCH_partition.events.jsonl",
+            adaptive.telemetry.to_jsonl(),
+        ),
+    ];
+    ((), files)
 }

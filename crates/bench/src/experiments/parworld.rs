@@ -33,19 +33,20 @@
 //! digests and counts; two passes must serialize byte-identically) plus
 //! a `scaling` section (wall-clocks, excluded from the two-pass gate).
 //!
-//! Run with: `cargo run --release -p bench --bin exp_parworld`
+//! Run with: `cargo run --release -p bench --bin exp -- e13`
 //! (pass `--smoke` for the CI-sized study).
 
-use bench::{f, render_table};
+use crate::harness::{artifact, drive, Artifact, Size};
+use crate::scenarios::{
+    federation, flock_job, flock_policy, partition_during_flock, secs, FEDERATION_HORIZON,
+    PARTITION_HORIZON,
+};
+use crate::{f, render_table};
 use campaign::gen::deadline;
 use campaign::generate;
 use ckpt::fnv1a;
 use condor::prelude::*;
 use desim::{ParConfig, SimDuration, SimTime, World};
-
-fn t(s: u64) -> SimTime {
-    SimTime::from_secs(s)
-}
 
 const SHARDS: usize = 4;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -144,62 +145,6 @@ fn campaign_differentials() -> Vec<CampaignRow> {
 }
 
 // ---------------------------------------------------------------------
-// Section 2: E11 federation workloads
-// ---------------------------------------------------------------------
-
-fn job(id: u32, exec_s: u64) -> JobSpec {
-    JobSpec::java(
-        id,
-        "ada",
-        gridvm::programs::completes_main(),
-        JavaMode::Scoped,
-    )
-    .with_exec_time(SimDuration::from_secs(exec_s))
-}
-
-fn policy() -> ScheddPolicy {
-    ScheddPolicy {
-        lease: Some(LeaseInfo {
-            interval: SimDuration::from_secs(10),
-            timeout: SimDuration::from_secs(30),
-        }),
-        max_attempts: 60,
-        ..ScheddPolicy::default()
-    }
-}
-
-/// E11's section-1 federation: five pools, starved home pool, 30 jobs.
-fn federation_world() -> World<condor::Msg> {
-    let mut b = FederationBuilder::new(47)
-        .pool((0..2).map(|i| MachineSpec::healthy(&format!("home{i}"), 256)));
-    for p in 1..5 {
-        b = b.pool((0..3).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
-    }
-    b.jobs((1..=30).map(|i| job(i, 60 + u64::from(i % 5) * 30)))
-        .schedd_policy(policy())
-        .build()
-        .0
-}
-
-/// E11's section-2 scenario: the inter-pool link to the serving pool
-/// drops mid-claim, then heals — fault windows ride the deferred net-op
-/// path through the barrier.
-fn partition_world() -> World<condor::Msg> {
-    let b = FederationBuilder::new(48)
-        .pool([])
-        .pool([MachineSpec::healthy("r1", 256)])
-        .pool([MachineSpec::healthy("r2", 256)]);
-    let mut far = vec![FederationBuilder::matchmaker_id(1)];
-    far.extend(b.machine_ids(1));
-    let schedd = b.schedd_id();
-    b.schedd_policy(policy())
-        .faults(FaultPlan::none().net_partition([schedd], far, Window::new(t(80), t(900))))
-        .job(job(1, 120))
-        .build()
-        .0
-}
-
-// ---------------------------------------------------------------------
 // Section 3: the 100k-machine scaling world
 // ---------------------------------------------------------------------
 
@@ -223,8 +168,8 @@ fn scale_world(shape: &ScaleShape) -> World<condor::Msg> {
             .pool((0..shape.machines_per).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
     }
     let (mut world, _, _) = b
-        .jobs((1..=shape.jobs).map(|i| job(i, 60 + u64::from(i % 7) * 30)))
-        .schedd_policy(policy())
+        .jobs((1..=shape.jobs).map(|i| flock_job(i, 60 + u64::from(i % 7) * 30)))
+        .schedd_policy(flock_policy())
         .build();
     world.net_mut().set_default_latency(SCALE_LATENCY);
     // The stream at this scale would be hundreds of MB; the scaling gate
@@ -272,18 +217,23 @@ struct Pass {
     partition: Fingerprint,
 }
 
-fn run_pass() -> Pass {
-    obs::reset_span_ids(0);
+/// Sections 1 + 2: the determinism differentials, each workload's spans
+/// numbered from 1, reduced to the deterministic core.
+fn pass(_: Size) -> (Pass, Vec<Artifact>) {
     let campaigns = campaign_differentials();
     obs::reset_span_ids(0);
-    let federation = differential("federation", t(8 * 3600), federation_world);
+    let federation = differential("federation", FEDERATION_HORIZON, || federation().build().0);
     obs::reset_span_ids(0);
-    let partition = differential("partition-during-flock", t(4 * 3600), partition_world);
-    Pass {
+    let partition = differential("partition-during-flock", PARTITION_HORIZON, || {
+        partition_during_flock().build().0
+    });
+    let pass = Pass {
         campaigns,
         federation,
         partition,
-    }
+    };
+    let core = deterministic_core(&pass);
+    (pass, vec![artifact("BENCH_parworld.json", core)])
 }
 
 /// The deterministic core: digests and counts only, no wall-clock. Two
@@ -320,24 +270,22 @@ fn deterministic_core(pass: &Pass) -> String {
     )
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(size: Size, _: &[String]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shape = if smoke {
+    let shape = size.pick(
         ScaleShape {
             pools: 5,
             machines_per: 600,
             jobs: 120,
-            horizon: t(300),
-        }
-    } else {
+            horizon: secs(300),
+        },
         ScaleShape {
             pools: 5,
             machines_per: 20_000,
             jobs: 2_000,
-            horizon: t(600),
-        }
-    };
+            horizon: secs(600),
+        },
+    );
 
     println!(
         "E13: intra-world parallel simulation — {SHARDS}-shard worlds at 1/2/8\n\
@@ -345,10 +293,27 @@ fn main() {
         shape.pools, shape.machines_per, cores
     );
 
-    // Sections 1 + 2: the determinism differentials, twice (the two-pass
-    // export gate below compares their serialized cores).
-    let pass = run_pass();
+    drive(size, pass, |pass, files| {
+        report(&pass);
+        // Section 3, wall-clock: run once, after the two-pass comparison,
+        // and spliced in beside the deterministic core.
+        let scaling = scaling_section(size, &shape, cores);
+        files[0].body = format!(
+            "{{\"deterministic\":{},\"cores_available\":{cores},\"scaling\":{scaling}}}",
+            files[0].body
+        );
+    });
+}
 
+fn report(pass: &Pass) {
+    let row = |label: String, fp: &Fingerprint| {
+        vec![
+            label,
+            fp.events.to_string(),
+            fp.stream.len().to_string(),
+            fp.dropped.to_string(),
+        ]
+    };
     println!(
         "{}",
         render_table(
@@ -358,33 +323,13 @@ fn main() {
                 .iter()
                 .flat_map(|r| {
                     [
-                        vec![
-                            format!("campaign {} faulty", r.seed),
-                            r.faulty.events.to_string(),
-                            r.faulty.stream.len().to_string(),
-                            r.faulty.dropped.to_string(),
-                        ],
-                        vec![
-                            format!("campaign {} reference", r.seed),
-                            r.reference.events.to_string(),
-                            r.reference.stream.len().to_string(),
-                            r.reference.dropped.to_string(),
-                        ],
+                        row(format!("campaign {} faulty", r.seed), &r.faulty),
+                        row(format!("campaign {} reference", r.seed), &r.reference),
                     ]
                 })
                 .chain([
-                    vec![
-                        "federation".to_string(),
-                        pass.federation.events.to_string(),
-                        pass.federation.stream.len().to_string(),
-                        pass.federation.dropped.to_string(),
-                    ],
-                    vec![
-                        "partition-during-flock".to_string(),
-                        pass.partition.events.to_string(),
-                        pass.partition.stream.len().to_string(),
-                        pass.partition.dropped.to_string(),
-                    ],
+                    row("federation".to_string(), &pass.federation),
+                    row("partition-during-flock".to_string(), &pass.partition),
                 ])
                 .collect::<Vec<_>>(),
         )
@@ -394,9 +339,11 @@ fn main() {
          ({} campaign arms + 2 federation scenarios)\n",
         pass.campaigns.len() * 2
     );
+}
 
-    // Section 3: the scaling world.
-    let rows = scale_study(&shape);
+/// Run the scaling world, print and gate it, and return its JSON section.
+fn scaling_section(size: Size, shape: &ScaleShape, cores: usize) -> String {
+    let rows = scale_study(shape);
     let base = rows[0].secs;
     println!(
         "scaling: {} pools x {} machines, {} jobs, {}s horizon, 8 shards, \
@@ -423,71 +370,40 @@ fn main() {
     );
     let at8 = rows.iter().find(|r| r.threads == 8).expect("8-thread arm");
     let speedup = base / at8.secs;
-    if cores >= 8 && !smoke {
+    if cores >= 8 && size == Size::Full {
         assert!(
             speedup >= 2.0,
             "with {cores} cores the 8-thread arm must be >=2x the 1-thread arm \
              (got {speedup:.2}x)"
         );
-        println!("scaling gate: {speedup:.2}x at 8 threads (>=2x required)\n");
+        println!("scaling gate: {speedup:.2}x at 8 threads (>=2x required)");
     } else {
         println!(
             "(host has {cores} core(s){}: wall-clock parity across thread counts \
-             is the expected result here; the gate is determinism, not speedup)\n",
-            if smoke { ", smoke mode" } else { "" }
+             is the expected result here; the gate is determinism, not speedup)",
+            size.pick(", smoke mode", "")
         );
     }
 
-    // The export: deterministic core (two-pass byte-identical) + scaling.
-    let core = deterministic_core(&pass);
-    let second = run_pass();
-    let core_again = deterministic_core(&second);
-    assert_eq!(
-        core, core_again,
-        "two passes must serialize byte-identical deterministic cores"
-    );
-    for (a, b) in pass.campaigns.iter().zip(&second.campaigns) {
-        assert_eq!(
-            a.faulty.stream, b.faulty.stream,
-            "campaign {} faulty stream must be byte-identical across passes",
-            a.seed
-        );
-    }
-    assert_eq!(pass.federation.stream, second.federation.stream);
-    println!(
-        "determinism: two full passes byte-identical ({} core bytes)",
-        core.len()
-    );
-
-    let mut doc = String::from("{\"deterministic\":");
-    doc.push_str(&core);
-    doc.push_str(&format!(",\"cores_available\":{cores},\"scaling\":{{"));
-    doc.push_str(&format!(
-        "\"pools\":{},\"machines_per_pool\":{},\"jobs\":{},\"horizon_secs\":{},\
-         \"shards\":8,\"rows\":[",
+    let row_json: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"threads\":{},\"events\":{},\"wall_clock_secs\":{:.6},\"speedup\":{:.3}}}",
+                r.threads,
+                r.events,
+                r.secs,
+                base / r.secs
+            )
+        })
+        .collect();
+    format!(
+        "{{\"pools\":{},\"machines_per_pool\":{},\"jobs\":{},\"horizon_secs\":{},\
+         \"shards\":8,\"rows\":[{}]}}",
         shape.pools,
         shape.machines_per,
         shape.jobs,
-        shape.horizon.as_micros() / 1_000_000
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&format!(
-            "{{\"threads\":{},\"events\":{},\"wall_clock_secs\":{:.6},\"speedup\":{:.3}}}",
-            r.threads,
-            r.events,
-            r.secs,
-            base / r.secs
-        ));
-    }
-    doc.push_str("]}}");
-    std::fs::write("BENCH_parworld.json", &doc).expect("write BENCH_parworld.json");
-    obs::json::parse(&doc).expect("parworld metrics are valid JSON");
-    println!(
-        "\nTelemetry: BENCH_parworld.json written and re-parsed cleanly \
-         ({} scaling rows).",
-        rows.len()
-    );
+        shape.horizon.as_micros() / 1_000_000,
+        row_json.join(",")
+    )
 }

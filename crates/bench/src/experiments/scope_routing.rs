@@ -9,15 +9,16 @@
 //!    pool and observe which daemon acts and what the schedd's disposition
 //!    is.
 //!
-//! Run with: `cargo run -p bench --bin fig3_scope_routing`
+//! Run with: `cargo run -p bench --bin exp -- f3`
 
-use bench::render_table;
+use crate::harness::Size;
+use crate::render_table;
 use condor::prelude::*;
 use desim::{SimDuration, SimTime};
 use errorscope::prelude::*;
 use gridvm::programs;
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     // ── Theory: the layer stack of Figure 3 ────────────────────────────
     let stack = java_universe_stack();
     let cases = [

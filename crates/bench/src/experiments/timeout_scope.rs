@@ -15,9 +15,10 @@
 //! outage surfaced to the caller is a false alarm; a *permanent* outage
 //! hidden forever is a hang.
 //!
-//! Run with: `cargo run --release -p bench --bin exp_timeout_scope`
+//! Run with: `cargo run --release -p bench --bin exp -- e3`
 
-use bench::render_table;
+use crate::harness::Size;
+use crate::render_table;
 use errorscope::escalate::{EscalationPolicy, RetryCriteria, RetryDecision};
 use errorscope::Scope;
 use std::time::Duration;
@@ -62,7 +63,7 @@ fn drive(criteria: RetryCriteria, outage: Option<Duration>, horizon: Duration) -
     }
 }
 
-fn main() {
+pub fn run(_: Size, _: &[String]) {
     println!("E3: indeterminate scope — hard vs soft mounts vs per-job criteria (§5)\n");
 
     let horizon = Duration::from_secs(24 * 3600);

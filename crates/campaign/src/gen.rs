@@ -4,7 +4,7 @@
 //! Every draw flows through an in-crate SplitMix64, so a [`Campaign`] is
 //! a deterministic function of its seed — the same seed yields a
 //! byte-identical [`Campaign::describe`] on any thread of any sweep, which
-//! is what lets `exp_campaign` gate on artifact byte-identity and lets a
+//! is what lets `exp e12` gate on artifact byte-identity and lets a
 //! red seed be replayed in isolation.
 //!
 //! The sampled schedules are adversarial but *survivable by design*: the

@@ -7,7 +7,6 @@
 //! a broken connection, not as any in-vocabulary error.
 
 use crate::proto::{ChirpError, FileInfo, OpenMode, Request, Response};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum payload we will accept, to bound memory.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -25,229 +24,220 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
+fn put_u32(buf: &mut Vec<u8>, x: u32) {
+    buf.extend_from_slice(&x.to_le_bytes());
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put_u32(buf, b.len() as u32);
+    buf.extend_from_slice(b);
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError("truncated length".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(WireError("truncated bytes".into()));
-    }
-    Ok(buf.copy_to_bytes(n).to_vec())
+/// A borrowed cursor over one payload: every read is bounds-checked and
+/// a short payload is a [`WireError`], never a panic.
+struct Reader<'a> {
+    rest: &'a [u8],
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    String::from_utf8(get_bytes(buf)?).map_err(|_| WireError("invalid utf-8".into()))
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError("truncated u32".into()));
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
+        if n > self.rest.len() {
+            return Err(WireError(format!("truncated {what}")));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
     }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError("truncated u64".into()));
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1, "u8")?[0])
     }
-    Ok(buf.get_u64_le())
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError("truncated u8".into()));
+    fn u32(&mut self) -> Result<u32, WireError> {
+        let b = self.take(4, "u32")?;
+        Ok(u32::from_le_bytes(b.try_into().expect("took 4 bytes")))
     }
-    Ok(buf.get_u8())
+    fn u64(&mut self) -> Result<u64, WireError> {
+        let b = self.take(8, "u64")?;
+        Ok(u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
+    }
+    /// A `u32`-length-prefixed byte string; the declared length is checked
+    /// against the bytes present before anything is allocated.
+    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        let n = self.take(4, "length")?;
+        let n = u32::from_le_bytes(n.try_into().expect("took 4 bytes")) as usize;
+        Ok(self.take(n, "bytes")?.to_vec())
+    }
+    fn str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.bytes()?).map_err(|_| WireError("invalid utf-8".into()))
+    }
+    fn finish(self, what: &str) -> Result<(), WireError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError(format!("trailing bytes in {what}")))
+        }
+    }
 }
 
 /// Encode a request payload (without the outer frame length).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     match req {
         Request::Auth { cookie } => {
-            b.put_u8(0);
+            b.push(0);
             put_bytes(&mut b, cookie);
         }
         Request::Open { path, mode } => {
-            b.put_u8(1);
+            b.push(1);
             put_str(&mut b, path);
-            b.put_u8(mode.to_byte());
+            b.push(mode.to_byte());
         }
         Request::Read { fd, len } => {
-            b.put_u8(2);
-            b.put_u32_le(*fd);
-            b.put_u32_le(*len);
+            b.push(2);
+            put_u32(&mut b, *fd);
+            put_u32(&mut b, *len);
         }
         Request::Write { fd, data } => {
-            b.put_u8(3);
-            b.put_u32_le(*fd);
+            b.push(3);
+            put_u32(&mut b, *fd);
             put_bytes(&mut b, data);
         }
         Request::Close { fd } => {
-            b.put_u8(4);
-            b.put_u32_le(*fd);
+            b.push(4);
+            put_u32(&mut b, *fd);
         }
         Request::Stat { path } => {
-            b.put_u8(5);
+            b.push(5);
             put_str(&mut b, path);
         }
         Request::Unlink { path } => {
-            b.put_u8(6);
+            b.push(6);
             put_str(&mut b, path);
         }
         Request::Rename { from, to } => {
-            b.put_u8(7);
+            b.push(7);
             put_str(&mut b, from);
             put_str(&mut b, to);
         }
         Request::GetFile { path } => {
-            b.put_u8(8);
+            b.push(8);
             put_str(&mut b, path);
         }
         Request::PutFile { path, data } => {
-            b.put_u8(9);
+            b.push(9);
             put_str(&mut b, path);
             put_bytes(&mut b, data);
         }
         Request::PutCkpt { key, data } => {
-            b.put_u8(10);
+            b.push(10);
             put_str(&mut b, key);
             put_bytes(&mut b, data);
         }
         Request::GetCkpt { key } => {
-            b.put_u8(11);
+            b.push(11);
             put_str(&mut b, key);
         }
     }
-    b.to_vec()
+    b
 }
 
 /// Decode a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    let tag = get_u8(&mut buf)?;
+    let mut buf = Reader { rest: payload };
+    let tag = buf.u8()?;
     let req = match tag {
         0 => Request::Auth {
-            cookie: get_bytes(&mut buf)?,
+            cookie: buf.bytes()?,
         },
         1 => {
-            let path = get_str(&mut buf)?;
-            let mode = OpenMode::from_byte(get_u8(&mut buf)?)
-                .ok_or_else(|| WireError("bad open mode".into()))?;
+            let path = buf.str()?;
+            let mode =
+                OpenMode::from_byte(buf.u8()?).ok_or_else(|| WireError("bad open mode".into()))?;
             Request::Open { path, mode }
         }
         2 => Request::Read {
-            fd: get_u32(&mut buf)?,
-            len: get_u32(&mut buf)?,
+            fd: buf.u32()?,
+            len: buf.u32()?,
         },
         3 => Request::Write {
-            fd: get_u32(&mut buf)?,
-            data: get_bytes(&mut buf)?,
+            fd: buf.u32()?,
+            data: buf.bytes()?,
         },
-        4 => Request::Close {
-            fd: get_u32(&mut buf)?,
-        },
-        5 => Request::Stat {
-            path: get_str(&mut buf)?,
-        },
-        6 => Request::Unlink {
-            path: get_str(&mut buf)?,
-        },
+        4 => Request::Close { fd: buf.u32()? },
+        5 => Request::Stat { path: buf.str()? },
+        6 => Request::Unlink { path: buf.str()? },
         7 => {
-            let from = get_str(&mut buf)?;
-            let to = get_str(&mut buf)?;
+            let from = buf.str()?;
+            let to = buf.str()?;
             Request::Rename { from, to }
         }
-        8 => Request::GetFile {
-            path: get_str(&mut buf)?,
-        },
+        8 => Request::GetFile { path: buf.str()? },
         9 => {
-            let path = get_str(&mut buf)?;
-            let data = get_bytes(&mut buf)?;
+            let path = buf.str()?;
+            let data = buf.bytes()?;
             Request::PutFile { path, data }
         }
         10 => {
-            let key = get_str(&mut buf)?;
-            let data = get_bytes(&mut buf)?;
+            let key = buf.str()?;
+            let data = buf.bytes()?;
             Request::PutCkpt { key, data }
         }
-        11 => Request::GetCkpt {
-            key: get_str(&mut buf)?,
-        },
+        11 => Request::GetCkpt { key: buf.str()? },
         t => return Err(WireError(format!("unknown request tag {t}"))),
     };
-    if buf.has_remaining() {
-        return Err(WireError("trailing bytes in request".into()));
-    }
+    buf.finish("request")?;
     Ok(req)
 }
 
 /// Encode a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     match resp {
-        Response::Ok => b.put_u8(0),
+        Response::Ok => b.push(0),
         Response::Opened { fd } => {
-            b.put_u8(1);
-            b.put_u32_le(*fd);
+            b.push(1);
+            put_u32(&mut b, *fd);
         }
         Response::Data { data } => {
-            b.put_u8(2);
+            b.push(2);
             put_bytes(&mut b, data);
         }
         Response::Written { len } => {
-            b.put_u8(3);
-            b.put_u32_le(*len);
+            b.push(3);
+            put_u32(&mut b, *len);
         }
         Response::Info(info) => {
-            b.put_u8(4);
-            b.put_u64_le(info.size);
+            b.push(4);
+            b.extend_from_slice(&info.size.to_le_bytes());
         }
         Response::Error(e) => {
-            b.put_u8(255);
-            b.put_u8(e.to_byte());
+            b.push(255);
+            b.push(e.to_byte());
         }
     }
-    b.to_vec()
+    b
 }
 
 /// Decode a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    let tag = get_u8(&mut buf)?;
+    let mut buf = Reader { rest: payload };
+    let tag = buf.u8()?;
     let resp = match tag {
         0 => Response::Ok,
-        1 => Response::Opened {
-            fd: get_u32(&mut buf)?,
-        },
-        2 => Response::Data {
-            data: get_bytes(&mut buf)?,
-        },
-        3 => Response::Written {
-            len: get_u32(&mut buf)?,
-        },
-        4 => Response::Info(FileInfo {
-            size: get_u64(&mut buf)?,
-        }),
+        1 => Response::Opened { fd: buf.u32()? },
+        2 => Response::Data { data: buf.bytes()? },
+        3 => Response::Written { len: buf.u32()? },
+        4 => Response::Info(FileInfo { size: buf.u64()? }),
         255 => Response::Error(
-            ChirpError::from_byte(get_u8(&mut buf)?)
+            ChirpError::from_byte(buf.u8()?)
                 .ok_or_else(|| WireError("unknown error code".into()))?,
         ),
         t => return Err(WireError(format!("unknown response tag {t}"))),
     };
-    if buf.has_remaining() {
-        return Err(WireError("trailing bytes in response".into()));
-    }
+    buf.finish("response")?;
     Ok(resp)
 }
 
@@ -384,6 +374,35 @@ mod tests {
         let mut enc = encode_response(&Response::Ok);
         enc.push(0);
         assert!(decode_response(&enc).is_err());
+    }
+
+    /// A connection can die after any byte. Every proper prefix of every
+    /// encoded variant must come back as an explicit [`WireError`] — and
+    /// every proper prefix of its frame as "incomplete" — never a panic
+    /// and never a shorter message mistaken for a whole one.
+    #[test]
+    fn every_proper_prefix_is_an_explicit_error() {
+        let requests = all_requests();
+        let responses = all_responses();
+        let payloads =
+            (requests.iter().map(encode_request)).chain(responses.iter().map(encode_response));
+        for (i, enc) in payloads.enumerate() {
+            for cut in 0..enc.len() {
+                let prefix = &enc[..cut];
+                if i < requests.len() {
+                    assert!(decode_request(prefix).is_err(), "request {i} cut at {cut}");
+                } else {
+                    assert!(
+                        decode_response(prefix).is_err(),
+                        "response {i} cut at {cut}"
+                    );
+                }
+            }
+            let framed = frame(&enc);
+            for cut in 0..framed.len() {
+                assert_eq!(deframe(&framed[..cut]), Ok(None), "frame {i} cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! The naive kernel is O(jobs × machines) AST walks per cycle. The
 //! [`MatchEngine`] keeps the same greedy, RNG-tie-broken semantics
-//! bit-identical (gated in-process by `exp_matchmaker` against the frozen
-//! `bench::legacy::naive_negotiate`) while doing asymptotically less work:
+//! bit-identical (gated against the frozen [`naive_negotiate`] by this
+//! module's differential tests and in-process by `exp e9` / `exp e11`)
+//! while doing asymptotically less work:
 //!
 //! * ads are [compiled](classads::compile) once per *content change*, not
 //!   re-walked per pair;
@@ -416,8 +417,7 @@ struct Verdict {
 ///
 /// Matching semantics — including which machine wins each job, and the
 /// single RNG tie-break draw per matched job — are bit-identical to the
-/// naive O(jobs × machines) kernel preserved as
-/// `bench::legacy::naive_negotiate`.
+/// naive O(jobs × machines) kernel preserved as [`naive_negotiate`].
 pub struct MatchEngine {
     machines: BTreeMap<ActorId, MachineEntry>,
     // Keyed by (schedd, job) so several schedds can coexist.
@@ -903,12 +903,64 @@ impl Actor<Msg> for Matchmaker {
     }
 }
 
+/// The reference negotiation kernel: a full O(jobs × machines) interpreted
+/// scan per cycle, exactly as the matchmaker actor ran it before the
+/// [`MatchEngine`] landed. Greedy in `(schedd, job)` order; each job
+/// evaluates `symmetric_match` against every not-yet-taken machine, keeps
+/// the argmax-by-rank candidates, and breaks ties with one uniform RNG
+/// draw. The engine's differential tests and the `exp e9` / `exp e11`
+/// gates hold [`MatchEngine::negotiate`] to bit-identical assignments
+/// against this kernel on the same seed.
+///
+/// It is deliberately frozen: do not "optimize" it, it exists to stay
+/// slow in exactly the way the old code was.
+///
+/// Returns the `(schedd, job, machine)` notifications plus the number of
+/// ad pairs evaluated. Consumption (removing matched ads) is left to the
+/// caller, as the actor's notification loop did it.
+pub fn naive_negotiate(
+    jobs: &BTreeMap<(ActorId, u32), ClassAd>,
+    machines: &BTreeMap<ActorId, ClassAd>,
+    rng: &mut SimRng,
+) -> (Vec<(ActorId, u32, ActorId)>, u64) {
+    use classads::matchmaking::symmetric_match;
+    let mut pairs = 0u64;
+    let mut taken: Vec<ActorId> = Vec::new();
+    let mut notifications: Vec<(ActorId, u32, ActorId)> = Vec::new();
+    for ((schedd, job), ad) in jobs {
+        let mut best_rank = f64::NEG_INFINITY;
+        let mut candidates: Vec<ActorId> = Vec::new();
+        for (mid, m) in machines {
+            if taken.contains(mid) {
+                continue;
+            }
+            pairs += 1;
+            let r = symmetric_match(ad, m);
+            if !r.matched {
+                continue;
+            }
+            if r.left_rank > best_rank {
+                best_rank = r.left_rank;
+                candidates.clear();
+            }
+            if r.left_rank == best_rank {
+                candidates.push(*mid);
+            }
+        }
+        if !candidates.is_empty() {
+            let mid = candidates[rng.index(candidates.len())];
+            taken.push(mid);
+            notifications.push((*schedd, *job, mid));
+        }
+    }
+    (notifications, pairs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::{JavaMode, JobSpec};
     use crate::machine::MachineSpec;
-    use classads::matchmaking::symmetric_match;
 
     /// An actor that sends a fixed ad once at startup (so `from` is its own
     /// id, as with a real startd or schedd), optionally delayed.
@@ -1033,44 +1085,6 @@ mod tests {
     // -----------------------------------------------------------------
     // Engine-level tests
     // -----------------------------------------------------------------
-
-    /// The naive kernel, replicated locally for differential testing (the
-    /// frozen benchmark copy lives in `bench::legacy`, which this crate
-    /// cannot depend on without a cycle).
-    fn naive_cycle(
-        jobs: &BTreeMap<(ActorId, u32), ClassAd>,
-        machines: &BTreeMap<ActorId, ClassAd>,
-        rng: &mut SimRng,
-    ) -> Vec<(ActorId, u32, ActorId)> {
-        let mut taken: Vec<ActorId> = Vec::new();
-        let mut notifications = Vec::new();
-        for ((schedd, job), ad) in jobs {
-            let mut best_rank = f64::NEG_INFINITY;
-            let mut candidates: Vec<ActorId> = Vec::new();
-            for (mid, m) in machines {
-                if taken.contains(mid) {
-                    continue;
-                }
-                let r = symmetric_match(ad, m);
-                if !r.matched {
-                    continue;
-                }
-                if r.left_rank > best_rank {
-                    best_rank = r.left_rank;
-                    candidates.clear();
-                }
-                if r.left_rank == best_rank {
-                    candidates.push(*mid);
-                }
-            }
-            if !candidates.is_empty() {
-                let mid = candidates[rng.index(candidates.len())];
-                taken.push(mid);
-                notifications.push((*schedd, *job, mid));
-            }
-        }
-        notifications
-    }
 
     fn pool_machine(rng: &mut SimRng, quirky: bool) -> ClassAd {
         let mems = [64, 128, 128, 256, 512, 1024, 2048];
@@ -1247,7 +1261,7 @@ mod tests {
                 // engine by dropping machines absent for 3+ cycles.
                 // (With re-insertion every cycle nothing ever expires;
                 // consumption is the real churn.)
-                let slow = naive_cycle(&naive_jobs, &naive_machines, &mut rng_b);
+                let slow = naive_negotiate(&naive_jobs, &naive_machines, &mut rng_b).0;
                 assert_eq!(fast, slow, "seed {seed} quirky {quirky} cycle {cycle}");
                 let st = &engine.stats;
                 assert_eq!(
@@ -1335,7 +1349,7 @@ mod tests {
             }
 
             let fast = engine.negotiate(now, &mut rng_a);
-            let slow = naive_cycle(&naive_jobs, &naive_machines, &mut rng_b);
+            let slow = naive_negotiate(&naive_jobs, &naive_machines, &mut rng_b).0;
             assert_eq!(fast, slow, "cycle {cycle}");
             assert!(!slow.is_empty(), "cycle {cycle} exercises nothing");
             if cycle >= 2 {

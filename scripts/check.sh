@@ -15,10 +15,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> exp_parworld smoke (thread-count determinism differential)"
-cargo run --release -p bench --bin exp_parworld -- --smoke
-
-echo "==> exp_gridvm smoke (trace-tier differential corpus + guard coverage)"
-cargo run --release -p bench --bin exp_gridvm -- --smoke
+echo "==> every experiment at smoke size (each one's gates are assertions)"
+cargo run --release -p bench --bin exp -- all --smoke
+cargo run --release -p bench --bin exp -- e7 --localize
 
 echo "All checks passed."
