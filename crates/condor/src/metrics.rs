@@ -9,17 +9,10 @@
 
 use desim::SimDuration;
 use errorscope::Scope;
-use serde::{Serialize, Serializer};
 use std::collections::BTreeMap;
 
-/// Serialize a [`SimDuration`] as integer microseconds, so CPU totals
-/// survive the JSON export and efficiency is recomputable downstream.
-fn as_micros<S: Serializer>(d: &SimDuration, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_u64(d.as_micros())
-}
-
 /// Counters accumulated by the schedd over one run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Jobs that reached a true program result (completion or program
     /// exception) delivered to the user.
@@ -57,11 +50,9 @@ pub struct Metrics {
     pub evictions: u64,
     /// Execution time preserved by checkpoints across evictions
     /// (microseconds in JSON).
-    #[serde(rename = "checkpointed_work_us", serialize_with = "as_micros")]
     pub checkpointed_work: SimDuration,
     /// Execution time thrown away by evictions of non-checkpointable jobs
     /// (microseconds in JSON).
-    #[serde(rename = "work_lost_to_eviction_us", serialize_with = "as_micros")]
     pub work_lost_to_eviction: SimDuration,
     /// Checkpoints stored on the checkpoint server.
     pub checkpoints_taken: u64,
@@ -75,21 +66,17 @@ pub struct Metrics {
     pub checkpoint_bytes: u64,
     /// Execution time that resumed attempts did not have to redo
     /// (microseconds in JSON).
-    #[serde(rename = "work_saved_by_checkpoint_us", serialize_with = "as_micros")]
     pub work_saved_by_checkpoint: SimDuration,
     /// CPU time spent on attempts that produced a program result
     /// (microseconds in JSON).
-    #[serde(rename = "useful_cpu_us", serialize_with = "as_micros")]
     pub useful_cpu: SimDuration,
     /// CPU time spent on attempts that failed environmentally — the §5
     /// black-hole waste (microseconds in JSON).
-    #[serde(rename = "wasted_cpu_us", serialize_with = "as_micros")]
     pub wasted_cpu: SimDuration,
     /// Execution outcomes by scope, as observed by the schedd (ground
     /// truth in naive mode comes from the report's accounting field).
     pub outcomes_by_scope: BTreeMap<String, u64>,
     /// Log-scale histogram of per-attempt CPU (µs) keyed by outcome scope.
-    #[serde(skip)]
     pub cpu_by_scope: BTreeMap<String, obs::Histogram>,
 }
 
@@ -185,7 +172,7 @@ impl Metrics {
 }
 
 /// The per-machine view, extracted from startds after a run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MachineStats {
     /// Display name.
     pub name: String,
@@ -324,12 +311,12 @@ mod tests {
         let mut m = Metrics::default();
         m.record_outcome(Scope::Program, SimDuration::from_secs(60));
         m.record_outcome(Scope::Network, SimDuration::from_secs(30));
-        let j = serde_json::to_value(&m).unwrap();
-        assert_eq!(j["useful_cpu_us"], 60_000_000u64);
-        assert_eq!(j["wasted_cpu_us"], 30_000_000u64);
-        // Efficiency is recomputable from the JSON alone.
-        let useful = j["useful_cpu_us"].as_u64().unwrap() as f64;
-        let wasted = j["wasted_cpu_us"].as_u64().unwrap() as f64;
+        let reg = m.registry();
+        assert_eq!(reg.counter("useful_cpu_us", &[]), 60_000_000);
+        assert_eq!(reg.counter("wasted_cpu_us", &[]), 30_000_000);
+        // Efficiency is recomputable from the exported counters alone.
+        let useful = reg.counter("useful_cpu_us", &[]) as f64;
+        let wasted = reg.counter("wasted_cpu_us", &[]) as f64;
         assert!((useful / (useful + wasted) - m.cpu_efficiency()).abs() < 1e-12);
     }
 

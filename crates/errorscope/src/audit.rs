@@ -25,11 +25,10 @@ use crate::comm::Comm;
 use crate::error::{HopAction, ScopedError};
 use crate::interface::{Conformance, InterfaceDecl};
 use crate::propagate::{Delivery, LayerStack};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which principle was violated, with diagnostic detail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// P1: a layer swallowed a detectable error and fabricated a value.
     P1ImplicitFromExplicit {
@@ -224,7 +223,7 @@ pub fn audit_interface(interface: &InterfaceDecl) -> Vec<Violation> {
 
 /// A running tally of violations, used by the experiments to compare the
 /// naive and scope-aware systems.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViolationCounts {
     /// P1 count.
     pub p1: usize,

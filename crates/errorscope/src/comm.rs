@@ -9,11 +9,10 @@
 //!   software. It is necessary when a routine can neither perform its action
 //!   nor represent the failure in the range of its results.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How an error is communicated across an interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Comm {
     /// A result presented as valid that is in fact false. Implicit errors
     /// are expensive to detect — typically requiring duplication of all or
@@ -64,7 +63,7 @@ impl fmt::Display for Comm {
 /// from specification. The voting-machine example: the cosmic ray is the
 /// fault, corrupted in-use data is the error, an altered victor is the
 /// failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DependabilityStage {
     /// A violation of a system's underlying assumptions.
     Fault,
@@ -115,13 +114,5 @@ mod tests {
             Some(DependabilityStage::Failure)
         );
         assert_eq!(DependabilityStage::Failure.next(), None);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for c in [Comm::Implicit, Comm::Explicit, Comm::Escaping] {
-            let j = serde_json::to_string(&c).unwrap();
-            assert_eq!(serde_json::from_str::<Comm>(&j).unwrap(), c);
-        }
     }
 }

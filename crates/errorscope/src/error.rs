@@ -16,7 +16,6 @@
 use crate::comm::Comm;
 use crate::scope::Scope;
 use obs::span::{next_span_id, SpanId};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -27,7 +26,7 @@ use std::fmt;
 /// that a grid is composed of autonomous components that invent error
 /// conditions the others have never heard of. The structure comes from
 /// scopes and vocabularies, not from a closed code set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ErrorCode(pub Cow<'static, str>);
 
 impl ErrorCode {
@@ -112,7 +111,7 @@ pub mod codes {
 
 /// What a layer did to an error as it passed through. Recorded in the
 /// provenance trail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HopAction {
     /// The error came into existence at this layer.
     Raised,
@@ -149,7 +148,7 @@ pub enum HopAction {
 }
 
 /// One step of an error's journey: which layer, and what it did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
     /// The name of the software layer (e.g. `"io-library"`, `"starter"`,
     /// `"shadow"`, `"schedd"`).
@@ -163,7 +162,7 @@ pub struct Hop {
 /// Equality deliberately ignores [`span`](ScopedError::span): two errors
 /// describing the same condition compare equal even though each instance
 /// has its own telemetry identity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScopedError {
     /// Machine-readable condition.
     pub code: ErrorCode,
@@ -175,9 +174,7 @@ pub struct ScopedError {
     pub message: String,
     /// Every layer the error has crossed, oldest first.
     pub trail: Vec<Hop>,
-    /// Telemetry span id, assigned at birth. `obs::NO_SPAN` (0) after
-    /// deserialising a record written before spans existed.
-    #[serde(default)]
+    /// Telemetry span id, assigned at birth.
     pub span: SpanId,
 }
 
@@ -558,26 +555,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn legacy_json_without_span_still_parses() {
-        let mut j = serde_json::to_value(sample()).unwrap();
-        j.as_object_mut().unwrap().remove("span");
-        let back: ScopedError = serde_json::from_value(j).unwrap();
-        assert_eq!(back.span, obs::NO_SPAN);
-        assert_eq!(back, sample());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let e = sample()
-            .widen(Scope::Function, "caller")
-            .escape("caller")
-            .reexpress("wrapper")
-            .handle("schedd");
-        let j = serde_json::to_string(&e).unwrap();
-        let back: ScopedError = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, e);
     }
 }

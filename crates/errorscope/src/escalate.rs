@@ -14,12 +14,11 @@
 //! [`RetryCriteria::PerJob`] provides.
 
 use crate::scope::Scope;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A schedule of scope widenings keyed by how long the failure has
 /// persisted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EscalationPolicy {
     /// Scope assumed the instant the failure is observed.
     pub initial: Scope,
@@ -99,7 +98,7 @@ impl EscalationPolicy {
 
 /// Failure criteria for an operation that may be retried — the NFS mount
 /// analogy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryCriteria {
     /// "Hard mounted": hide all network errors; retry forever. The caller
     /// never sees a failure — but may hang indefinitely.

@@ -13,13 +13,12 @@
 
 use crate::comm::Comm;
 use crate::error::{ErrorCode, ScopedError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The set of explicit error codes one operation is contractually allowed
 /// to return.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ErrorVocabulary {
     /// A concise, finite list (Principle 4). An error outside the list is
     /// not an ordinary result of the operation and must escape.
@@ -93,7 +92,7 @@ pub enum Conformance {
 
 /// The declared error contract of a whole interface: one vocabulary per
 /// operation name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceDecl {
     /// Interface name, e.g. `"FileWriter"` or `"chirp"`.
     pub name: String,
@@ -311,13 +310,5 @@ mod tests {
         assert!(s.contains("write throws DiskFull;"));
         let g = file_writer_generic().to_string();
         assert!(g.contains("<generic>"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let i = file_writer_revised();
-        let j = serde_json::to_string(&i).unwrap();
-        let back: InterfaceDecl = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, i);
     }
 }

@@ -22,7 +22,6 @@ use crate::comm::Comm;
 use crate::error::ScopedError;
 use crate::interface::{Conformance, InterfaceDecl};
 use crate::scope::Scope;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One program in the propagation chain.
@@ -101,7 +100,7 @@ pub struct Delivery {
 /// unexecutable and also returns it to the user. Anything in between causes
 /// it to log the error and then attempt to execute the program at a new
 /// site."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Disposition {
     /// Program scope: the result — even an error — belongs to the user.
     ReturnCompleted,

@@ -23,7 +23,6 @@
 //! [`Scope::Process`] by default but is expected to be widened over time by
 //! an [`crate::escalate::EscalationPolicy`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A region of the system that an error can invalidate.
@@ -32,7 +31,7 @@ use std::fmt;
 /// ⊂ System`, and `File ⊂ Function ⊂ Process ⊂ Cluster ⊂ Pool`. `Job` and
 /// `LocalResource` are siblings directly under `Pool`, exactly as drawn in
 /// Figure 3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// A single named file is invalid (e.g. `FileNotFound`). Handled by the
     /// calling function.
@@ -193,7 +192,7 @@ impl Scope {
         )
     }
 
-    /// A short stable name, used in result files and printed tables.
+    /// A short stable name, used in telemetry events and printed tables.
     pub fn name(self) -> &'static str {
         match self {
             Scope::File => "file",
@@ -372,15 +371,6 @@ mod tests {
                 assert!(j.contains(a));
                 assert!(j.contains(b));
             }
-        }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        for s in Scope::ALL {
-            let j = serde_json::to_string(&s).unwrap();
-            let back: Scope = serde_json::from_str(&j).unwrap();
-            assert_eq!(back, s);
         }
     }
 }

@@ -13,10 +13,8 @@
 //! experiment: a startd self-test that only runs a trivial program will
 //! certify a partially broken installation as healthy.
 
-use serde::{Deserialize, Serialize};
-
 /// The health of one machine's VM installation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstallHealth {
     /// Fully working.
     Healthy,
@@ -37,7 +35,7 @@ pub enum InstallHealth {
 /// *containment-preserving* optimization: every observable — exit codes,
 /// [`crate::machine::Termination`] scopes, instruction counts, checkpoint
 /// state — is bit-identical with the tier on or off, so it defaults to on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch for the trace tier.
     pub enabled: bool,
@@ -80,7 +78,7 @@ impl TraceConfig {
 }
 
 /// An installation descriptor, as the machine owner would configure it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Installation {
     /// Owner-configured path to the VM (display only).
     pub path: String,
@@ -93,9 +91,7 @@ pub struct Installation {
     pub fuel: u64,
     /// Actual health of this installation.
     pub health: InstallHealth,
-    /// Trace-compilation tier settings (absent in old serialized
-    /// installations, which get the default: enabled).
-    #[serde(default)]
+    /// Trace-compilation tier settings.
     pub trace: TraceConfig,
 }
 
@@ -173,7 +169,7 @@ impl Installation {
 /// The depth of the startd's §5 self-test: "we modified the startd to test
 /// the installation at startup. If found lacking, then the startd simply
 /// declines to advertise its Java capability."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelfTestDepth {
     /// Trust the owner's assertion; no test (the pre-§5 behaviour).
     None,

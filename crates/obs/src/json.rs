@@ -1,10 +1,10 @@
 //! A minimal JSON value, writer, and recursive-descent parser.
 //!
-//! `obs` must stay dependency-free (it sits below every other crate), so
-//! its exporters cannot use `serde`. This module is just enough JSON to
-//! emit the event stream and metrics snapshot and to parse them back for
-//! round-trip tests: objects, arrays, strings, booleans, null, and numbers
-//! (unsigned and signed integers are kept exact; everything else is `f64`).
+//! The workspace's one JSON reader and writer: just enough to emit the
+//! event stream, the metrics snapshot and the wrapper's result file
+//! (`errorscope::resultfile`) and to parse them back — objects, arrays,
+//! strings, booleans, null, and numbers (unsigned and signed integers are
+//! kept exact; everything else is `f64`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -119,6 +119,7 @@ impl std::error::Error for ParseError {}
 /// garbage is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -132,6 +133,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input, which `bytes` views: scanned by byte, copied out as `str`.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -240,13 +243,21 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece:
+            // both are ASCII, so the run ends on a character boundary.
+            let run = &self.bytes[self.pos..];
+            let len = run.iter().position(|b| matches!(b, b'"' | b'\\'));
+            let end = self.pos + len.unwrap_or(run.len());
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
-                b'\\' => {
+                // The run stops at nothing else: this is the backslash.
+                _ => {
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));
                     };
@@ -278,18 +289,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 starting at b.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    if width == 0 || start + width > self.bytes.len() {
-                        return Err(self.err("invalid utf-8 in string"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + width])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = start + width;
                 }
             }
         }
@@ -336,16 +335,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        0xf0..=0xf7 => 4,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,10 +373,25 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips() {
-        let original = "line1\nline2\t\"quoted\" \\slash\\ \u{1}";
-        let mut doc = String::new();
-        write_str(&mut doc, original);
-        assert_eq!(parse(&doc).unwrap(), Json::Str(original.to_string()));
+        // Runs of plain text between, before and after escapes; escapes back
+        // to back; multi-byte characters beside a quote and a backslash.
+        for original in [
+            "line1\nline2\t\"quoted\" \\slash\\ \u{1}",
+            "",
+            "\\\\\"\"\n\n",
+            "é\"誤\\😀\u{7f}\u{2028}\u{ffff}",
+            "\"leading and trailing\\",
+        ] {
+            let mut doc = String::new();
+            write_str(&mut doc, original);
+            assert_eq!(parse(&doc).unwrap(), Json::Str(original.to_string()));
+            // An unterminated tail, wherever the cut falls, is an error at
+            // the end of the input (a cut `\u` escape reports its digits).
+            for cut in (1..doc.len()).filter(|n| doc.is_char_boundary(*n)) {
+                let err = parse(&doc[..cut]).unwrap_err();
+                assert!(cut - err.at < 4, "{err} for a cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,11 @@
 use std::cell::Cell;
 use std::fmt;
 
-/// A span identifier. Plain `u64` so downstream crates can embed it in
-/// serde-derived types without `obs` needing serde itself.
+/// A span identifier.
 pub type SpanId = u64;
 
-/// The id of "no span": errors predating span assignment, or paths (the
-/// naive discipline) where scope information is destroyed before a span
-/// could be born.
+/// The id of "no span": paths (the naive discipline) where scope
+/// information is destroyed before a span could be born.
 pub const NO_SPAN: SpanId = 0;
 
 thread_local! {
