@@ -4,8 +4,12 @@
 //!
 //! * [`DirectTransport`] — the client and server in one process, every
 //!   message still passing through the real wire encoding. This is what the
-//!   simulated grid uses: deterministic, allocation-cheap, but bytes on the
-//!   "wire" are real bytes.
+//!   simulated grid uses: deterministic, and the bytes on the "wire" are
+//!   real bytes — exactly `frame(&encode_request(..))` and
+//!   `frame(&encode_response(..))` — but the wire is two buffers the
+//!   transport keeps, so a message is written once, in place behind its
+//!   length prefix, and read back as a slice: one copy, no allocation
+//!   but the decoded message's own fields.
 //! * [`ChannelTransport`] — the server on its own thread behind bounded
 //!   channels, demonstrating the protocol is not simulation-only. The
 //!   connection established "from one process to another on the loopback
@@ -21,6 +25,7 @@ use crate::proto::{Request, Response};
 use crate::server::{ChirpServer, DisconnectReason, ServerOutcome};
 use crate::wire::{
     decode_request, decode_response, deframe, encode_request, encode_response, frame,
+    frame_request_in, frame_response_in, peel_frame, WireError, MAX_FRAME,
 };
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -56,6 +61,9 @@ pub struct DirectTransport<B: FileBackend> {
     server: Option<ChirpServer<B>>,
     /// The reason the connection broke, observable by the hosting starter.
     pub last_disconnect: Option<DisconnectReason>,
+    /// The wire, one buffer per direction: the last frame each end sent.
+    request: Vec<u8>,
+    reply: Vec<u8>,
 }
 
 impl<B: FileBackend> DirectTransport<B> {
@@ -64,6 +72,8 @@ impl<B: FileBackend> DirectTransport<B> {
         DirectTransport {
             server: Some(server),
             last_disconnect: None,
+            request: Vec::new(),
+            reply: Vec::new(),
         }
     }
 
@@ -71,6 +81,35 @@ impl<B: FileBackend> DirectTransport<B> {
     pub fn server_mut(&mut self) -> Option<&mut ChirpServer<B>> {
         self.server.as_mut()
     }
+}
+
+/// What the far end reads out of a wire buffer holding the one frame it
+/// was just sent. Round-trip through the real encoding: any encoding bug
+/// is a test failure, not a silent shortcut.
+fn receive<M>(
+    wire: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<M, WireError>,
+    what: &str,
+) -> Result<M, Broken> {
+    let (payload, _) = peel_frame(wire, MAX_FRAME)
+        .expect("self-framed message")
+        .expect("complete frame");
+    decode(payload).map_err(|e| Broken {
+        detail: format!("{what} failed to decode: {e}"),
+        reason: None,
+    })
+}
+
+/// `req` as the server receives it over `wire`.
+fn carry_request(wire: &mut Vec<u8>, req: &Request) -> Result<Request, Broken> {
+    frame_request_in(wire, req);
+    receive(wire, decode_request, "request")
+}
+
+/// `resp` as the client receives it over `wire`.
+fn carry_response(wire: &mut Vec<u8>, resp: &Response) -> Result<Response, Broken> {
+    frame_response_in(wire, resp);
+    receive(wire, decode_response, "response")
 }
 
 impl<B: FileBackend> Transport for DirectTransport<B> {
@@ -81,27 +120,9 @@ impl<B: FileBackend> Transport for DirectTransport<B> {
                 reason: self.last_disconnect.clone(),
             });
         };
-        // Round-trip through the real encoding: any encoding bug is a test
-        // failure, not a silent shortcut.
-        let framed = frame(&encode_request(req));
-        let (payload, _) = deframe(&framed)
-            .expect("self-framed request")
-            .expect("complete frame");
-        let decoded = decode_request(&payload).map_err(|e| Broken {
-            detail: format!("request failed to decode: {e}"),
-            reason: None,
-        })?;
-        match server.handle(&decoded) {
-            ServerOutcome::Reply(resp) => {
-                let framed = frame(&encode_response(&resp));
-                let (payload, _) = deframe(&framed)
-                    .expect("self-framed response")
-                    .expect("complete frame");
-                decode_response(&payload).map_err(|e| Broken {
-                    detail: format!("response failed to decode: {e}"),
-                    reason: None,
-                })
-            }
+        let received = carry_request(&mut self.request, req)?;
+        match server.handle(&received) {
+            ServerOutcome::Reply(resp) => carry_response(&mut self.reply, &resp),
             ServerOutcome::Disconnect(reason) => {
                 self.last_disconnect = Some(reason.clone());
                 self.server = None;
@@ -280,6 +301,29 @@ mod tests {
                 data: b"abc".to_vec()
             }
         );
+    }
+
+    #[test]
+    fn the_direct_wire_carries_the_bytes_the_encoders_produce() {
+        use crate::wire::tests::{all_requests, all_responses};
+        // One transport throughout: a short frame after a long one must
+        // leave nothing of the long one behind.
+        let mut t = authed_direct();
+        for req in all_requests() {
+            assert_eq!(carry_request(&mut t.request, &req), Ok(req.clone()));
+            assert_eq!(t.request, frame(&encode_request(&req)), "{req:?}");
+        }
+        for resp in all_responses() {
+            assert_eq!(carry_response(&mut t.reply, &resp), Ok(resp.clone()));
+            assert_eq!(t.reply, frame(&encode_response(&resp)), "{resp:?}");
+        }
+        // And through `call`: what the server was sent, what it answered.
+        for req in all_requests() {
+            let mut t = authed_direct();
+            let answered = t.call(&req).expect("no request here hangs the server up");
+            assert_eq!(t.request, frame(&encode_request(&req)), "{req:?}");
+            assert_eq!(t.reply, frame(&encode_response(&answered)), "{req:?}");
+        }
     }
 
     #[test]

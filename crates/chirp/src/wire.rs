@@ -85,63 +85,68 @@ impl<'a> Reader<'a> {
 /// Encode a request payload (without the outer frame length).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut b = Vec::new();
+    write_request(&mut b, req);
+    b
+}
+
+/// Append a request payload to `b`.
+fn write_request(b: &mut Vec<u8>, req: &Request) {
     match req {
         Request::Auth { cookie } => {
             b.push(0);
-            put_bytes(&mut b, cookie);
+            put_bytes(b, cookie);
         }
         Request::Open { path, mode } => {
             b.push(1);
-            put_str(&mut b, path);
+            put_str(b, path);
             b.push(mode.to_byte());
         }
         Request::Read { fd, len } => {
             b.push(2);
-            put_u32(&mut b, *fd);
-            put_u32(&mut b, *len);
+            put_u32(b, *fd);
+            put_u32(b, *len);
         }
         Request::Write { fd, data } => {
             b.push(3);
-            put_u32(&mut b, *fd);
-            put_bytes(&mut b, data);
+            put_u32(b, *fd);
+            put_bytes(b, data);
         }
         Request::Close { fd } => {
             b.push(4);
-            put_u32(&mut b, *fd);
+            put_u32(b, *fd);
         }
         Request::Stat { path } => {
             b.push(5);
-            put_str(&mut b, path);
+            put_str(b, path);
         }
         Request::Unlink { path } => {
             b.push(6);
-            put_str(&mut b, path);
+            put_str(b, path);
         }
         Request::Rename { from, to } => {
             b.push(7);
-            put_str(&mut b, from);
-            put_str(&mut b, to);
+            put_str(b, from);
+            put_str(b, to);
         }
         Request::GetFile { path } => {
             b.push(8);
-            put_str(&mut b, path);
+            put_str(b, path);
         }
         Request::PutFile { path, data } => {
             b.push(9);
-            put_str(&mut b, path);
-            put_bytes(&mut b, data);
+            put_str(b, path);
+            put_bytes(b, data);
         }
         Request::PutCkpt { key, data } => {
             b.push(10);
-            put_str(&mut b, key);
-            put_bytes(&mut b, data);
+            put_str(b, key);
+            put_bytes(b, data);
         }
         Request::GetCkpt { key } => {
             b.push(11);
-            put_str(&mut b, key);
+            put_str(b, key);
         }
     }
-    b
 }
 
 /// Decode a request payload.
@@ -195,19 +200,25 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// Encode a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut b = Vec::new();
+    write_response(&mut b, resp);
+    b
+}
+
+/// Append a response payload to `b`.
+fn write_response(b: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Ok => b.push(0),
         Response::Opened { fd } => {
             b.push(1);
-            put_u32(&mut b, *fd);
+            put_u32(b, *fd);
         }
         Response::Data { data } => {
             b.push(2);
-            put_bytes(&mut b, data);
+            put_bytes(b, data);
         }
         Response::Written { len } => {
             b.push(3);
-            put_u32(&mut b, *len);
+            put_u32(b, *len);
         }
         Response::Info(info) => {
             b.push(4);
@@ -218,7 +229,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             b.push(e.to_byte());
         }
     }
-    b
 }
 
 /// Decode a response payload.
@@ -249,6 +259,29 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Make `buf` hold exactly one frame: room for the length prefix, the
+/// payload `write` appends, then the prefix filled in where it stands.
+fn frame_in(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    write(buf);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Make `buf` hold `frame(&encode_request(req))`, byte for byte, written
+/// in place: a sender that keeps `buf` between messages copies each one
+/// once and allocates nothing once the buffer has grown.
+pub(crate) fn frame_request_in(buf: &mut Vec<u8>, req: &Request) {
+    frame_in(buf, |b| write_request(b, req));
+}
+
+/// Make `buf` hold `frame(&encode_response(resp))`; see
+/// [`frame_request_in`].
+pub(crate) fn frame_response_in(buf: &mut Vec<u8>, resp: &Response) {
+    frame_in(buf, |b| write_response(b, resp));
+}
+
 /// Strip one frame from the front of `stream`, if complete. Returns the
 /// payload and the number of bytes consumed. Applies the default
 /// [`MAX_FRAME`] cap; receivers with tighter memory budgets use
@@ -265,27 +298,31 @@ pub fn deframe_with_limit(
     stream: &[u8],
     limit: u32,
 ) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    if stream.len() < 4 {
+    Ok(peel_frame(stream, limit)?.map(|(payload, used)| (payload.to_vec(), used)))
+}
+
+/// [`deframe_with_limit`] without the copy: the payload is a slice of
+/// `stream`.
+pub(crate) fn peel_frame(stream: &[u8], limit: u32) -> Result<Option<(&[u8], usize)>, WireError> {
+    let Some(prefix) = stream.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([stream[0], stream[1], stream[2], stream[3]]);
+    };
+    let len = u32::from_le_bytes(*prefix);
     if len > limit {
         return Err(WireError(format!(
             "frame of {len} bytes exceeds limit of {limit}"
         )));
     }
     let total = 4 + len as usize;
-    if stream.len() < total {
-        return Ok(None);
-    }
-    Ok(Some((stream[4..total].to_vec(), total)))
+    Ok(stream.get(4..total).map(|payload| (payload, total)))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn all_requests() -> Vec<Request> {
+    /// One request of every kind (the transport's tests use these too).
+    pub(crate) fn all_requests() -> Vec<Request> {
         vec![
             Request::Auth {
                 cookie: vec![1, 2, 3],
@@ -327,7 +364,8 @@ mod tests {
         ]
     }
 
-    fn all_responses() -> Vec<Response> {
+    /// One response of every kind.
+    pub(crate) fn all_responses() -> Vec<Response> {
         vec![
             Response::Ok,
             Response::Opened { fd: 3 },
@@ -413,6 +451,28 @@ mod tests {
         b.extend_from_slice(&[0xFF, 0xFE]);
         b.push(0);
         assert!(decode_request(&b).is_err());
+    }
+
+    #[test]
+    fn framing_in_place_writes_the_same_bytes_and_peels_without_copying() {
+        let mut buf = Vec::new();
+        for req in all_requests() {
+            frame_request_in(&mut buf, &req);
+            let payload = encode_request(&req);
+            assert_eq!(buf, frame(&payload));
+            assert_eq!(
+                peel_frame(&buf, MAX_FRAME),
+                Ok(Some((&payload[..], buf.len())))
+            );
+        }
+        for resp in all_responses() {
+            frame_response_in(&mut buf, &resp);
+            assert_eq!(buf, frame(&encode_response(&resp)));
+        }
+        // Incomplete, and over the limit: what `deframe_with_limit` says.
+        assert_eq!(peel_frame(&buf[..buf.len() - 1], MAX_FRAME), Ok(None));
+        assert_eq!(peel_frame(&buf[..3], MAX_FRAME), Ok(None));
+        assert!(peel_frame(&(MAX_FRAME + 1).to_le_bytes(), MAX_FRAME).is_err());
     }
 
     #[test]

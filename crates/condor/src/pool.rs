@@ -505,22 +505,26 @@ mod tests {
 
     #[test]
     fn corrupt_image_is_unexecutable_in_scoped_mode() {
-        let report = PoolBuilder::new(3)
-            .machine(MachineSpec::healthy("m1", 256))
-            .job(JobSpec::java(
-                1,
-                "ada",
-                programs::corrupt_image(),
-                JavaMode::Scoped,
-            ))
-            .run(deadline());
-        assert_eq!(report.metrics.jobs_unexecutable, 1);
-        let JobState::Unexecutable { reason } = &report.jobs[&1].state else {
-            panic!()
-        };
-        assert!(reason.contains("CorruptImage"), "{reason}");
-        // Crucially: ONE attempt, no futile retries elsewhere.
-        assert_eq!(report.jobs[&1].attempts.len(), 1);
+        // Damaged in transit — the sum catches it — and one the sum does
+        // not: a well-summed 27-byte image whose one function claims
+        // u32::MAX instructions. The loader must refuse it, not size a
+        // vector by it and take the starter's process down.
+        let mut oversized = b"GVM1\0\0\x01\0\0\0\0\0\x01\0\0\xff\xff\xff\xff".to_vec();
+        let sum = ckpt::fnv1a(&oversized);
+        oversized.extend_from_slice(&sum.to_le_bytes());
+        for image in [programs::corrupt_image(), oversized] {
+            let report = PoolBuilder::new(3)
+                .machine(MachineSpec::healthy("m1", 256))
+                .job(JobSpec::java(1, "ada", image, JavaMode::Scoped))
+                .run(deadline());
+            assert_eq!(report.metrics.jobs_unexecutable, 1);
+            let JobState::Unexecutable { reason } = &report.jobs[&1].state else {
+                panic!()
+            };
+            assert!(reason.contains("CorruptImage"), "{reason}");
+            // Crucially: ONE attempt, no futile retries elsewhere.
+            assert_eq!(report.jobs[&1].attempts.len(), 1);
+        }
     }
 
     #[test]

@@ -68,6 +68,7 @@
 
 use crate::config::Installation;
 use crate::isa::Instr;
+use crate::machine::decimal;
 use crate::trace::{Recorded, Recorder};
 
 /// Index into a trace's register file. A byte, so that indexing the
@@ -251,72 +252,15 @@ impl CompiledTrace {
 /// for recordings not worth compiling (empty: the head itself was
 /// unsupported) or too big for the register file.
 pub fn compile(r: &Recorder, bail_pc: Option<u32>) -> Option<CompiledTrace> {
-    if r.steps.is_empty() {
-        return None;
-    }
-    let locals = r.steps.iter().filter_map(|s| match s.ins {
-        Instr::Load(n) | Instr::Store(n) => Some(usize::from(n) + 1),
-        _ => None,
-    });
-    let nlocals = locals.max().unwrap_or(0);
-    let pushes = r.steps.iter().filter_map(|s| match s.ins {
-        Instr::Push(v) => Some(v),
-        Instr::PushNull => Some(0),
-        _ => None,
-    });
-    let mut consts: Vec<i64> = pushes.collect();
-    consts.sort_unstable();
-    consts.dedup();
-    let mut l = Lowering {
-        nlocals,
-        next_temp: nlocals + consts.len(),
-        consts,
-        free: Vec::new(),
-        popped: Vec::new(),
-        stack: Vec::new(),
-        // Sized once: about every other instruction emits an op, an op
-        // has one or two snapshots, and most snapshots are empty.
-        ops: Vec::with_capacity(r.steps.len() / 2 + 1),
-        snaps: Vec::with_capacity(r.steps.len()),
-        snap_regs: Vec::with_capacity(r.steps.len()),
-        circuit: 0,
-        group_pc: r.head,
-        group_cost: 0,
-        group_stack: Vec::new(),
-        here_pc: r.head,
-        here_popped: Vec::new(),
-        fresh: None,
-    };
-    if l.next_temp > MAX_REGS {
-        return None;
-    }
-    for s in &r.steps {
-        l.step(s)?;
-    }
-    // Instructions still riding (the closing `Jump`, trailing pushes)
-    // belong to the closer.
-    let end = bail_pc.unwrap_or(r.head);
-    l.open_group(end);
-    l.emit(match bail_pc {
-        Some(_) => OpKind::Bail,
-        None => OpKind::LoopBack,
-    });
-    l.snapshot_after(end);
-    Some(CompiledTrace {
-        func: r.func,
-        head: r.head,
-        ops: l.ops,
-        base_len: l.circuit,
-        nlocals,
-        consts: l.consts,
-        snaps: l.snaps,
-        snap_regs: l.snap_regs,
-    })
+    Lowering::default().lower(r, bail_pc)
 }
 
 /// The abstract interpreter: the operand stack as register names, and the
-/// group of base instructions the next emitted op will cover.
-struct Lowering {
+/// group of base instructions the next emitted op will cover. Every
+/// vector is scratch that [`Lowering::lower`] empties before use, so one
+/// value serves any number of recordings and grows only to the largest.
+#[derive(Debug, Default)]
+pub(crate) struct Lowering {
     nlocals: usize,
     /// Sorted and distinct; constant `consts[i]` is register `nlocals + i`.
     consts: Vec<i64>,
@@ -352,6 +296,68 @@ struct Lowering {
 }
 
 impl Lowering {
+    /// [`compile`] on this scratch: the trace comes out in vectors of
+    /// exactly its size, the scratch keeps its capacity.
+    pub(crate) fn lower(&mut self, r: &Recorder, bail_pc: Option<u32>) -> Option<CompiledTrace> {
+        if r.steps.is_empty() {
+            return None;
+        }
+        for scratch in [
+            &mut self.free,
+            &mut self.popped,
+            &mut self.stack,
+            &mut self.snap_regs,
+            &mut self.group_stack,
+            &mut self.here_popped,
+        ] {
+            scratch.clear();
+        }
+        self.ops.clear();
+        self.snaps.clear();
+        self.consts.clear();
+        self.nlocals = 0;
+        for s in &r.steps {
+            match s.ins {
+                Instr::Load(n) | Instr::Store(n) => {
+                    self.nlocals = self.nlocals.max(usize::from(n) + 1);
+                }
+                Instr::Push(v) => self.consts.push(v),
+                Instr::PushNull => self.consts.push(0),
+                _ => {}
+            }
+        }
+        self.consts.sort_unstable();
+        self.consts.dedup();
+        self.next_temp = self.nlocals + self.consts.len();
+        if self.next_temp > MAX_REGS {
+            return None;
+        }
+        (self.circuit, self.group_cost, self.fresh) = (0, 0, None);
+        (self.group_pc, self.here_pc) = (r.head, r.head);
+        for s in &r.steps {
+            self.step(s)?;
+        }
+        // Instructions still riding (the closing `Jump`, trailing pushes)
+        // belong to the closer.
+        let end = bail_pc.unwrap_or(r.head);
+        self.open_group(end);
+        self.emit(match bail_pc {
+            Some(_) => OpKind::Bail,
+            None => OpKind::LoopBack,
+        });
+        self.snapshot_after(end);
+        Some(CompiledTrace {
+            func: r.func,
+            head: r.head,
+            ops: self.ops.clone(),
+            base_len: self.circuit,
+            nlocals: self.nlocals,
+            consts: self.consts.clone(),
+            snaps: self.snaps.clone(),
+            snap_regs: self.snap_regs.clone(),
+        })
+    }
+
     fn open_group(&mut self, pc: u32) {
         if self.group_cost == 0 {
             self.group_pc = pc;
@@ -742,7 +748,7 @@ fn run_ops<const TIGHT: bool>(
             OpKind::BrGt(a, b, stay) => branch!(reg!(a) > reg!(b), stay),
             OpKind::Br(a, stay) => branch!(reg!(a) != 0, stay),
             OpKind::Print(a) => {
-                stdout.push_str(&reg!(a).to_string());
+                stdout.push_str(decimal(reg!(a), &mut [0; 20]));
                 stdout.push('\n');
             }
             OpKind::NewArray(dst, size) => {

@@ -267,7 +267,7 @@ mod tests {
         m.run(&img, &install, &mut crate::jvmio::NoIo, None);
         let traces = m.trace_state().compiled_traces();
         assert_eq!(traces.len(), 1);
-        let src = disassemble_trace(&traces[0]);
+        let src = disassemble_trace(traces[0]);
         assert!(src.starts_with(".trace func=0 head=L4"), "{src}");
         assert!(src.contains("base_len=15"), "{src}");
         // The fused loop condition and induction step both render.

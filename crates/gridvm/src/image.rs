@@ -193,6 +193,16 @@ impl<'a> Reader<'a> {
         self.pos += n;
         String::from_utf8(s.to_vec()).map_err(|_| ImageError::Truncated)
     }
+    /// A count of things that each take at least `min_size` bytes: more
+    /// of them than the bytes that remain could hold is a truncated
+    /// image, refused before a vector is sized by the count. (The sum is
+    /// a checksum, not a MAC: a well-summed image can claim anything.)
+    fn count(&self, n: usize, min_size: usize) -> Result<usize, ImageError> {
+        if n > (self.b.len() - self.pos) / min_size {
+            return Err(ImageError::Truncated);
+        }
+        Ok(n)
+    }
 }
 
 fn decode_instr(r: &mut Reader<'_>) -> Result<Instr, ImageError> {
@@ -298,15 +308,18 @@ impl ProgramImage {
         }
         let mut r = Reader { b: body, pos: 4 };
         let entry = r.u16()?;
+        // A function is at least its name length, three bytes of arity
+        // and its code length; an instruction at least its opcode; a
+        // string at least its length.
         let nfuncs = r.u16()?;
-        let mut functions = Vec::with_capacity(nfuncs as usize);
+        let mut functions = Vec::with_capacity(r.count(nfuncs.into(), 11)?);
         for _ in 0..nfuncs {
             let name = r.str()?;
             let max_locals = r.u8()?;
             let args = r.u8()?;
             let rets = r.u8()?;
             let n = r.u32()? as usize;
-            let mut code = Vec::with_capacity(n);
+            let mut code = Vec::with_capacity(r.count(n, 1)?);
             for _ in 0..n {
                 code.push(decode_instr(&mut r)?);
             }
@@ -319,7 +332,7 @@ impl ProgramImage {
             });
         }
         let nstrings = r.u16()?;
-        let mut strings = Vec::with_capacity(nstrings as usize);
+        let mut strings = Vec::with_capacity(r.count(nstrings.into(), 4)?);
         for _ in 0..nstrings {
             strings.push(r.str()?);
         }

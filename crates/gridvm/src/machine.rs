@@ -6,12 +6,11 @@
 //! scope — this is the information the JVM's bare exit code destroys
 //! (Figure 4) and the wrapper preserves.
 
-use crate::compile::MAX_REGS;
 use crate::config::Installation;
 use crate::image::{ProgramImage, MAGIC};
 use crate::isa::Instr;
 use crate::jvmio::{IoOutcome, JobIo};
-use crate::trace::{Plan, Recorded, TraceState, VmStats};
+use crate::trace::{Plan, TraceState, VmStats};
 use crate::verify::verify;
 use errorscope::error::codes;
 use errorscope::{ErrorCode, Scope, ScopedError};
@@ -140,27 +139,73 @@ pub fn load_and_run(image_bytes: &[u8], install: &Installation, io: &mut dyn Job
     execute(&image, install, io)
 }
 
-#[derive(Debug)]
+/// One activation: which function, where in it, and where its locals
+/// start in the machine's arena.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     func: usize,
     pc: usize,
-    locals: Vec<i64>,
+    base: usize,
 }
 
 /// Execute a loaded, verified image from the beginning to termination.
 pub fn execute(image: &ProgramImage, install: &Installation, io: &mut dyn JobIo) -> RunOutput {
-    Machine::new(image)
-        .run(image, install, io, None)
-        .expect("unbudgeted run always terminates")
+    // The machine is this call's own, so what it collected moves out.
+    let mut machine = Machine::new(image);
+    let (termination, env_error) = machine
+        .interpret(image, install, io, None)
+        .expect("unbudgeted run always terminates");
+    RunOutput {
+        termination,
+        stdout: machine.stdout,
+        instructions: machine.instructions,
+        env_error,
+        vm: machine.trace.stats,
+    }
 }
 
+/// `v` in decimal — the text of `v.to_string()`, written from the back of
+/// a caller's buffer instead of into a `String` of its own.
+pub(crate) fn decimal(v: i64, buf: &mut [u8; 20]) -> &str {
+    let mut magnitude = v.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (magnitude % 10) as u8;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits and sign")
+}
+
+/// The operand stack is a buffer at least this long with the depth kept
+/// beside it, so the common push never grows anything.
+const MIN_STACK: usize = 64;
+
 /// A suspended or running interpreter: every piece of state the execution
-/// loop used to keep in locals, lifted into a value so it can be paused,
-/// serialised into a checkpoint ([`Machine::snapshot`]) and later resumed
-/// on another machine ([`Machine::restore`]).
+/// loop keeps in locals while it runs, written back to a value at every
+/// way out so it can be paused, serialised into a checkpoint
+/// ([`Machine::snapshot`]) and later resumed on another machine
+/// ([`Machine::restore`]).
 #[derive(Debug)]
 pub struct Machine {
-    frames: Vec<Frame>,
+    /// The innermost frame; its callers wait in `callers`, outermost
+    /// first.
+    frame: Frame,
+    callers: Vec<Frame>,
+    /// Every frame's locals, outermost first: frame `f` owns
+    /// `locals[f.base..]` up to the next frame's base. A call extends the
+    /// arena, a return truncates it.
+    locals: Vec<i64>,
+    /// The operand stack. Between runs its length is the depth; while
+    /// [`Machine::run`] executes it is a longer zero-padded buffer and the
+    /// depth lives in a local.
     stack: Vec<i64>,
     heap: Vec<Vec<i64>>,
     heap_words: u64,
@@ -174,16 +219,28 @@ pub struct Machine {
     trace: TraceState,
 }
 
+/// What the first `Print` reserves for stdout.
+const FIRST_PRINT: usize = 128;
+
+/// Double the operand-stack buffer.
+#[cold]
+fn grow(stack: &mut Vec<i64>) {
+    stack.resize(stack.len().max(MIN_STACK / 2) * 2, 0);
+}
+
 impl Machine {
     /// A fresh machine poised at the entry point of `image`.
     pub fn new(image: &ProgramImage) -> Machine {
+        let entry = image.entry as usize;
         Machine {
-            frames: vec![Frame {
-                func: image.entry as usize,
+            frame: Frame {
+                func: entry,
                 pc: 0,
-                locals: vec![0; image.functions[image.entry as usize].max_locals as usize],
-            }],
-            stack: Vec::with_capacity(64),
+                base: 0,
+            },
+            callers: Vec::new(),
+            locals: vec![0; image.functions[entry].max_locals as usize],
+            stack: Vec::with_capacity(MIN_STACK),
             heap: Vec::new(),
             heap_words: 0,
             instructions: 0,
@@ -216,19 +273,21 @@ impl Machine {
     /// Capture this machine's complete state as a checkpoint, bound to the
     /// digest of the image it is executing (see [`ckpt::fnv1a`]).
     pub fn snapshot(&self, image_digest: u64) -> ckpt::MachineState {
+        let frames = || self.callers.iter().chain([&self.frame]);
+        // A frame's locals end where the next frame's begin.
+        let ends = frames().skip(1).map(|f| f.base).chain([self.locals.len()]);
         ckpt::MachineState {
             image_digest,
             instructions: self.instructions,
             io_ops: self.io_ops,
             heap_words: self.heap_words,
             stdout: self.stdout.clone(),
-            frames: self
-                .frames
-                .iter()
-                .map(|f| ckpt::FrameState {
+            frames: frames()
+                .zip(ends)
+                .map(|(f, end)| ckpt::FrameState {
                     func: f.func as u32,
                     pc: f.pc as u32,
-                    locals: f.locals.clone(),
+                    locals: self.locals[f.base..end].to_vec(),
                 })
                 .collect(),
             stack: self.stack.clone(),
@@ -272,16 +331,24 @@ impl Machine {
                 state.heap_words
             )));
         }
-        Ok(Machine {
-            frames: state
-                .frames
-                .into_iter()
-                .map(|f| Frame {
+        let mut locals = Vec::new();
+        let mut frames: Vec<Frame> = state
+            .frames
+            .into_iter()
+            .map(|f| {
+                let base = locals.len();
+                locals.extend(f.locals);
+                Frame {
                     func: f.func as usize,
                     pc: f.pc as usize,
-                    locals: f.locals,
-                })
-                .collect(),
+                    base,
+                }
+            })
+            .collect();
+        Ok(Machine {
+            frame: frames.pop().expect("at least one frame, checked above"),
+            callers: frames,
+            locals,
             stack: state.stack,
             heap: state.heap,
             heap_words: state.heap_words,
@@ -331,16 +398,83 @@ impl Machine {
         io: &mut dyn JobIo,
         budget: Option<u64>,
     ) -> Option<RunOutput> {
+        let (termination, env_error) = self.interpret(image, install, io, budget)?;
+        Some(RunOutput {
+            termination,
+            stdout: self.stdout.clone(),
+            instructions: self.instructions,
+            env_error,
+            vm: self.trace.stats,
+        })
+    }
+
+    /// The interpreter behind [`Machine::run`]: how the program ended and,
+    /// for an escaping I/O error, the original error.
+    ///
+    /// Two levels. [`frame_loop`] runs the instructions that touch only
+    /// the frame — operand stack, locals, array elements, branches — with
+    /// the pc, the stack depth and the instruction countdown in its own
+    /// locals. It hands back here for everything else: an instruction
+    /// that allocates, prints, does I/O, changes frames or ends the
+    /// program; a fault to diagnose; a taken backward branch the trace
+    /// tier wants to see; a full stack buffer; a spent countdown.
+    ///
+    /// Here the innermost frame (`func`, `pc`, its code and its slice of
+    /// the locals arena), the depth and the countdown are locals too.
+    /// `sync!` writes them back on every way out, and a trace is entered
+    /// with the operand stack cut to its depth, so between runs — and
+    /// for the trace tier — the machine is exactly what its fields say.
+    fn interpret(
+        &mut self,
+        image: &ProgramImage,
+        install: &Installation,
+        io: &mut dyn JobIo,
+        budget: Option<u64>,
+    ) -> Option<(Termination, Option<ScopedError>)> {
+        let Machine {
+            frame,
+            callers,
+            locals,
+            stack,
+            heap,
+            heap_words,
+            instructions,
+            io_ops,
+            stdout,
+            trace,
+        } = self;
+        let Frame {
+            mut func,
+            mut pc,
+            mut base,
+        } = *frame;
+        let mut code: &[Instr] = &image.functions[func].code;
+        let mut lv: &mut [i64] = &mut locals[base..];
+        let mut sp = stack.len();
+        stack.resize(stack.capacity().max(MIN_STACK), 0);
+        let mut stk: &mut [i64] = &mut stack[..];
+        let mut recording = trace.recorder.is_some();
+        let mut quiet = Quiet { target: 0, left: 0 };
+        // One countdown for fuel and budget: `limit - left` instructions
+        // have run since entry, whoever executed them.
+        let entered_at = *instructions;
+        let fuel_left = install.fuel.saturating_sub(entered_at);
+        let limit = budget.map_or(fuel_left, |b| b.min(fuel_left));
+        let mut left = limit;
+
+        macro_rules! sync {
+            () => {{
+                *frame = Frame { func, pc, base };
+                stack.truncate(sp);
+                *instructions = entered_at + (limit - left);
+            }};
+        }
         macro_rules! done {
-            ($t:expr) => {
-                return Some(RunOutput {
-                    termination: $t,
-                    stdout: self.stdout.clone(),
-                    instructions: self.instructions,
-                    env_error: None,
-                    vm: self.trace.stats,
-                })
-            };
+            ($t:expr) => {{
+                let termination = $t;
+                sync!();
+                return Some((termination, None));
+            }};
         }
         macro_rules! exception {
             ($name:expr, $msg:expr) => {
@@ -350,264 +484,211 @@ impl Machine {
                 })
             };
         }
-        macro_rules! vm_failure {
-            ($code:expr, $msg:expr) => {
-                done!(Termination::EnvFailure {
-                    scope: Scope::VirtualMachine,
-                    code: $code,
-                    message: $msg.to_string(),
-                })
-            };
-        }
         // An escaping error from the I/O layer: flatten it into the usual
         // EnvFailure *and* keep the original so its journey can continue.
         macro_rules! escape {
             ($se:expr) => {{
                 let se: ScopedError = $se;
-                return Some(RunOutput {
-                    termination: Termination::EnvFailure {
+                sync!();
+                return Some((
+                    Termination::EnvFailure {
                         scope: se.scope,
                         code: se.code.clone(),
                         message: se.message.clone(),
                     },
-                    stdout: self.stdout.clone(),
-                    instructions: self.instructions,
-                    env_error: Some(se),
-                    vm: self.trace.stats,
-                });
+                    Some(se),
+                ));
             }};
         }
+        // An operand the underflow check ahead of the driver's `match`
+        // has counted.
         macro_rules! pop {
+            () => {{
+                sp -= 1;
+                stk[sp]
+            }};
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                if sp == stk.len() {
+                    grow(stack);
+                    stk = &mut stack[..];
+                }
+                stk[sp] = v;
+                sp += 1;
+            }};
+        }
+        // Back to the caller, or out of the program.
+        macro_rules! ret {
             () => {
-                match self.stack.pop() {
-                    Some(v) => v,
-                    None => vm_failure!(
-                        codes::VIRTUAL_MACHINE_ERROR,
-                        "operand stack underflow past the verifier"
-                    ),
+                match callers.pop() {
+                    Some(caller) => {
+                        locals.truncate(base);
+                        Frame { func, pc, base } = caller;
+                        code = &image.functions[func].code;
+                        lv = &mut locals[base..];
+                        quiet.left = 0;
+                    }
+                    None => done!(Termination::Completed { exit_code: 0 }),
                 }
             };
         }
 
-        let mut used: u64 = 0;
         loop {
-            if let Some(b) = budget {
-                if used >= b {
+            if left == 0 {
+                sync!();
+                if budget.is_some_and(|b| b <= fuel_left) {
                     return None; // suspended, not terminated
                 }
+                return Some((
+                    Termination::EnvFailure {
+                        scope: Scope::VirtualMachine,
+                        code: ErrorCode::new("CpuLimitExceeded"),
+                        message: "instruction budget exhausted; machine reclaiming CPU".into(),
+                    },
+                    None,
+                ));
             }
-            if self.instructions >= install.fuel {
-                vm_failure!(
-                    ErrorCode::new("CpuLimitExceeded"),
-                    "instruction budget exhausted; machine reclaiming CPU"
-                );
-            }
-            self.instructions += 1;
-            used += 1;
-
-            let (func, pc) = {
-                let f = self.frames.last().expect("at least one frame");
-                (f.func, f.pc)
-            };
-            let code = &image.functions[func].code;
-            if pc >= code.len() {
-                // Fell off the end of a function: implicit return. A
-                // recording ends here with a terminal bail — the frame
-                // change is the interpreter's business.
-                if self.trace.recorder.is_some() {
-                    self.trace.finish_recording(Some(pc as u32));
-                }
-                self.frames.pop();
-                if self.frames.is_empty() {
-                    done!(Termination::Completed { exit_code: 0 });
-                }
-                continue;
-            }
-            self.frames.last_mut().unwrap().pc += 1;
-            let ins = code[pc];
-
             // Trace recording observes the interpreter doing exactly what
-            // it always does; it never changes execution.
-            if self.trace.recorder.is_some() {
-                self.observe(func, pc, ins, install.trace.max_trace_len);
+            // it always does and never changes execution: the frame loop
+            // stops at every taken jump, and what it ran in between is a
+            // straight line of `code`.
+            let tier = &install.trace;
+            let (mut quota, watch) = if recording {
+                (left.min(trace.room(tier.max_trace_len)), Watch::Every)
+            } else if tier.enabled {
+                (left, Watch::Backward)
+            } else {
+                (left, Watch::Never)
+            };
+            let (start, granted, unasked) = (pc, quota, quiet.left);
+            let handback = frame_loop(
+                code, stk, lv, heap, &mut pc, &mut sp, &mut quota, watch, &mut quiet,
+            );
+            let ran = granted - quota;
+            left -= ran;
+            if quiet.left < unasked {
+                trace.tally(func as u32, quiet.target, unasked - quiet.left);
+            }
+            if recording {
+                let jumped = matches!(handback, Handback::Jumped { .. });
+                let (func, ran) = (func as u32, ran as usize);
+                recording = trace.observe_run(func, code, start, ran, jumped, tier.max_trace_len);
             }
 
-            // Taken branch target, noted for the trace tier below.
-            let mut taken_branch: Option<u32> = None;
+            let ins = match handback {
+                Handback::Spent => continue,
+                Handback::Full => {
+                    grow(stack);
+                    stk = &mut stack[..];
+                    continue;
+                }
+                Handback::End => {
+                    // Fell off the end of a function: implicit return. A
+                    // recording ends here with a terminal bail — the frame
+                    // change is the interpreter's business.
+                    left -= 1;
+                    if recording {
+                        trace.finish_recording(Some(pc as u32));
+                        recording = false;
+                    }
+                    ret!();
+                    continue;
+                }
+                // A taken backward branch is the only place a loop can
+                // close, so it carries all the trace tier's bookkeeping —
+                // hotness counting, recording kick-off, compiled-trace
+                // entry; the straight-line path pays nothing.
+                Handback::Jumped { from, target } => {
+                    if recording || !tier.enabled || target > from {
+                        continue;
+                    }
+                    match trace.plan(func as u32, target, tier.hot_threshold) {
+                        Plan::Enter(compiled) => {
+                            // Headroom: the runner never commits past the
+                            // fuel limit or the run budget, so those stops
+                            // always land on pure interpreter state.
+                            stack.truncate(sp);
+                            let exit = trace.enter(
+                                compiled, stack, lv, heap, heap_words, stdout, install, left,
+                            );
+                            sp = stack.len();
+                            stack.resize(stack.capacity(), 0);
+                            stk = &mut stack[..];
+                            pc = exit.pc as usize;
+                            left -= exit.committed;
+                        }
+                        Plan::Record => {
+                            trace.start_recording(func as u32, target);
+                            recording = true;
+                        }
+                        Plan::Nothing { quiet: edges } => {
+                            quiet = Quiet {
+                                target,
+                                left: edges,
+                            };
+                        }
+                    }
+                    continue;
+                }
+                Handback::Other(ins) => ins,
+            };
 
+            if recording {
+                recording = trace.observe(pc as u32, ins, tier.max_trace_len);
+            }
+            // The instruction counts whether or not it completes.
+            left -= 1;
+            pc += 1;
+            let operands = ins.stack_effect().0 as usize;
+            if sp < operands {
+                done!(Termination::EnvFailure {
+                    scope: Scope::VirtualMachine,
+                    code: codes::VIRTUAL_MACHINE_ERROR,
+                    message: "operand stack underflow past the verifier".into(),
+                });
+            }
             match ins {
-                Instr::Push(v) => self.stack.push(v),
-                Instr::PushNull => self.stack.push(0),
-                Instr::Pop => {
-                    let _ = pop!();
-                }
-                Instr::Dup => {
-                    let v = pop!();
-                    self.stack.push(v);
-                    self.stack.push(v);
-                }
-                Instr::Swap => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(b);
-                    self.stack.push(a);
-                }
-                Instr::Add => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(a.wrapping_add(b));
-                }
-                Instr::Sub => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(a.wrapping_sub(b));
-                }
-                Instr::Mul => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(a.wrapping_mul(b));
-                }
-                Instr::Div => {
-                    let b = pop!();
-                    let a = pop!();
-                    if b == 0 {
-                        exception!("ArithmeticException", "/ by zero");
-                    }
-                    self.stack.push(a.wrapping_div(b));
-                }
-                Instr::Mod => {
-                    let b = pop!();
-                    let a = pop!();
-                    if b == 0 {
-                        exception!("ArithmeticException", "% by zero");
-                    }
-                    self.stack.push(a.wrapping_rem(b));
-                }
-                Instr::Neg => {
-                    let v = pop!();
-                    self.stack.push(v.wrapping_neg());
-                }
-                Instr::CmpEq => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(i64::from(a == b));
-                }
-                Instr::CmpLt => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(i64::from(a < b));
-                }
-                Instr::CmpGt => {
-                    let b = pop!();
-                    let a = pop!();
-                    self.stack.push(i64::from(a > b));
-                }
-                Instr::Jump(t) => {
-                    self.frames.last_mut().unwrap().pc = t as usize;
-                    taken_branch = Some(t);
-                }
-                Instr::JumpIfZero(t) => {
-                    if pop!() == 0 {
-                        self.frames.last_mut().unwrap().pc = t as usize;
-                        taken_branch = Some(t);
-                    }
-                }
-                Instr::JumpIfNonZero(t) => {
-                    if pop!() != 0 {
-                        self.frames.last_mut().unwrap().pc = t as usize;
-                        taken_branch = Some(t);
-                    }
-                }
-                Instr::Load(i) => {
-                    let v = self.frames.last().unwrap().locals[i as usize];
-                    self.stack.push(v);
-                }
-                Instr::Store(i) => {
-                    let v = pop!();
-                    self.frames.last_mut().unwrap().locals[i as usize] = v;
-                }
                 Instr::NewArray => {
                     let size = pop!();
                     if size < 0 {
                         exception!("NegativeArraySizeException", format!("size {size}"));
                     }
                     let words = size as u64;
-                    if self.heap_words + words > install.heap_limit {
+                    if *heap_words + words > install.heap_limit {
                         done!(Termination::EnvFailure {
                             scope: Scope::VirtualMachine,
                             code: codes::OUT_OF_MEMORY,
                             message: format!(
                                 "requested {words} words with {}/{} used",
-                                self.heap_words, install.heap_limit
+                                heap_words, install.heap_limit
                             ),
                         });
                     }
-                    self.heap_words += words;
-                    self.heap.push(vec![0; size as usize]);
-                    self.stack.push(self.heap.len() as i64); // handle = index + 1
-                }
-                Instr::ALen => {
-                    let r = pop!();
-                    match array(&self.heap, r) {
-                        Ok(a) => {
-                            let n = a.len() as i64;
-                            self.stack.push(n);
-                        }
-                        Err(e) => exception!("NullPointerException", e),
-                    }
-                }
-                Instr::ALoad => {
-                    let idx = pop!();
-                    let r = pop!();
-                    let a = match array(&self.heap, r) {
-                        Ok(a) => a,
-                        Err(e) => exception!("NullPointerException", e),
-                    };
-                    if idx < 0 || idx as usize >= a.len() {
-                        exception!(
-                            "ArrayIndexOutOfBoundsException",
-                            format!("index {idx} out of bounds for length {}", a.len())
-                        );
-                    }
-                    let v = a[idx as usize];
-                    self.stack.push(v);
-                }
-                Instr::AStore => {
-                    let val = pop!();
-                    let idx = pop!();
-                    let r = pop!();
-                    if r <= 0 || r as usize > self.heap.len() {
-                        exception!("NullPointerException", "store through null reference");
-                    }
-                    let a = &mut self.heap[r as usize - 1];
-                    if idx < 0 || idx as usize >= a.len() {
-                        exception!(
-                            "ArrayIndexOutOfBoundsException",
-                            format!("index {idx} out of bounds for length {}", a.len())
-                        );
-                    }
-                    a[idx as usize] = val;
+                    *heap_words += words;
+                    heap.push(vec![0; size as usize]);
+                    push!(heap.len() as i64); // handle = index + 1
                 }
                 Instr::Call(target) => {
-                    if self.frames.len() >= install.max_call_depth {
-                        vm_failure!(
-                            ErrorCode::new("StackOverflowError"),
-                            format!("call depth limit {} reached", install.max_call_depth)
-                        );
+                    if callers.len() + 1 >= install.max_call_depth {
+                        done!(Termination::EnvFailure {
+                            scope: Scope::VirtualMachine,
+                            code: ErrorCode::new("StackOverflowError"),
+                            message: format!("call depth limit {} reached", install.max_call_depth),
+                        });
                     }
-                    let t = target as usize;
-                    self.frames.push(Frame {
-                        func: t,
-                        pc: 0,
-                        locals: vec![0; image.functions[t].max_locals as usize],
-                    });
+                    callers.push(Frame { func, pc, base });
+                    func = target as usize;
+                    pc = 0;
+                    base = locals.len();
+                    let callee = &image.functions[func];
+                    code = &callee.code;
+                    locals.resize(base + callee.max_locals as usize, 0);
+                    lv = &mut locals[base..];
+                    quiet.left = 0;
                 }
-                Instr::Ret => {
-                    self.frames.pop();
-                    if self.frames.is_empty() {
-                        done!(Termination::Completed { exit_code: 0 });
-                    }
-                }
+                Instr::Ret => ret!(),
                 Instr::Exit => {
                     let code = pop!();
                     done!(Termination::Completed {
@@ -620,8 +701,13 @@ impl Machine {
                 }
                 Instr::Print => {
                     let v = pop!();
-                    self.stdout.push_str(&v.to_string());
-                    self.stdout.push('\n');
+                    if stdout.capacity() == 0 {
+                        // A program that prints usually prints in a loop:
+                        // skip the 8-16-32-64 doublings of an empty string.
+                        stdout.reserve(FIRST_PRINT);
+                    }
+                    stdout.push_str(decimal(v, &mut [0; 20]));
+                    stdout.push('\n');
                 }
                 Instr::StdCall(n) => {
                     if !install.has_stdlib() {
@@ -648,40 +734,40 @@ impl Machine {
                             exception!("NoSuchMethodError", format!("stdlib routine {other}"))
                         }
                     };
-                    self.stack.push(out);
+                    push!(out);
                 }
                 Instr::IoOpen { path, mode } => {
-                    self.io_ops += 1;
+                    *io_ops += 1;
                     let p = &image.strings[path as usize];
                     match io.open(p, mode) {
-                        IoOutcome::Ok(fd) => self.stack.push(i64::from(fd)),
+                        IoOutcome::Ok(fd) => push!(i64::from(fd)),
                         IoOutcome::Exception(m) => exception!("IOException", m),
                         IoOutcome::Escape(se) => escape!(se),
                     }
                 }
                 Instr::IoReadSum => {
-                    self.io_ops += 1;
+                    *io_ops += 1;
                     let fd = pop!();
                     match io.read_all(fd as u32) {
                         IoOutcome::Ok(data) => {
-                            self.stack.push(data.iter().map(|b| i64::from(*b)).sum());
+                            push!(data.iter().map(|b| i64::from(*b)).sum());
                         }
                         IoOutcome::Exception(m) => exception!("IOException", m),
                         IoOutcome::Escape(se) => escape!(se),
                     }
                 }
                 Instr::IoWriteNum => {
-                    self.io_ops += 1;
+                    *io_ops += 1;
                     let v = pop!();
                     let fd = pop!();
-                    match io.write(fd as u32, v.to_string().as_bytes()) {
+                    match io.write(fd as u32, decimal(v, &mut [0; 20]).as_bytes()) {
                         IoOutcome::Ok(()) => {}
                         IoOutcome::Exception(m) => exception!("IOException", m),
                         IoOutcome::Escape(se) => escape!(se),
                     }
                 }
                 Instr::IoClose => {
-                    self.io_ops += 1;
+                    *io_ops += 1;
                     let fd = pop!();
                     match io.close(fd as u32) {
                         IoOutcome::Ok(()) => {}
@@ -689,113 +775,280 @@ impl Machine {
                         IoOutcome::Escape(se) => escape!(se),
                     }
                 }
-            }
-
-            // Trace tier: a taken backward branch is the only place a loop
-            // can close, so it carries all the bookkeeping — hotness
-            // counting, recording kick-off, and compiled-trace entry. The
-            // straight-line interpreter path above pays nothing.
-            if let Some(target) = taken_branch {
-                if install.trace.enabled && target as usize <= pc && self.trace.recorder.is_none() {
-                    match self
-                        .trace
-                        .plan(func as u32, target, install.trace.hot_threshold)
-                    {
-                        Plan::Enter(tr) => {
-                            // Headroom: the runner never commits past the
-                            // fuel limit or the run budget, so those stops
-                            // always land on pure interpreter state.
-                            let fuel_left = install.fuel.saturating_sub(self.instructions);
-                            let remaining = match budget {
-                                Some(b) => fuel_left.min(b.saturating_sub(used)),
-                                None => fuel_left,
-                            };
-                            let frame = self.frames.last_mut().unwrap();
-                            let exit = crate::compile::run_trace(
-                                &tr,
-                                self.trace
-                                    .regs
-                                    .get_or_insert_with(|| Box::new([0; MAX_REGS])),
-                                &mut self.stack,
-                                &mut frame.locals,
-                                &mut self.heap,
-                                &mut self.heap_words,
-                                &mut self.stdout,
-                                install,
-                                remaining,
-                            );
-                            frame.pc = exit.pc as usize;
-                            self.instructions += exit.committed;
-                            used += exit.committed;
-                            self.trace.stats.compiled_instructions += exit.committed;
-                            if exit.guard {
-                                self.trace.stats.guard_exits += 1;
-                            }
-                        }
-                        Plan::Record => self.trace.start_recording(func as u32, target),
-                        Plan::Nothing => {}
-                    }
-                }
-            }
-        }
-    }
-
-    /// Feed one fetched instruction to the active recording. Unsupported
-    /// instructions (frame changes, terminators, I/O) close the trace with
-    /// a terminal bail at their pc; a taken jump landing on the head
-    /// closes the loop; an over-long recording (usually an unrolled inner
-    /// loop) is abandoned and its head blacklisted.
-    fn observe(&mut self, func: usize, pc: usize, ins: Instr, max_trace_len: usize) {
-        match ins {
-            Instr::Call(_)
-            | Instr::Ret
-            | Instr::Exit
-            | Instr::Halt
-            | Instr::Throw(_)
-            | Instr::IoOpen { .. }
-            | Instr::IoReadSum
-            | Instr::IoWriteNum
-            | Instr::IoClose => {
-                self.trace.finish_recording(Some(pc as u32));
-                return;
-            }
-            _ => {}
-        }
-        // Peek the branch outcome the interpreter is about to take. (A
-        // conditional jump over an empty stack terminates the run with the
-        // interpreter's underflow error; the recording dies with it.)
-        let taken = match ins {
-            Instr::Jump(_) => true,
-            Instr::JumpIfZero(_) => self.stack.last() == Some(&0),
-            Instr::JumpIfNonZero(_) => self.stack.last().is_some_and(|v| *v != 0),
-            _ => false,
-        };
-        let rec = self.trace.recorder.as_mut().expect("recording active");
-        rec.steps.push(Recorded {
-            pc: pc as u32,
-            ins,
-            taken,
-        });
-        if rec.steps.len() > max_trace_len {
-            self.trace.abort_recording();
-            return;
-        }
-        if taken {
-            if let Some(t) = ins.branch_target() {
-                let rec = self.trace.recorder.as_ref().expect("recording active");
-                if rec.func == func as u32 && t == rec.head {
-                    self.trace.finish_recording(None);
-                }
+                // One of `frame_loop`'s own, handed over because it
+                // cannot complete.
+                faulting => done!(fault(faulting, &stk[sp - operands..sp], heap)),
             }
         }
     }
 }
 
-fn array(heap: &[Vec<i64>], r: i64) -> Result<&Vec<i64>, String> {
-    if r <= 0 || r as usize > heap.len() {
-        Err("dereference of null or dangling reference".into())
-    } else {
-        Ok(&heap[r as usize - 1])
+/// Why [`frame_loop`] handed back.
+enum Handback {
+    /// The countdown ran out.
+    Spent,
+    /// The pc ran off the end of the function.
+    End,
+    /// The operand-stack buffer is full; nothing of the pushing
+    /// instruction has happened.
+    Full,
+    /// A jump was just taken, of a kind the caller asked to see.
+    Jumped {
+        /// The jump's own pc.
+        from: u32,
+        /// Where it landed.
+        target: u32,
+    },
+    /// The instruction at the pc is not the frame loop's, or is and cannot
+    /// complete; nothing of it has happened.
+    Other(Instr),
+}
+
+/// Taken backward branches to `target` the trace tier has said it need
+/// not see one by one: [`frame_loop`] takes up to `left` of them without
+/// handing back. Pcs are per function, so a frame change ends it.
+struct Quiet {
+    target: u32,
+    left: u32,
+}
+
+/// Which taken jumps [`frame_loop`] hands back after.
+#[derive(Clone, Copy)]
+enum Watch {
+    Never,
+    Backward,
+    Every,
+}
+
+/// The inner interpreter loop: the instructions that touch nothing but
+/// the frame. `at`, `depth` and `left` are the pc, the operand-stack depth
+/// over the buffer `stk` and the instruction countdown; they live in
+/// locals here and are written back on the way out. An instruction either
+/// completes or — operands missing, a zero divisor, a null or dangling
+/// reference, an index out of bounds, no room to push — is left untouched
+/// for the caller. Kept out of line so the caller's many live values do
+/// not compete with these for registers.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn frame_loop(
+    code: &[Instr],
+    stk: &mut [i64],
+    lv: &mut [i64],
+    heap: &mut [Vec<i64>],
+    at: &mut usize,
+    depth: &mut usize,
+    left: &mut u64,
+    watch: Watch,
+    quiet: &mut Quiet,
+) -> Handback {
+    let (mut pc, mut sp, mut n) = (*at, *depth, *left);
+    let mut unasked = quiet.left;
+    let handback = loop {
+        if n == 0 {
+            break Handback::Spent;
+        }
+        let Some(&ins) = code.get(pc) else {
+            break Handback::End;
+        };
+        // The top `$n` operands, or hand the instruction back.
+        macro_rules! top {
+            ($n:literal) => {{
+                let operands = sp.checked_sub($n).and_then(|lo| stk.get_mut(lo..sp));
+                match operands.and_then(|o| <&mut [i64; $n]>::try_from(o).ok()) {
+                    Some(operands) => operands,
+                    None => break Handback::Other(ins),
+                }
+            }};
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                match stk.get_mut(sp) {
+                    Some(slot) => *slot = v,
+                    None => break Handback::Full,
+                }
+                sp += 1;
+            }};
+        }
+        // Two operands in, one result out, in place.
+        macro_rules! binary {
+            (|$a:ident, $b:ident| $r:expr) => {{
+                let [a, b] = top!(2);
+                let ($a, $b) = (*a, *b);
+                *a = $r;
+                sp -= 1;
+            }};
+        }
+        macro_rules! jump {
+            ($t:expr) => {{
+                let from = pc;
+                pc = $t as usize;
+                n -= 1;
+                let seen = match watch {
+                    Watch::Backward if pc > from => false,
+                    Watch::Backward if $t == quiet.target && unasked > 0 => {
+                        unasked -= 1;
+                        false
+                    }
+                    Watch::Backward | Watch::Every => true,
+                    Watch::Never => false,
+                };
+                if seen {
+                    break Handback::Jumped {
+                        from: from as u32,
+                        target: $t,
+                    };
+                }
+                continue;
+            }};
+        }
+        // The array behind a handle (index + 1), or hand back.
+        macro_rules! array {
+            ($r:expr) => {
+                match usize::try_from($r)
+                    .ok()
+                    .and_then(|h| h.checked_sub(1))
+                    .and_then(|h| heap.get_mut(h))
+                {
+                    Some(a) => a,
+                    None => break Handback::Other(ins),
+                }
+            };
+        }
+        match ins {
+            Instr::Push(v) => push!(v),
+            Instr::PushNull => push!(0),
+            Instr::Pop => {
+                top!(1);
+                sp -= 1;
+            }
+            Instr::Dup => {
+                let [v] = *top!(1);
+                push!(v);
+            }
+            Instr::Swap => top!(2).swap(0, 1),
+            Instr::Add => binary!(|a, b| a.wrapping_add(b)),
+            Instr::Sub => binary!(|a, b| a.wrapping_sub(b)),
+            Instr::Mul => binary!(|a, b| a.wrapping_mul(b)),
+            Instr::Div => binary!(|a, b| {
+                if b == 0 {
+                    break Handback::Other(ins);
+                }
+                a.wrapping_div(b)
+            }),
+            Instr::Mod => binary!(|a, b| {
+                if b == 0 {
+                    break Handback::Other(ins);
+                }
+                a.wrapping_rem(b)
+            }),
+            Instr::Neg => {
+                let [v] = top!(1);
+                *v = v.wrapping_neg();
+            }
+            Instr::CmpEq => binary!(|a, b| i64::from(a == b)),
+            Instr::CmpLt => binary!(|a, b| i64::from(a < b)),
+            Instr::CmpGt => binary!(|a, b| i64::from(a > b)),
+            Instr::Jump(t) => jump!(t),
+            Instr::JumpIfZero(t) => {
+                let [v] = *top!(1);
+                sp -= 1;
+                if v == 0 {
+                    jump!(t);
+                }
+            }
+            Instr::JumpIfNonZero(t) => {
+                let [v] = *top!(1);
+                sp -= 1;
+                if v != 0 {
+                    jump!(t);
+                }
+            }
+            Instr::Load(i) => match lv.get(usize::from(i)) {
+                Some(&v) => push!(v),
+                None => break Handback::Other(ins),
+            },
+            Instr::Store(i) => {
+                let [v] = *top!(1);
+                match lv.get_mut(usize::from(i)) {
+                    Some(slot) => *slot = v,
+                    None => break Handback::Other(ins),
+                }
+                sp -= 1;
+            }
+            Instr::ALen => {
+                let [r] = top!(1);
+                *r = array!(*r).len() as i64;
+            }
+            Instr::ALoad => {
+                let [r, idx] = top!(2);
+                let a = array!(*r);
+                match usize::try_from(*idx).ok().and_then(|at| a.get(at)) {
+                    Some(&v) => *r = v,
+                    None => break Handback::Other(ins),
+                }
+                sp -= 1;
+            }
+            Instr::AStore => {
+                let [r, idx, val] = *top!(3);
+                let a = array!(r);
+                match usize::try_from(idx).ok().and_then(|at| a.get_mut(at)) {
+                    Some(slot) => *slot = val,
+                    None => break Handback::Other(ins),
+                }
+                sp -= 3;
+            }
+            _ => break Handback::Other(ins),
+        }
+        pc += 1;
+        n -= 1;
+    };
+    (*at, *depth, *left, quiet.left) = (pc, sp, n, unasked);
+    handback
+}
+
+/// What a frame-loop instruction that could not complete raises; its
+/// operands are present in `operands`, bottom first.
+#[cold]
+fn fault(ins: Instr, operands: &[i64], heap: &[Vec<i64>]) -> Termination {
+    let exception = |name: &str, message: String| Termination::Exception {
+        name: name.to_string(),
+        message,
+    };
+    let array = |r: i64| {
+        usize::try_from(r)
+            .ok()
+            .and_then(|h| h.checked_sub(1))
+            .and_then(|h| heap.get(h))
+    };
+    let out_of_bounds = |idx: i64, a: &Vec<i64>| {
+        exception(
+            "ArrayIndexOutOfBoundsException",
+            format!("index {idx} out of bounds for length {}", a.len()),
+        )
+    };
+    let null = || "dereference of null or dangling reference".to_string();
+    match (ins, operands) {
+        (Instr::Div, _) => exception("ArithmeticException", "/ by zero".into()),
+        (Instr::Mod, _) => exception("ArithmeticException", "% by zero".into()),
+        (Instr::ALen, _) => exception("NullPointerException", null()),
+        (Instr::ALoad, &[r, idx]) => match array(r) {
+            Some(a) => out_of_bounds(idx, a),
+            None => exception("NullPointerException", null()),
+        },
+        (Instr::AStore, &[r, idx, _]) => match array(r) {
+            Some(a) => out_of_bounds(idx, a),
+            None => exception(
+                "NullPointerException",
+                "store through null reference".into(),
+            ),
+        },
+        // A local the verifier never saw.
+        _ => Termination::EnvFailure {
+            scope: Scope::VirtualMachine,
+            code: codes::VIRTUAL_MACHINE_ERROR,
+            message: format!("{ins:?} cannot execute past the verifier"),
+        },
     }
 }
 
@@ -1099,6 +1352,15 @@ mod tests {
             Instr::Halt,
         ]);
         assert_eq!(out.stdout, "99\n4\n");
+    }
+
+    #[test]
+    fn decimal_is_the_text_to_string_writes() {
+        let mut values = vec![0, 1, -1, 9, 10, -10, 42, i64::MAX, i64::MIN, i64::MIN + 1];
+        values.extend((0..63).flat_map(|bit| [1i64 << bit, -(1i64 << bit), (1i64 << bit) - 1]));
+        for v in values {
+            assert_eq!(decimal(v, &mut [0; 20]), v.to_string());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! operand stack. A program that fails verification can never run anywhere
 //! — a **job-scope** error, like a corrupt image.
 
-use crate::image::ProgramImage;
+use crate::image::{Function, ProgramImage};
 use crate::isa::Instr;
 use std::fmt;
 
@@ -34,7 +34,10 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verify a whole image. Returns the first problem found.
+/// Verify a whole image. Returns the first problem found: function by
+/// function, structural problems (jump targets, local, call and string
+/// indices) at any pc before stack-depth problems, and the entry
+/// function's arity last.
 pub fn verify(img: &ProgramImage) -> Result<(), VerifyError> {
     if img.entry as usize >= img.functions.len() {
         return Err(VerifyError {
@@ -43,51 +46,18 @@ pub fn verify(img: &ProgramImage) -> Result<(), VerifyError> {
             reason: "entry function out of range".into(),
         });
     }
+    // One depth array serves every function, sized for the longest.
+    let longest = img.functions.iter().map(|f| f.code.len()).max();
+    let mut depth = vec![0; longest.unwrap_or(0)];
     for (fi, f) in img.functions.iter().enumerate() {
-        let n = f.code.len();
-        if n == 0 {
+        if f.code.is_empty() {
             return Err(VerifyError {
                 function: fi,
                 at: usize::MAX,
                 reason: "empty function body".into(),
             });
         }
-        for (pc, ins) in f.code.iter().enumerate() {
-            if let Some(t) = ins.branch_target() {
-                if t as usize >= n {
-                    return Err(VerifyError {
-                        function: fi,
-                        at: pc,
-                        reason: format!("jump target {t} out of range (len {n})"),
-                    });
-                }
-            }
-            match ins {
-                Instr::Load(i) | Instr::Store(i) if *i >= f.max_locals => {
-                    return Err(VerifyError {
-                        function: fi,
-                        at: pc,
-                        reason: format!("local {i} >= max_locals {}", f.max_locals),
-                    });
-                }
-                Instr::Call(t) if *t as usize >= img.functions.len() => {
-                    return Err(VerifyError {
-                        function: fi,
-                        at: pc,
-                        reason: format!("call target {t} out of range"),
-                    });
-                }
-                Instr::IoOpen { path, .. } if *path as usize >= img.strings.len() => {
-                    return Err(VerifyError {
-                        function: fi,
-                        at: pc,
-                        reason: format!("string index {path} out of range"),
-                    });
-                }
-                _ => {}
-            }
-        }
-        check_stack_depths(fi, f, img)?;
+        check_function(fi, f, img, &mut depth[..f.code.len()])?;
     }
     let entry = &img.functions[img.entry as usize];
     if entry.args != 0 {
@@ -100,86 +70,135 @@ pub fn verify(img: &ProgramImage) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Abstract interpretation of operand-stack depth: every instruction must
-/// have enough operands on every path. Depths merge by minimum, iterated to
-/// a fixed point. Each function declares its stack arity: it starts with
-/// `args` operands available, a `Call` consumes the callee's `args` and
-/// produces its `rets`, and every `Ret` must leave exactly `rets` operands.
-fn check_stack_depths(
+/// The operand-stack effect `(pops, pushes)` of the instruction at `pc`,
+/// once its operand is known to name something: a jump target inside the
+/// function, a local the function declares, a function or a string the
+/// image has.
+fn check_operand(
     fi: usize,
-    f: &crate::image::Function,
+    f: &Function,
     img: &ProgramImage,
+    pc: usize,
+) -> Result<(u32, u32), VerifyError> {
+    let refuse = |reason: String| {
+        Err(VerifyError {
+            function: fi,
+            at: pc,
+            reason,
+        })
+    };
+    let n = f.code.len();
+    match f.code[pc] {
+        Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNonZero(t) if t as usize >= n => {
+            refuse(format!("jump target {t} out of range (len {n})"))
+        }
+        Instr::Load(i) | Instr::Store(i) if i >= f.max_locals => {
+            refuse(format!("local {i} >= max_locals {}", f.max_locals))
+        }
+        Instr::IoOpen { path, .. } if path as usize >= img.strings.len() => {
+            refuse(format!("string index {path} out of range"))
+        }
+        Instr::Call(t) => match img.functions.get(t as usize) {
+            Some(callee) => Ok((u32::from(callee.args), u32::from(callee.rets))),
+            None => refuse(format!("call target {t} out of range")),
+        },
+        other => Ok(other.stack_effect()),
+    }
+}
+
+/// A pc no path has reached.
+const UNREACHED: i64 = i64::MAX;
+
+/// One function: operands, then abstract interpretation of operand-stack
+/// depth — every instruction must have enough operands on every path.
+/// Each function declares its stack arity: it starts with `args` operands
+/// available, a `Call` consumes the callee's `args` and produces its
+/// `rets`, and every `Ret` must leave exactly `rets` operands.
+///
+/// `depth[pc]` is the least depth any path found so far enters `pc`
+/// with, stored as its complement (so negative) while `pc` still has to
+/// be looked at with it. Depths merge by minimum. Code runs forward, so
+/// one forward pass settles everything a back-edge does not lower; each
+/// later sweep looks only at the pcs an earlier one lowered, in pc order,
+/// and there are at most as many sweeps as instructions — the fixpoint
+/// iteration this replaces, without the sweeps that found nothing to do.
+fn check_function(
+    fi: usize,
+    f: &Function,
+    img: &ProgramImage,
+    depth: &mut [i64],
 ) -> Result<(), VerifyError> {
     let n = f.code.len();
-    // None = unreachable so far; Some(d) = minimum observed entry depth.
-    let mut depth: Vec<Option<i64>> = vec![None; n];
-    depth[0] = Some(i64::from(f.args));
-    // Iterate to fixed point; bound iterations to avoid pathological loops.
-    for _ in 0..=n {
-        let mut changed = false;
-        for pc in 0..n {
-            let Some(d) = depth[pc] else { continue };
-            let ins = &f.code[pc];
-            let (pops, pushes) = match ins {
-                Instr::Call(t) => {
-                    let callee = &img.functions[*t as usize];
-                    (u32::from(callee.args), u32::from(callee.rets))
-                }
-                Instr::Ret => {
-                    if d != i64::from(f.rets) {
-                        return Err(VerifyError {
-                            function: fi,
-                            at: pc,
-                            reason: format!(
-                                "ret with operand depth {d}, function declares rets={}",
-                                f.rets
-                            ),
-                        });
-                    }
-                    (0, 0)
-                }
-                other => other.stack_effect(),
+    depth.fill(UNREACHED);
+    depth[0] = !i64::from(f.args);
+    let mut pending = Some(0);
+    for sweep in 0..=n {
+        let Some(from) = pending.take() else {
+            break;
+        };
+        for pc in from..n {
+            // Operands are checked on the first sweep, reached or not.
+            if sweep > 0 && depth[pc] >= 0 {
+                continue;
+            }
+            let (pops, pushes) = check_operand(fi, f, img, pc)?;
+            if depth[pc] >= 0 {
+                continue;
+            }
+            let d = !depth[pc];
+            depth[pc] = d;
+            let ins = f.code[pc];
+            let problem = if matches!(ins, Instr::Ret) && d != i64::from(f.rets) {
+                Some(format!(
+                    "ret with operand depth {d}, function declares rets={}",
+                    f.rets
+                ))
+            } else if d < i64::from(pops) {
+                Some(format!(
+                    "operand stack underflow: depth {d}, instruction pops {pops}"
+                ))
+            } else {
+                None
             };
-            if d < pops as i64 {
+            if let Some(reason) = problem {
+                // A bad operand anywhere in the function comes first.
+                if sweep == 0 {
+                    for later in pc + 1..n {
+                        check_operand(fi, f, img, later)?;
+                    }
+                }
                 return Err(VerifyError {
                     function: fi,
                     at: pc,
-                    reason: format!("operand stack underflow: depth {d}, instruction pops {pops}"),
+                    reason,
                 });
             }
-            let out = d - pops as i64 + pushes as i64;
-            let mut feed = |target: usize, val: i64, changed: &mut bool| {
-                let entry = &mut depth[target];
-                match entry {
-                    None => {
-                        *entry = Some(val);
-                        *changed = true;
+            let out = d - i64::from(pops) + i64::from(pushes);
+            let mut feed = |target: usize| {
+                let known = depth[target];
+                if out < if known < 0 { !known } else { known } {
+                    depth[target] = !out;
+                    // What lies ahead is reached by this sweep.
+                    if target <= pc {
+                        pending = Some(pending.map_or(target, |p: usize| p.min(target)));
                     }
-                    Some(cur) if val < *cur => {
-                        *cur = val;
-                        *changed = true;
-                    }
-                    _ => {}
                 }
             };
             match ins {
-                Instr::Jump(t) => feed(*t as usize, out, &mut changed),
+                Instr::Jump(t) => feed(t as usize),
                 Instr::JumpIfZero(t) | Instr::JumpIfNonZero(t) => {
-                    feed(*t as usize, out, &mut changed);
+                    feed(t as usize);
                     if pc + 1 < n {
-                        feed(pc + 1, out, &mut changed);
+                        feed(pc + 1);
                     }
                 }
                 Instr::Ret | Instr::Exit | Instr::Halt | Instr::Throw(_) => {}
                 _ => {
                     if pc + 1 < n {
-                        feed(pc + 1, out, &mut changed);
+                        feed(pc + 1);
                     }
                 }
             }
-        }
-        if !changed {
-            break;
         }
     }
     Ok(())
@@ -299,5 +318,117 @@ mod tests {
             Instr::Halt,          // 9
         ]);
         assert!(verify(&p).is_ok());
+    }
+
+    /// SplitMix64.
+    fn mix(z: &mut u64) -> u64 {
+        *z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut x = *z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// Damage `img` somewhere a verifier has an opinion about: swap an
+    /// instruction for one that moves the stack, the control flow or an
+    /// index, cut the body short, or change a declared arity.
+    fn mutate(img: &mut ProgramImage, z: &mut u64) {
+        let nfuncs = img.functions.len() as u64;
+        let f = &mut img.functions[(mix(z) % nfuncs) as usize];
+        let n = f.code.len() as u64;
+        let target = |z: &mut u64| (mix(z) % (n + 2)) as u32;
+        let small = |z: &mut u64| (mix(z) % 10) as u8;
+        let ins = match mix(z) % 24 {
+            0 => Instr::Jump(target(z)),
+            1 => Instr::JumpIfZero(target(z)),
+            2 => Instr::JumpIfNonZero(target(z)),
+            3 => Instr::Pop,
+            4 => Instr::Dup,
+            5 => Instr::Swap,
+            6 => Instr::Add,
+            7 => Instr::Push(1),
+            8 => Instr::Load(small(z)),
+            9 => Instr::Store(small(z)),
+            10 => Instr::Ret,
+            11 => Instr::Halt,
+            12 => Instr::Call((mix(z) % (nfuncs + 1)) as u16),
+            13 => Instr::IoOpen {
+                path: (mix(z) % 3) as u16,
+                mode: IoMode::Read,
+            },
+            14 => Instr::Print,
+            15 => Instr::ALoad,
+            16 => Instr::AStore,
+            17 => Instr::Exit,
+            18 => Instr::Throw(1),
+            19 => {
+                f.code.truncate((mix(z) % (n + 1)) as usize);
+                return;
+            }
+            20 => {
+                f.rets = (mix(z) % 3) as u8;
+                return;
+            }
+            21 => {
+                f.args = (mix(z) % 3) as u8;
+                return;
+            }
+            22 => {
+                f.max_locals = small(z);
+                return;
+            }
+            _ => Instr::Neg,
+        };
+        if n > 0 {
+            f.code[(mix(z) % n) as usize] = ins;
+        }
+    }
+
+    /// The verdict on every image of a mutated corpus — `Ok`, or the
+    /// function, pc and reason of the first problem — recorded by running
+    /// this test body against the two-sweep fixpoint verifier this one
+    /// replaced. Same inputs, same `VerifyError`s.
+    #[test]
+    fn verdicts_on_a_mutated_corpus_equal_the_recorded_ones() {
+        const RECORDED: (u64, usize) = (0x15f4_67ff_efd6_ff05, 11124);
+        let helper = |args: u8, rets: u8| Function {
+            name: "helper".into(),
+            max_locals: 1,
+            args,
+            rets,
+            code: (0..args)
+                .map(|_| Instr::Pop)
+                .chain((0..rets).map(|_| Instr::Push(7)))
+                .chain([Instr::Ret])
+                .collect(),
+        };
+        let (mut digest, mut refused) = (0u64, 0);
+        for seed in 0..2000u64 {
+            let base = ProgramImage::from_bytes(&crate::programs::generate(seed)).unwrap();
+            for round in 0..8u64 {
+                let mut z = seed * 8 + round;
+                let mut img = base.clone();
+                if round % 2 == 1 {
+                    img.functions
+                        .push(helper((mix(&mut z) % 3) as u8, (mix(&mut z) % 3) as u8));
+                }
+                for _ in 0..1 + mix(&mut z) % 3 {
+                    mutate(&mut img, &mut z);
+                }
+                let verdict = match verify(&img) {
+                    Ok(()) => "ok".to_string(),
+                    Err(e) => e.to_string(),
+                };
+                refused += usize::from(verdict != "ok");
+                let mut bytes = digest.to_le_bytes().to_vec();
+                bytes.extend_from_slice(verdict.as_bytes());
+                digest = ckpt::fnv1a(&bytes);
+            }
+        }
+        assert_eq!(
+            (digest, refused),
+            RECORDED,
+            "got ({digest:#018x}, {refused})"
+        );
     }
 }

@@ -86,12 +86,12 @@ impl PartialEq for WrappedRun {
 /// scope, and produce the result file.
 pub fn run_wrapped(image_bytes: &[u8], install: &Installation, io: &mut dyn JobIo) -> WrappedRun {
     let out = load_and_run(image_bytes, install, io);
-    let result_file = classify(&out.termination);
     let jvm_exit = match &out.termination {
         Termination::Completed { exit_code } => NaiveExit(*exit_code),
         _ => NaiveExit(1),
     };
-    let journey = journey_for(&out);
+    let journey = journey_for(&out.termination, out.env_error);
+    let result_file = result_file(out.termination);
     let result_file_bytes = result_file.to_json();
     WrappedRun {
         jvm_exit,
@@ -105,39 +105,43 @@ pub fn run_wrapped(image_bytes: &[u8], install: &Installation, io: &mut dyn JobI
 }
 
 /// The wrapper's contribution to the error's telemetry journey. An I/O
-/// escape already carries its span and trail from the io-library; a failure
-/// detected by the VM itself starts its journey here. Either way the
-/// wrapper's own act — catching the error and re-expressing it as a result
-/// file — is appended as the journey's latest hop.
-fn journey_for(out: &RunOutput) -> Option<ScopedError> {
+/// escape already carries its span and trail from the io-library (it
+/// arrives as `escaped`); a failure detected by the VM itself starts its
+/// journey here. Either way the wrapper's own act — catching the error and
+/// re-expressing it as a result file — is appended as the journey's latest
+/// hop.
+fn journey_for(t: &Termination, escaped: Option<ScopedError>) -> Option<ScopedError> {
     let Termination::EnvFailure {
         scope,
         code,
         message,
-    } = &out.termination
+    } = t
     else {
         return None;
     };
-    let err = match &out.env_error {
-        Some(original) => original.clone(),
-        None => ScopedError::escaping(code.clone(), *scope, "wrapper", message.clone()),
-    };
+    let err = escaped
+        .unwrap_or_else(|| ScopedError::escaping(code.clone(), *scope, "wrapper", message.clone()));
     Some(err.reexpress("wrapper"))
 }
 
 /// The wrapper's classification step: termination → result file.
 pub fn classify(t: &Termination) -> ResultFile {
+    result_file(t.clone())
+}
+
+/// [`classify`] for a termination nobody else needs: its text moves into
+/// the result file.
+fn result_file(t: Termination) -> ResultFile {
     match t {
-        Termination::Completed { exit_code } => ResultFile::completed(*exit_code),
-        Termination::Exception { name, message } => ResultFile::program_exception(
-            errorscope::ErrorCode::owned(name.clone()),
-            message.clone(),
-        ),
+        Termination::Completed { exit_code } => ResultFile::completed(exit_code),
+        Termination::Exception { name, message } => {
+            ResultFile::program_exception(errorscope::ErrorCode::owned(name), message)
+        }
         Termination::EnvFailure {
             scope,
             code,
             message,
-        } => ResultFile::environment_failure(*scope, code.clone(), message.clone()),
+        } => ResultFile::environment_failure(scope, code, message),
     }
 }
 

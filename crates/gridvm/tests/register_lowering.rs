@@ -15,9 +15,9 @@ use gridvm::{
 };
 
 /// Run `img` under `install` with the tier off and with `trace`, whole
-/// and in lock step at each cadence; every observable must agree. Returns
-/// the traced run's tier counters. `swap` optionally replaces the
-/// installation after that many instructions (on both sides).
+/// and in lock step at budget cadences 1, 7 and 1000; every observable
+/// must agree. Returns the traced run's tier counters. `swap` optionally
+/// replaces the installation after that many instructions (on both sides).
 fn agree(
     what: &str,
     img: &ProgramImage,
@@ -25,11 +25,27 @@ fn agree(
     trace: TraceConfig,
     swap: Option<(u64, &Installation)>,
 ) -> VmStats {
+    let cadences = [None, Some(1), Some(7), Some(1000)];
+    walk(what, img, install, trace, swap, &cadences, |_| {})
+}
+
+/// [`agree`] at the given cadences (`None` is the whole run). `at_cut`
+/// sees the checkpoint bytes of every suspension, after both sides have
+/// been held to the same ones.
+fn walk(
+    what: &str,
+    img: &ProgramImage,
+    install: &Installation,
+    trace: TraceConfig,
+    swap: Option<(u64, &Installation)>,
+    cadences: &[Option<u64>],
+    mut at_cut: impl FnMut(&[u8]),
+) -> VmStats {
     let off = |i: &Installation| i.clone().with_trace(TraceConfig::off());
     let on = |i: &Installation| i.clone().with_trace(trace);
     let digest = ckpt::fnv1a(&img.to_bytes());
     let mut stats = VmStats::default();
-    for cadence in [None, Some(1), Some(7), Some(1000)] {
+    for &cadence in cadences {
         let mut interp = Machine::new(img);
         let mut traced = Machine::new(img);
         let mut current = install;
@@ -47,12 +63,16 @@ fn agree(
             let b = traced.run(img, &on(current), &mut NoIo, budget);
             match (a, b) {
                 (Some(a), Some(b)) => break (a, b),
-                (None, None) => assert_eq!(
-                    interp.snapshot(digest).to_bytes(),
-                    traced.snapshot(digest).to_bytes(),
-                    "{what}, cadence {cadence:?}: checkpoints differ at {} instructions",
-                    interp.instructions()
-                ),
+                (None, None) => {
+                    let cut = traced.snapshot(digest).to_bytes();
+                    assert_eq!(
+                        interp.snapshot(digest).to_bytes(),
+                        cut,
+                        "{what}, cadence {cadence:?}: checkpoints differ at {} instructions",
+                        interp.instructions()
+                    );
+                    at_cut(&cut);
+                }
                 (a, b) => panic!(
                     "{what}, cadence {cadence:?}: one side suspended, one ended: {a:?} / {b:?}"
                 ),
@@ -449,4 +469,206 @@ fn a_trace_too_big_for_the_register_file_is_blacklisted_not_truncated() {
     let img = counted_loop(vec![], 50, body);
     let vm = agree("register pressure, fits", &img, &install, roomy, None);
     assert_eq!(vm.traces_compiled, 1, "{vm:?}");
+}
+
+// ---------------------------------------------------------------------
+// Recorded constants: the machine's layout may move, its bytes may not
+// ---------------------------------------------------------------------
+
+/// Fold `bytes` into the running FNV-1a `h`.
+fn fold(h: &mut u64, bytes: &[u8]) {
+    let mut buf = h.to_le_bytes().to_vec();
+    buf.extend_from_slice(bytes);
+    *h = ckpt::fnv1a(&buf);
+}
+
+/// The ledger's five installation arms.
+fn arms(seed: u64) -> [Installation; 5] {
+    [
+        Installation::healthy(),
+        Installation::missing_stdlib(),
+        Installation::healthy().with_heap_limit(1 << 12),
+        Installation::healthy().with_fuel(500 + seed * 7919 % 4000),
+        Installation::bad_path(),
+    ]
+}
+
+/// `main` → `scale` → `sum` → `fold7`, thirty times over: every frame
+/// has locals of its own, `sum`'s loop gets hot (at a threshold of 16,
+/// two calls in), and a cut every 97 instructions lands at every depth.
+fn call_chain() -> ProgramImage {
+    use gridvm::Function;
+    let function = |name: &str, max_locals, args, rets, code| Function {
+        name: name.into(),
+        max_locals,
+        args,
+        rets,
+        code,
+    };
+    let img = ProgramImage {
+        entry: 0,
+        functions: vec![
+            function(
+                "main",
+                2,
+                0,
+                0,
+                vec![
+                    Instr::Push(0),        // 0: acc = 0
+                    Instr::Store(0),       // 1
+                    Instr::Push(0),        // 2: i = 0
+                    Instr::Store(1),       // 3
+                    Instr::Load(1),        // 4: while i < 30
+                    Instr::Push(30),       // 5
+                    Instr::CmpLt,          // 6
+                    Instr::JumpIfZero(19), // 7
+                    Instr::Load(0),        // 8: acc += scale(i)
+                    Instr::Load(1),        // 9
+                    Instr::Call(1),        // 10
+                    Instr::Add,            // 11
+                    Instr::Store(0),       // 12
+                    Instr::Load(1),        // 13: i += 1
+                    Instr::Push(1),        // 14
+                    Instr::Add,            // 15
+                    Instr::Store(1),       // 16
+                    Instr::Jump(4),        // 17
+                    Instr::Halt,           // 18: (never reached)
+                    Instr::Load(0),        // 19
+                    Instr::Print,          // 20
+                ],
+            ),
+            function(
+                "scale",
+                1,
+                1,
+                1,
+                vec![
+                    Instr::Store(0), // x
+                    Instr::Load(0),
+                    Instr::Push(3),
+                    Instr::Mul,
+                    Instr::Call(2),
+                    Instr::Load(0),
+                    Instr::Add,
+                    Instr::Ret,
+                ],
+            ),
+            function(
+                "sum",
+                3,
+                1,
+                1,
+                vec![
+                    Instr::Store(0),       // 0: n
+                    Instr::Push(0),        // 1: j = 0
+                    Instr::Store(1),       // 2
+                    Instr::Load(1),        // 3: while j < 9
+                    Instr::Push(9),        // 4
+                    Instr::CmpLt,          // 5
+                    Instr::JumpIfZero(19), // 6
+                    Instr::Load(2),        // 7: s += fold7(n + j)
+                    Instr::Load(0),        // 8
+                    Instr::Load(1),        // 9
+                    Instr::Add,            // 10
+                    Instr::Call(3),        // 11
+                    Instr::Add,            // 12
+                    Instr::Store(2),       // 13
+                    Instr::Load(1),        // 14: j += 1
+                    Instr::Push(1),        // 15
+                    Instr::Add,            // 16
+                    Instr::Store(1),       // 17
+                    Instr::Jump(3),        // 18
+                    Instr::Load(2),        // 19
+                    Instr::Ret,            // 20
+                ],
+            ),
+            // Falls off its end: the implicit return.
+            function(
+                "fold7",
+                1,
+                1,
+                1,
+                vec![
+                    Instr::Store(0),
+                    Instr::Load(0),
+                    Instr::Load(0),
+                    Instr::Mul,
+                    Instr::Push(7),
+                    Instr::Mod,
+                ],
+            ),
+        ],
+        strings: vec![],
+    };
+    verify(&img).expect("call chain verifies");
+    img
+}
+
+/// What the job path hands the starter, what the tier counted on the way
+/// and what a checkpoint holds, as recorded by running this same test
+/// body on the parent of the PR that moved the interpreter's frame into
+/// locals (flat locals arena, operand stack depth over a pre-sized
+/// buffer): neither the arena nor the slack above the stack depth may
+/// reach an output or a checkpoint. The hot threshold is spelled out —
+/// it was the parent's default — so the tier's counters are the parent's
+/// whatever the default has moved to since.
+#[test]
+fn outputs_and_checkpoints_equal_the_recorded_ones() {
+    use gridvm::run_wrapped;
+    const RECORDED_OUTPUTS: u64 = 0xf965_9126_7fe3_95f5;
+    const RECORDED_TIER: u64 = 0x8756_7454_ff36_0761;
+    const RECORDED_CHECKPOINTS: u64 = 0x7f7b_b4db_03e2_2b1c;
+    let at_16 = TraceConfig {
+        hot_threshold: 16,
+        ..TraceConfig::default()
+    };
+
+    let (mut outputs, mut tier) = (0, 0);
+    for seed in 0..2000 {
+        let bytes = programs::generate(seed);
+        for install in arms(seed) {
+            let w = run_wrapped(&bytes, &install.with_trace(at_16), &mut NoIo);
+            fold(&mut outputs, &w.jvm_exit.0.to_le_bytes());
+            fold(&mut outputs, w.result_file_bytes.as_bytes());
+            fold(&mut outputs, w.stdout.as_bytes());
+            fold(&mut outputs, &w.instructions.to_le_bytes());
+            let vm = [
+                w.vm.traces_recorded,
+                w.vm.traces_compiled,
+                w.vm.guard_exits,
+                w.vm.compiled_instructions,
+            ];
+            for n in vm {
+                fold(&mut tier, &n.to_le_bytes());
+            }
+        }
+    }
+
+    let load = |bytes: Vec<u8>| ProgramImage::from_bytes(&bytes).expect("loads");
+    let mut images: Vec<ProgramImage> = (0..200).map(|s| load(programs::generate(s))).collect();
+    images.push(load(programs::cpu_bound(300)));
+    images.push(load(programs::heap_sum(150)));
+    images.push(call_chain());
+    let install = Installation::healthy();
+    let (mut checkpoints, mut cuts) = (0, 0);
+    for (i, img) in images.iter().enumerate() {
+        let digest = ckpt::fnv1a(&img.to_bytes());
+        let straight = execute(img, &install, &mut NoIo);
+        let every_97 = [Some(97)];
+        let what = format!("recorded image {i}");
+        walk(&what, img, &install, at_16, None, &every_97, |cut| {
+            fold(&mut checkpoints, cut);
+            cuts += 1;
+            let state = ckpt::MachineState::from_bytes(cut).expect("decodes");
+            let mut back = Machine::restore(state, img, digest).expect("restores");
+            let finished = back.run(img, &install, &mut NoIo, None);
+            assert_eq!(finished.as_ref(), Some(&straight), "{what}, cut {cuts}");
+        });
+    }
+    assert!(cuts > 900, "only {cuts} cuts");
+    assert_eq!(
+        (outputs, tier, checkpoints),
+        (RECORDED_OUTPUTS, RECORDED_TIER, RECORDED_CHECKPOINTS),
+        "got ({outputs:#018x}, {tier:#018x}, {checkpoints:#018x})"
+    );
 }

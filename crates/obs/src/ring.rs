@@ -22,7 +22,7 @@ impl<T> RingBuffer<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingBuffer {
-            buf: VecDeque::with_capacity(capacity.min(1024)),
+            buf: VecDeque::new(),
             capacity,
             evicted: 0,
         }

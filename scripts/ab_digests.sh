@@ -12,7 +12,9 @@
 # `parity` job); the full sizes take about ten minutes on two cores.
 # Naming workloads lets a change that honestly moves one digest still prove
 # the rest. Timings are not compared — that is `ledger compare` and the
-# benchmark driver's job.
+# benchmark driver's job — but the two binaries are what a perf table is
+# usually taken from next, so the script prints where each side's
+# `gridvm::compile::run_ops` instantiations start mod 64.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +34,20 @@ cargo build --release --quiet -p ledger
 (cd "$tree" && CARGO_TARGET_DIR="$target/ab_digests/build" cargo build --release --quiet -p ledger)
 head_bin="$target/release/ledger"
 base_bin="$target/ab_digests/build/release/ledger"
+
+# Where the trace executor landed on each side. `vm_hot_loops` reads up to
+# 20 % apart between two builds of identical `run_ops` machine code as its
+# start moves mod 64 (ROADMAP 1(i)); `.cargo/config.toml` pins every
+# function to 0x00 from PR 18 on, so a base built before that — or any
+# build under an environment RUSTFLAGS — says so here, next to whatever
+# timings are taken from these two binaries.
+placement() {
+    nm -S -C "$1" | grep 'gridvm::compile::run_ops' | while read -r addr size _; do
+        printf ' 0x%02x (%d bytes)' $((0x$addr % 64)) $((0x$size))
+    done
+}
+printf 'run_ops start mod 64, base:  %s\n' "$(placement "$base_bin")"
+printf 'run_ops start mod 64, change:%s\n' "$(placement "$head_bin")"
 
 # "<sim_digest> <ops_failed>" of one run.
 outcome() {
