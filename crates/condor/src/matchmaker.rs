@@ -3,9 +3,13 @@
 //! "This process collects information about all participants, and notifies
 //! schedds and startds of compatible partners. Matched processes are
 //! individually responsible for communicating with each other and verifying
-//! that their needs are met" (§2.1). The matchmaker holds soft state only:
-//! ads expire, and a lost notification merely delays a job until the next
-//! negotiation cycle.
+//! that their needs are met" (§2.1). The matchmaker holds soft state only,
+//! kept by lease: an ad lives [`AD_LIFETIME`], its sender renews it at half
+//! that, and says at once when something changes. A match consumes both
+//! ads, and until the next cycle starts an ad its sender put on the wire
+//! before it could have heard of the match is *fenced* — dropped instead of
+//! matched a second time. A lost notification therefore delays a job by two
+//! negotiation cycles: one behind the fence, one to be matched again.
 //!
 //! # Negotiation at scale
 //!
@@ -62,8 +66,9 @@ use std::sync::Arc;
 
 /// How often the matchmaker runs a negotiation cycle.
 pub const NEGOTIATE_PERIOD: SimDuration = SimDuration::from_secs(10);
-/// Machine ads older than this are discarded (the startd re-advertises
-/// every few seconds while alive).
+/// The lease on a machine ad: one not renewed for longer than this is
+/// discarded at the next cycle (a live startd renews it every
+/// [`crate::startd::KEEPALIVE_PERIOD`], half of this).
 pub const AD_LIFETIME: SimDuration = SimDuration::from_secs(30);
 
 /// Counters the matchmaker accumulates, projected into registries as
@@ -80,6 +85,17 @@ pub struct MatchmakerStats {
     pub cycles: u64,
     /// Machine + job ads live at the start of the last cycle.
     pub ads_active: u64,
+    /// Machine ads that renewed the lease of the entry already held (the
+    /// same `Arc`, or equal content): the clock moves, nothing else.
+    pub ads_refreshed: u64,
+    /// Machine ads admitted under a new generation: first sight, changed
+    /// content, or back after being consumed or expired.
+    pub ads_admitted: u64,
+    /// Machine ads whose lease ran out.
+    pub ads_expired: u64,
+    /// Machine ads dropped at the fence: sent before their machine could
+    /// have heard of the match that consumed its previous ad.
+    pub ads_fenced: u64,
     /// Wall-clock microseconds per negotiation cycle. **Nondeterministic**:
     /// kept out of [`MatchmakerStats::register_into`] so registry snapshots
     /// stay bit-identical across same-seed runs; export it explicitly via
@@ -96,6 +112,10 @@ impl MatchmakerStats {
         reg.counter_add("mm_matches_made", &[], self.matches_made);
         reg.counter_add("mm_cycles", &[], self.cycles);
         reg.gauge_set("mm_ads_active", &[], self.ads_active as f64);
+        reg.counter_add("mm_ads_refreshed", &[], self.ads_refreshed);
+        reg.counter_add("mm_ads_admitted", &[], self.ads_admitted);
+        reg.counter_add("mm_ads_expired", &[], self.ads_expired);
+        reg.counter_add("mm_ads_fenced", &[], self.ads_fenced);
     }
 
     /// Merge the wall-clock cycle histogram into a registry. Separate from
@@ -374,12 +394,16 @@ struct MachineEntry {
     fresh_at: SimTime,
     generation: u64,
     gate: MachineGate,
+    /// The sequence number the ad last arrived with.
+    seq: u64,
 }
 
-/// A queued job: its ad, and the shape it negotiates as.
+/// A queued job: its ad, the shape it negotiates as, and the sequence
+/// number the ad last arrived with.
 struct JobEntry {
     ad: Arc<ClassAd>,
     shape: u64,
+    seq: u64,
 }
 
 /// Everything negotiation needs of a job ad, kept once per *shape*
@@ -436,6 +460,11 @@ pub struct MatchEngine {
     // (shape, machine) -> (machine generation, verdict). Lookup-only, so
     // a HashMap cannot leak nondeterminism.
     cache: HashMap<(u64, ActorId), (u64, Verdict)>,
+    // The fences: the sequence number of every ad the last cycle consumed,
+    // forgotten when the next one starts. Only [`MatchEngine::machine_ad`]
+    // and [`MatchEngine::job_ad`] consult them.
+    fenced_machines: BTreeMap<ActorId, u64>,
+    fenced_jobs: BTreeMap<(ActorId, u32), u64>,
     next_generation: u64,
     scratch: Scratch,
     /// Counters.
@@ -459,6 +488,8 @@ impl MatchEngine {
             shapes: HashMap::new(),
             shape_ids: HashMap::new(),
             cache: HashMap::new(),
+            fenced_machines: BTreeMap::new(),
+            fenced_jobs: BTreeMap::new(),
             next_generation: 0,
             scratch: Scratch::new(),
             stats: MatchmakerStats::default(),
@@ -469,13 +500,32 @@ impl MatchEngine {
     /// only refreshes the expiry clock — generation (and therefore every
     /// cached verdict involving this machine) is preserved.
     pub fn insert_machine(&mut self, id: ActorId, ad: impl Into<Arc<ClassAd>>, now: SimTime) {
-        let ad = ad.into();
+        self.store_machine(id, ad.into(), 0, now);
+    }
+
+    /// A machine ad off the wire, stamped by its startd with `seq` (its
+    /// count of claims accepted). If this cycle consumed the machine's ad,
+    /// only one that postdates it gets in: a startd that has accepted no
+    /// claim since cannot have seen the match, and its ad would be matched
+    /// again while the first match's claim is still on its way.
+    pub fn machine_ad(&mut self, id: ActorId, ad: Arc<ClassAd>, seq: u64, now: SimTime) {
+        if matches!(self.fenced_machines.get(&id), Some(&consumed) if seq <= consumed) {
+            self.stats.ads_fenced += 1;
+            return;
+        }
+        self.store_machine(id, ad, seq, now);
+    }
+
+    fn store_machine(&mut self, id: ActorId, ad: Arc<ClassAd>, seq: u64, now: SimTime) {
         if let Some(existing) = self.machines.get_mut(&id) {
             if same_ad(&existing.ad, &ad) {
                 existing.fresh_at = now;
+                existing.seq = seq;
+                self.stats.ads_refreshed += 1;
                 return;
             }
         }
+        self.stats.ads_admitted += 1;
         self.remove_machine(id);
         self.next_generation += 1;
         let gate = machine_gate(&ad);
@@ -490,6 +540,7 @@ impl MatchEngine {
                 fresh_at: now,
                 generation: self.next_generation,
                 gate,
+                seq,
             },
         );
     }
@@ -517,14 +568,29 @@ impl MatchEngine {
     /// nothing; a changed ad keeps its shape (and the shape's cached
     /// verdicts) unless the change is one a machine could read.
     pub fn insert_job(&mut self, schedd: ActorId, job: u32, ad: impl Into<Arc<ClassAd>>) {
-        let ad = ad.into();
-        if let Some(existing) = self.jobs.get(&(schedd, job)) {
+        self.store_job(schedd, job, ad.into(), 0);
+    }
+
+    /// A job ad off the wire, stamped by its schedd with `seq` (the job's
+    /// claim epoch) and fenced like [`MatchEngine::machine_ad`]: the epoch
+    /// moves when the schedd acts on the notification or declines it, so
+    /// an ad that still carries the consumed one's epoch crossed the match.
+    pub fn job_ad(&mut self, schedd: ActorId, job: u32, ad: Arc<ClassAd>, seq: u64) {
+        if matches!(self.fenced_jobs.get(&(schedd, job)), Some(&consumed) if seq <= consumed) {
+            return;
+        }
+        self.store_job(schedd, job, ad, seq);
+    }
+
+    fn store_job(&mut self, schedd: ActorId, job: u32, ad: Arc<ClassAd>, seq: u64) {
+        if let Some(existing) = self.jobs.get_mut(&(schedd, job)) {
             if same_ad(&existing.ad, &ad) {
+                existing.seq = seq;
                 return;
             }
         }
         let shape = self.shape_of(&ad);
-        self.jobs.insert((schedd, job), JobEntry { ad, shape });
+        self.jobs.insert((schedd, job), JobEntry { ad, shape, seq });
     }
 
     // The shape `ad` negotiates as, created on first sight.
@@ -576,14 +642,19 @@ impl MatchEngine {
     /// matched job. Returns `(schedd, job, machine)` notifications;
     /// consumed ads are already removed when this returns.
     pub fn negotiate(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<(ActorId, u32, ActorId)> {
-        // Expire stale machine ads — a crashed startd stops advertising
-        // and silently falls out of the pool.
+        // Whatever the last cycle matched has had a whole period to say so.
+        self.fenced_machines.clear();
+        self.fenced_jobs.clear();
+
+        // Expire stale machine ads — a crashed startd stops renewing its
+        // lease and silently falls out of the pool.
         let expired: Vec<ActorId> = self
             .machines
             .iter()
             .filter(|(_, m)| now - m.fresh_at > AD_LIFETIME)
             .map(|(id, _)| *id)
             .collect();
+        self.stats.ads_expired += expired.len() as u64;
         for id in expired {
             self.remove_machine(id);
         }
@@ -609,9 +680,10 @@ impl MatchEngine {
         }
 
         // Matched ads are consumed on the spot (the schedd re-advertises if
-        // the claim falls through, the startd re-advertises while alive):
-        // a machine serves at most one match per cycle, and later
-        // evaluations walk an index it has already left.
+        // the claim falls through, the startd when it is free again), each
+        // leaving its sequence number behind as a fence: a machine serves
+        // at most one match per cycle, and later evaluations walk an index
+        // it has already left.
         let mut jobs = std::mem::take(&mut self.jobs);
         jobs.retain(|&(schedd, job), entry| {
             let list = match lists.entry(entry.shape) {
@@ -624,6 +696,8 @@ impl MatchEngine {
             // "Ties must not always favour the same host, or a free
             // fast-failing machine becomes a deterministic magnet."
             let mid = list[rng.index(list.len())];
+            self.fenced_machines.insert(mid, self.machines[&mid].seq);
+            self.fenced_jobs.insert((schedd, job), entry.seq);
             self.remove_machine(mid);
             notifications.push((schedd, job, mid));
             let left = queued.get_mut(&entry.shape).expect("counted above");
@@ -854,11 +928,11 @@ impl Actor<Msg> for Matchmaker {
             return;
         }
         match msg {
-            Msg::MachineAd { ad } => {
-                self.engine.insert_machine(from, ad, ctx.now);
+            Msg::MachineAd { ad, claims } => {
+                self.engine.machine_ad(from, ad, claims, ctx.now);
             }
-            Msg::JobAd { job, ad } => {
-                self.engine.insert_job(from, job, ad);
+            Msg::JobAd { job, ad, epoch } => {
+                self.engine.job_ad(from, job, ad, epoch);
             }
             Msg::FlockRequest { .. } => {
                 // Grant with the current machine-ad count: zero is an
@@ -1002,9 +1076,11 @@ mod tests {
                 Some(job) => Msg::JobAd {
                     job,
                     ad: Arc::new(self.ad.clone()),
+                    epoch: 0,
                 },
                 None => Msg::MachineAd {
                     ad: Arc::new(self.ad.clone()),
+                    claims: 0,
                 },
             };
             ctx.send_after(self.delay, self.mm, msg);

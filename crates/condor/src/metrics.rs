@@ -179,6 +179,9 @@ pub struct MachineStats {
     /// Whether the startd advertised Java capability (post self-test,
     /// possibly revoked by learning).
     pub advertising_java: bool,
+    /// Machine ads sent to the matchmaker: one per change (start-up, every
+    /// time the machine frees itself) plus the keep-alives in between.
+    pub ads_sent: u64,
     /// Claims accepted.
     pub claims_accepted: u64,
     /// Claims rejected.

@@ -159,7 +159,8 @@ pub enum ExecutionReport {
 #[derive(Debug, Clone)]
 pub enum Msg {
     // ---- timers (self-addressed) ----
-    /// Periodic: advertise to the matchmaker.
+    /// Periodic: the schedd advertises its idle jobs; a free startd renews
+    /// its ad's lease at the matchmaker (the keep-alive).
     AdvertiseTick,
     /// Periodic (matchmaker): run a negotiation cycle.
     NegotiateTick,
@@ -219,6 +220,14 @@ pub enum Msg {
         /// The claim epoch the timer was armed for.
         epoch: u64,
     },
+    /// The checkpoint server never answered a resume's fetch (startd
+    /// self-timer, armed when the request leaves).
+    CkptFetchTimeout {
+        /// Which job.
+        job: JobId,
+        /// The claim epoch the timer was armed for.
+        epoch: u64,
+    },
     /// The network-fault driver reached a window edge and must reconfigure
     /// the fabric (self-timer).
     NetFaultTick,
@@ -230,6 +239,10 @@ pub enum Msg {
         /// the startd builds it once and every re-advertisement sends the
         /// same allocation, which the matchmaker recognises by pointer.
         ad: Arc<ClassAd>,
+        /// How many claims the startd had accepted when it sent this ad —
+        /// the ad's sequence number. An ad that crosses a match of this
+        /// machine carries the count the consumed ad did, and is fenced.
+        claims: u64,
     },
     /// A schedd advertises one idle job.
     JobAd {
@@ -237,6 +250,10 @@ pub enum Msg {
         job: JobId,
         /// The job's ClassAd, shared the same way.
         ad: Arc<ClassAd>,
+        /// The job's claim epoch when the schedd sent this ad — its
+        /// sequence number, fenced the same way: the epoch moves when the
+        /// schedd acts on a match notification, or declines one.
+        epoch: u64,
     },
     /// The matchmaker notifies the schedd of a compatible partner
     /// ("notifies schedds and startds of compatible partners").

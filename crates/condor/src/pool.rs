@@ -951,7 +951,7 @@ mod eviction_tests {
 mod ckpt_server_tests {
     use super::*;
     use crate::faults::Window;
-    use crate::job::{JavaMode, JobSpec, JobState, Universe};
+    use crate::job::{Attempt, JavaMode, JobSpec, JobState, Universe};
     use gridvm::programs;
 
     fn standard_job(secs: u64) -> JobSpec {
@@ -1020,6 +1020,82 @@ mod ckpt_server_tests {
         let rec = &report.jobs[&1];
         assert!(matches!(rec.state, JobState::Completed { .. }));
         assert!(rec.attempts.iter().any(|a| a.note.contains("discarded")));
+    }
+
+    #[test]
+    fn unreachable_checkpoint_server_is_discarded_one_fetch_timeout_after_the_request() {
+        // The backup machine is cut off from the checkpoint server across
+        // the resume: the fetch is lost, and exactly one fetch timeout
+        // after it left — by the startd's own timer, whatever its
+        // keep-alive tick is doing — the checkpoint is explicitly
+        // discarded as unreachable and the attempt restarts cold.
+        use crate::startd::CKPT_FETCH_TIMEOUT;
+        let backup = PoolBuilder::FIRST_MACHINE_ID + 1;
+        let server = PoolBuilder::FIRST_MACHINE_ID + 2;
+        let at = SimTime::from_secs;
+        let report = server_pool(38)
+            .faults(
+                FaultPlan::none()
+                    .owner_activity(
+                        PoolBuilder::FIRST_MACHINE_ID,
+                        Window::new(at(300), at(4000)),
+                    )
+                    // Up in time for the eviction's PUT, down for the GET.
+                    .net_partition([backup], [server], Window::new(at(305), at(2000))),
+            )
+            .run(at(24 * 3600));
+        assert_eq!(report.metrics.jobs_completed, 1, "{:?}", report.jobs[&1]);
+        assert_eq!(report.metrics.checkpoints_taken, 1);
+        assert_eq!(report.metrics.checkpoints_discarded, 1);
+        assert_eq!(report.metrics.checkpoints_restored, 0);
+        let stats = report.ckpt_server.as_ref().expect("server stats");
+        assert_eq!((stats.puts, stats.gets), (1, 0), "the fetch never arrived");
+
+        let events: Vec<obs::EventRecord> =
+            report.telemetry.iter().map(|r| r.to_record()).collect();
+        let resumed_at = events
+            .iter()
+            .find_map(|r| match r.event {
+                obs::Event::Dispatch { machine, .. } if machine == backup as u64 => Some(r.at_us),
+                _ => None,
+            })
+            .expect("the second attempt was dispatched to the backup");
+        let discards: Vec<(u64, u64, &str)> = events
+            .iter()
+            .filter_map(|r| match &r.event {
+                obs::Event::CheckpointDiscarded {
+                    machine, reason, ..
+                } => Some((r.at_us, *machine, reason.as_str())),
+                _ => None,
+            })
+            .collect();
+        // The activation reaches the startd one network hop after the
+        // dispatch; the request leaves, and the timer starts, right then.
+        let hop = SimDuration::from_millis(1);
+        let discarded_at = resumed_at + (hop + CKPT_FETCH_TIMEOUT).as_micros();
+        assert_eq!(
+            discards,
+            [(discarded_at, backup as u64, "checkpoint server unreachable")]
+        );
+
+        // Cold restart: the full 600 s again, and the program ran to its
+        // result exactly once.
+        let rec = &report.jobs[&1];
+        let finished = rec.finished.expect("completed").as_micros();
+        assert!(finished >= discarded_at + at(600).as_micros());
+        let results: Vec<&Attempt> = rec
+            .attempts
+            .iter()
+            .filter(|a| a.scope == Some(errorscope::Scope::Program))
+            .collect();
+        assert_eq!(results.len(), 1, "{:?}", rec.attempts);
+        assert!(
+            results[0]
+                .note
+                .contains("checkpoint discarded (checkpoint server unreachable)"),
+            "{}",
+            results[0].note
+        );
     }
 
     #[test]

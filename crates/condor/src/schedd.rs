@@ -438,21 +438,21 @@ impl Actor<Msg> for Schedd {
                     self.advertised.clear();
                     self.advertised_for = avoided;
                 }
-                let idle: Vec<JobId> = self
+                let idle: Vec<(JobId, u64)> = self
                     .jobs
                     .values()
                     .filter(|j| matches!(j.state, JobState::Idle))
-                    .map(|j| j.spec.id)
+                    .map(|j| (j.spec.id, j.epoch))
                     .collect();
                 self.note_idle_jobs(ctx.now);
                 let remotes = self.granted_matchmakers(ctx.now);
-                for job in idle {
+                for (job, epoch) in idle {
                     let ad = self.advertised_ad(job);
                     for &mm in &remotes {
                         let ad = Arc::clone(&ad);
-                        ctx.send_net(mm, Msg::JobAd { job, ad });
+                        ctx.send_net(mm, Msg::JobAd { job, ad, epoch });
                     }
-                    ctx.send_net(self.matchmaker, Msg::JobAd { job, ad });
+                    ctx.send_net(self.matchmaker, Msg::JobAd { job, ad, epoch });
                 }
                 self.maybe_flock(ctx);
                 ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
@@ -472,7 +472,12 @@ impl Actor<Msg> for Schedd {
                     return;
                 }
                 if avoided || breaker_open {
-                    return; // stays idle; re-advertised next tick
+                    // Stays idle. The matchmaker consumed the job's ad and
+                    // holds every copy of it behind the match's fence; the
+                    // new epoch is what tells it the next ad postdates a
+                    // notification this schedd saw and declined.
+                    rec.epoch += 1;
+                    return;
                 }
                 // Opening a claim starts a new epoch: every message about
                 // this claim carries it, and older epochs are fenced.

@@ -19,6 +19,7 @@
 use crate::faults::FaultPlan;
 use crate::job::Universe;
 use crate::machine::MachineSpec;
+use crate::matchmaker::AD_LIFETIME;
 use crate::metrics::MachineStats;
 use crate::msg::{Activation, CkptAttempt, ExecutionReport, Msg, StoredCkpt};
 use chirp::backend::MemFs;
@@ -40,8 +41,14 @@ use gridvm::wrapper::{run_naive, run_wrapped};
 use gridvm::{self_test, Termination};
 use std::sync::Arc;
 
-/// How often the startd advertises while free.
-pub const ADVERTISE_PERIOD: SimDuration = SimDuration::from_secs(5);
+/// How often a free startd renews its ad's lease at the matchmaker: half
+/// the ad's lifetime, so one lost keep-alive is survived and a second
+/// expires the ad. Everything else the matchmaker hears from a startd is a
+/// change — the machine advertises the instant it becomes free.
+pub const KEEPALIVE_PERIOD: SimDuration = SimDuration::from_micros(AD_LIFETIME.as_micros() / 2);
+/// How long a resuming starter waits for the checkpoint server before it
+/// declares the checkpoint unreachable and restarts cold.
+pub const CKPT_FETCH_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// How long a failed startup (misconfiguration, corrupt image) occupies the
 /// machine before the error surfaces — fast, but not free. This is what
 /// makes §5's black holes attractive: they "fail fast" and come right back
@@ -99,7 +106,6 @@ enum State {
     AwaitCkpt {
         schedd: ActorId,
         act: Box<Activation>,
-        since: SimTime,
     },
     Running {
         schedd: ActorId,
@@ -126,7 +132,7 @@ pub struct Startd {
     state: State,
     advertising_java: bool,
     /// The ad this machine advertises (with `MachineId`), built at the
-    /// first advertisement and re-sent by reference on every later tick;
+    /// first advertisement and re-sent by reference on every later one;
     /// dropped when `advertising_java` changes.
     wire_ad: Option<Arc<ClassAd>>,
     /// The ad incoming claims are checked against (no `MachineId`), built
@@ -193,6 +199,40 @@ impl Startd {
     fn crashed(&self, now: SimTime) -> bool {
         self.plan.crashed_at(self.stats_id, now)
     }
+
+    /// Tell the matchmaker this machine is on offer — if it is: free, up,
+    /// and its owner away (an owner at the keyboard withdraws the machine
+    /// from the pool; a job running at the window onset was evicted by
+    /// the `ExecutionComplete` path).
+    fn advertise(&mut self, ctx: &mut Context<'_, Msg>) {
+        if !matches!(self.state, State::Free)
+            || self.crashed(ctx.now)
+            || self.plan.owner_busy_at(ctx.self_id, ctx.now)
+        {
+            return;
+        }
+        let ad = self.wire_ad.get_or_insert_with(|| {
+            let mut ad = self.spec.ad(self.advertising_java);
+            ad.insert("MachineId", classads::Value::Int(ctx.self_id as i64));
+            Arc::new(ad)
+        });
+        self.stats.ads_sent += 1;
+        ctx.send_net(
+            self.matchmaker,
+            Msg::MachineAd {
+                ad: Arc::clone(ad),
+                claims: self.stats.claims_accepted,
+            },
+        );
+    }
+
+    /// Every way a claim ends comes through here: the machine is free, and
+    /// says so at once instead of at the next tick — so a black hole that
+    /// "fails fast" is back in the pool the instant it fails (§5).
+    fn release(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.state = State::Free;
+        self.advertise(ctx);
+    }
 }
 
 impl Actor<Msg> for Startd {
@@ -206,7 +246,8 @@ impl Actor<Msg> for Startd {
         self.advertising_java =
             self.spec.asserts_java && self_test(&self.spec.installation, self.policy.self_test);
         self.stats.advertising_java = self.advertising_java;
-        ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
+        self.release(ctx);
+        ctx.send_self_after(KEEPALIVE_PERIOD, Msg::AdvertiseTick);
     }
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
@@ -216,38 +257,12 @@ impl Actor<Msg> for Startd {
                 if self.crashed(ctx.now) {
                     // Crash wipes any in-flight work; the shadow's timeout
                     // is what notices.
-                    self.state = State::Free;
-                } else if matches!(&self.state, State::AwaitCkpt { since, .. }
-                    if ctx.now.since(*since) >= ADVERTISE_PERIOD)
-                {
-                    // The checkpoint fetch never answered (lost on the
-                    // network, or the server is gone). An unreachable
-                    // checkpoint is the same explicit error as a corrupt
-                    // one: discard and cold-restart.
-                    let State::AwaitCkpt { schedd, act, .. } =
-                        std::mem::replace(&mut self.state, State::Free)
-                    else {
-                        unreachable!()
-                    };
-                    self.discard_and_restart(
-                        schedd,
-                        act,
-                        "checkpoint server unreachable".to_string(),
-                        ctx,
-                    );
-                } else if self.plan.owner_busy_at(ctx.self_id, ctx.now) {
-                    // The owner is using the machine: withdraw from the
-                    // pool (an already-running job was evicted at the
-                    // window onset by the ExecutionComplete path).
-                } else if matches!(self.state, State::Free) {
-                    let ad = self.wire_ad.get_or_insert_with(|| {
-                        let mut ad = self.spec.ad(self.advertising_java);
-                        ad.insert("MachineId", classads::Value::Int(ctx.self_id as i64));
-                        Arc::new(ad)
-                    });
-                    ctx.send_net(self.matchmaker, Msg::MachineAd { ad: Arc::clone(ad) });
+                    self.release(ctx);
+                } else {
+                    // The keep-alive: the same ad again, if still on offer.
+                    self.advertise(ctx);
                 }
-                ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
+                ctx.send_self_after(KEEPALIVE_PERIOD, Msg::AdvertiseTick);
             }
             Msg::ClaimRequest {
                 job,
@@ -343,7 +358,7 @@ impl Actor<Msg> for Startd {
                 } = self.state
                 {
                     if claimed == job && current == epoch {
-                        self.state = State::Free;
+                        self.release(ctx);
                     }
                 }
             }
@@ -371,8 +386,8 @@ impl Actor<Msg> for Startd {
                     // worst moment (or the activation is fenced to the
                     // wrong pool): revoke explicitly — the visiting schedd
                     // hears a claim-scope error, never silence.
-                    self.state = State::Free;
                     ctx.send_net(from, Msg::ClaimRevoked { job, epoch });
+                    self.release(ctx);
                     return;
                 }
                 if let (Universe::Standard, Some(resume), Some((server, cookie))) =
@@ -389,12 +404,9 @@ impl Actor<Msg> for Startd {
                             key: resume.key.clone(),
                         },
                     )));
-                    self.state = State::AwaitCkpt {
-                        schedd,
-                        act,
-                        since: ctx.now,
-                    };
+                    self.state = State::AwaitCkpt { schedd, act };
                     ctx.send_net(server, Msg::CkptRequest { frames });
+                    ctx.send_self_after(CKPT_FETCH_TIMEOUT, Msg::CkptFetchTimeout { job, epoch });
                     return;
                 }
                 self.activate(schedd, act, None, CkptAttempt::None, SimDuration::ZERO, ctx);
@@ -404,10 +416,10 @@ impl Actor<Msg> for Startd {
                     return; // stale response (e.g. the ack of a PUT)
                 }
                 if self.crashed(ctx.now) {
-                    self.state = State::Free;
+                    self.release(ctx);
                     return;
                 }
-                let State::AwaitCkpt { schedd, act, .. } =
+                let State::AwaitCkpt { schedd, act } =
                     std::mem::replace(&mut self.state, State::Free)
                 else {
                     unreachable!()
@@ -452,6 +464,32 @@ impl Actor<Msg> for Startd {
                     Err(reason) => self.discard_and_restart(schedd, act, reason, ctx),
                 }
             }
+            Msg::CkptFetchTimeout { job, epoch } => {
+                if !matches!(&self.state, State::AwaitCkpt { act, .. }
+                    if act.job == job && act.epoch == epoch)
+                {
+                    return; // the fetch was answered; stale timer
+                }
+                if self.crashed(ctx.now) {
+                    self.release(ctx);
+                    return;
+                }
+                // The checkpoint fetch never answered (lost on the network,
+                // or the server is gone). An unreachable checkpoint is the
+                // same explicit error as a corrupt one: discard and
+                // cold-restart.
+                let State::AwaitCkpt { schedd, act } =
+                    std::mem::replace(&mut self.state, State::Free)
+                else {
+                    unreachable!()
+                };
+                self.discard_and_restart(
+                    schedd,
+                    act,
+                    "checkpoint server unreachable".to_string(),
+                    ctx,
+                );
+            }
             Msg::ExecutionComplete { job } => {
                 let State::Running {
                     job: running,
@@ -468,7 +506,7 @@ impl Actor<Msg> for Startd {
                     // The machine died mid-run: no report, ever. The claim
                     // evaporates; the shadow's timeout is the escaping
                     // error's only witness.
-                    self.state = State::Free;
+                    self.release(ctx);
                     return;
                 }
                 let State::Running {
@@ -515,6 +553,7 @@ impl Actor<Msg> for Startd {
                         epoch,
                     },
                 );
+                self.release(ctx);
             }
             Msg::HeartbeatTick { job, epoch } => {
                 let State::Running {
@@ -541,7 +580,7 @@ impl Actor<Msg> for Startd {
                         machine: ctx.self_id as u64,
                         side: "startd".to_string(),
                     });
-                    self.state = State::Free;
+                    self.release(ctx);
                     return;
                 }
                 ctx.send_net(schedd, Msg::Heartbeat { job, epoch });
@@ -575,7 +614,7 @@ impl Actor<Msg> for Startd {
             Msg::ReleaseClaim { job } => {
                 if let State::Claimed { job: claimed, .. } = self.state {
                     if claimed == job {
-                        self.state = State::Free;
+                        self.release(ctx);
                     }
                 }
             }

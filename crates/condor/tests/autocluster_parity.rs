@@ -1,27 +1,42 @@
-//! Negotiating per job shape moves one number and nothing else.
+//! The schedule sentinel, and what a schedule-moving change may not move.
 //!
-//! The body below is the ledger's `pool_drain` world at a size a test can
-//! afford (300 machines, 450 java jobs, the ledger's lease policy). Every
-//! constant was recorded by running this same body on the commit before
-//! shapes existed (bab636b, one evaluation per job per machine): the
-//! schedule, the exported event stream and the whole metrics registry must
-//! still be those, except for the one counter that says how many ad pairs
-//! were evaluated to get there.
+//! Both tests run the ledger's `pool_drain` world at a size a test can
+//! afford (`common::drain_pool`: 300 machines, 450 java jobs, the ledger's
+//! lease policy).
+//!
+//! `only_the_work_counter_moves` pins the whole run — event count, finish
+//! time, the exported event stream, the metrics registry — to constants
+//! recorded from the binary of the last change that was *meant* to move
+//! them (soft state by lease: startds advertise on change and keep alive
+//! at half the ad lifetime, the matchmaker fences what crosses a match).
+//! It is the sentinel the next digest-preserving change is held to: a
+//! refactor or an optimisation that claims to leave behaviour alone must
+//! leave every one of them alone, and a change that moves the schedule on
+//! purpose re-records them from its own binary and says so.
+//!
+//! `a_moved_schedule_delivers_the_same_work` is the other direction: its
+//! first block of constants was recorded by running the same body on the
+//! commit *before* that change (4c839c9, the 5-s advertisement drumbeat),
+//! and is what no protocol change may move — which jobs complete, in how
+//! many attempts, with which result-file bytes, on how much CPU.
+
+mod common;
 
 use ckpt::fnv1a;
-use condor::prelude::*;
-use desim::{SimDuration, SimTime};
+use desim::SimTime;
 
-const EVENTS: u64 = 67_950;
+const EVENTS: u64 = 43_578;
 const FINISHED_AT_S: u64 = 420;
-const STREAM_BYTES: usize = 323_891;
-const STREAM_FNV: u64 = 16_267_423_933_880_727_041;
+const STREAM_BYTES: usize = 280_772;
+const STREAM_FNV: u64 = 16_531_300_256_365_913_880;
 /// The registry snapshot with `mm_pairs_evaluated` masked.
-const REGISTRY_FNV: u64 = 11_261_921_893_057_757_632;
-/// What the per-job engine evaluated, and what one evaluation per
-/// (shape, machine) needs.
+const REGISTRY_FNV: u64 = 4_977_263_325_719_039_760;
+/// What the per-job engine before shapes evaluated for this queue (bab636b,
+/// one evaluation per job per machine), and what one evaluation per
+/// (shape, machine) needs — 1,123 under the 5-s drumbeat, when every job
+/// was matched twice.
 const PAIRS_PER_JOB: u64 = 98_090;
-const PAIRS_PER_SHAPE: u64 = 1_123;
+const PAIRS_PER_SHAPE: u64 = 477;
 
 /// `snapshot` with the value of counter `name` replaced by `*`, and that
 /// value.
@@ -39,26 +54,7 @@ fn mask_counter(snapshot: &str, name: &str) -> (String, u64) {
 #[test]
 fn only_the_work_counter_moves() {
     obs::reset_span_ids(0);
-    let report = PoolBuilder::new(1)
-        .machines((0..300).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
-        .jobs((1..=450).map(|i| {
-            JobSpec::java(
-                i,
-                "ada",
-                gridvm::programs::completes_main(),
-                JavaMode::Scoped,
-            )
-            .with_exec_time(SimDuration::from_secs(60 + u64::from(i % 7) * 30))
-        }))
-        .schedd_policy(ScheddPolicy {
-            lease: Some(LeaseInfo {
-                interval: SimDuration::from_secs(10),
-                timeout: SimDuration::from_secs(30),
-            }),
-            max_attempts: 60,
-            ..ScheddPolicy::default()
-        })
-        .run(SimTime::from_secs(48 * 3600));
+    let report = common::drain_pool().run(SimTime::from_secs(48 * 3600));
     assert!(report.quiescent);
 
     let stream = report.telemetry.to_jsonl_with_meta();
@@ -84,5 +80,56 @@ fn only_the_work_counter_moves() {
     assert_eq!(
         pairs, PAIRS_PER_SHAPE,
         "the per-job engine evaluated {PAIRS_PER_JOB}"
+    );
+}
+
+/// Recorded from the parent (4c839c9): what the work was.
+const JOBS_FNV: u64 = 16_863_989_854_916_197_005;
+const TOTAL_CPU_S: u64 = 67_410;
+/// Recorded from this change: how it was scheduled. At the parent these
+/// read 67,950 events, 420 s and 910 matches (every job matched twice, the
+/// second time onto a machine another job then had to do without).
+const MATCHES_MADE: u64 = 450;
+
+#[test]
+fn a_moved_schedule_delivers_the_same_work() {
+    obs::reset_span_ids(0);
+    let report = common::drain_pool().run(SimTime::from_secs(48 * 3600));
+    assert!(report.quiescent);
+
+    // Every job completed on its first attempt; the digest is over each
+    // job's id and the bytes of the result file it came back with.
+    let mut results = Vec::new();
+    for (id, rec) in &report.jobs {
+        let condor::JobState::Completed { result } = &rec.state else {
+            panic!("job {id}: {:?}", rec.state);
+        };
+        assert_eq!(rec.attempts.len(), 1, "job {id}");
+        results.extend_from_slice(&id.to_le_bytes());
+        results.extend_from_slice(result.to_json().as_bytes());
+    }
+    let machines = report.machines.values();
+    let work = (
+        report.jobs.len(),
+        fnv1a(&results),
+        machines.clone().map(|m| m.executions).sum::<u64>(),
+        machines.map(|m| m.claims_accepted).sum::<u64>(),
+        report.metrics.incidental_errors_shown_to_user,
+        (report.metrics.useful_cpu + report.metrics.wasted_cpu).as_micros(),
+    );
+    assert_eq!(
+        work,
+        (450, JOBS_FNV, 450, 450, 0, TOTAL_CPU_S * 1_000_000),
+        "the work itself moved: that is a regression, not a schedule"
+    );
+
+    assert_eq!(
+        (
+            report.events,
+            report.finished_at,
+            report.matchmaker.matches_made
+        ),
+        (EVENTS, SimTime::from_secs(FINISHED_AT_S), MATCHES_MADE),
+        "the schedule moved: re-record it if the change is a protocol change"
     );
 }

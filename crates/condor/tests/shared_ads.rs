@@ -1,9 +1,12 @@
 //! Ads travel by reference: a daemon builds its ad once and re-sends the
-//! same allocation every tick. These tests tap the wire to pin both halves
-//! of that bargain — the ad *is* shared while its inputs hold still, and it
-//! is rebuilt the moment one of them changes.
+//! same allocation every time it advertises. These tests tap the wire to
+//! pin both halves of that bargain — the ad *is* shared while its inputs
+//! hold still, and it is rebuilt the moment one of them changes.
+
+mod common;
 
 use classads::ClassAd;
+use common::Wiretap;
 use condor::prelude::*;
 use condor::{
     Activation, BreakerState, CircuitBreaker, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd,
@@ -13,30 +16,6 @@ use desim::prelude::*;
 use gridvm::config::SelfTestDepth;
 use gridvm::programs;
 use std::sync::Arc;
-
-/// Stands where a matchmaker (or a machine) would and keeps every ad sent
-/// to it, in arrival order.
-#[derive(Default)]
-struct Wiretap {
-    machine_ads: Vec<Arc<ClassAd>>,
-    /// `(tick time, job, ad)`.
-    job_ads: Vec<(SimTime, u32, Arc<ClassAd>)>,
-    claim_ads: Vec<Arc<ClassAd>>,
-}
-
-impl Actor<Msg> for Wiretap {
-    fn name(&self) -> String {
-        "wiretap".into()
-    }
-    fn on_message(&mut self, _from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        match msg {
-            Msg::MachineAd { ad } => self.machine_ads.push(ad),
-            Msg::JobAd { job, ad } => self.job_ads.push((ctx.now, job, ad)),
-            Msg::ClaimRequest { ad, .. } => self.claim_ads.push(ad),
-            _ => {}
-        }
-    }
-}
 
 fn java_job(id: u32) -> JobSpec {
     JobSpec::java(id, "ada", programs::uses_stdlib(), JavaMode::Scoped)
@@ -48,8 +27,9 @@ fn requirements(ad: &ClassAd) -> String {
 }
 
 /// (a) A learning startd that meets a remote-resource failure drops its
-/// cached ads: the next tick advertises a fresh ad without `HasJava`, and
-/// the matchmaker stops offering the machine to java jobs.
+/// cached ads: the instant it is free again it advertises a fresh ad
+/// without `HasJava`, and the matchmaker stops offering the machine to java
+/// jobs.
 #[test]
 fn learning_startd_rebuilds_its_ad_without_java() {
     let mut world: World<Msg> = World::new(3);
@@ -67,11 +47,23 @@ fn learning_startd_rebuilds_its_ad_without_java() {
         FaultPlan::none().build(),
     )));
 
-    world.run_until(SimTime::from_secs(11));
-    let before = world.get::<Wiretap>(tap).unwrap().machine_ads.clone();
+    // Start-up and the keep-alive at 15.
+    world.run_until(SimTime::from_secs(16));
+    let sent = |world: &World<Msg>, from: usize| -> Vec<(u64, Arc<ClassAd>)> {
+        let tap = world.get::<Wiretap>(tap).unwrap();
+        let ads = tap.machine_ads[from..].iter();
+        ads.map(|seen| (seen.claims, Arc::clone(&seen.ad)))
+            .collect()
+    };
+    let before = sent(&world, 0);
     assert_eq!(before.len(), 2);
-    assert!(Arc::ptr_eq(&before[0], &before[1]), "one ad, sent twice");
-    assert!(before[0].has("HasJava") && before[0].has("MachineId"));
+    assert!(
+        Arc::ptr_eq(&before[0].1, &before[1].1),
+        "one ad, sent twice"
+    );
+    assert!(before.iter().all(|(claims, _)| *claims == 0));
+    let before = Arc::clone(&before[0].1);
+    assert!(before.has("HasJava") && before.has("MachineId"));
 
     // Claim and activate the machine "from outside" (injected messages
     // arrive as if from the startd itself, which is all its checks need).
@@ -85,7 +77,7 @@ fn learning_startd_rebuilds_its_ad_without_java() {
             pool: 0,
         },
     );
-    world.run_until(SimTime::from_secs(12));
+    world.run_until(SimTime::from_secs(17));
     world.inject(
         startd,
         Msg::ActivateClaim(Box::new(Activation {
@@ -103,20 +95,24 @@ fn learning_startd_rebuilds_its_ad_without_java() {
             pool: 0,
         })),
     );
-    world.run_until(SimTime::from_secs(41));
+    // The run fails and the machine frees itself: the new ad leaves at
+    // once, stamped with the claim it has accepted since, and the
+    // keep-alives at 30 and 45 re-send it.
+    world.run_until(SimTime::from_secs(29));
     let st = world.get::<Startd>(startd).unwrap();
     assert_eq!(st.stats.claims_accepted, 1);
     assert_eq!(st.stats.remote_resource_failures, 1);
     assert!(!st.advertising_java());
-
-    let after = world.get::<Wiretap>(tap).unwrap().machine_ads[before.len()..].to_vec();
-    assert!(
-        after.len() >= 2,
-        "the machine is free and advertising again"
-    );
-    assert!(!after[0].has("HasJava"), "the capability is revoked");
-    assert!(!Arc::ptr_eq(&after[0], &before[0]));
-    assert!(after.iter().all(|ad| Arc::ptr_eq(ad, &after[0])));
+    let after = sent(&world, 2);
+    assert_eq!(after.len(), 1, "advertised on change, not at the next tick");
+    world.run_until(SimTime::from_secs(46));
+    let after = sent(&world, 2);
+    assert_eq!(after.len(), 3);
+    assert!(after.iter().all(|(claims, _)| *claims == 1));
+    assert!(after.iter().all(|(_, ad)| Arc::ptr_eq(ad, &after[0].1)));
+    let after = Arc::clone(&after[0].1);
+    assert!(!after.has("HasJava"), "the capability is revoked");
+    assert!(!Arc::ptr_eq(&after, &before));
 
     // The claim-time ad was dropped too: a java claim is now refused.
     world.inject(
@@ -128,7 +124,7 @@ fn learning_startd_rebuilds_its_ad_without_java() {
             pool: 0,
         },
     );
-    world.run_until(SimTime::from_secs(42));
+    world.run_until(SimTime::from_secs(47));
     assert_eq!(
         world.get::<Startd>(startd).unwrap().stats.claims_rejected,
         1
@@ -138,10 +134,10 @@ fn learning_startd_rebuilds_its_ad_without_java() {
     let mut engine = MatchEngine::new();
     let mut rng = SimRng::seed_from_u64(1);
     let now = SimTime::from_secs(10);
-    engine.insert_machine(startd, Arc::clone(&before[0]), now);
+    engine.insert_machine(startd, before, now);
     engine.insert_job(9, 1, job.ad());
     assert_eq!(engine.negotiate(now, &mut rng), vec![(9, 1, startd)]);
-    engine.insert_machine(startd, Arc::clone(&after[0]), now);
+    engine.insert_machine(startd, after, now);
     engine.insert_job(9, 1, job.ad());
     assert_eq!(engine.negotiate(now, &mut rng), vec![]);
 }
@@ -206,8 +202,8 @@ fn job_ads_follow_the_avoided_list() {
         let mut sent = tap
             .job_ads
             .iter()
-            .filter(|(at, job, _)| at.as_secs_f64().floor() as u64 == secs && *job == 1);
-        let (_, _, ad) = sent.next().expect("advertised at this tick");
+            .filter(|(at, job, ..)| at.as_secs_f64().floor() as u64 == secs && *job == 1);
+        let (.., ad) = sent.next().expect("advertised at this tick");
         assert!(sent.next().is_none(), "advertised once per tick (t={secs})");
         ad
     };
@@ -252,7 +248,7 @@ fn job_ads_follow_the_avoided_list() {
     assert!(tap
         .job_ads
         .iter()
-        .all(|(at, job, _)| *job != 2 || *at < SimTime::from_secs(32)));
+        .all(|(at, job, ..)| *job != 2 || *at < SimTime::from_secs(32)));
     assert_eq!(tap.claim_ads.len(), 1);
     assert_eq!(*tap.claim_ads[0], java_job(2).ad());
 }
@@ -278,6 +274,7 @@ impl Actor<Msg> for StuckJob {
             Msg::JobAd {
                 job: 1,
                 ad: Arc::new(ad),
+                epoch: 0,
             },
         );
     }
@@ -289,9 +286,10 @@ impl Actor<Msg> for StuckJob {
 /// the matchmaker re-admits under a new generation (a miss, not a hit).
 #[test]
 fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
-    // Ticks at 5 and 10 advertise; 15..=55 fall in the crash window; the
-    // ad last refreshed at t≈10 outlives the t=40 cycle and is gone at t=50.
-    let crash = Window::new(SimTime::from_secs(12), SimTime::from_secs(58));
+    // Start-up and the keep-alive at 15 advertise; those at 30 and 45 fall
+    // in the crash window; the ad last renewed at t≈15 outlives the t=40
+    // cycle and is gone at t=50.
+    let crash = Window::new(SimTime::from_secs(20), SimTime::from_secs(58));
     let spec = || MachineSpec::healthy("m", 256);
 
     // On the wire: the ad survives the crash.
@@ -304,10 +302,11 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         tap,
         plan,
     )));
-    world.run_until(SimTime::from_secs(71));
+    world.run_until(SimTime::from_secs(76));
     let ads = &world.get::<Wiretap>(tap).unwrap().machine_ads;
-    assert_eq!(ads.len(), 5, "ticks at 5, 10, 60, 65, 70");
-    assert!(ads.iter().all(|ad| Arc::ptr_eq(ad, &ads[0])));
+    let at: Vec<u64> = ads.iter().map(|seen| seen.at.as_micros() / 1000).collect();
+    assert_eq!(at, [1, 15_001, 60_001, 75_001], "ms; one network hop each");
+    assert!(ads.iter().all(|seen| Arc::ptr_eq(&seen.ad, &ads[0].ad)));
 
     // At the matchmaker: expiry, then re-admission under a new generation.
     let mut world: World<Msg> = World::new(5);
@@ -336,4 +335,11 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // Cycle at 80: and from then on it hits again.
     world.run_until(SimTime::from_secs(85));
     assert_eq!(stats(&world), (2, 4, 2));
+    // The same story in the ad census: admitted twice, renewed at 15 and
+    // 75, expired once.
+    let s = world.get::<Matchmaker>(mm).unwrap().stats();
+    assert_eq!(
+        (s.ads_admitted, s.ads_refreshed, s.ads_expired, s.ads_fenced),
+        (2, 2, 1, 0)
+    );
 }

@@ -170,9 +170,12 @@ impl<M: 'static> World<M> {
             actor.on_start(&mut ctx);
             self.actors[id] = Some(actor);
         }
-        // drain(..) keeps send order (the queue's FIFO tie-break depends on
-        // it) while leaving the buffer's capacity for reuse.
-        for (at, env) in self.outbox.drain(..) {
+        // In send order (the queue's FIFO tie-break depends on it). Every
+        // actor's first timers and messages at once is the largest the
+        // outbox ever gets — megabytes for 20,000 startds that each arm a
+        // tick and send an ad — so this buffer is handed back, not kept
+        // for handlers that send a handful.
+        for (at, env) in std::mem::take(&mut self.outbox) {
             self.queue.push(at, env);
         }
     }
