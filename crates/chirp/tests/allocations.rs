@@ -1,48 +1,14 @@
 //! What one chirp session allocates, held by counts.
 //!
-//! A counting global allocator (here, in a test crate, so the library
-//! keeps `forbid(unsafe_code)`) counts what the calling thread requests.
+//! A counting global allocator (`propcheck::counting`: in a test crate, so
+//! the library keeps `forbid(unsafe_code)`) counts what the calling thread
+//! requests.
 //! The counts are a function of the code, not of the host.
 
 use chirp::backend::MemFs;
 use chirp::transport::DirectTransport;
 use chirp::{ChirpClient, ChirpServer, Cookie, OpenMode};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(bytes: usize) {
-    // A thread being torn down has nobody left to report to.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every method hands its arguments to `System` unchanged and
-// returns what `System` returns; the counters are plain thread-local
-// cells, which neither allocate nor unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use propcheck::counting::{allocated, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -53,19 +19,17 @@ static GLOBAL: Counting = Counting;
 /// close — five round trips, every message through the real encoding.
 #[test]
 fn an_authenticated_open_read_close_session_stays_on_its_diet() {
-    let before = (ALLOCATIONS.get(), BYTES.get());
-    let mut fs = MemFs::default();
-    fs.put("input.txt", b"12 34 7 1005");
-    let server = ChirpServer::new(fs, Cookie::generate(9));
-    let mut client = ChirpClient::new(DirectTransport::new(server));
-    client.auth(Cookie::generate(9).as_bytes()).expect("auth");
-    let fd = client.open("input.txt", OpenMode::Read).expect("open");
-    let data = client.read_all(fd).expect("read");
-    client.close(fd).expect("close");
-    let calls = client.calls;
-    drop(client);
-    let allocations = ALLOCATIONS.get() - before.0;
-    let bytes = BYTES.get() - before.1;
+    let ((data, calls), allocations, bytes) = allocated(|| {
+        let mut fs = MemFs::default();
+        fs.put("input.txt", b"12 34 7 1005");
+        let server = ChirpServer::new(fs, Cookie::generate(9));
+        let mut client = ChirpClient::new(DirectTransport::new(server));
+        client.auth(Cookie::generate(9).as_bytes()).expect("auth");
+        let fd = client.open("input.txt", OpenMode::Read).expect("open");
+        let data = client.read_all(fd).expect("read");
+        client.close(fd).expect("close");
+        (data, client.calls)
+    });
 
     assert_eq!((data.as_slice(), calls), (&b"12 34 7 1005"[..], 5));
     // Achieved: 29 allocations, 2,468 bytes — it was 57 and 91,833 when

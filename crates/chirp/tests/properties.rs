@@ -1,82 +1,121 @@
-//! Property-based tests for the Chirp protocol.
+//! Properties of the Chirp protocol, run on seeded generated cases.
 
 use chirp::backend::{BackendFailure, EnvFault, FileBackend, MemFs};
 use chirp::cookie::Cookie;
-use chirp::proto::{ChirpError, OpenMode, Request, Response};
+use chirp::proto::{explicit_errors_of, ChirpError, FileInfo, OpenMode, Request, Response};
 use chirp::server::{ChirpServer, ServerOutcome};
 use chirp::wire::{
-    decode_request, decode_response, deframe, encode_request, encode_response, frame,
+    decode_request, decode_response, deframe, deframe_with_limit, encode_request, encode_response,
+    frame,
 };
-use proptest::prelude::*;
+use propcheck::counting::{allocated, Counting};
+use propcheck::{check, Gen};
 
-fn any_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|cookie| Request::Auth { cookie }),
-        ("[ -~]{0,40}", 0u8..3).prop_map(|(path, m)| Request::Open {
-            path,
-            mode: OpenMode::from_byte(m).unwrap(),
-        }),
-        (any::<u32>(), any::<u32>()).prop_map(|(fd, len)| Request::Read { fd, len }),
-        (any::<u32>(), prop::collection::vec(any::<u8>(), 0..256))
-            .prop_map(|(fd, data)| Request::Write { fd, data }),
-        any::<u32>().prop_map(|fd| Request::Close { fd }),
-        "[ -~]{0,40}".prop_map(|path| Request::Stat { path }),
-        "[ -~]{0,40}".prop_map(|path| Request::Unlink { path }),
-        ("[ -~]{0,40}", "[ -~]{0,40}").prop_map(|(from, to)| Request::Rename { from, to }),
-        "[ -~]{0,40}".prop_map(|path| Request::GetFile { path }),
-        ("[ -~]{0,40}", prop::collection::vec(any::<u8>(), 0..128))
-            .prop_map(|(path, data)| Request::PutFile { path, data }),
-    ]
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const CASES: u64 = 256;
+
+/// Printable ASCII, `[ -~]`.
+fn path(g: &mut Gen) -> String {
+    let printable: String = (' '..='~').collect();
+    g.string(&printable, 0..=40)
 }
 
-fn any_response() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        Just(Response::Ok),
-        any::<u32>().prop_map(|fd| Response::Opened { fd }),
-        prop::collection::vec(any::<u8>(), 0..256).prop_map(|data| Response::Data { data }),
-        any::<u32>().prop_map(|len| Response::Written { len }),
-        any::<u64>().prop_map(|size| Response::Info(chirp::proto::FileInfo { size })),
-        (1u8..8).prop_map(|b| Response::Error(ChirpError::from_byte(b).unwrap())),
-    ]
-}
-
-proptest! {
-    /// Every request survives the wire.
-    #[test]
-    fn request_roundtrip(req in any_request()) {
-        let enc = encode_request(&req);
-        prop_assert_eq!(decode_request(&enc).unwrap(), req);
-    }
-
-    /// Every response survives the wire.
-    #[test]
-    fn response_roundtrip(resp in any_response()) {
-        let enc = encode_response(&resp);
-        prop_assert_eq!(decode_response(&enc).unwrap(), resp);
-    }
-
-    /// Decoding arbitrary bytes never panics — it either parses or
-    /// reports a protocol violation.
-    #[test]
-    fn decode_is_total(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_request(&bytes);
-        let _ = decode_response(&bytes);
-        let _ = deframe(&bytes);
-    }
-
-    /// A concatenated stream of frames deframes back into the original
-    /// payloads regardless of chunk boundaries.
-    #[test]
-    fn deframe_stream(payload_sizes in prop::collection::vec(0usize..200, 1..8)) {
-        let payloads: Vec<Vec<u8>> = payload_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| vec![i as u8; *n])
-            .collect();
-        let mut stream = Vec::new();
-        for p in &payloads {
-            stream.extend_from_slice(&frame(p));
+/// A request of any of the twelve kinds.
+fn any_request(g: &mut Gen) -> Request {
+    let (fd, len) = (g.int(0..=u32::MAX), g.int(0..=u32::MAX));
+    let (path, to, data) = (path(g), path(g), g.bytes(0..256));
+    match g.below(12) {
+        0 => Request::Auth { cookie: data },
+        1 => {
+            let mode = *g.pick(&[OpenMode::Read, OpenMode::Write, OpenMode::Append]);
+            Request::Open { path, mode }
         }
+        2 => Request::Read { fd, len },
+        3 => Request::Write { fd, data },
+        4 => Request::Close { fd },
+        5 => Request::Stat { path },
+        6 => Request::Unlink { path },
+        7 => Request::Rename { from: path, to },
+        8 => Request::GetFile { path },
+        9 => Request::PutFile { path, data },
+        10 => Request::PutCkpt { key: path, data },
+        _ => Request::GetCkpt { key: path },
+    }
+}
+
+fn any_response(g: &mut Gen) -> Response {
+    let (fd, size, data) = (g.int(0..=u32::MAX), g.int(0..=u64::MAX), g.bytes(0..256));
+    match g.below(6) {
+        0 => Response::Ok,
+        1 => Response::Opened { fd },
+        2 => Response::Data { data },
+        3 => Response::Written { len: fd },
+        4 => Response::Info(FileInfo { size }),
+        _ => Response::Error(ChirpError::from_byte(g.int(1u8..8)).unwrap()),
+    }
+}
+
+/// Every request survives the wire.
+#[test]
+fn request_roundtrip() {
+    check(4 * CASES, |g| {
+        let req = any_request(g);
+        assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+    });
+}
+
+/// Every response survives the wire.
+#[test]
+fn response_roundtrip() {
+    check(4 * CASES, |g| {
+        let resp = any_response(g);
+        assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+    });
+}
+
+/// Decoding never panics — it parses or reports a protocol violation —
+/// on 10^5 inputs per decoder: arbitrary bytes, and valid encodings
+/// damaged (flipped, truncated, spliced, duplicated), which get past the
+/// first tag byte far more often. `deframe_with_limit` also requests no
+/// more of the allocator than the input's own length (plus an error
+/// message), whatever length the prefix claims.
+#[test]
+fn decode_is_total() {
+    check(100_000, |g| {
+        let (request, response) = match g.below(3) {
+            0 => (g.bytes(0..512), g.bytes(0..512)),
+            _ => {
+                let request = encode_request(&any_request(g));
+                let response = encode_response(&any_response(g));
+                (g.mutated(&request), g.mutated(&response))
+            }
+        };
+        let _ = decode_request(&request);
+        let _ = decode_response(&response);
+        let stream = match g.below(2) {
+            0 => request,
+            _ => g.mutated(&frame(&request)),
+        };
+        let limit = *g.pick(&[0, 64, 1 << 16, u32::MAX]);
+        let (out, _, requested) = allocated(|| deframe_with_limit(&stream, limit));
+        // The payload's copy, or an error message: never the claimed length.
+        assert!(requested <= stream.len() as u64 + 128, "{requested} bytes");
+        if let Ok(Some((payload, used))) = out {
+            assert_eq!(payload, stream[4..used]);
+            assert!(payload.len() <= limit as usize);
+        }
+    });
+}
+
+/// A concatenated stream of frames deframes back into the original
+/// payloads regardless of chunk boundaries.
+#[test]
+fn deframe_stream() {
+    check(CASES, |g| {
+        let payloads: Vec<Vec<u8>> = (0u8..g.int(1..8)).map(|i| vec![i; g.int(0..200)]).collect();
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
         let mut pos = 0;
         let mut out = Vec::new();
         while pos < stream.len() {
@@ -84,107 +123,102 @@ proptest! {
             out.push(payload);
             pos += used;
         }
-        prop_assert_eq!(out, payloads);
-    }
+        assert_eq!(out, payloads);
+    });
+}
 
-    /// Truncating a frame anywhere yields "need more bytes", never garbage.
-    #[test]
-    fn truncated_frames_wait(data in prop::collection::vec(any::<u8>(), 0..100)) {
+/// Truncating a frame anywhere yields "need more bytes", never garbage.
+#[test]
+fn truncated_frames_wait() {
+    check(CASES, |g| {
+        let data = g.bytes(0..100);
         let full = frame(&data);
         for cut in 0..full.len() {
             let r = deframe(&full[..cut]).unwrap();
-            prop_assert!(r.is_none(), "cut={cut} should be incomplete");
+            assert!(r.is_none(), "cut={cut} should be incomplete");
         }
-        let (payload, used) = deframe(&full).unwrap().unwrap();
-        prop_assert_eq!(payload, data);
-        prop_assert_eq!(used, full.len());
-    }
+        assert_eq!(deframe(&full).unwrap().unwrap(), (data, full.len()));
+    });
+}
 
-    /// The server never panics on any request sequence, and in the scoped
-    /// discipline never emits an out-of-vocabulary explicit error.
-    #[test]
-    fn server_is_total_and_contract_clean(
-        reqs in prop::collection::vec(any_request(), 0..40),
-        authed in any::<bool>(),
-    ) {
+/// The server never panics on any request sequence, and in the scoped
+/// discipline never emits an out-of-vocabulary explicit error.
+#[test]
+fn server_is_total_and_contract_clean() {
+    check(4 * CASES, |g| {
         let mut fs = MemFs::new(4096);
         fs.put("seed.txt", b"hello");
         let cookie = Cookie::generate(7);
         let mut server = ChirpServer::new(fs, cookie.clone());
-        if authed {
+        if g.bool() {
             let out = server.handle(&Request::Auth {
                 cookie: cookie.as_bytes().to_vec(),
             });
-            prop_assert_eq!(out, ServerOutcome::Reply(Response::Ok));
+            assert_eq!(out, ServerOutcome::Reply(Response::Ok));
         }
-        for req in &reqs {
-            match server.handle(req) {
-                ServerOutcome::Reply(Response::Error(e)) => {
-                    // Principle 4: any explicit error must be in the
-                    // operation's declared vocabulary.
-                    let vocab = chirp::proto::explicit_errors_of(req.op());
-                    prop_assert!(
-                        vocab.contains(&e),
-                        "{e} outside vocabulary of {}",
-                        req.op()
-                    );
-                }
+        for req in g.vec(0..40, any_request) {
+            match server.handle(&req) {
+                // Principle 4: any explicit error must be in the
+                // operation's declared vocabulary.
+                ServerOutcome::Reply(Response::Error(e)) => assert!(
+                    explicit_errors_of(req.op()).contains(&e),
+                    "{e} outside vocabulary of {}",
+                    req.op()
+                ),
                 ServerOutcome::Reply(_) => {}
                 ServerOutcome::Disconnect(_) => break, // connection over
             }
         }
-    }
+    });
+}
 
-    /// MemFs quota accounting never goes negative and never exceeds quota.
-    #[test]
-    fn memfs_quota_invariant(ops in prop::collection::vec((0u8..4, 0usize..3, 0usize..200), 0..60)) {
+/// MemFs quota accounting never goes negative and never exceeds quota.
+#[test]
+fn memfs_quota_invariant() {
+    check(CASES, |g| {
         let quota = 500u64;
         let mut fs = MemFs::new(quota);
-        let paths = ["a", "b", "c"];
-        for (op, pi, n) in ops {
-            let path = paths[pi];
-            match op {
-                0 => {
-                    let _ = fs.create(path);
-                }
-                1 => {
-                    let _ = fs.append(path, &vec![0u8; n]);
-                }
-                2 => {
-                    let _ = fs.unlink(path);
-                }
-                _ => {
-                    let _ = fs.read_at(path, 0, n as u32);
-                }
+        for _ in 0..g.int(0..60) {
+            let (path, n) = (*g.pick(&["a", "b", "c"]), g.int(0usize..200));
+            match g.below(4) {
+                0 => drop(fs.create(path)),
+                1 => drop(fs.append(path, &vec![0u8; n])),
+                2 => drop(fs.unlink(path)),
+                _ => drop(fs.read_at(path, 0, n as u32)),
             }
-            prop_assert!(fs.used() <= quota, "used {} > quota {quota}", fs.used());
+            assert!(fs.used() <= quota, "used {} > quota {quota}", fs.used());
         }
-    }
+    });
+}
 
-    /// Cookies only verify against themselves.
-    #[test]
-    fn cookie_verification(seed_a in any::<u64>(), seed_b in any::<u64>()) {
+/// Cookies only verify against themselves.
+#[test]
+fn cookie_verification() {
+    check(CASES, |g| {
+        let (seed_a, other) = (g.int(0..=u64::MAX), g.int(0..=u64::MAX));
+        let seed_b = *g.pick(&[seed_a, other]);
         let a = Cookie::generate(seed_a);
         let b = Cookie::generate(seed_b);
-        prop_assert!(a.verify(a.as_bytes()));
-        prop_assert_eq!(a.verify(b.as_bytes()), seed_a == seed_b);
-    }
+        assert!(a.verify(a.as_bytes()));
+        assert_eq!(a.verify(b.as_bytes()), seed_a == seed_b);
+    });
+}
 
-    /// Env faults always map to the same scope/code — the mapping is pure.
-    #[test]
-    fn env_fault_mapping_is_stable(which in 0u8..3) {
-        let f = match which {
-            0 => EnvFault::FilesystemOffline,
-            1 => EnvFault::CredentialsExpired,
-            _ => EnvFault::ConnectionTimedOut,
-        };
-        prop_assert_eq!(f.code(), f.code());
-        prop_assert_eq!(f.scope(), f.scope());
+/// Env faults always map to the same scope/code — the mapping is pure.
+#[test]
+fn env_fault_mapping_is_stable() {
+    for f in [
+        EnvFault::FilesystemOffline,
+        EnvFault::CredentialsExpired,
+        EnvFault::ConnectionTimedOut,
+    ] {
+        assert_eq!(f.code(), f.code());
+        assert_eq!(f.scope(), f.scope());
         // And a faulted backend refuses everything with exactly that fault.
         let mut fs = MemFs::default();
         fs.put("x", b"1");
         fs.set_env_fault(Some(f));
-        prop_assert_eq!(fs.exists("x"), Err(BackendFailure::Env(f)));
-        prop_assert_eq!(fs.size("x"), Err(BackendFailure::Env(f)));
+        assert_eq!(fs.exists("x"), Err(BackendFailure::Env(f)));
+        assert_eq!(fs.size("x"), Err(BackendFailure::Env(f)));
     }
 }

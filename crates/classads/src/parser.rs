@@ -20,6 +20,8 @@ pub enum ParseError {
     },
     /// Input had trailing tokens after a complete expression.
     TrailingInput(String),
+    /// The expression nests deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -31,6 +33,7 @@ impl fmt::Display for ParseError {
                 None => write!(f, "unexpected end of input, expected {expected}"),
             },
             ParseError::TrailingInput(t) => write!(f, "trailing input starting at '{t}'"),
+            ParseError::TooDeep => write!(f, "expression nests deeper than {MAX_DEPTH} levels"),
         }
     }
 }
@@ -43,12 +46,41 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep an expression tree may grow: one level per parenthesis, unary
+/// operator and call, and one per operator of a chain (`a + b + c` leans
+/// left, two deep). The parser, the evaluator, `Display` and `Drop` all
+/// recurse once per level, and a job's `Requirements` is outside input, so
+/// an expression past this is a [`ParseError`], not a stack overflow.
+/// (`Display` parenthesises every operator, which can double the count:
+/// what parsed within half the limit always reparses from its printed
+/// form. The deepest expression in this workspace's ads is under twenty.)
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of the tree above the token at `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            tokens: lex(input)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// Whatever is parsed next sits one level further down.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(ParseError::TooDeep);
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -95,31 +127,33 @@ impl Parser {
 
     /// Precedence-climbing expression parser.
     fn expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.unary()?;
         while let Some(op) = self.binop_at(min_prec) {
             self.pos += 1; // consume operator
+            self.deeper()?; // it goes on top of everything to its left
             let rhs = self.expr(op.precedence() + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::Bang) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
-            }
-            Some(Token::Minus) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
-            }
-            Some(Token::Plus) => {
-                self.pos += 1;
-                self.unary()
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            Some(Token::Bang) => Some(UnOp::Not),
+            Some(Token::Minus) => Some(UnOp::Neg),
+            Some(Token::Plus) => None,
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        self.deeper()?;
+        let operand = self.unary()?;
+        self.depth -= 1;
+        Ok(match op {
+            Some(op) => Expr::Unary(op, Box::new(operand)),
+            None => operand,
+        })
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
@@ -128,7 +162,9 @@ impl Parser {
             Some(Token::Real(r)) => Ok(Expr::Lit(Value::Real(r))),
             Some(Token::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
             Some(Token::LParen) => {
+                self.deeper()?;
                 let e = self.expr(1)?;
+                self.depth -= 1;
                 self.expect(&Token::RParen, "')'")?;
                 Ok(e)
             }
@@ -178,6 +214,7 @@ impl Parser {
         // Function call.
         if self.peek() == Some(&Token::LParen) {
             self.pos += 1;
+            self.deeper()?;
             let mut args = Vec::new();
             if self.peek() != Some(&Token::RParen) {
                 loop {
@@ -190,6 +227,7 @@ impl Parser {
                     }
                 }
             }
+            self.depth -= 1;
             self.expect(&Token::RParen, "')' after arguments")?;
             return Ok(Expr::Call { name: lower, args });
         }
@@ -235,10 +273,7 @@ impl Parser {
 
 /// Parse a single expression, requiring all input to be consumed.
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
-    let mut p = Parser {
-        tokens: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     let e = p.expr(1)?;
     match p.peek() {
         None => Ok(e),
@@ -249,10 +284,7 @@ pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
 /// Parse a whole ad of the form `[ a = 1; b = expr; … ]`, returning the
 /// attribute list in source order (names keep their original spelling).
 pub fn parse_ad_pairs(input: &str) -> Result<Vec<(String, Expr)>, ParseError> {
-    let mut p = Parser {
-        tokens: lex(input)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(input)?;
     p.expect(&Token::LBracket, "'[' to open an ad")?;
     let pairs = p.ad_body()?;
     match p.peek() {
@@ -373,5 +405,49 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("=?="));
         assert!(s.contains("MY.ImageSize"));
+    }
+
+    /// `levels` of nesting around a literal, by parentheses, by unary
+    /// operators, by calls, and by one left-leaning operator chain.
+    fn nested(levels: usize) -> [String; 4] {
+        [
+            format!("{}1{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("{}true", "!".repeat(levels)),
+            format!("{}1{}", "min(".repeat(levels), ")".repeat(levels)),
+            format!("1{}", " + 1".repeat(levels)),
+        ]
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_evaluates_prints_and_drops() {
+        for src in nested(MAX_DEPTH) {
+            let e = parse_expr(&src).unwrap_or_else(|err| panic!("{err}: {src}"));
+            let _ = crate::eval(&crate::ClassAd::new(), None, &e);
+            let _ = e.to_string();
+        }
+        let ad = format!(
+            "[ a = {}; b = {} ]",
+            nested(MAX_DEPTH)[0],
+            nested(MAX_DEPTH)[3]
+        );
+        assert_eq!(parse_ad_pairs(&ad).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            for src in nested(levels) {
+                assert_eq!(
+                    parse_expr(&src),
+                    Err(ParseError::TooDeep),
+                    "{levels} levels"
+                );
+                assert_eq!(
+                    parse_ad_pairs(&format!("[ a = {src} ]")),
+                    Err(ParseError::TooDeep)
+                );
+            }
+        }
+        assert!(ParseError::TooDeep.to_string().contains("256"));
     }
 }

@@ -1,10 +1,8 @@
 //! Differential tests: compiled ClassAd evaluation must be value-identical
 //! to the tree-walking interpreter on every expression.
 //!
-//! The generator is a hand-rolled deterministic xorshift PRNG rather than
-//! proptest (which is gated behind the off-by-default `proptest-props`
-//! feature), so this suite runs on every `cargo test` with a fixed seed
-//! and fully reproducible cases.
+//! The generator is a hand-rolled deterministic xorshift PRNG with a fixed
+//! seed, so the cases are the same on every `cargo test`.
 
 use classads::compile::{symmetric_match_compiled, CompiledAd, Scratch};
 use classads::prelude::*;

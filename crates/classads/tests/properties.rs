@@ -1,134 +1,139 @@
-//! Property-based tests for the ClassAd language.
+//! Properties of the ClassAd language, run on seeded generated cases.
 
 use classads::ast::{BinOp, Expr};
+use classads::parser::parse_ad_pairs;
 use classads::prelude::*;
 use classads::value::ArithOp;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
+use std::collections::BTreeMap;
 
-/// A strategy for arbitrary ClassAd values.
-fn any_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Undefined),
-        Just(Value::Error),
-        any::<bool>().prop_map(Value::Bool),
-        (-1_000_000i64..1_000_000).prop_map(Value::Int),
-        (-1e6f64..1e6).prop_map(Value::Real),
-        "[a-zA-Z0-9 _]{0,12}".prop_map(Value::Str),
-    ]
+const CASES: u64 = 512;
+
+/// `[a-z]` is the first 26 of these, `[a-z0-9]` the first 36.
+const ALNUM: &str = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// An arbitrary ClassAd value.
+fn any_value(g: &mut Gen) -> Value {
+    match g.below(6) {
+        0 => Value::Undefined,
+        1 => Value::Error,
+        2 => Value::Bool(g.bool()),
+        3 => Value::Int(g.int(-1_000_000i64..1_000_000)),
+        4 => Value::Real(g.f64(-1e6..1e6)),
+        _ => Value::Str(g.string(&format!("{ALNUM} _"), 0..=12)),
+    }
 }
 
-/// A strategy for small expression trees over a fixed attribute alphabet.
-fn any_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        any_value().prop_map(Expr::Lit),
-        prop::sample::select(vec!["a", "b", "c", "memory"]).prop_map(Expr::attr),
+/// A small expression tree, at most `depth` operators deep, over a fixed
+/// attribute alphabet.
+fn any_expr(g: &mut Gen, depth: u32) -> Expr {
+    use BinOp::*;
+    const OPS: [BinOp; 15] = [
+        Or, And, Eq, Ne, MetaEq, MetaNe, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod,
     ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        let ops = prop::sample::select(vec![
-            BinOp::Or,
-            BinOp::And,
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::MetaEq,
-            BinOp::MetaNe,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Mod,
-        ]);
-        (inner.clone(), ops, inner)
-            .prop_map(|(l, op, r)| Expr::Binary(op, Box::new(l), Box::new(r)))
-    })
+    match g.below(if depth == 0 { 2 } else { 4 }) {
+        0 => Expr::Lit(any_value(g)),
+        1 => Expr::attr(g.pick::<&str>(&["a", "b", "c", "memory"])),
+        _ => Expr::Binary(
+            *g.pick(&OPS),
+            Box::new(any_expr(g, depth - 1)),
+            Box::new(any_expr(g, depth - 1)),
+        ),
+    }
 }
 
-proptest! {
-    /// Evaluation is total: no expression panics, whatever the ads hold.
-    #[test]
-    fn eval_never_panics(e in any_expr(), mem in -100i64..100) {
+/// Evaluation is total: no expression panics, whatever the ads hold.
+#[test]
+fn eval_never_panics() {
+    check(CASES, |g| {
+        let (e, mem) = (any_expr(g, 3), g.int(-100i64..100));
         let me = ClassAd::new().with_int("a", mem).with_bool("b", mem > 0);
         let target = ClassAd::new().with_int("memory", mem * 2);
         let _ = eval(&me, Some(&target), &e);
-    }
+    });
+}
 
-    /// Display → parse round trip: printing an expression and re-parsing
-    /// it yields a semantically identical expression (same value against
-    /// random ads).
-    #[test]
-    fn display_parse_roundtrip(e in any_expr(), mem in -100i64..100) {
+/// Display → parse round trip: printing an expression and re-parsing
+/// it yields a semantically identical expression (same value against
+/// random ads).
+#[test]
+fn display_parse_roundtrip() {
+    check(CASES, |g| {
+        let (e, mem) = (any_expr(g, 3), g.int(-100i64..100));
         let printed = e.to_string();
-        let reparsed = parse_expr(&printed).unwrap_or_else(|err| {
-            panic!("failed to reparse {printed:?}: {err}")
-        });
+        let reparsed = parse_expr(&printed)
+            .unwrap_or_else(|err| panic!("failed to reparse {printed:?}: {err}"));
         let me = ClassAd::new().with_int("a", mem);
-        let target = ClassAd::new().with_int("memory", mem + 1).with_bool("b", true);
-        prop_assert_eq!(
+        let target = ClassAd::new()
+            .with_int("memory", mem + 1)
+            .with_bool("b", true);
+        assert_eq!(
             eval(&me, Some(&target), &e),
             eval(&me, Some(&target), &reparsed),
-            "printed form: {}", printed
+            "printed form: {printed}"
         );
-    }
+    });
+}
 
-    /// AND/OR are commutative and AND distributes FALSE, OR distributes
-    /// TRUE, for all value pairs (the tri-state truth tables).
-    #[test]
-    fn logic_laws(a in any_value(), b in any_value()) {
-        prop_assert_eq!(a.and(&b), b.and(&a));
-        prop_assert_eq!(a.or(&b), b.or(&a));
-        prop_assert_eq!(Value::FALSE.and(&a), Value::FALSE);
-        prop_assert_eq!(Value::TRUE.or(&a), Value::TRUE);
+/// AND/OR are commutative and AND distributes FALSE, OR distributes
+/// TRUE, for all value pairs (the tri-state truth tables).
+#[test]
+fn logic_laws() {
+    check(CASES, |g| {
+        let (a, b) = (any_value(g), any_value(g));
+        assert_eq!(a.and(&b), b.and(&a));
+        assert_eq!(a.or(&b), b.or(&a));
+        assert_eq!(Value::FALSE.and(&a), Value::FALSE);
+        assert_eq!(Value::TRUE.or(&a), Value::TRUE);
         // De Morgan holds in the three-valued logic.
-        prop_assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
-        prop_assert_eq!(a.or(&b).not(), a.not().and(&b.not()));
-    }
+        assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
+        assert_eq!(a.or(&b).not(), a.not().and(&b.not()));
+    });
+}
 
-    /// =?= is total (never Undefined/Error), reflexive, and symmetric.
-    #[test]
-    fn meta_eq_laws(a in any_value(), b in any_value()) {
+/// =?= is total (never Undefined/Error), reflexive, and symmetric.
+#[test]
+fn meta_eq_laws() {
+    check(CASES, |g| {
+        let (a, b) = (any_value(g), any_value(g));
         let ab = a.is_identical(&b);
-        prop_assert!(matches!(ab, Value::Bool(_)));
-        prop_assert_eq!(ab, b.is_identical(&a));
-        // Reflexivity, except NaN != NaN under f64 equality.
-        let reflexive_ok = match &a {
-            Value::Real(r) => !r.is_nan(),
-            _ => true,
+        assert!(matches!(ab, Value::Bool(_)));
+        assert_eq!(ab, b.is_identical(&a));
+        // Reflexivity (`any_value` draws no NaN, the one exception).
+        assert_eq!(a.is_identical(&a), Value::Bool(true));
+    });
+}
+
+/// Int arithmetic agrees with wrapping i64 arithmetic away from the
+/// division-by-zero edge.
+#[test]
+fn int_arith_matches_i64() {
+    check(CASES, |g| {
+        let edge = |g: &mut Gen| match g.below(4) {
+            0 => *g.pick(&[0, 1, -1, i64::MIN, i64::MAX]),
+            _ => g.int(i64::MIN..=i64::MAX),
         };
-        if reflexive_ok {
-            prop_assert_eq!(a.is_identical(&a), Value::Bool(true));
-        }
-    }
-
-    /// Int arithmetic agrees with wrapping i64 arithmetic away from the
-    /// division-by-zero edge.
-    #[test]
-    fn int_arith_matches_i64(x in any::<i64>(), y in any::<i64>()) {
-        prop_assert_eq!(
-            Value::Int(x).arith(ArithOp::Add, &Value::Int(y)),
-            Value::Int(x.wrapping_add(y))
-        );
-        prop_assert_eq!(
-            Value::Int(x).arith(ArithOp::Mul, &Value::Int(y)),
-            Value::Int(x.wrapping_mul(y))
-        );
+        let (x, y) = (edge(g), edge(g));
+        let arith = |op| Value::Int(x).arith(op, &Value::Int(y));
+        assert_eq!(arith(ArithOp::Add), Value::Int(x.wrapping_add(y)));
+        assert_eq!(arith(ArithOp::Mul), Value::Int(x.wrapping_mul(y)));
         if y != 0 {
-            prop_assert_eq!(
-                Value::Int(x).arith(ArithOp::Div, &Value::Int(y)),
-                Value::Int(x.wrapping_div(y))
-            );
+            assert_eq!(arith(ArithOp::Div), Value::Int(x.wrapping_div(y)));
         } else {
-            prop_assert_eq!(Value::Int(x).arith(ArithOp::Div, &Value::Int(0)), Value::Error);
+            assert_eq!(arith(ArithOp::Div), Value::Error);
         }
-    }
+    });
+}
 
-    /// Whole-ad print/parse round trip preserves every attribute's value.
-    #[test]
-    fn ad_roundtrip(
-        ints in prop::collection::btree_map("[a-z][a-z0-9]{0,6}", -1000i64..1000, 0..6),
-    ) {
+/// Whole-ad print/parse round trip preserves every attribute's value.
+#[test]
+fn ad_roundtrip() {
+    check(CASES, |g| {
+        let name = |g: &mut Gen| g.string(&ALNUM[..26], 1..=1) + &g.string(&ALNUM[..36], 0..=6);
+        let ints: BTreeMap<String, i64> = g
+            .vec(0..6, |g| (name(g), g.int(-1000i64..1000)))
+            .into_iter()
+            .collect();
         let mut ad = ClassAd::new();
         for (k, v) in &ints {
             ad.insert(k.clone(), Value::Int(*v));
@@ -137,43 +142,75 @@ proptest! {
         let back = ClassAd::parse(&printed).unwrap();
         // Structural equality can differ (e.g. -1 prints as a literal but
         // reparses as unary negation), so compare semantically.
-        prop_assert_eq!(back.len(), ad.len());
+        assert_eq!(back.len(), ad.len());
         for (k, v) in &ints {
-            prop_assert_eq!(back.value_of(k), Value::Int(*v));
+            assert_eq!(back.value_of(k), Value::Int(*v));
         }
-    }
+    });
+}
 
-    /// The parser is total: arbitrary input never panics — it parses or
-    /// returns an error.
-    #[test]
-    fn parser_is_total(input in ".{0,120}") {
-        let _ = parse_expr(&input);
-        let _ = ClassAd::parse(&input);
-    }
+/// The language's own tokens, space-separated: the first 28 make
+/// expressions, the rest are ad punctuation, a stray quote, and 2^63.
+const TOKENS: &str = "a MY. TARGET. 1 2.5 \"s\" true undefined error ( ) && || == != =?= =!= < <= \
+    + - * / % ! , min strcat [ ] = ; \" 9223372036854775808";
 
-    /// Token soup from the language's own alphabet also never panics and,
-    /// when it parses, evaluates without panicking.
-    #[test]
-    fn token_soup_is_survivable(
-        tokens in prop::collection::vec(
-            prop::sample::select(vec![
-                "a", "MY.", "TARGET.", "1", "2.5", "\"s\"", "true", "undefined",
-                "error", "(", ")", "&&", "||", "==", "!=", "=?=", "=!=", "<", "<=",
-                "+", "-", "*", "/", "%", "!", ",", "min", "strcat",
-            ]),
-            0..25,
-        )
-    ) {
-        let src = tokens.join(" ");
+/// The parsers are total — input parses or is a `ParseError`, never a
+/// panic — on 10^5 inputs each: arbitrary characters, token soup, and
+/// printed expressions and ads damaged (flipped, truncated, spliced,
+/// duplicated). Whatever parses also evaluates without panicking.
+#[test]
+fn parser_is_total() {
+    let chars = format!("{ALNUM} \t\n\"'\\.()[]{{}}=?!<>&|+-*/%,;:#@$^~`_\0\u{7f}é誤😀\u{2028}");
+    let tokens: Vec<&str> = TOKENS.split(' ').collect();
+    let ad = ClassAd::new().with_int("a", 1);
+    check(100_000, |g| {
+        let text = match g.below(4) {
+            0 => g.string(&chars, 0..=120),
+            1 => g.vec(0..25, |g| *g.pick(&tokens)).join(" "),
+            2 => any_expr(g, 3).to_string(),
+            _ => {
+                let mut ad = ClassAd::new();
+                for name in g.vec(0..4, |g| *g.pick(&["a", "Memory", "Requirements", "x_1"])) {
+                    ad.insert_expr(name, any_expr(g, 2));
+                }
+                ad.to_string()
+            }
+        };
+        let src = match g.below(4) {
+            0 => text,
+            _ => String::from_utf8_lossy(&g.mutated(text.as_bytes())).into_owned(),
+        };
         if let Ok(e) = parse_expr(&src) {
-            let ad = ClassAd::new().with_int("a", 1);
             let _ = eval(&ad, None, &e);
         }
-    }
+        if let Ok(pairs) = parse_ad_pairs(&src) {
+            for (_, e) in &pairs {
+                let _ = eval(&ad, None, e);
+            }
+        }
+    });
+}
 
-    /// Matching is symmetric in `matched` (two-way by construction).
-    #[test]
-    fn match_symmetry(mem in 1i64..1024, img in 1i64..1024) {
+/// Token soup from the language's own alphabet never panics and, when it
+/// parses, prints to something that parses again.
+#[test]
+fn token_soup_is_survivable() {
+    let tokens: Vec<&str> = TOKENS.split(' ').take(28).collect();
+    check(20 * CASES, |g| {
+        let src = g.vec(0..25, |g| *g.pick(&tokens)).join(" ");
+        if let Ok(e) = parse_expr(&src) {
+            let _ = eval(&ClassAd::new().with_int("a", 1), None, &e);
+            let printed = e.to_string();
+            assert!(parse_expr(&printed).is_ok(), "{src} printed as {printed}");
+        }
+    });
+}
+
+/// Matching is symmetric in `matched` (two-way by construction).
+#[test]
+fn match_symmetry() {
+    check(CASES, |g| {
+        let (mem, img) = (g.int(1i64..1024), g.int(1i64..1024));
         let job = ClassAd::new()
             .with_int("ImageSize", img)
             .with_expr("Requirements", "TARGET.Memory >= MY.ImageSize");
@@ -182,7 +219,7 @@ proptest! {
             .with_expr("Requirements", "TARGET.ImageSize <= MY.Memory");
         let ab = symmetric_match(&job, &machine);
         let ba = symmetric_match(&machine, &job);
-        prop_assert_eq!(ab.matched, ba.matched);
-        prop_assert_eq!(ab.matched, mem >= img);
-    }
+        assert_eq!(ab.matched, ba.matched);
+        assert_eq!(ab.matched, mem >= img);
+    });
 }

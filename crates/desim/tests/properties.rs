@@ -1,17 +1,17 @@
-//! Property-based tests for the simulation engine.
+//! Properties of the simulation engine, run on seeded generated cases.
 
 use desim::prelude::*;
-use desim::{EventKey, KeyedEventQueue};
-// Only referenced inside `proptest!` blocks, which the offline stub erases.
-#[allow(unused_imports)]
-use desim::EventQueue;
-use proptest::prelude::*;
+use desim::{EventKey, EventQueue, KeyedEventQueue};
+use propcheck::{check, Gen};
 
-proptest! {
-    /// The event queue is a stable priority queue: pops are sorted by
-    /// time, and equal-time events keep insertion order.
-    #[test]
-    fn queue_pops_stable_sorted(times in prop::collection::vec(0u64..1000, 0..200)) {
+const CASES: u64 = 256;
+
+/// The event queue is a stable priority queue: pops are sorted by
+/// time, and equal-time events keep insertion order.
+#[test]
+fn queue_pops_stable_sorted() {
+    check(CASES, |g| {
+        let times = g.vec(0..200, |g| g.int(0u64..1000));
         let mut q = EventQueue::new();
         for (i, t) in times.iter().enumerate() {
             q.push(SimTime::from_micros(*t), i);
@@ -20,49 +20,53 @@ proptest! {
         while let Some(e) = q.pop() {
             out.push(e);
         }
-        prop_assert_eq!(out.len(), times.len());
+        assert_eq!(out.len(), times.len());
         for w in out.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
+            assert!(w[0].0 <= w[1].0, "time order violated");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated for equal times");
+                assert!(w[0].1 < w[1].1, "FIFO violated for equal times");
             }
         }
-    }
+    });
+}
 
-    /// Network transit: latency is always >= 1µs when delivered; loopback
-    /// always delivers; partitions always block.
-    #[test]
-    fn network_invariants(
-        base_ms in 0u64..50,
-        jitter in 0.0f64..1.0,
-        a in 0usize..8,
-        b in 0usize..8,
-        partitioned in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
+/// Network transit: latency is always >= 1µs when delivered; loopback
+/// always delivers; partitions always block.
+#[test]
+fn network_invariants() {
+    check(CASES, |g| {
+        let (base_ms, jitter) = (g.int(0u64..50), g.f64(0.0..1.0));
+        let (a, b) = (g.int(0usize..8), g.int(0usize..8));
+        let partitioned = g.bool();
         let mut net = Network::new(SimDuration::from_millis(base_ms)).with_jitter(jitter);
         if partitioned {
             net.partition(a, b);
         }
-        let mut rng = SimRng::seed_from_u64(seed);
+        let mut rng = SimRng::seed_from_u64(g.u64());
         let r = net.transit(&mut rng, a, b);
         if a == b {
-            prop_assert_eq!(r, Some(SimDuration::from_micros(1)));
+            assert_eq!(r, Some(SimDuration::from_micros(1)));
         } else if partitioned {
-            prop_assert_eq!(r, None);
+            assert_eq!(r, None);
         } else {
             let lat = r.expect("healthy link delivers");
-            prop_assert!(lat.as_micros() >= 1);
+            assert!(lat.as_micros() >= 1);
             let upper = SimDuration::from_millis(base_ms).mul_f64(1.0 + jitter)
                 + SimDuration::from_micros(2);
-            prop_assert!(lat <= upper, "latency {lat} above bound {upper}");
+            assert!(lat <= upper, "latency {lat} above bound {upper}");
         }
-    }
+    });
+}
 
-    /// Seeded RNG streams are reproducible and forks are independent of
-    /// consumption order.
-    #[test]
-    fn rng_reproducibility(seed in any::<u64>(), label in "[a-z]{1,8}") {
+/// Seeded RNG streams are reproducible and forks are independent of
+/// consumption order.
+#[test]
+fn rng_reproducibility() {
+    check(CASES, |g| {
+        let (seed, label) = (
+            g.int(0..=u64::MAX),
+            g.string("abcdefghijklmnopqrstuvwxyz", 1..=8),
+        );
         let mut a = SimRng::seed_from_u64(seed);
         let mut b = SimRng::seed_from_u64(seed);
         // Fork before consuming on one, after consuming on the other: the
@@ -72,77 +76,96 @@ proptest! {
         let _ = b.f64();
         let mut child_b = b.fork(&label);
         for _ in 0..8 {
-            prop_assert_eq!(child_a.range_u64(0, 1000), child_b.range_u64(0, 1000));
+            assert_eq!(child_a.range_u64(0, 1000), child_b.range_u64(0, 1000));
         }
-    }
+    });
+}
 
-    /// Virtual-time arithmetic: addition is monotone and saturating
-    /// subtraction never underflows.
-    #[test]
-    fn time_arithmetic(a in any::<u64>(), b in any::<u64>()) {
+/// Virtual-time arithmetic: addition is monotone and saturating
+/// subtraction never underflows.
+#[test]
+fn time_arithmetic() {
+    check(CASES, |g| {
+        let (a, b) = (g.int(0..=u64::MAX), g.int(0..=u64::MAX));
         let t = SimTime::from_micros(a);
         let d = SimDuration::from_micros(b);
-        prop_assert!(t + d >= t);
+        assert!(t + d >= t);
         let diff = t.since(SimTime::from_micros(b));
-        prop_assert_eq!(diff.as_micros(), a.saturating_sub(b));
-    }
+        assert_eq!(diff.as_micros(), a.saturating_sub(b));
+    });
+}
 
-    /// Window-barrier merge discipline: when several sources deliver at
-    /// the *same* timestamp into one shard queue — in any arrival order,
-    /// as happens when barriers from different shards interleave — the
-    /// pops come back in `(src, seq)` order: source-id major, FIFO per
-    /// source. This is what makes a barrier's merge independent of the
-    /// order the crossboxes were collected in.
-    #[test]
-    fn same_time_cross_shard_deliveries_pop_in_canonical_order(
-        counts in prop::collection::vec(1usize..6, 1..6),
-        order in prop::collection::vec(any::<u64>(), 30),
-    ) {
+/// Window-barrier merge discipline: when several sources deliver at
+/// the *same* timestamp into one shard queue — in any arrival order,
+/// as happens when barriers from different shards interleave — the
+/// pops come back in `(src, seq)` order: source-id major, FIFO per
+/// source. This is what makes a barrier's merge independent of the
+/// order the crossboxes were collected in.
+#[test]
+fn same_time_cross_shard_deliveries_pop_in_canonical_order() {
+    check(CASES, |g| {
         // counts[s] events from source s, all at t=500µs.
+        let counts = g.vec(1..6, |g| g.int(1u64..6));
         let at = SimTime::from_micros(500);
         let mut events: Vec<EventKey> = Vec::new();
         for (src, n) in counts.iter().enumerate() {
-            for seq in 0..*n as u64 {
-                events.push(EventKey { at, src: src as u64, seq });
+            for seq in 0..*n {
+                let src = src as u64;
+                events.push(EventKey { at, src, seq });
             }
         }
-        // Shuffle the arrival order with the random ranks.
-        let mut arrival: Vec<EventKey> = events.clone();
-        arrival.sort_by_key(|k| order[(k.src as usize * 7 + k.seq as usize) % order.len()]);
+        // Shuffle the arrival order by random ranks.
+        let mut arrival: Vec<(u64, EventKey)> = events.iter().map(|k| (g.u64(), *k)).collect();
+        arrival.sort();
+        assert_pops_in_canonical_order(arrival.into_iter().map(|(_, k)| k));
+    });
+}
 
-        let mut q: KeyedEventQueue<EventKey> = KeyedEventQueue::new();
-        for k in &arrival {
-            q.push(*k, *k);
-        }
-        let mut popped = Vec::new();
-        while let Some((k, _)) = q.pop() {
-            popped.push(k);
-        }
-        let mut expect = events;
-        expect.sort();
-        prop_assert_eq!(popped, expect);
+/// Push `arrival` into one keyed queue; the pops are the keys sorted.
+fn assert_pops_in_canonical_order(arrival: impl Iterator<Item = EventKey>) {
+    let mut q: KeyedEventQueue<EventKey> = KeyedEventQueue::new();
+    let mut expect = Vec::new();
+    for k in arrival {
+        q.push(k, k);
+        expect.push(k);
     }
+    let mut popped = Vec::new();
+    while let Some((k, _)) = q.pop() {
+        popped.push(k);
+    }
+    expect.sort();
+    assert_eq!(popped, expect);
+}
 
-    /// Sharding differential: route a random event workload through 1
-    /// shard and through N shards with conservative-window barrier
-    /// delivery — every *target's* received stream must be identical.
-    /// (This is the queue-level core of the ParWorld determinism gate:
-    /// windows and barriers batch delivery, they never reorder a
-    /// receiver's history.)
-    #[test]
-    fn window_barrier_drain_matches_single_queue_per_target(
-        raw in prop::collection::vec((0u64..2000, 0usize..6, 0usize..6), 1..120),
-        window in 1u64..400,
-    ) {
-        let events = keyed_events(&raw);
-        let single = window_drain(&events, 1, window);
-        for (target, stream) in single.iter().enumerate() {
-            prop_assert_eq!(stream, &canonical_target_stream(&events, target));
-        }
-        for shards_n in [2, 3, 5] {
-            prop_assert_eq!(&single, &window_drain(&events, shards_n, window),
-                "diverged at {} shards", shards_n);
-        }
+/// Sharding differential: route a random event workload through 1
+/// shard and through N shards with conservative-window barrier
+/// delivery — every *target's* received stream must be identical.
+/// (This is the queue-level core of the ParWorld determinism gate:
+/// windows and barriers batch delivery, they never reorder a
+/// receiver's history.)
+#[test]
+fn window_barrier_drain_matches_single_queue_per_target() {
+    check(CASES, |g| {
+        let raw = g.vec(1..120, |g| {
+            (g.int(0u64..2000), g.int(0usize..6), g.int(0usize..6))
+        });
+        assert_drain_is_canonical_at_any_width(&keyed_events(&raw), g.int(1u64..400));
+    });
+}
+
+/// One shard delivers each target its events in canonical key order, and
+/// 2, 3 and 5 shards deliver what one does.
+fn assert_drain_is_canonical_at_any_width(events: &[(EventKey, usize)], window: u64) {
+    let single = window_drain(events, 1, window);
+    for (target, stream) in single.iter().enumerate() {
+        assert_eq!(stream, &canonical_target_stream(events, target));
+    }
+    for shards_n in [2, 3, 5] {
+        assert_eq!(
+            single,
+            window_drain(events, shards_n, window),
+            "diverged at {shards_n} shards, window {window}µs"
+        );
     }
 }
 
@@ -212,39 +235,18 @@ fn window_drain(events: &[(EventKey, usize)], shards_n: usize, window: u64) -> V
     streams
 }
 
-/// Deterministic mirror of the two window-barrier properties above, so
-/// the invariant stays exercised even where the proptest feature is off:
-/// an LCG-generated workload at several window widths, 1-shard vs
-/// N-shard differential plus canonical per-target order.
+/// One fixed workload beside the window-barrier property above: 150
+/// events at window widths up to 1 ms, both wider than the property draws.
 #[test]
 fn window_barrier_drain_differential_fixed_workload() {
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let raw: Vec<(u64, usize, usize)> = (0..150)
-        .map(|_| (next() % 2000, (next() % 6) as usize, (next() % 6) as usize))
-        .collect();
-    let events = keyed_events(&raw);
+    let event = |g: &mut Gen| (g.int(0u64..2000), g.int(0usize..6), g.int(0usize..6));
+    let events = keyed_events(&Gen::new(0x2545_f491_4f6c_dd1d).vec(150..=150, event));
     for window in [1, 37, 250, 1000] {
-        let single = window_drain(&events, 1, window);
-        for (target, stream) in single.iter().enumerate() {
-            assert_eq!(stream, &canonical_target_stream(&events, target));
-        }
-        for shards_n in [2, 3, 5] {
-            assert_eq!(
-                single,
-                window_drain(&events, shards_n, window),
-                "diverged at {shards_n} shards, window {window}µs"
-            );
-        }
+        assert_drain_is_canonical_at_any_width(&events, window);
     }
 }
 
-/// Deterministic mirror of the same-time canonical-order property.
+/// One fixed arrival order beside the same-time canonical-order property.
 #[test]
 fn same_time_deliveries_pop_in_canonical_order_fixed() {
     let at = SimTime::from_micros(500);
@@ -255,20 +257,9 @@ fn same_time_deliveries_pop_in_canonical_order_fixed() {
         }
     }
     // Arrival order scrambled: reversed then rotated.
-    let mut arrival = events.clone();
-    arrival.reverse();
-    arrival.rotate_left(3);
-    let mut q: KeyedEventQueue<EventKey> = KeyedEventQueue::new();
-    for k in &arrival {
-        q.push(*k, *k);
-    }
-    let mut popped = Vec::new();
-    while let Some((k, _)) = q.pop() {
-        popped.push(k);
-    }
-    let mut expect = events;
-    expect.sort();
-    assert_eq!(popped, expect);
+    events.reverse();
+    events.rotate_left(3);
+    assert_pops_in_canonical_order(events.into_iter());
 }
 
 /// A deterministic world of relaying actors: each actor forwards a token

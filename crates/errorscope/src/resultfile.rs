@@ -335,7 +335,8 @@ mod tests {
     }
 
     /// Integers that do not fit their field, outcomes that do not name
-    /// exactly one variant, and every truncation of a real file.
+    /// exactly one variant, every truncation of a real file, and a file of
+    /// nothing but open brackets, which used to overflow the reader's stack.
     #[test]
     fn out_of_range_and_truncated_files_are_malformed() {
         let completed = |version: &str, exit_code: &str| {
@@ -352,6 +353,8 @@ mod tests {
             completed("-1", "0"),
             completed("1.5", "0"),
             r#"{"version":1,"outcome":{}}"#.to_string(),
+            "[".repeat(50_000),
+            format!(r#"{{"version":1,"outcome":{}"#, r#"{"Completed":"#.repeat(50_000)),
             r#"{"version":1,"outcome":{"Completed":{"exit_code":0},"ProgramException":{"exception":"E","message":"m"}}}"#.to_string(),
         ];
         for whole in [

@@ -1,82 +1,94 @@
-//! Property-based tests for the error-scope theory.
+//! Properties of the error-scope theory, run on seeded generated cases.
 
 use errorscope::escalate::EscalationPolicy;
 use errorscope::prelude::*;
 use errorscope::resultfile::ResultFile;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-fn any_scope() -> impl Strategy<Value = Scope> {
-    prop::sample::select(Scope::ALL.to_vec())
+const CASES: u64 = 512;
+
+fn any_scope(g: &mut Gen) -> Scope {
+    *g.pick(&Scope::ALL)
 }
 
-fn any_comm_ctor() -> impl Strategy<Value = bool> {
-    any::<bool>()
-}
-
-proptest! {
-    /// Containment is a partial order: reflexive, antisymmetric,
-    /// transitive — over random triples.
-    #[test]
-    fn scope_partial_order_laws(a in any_scope(), b in any_scope(), c in any_scope()) {
-        prop_assert!(a.contains(a));
-        if a.contains(b) && b.contains(a) {
-            prop_assert_eq!(a, b);
-        }
-        if a.contains(b) && b.contains(c) {
-            prop_assert!(a.contains(c));
-        }
+/// An error born explicit or escaping, as a coin falls.
+fn any_error(g: &mut Gen, code: &'static str, origin: &'static str) -> ScopedError {
+    let scope = any_scope(g);
+    if g.bool() {
+        ScopedError::escaping(code, scope, origin, "m")
+    } else {
+        ScopedError::explicit(code, scope, origin, "m")
     }
+}
 
-    /// join is the least upper bound: an upper bound, commutative,
-    /// idempotent, associative.
-    #[test]
-    fn scope_join_is_lub(a in any_scope(), b in any_scope(), c in any_scope()) {
-        let j = a.join(b);
-        prop_assert!(j.contains(a) && j.contains(b));
-        prop_assert_eq!(j, b.join(a));
-        prop_assert_eq!(a.join(a), a);
-        prop_assert_eq!(a.join(b).join(c), a.join(b.join(c)));
-        // Minimality: no strict descendant of j on j's path to a or b also
-        // contains both (checked via every scope).
-        for s in Scope::ALL {
-            if s.contains(a) && s.contains(b) {
-                prop_assert!(s.contains(j), "{} contains both but not join {}", s, j);
+/// Containment is a partial order: reflexive, antisymmetric,
+/// transitive — over every triple (12^3 of them: no need to sample).
+#[test]
+fn scope_partial_order_laws() {
+    for a in Scope::ALL {
+        assert!(a.contains(a));
+        for b in Scope::ALL {
+            if a.contains(b) && b.contains(a) {
+                assert_eq!(a, b);
+            }
+            for c in Scope::ALL {
+                if a.contains(b) && b.contains(c) {
+                    assert!(a.contains(c));
+                }
             }
         }
     }
+}
 
-    /// Widening never shrinks and eventually reaches System.
-    #[test]
-    fn widening_terminates_at_system(s in any_scope()) {
+/// join is the least upper bound: an upper bound, commutative,
+/// idempotent, associative — over every triple.
+#[test]
+fn scope_join_is_lub() {
+    for a in Scope::ALL {
+        assert_eq!(a.join(a), a);
+        for b in Scope::ALL {
+            let j = a.join(b);
+            assert!(j.contains(a) && j.contains(b));
+            assert_eq!(j, b.join(a));
+            // Minimality: every scope containing both contains the join.
+            for s in Scope::ALL {
+                if s.contains(a) && s.contains(b) {
+                    assert!(s.contains(j), "{s} contains both but not join {j}");
+                }
+                assert_eq!(a.join(b).join(s), a.join(b.join(s)));
+            }
+        }
+    }
+}
+
+/// Widening never shrinks and eventually reaches System.
+#[test]
+fn widening_terminates_at_system() {
+    for s in Scope::ALL {
         let mut cur = s;
         let mut steps = 0;
         while let Some(w) = cur.widened() {
-            prop_assert!(w.strictly_contains(cur));
+            assert!(w.strictly_contains(cur));
             cur = w;
             steps += 1;
-            prop_assert!(steps <= Scope::ALL.len());
+            assert!(steps <= Scope::ALL.len());
         }
-        prop_assert_eq!(cur, Scope::System);
+        assert_eq!(cur, Scope::System);
     }
+}
 
-    /// ScopedError trails only ever grow; widening in transit never
-    /// shrinks scope; the comm mode is whatever the last conversion set.
-    #[test]
-    fn error_trail_monotone(
-        scope in any_scope(),
-        escape_first in any_comm_ctor(),
-        hops in prop::collection::vec(0u8..4, 0..8),
-    ) {
-        let mut e = if escape_first {
-            ScopedError::escaping("X", scope, "origin", "m")
-        } else {
-            ScopedError::explicit("X", scope, "origin", "m")
-        };
+/// ScopedError trails only ever grow; widening in transit never
+/// shrinks scope; the comm mode is whatever the last conversion set.
+#[test]
+fn error_trail_monotone() {
+    check(CASES, |g| {
+        let mut e = any_error(g, "X", "origin");
         let mut len = e.trail.len();
         let mut prev_scope = e.scope;
-        for h in hops {
-            e = match h {
+        for _ in 0..g.int(0..8) {
+            e = match g.below(4) {
                 0 => e.forwarded("layer"),
                 1 => {
                     let wider = e.scope.widened().unwrap_or(Scope::System);
@@ -85,67 +97,59 @@ proptest! {
                 2 => e.escape("layer"),
                 _ => e.reexpress("layer"),
             };
-            prop_assert_eq!(e.trail.len(), len + 1);
+            assert_eq!(e.trail.len(), len + 1);
             len = e.trail.len();
-            prop_assert!(e.scope.contains(prev_scope));
+            assert!(e.scope.contains(prev_scope));
             prev_scope = e.scope;
         }
-    }
+    });
+}
 
-    /// Escalation policies are monotone in time regardless of step layout.
-    #[test]
-    fn escalation_is_monotone(
-        step1 in 1u64..1000,
-        gap in 1u64..1000,
-        probe in prop::collection::vec(0u64..5000, 1..20),
-    ) {
+/// Escalation policies are monotone in time regardless of step layout.
+#[test]
+fn escalation_is_monotone() {
+    check(CASES, |g| {
+        let (step1, gap) = (g.int(1u64..1000), g.int(1u64..1000));
         let p = EscalationPolicy::new(Scope::Network)
             .after(Duration::from_secs(step1), Scope::Process)
             .after(Duration::from_secs(step1 + gap), Scope::Cluster);
-        let mut probes = probe;
+        let mut probes = g.vec(1..20, |g| g.int(0u64..5000));
         probes.sort_unstable();
         let mut prev = p.scope_at(Duration::ZERO);
         for t in probes {
             let s = p.scope_at(Duration::from_secs(t));
-            prop_assert!(s.contains(prev));
+            assert!(s.contains(prev));
             prev = s;
         }
-    }
+    });
+}
 
-    /// Result files survive serialisation for arbitrary content.
-    #[test]
-    fn resultfile_roundtrip(
-        kind in 0u8..3,
-        code in -1000i32..1000,
-        name in "[A-Za-z][A-Za-z0-9]{0,30}",
-        msg in ".{0,80}",
-        scope in any_scope(),
-    ) {
-        let rf = match kind {
-            0 => ResultFile::completed(code),
+/// Result files survive serialisation for arbitrary content.
+#[test]
+fn resultfile_roundtrip() {
+    const ALNUM: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+    let any_char = format!("{ALNUM} \"\\/\t\r\0\u{1f}\u{7f}é誤😀\u{2028}\u{ffff}{{}}[]:,");
+    check(CASES, |g| {
+        let name = g.string(&ALNUM[..52], 1..=1) + &g.string(ALNUM, 0..=30);
+        let msg = g.string(&any_char, 0..=80);
+        let rf = match g.below(3) {
+            0 => ResultFile::completed(g.int(i32::MIN..=i32::MAX)),
             1 => ResultFile::program_exception(ErrorCode::owned(name), msg),
-            _ => ResultFile::environment_failure(scope, ErrorCode::owned(name), msg),
+            _ => ResultFile::environment_failure(any_scope(g), ErrorCode::owned(name), msg),
         };
-        let back = ResultFile::from_json(&rf.to_json()).unwrap();
-        prop_assert_eq!(back, rf);
-    }
+        assert_eq!(ResultFile::from_json(&rf.to_json()), Ok(rf));
+    });
+}
 
-    /// Propagation through the Java Universe stack always terminates with
-    /// a handler whose managed scope contains the error's final scope — or
-    /// no handler, only when nothing in the stack manages a containing
-    /// scope (P3 as an invariant).
-    #[test]
-    fn propagation_satisfies_p3(
-        scope in any_scope(),
-        escape in any_comm_ctor(),
-    ) {
+/// Propagation through the Java Universe stack always terminates with
+/// a handler whose managed scope contains the error's final scope — or
+/// no handler, only when nothing in the stack manages a containing
+/// scope (P3 as an invariant).
+#[test]
+fn propagation_satisfies_p3() {
+    check(CASES, |g| {
         let stack = java_universe_stack();
-        let e = if escape {
-            ScopedError::escaping("Y", scope, "wrapper", "m")
-        } else {
-            ScopedError::explicit("Y", scope, "wrapper", "m")
-        };
-        let d = stack.propagate(e, "wrapper");
+        let d = stack.propagate(any_error(g, "Y", "wrapper"), "wrapper");
         match d.handled_by {
             Some(h) => {
                 let layer = stack
@@ -153,25 +157,26 @@ proptest! {
                     .iter()
                     .find(|l| l.name == h)
                     .expect("handler is a layer");
-                prop_assert!(layer.can_absorb(d.error.scope));
-                prop_assert!(errorscope::audit::audit_delivery(&stack, &d).is_empty());
+                assert!(layer.can_absorb(d.error.scope));
+                assert!(errorscope::audit::audit_delivery(&stack, &d).is_empty());
             }
-            None => {
-                prop_assert!(stack.manager_of(d.error.scope).is_none());
-            }
+            None => assert!(stack.manager_of(d.error.scope).is_none()),
         }
-    }
+    });
+}
 
-    /// A finite vocabulary admits exactly its members; the generic one
-    /// admits everything (P4 duality).
-    #[test]
-    fn vocabulary_membership(
-        declared in prop::collection::btree_set("[A-Z][a-z]{1,8}", 0..6),
-        probe in "[A-Z][a-z]{1,8}",
-    ) {
+/// A finite vocabulary admits exactly its members; the generic one
+/// admits everything (P4 duality).
+#[test]
+fn vocabulary_membership() {
+    check(CASES, |g| {
+        // Two-letter names over a small alphabet, so probes hit members.
+        let name = |g: &mut Gen| g.string("AB", 1..=1) + &g.string("abc", 1..=2);
+        let declared: BTreeSet<String> = g.vec(0..6, name).into_iter().collect();
+        let probe = name(g);
         let v = ErrorVocabulary::finite(declared.iter().cloned().map(ErrorCode::owned));
         let code = ErrorCode::owned(probe.clone());
-        prop_assert_eq!(v.admits(&code), declared.contains(&probe));
-        prop_assert!(ErrorVocabulary::generic().admits(&code));
-    }
+        assert_eq!(v.admits(&code), declared.contains(&probe));
+        assert!(ErrorVocabulary::generic().admits(&code));
+    });
 }

@@ -1,7 +1,8 @@
 //! The per-job path's allocation diet, held by counts.
 //!
-//! A counting global allocator (here, in a test crate, so the library
-//! keeps `forbid(unsafe_code)`) counts what the calling thread requests.
+//! A counting global allocator (`propcheck::counting`: in a test crate, so
+//! the library keeps `forbid(unsafe_code)`) counts what the calling thread
+//! requests.
 //! The counts are a function of the code and the inputs, not of the host,
 //! so the budgets below gate anywhere: each is the figure the path
 //! achieves today plus a tenth.
@@ -11,53 +12,10 @@ use gridvm::{
     execute, programs, run_wrapped, verify, Function, ImageError, Installation, Instr,
     ProgramImage, TraceConfig,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(bytes: usize) {
-    // A thread being torn down has nobody left to report to.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every method hands its arguments to `System` unchanged and
-// returns what `System` returns; the counters are plain thread-local
-// cells, which neither allocate nor unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use propcheck::counting::{allocated, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// What `f` returns, and the allocations and bytes this thread requested
-/// while it ran.
-fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = (ALLOCATIONS.get(), BYTES.get());
-    let out = f();
-    (out, ALLOCATIONS.get() - before.0, BYTES.get() - before.1)
-}
 
 /// The ledger's five installation arms.
 fn arms(seed: u64) -> [(&'static str, Installation); 5] {

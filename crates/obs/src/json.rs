@@ -115,13 +115,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many arrays and objects may be open at once. The parser recurses
+/// once per level and its input comes from other machines, so a document
+/// nested past this is a [`ParseError`], not a stack overflow. Everything
+/// this workspace writes nests under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Trailing whitespace is allowed; trailing
-/// garbage is an error.
+/// garbage is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -137,6 +144,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,10 +184,24 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An array or object, one level further in.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = container(self)?;
+        self.depth -= 1;
+        Ok(v)
+    }
+
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -400,5 +423,23 @@ mod tests {
         let mut doc = String::new();
         write_str(&mut doc, original);
         assert_eq!(parse(&doc).unwrap(), Json::Str(original.to_string()));
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_by_the_stack() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}"), ("[{\"k\":", "}]")] {
+            let per_level = open.matches(['[', '{']).count();
+            assert!(parse(&nested(open, close, MAX_DEPTH / per_level)).is_ok());
+            for levels in [MAX_DEPTH / per_level + 1, 100_000] {
+                let err = parse(&nested(open, close, levels)).unwrap_err();
+                assert_eq!(err.message, "nested too deeply");
+                assert_eq!(err.at, MAX_DEPTH / per_level * open.len());
+            }
+        }
+        // Unclosed brackets — the 50 KB file of `[` — fail the same way.
+        assert_eq!(parse(&"[".repeat(50_000)).unwrap_err().at, MAX_DEPTH);
     }
 }

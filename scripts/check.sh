@@ -3,6 +3,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> every package is a path package (prints any that has a source)"
+cargo metadata --format-version 1 --offline | { ! grep -o '"source":"[^"]*"'; }
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
