@@ -28,7 +28,7 @@
 //! 4. **Scale** — per-pool negotiation over a 5-pool federation
 //!    (5 × 20,000 machines, 1,000,000 jobs in the full study) driven
 //!    through `desim::sweep`, with a downscaled differential proving the
-//!    indexed engine's assignments bit-identical to the frozen naive
+//!    engine's assignments bit-identical to the frozen naive
 //!    kernel pool by pool, and a ≥100x (≥10x in smoke) pair-reduction
 //!    figure at the largest scale.
 //!
@@ -274,7 +274,7 @@ fn snapshot(p: &Pass) -> String {
             format!(
                 "{{\"pool\":{},\"machines\":{},\"jobs\":{},\"matches\":{},\
                  \"indexed_pairs\":{},\"naive_pairs\":{}}}",
-                r.pool, r.machines, r.jobs, r.n.matches, r.n.indexed_pairs, r.n.naive_pairs
+                r.pool, r.machines, r.jobs, r.n.matches, r.n.engine_pairs, r.n.naive_pairs
             )
         })
         .collect();
@@ -463,7 +463,7 @@ fn report(size: Size, pass: &Pass) {
     // Gate 4: bit-identical downscaled differential (asserted inside
     // the negotiation driver) plus the pair-reduction figure at
     // federation scale.
-    let reduction = |naive: u64, indexed: u64| f(naive as f64 / indexed.max(1) as f64, 1);
+    let reduction = |naive: u64, engine: u64| f(naive as f64 / engine.max(1) as f64, 1);
     let rows: Vec<Vec<String>> = pass
         .scale
         .iter()
@@ -474,8 +474,8 @@ fn report(size: Size, pass: &Pass) {
                 r.jobs.to_string(),
                 r.n.matches.to_string(),
                 r.n.naive_pairs.to_string(),
-                r.n.indexed_pairs.to_string(),
-                format!("{}x", reduction(r.n.naive_pairs, r.n.indexed_pairs)),
+                r.n.engine_pairs.to_string(),
+                format!("{}x", reduction(r.n.naive_pairs, r.n.engine_pairs)),
             ]
         })
         .collect();
@@ -488,7 +488,7 @@ fn report(size: Size, pass: &Pass) {
                 "jobs",
                 "matches",
                 "naive pairs",
-                "indexed pairs",
+                "shape pairs",
                 "reduction"
             ],
             &rows,
@@ -496,21 +496,21 @@ fn report(size: Size, pass: &Pass) {
     );
     let big_rows: Vec<&PoolScale> = pass.scale.iter().filter(|r| r.machines == big.1).collect();
     let naive_total: u64 = big_rows.iter().map(|r| r.n.naive_pairs).sum();
-    let indexed_total: u64 = big_rows.iter().map(|r| r.n.indexed_pairs).sum();
+    let engine_total: u64 = big_rows.iter().map(|r| r.n.engine_pairs).sum();
     let floor = size.pick(10, 100);
     assert!(
-        indexed_total * floor <= naive_total,
+        engine_total * floor <= naive_total,
         "at {}x{} machines the federation must evaluate >={floor}x fewer pairs \
-         (naive={naive_total}, indexed={indexed_total})",
+         (naive={naive_total}, shape pairs={engine_total})",
         big.0,
         big.1
     );
     println!(
-        "scale: {} pools x {} machines, naive {} pairs -> indexed {} ({}x)",
+        "scale: {} pools x {} machines, naive {} pairs -> {} shape pairs ({}x)",
         big.0,
         big.1,
         naive_total,
-        indexed_total,
-        reduction(naive_total, indexed_total)
+        engine_total,
+        reduction(naive_total, engine_total)
     );
 }

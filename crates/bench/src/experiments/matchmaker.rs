@@ -1,27 +1,32 @@
-//! Experiment E9 — negotiation at pool scale: compiled ClassAds, the
-//! incremental match index, and the generation-keyed verdict cache.
+//! Experiment E9 — negotiation at pool scale: compiled ClassAds
+//! negotiated shape × shape.
 //!
 //! The paper's matchmaker "collects information about all participants,
 //! and notifies schedds and startds of compatible partners" (§2.1). The
 //! naive kernel does that with a full O(jobs × machines) interpreted scan
 //! per negotiation cycle — fine for a dozen workstations, hopeless for the
 //! flocked pools of §6. This experiment grows a synthetic pool from 100 to
-//! 10,000 machines and drives the indexed [`condor::MatchEngine`] and the
-//! frozen naive kernel (`condor::matchmaker::naive_negotiate`) over the same ad
+//! 10,000 machines and drives the [`condor::MatchEngine`] and the frozen
+//! naive kernel (`condor::matchmaker::naive_negotiate`) over the same ad
 //! churn: wave job arrivals, per-cycle re-advertisement, a sliver of
 //! crashed startds whose ads silently expire, and a minority of quirky ads
-//! (opaque memory expressions, generic rank, disjunctive requirements)
-//! that the index must route through the slow path unharmed.
+//! (memory behind an expression, a rank that is not the machine's memory,
+//! disjunctive requirements) that no pattern recognises — shapes are told
+//! apart by evaluation, so there is no slow path for them to take.
 //!
 //! Claims measured:
 //!
-//! 1. **Bit-identical assignments.** At every checked scale the indexed
-//!    engine produces exactly the naive kernel's `(schedd, job, machine)`
-//!    notifications, same-seed RNG tie-breaks included, cycle by cycle.
-//! 2. **Asymptotic work reduction.** At the 10,000-machine point the
-//!    engine evaluates at least 10x fewer ad pairs than the naive scan
-//!    (the naive count is exact: it only depends on pool sizes and the
-//!    greedy match sequence, which gate 1 pins).
+//! 1. **Bit-identical assignments.** At every checked scale the engine
+//!    produces exactly the naive kernel's `(schedd, job, machine)`
+//!    notifications, same-seed RNG tie-breaks included, cycle by cycle —
+//!    with the machines held flat, and again held chained to a shared
+//!    base ad, at equal work counters.
+//! 2. **Asymptotic work reduction.** At the largest point the engine
+//!    evaluates at least 10x fewer pairs than the naive scan. The engine's
+//!    count is of shape pairs — a machine shape ranked for a ranking of
+//!    jobs, or matched against a job shape — the naive one of (job,
+//!    machine) pairs (exact: it only depends on pool sizes and the greedy
+//!    match sequence, which gate 1 pins).
 //! 3. **Determinism.** The whole study re-run on the same seeds produces a
 //!    byte-identical metrics document, and two same-seed `PoolBuilder`
 //!    runs produce bit-identical registry snapshots (now carrying `mm_*`
@@ -47,14 +52,14 @@ const CYCLES: usize = 6;
 fn machine_ad(rng: &mut SimRng) -> ClassAd {
     // A tier plus per-machine spread: real pools don't ship in seven
     // identical configurations, and diverse memories keep rank-tie groups
-    // (which the engine must evaluate in full for the tie-break draw)
+    // (and with them machine shapes: 224 memories, with and without java)
     // realistically small.
     let mem = MEM_TIERS[rng.index(MEM_TIERS.len())] + 4 * rng.index(32) as i64;
     let mut ad = ClassAd::new()
         .with_expr("Requirements", "TARGET.ImageSize <= MY.Memory")
         .with_expr("Rank", "0");
     if rng.chance(0.01) {
-        // Opaque memory: a non-literal expression the index cannot key.
+        // Memory behind an expression: only evaluation tells its value.
         ad = ad
             .with_int("BaseMemory", mem)
             .with_expr("Memory", "MY.BaseMemory + 0");
@@ -77,7 +82,7 @@ fn job_ad(rng: &mut SimRng) -> ClassAd {
     let mut ad = ClassAd::new().with_int("ImageSize", image);
     let java = rng.chance(0.6);
     let req = if !oversize && rng.chance(0.05) {
-        // Disjunctive requirements: extraction must refuse to prune.
+        // Disjunctive requirements: no conjunct alone rules a machine out.
         "TARGET.Memory >= MY.ImageSize || TARGET.HasJava =?= true"
     } else if java {
         "TARGET.Memory >= MY.ImageSize && TARGET.HasJava =?= true"
@@ -86,8 +91,7 @@ fn job_ad(rng: &mut SimRng) -> ClassAd {
     };
     ad = ad.with_expr("Requirements", req);
     if rng.chance(0.02) {
-        // Generic rank: forces the full-probe path instead of the
-        // memory-tier descent.
+        // A rank that is not the machine's memory itself.
         ad = ad.with_expr("Rank", "TARGET.Memory / 2 + 1")
     } else {
         ad = ad.with_expr("Rank", "TARGET.Memory")
@@ -109,7 +113,7 @@ struct ScaleResult {
 
 impl ScaleResult {
     fn reduction(&self) -> f64 {
-        self.n.naive_pairs as f64 / (self.n.indexed_pairs.max(1)) as f64
+        self.n.naive_pairs as f64 / (self.n.engine_pairs.max(1)) as f64
     }
 }
 
@@ -154,7 +158,7 @@ fn study_json(results: &[ScaleResult]) -> String {
                 r.jobs,
                 CYCLES,
                 r.n.matches,
-                r.n.indexed_pairs,
+                r.n.engine_pairs,
                 r.n.cache_hits,
                 r.n.naive_pairs,
                 f(r.reduction(), 1),
@@ -223,9 +227,9 @@ fn pass(size: Size) -> ((Vec<ScaleResult>, usize), Vec<Artifact>) {
 
 pub fn run(size: Size, _: &[String]) {
     println!(
-        "E9: pool-scale negotiation — compiled ads + match index + verdict cache\n\
+        "E9: pool-scale negotiation — compiled ads negotiated shape x shape\n\
          vs the frozen naive O(jobs x machines) interpreted scan; {CYCLES} cycles,\n\
-         wave arrivals, crashed-startd expiry, quirky ads on the slow path\n"
+         wave arrivals, crashed-startd expiry, quirky ads among the plain\n"
     );
     drive(size, pass, |(results, match_events), _| {
         report(&results);
@@ -242,7 +246,7 @@ fn report(results: &[ScaleResult]) {
                 r.jobs.to_string(),
                 r.n.matches.to_string(),
                 r.n.naive_pairs.to_string(),
-                r.n.indexed_pairs.to_string(),
+                r.n.engine_pairs.to_string(),
                 r.n.cache_hits.to_string(),
                 format!("{}x", f(r.reduction(), 1)),
                 if r.checked {
@@ -262,8 +266,8 @@ fn report(results: &[ScaleResult]) {
                 "jobs",
                 "matches",
                 "naive pairs",
-                "indexed pairs",
-                "cache hits",
+                "shape pairs",
+                "verdicts reused",
                 "reduction",
                 "naive checked",
                 "wall (ms)",
@@ -272,31 +276,34 @@ fn report(results: &[ScaleResult]) {
         )
     );
     println!(
-        "Shape: the naive scan grows with jobs x machines while the indexed\n\
-         engine touches plausible tiers once and serves repeats from the\n\
-         verdict cache; assignments stay bit-identical either way.\n"
+        "Shape: the naive scan grows with jobs x machines while the engine\n\
+         ranks each machine shape once per ranking of jobs, matches a job\n\
+         shape against machine shapes from the best-ranked down until one\n\
+         takes it, and reuses a verdict while both shapes live; assignments\n\
+         stay bit-identical either way. (\"reduction\" compares naive\n\
+         job-machine pairs with shape pairs: ranks and verdicts.)\n"
     );
 
     // Gate 2: asymptotic work reduction at the largest scale.
     let top = results.last().unwrap();
     assert!(
-        top.n.indexed_pairs * 10 <= top.n.naive_pairs,
-        "at {} machines the index must evaluate >=10x fewer pairs \
-         (naive={}, indexed={})",
+        top.n.engine_pairs * 10 <= top.n.naive_pairs,
+        "at {} machines the engine must evaluate >=10x fewer pairs \
+         (naive={}, shape pairs={})",
         top.machines,
         top.n.naive_pairs,
-        top.n.indexed_pairs
+        top.n.engine_pairs
     );
     assert!(
         top.n.cache_hits > 0,
-        "queued jobs re-negotiated over unchanged ads must hit the verdict cache"
+        "queued jobs re-negotiated over unchanged ads must reuse shape-pair verdicts"
     );
     println!(
-        "work reduction: {} machines, naive {} pairs -> indexed {} \
-         ({}x, cache served {})\n",
+        "work reduction: {} machines, naive {} job-machine pairs -> {} shape \
+         pairs ({}x, {} verdicts reused)\n",
         top.machines,
         top.n.naive_pairs,
-        top.n.indexed_pairs,
+        top.n.engine_pairs,
         f(top.reduction(), 1),
         top.n.cache_hits
     );

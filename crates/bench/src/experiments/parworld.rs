@@ -35,6 +35,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp -- e13`
 //! (pass `--smoke` for the CI-sized study).
+//!
+//! `exp e13 --phases` runs none of that: it takes the scaling world at the
+//! ledger's `fed_scale` size through the sequential engine and prints
+//! where the wall-clock goes — build, `on_start`, the first wave of
+//! deliveries, steady state, drop — so that the table perf work on this
+//! world is sized from is a command, not a scratch copy.
 
 use crate::harness::{artifact, drive, Artifact, Size};
 use crate::scenarios::{
@@ -270,7 +276,73 @@ fn deterministic_core(pass: &Pass) -> String {
     )
 }
 
-pub fn run(size: Size, _: &[String]) {
+/// `--phases`: the scaling world at the ledger's `fed_scale` size (5 x
+/// 4,000 machines, 200 jobs, 100 s; a tenth of the machines in smoke),
+/// run once per repetition on the sequential engine and timed phase by
+/// phase. Milliseconds, median of five.
+fn phases(size: Size) {
+    const REPS: usize = 5;
+    /// The first advertisements land one 50 ms hop after start-up.
+    const FIRST_WAVE: SimTime = SimTime::from_millis(60);
+    let shape = ScaleShape {
+        pools: 5,
+        machines_per: size.pick(400, 4_000),
+        jobs: size.pick(20, 200),
+        horizon: secs(100),
+    };
+    // What `phase` returns, and the milliseconds it took.
+    fn timed<T>(phase: impl FnOnce() -> T) -> (f64, T) {
+        let t = std::time::Instant::now();
+        let out = phase();
+        (t.elapsed().as_secs_f64() * 1e3, out)
+    }
+    // Per repetition: (milliseconds, events) of each phase.
+    let mut reps: Vec<[(f64, u64); 5]> = Vec::new();
+    for _ in 0..REPS {
+        let (build, mut world) = timed(|| scale_world(&shape));
+        let on_start = timed(|| world.run_until(SimTime::ZERO));
+        let first_wave = timed(|| world.run_until(FIRST_WAVE));
+        let steady = timed(|| world.run_until(shape.horizon));
+        assert!(first_wave.1 > 0 && steady.1 > 0, "the world must do work");
+        let (dropped, ()) = timed(|| drop(world));
+        reps.push([(build, 0), on_start, first_wave, steady, (dropped, 0)]);
+    }
+    assert!(
+        reps.iter().all(|r| r.map(|p| p.1) == reps[0].map(|p| p.1)),
+        "every repetition is the same run"
+    );
+    let names = [
+        "build",
+        "on_start",
+        "first wave (to 60 ms)",
+        "steady state",
+        "drop",
+    ];
+    let rows: Vec<Vec<String>> = (names.iter().enumerate())
+        .map(|(phase, name)| {
+            let mut ms: Vec<f64> = reps.iter().map(|r| r[phase].0).collect();
+            ms.sort_by(f64::total_cmp);
+            let events = reps[0][phase].1;
+            vec![name.to_string(), f(ms[REPS / 2], 2), events.to_string()]
+        })
+        .collect();
+    println!(
+        "E13 --phases: {} pools x {} machines, {} jobs, {} s horizon, sequential \
+         engine, 50ms latency; median of {REPS}\n",
+        shape.pools,
+        shape.machines_per,
+        shape.jobs,
+        shape.horizon.as_micros() / 1_000_000
+    );
+    println!("{}", render_table(&["phase", "ms", "events"], &rows));
+}
+
+pub fn run(size: Size, operands: &[String]) {
+    match operands {
+        [] => {}
+        [flag] if flag == "--phases" => return phases(size),
+        other => panic!("e13 takes only --phases, got {other:?}"),
+    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let shape = size.pick(
         ScaleShape {

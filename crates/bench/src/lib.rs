@@ -122,7 +122,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
     },
     Experiment {
         id: "e9",
-        title: "pool-scale negotiation: compiled ads, match index, verdict cache",
+        title: "pool-scale negotiation: compiled ads, shape x shape",
         operands: "",
         artifacts: &["BENCH_matchmaker.json", "BENCH_matchmaker.events.jsonl"],
         run: experiments::matchmaker::run,
@@ -151,7 +151,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         id: "e13",
         title: "intra-world parallel simulation: bit-identical at 1/2/8 threads",
-        operands: "",
+        operands: "[--phases]",
         artifacts: &["BENCH_parworld.json"],
         run: experiments::parworld::run,
     },

@@ -5,6 +5,7 @@
 //! exp <id>... [--smoke]         run experiments in the order given
 //! exp all [--smoke]             run every row
 //! exp e7 --localize             E7's post-mortem cross-check
+//! exp e13 --phases [--smoke]    where the scaling world's wall-clock goes
 //! exp e10 <faulty> <reference>  localize two exported event streams
 //! ```
 //!

@@ -7,6 +7,7 @@ use condor::MatchEngine;
 use desim::{SimDuration, SimRng, SimTime};
 use gridvm::programs;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 pub fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -174,8 +175,8 @@ pub const MEM_TIERS: [i64; 7] = [128, 256, 512, 1024, 2048, 4096, 8192];
 pub const IMAGE_SIZES: [i64; 6] = [100, 200, 400, 800, 1600, 3200];
 /// Larger than any machine's memory: jobs asking for this can never match
 /// and sit in the queue all study long — the naive kernel rescans the
-/// whole pool for them every cycle, the index prunes them to the opaque
-/// bucket and serves the repeats from the verdict cache.
+/// whole pool for them every cycle, the engine keeps one verdict per
+/// machine shape and reuses it.
 pub const OVERSIZE: i64 = 9000;
 
 const SCHEDD: usize = 1;
@@ -186,20 +187,44 @@ const PERIOD_SECS: u64 = 10;
 /// What a negotiation study measured. Every field is seed-derived.
 pub struct Negotiation {
     pub matches: u64,
-    pub indexed_pairs: u64,
+    pub engine_pairs: u64,
     pub cache_hits: u64,
     pub naive_pairs: u64,
 }
 
+/// `ads` as machines of one pool would send them: what every one of them
+/// holds identically in a shared base, the rest in a child chained to it.
+fn chained(ads: &[ClassAd]) -> Vec<ClassAd> {
+    let mut base = ads.first().cloned().unwrap_or_default();
+    for ad in ads {
+        let differs =
+            |(name, expr): (&str, &_)| (ad.get(name) != Some(expr)).then(|| name.to_owned());
+        for name in base.iter().filter_map(differs).collect::<Vec<_>>() {
+            base.remove(&name);
+        }
+    }
+    let base = Arc::new(base);
+    let chain = |ad: &ClassAd| {
+        let mut child = ClassAd::chained(Arc::clone(&base));
+        for (name, expr) in ad.iter().filter(|(name, _)| !base.has(name)) {
+            child.insert_expr(name, expr.clone());
+        }
+        assert_eq!(&child, ad);
+        child
+    };
+    ads.iter().map(chain).collect()
+}
+
 /// Drive `cycles` negotiation cycles of a [`MatchEngine`] over pre-generated
 /// ads: jobs arrive in per-cycle waves, every live startd re-advertises the
-/// same ad each cycle (generation — and the verdict cache — must survive),
+/// same ad each cycle (its shape — and the shape's verdicts — must survive),
 /// machines for which `crashed(index, cycle)` holds go silent and age out
 /// after [`AD_LIFETIME`], and matched ads are consumed.
 ///
 /// With `check_naive`, the frozen [`naive_negotiate`] runs beside the
 /// engine on mirrored ad maps with a same-seed RNG, and every cycle's
-/// notifications must be bit-identical.
+/// notifications must be bit-identical — as must those, and the work
+/// counters, of a second engine the same machines reach [`chained`].
 ///
 /// The naive pair count is always computed exactly: the naive scan's work
 /// per cycle is (live machines) − (matches made so far this cycle), summed
@@ -218,6 +243,10 @@ pub fn negotiate_cycles(
     let mut engine = MatchEngine::new();
     let mut engine_rng = SimRng::seed_from_u64(rng_seed);
     let mut naive_rng = SimRng::seed_from_u64(rng_seed);
+    let mut twin = check_naive.then(|| {
+        let rng = SimRng::seed_from_u64(rng_seed);
+        (MatchEngine::new(), rng, chained(machine_ads))
+    });
     let mut naive_machines: BTreeMap<usize, ClassAd> = BTreeMap::new();
     let mut naive_jobs: BTreeMap<(usize, u32), ClassAd> = BTreeMap::new();
 
@@ -238,7 +267,8 @@ pub fn negotiate_cycles(
             }
             advertised[i] = Some(now);
             engine.insert_machine(FIRST_MACHINE + i, ad.clone(), now);
-            if check_naive {
+            if let Some((twin, _, chained)) = &mut twin {
+                twin.insert_machine(FIRST_MACHINE + i, chained[i].clone(), now);
                 naive_machines.insert(FIRST_MACHINE + i, ad.clone());
             }
         }
@@ -247,7 +277,8 @@ pub fn negotiate_cycles(
                 break;
             }
             engine.insert_job(SCHEDD, next_job as u32, job_ads[next_job].clone());
-            if check_naive {
+            if let Some((twin, ..)) = &mut twin {
+                twin.insert_job(SCHEDD, next_job as u32, job_ads[next_job].clone());
                 naive_jobs.insert((SCHEDD, next_job as u32), job_ads[next_job].clone());
             }
             queued.push(next_job as u32);
@@ -270,14 +301,20 @@ pub fn negotiate_cycles(
             }
         }
 
-        if check_naive {
+        if let Some((twin, twin_rng, _)) = &mut twin {
             let (slow, pairs) = naive_negotiate(&naive_jobs, &naive_machines, &mut naive_rng);
             assert_eq!(
                 notifications, slow,
-                "indexed assignments must be bit-identical to the naive kernel \
+                "the engine's assignments must be bit-identical to the naive kernel \
                  ({label} cycle={cycle})"
             );
             naive_pairs_measured += pairs;
+            assert_eq!(
+                (twin.negotiate(now, twin_rng), &twin.stats.pairs_evaluated),
+                (slow, &engine.stats.pairs_evaluated),
+                "machines held chained must negotiate as the same machines held \
+                 flat ({label} cycle={cycle})"
+            );
         }
 
         matches += notifications.len() as u64;
@@ -298,7 +335,7 @@ pub fn negotiate_cycles(
 
     Negotiation {
         matches,
-        indexed_pairs: engine.stats.pairs_evaluated,
+        engine_pairs: engine.stats.pairs_evaluated,
         cache_hits: engine.stats.cache_hits,
         naive_pairs,
     }

@@ -737,6 +737,66 @@ mod tests {
         );
     }
 
+    /// Spliced, duplicated, cut and overwritten spans of a valid image —
+    /// three times in four with the body sum made good again, so the
+    /// damage reaches the structural decoder instead of stopping at the
+    /// sum — decode or fail with a named error, never a panic; what
+    /// decodes encodes back to the bytes it came from.
+    #[test]
+    fn mutated_valid_images_decode_or_fail_by_name() {
+        let mut outcomes = std::collections::BTreeMap::new();
+        propcheck::check(100_000, |g| {
+            let words = |g: &mut propcheck::Gen| g.vec(0..6, |g| g.int(i64::MIN..=i64::MAX));
+            let state = MachineState {
+                image_digest: g.u64(),
+                instructions: g.u64(),
+                io_ops: g.int(0..9u64),
+                heap_words: g.int(0..99u64),
+                stdout: g.string("ab1\n\u{e9}", 0..=6),
+                frames: g.vec(1..3, |g| FrameState {
+                    func: g.int(0..3u32),
+                    pc: g.int(0..40u32),
+                    locals: words(g),
+                }),
+                stack: words(g),
+                heap: g.vec(0..3, words),
+            };
+            let valid = state.to_bytes();
+            let bytes = if g.below(4) == 0 {
+                g.mutated(&valid)
+            } else {
+                let mut body = g.mutated(&valid[..valid.len() - 8]);
+                body.extend_from_slice(&body_sum(&body).to_le_bytes());
+                body
+            };
+            let outcome = match MachineState::from_bytes(&bytes) {
+                Ok(decoded) => {
+                    assert_eq!(decoded.to_bytes(), bytes);
+                    "ok".to_string()
+                }
+                Err(e) => e
+                    .to_string()
+                    .split([' ', ':'])
+                    .take(3)
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            };
+            *outcomes.entry(outcome).or_insert(0u32) += 1;
+        });
+        // Every error `from_bytes` can name is reached, and so is a damaged
+        // image that decodes.
+        let seen: Vec<&str> = outcomes.keys().map(String::as_str).collect();
+        let expected = [
+            "checkpoint format version",
+            "checkpoint image checksum",
+            "checkpoint image truncated",
+            "checkpoint state malformed",
+            "not a checkpoint",
+            "ok",
+        ];
+        assert_eq!(seen, expected, "{outcomes:?}");
+    }
+
     #[test]
     fn keys_are_per_job_and_attempt() {
         assert_eq!(key(3, 0), "ckpt/job3/attempt0");

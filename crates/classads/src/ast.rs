@@ -199,6 +199,21 @@ impl Expr {
     pub fn le(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Le, rhs)
     }
+
+    /// Call `f` with the scope and lower-cased name of every attribute
+    /// reference in the expression.
+    pub fn for_each_reference(&self, f: &mut impl FnMut(AttrScope, &str)) {
+        match self {
+            Expr::Lit(_) => {}
+            Expr::Attr { scope, name, .. } => f(*scope, name),
+            Expr::Unary(_, e) => e.for_each_reference(f),
+            Expr::Binary(_, a, b) => {
+                a.for_each_reference(f);
+                b.for_each_reference(f);
+            }
+            Expr::Call { args, .. } => args.iter().for_each(|a| a.for_each_reference(f)),
+        }
+    }
 }
 
 impl fmt::Display for Expr {
@@ -257,6 +272,20 @@ mod tests {
         assert!(BinOp::Lt.precedence() > BinOp::Eq.precedence());
         assert!(BinOp::Eq.precedence() > BinOp::And.precedence());
         assert!(BinOp::And.precedence() > BinOp::Or.precedence());
+    }
+
+    #[test]
+    fn references_are_listed_with_their_scope() {
+        let e = crate::parser::parse_expr("min(MY.A, b) > -TARGET.C && b").unwrap();
+        let mut seen = Vec::new();
+        e.for_each_reference(&mut |scope, name| seen.push((scope, name.to_owned())));
+        let expected = [
+            (AttrScope::My, "a"),
+            (AttrScope::Either, "b"),
+            (AttrScope::Target, "c"),
+            (AttrScope::Either, "b"),
+        ];
+        assert!(seen.iter().map(|(s, n)| (*s, n.as_str())).eq(expected));
     }
 
     #[test]

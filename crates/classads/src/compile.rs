@@ -25,9 +25,11 @@
 //!
 //! A compiled ad also knows what a match partner can *see* of it:
 //! [`CompiledAd::partner_reads`] lists the names its programs ask of the
-//! other side, and [`CompiledAd::match_key`] cuts an ad down to the slots
-//! an evaluation can reach. Two ads with equal [`MatchKey`]s are
-//! indistinguishable to every partner asking at most those names.
+//! other side ([`CompiledAd::reads_back`]: those of them a partner's own
+//! question can lead to), and [`CompiledAd::match_key`] marks the slots an
+//! evaluation can reach. Two ads with equal [`MatchKey`]s are
+//! indistinguishable to every partner asking at most those names; two
+//! with equal [`CompiledAd::rank_key`]s rank every such partner alike.
 
 use crate::ad::ClassAd;
 use crate::ast::{AttrScope, BinOp, Expr, UnOp};
@@ -36,6 +38,7 @@ use crate::matchmaking::{MatchResult, RANK, REQUIREMENTS};
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// One instruction of a compiled expression. Programs are postfix: operand
 /// instructions push onto the value stack, operators pop and push.
@@ -120,21 +123,20 @@ impl Scratch {
 impl CompiledAd {
     /// Compile every attribute of `ad`.
     pub fn compile(ad: &ClassAd) -> CompiledAd {
-        let names: Vec<String> = ad
-            .iter()
-            .map(|(display, _)| display.to_ascii_lowercase())
-            .collect();
-        let slots: Vec<Slot> = ad
-            .iter()
-            .map(|(_, expr)| match fold(expr) {
-                Some(v) => Slot::Const(v),
-                None => {
-                    let mut code = Vec::new();
-                    emit(expr, &names, &mut code);
-                    Slot::Code(Program { code })
-                }
-            })
-            .collect();
+        // Sized by the upper bound: a chained ad's iterator cannot say how
+        // many of its parent's names it shadows.
+        let attributes = ad.keyed().size_hint().1.unwrap_or(0);
+        let mut names: Vec<String> = Vec::with_capacity(attributes);
+        names.extend(ad.keyed().map(|(key, _)| key.to_owned()));
+        let mut slots: Vec<Slot> = Vec::with_capacity(names.len());
+        slots.extend(ad.keyed().map(|(_, expr)| match fold(expr) {
+            Some(v) => Slot::Const(v),
+            None => {
+                let mut code = Vec::new();
+                emit(expr, &names, &mut code);
+                Slot::Code(Program { code })
+            }
+        }));
         let slot_of = |name: &str| names.binary_search_by(|n| n.as_str().cmp(name)).ok();
         let requirements = slot_of(&REQUIREMENTS.to_ascii_lowercase()).map(|i| i as u32);
         let rank = slot_of(&RANK.to_ascii_lowercase()).map(|i| i as u32);
@@ -234,74 +236,134 @@ impl CompiledAd {
         })
     }
 
-    /// This ad as a match partner asking at most the names in `asked`
-    /// (lower-cased) can read it. A [`symmetric_match_compiled`] enters an
-    /// ad at `Requirements` and `Rank`; the partner's programs enter it at
-    /// the names they ask for; from there an evaluation only follows
-    /// [`Inst::OwnSlot`] references (an `OtherAttr` leaves for the partner
-    /// again). So the slots kept are those three roots closed under
-    /// `OwnSlot`, renumbered densely. An asked name the ad lacks needs no
-    /// marker: it is missing from the projection exactly when it is
-    /// missing from the ad.
-    pub fn match_key(&self, asked: &BTreeSet<String>) -> MatchKey {
-        let roots = (self.requirements.into_iter().chain(self.rank))
-            .chain(asked.iter().filter_map(|name| self.slot_of(name)));
-        let mut keep: BTreeSet<u32> = roots.collect();
-        let mut todo: Vec<u32> = keep.iter().copied().collect();
-        while let Some(slot) = todo.pop() {
+    /// The names the attributes a partner enters this ad at — the `asked`
+    /// ones, not its own `Requirements` and `Rank` — read of that partner
+    /// in turn: what an evaluation that started in the partner can come
+    /// back for.
+    pub fn reads_back<'a>(&'a self, asked: &'a BTreeSet<String>) -> impl Iterator<Item = &'a str> {
+        // A constant leads nowhere: most ads are entered at nothing else.
+        let programs = |&slot: &u32| matches!(self.slots[slot as usize], Slot::Code(_));
+        let reached = self.reach(self.slots_named(asked).filter(programs));
+        let programs = reached
+            .into_iter()
+            .filter_map(|slot| match &self.slots[slot as usize] {
+                Slot::Code(p) => Some(&p.code),
+                Slot::Const(_) => None,
+            });
+        programs.flatten().filter_map(|inst| match inst {
+            Inst::OtherAttr(name) => Some(name.as_str()),
+            _ => None,
+        })
+    }
+
+    fn slots_named<'a>(&'a self, names: &'a BTreeSet<String>) -> impl Iterator<Item = u32> + 'a {
+        names.iter().filter_map(|name| self.slot_of(name))
+    }
+
+    // The slots an evaluation entering this ad at `roots` can read, in
+    // the order it can first read them: from a slot it only follows
+    // [`Inst::OwnSlot`] references (an `OtherAttr` leaves for the partner
+    // again), so the roots closed under `OwnSlot`.
+    fn reach(&self, roots: impl Iterator<Item = u32>) -> Vec<u32> {
+        let mut roots = roots.peekable();
+        if roots.peek().is_none() {
+            return Vec::new();
+        }
+        let mut seen = vec![false; self.slots.len()];
+        let mut reached: Vec<u32> = Vec::new();
+        let mut enter = |slot: u32, reached: &mut Vec<u32>| {
+            if !std::mem::replace(&mut seen[slot as usize], true) {
+                reached.push(slot);
+            }
+        };
+        roots.for_each(|root| enter(root, &mut reached));
+        let mut next = 0;
+        while let Some(&slot) = reached.get(next) {
             if let Slot::Code(p) = &self.slots[slot as usize] {
                 for inst in &p.code {
-                    match inst {
-                        Inst::OwnSlot(next) if keep.insert(*next) => todo.push(*next),
-                        _ => {}
+                    if let Inst::OwnSlot(own) = inst {
+                        enter(*own, &mut reached);
                     }
                 }
             }
+            next += 1;
         }
-        // Ascending slot order is name order, as `slot_of` needs.
-        let kept: Vec<u32> = keep.into_iter().collect();
-        let renumber = |slot: u32| kept.binary_search(&slot).expect("closed under OwnSlot") as u32;
-        let project = |inst: &Inst| match inst {
-            Inst::OwnSlot(slot) => Inst::OwnSlot(renumber(*slot)),
-            other => other.clone(),
+        reached
+    }
+
+    /// This ad as a match partner asking at most the names in `asked`
+    /// (lower-cased) can read it. A [`symmetric_match_compiled`] enters an
+    /// ad at `Requirements` and `Rank`, and the partner's programs enter it
+    /// at the names they ask for: the slots those reach are the ones that
+    /// count. An asked name the ad lacks needs no marker: it is missing
+    /// from the key exactly when it is missing from the ad.
+    pub fn match_key(self: &Arc<Self>, asked: &BTreeSet<String>) -> MatchKey {
+        let own = self.requirements.into_iter().chain(self.rank);
+        self.key(own.chain(self.slots_named(asked)))
+    }
+
+    /// This ad as [`CompiledAd::rank`] reads it: entered at `Rank`, and by
+    /// the partner at most at the names in `asked`. Ads with equal rank
+    /// keys give every such partner the same rank.
+    pub fn rank_key(self: &Arc<Self>, asked: &BTreeSet<String>) -> MatchKey {
+        self.key(self.rank.into_iter().chain(self.slots_named(asked)))
+    }
+
+    fn key(self: &Arc<Self>, roots: impl Iterator<Item = u32>) -> MatchKey {
+        let mut kept = self.reach(roots);
+        // Ascending slot order is name order.
+        kept.sort_unstable();
+        let mut key = MatchKey {
+            ad: Arc::clone(self),
+            kept,
+            digest: 0,
         };
-        MatchKey(CompiledAd {
-            names: kept
-                .iter()
-                .map(|&s| self.names[s as usize].clone())
-                .collect(),
-            slots: kept
-                .iter()
-                .map(|&s| match &self.slots[s as usize] {
-                    Slot::Const(v) => Slot::Const(v.clone()),
-                    Slot::Code(p) => Slot::Code(Program {
-                        code: p.code.iter().map(project).collect(),
-                    }),
-                })
-                .collect(),
-            requirements: self.requirements.map(renumber),
-            rank: self.rank.map(renumber),
-        })
+        key.digest = key.fnv1a();
+        key
     }
 }
 
-/// A [`CompiledAd`] cut down by [`CompiledAd::match_key`] to what a match
-/// evaluation can read of it, comparable and hashable *by value*: names,
-/// constants and instructions one by one, floats by bit pattern (so `0.0`
-/// and `-0.0`, which divide differently, never share a key, and a NaN
-/// equals itself). Matching [`MatchKey::ad`] against a partner is
-/// value-identical to matching the ad it was cut from.
+/// A [`CompiledAd`] with the slots an evaluation can read of it, as
+/// [`CompiledAd::match_key`] or [`CompiledAd::rank_key`] finds them —
+/// comparable and hashable over those slots alone and *by value*: names,
+/// constants and instructions one by one (own-slot references by their
+/// rank among the kept slots), floats by bit pattern (so `0.0` and `-0.0`,
+/// which divide differently, never share a key, and a NaN equals itself).
+/// Against a partner asking at most the names the keys were cut under,
+/// matching (or ranking by) the [`MatchKey::ad`] of one key is
+/// value-identical to doing so with the ad of any equal key: the
+/// evaluation never leaves the slots compared. (The ad still *holds* the
+/// others: a partner asking more needs keys cut again.)
 #[derive(Debug, Clone)]
-pub struct MatchKey(CompiledAd);
+pub struct MatchKey {
+    ad: Arc<CompiledAd>,
+    kept: Vec<u32>,
+    // Of the words the key compares equal by.
+    digest: u64,
+}
 
 impl MatchKey {
-    /// The projected ad, ready to evaluate.
+    /// The ad the key was cut from, ready to evaluate.
     pub fn ad(&self) -> &CompiledAd {
-        &self.0
+        &self.ad
     }
 
-    // The key as a sequence of comparable words: per slot its name and
-    // program length, then its constant or its instructions.
+    // FNV-1a over the words, taken once when the key is cut: a key is
+    // hashed when it is looked up, and again whenever the table holding it
+    // grows.
+    fn fnv1a(&self) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut mix = |x: u64| digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+        for (tag, number, text) in self.words() {
+            mix(u64::from(tag));
+            mix(number);
+            text.bytes().for_each(|b| mix(u64::from(b)));
+        }
+        digest
+    }
+
+    // The key as a sequence of comparable words: per kept slot its name
+    // and program length, then its constant or its instructions.
     fn words(&self) -> impl Iterator<Item = (u8, u64, &str)> {
         fn value(v: &Value) -> (u8, u64, &str) {
             match v {
@@ -313,32 +375,35 @@ impl MatchKey {
                 Value::Str(s) => (5, 0, s),
             }
         }
-        fn inst(i: &Inst) -> (u8, u64, &str) {
+        fn inst<'a>(i: &'a Inst, kept: &[u32]) -> (u8, u64, &'a str) {
             match i {
                 Inst::Push(v) => value(v),
                 Inst::Unary(op) => (6, *op as u64, ""),
                 Inst::Binary(op) => (7, *op as u64, ""),
                 Inst::Call { name, argc } => (8, *argc as u64, name),
-                Inst::OwnSlot(slot) => (9, u64::from(*slot), ""),
+                Inst::OwnSlot(slot) => {
+                    let rank = kept.binary_search(slot).expect("closed under OwnSlot");
+                    (9, rank as u64, "")
+                }
                 Inst::OtherAttr(name) => (10, 0, name),
             }
         }
-        let ad = &self.0;
-        ad.names.iter().zip(&ad.slots).flat_map(|(name, slot)| {
+        self.kept.iter().flat_map(move |&s| {
+            let (name, slot) = (&self.ad.names[s as usize], &self.ad.slots[s as usize]);
             let (constant, code) = match slot {
                 Slot::Const(v) => (Some(v), &[][..]),
                 Slot::Code(p) => (None, &p.code[..]),
             };
             std::iter::once((11, code.len() as u64, name.as_str()))
                 .chain(constant.map(value))
-                .chain(code.iter().map(inst))
+                .chain(code.iter().map(|i| inst(i, &self.kept)))
         })
     }
 }
 
 impl PartialEq for MatchKey {
     fn eq(&self, other: &MatchKey) -> bool {
-        self.words().eq(other.words())
+        self.digest == other.digest && self.words().eq(other.words())
     }
 }
 
@@ -346,9 +411,7 @@ impl Eq for MatchKey {}
 
 impl Hash for MatchKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for word in self.words() {
-            word.hash(state);
-        }
+        state.write_u64(self.digest);
     }
 }
 
@@ -670,7 +733,9 @@ mod tests {
             .with_expr("Requirements", "TARGET.Memory >= MY.Need")
             .with_expr("Need", "MY.Base * 2")
             .with_int("Base", 24);
-        let key = |ad: &ClassAd, names: &[&str]| CompiledAd::compile(ad).match_key(&asked(names));
+        let key = |ad: &ClassAd, names: &[&str]| {
+            Arc::new(CompiledAd::compile(ad)).match_key(&asked(names))
+        };
 
         // Unread attributes do not tell two ads apart...
         let other_owner = base
@@ -698,12 +763,14 @@ mod tests {
         assert_eq!(key(&base, &[]), key(&bigger, &[]));
         assert_ne!(key(&base, &["imagesize"]), key(&bigger, &["imagesize"]));
 
-        // The projection is a smaller ad that matches identically.
+        // The key compares fewer slots than the ad has, and its ad matches
+        // identically.
         let k = key(&base, &["imagesize"]);
-        assert_eq!(
-            k.ad().names,
-            ["base", "imagesize", "need", "rank", "requirements"]
-        );
+        let kept = k
+            .kept
+            .iter()
+            .map(|&slot| k.ad.names[slot as usize].as_str());
+        assert!(kept.eq(["base", "imagesize", "need", "rank", "requirements"]));
         let mut s = Scratch::new();
         for m in [machine(128, true), machine(32, true), machine(64, false)] {
             let cm = CompiledAd::compile(&m);
@@ -715,14 +782,63 @@ mod tests {
     }
 
     #[test]
+    fn rank_key_keeps_what_a_rank_can_reach_and_nothing_else() {
+        let base = job()
+            .with_expr("Rank", "TARGET.Memory * MY.Weight")
+            .with_int("Weight", 2);
+        let key = |ad: &ClassAd, names: &[&str]| {
+            Arc::new(CompiledAd::compile(ad)).rank_key(&asked(names))
+        };
+        // What only `Requirements` reads does not tell two rankings apart...
+        let other = base
+            .clone()
+            .with_int("ImageSize", 96)
+            .with_expr("Requirements", "TARGET.HasJava =?= true");
+        assert_eq!(key(&base, &[]), key(&other, &[]));
+        // ...unless the partner can come back for it...
+        assert_ne!(key(&base, &["imagesize"]), key(&other, &["imagesize"]));
+        // ...and what `Rank` reaches through the ad's own references does.
+        assert_ne!(
+            key(&base, &[]),
+            key(&base.clone().with_int("Weight", 3), &[])
+        );
+        let k = key(&base, &[]);
+        let kept = k
+            .kept
+            .iter()
+            .map(|&slot| k.ad.names[slot as usize].as_str());
+        assert!(kept.eq(["rank", "weight"]));
+        let m = machine(128, true);
+        let ranked = k.ad().rank(&CompiledAd::compile(&m), &mut Scratch::new());
+        assert_eq!(ranked, symmetric_match(&base, &m).left_rank);
+    }
+
+    #[test]
+    fn reads_back_follows_what_the_partner_enters_and_nothing_else() {
+        let m = machine(128, true)
+            .with_expr("Fit", "TARGET.Sign * MY.Scaled")
+            .with_expr("Scaled", "MY.Memory + TARGET.Bias");
+        let c = CompiledAd::compile(&m);
+        let back = |names: &[&str]| -> BTreeSet<String> {
+            let asked = asked(names);
+            c.reads_back(&asked).map(str::to_owned).collect()
+        };
+        // A constant leads nowhere, nor does a name the ad lacks; the
+        // policy is read back only if the partner asks for *it*.
+        assert_eq!(back(&["memory", "hasjava", "nothing"]), asked(&[]));
+        assert_eq!(back(&["requirements"]), asked(&["imagesize"]));
+        // An attribute is followed through the ad's own references.
+        assert_eq!(back(&["fit", "memory"]), asked(&["bias", "sign"]));
+        assert_eq!(back(&["scaled"]), asked(&["bias"]));
+    }
+
+    #[test]
     fn match_key_compares_floats_by_bit_pattern() {
         let with = |r: f64| {
-            CompiledAd::compile(
-                &job()
-                    .with_real("Scale", r)
-                    .with_expr("Rank", "1.0 / MY.Scale"),
-            )
-            .match_key(&BTreeSet::new())
+            let ad = job()
+                .with_real("Scale", r)
+                .with_expr("Rank", "1.0 / MY.Scale");
+            Arc::new(CompiledAd::compile(&ad)).match_key(&BTreeSet::new())
         };
         // 0.0 == -0.0 as values, but they rank a machine +inf and -inf.
         assert_ne!(with(0.0), with(-0.0));

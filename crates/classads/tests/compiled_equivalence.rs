@@ -7,6 +7,7 @@
 use classads::compile::{symmetric_match_compiled, CompiledAd, Scratch};
 use classads::prelude::*;
 use classads::{BinOp, Expr, UnOp};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Deterministic generator
@@ -147,6 +148,28 @@ fn gen_ad(rng: &mut XorShift) -> ClassAd {
     ad
 }
 
+/// `flat` held the other way: every other attribute in a shared parent,
+/// the rest — and a shadow over one the parent holds differently — in a
+/// child chained to it. Same content, so every reader must agree.
+fn chain(flat: &ClassAd) -> ClassAd {
+    let mut parent = ClassAd::new();
+    let mut child = Vec::new();
+    for (i, (name, expr)) in flat.iter().enumerate() {
+        if i % 2 == 0 {
+            parent.insert_expr(name, expr.clone());
+        } else {
+            parent.insert_expr(name.to_ascii_uppercase(), Expr::attr("Shadowed"));
+            child.push((name, expr.clone()));
+        }
+    }
+    let mut chained = ClassAd::chained(Arc::new(parent));
+    for (name, expr) in child {
+        chained.insert_expr(name, expr);
+    }
+    assert_eq!(&chained, flat);
+    chained
+}
+
 // Value equality that also equates NaN reals: both paths must take the
 // same branch, and NaN != NaN would mask that agreement.
 fn values_agree(a: &Value, b: &Value) -> bool {
@@ -165,8 +188,14 @@ fn compiled_evaluation_is_value_identical_to_interpreter() {
     let mut rng = XorShift::new(0x5eed_c1a5_5ad5_u64);
     let mut scratch = Scratch::new();
     for case in 0..500 {
-        let left = gen_ad(&mut rng);
-        let right = gen_ad(&mut rng);
+        // Two cases in three hold the left ad chained, one of them both.
+        let (mut left, mut right) = (gen_ad(&mut rng), gen_ad(&mut rng));
+        if case % 3 != 0 {
+            left = chain(&left);
+        }
+        if case % 3 == 2 {
+            right = chain(&right);
+        }
         let (cl, cr) = (CompiledAd::compile(&left), CompiledAd::compile(&right));
 
         // Every attribute name, evaluated from the left frame with and

@@ -1,11 +1,13 @@
 //! Properties of the ClassAd language, run on seeded generated cases.
 
 use classads::ast::{BinOp, Expr};
+use classads::compile::{symmetric_match_compiled, CompiledAd, Scratch};
 use classads::parser::parse_ad_pairs;
 use classads::prelude::*;
 use classads::value::ArithOp;
 use propcheck::{check, Gen};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 const CASES: u64 = 512;
 
@@ -146,6 +148,128 @@ fn ad_roundtrip() {
         for (k, v) in &ints {
             assert_eq!(back.value_of(k), Value::Int(*v));
         }
+    });
+}
+
+/// A chained ad is indistinguishable from its flattened copy: parent and
+/// child drawn over names that overlap and differ in case, every
+/// expression free to refer — bare, `MY.` or `TARGET.` — to a name only
+/// the child defines (`kid`), one only the partner defines (`theirs`) and
+/// one nobody does (`nobody`). Lookup, iteration, printing, equality,
+/// removal, the interpreter, the compiler and the match key all agree with
+/// the flat ad built from the same insertions.
+#[test]
+fn chained_ad_is_its_flattened_copy() {
+    const NAMES: [&str; 9] = [
+        "a",
+        "A",
+        "b",
+        "Memory",
+        "memory",
+        "Requirements",
+        "requirements",
+        "Rank",
+        "kid",
+    ];
+    fn scoped_expr(g: &mut Gen, depth: u32) -> Expr {
+        const OPS: [BinOp; 6] = [
+            BinOp::And,
+            BinOp::Or,
+            BinOp::MetaEq,
+            BinOp::Ge,
+            BinOp::Add,
+            BinOp::Div,
+        ];
+        match g.below(if depth == 0 { 2 } else { 4 }) {
+            0 => Expr::Lit(any_value(g)),
+            1 => {
+                let name = *g.pick(&["a", "b", "Memory", "kid", "theirs", "nobody", "Rank"]);
+                (*g.pick(&[Expr::attr, Expr::my, Expr::target]))(name)
+            }
+            _ => scoped_expr(g, depth - 1).bin(*g.pick(&OPS), scoped_expr(g, depth - 1)),
+        }
+    }
+    // NaN-proof comparison of what a match yields.
+    let bits = |m: MatchResult| (m.matched, m.left_rank.to_bits(), m.right_rank.to_bits());
+    check(CASES, |g| {
+        let attrs = |g: &mut Gen, names: &[&'static str]| {
+            g.vec(0..6, |g| (*g.pick(names), scoped_expr(g, 2)))
+        };
+        let (inherited, own) = (attrs(g, &NAMES[..8]), attrs(g, &NAMES));
+        let partner = attrs(g, &["a", "Memory", "Requirements", "Rank", "theirs"]);
+        let build = |mut ad: ClassAd, attrs: &[(&str, Expr)]| {
+            for (name, expr) in attrs {
+                ad.insert_expr(*name, expr.clone());
+            }
+            ad
+        };
+        let parent = Arc::new(build(ClassAd::new(), &inherited));
+        let child = build(ClassAd::chained(Arc::clone(&parent)), &own);
+        let flat = build(build(ClassAd::new(), &inherited), &own);
+        let partner = build(ClassAd::new(), &partner);
+
+        // Lookup, size, order, print.
+        for name in NAMES.iter().chain(&["theirs", "KID"]) {
+            assert_eq!(child.get(name), flat.get(name), "{name}");
+            assert_eq!(child.has(name), flat.has(name), "{name}");
+        }
+        assert_eq!(
+            (child.len(), child.is_empty()),
+            (flat.len(), flat.is_empty())
+        );
+        assert!(child.iter().eq(flat.iter()));
+        let printed = child.to_string();
+        assert_eq!(printed, flat.to_string());
+        assert_eq!(
+            ClassAd::parse(&printed).expect("prints what parses").len(),
+            flat.len()
+        );
+        // Equality, by content and (two children of one parent) by pointer.
+        assert_eq!(child, flat);
+        assert_eq!(flat, child);
+        assert_eq!(child, build(ClassAd::chained(Arc::clone(&parent)), &own));
+        assert_eq!(child == *parent, flat == *parent);
+        // The interpreter: a bare name the ad lacks goes to the partner.
+        for name in NAMES {
+            let (c, f) = (
+                eval_attr(&child, Some(&partner), name),
+                eval_attr(&flat, Some(&partner), name),
+            );
+            assert!(c == f || (c != c && f != f), "{name}: {c:?} vs {f:?}");
+        }
+        assert_eq!(
+            bits(symmetric_match(&child, &partner)),
+            bits(symmetric_match(&flat, &partner))
+        );
+        assert_eq!(
+            bits(symmetric_match(&partner, &child)),
+            bits(symmetric_match(&partner, &flat))
+        );
+        // The compiler, and what a partner can tell the ad apart by.
+        let (cc, cf, cp) = (
+            Arc::new(CompiledAd::compile(&child)),
+            Arc::new(CompiledAd::compile(&flat)),
+            CompiledAd::compile(&partner),
+        );
+        let mut scratch = Scratch::new();
+        assert_eq!(
+            bits(symmetric_match_compiled(&cc, &cp, &mut scratch)),
+            bits(symmetric_match(&flat, &partner))
+        );
+        let asked: BTreeSet<String> = g
+            .vec(0..4, |g| g.pick(&NAMES).to_ascii_lowercase())
+            .into_iter()
+            .collect();
+        assert!(cc.partner_reads().eq(cf.partner_reads()));
+        assert!(cc.reads_back(&asked).eq(cf.reads_back(&asked)));
+        assert!(cc.match_key(&asked) == cf.match_key(&asked));
+        assert!(cc.rank_key(&asked) == cf.rank_key(&asked));
+        // Removal: an inherited name does not show through afterwards.
+        let doomed = *g.pick(&NAMES);
+        let (mut c, mut f) = (child.clone(), flat.clone());
+        assert_eq!(c.remove(doomed), f.remove(doomed));
+        assert!(!c.has(doomed) && c == f, "after removing {doomed}");
+        assert_eq!(parent.len(), build(ClassAd::new(), &inherited).len());
     });
 }
 

@@ -17,7 +17,7 @@
 
 use crate::faults::FaultPlan;
 use crate::job::{JobRecord, JobSpec};
-use crate::machine::MachineSpec;
+use crate::machine::{BaseAds, MachineSpec};
 use crate::matchmaker::{Matchmaker, MatchmakerStats};
 use crate::metrics::{MachineStats, Metrics};
 use crate::msg::Msg;
@@ -292,9 +292,11 @@ impl FederationBuilder {
         assert_eq!(schedd_id, n_pools, "schedd must follow the matchmakers");
 
         let mut pool_of_machine = BTreeMap::new();
+        let mut bases = BaseAds::default();
         for (p, machines) in self.pools.into_iter().enumerate() {
             for spec in machines {
-                let startd = Startd::new(
+                let startd = Startd::sharing(
+                    bases.base_for(&spec),
                     spec,
                     self.startd_policy,
                     Self::matchmaker_id(p as u64),

@@ -8,7 +8,7 @@
 use crate::ckptserver::{CkptServer, CkptServerStats};
 use crate::faults::FaultPlan;
 use crate::job::{JobRecord, JobSpec};
-use crate::machine::MachineSpec;
+use crate::machine::{BaseAds, MachineSpec};
 use crate::matchmaker::{Matchmaker, MatchmakerStats};
 use crate::metrics::{MachineStats, Metrics};
 use crate::msg::Msg;
@@ -383,8 +383,10 @@ impl PoolBuilder {
             (id, Cookie::generate(self.seed ^ 0xCB0B))
         });
         let mut machine_ids = Vec::new();
+        let mut bases = BaseAds::default();
         for spec in self.machines {
-            let mut startd = Startd::new(spec, self.startd_policy, mm, Arc::clone(&plan));
+            let base = bases.base_for(&spec);
+            let mut startd = Startd::sharing(base, spec, self.startd_policy, mm, Arc::clone(&plan));
             if let Some((id, cookie)) = &ckpt {
                 startd = startd.with_ckpt_server(*id, cookie.clone());
             }

@@ -201,8 +201,8 @@ pub struct Schedd {
     pub machine_pool: BTreeMap<usize, u64>,
     /// Each job's plain `spec.ad()` — what a claim request carries — built
     /// once, at the job's first advertisement or claim.
-    claim_ads: BTreeMap<JobId, Arc<ClassAd>>,
-    /// Each job's advertised ad: its claim ad plus one exclusion clause per
+    plain_ads: BTreeMap<JobId, Arc<ClassAd>>,
+    /// Each job's advertised ad: its plain ad plus one exclusion clause per
     /// machine in `advertised_for`. Re-sent by reference every tick, and
     /// rebuilt only when that list changes.
     advertised: BTreeMap<JobId, Arc<ClassAd>>,
@@ -230,7 +230,7 @@ impl Schedd {
             flock_probe_job: BTreeMap::new(),
             first_idle: BTreeMap::new(),
             machine_pool: BTreeMap::new(),
-            claim_ads: BTreeMap::new(),
+            plain_ads: BTreeMap::new(),
             advertised: BTreeMap::new(),
             advertised_for: Vec::new(),
             self_id: usize::MAX,
@@ -276,9 +276,9 @@ impl Schedd {
     }
 
     /// The job's plain ad, built on first use.
-    fn claim_ad(&mut self, job: JobId) -> Arc<ClassAd> {
+    fn plain_ad(&mut self, job: JobId) -> Arc<ClassAd> {
         let ad = self
-            .claim_ads
+            .plain_ads
             .entry(job)
             .or_insert_with(|| Arc::new(self.jobs[&job].spec.ad()));
         Arc::clone(ad)
@@ -290,7 +290,7 @@ impl Schedd {
         if let Some(ad) = self.advertised.get(&job) {
             return Arc::clone(ad);
         }
-        let ad = Self::ad_excluding(&self.claim_ad(job), &self.advertised_for);
+        let ad = Self::ad_excluding(&self.plain_ad(job), &self.advertised_for);
         self.advertised.insert(job, Arc::clone(&ad));
         ad
     }
@@ -484,7 +484,7 @@ impl Actor<Msg> for Schedd {
                 rec.epoch += 1;
                 let epoch = rec.epoch;
                 rec.state = JobState::Claiming { machine };
-                let ad = self.claim_ad(job);
+                let ad = self.plain_ad(job);
                 ctx.emit(obs::Event::Claim {
                     job: u64::from(job),
                     machine: machine as u64,

@@ -131,13 +131,14 @@ pub struct Startd {
     plan: Arc<FaultPlan>,
     state: State,
     advertising_java: bool,
-    /// The ad this machine advertises (with `MachineId`), built at the
-    /// first advertisement and re-sent by reference on every later one;
-    /// dropped when `advertising_java` changes.
-    wire_ad: Option<Arc<ClassAd>>,
-    /// The ad incoming claims are checked against (no `MachineId`), built
-    /// at the first claim; dropped with `wire_ad`.
-    claim_ad: Option<ClassAd>,
+    /// What the owner configured, shared with every machine configured
+    /// alike (`MachineSpec::base_ad`).
+    base: Arc<ClassAd>,
+    /// This machine's ad — `Name`, `MachineId` and `HasJava` chained to
+    /// `base` — built at first use, re-sent by reference on every
+    /// advertisement and checked against every claim; dropped when
+    /// `advertising_java` changes.
+    ad: Option<Arc<ClassAd>>,
     /// The pool this machine belongs to. Claims stamped with a different
     /// pool are rejected; activations are revoked. Defaults to 0.
     pool_id: u64,
@@ -159,6 +160,20 @@ impl Startd {
         matchmaker: ActorId,
         plan: Arc<FaultPlan>,
     ) -> Startd {
+        let base = Arc::new(spec.base_ad());
+        Startd::sharing(base, spec, policy, matchmaker, plan)
+    }
+
+    /// [`Startd::new`] over a `base` shared with other machines: it must be
+    /// `spec`'s [`MachineSpec::base_ad`], as the pool builders' `BaseAds`
+    /// hands it out.
+    pub fn sharing(
+        base: Arc<ClassAd>,
+        spec: MachineSpec,
+        policy: StartdPolicy,
+        matchmaker: ActorId,
+        plan: Arc<FaultPlan>,
+    ) -> Startd {
         let stats = MachineStats {
             name: spec.name.clone(),
             ..MachineStats::default()
@@ -170,8 +185,8 @@ impl Startd {
             plan,
             state: State::Free,
             advertising_java: false,
-            wire_ad: None,
-            claim_ad: None,
+            base,
+            ad: None,
             pool_id: 0,
             ckpt_server: None,
             stats_id: usize::MAX,
@@ -200,6 +215,17 @@ impl Startd {
         self.plan.crashed_at(self.stats_id, now)
     }
 
+    /// The machine's ad as it stands, `id` being this actor's.
+    fn ad(&mut self, id: ActorId) -> &Arc<ClassAd> {
+        self.ad.get_or_insert_with(|| {
+            let mut ad = self
+                .spec
+                .ad_over(Arc::clone(&self.base), self.advertising_java);
+            ad.insert("MachineId", classads::Value::Int(id as i64));
+            Arc::new(ad)
+        })
+    }
+
     /// Tell the matchmaker this machine is on offer — if it is: free, up,
     /// and its owner away (an owner at the keyboard withdraws the machine
     /// from the pool; a job running at the window onset was evicted by
@@ -211,16 +237,12 @@ impl Startd {
         {
             return;
         }
-        let ad = self.wire_ad.get_or_insert_with(|| {
-            let mut ad = self.spec.ad(self.advertising_java);
-            ad.insert("MachineId", classads::Value::Int(ctx.self_id as i64));
-            Arc::new(ad)
-        });
+        let ad = Arc::clone(self.ad(ctx.self_id));
         self.stats.ads_sent += 1;
         ctx.send_net(
             self.matchmaker,
             Msg::MachineAd {
-                ad: Arc::clone(ad),
+                ad,
                 claims: self.stats.claims_accepted,
             },
         );
@@ -315,10 +337,9 @@ impl Actor<Msg> for Startd {
                     return;
                 }
                 // "Matched processes are individually responsible for …
-                // verifying that their needs are met."
-                let my_ad = self
-                    .claim_ad
-                    .get_or_insert_with(|| self.spec.ad(self.advertising_java));
+                // verifying that their needs are met." Against the very ad
+                // the match was made on.
+                let my_ad = self.ad(ctx.self_id);
                 if !requirements_met(my_ad, &ad) || !requirements_met(&ad, my_ad) {
                     self.stats.claims_rejected += 1;
                     self.emit_claim(
@@ -1027,9 +1048,61 @@ impl Startd {
             if self.policy.learn_from_failures && self.advertising_java {
                 self.advertising_java = false;
                 self.stats.advertising_java = false;
-                // Both cached ads carry `HasJava`: rebuild at next use.
-                self.wire_ad = None;
-                self.claim_ad = None;
+                // The ad carries `HasJava`: rebuild it (not its base) at
+                // next use.
+                self.ad = None;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flock::FederationBuilder;
+    use crate::pool::PoolBuilder;
+
+    /// A builder hands machines of one owner configuration one base ad:
+    /// their startds advertise children of a single parent allocation,
+    /// across the pools of a federation too; a machine whose owner wrote a
+    /// different policy gets a base of its own. Either way the ad reads as
+    /// the flat one.
+    #[test]
+    fn builders_share_one_base_per_owner_configuration() {
+        let odd = || MachineSpec {
+            owner_requirements: "TARGET.ImageSize <= MY.Memory && TARGET.Owner =!= \"eve\"".into(),
+            ..MachineSpec::healthy("odd", 256)
+        };
+        let specs = || {
+            [
+                MachineSpec::healthy("a", 256),
+                odd(),
+                MachineSpec::healthy("b", 256),
+            ]
+        };
+        let (mut pool, _, ids) = PoolBuilder::new(1).machines(specs()).build();
+        let (mut fed, _, pool_of) = FederationBuilder::new(1)
+            .pool(specs())
+            .pool([MachineSpec::healthy("c", 256)])
+            .build();
+        let fed_ids: Vec<usize> = pool_of.into_keys().collect();
+        for (world, ids) in [(&mut pool, &ids), (&mut fed, &fed_ids)] {
+            world.run_until(SimTime::from_secs(1));
+            let ad = |i: usize| {
+                let startd = world.get::<Startd>(ids[i]).expect("startd");
+                Arc::clone(startd.ad.as_ref().expect("advertised at start-up"))
+            };
+            let base = |i: usize| Arc::clone(ad(i).parent().expect("chained"));
+            assert!((2..ids.len()).all(|i| Arc::ptr_eq(&base(0), &base(i))));
+            assert!(!Arc::ptr_eq(&base(0), &base(1)));
+            assert_eq!(
+                base(1).get("Requirements"),
+                odd().ad(true).get("Requirements")
+            );
+            for (i, spec) in specs().iter().enumerate() {
+                let flat = spec.ad(true).with_int("MachineId", ids[i] as i64);
+                assert_eq!(*ad(i), flat, "{}", spec.name);
+                assert_eq!(ad(i).to_string(), flat.to_string());
             }
         }
     }

@@ -32,11 +32,14 @@ const STREAM_FNV: u64 = 16_531_300_256_365_913_880;
 /// The registry snapshot with `mm_pairs_evaluated` masked.
 const REGISTRY_FNV: u64 = 4_977_263_325_719_039_760;
 /// What the per-job engine before shapes evaluated for this queue (bab636b,
-/// one evaluation per job per machine), and what one evaluation per
-/// (shape, machine) needs — 1,123 under the 5-s drumbeat, when every job
-/// was matched twice.
+/// one evaluation per job per machine), and what shape by shape needs: the
+/// pool is one shape a side, and each of the six cycles that finds a
+/// machine free ranks the machine shape and evaluates the pair anew (the
+/// cycle before consumed the machine shape's last member). One evaluation
+/// per (job shape, machine) needed 477 (19eac4f) — 1,123 under the 5-s
+/// drumbeat, when every job was matched twice.
 const PAIRS_PER_JOB: u64 = 98_090;
-const PAIRS_PER_SHAPE: u64 = 477;
+const PAIRS_PER_SHAPE: u64 = 12;
 
 /// `snapshot` with the value of counter `name` replaced by `*`, and that
 /// value.

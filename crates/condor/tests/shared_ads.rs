@@ -27,9 +27,9 @@ fn requirements(ad: &ClassAd) -> String {
 }
 
 /// (a) A learning startd that meets a remote-resource failure drops its
-/// cached ads: the instant it is free again it advertises a fresh ad
-/// without `HasJava`, and the matchmaker stops offering the machine to java
-/// jobs.
+/// cached ad: the instant it is free again it advertises a fresh one
+/// without `HasJava` — a new child of the same base — and the matchmaker
+/// stops offering the machine to java jobs.
 #[test]
 fn learning_startd_rebuilds_its_ad_without_java() {
     let mut world: World<Msg> = World::new(3);
@@ -113,8 +113,21 @@ fn learning_startd_rebuilds_its_ad_without_java() {
     let after = Arc::clone(&after[0].1);
     assert!(!after.has("HasJava"), "the capability is revoked");
     assert!(!Arc::ptr_eq(&after, &before));
+    // Only the child was rebuilt: what the owner configured is the same
+    // allocation, and the capability was never part of it.
+    let own = |ad: &ClassAd| {
+        ad.own()
+            .map(|(name, _)| name.to_owned())
+            .collect::<Vec<_>>()
+    };
+    assert!(Arc::ptr_eq(
+        before.parent().expect("chained"),
+        after.parent().expect("chained")
+    ));
+    assert_eq!(own(&before), ["hasjava", "machineid", "name"]);
+    assert_eq!(own(&after), ["machineid", "name"]);
 
-    // The claim-time ad was dropped too: a java claim is now refused.
+    // Claims are checked against the same ad: a java claim is now refused.
     world.inject(
         startd,
         Msg::ClaimRequest {
@@ -253,8 +266,37 @@ fn job_ads_follow_the_avoided_list() {
     assert_eq!(*tap.claim_ads[0], java_job(2).ad());
 }
 
-/// Sends one never-matchable job ad at startup, so a live machine is probed
-/// (and its verdict cached) every cycle.
+/// (d) A startd verifies a claim against the ad it advertised — `MachineId`
+/// and all. An owner policy that reads `MY.MachineId` used to be matched on
+/// the advertised ad and refused on a second one built without it, every
+/// cycle, for ever: an implicit error nobody converted.
+#[test]
+fn an_owner_policy_may_read_the_machine_id() {
+    let spec = MachineSpec {
+        owner_requirements: "TARGET.ImageSize <= MY.Memory && MY.MachineId >= 0".into(),
+        ..MachineSpec::healthy("m0", 256)
+    };
+    let job = JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
+        .with_exec_time(SimDuration::from_secs(60));
+    let report = PoolBuilder::new(1)
+        .machine(spec)
+        .job(job)
+        .run(SimTime::from_secs(3600));
+    let machine = report.machines.values().next().expect("one machine");
+    assert!(report.quiescent);
+    assert_eq!(report.metrics.jobs_completed, 1);
+    assert_eq!(
+        (
+            report.matchmaker.matches_made,
+            machine.claims_accepted,
+            machine.claims_rejected
+        ),
+        (1, 1, 0)
+    );
+}
+
+/// Sends one never-matchable job ad at startup, so a live machine's shape
+/// is probed (and the pair's verdict reused) every cycle.
 struct StuckJob {
     matchmaker: ActorId,
 }
@@ -264,10 +306,9 @@ impl Actor<Msg> for StuckJob {
         "stuck-job".into()
     }
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        // The `+ 0` defeats the index's memory pruning.
         let ad = ClassAd::new()
             .with_int("ImageSize", 1 << 20)
-            .with_expr("Requirements", "TARGET.Memory + 0 >= MY.ImageSize")
+            .with_expr("Requirements", "TARGET.Memory >= MY.ImageSize")
             .with_expr("Rank", "TARGET.Memory");
         ctx.send_net(
             self.matchmaker,
@@ -283,7 +324,8 @@ impl Actor<Msg> for StuckJob {
 
 /// (c) A crash window silences a startd past `AD_LIFETIME`: its ad expires,
 /// and when it comes back it re-advertises the very same allocation — which
-/// the matchmaker re-admits under a new generation (a miss, not a hit).
+/// the matchmaker re-admits into a shape that died with its last member (an
+/// evaluation, not a reused verdict).
 #[test]
 fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // Start-up and the keep-alive at 15 advertise; those at 30 and 45 fall
@@ -308,7 +350,7 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     assert_eq!(at, [1, 15_001, 60_001, 75_001], "ms; one network hop each");
     assert!(ads.iter().all(|seen| Arc::ptr_eq(&seen.ad, &ads[0].ad)));
 
-    // At the matchmaker: expiry, then re-admission under a new generation.
+    // At the matchmaker: expiry, then re-admission into a new shape.
     let mut world: World<Msg> = World::new(5);
     let mm = world.add_actor(Box::new(Matchmaker::new()));
     let plan = FaultPlan::none().crash(mm + 1, crash).build();
@@ -323,18 +365,20 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         let s = world.get::<Matchmaker>(mm).unwrap().stats();
         (s.pairs_evaluated, s.cache_hits, s.ads_active)
     };
-    // Cycles at 10..=40: one evaluation, then hits, while the ad lives.
+    // Cycles at 10..=40: the machine's shape ranked and the pair evaluated
+    // once, then reuse, while the ad lives.
     world.run_until(SimTime::from_secs(45));
-    assert_eq!(stats(&world), (1, 3, 2));
+    assert_eq!(stats(&world), (2, 3, 2));
     // Cycles at 50 and 60: the ad expired; only the job is left.
     world.run_until(SimTime::from_secs(65));
-    assert_eq!(stats(&world), (1, 3, 1));
-    // Cycle at 70: the same ad is back, as a new generation — a miss.
+    assert_eq!(stats(&world), (2, 3, 1));
+    // Cycle at 70: the same ad is back, its old shape long gone — ranked
+    // and evaluated again.
     world.run_until(SimTime::from_secs(75));
-    assert_eq!(stats(&world), (2, 3, 2));
-    // Cycle at 80: and from then on it hits again.
+    assert_eq!(stats(&world), (4, 3, 2));
+    // Cycle at 80: and from then on the verdict is reused again.
     world.run_until(SimTime::from_secs(85));
-    assert_eq!(stats(&world), (2, 4, 2));
+    assert_eq!(stats(&world), (4, 4, 2));
     // The same story in the ad census: admitted twice, renewed at 15 and
     // 75, expired once.
     let s = world.get::<Matchmaker>(mm).unwrap().stats();

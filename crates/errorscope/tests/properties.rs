@@ -2,7 +2,7 @@
 
 use errorscope::escalate::EscalationPolicy;
 use errorscope::prelude::*;
-use errorscope::resultfile::ResultFile;
+use errorscope::resultfile::{ResultFile, ResultFileError};
 use propcheck::{check, Gen};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -139,6 +139,40 @@ fn resultfile_roundtrip() {
         };
         assert_eq!(ResultFile::from_json(&rf.to_json()), Ok(rf));
     });
+}
+
+/// Spliced, duplicated, cut and overwritten spans of a valid result file
+/// read back as a result file or fail with a named error — never a panic —
+/// and what reads back writes the same file it was read from, or a
+/// canonical one that reads back as itself.
+#[test]
+fn mutated_result_files_read_or_fail_by_name() {
+    let (mut read, mut malformed, mut unknown) = (0u32, 0u32, 0u32);
+    check(100_000, |g| {
+        let code = ErrorCode::owned(g.string("abcXYZ_", 1..=8));
+        let msg = g.string("ab \"\\/\n\u{e9}\u{1f}{}[]:,0", 0..=24);
+        let valid = match g.below(3) {
+            0 => ResultFile::completed(g.int(i32::MIN..=i32::MAX)),
+            1 => ResultFile::program_exception(code, msg),
+            _ => ResultFile::environment_failure(any_scope(g), code, msg),
+        };
+        let text = String::from_utf8_lossy(&g.mutated(valid.to_json().as_bytes())).into_owned();
+        match ResultFile::from_json(&text) {
+            Ok(rf) => {
+                read += 1;
+                assert_eq!(ResultFile::from_json(&rf.to_json()), Ok(rf));
+            }
+            Err(ResultFileError::Malformed(what)) => {
+                malformed += 1;
+                assert!(!what.is_empty());
+            }
+            Err(ResultFileError::UnknownVersion(_)) => unknown += 1,
+        }
+    });
+    assert!(
+        read > 1_000 && malformed > 50_000 && unknown > 10,
+        "{read} {malformed} {unknown}"
+    );
 }
 
 /// Propagation through the Java Universe stack always terminates with

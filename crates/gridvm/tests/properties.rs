@@ -73,6 +73,51 @@ fn loading_is_total() {
     });
 }
 
+/// Spliced, duplicated, cut and overwritten spans of a valid image — three
+/// times in four with the checksum made good again, so the damage reaches
+/// the structural decoder instead of stopping at the sum — load or fail
+/// with a named error, never a panic; what loads survives the verifier
+/// and loads again from its own bytes.
+#[test]
+fn loading_mutated_images_is_total() {
+    let mut outcomes = std::collections::BTreeMap::new();
+    check(100_000, |g| {
+        let valid = any_image(g).to_bytes();
+        let bytes = if g.below(4) == 0 {
+            g.mutated(&valid)
+        } else {
+            let mut body = g.mutated(&valid[..valid.len() - 8]);
+            body.extend_from_slice(&ckpt::fnv1a(&body).to_le_bytes());
+            body
+        };
+        let outcome = match ProgramImage::from_bytes(&bytes) {
+            Ok(img) => {
+                let _ = verify(&img);
+                assert_eq!(ProgramImage::from_bytes(&img.to_bytes()).as_ref(), Ok(&img));
+                "ok".to_string()
+            }
+            Err(e) => e
+                .to_string()
+                .split(' ')
+                .take(2)
+                .collect::<Vec<_>>()
+                .join(" "),
+        };
+        *outcomes.entry(outcome).or_insert(0u32) += 1;
+    });
+    // Every named error is reached, and so is a damaged image that loads.
+    let seen: Vec<&str> = outcomes.keys().map(String::as_str).collect();
+    let expected = [
+        "bad magic:",
+        "checksum mismatch:",
+        "entry function",
+        "ok",
+        "truncated image",
+        "unknown opcode",
+    ];
+    assert_eq!(seen, expected, "{outcomes:?}");
+}
+
 /// Flipping any single bit of a serialised image is detected (either
 /// checksum mismatch or another load error) — corrupt images can never
 /// load as a *different* valid program silently.

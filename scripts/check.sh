@@ -21,5 +21,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> every experiment at smoke size (each one's gates are assertions)"
 cargo run --release -p bench --bin exp -- all --smoke
 cargo run --release -p bench --bin exp -- e7 --localize
+cargo run --release -p bench --bin exp -- e13 --phases --smoke
 
 echo "All checks passed."
