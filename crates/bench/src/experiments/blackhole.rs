@@ -176,3 +176,42 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
     ];
     ((), files)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Time to detect, pinned: with avoidance on, every hole crosses the
+    /// two-failure threshold — its second reschedule — at the recorded
+    /// instant, on every seed and hole count: matched at 10, failed at 12,
+    /// back at 12, matched again at 20 (µs; the same under the schedd's
+    /// 5-s job-ad drumbeat, 1512bf3).
+    #[test]
+    fn holes_are_detected_at_the_recorded_instant() {
+        let avoidance = Policy {
+            name: "schedd avoidance",
+            self_test: SelfTestDepth::None,
+            avoid: true,
+        };
+        for (seed, holes) in [(5, 1), (15, 3), (25, 6)] {
+            let report = pool(seed, holes, false, avoidance);
+            let hole = |m: u64| m as usize >= PoolBuilder::FIRST_MACHINE_ID + HEALTHY;
+            let mut failures: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+            for r in report.telemetry.iter() {
+                if let obs::Event::Reschedule { machine, .. } = r.event {
+                    if hole(*machine) {
+                        failures.entry(*machine).or_default().push(r.at_us);
+                    }
+                }
+            }
+            assert_eq!(failures.len(), holes, "seed {seed}");
+            for (machine, at) in failures {
+                assert_eq!(
+                    at,
+                    [12_005_000, 22_005_000],
+                    "seed {seed}, machine {machine}"
+                );
+            }
+        }
+    }
+}

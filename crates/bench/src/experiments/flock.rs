@@ -514,3 +514,33 @@ fn report(size: Size, pass: &Pass) {
         reduction(naive_total, engine_total)
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::PARTITION_HORIZON;
+
+    /// Time to detect, pinned: in the partition-during-flock scenario the
+    /// inter-pool link drops at 80 s, and the lease expiry, the flock
+    /// fault and the pool-scope ruling all land at the recorded instant
+    /// (µs; the same under the schedd's 5-s job-ad drumbeat, 1512bf3).
+    #[test]
+    fn the_partition_ruling_lands_at_the_recorded_instant() {
+        obs::reset_span_ids(0);
+        let report = partition_during_flock().run(PARTITION_HORIZON);
+        let at = |wanted: &dyn Fn(&obs::Event) -> bool| -> Vec<u64> {
+            let records = report.telemetry.iter().map(|r| r.to_record());
+            let wanted = records.filter(|r| wanted(&r.event));
+            wanted.map(|r| r.at_us).collect()
+        };
+        let expired =
+            |e: &obs::Event| matches!(e, obs::Event::LeaseExpired { side, .. } if side == "schedd");
+        let fault = |e: &obs::Event| matches!(e, obs::Event::FlockFault { .. });
+        let ruling =
+            |e: &obs::Event| matches!(e, obs::Event::Disposition { scope, .. } if scope == "pool");
+        assert_eq!(
+            (at(&expired), at(&fault), at(&ruling)),
+            (vec![100_005_000], vec![100_005_000], vec![100_005_000])
+        );
+    }
+}

@@ -1,7 +1,8 @@
-//! One module per row of [`crate::EXPERIMENTS`].
+//! One module per row of [`crate::EXPERIMENTS`], and [`census`], a tool.
 
 pub mod blackhole;
 pub mod campaign;
+pub mod census;
 pub mod checkpoint;
 pub mod errorscope_cost;
 pub mod flock;

@@ -338,3 +338,34 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
     ];
     ((), files)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Time to detect, pinned: what a change to a periodic message may
+    /// retime only by saying so. The partition falls at 60 s; in both
+    /// kernels' worlds the four running claims expire on the schedd's side
+    /// and on the startds' at the recorded instants, and the adaptive
+    /// kernel's first breaker opens at the recorded one (µs; the same
+    /// under the schedd's 5-s job-ad drumbeat, 1512bf3).
+    #[test]
+    fn detection_instants_are_the_recorded_ones() {
+        let report = pool(Mode::Adaptive, 41);
+        let first = |wanted: &dyn Fn(&obs::Event) -> bool| {
+            let mut records = report.telemetry.iter().map(|r| r.to_record());
+            records.find(|r| wanted(&r.event)).map(|r| r.at_us)
+        };
+        let expired = |on: &'static str| move |e: &obs::Event| matches!(e, obs::Event::LeaseExpired { side, .. } if side == on);
+        let opened =
+            |e: &obs::Event| matches!(e, obs::Event::BreakerStateChange { to, .. } if to == "open");
+        assert_eq!(
+            (
+                first(&expired("schedd")),
+                first(&expired("startd")),
+                first(&opened)
+            ),
+            (Some(80_005_000), Some(90_004_000), Some(150_001_000))
+        );
+    }
+}

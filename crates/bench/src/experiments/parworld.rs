@@ -44,15 +44,14 @@
 
 use crate::harness::{artifact, drive, Artifact, Size};
 use crate::scenarios::{
-    federation, flock_job, flock_policy, partition_during_flock, secs, FEDERATION_HORIZON,
+    federation, partition_during_flock, scaling_federation, secs, FEDERATION_HORIZON,
     PARTITION_HORIZON,
 };
 use crate::{f, render_table};
 use campaign::gen::deadline;
 use campaign::generate;
 use ckpt::fnv1a;
-use condor::prelude::*;
-use desim::{ParConfig, SimDuration, SimTime, World};
+use desim::{ParConfig, SimTime, World};
 
 const SHARDS: usize = 4;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -154,12 +153,6 @@ fn campaign_differentials() -> Vec<CampaignRow> {
 // Section 3: the 100k-machine scaling world
 // ---------------------------------------------------------------------
 
-/// Conservative-window lookahead for the scaling world: 50ms default
-/// latency instead of 1ms, so each window batches ~50x more work per
-/// barrier. A build-time choice — the workload's own protocol timeouts
-/// are all ≥ seconds, so behavior is unaffected in kind.
-const SCALE_LATENCY: SimDuration = SimDuration::from_millis(50);
-
 struct ScaleShape {
     pools: u64,
     machines_per: usize,
@@ -168,20 +161,7 @@ struct ScaleShape {
 }
 
 fn scale_world(shape: &ScaleShape) -> World<condor::Msg> {
-    let mut b = FederationBuilder::new(51);
-    for p in 0..shape.pools {
-        b = b
-            .pool((0..shape.machines_per).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
-    }
-    let (mut world, _, _) = b
-        .jobs((1..=shape.jobs).map(|i| flock_job(i, 60 + u64::from(i % 7) * 30)))
-        .schedd_policy(flock_policy())
-        .build();
-    world.net_mut().set_default_latency(SCALE_LATENCY);
-    // The stream at this scale would be hundreds of MB; the scaling gate
-    // compares counts and stats instead.
-    *world.telemetry_mut() = obs::Collector::disabled();
-    world
+    scaling_federation(51, shape.pools, shape.machines_per, shape.jobs)
 }
 
 struct ScaleRow {

@@ -7,6 +7,8 @@
 //! exp e7 --localize             E7's post-mortem cross-check
 //! exp e13 --phases [--smoke]    where the scaling world's wall-clock goes
 //! exp e10 <faulty> <reference>  localize two exported event streams
+//! exp census [--smoke]          deliveries per message kind over the
+//!                               ledger's three simulated worlds
 //! ```
 //!
 //! Artifacts (`BENCH_*`) land in the working directory. Every gate is an
@@ -16,7 +18,9 @@ use bench::harness::Size;
 use bench::{experiment, Experiment, EXPERIMENTS};
 
 fn usage(problem: &str) -> ! {
-    eprintln!("exp: {problem}\nusage: exp list | exp all [--smoke] | exp <id>... [--smoke]");
+    eprintln!(
+        "exp: {problem}\nusage: exp list | exp all [--smoke] | exp <id>... [--smoke] | exp census [--smoke]"
+    );
     std::process::exit(2);
 }
 
@@ -36,9 +40,11 @@ fn main() {
     let mut size = Size::Full;
     let mut chosen: Vec<&Experiment> = Vec::new();
     let mut operands: Vec<String> = Vec::new();
+    let mut census = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "list" => return list(),
+            "census" => census = true,
             "--smoke" => size = Size::Smoke,
             "all" => chosen.extend(&EXPERIMENTS),
             other => match experiment(other) {
@@ -46,6 +52,12 @@ fn main() {
                 None => operands.push(arg),
             },
         }
+    }
+    if census {
+        if !(chosen.is_empty() && operands.is_empty()) {
+            usage("census runs by itself");
+        }
+        return bench::experiments::census::run(size);
     }
     match chosen.as_slice() {
         [] => usage(&format!("no experiment among {operands:?}")),

@@ -146,6 +146,40 @@ pub fn federation() -> FederationBuilder {
 
 pub const FEDERATION_HORIZON: SimTime = SimTime::from_secs(8 * 3600);
 
+/// Job `i` of the scaling worlds: `completes_main`, 60 + (i % 7)·30 s.
+pub fn scale_job(i: u32) -> JobSpec {
+    flock_job(i, 60 + u64::from(i % 7) * 30)
+}
+
+/// Conservative-window lookahead for the scaling federation: 50ms default
+/// latency instead of 1ms, so each window batches ~50x more work per
+/// barrier. A build-time choice — the workload's own protocol timeouts
+/// are all ≥ seconds, so behavior is unaffected in kind.
+const SCALE_LATENCY: SimDuration = SimDuration::from_millis(50);
+
+/// E13's scaling world (and the ledger's `fed_scale`): `pools` pools of
+/// `machines_per` idle machines around `jobs` jobs submitted at home, on a
+/// 50 ms network, telemetry off — the stream at this scale would be
+/// hundreds of MB, so what is compared is counts and stats.
+pub fn scaling_federation(
+    seed: u64,
+    pools: u64,
+    machines_per: usize,
+    jobs: u32,
+) -> desim::World<condor::Msg> {
+    let mut b = FederationBuilder::new(seed);
+    for p in 0..pools {
+        b = b.pool((0..machines_per).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
+    }
+    let (mut world, _, _) = b
+        .jobs((1..=jobs).map(scale_job))
+        .schedd_policy(flock_policy())
+        .build();
+    world.net_mut().set_default_latency(SCALE_LATENCY);
+    *world.telemetry_mut() = obs::Collector::disabled();
+    world
+}
+
 /// Partition during flock: the inter-pool link to pool 1 — its matchmaker
 /// and its machines at once — goes down after the flocked claim lands and
 /// stays down long past the lease, then heals. Fault windows ride the
@@ -215,6 +249,19 @@ fn chained(ads: &[ClassAd]) -> Vec<ClassAd> {
     ads.iter().map(chain).collect()
 }
 
+/// `ads` as a schedd would send them: one base for the jobs alike in
+/// everything, and for each a child chained to it that holds its number —
+/// which nothing reads.
+fn clustered(ads: &[ClassAd]) -> Vec<ClassAd> {
+    let mut bases: BTreeMap<String, Arc<ClassAd>> = BTreeMap::new();
+    let cluster = |(j, ad): (usize, &ClassAd)| {
+        let base = bases.entry(ad.to_string());
+        let base = base.or_insert_with(|| Arc::new(ad.clone()));
+        ClassAd::chained(Arc::clone(base)).with_int("ClusterId", j as i64)
+    };
+    ads.iter().enumerate().map(cluster).collect()
+}
+
 /// Drive `cycles` negotiation cycles of a [`MatchEngine`] over pre-generated
 /// ads: jobs arrive in per-cycle waves, every live startd re-advertises the
 /// same ad each cycle (its shape — and the shape's verdicts — must survive),
@@ -224,7 +271,8 @@ fn chained(ads: &[ClassAd]) -> Vec<ClassAd> {
 /// With `check_naive`, the frozen [`naive_negotiate`] runs beside the
 /// engine on mirrored ad maps with a same-seed RNG, and every cycle's
 /// notifications must be bit-identical — as must those, and the work
-/// counters, of a second engine the same machines reach [`chained`].
+/// counters, of a second engine the same ads reach as their senders would
+/// send them: the machines [`chained`], the jobs [`clustered`].
 ///
 /// The naive pair count is always computed exactly: the naive scan's work
 /// per cycle is (live machines) − (matches made so far this cycle), summed
@@ -245,7 +293,8 @@ pub fn negotiate_cycles(
     let mut naive_rng = SimRng::seed_from_u64(rng_seed);
     let mut twin = check_naive.then(|| {
         let rng = SimRng::seed_from_u64(rng_seed);
-        (MatchEngine::new(), rng, chained(machine_ads))
+        let as_sent = (chained(machine_ads), clustered(job_ads));
+        (MatchEngine::new(), rng, as_sent)
     });
     let mut naive_machines: BTreeMap<usize, ClassAd> = BTreeMap::new();
     let mut naive_jobs: BTreeMap<(usize, u32), ClassAd> = BTreeMap::new();
@@ -267,7 +316,7 @@ pub fn negotiate_cycles(
             }
             advertised[i] = Some(now);
             engine.insert_machine(FIRST_MACHINE + i, ad.clone(), now);
-            if let Some((twin, _, chained)) = &mut twin {
+            if let Some((twin, _, (chained, _))) = &mut twin {
                 twin.insert_machine(FIRST_MACHINE + i, chained[i].clone(), now);
                 naive_machines.insert(FIRST_MACHINE + i, ad.clone());
             }
@@ -277,8 +326,8 @@ pub fn negotiate_cycles(
                 break;
             }
             engine.insert_job(SCHEDD, next_job as u32, job_ads[next_job].clone());
-            if let Some((twin, ..)) = &mut twin {
-                twin.insert_job(SCHEDD, next_job as u32, job_ads[next_job].clone());
+            if let Some((twin, _, (_, clustered))) = &mut twin {
+                twin.insert_job(SCHEDD, next_job as u32, clustered[next_job].clone());
                 naive_jobs.insert((SCHEDD, next_job as u32), job_ads[next_job].clone());
             }
             queued.push(next_job as u32);
@@ -312,8 +361,8 @@ pub fn negotiate_cycles(
             assert_eq!(
                 (twin.negotiate(now, twin_rng), &twin.stats.pairs_evaluated),
                 (slow, &engine.stats.pairs_evaluated),
-                "machines held chained must negotiate as the same machines held \
-                 flat ({label} cycle={cycle})"
+                "ads held chained must negotiate as the same ads held flat \
+                 ({label} cycle={cycle})"
             );
         }
 

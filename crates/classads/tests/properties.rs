@@ -157,7 +157,9 @@ fn ad_roundtrip() {
 /// the child defines (`kid`), one only the partner defines (`theirs`) and
 /// one nobody does (`nobody`). Lookup, iteration, printing, equality,
 /// removal, the interpreter, the compiler and the match key all agree with
-/// the flat ad built from the same insertions.
+/// the flat ad built from the same insertions. One case in eight is the
+/// pair a schedd sends — what a cluster's jobs share, and a job's
+/// `ClusterId` chained to it — against a machine.
 #[test]
 fn chained_ad_is_its_flattened_copy() {
     const NAMES: [&str; 9] = [
@@ -195,8 +197,31 @@ fn chained_ad_is_its_flattened_copy() {
         let attrs = |g: &mut Gen, names: &[&'static str]| {
             g.vec(0..6, |g| (*g.pick(names), scoped_expr(g, 2)))
         };
-        let (inherited, own) = (attrs(g, &NAMES[..8]), attrs(g, &NAMES));
-        let partner = attrs(g, &["a", "Memory", "Requirements", "Rank", "theirs"]);
+        let (inherited, own, partner) = if g.below(8) == 0 {
+            let image_size = Expr::int(g.int(1i64..512));
+            let requirements = Expr::target("Memory")
+                .ge(Expr::my("ImageSize"))
+                .and(Expr::target("HasJava").bin(BinOp::MetaEq, Expr::boolean(true)));
+            let owner_policy = Expr::my("Memory").ge(Expr::target("ImageSize"));
+            (
+                vec![
+                    ("Owner", Expr::Lit(Value::str("ada"))),
+                    ("ImageSize", image_size),
+                    ("Requirements", requirements),
+                    ("Rank", Expr::target("Memory")),
+                ],
+                vec![("ClusterId", Expr::int(g.int(0i64..10_000)))],
+                vec![
+                    ("Memory", Expr::int(g.int(1i64..512))),
+                    ("HasJava", Expr::boolean(g.bool())),
+                    ("Requirements", owner_policy),
+                ],
+            )
+        } else {
+            let (inherited, own) = (attrs(g, &NAMES[..8]), attrs(g, &NAMES));
+            let partner = attrs(g, &["a", "Memory", "Requirements", "Rank", "theirs"]);
+            (inherited, own, partner)
+        };
         let build = |mut ad: ClassAd, attrs: &[(&str, Expr)]| {
             for (name, expr) in attrs {
                 ad.insert_expr(*name, expr.clone());
@@ -209,7 +234,10 @@ fn chained_ad_is_its_flattened_copy() {
         let partner = build(ClassAd::new(), &partner);
 
         // Lookup, size, order, print.
-        for name in NAMES.iter().chain(&["theirs", "KID"]) {
+        for name in NAMES
+            .iter()
+            .chain(&["theirs", "KID", "ClusterId", "imagesize"])
+        {
             assert_eq!(child.get(name), flat.get(name), "{name}");
             assert_eq!(child.has(name), flat.has(name), "{name}");
         }

@@ -1,4 +1,11 @@
 //! Jobs: what users submit to the schedd.
+//!
+//! A job's ad, like a machine's, is a shape and a name: what its owner,
+//! universe and image size determine — `Requirements` and `Rank` among it —
+//! is the *base*, one per distinct shape and shared by every job of it,
+//! and what a job adds is a child [chained](ClassAd::chained) to that base
+//! holding its `ClusterId` (HTCondor chains a cluster's procs to the
+//! cluster ad the same way).
 
 use classads::ast::{BinOp, Expr};
 use classads::ClassAd;
@@ -6,6 +13,7 @@ use desim::{SimDuration, SimTime};
 use errorscope::resultfile::ResultFile;
 use errorscope::Scope;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifies a job within one schedd's queue.
 pub type JobId = u32;
@@ -92,17 +100,26 @@ impl JobSpec {
         self
     }
 
-    /// The job's ClassAd, as the schedd advertises it.
-    pub fn ad(&self) -> ClassAd {
-        let universe = match self.universe {
+    fn universe_name(&self) -> &'static str {
+        match self.universe {
             Universe::Vanilla => "vanilla",
             Universe::Standard => "standard",
             Universe::Java(_) => "java",
-        };
+        }
+    }
+
+    // What the [base ad](JobSpec::base_ad) is made from.
+    pub(crate) fn base_key(&self) -> (&str, &'static str, i64) {
+        (&self.owner, self.universe_name(), self.image_size)
+    }
+
+    /// The part of the ad a cluster's jobs share: `Owner`, `Universe`,
+    /// `ImageSize` and the `Requirements` and `Rank` that follow from them
+    /// — everything but the job's name.
+    pub(crate) fn base_ad(&self) -> ClassAd {
         let mut ad = ClassAd::new()
             .with_str("Owner", &self.owner)
-            .with_int("ClusterId", i64::from(self.id))
-            .with_str("Universe", universe)
+            .with_str("Universe", self.universe_name())
             .with_int("ImageSize", self.image_size);
         // The expressions are fixed, so they are built directly rather
         // than parsed from text (a test pins the two forms equal).
@@ -114,6 +131,19 @@ impl JobSpec {
         ad.insert_expr("Requirements", requirements);
         ad.insert_expr("Rank", Expr::target("Memory"));
         ad
+    }
+
+    /// The job's own part of the ad — its `ClusterId` — chained to `base`
+    /// (which must be this spec's [`base_ad`](JobSpec::base_ad)).
+    pub(crate) fn ad_over(&self, base: Arc<ClassAd>) -> ClassAd {
+        ClassAd::chained(base).with_int("ClusterId", i64::from(self.id))
+    }
+
+    /// The job's ClassAd, over a base of its own. The schedd advertises
+    /// the same ad over a base it shares among jobs alike in owner,
+    /// universe and image size.
+    pub fn ad(&self) -> ClassAd {
+        self.ad_over(Arc::new(self.base_ad()))
     }
 }
 

@@ -72,7 +72,8 @@ pub use machine::MachineSpec;
 pub use matchmaker::{MatchEngine, Matchmaker, MatchmakerStats};
 pub use metrics::{MachineStats, Metrics};
 pub use msg::{
-    Activation, CkptAttempt, ExecutionReport, FsSnapshot, LeaseInfo, Msg, ResumeInfo, StoredCkpt,
+    Activation, CkptAttempt, ExecutionReport, FsSnapshot, JobAdvert, LeaseInfo, Msg, ResumeInfo,
+    StoredCkpt,
 };
 pub use netdriver::NetFaultDriver;
 pub use pool::{PoolBuilder, RunReport};

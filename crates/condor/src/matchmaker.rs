@@ -4,12 +4,22 @@
 //! schedds and startds of compatible partners. Matched processes are
 //! individually responsible for communicating with each other and verifying
 //! that their needs are met" (§2.1). The matchmaker holds soft state only,
-//! kept by lease: an ad lives [`AD_LIFETIME`], its sender renews it at half
-//! that, and says at once when something changes. A match consumes both
-//! ads, and until the next cycle starts an ad its sender put on the wire
-//! before it could have heard of the match is *fenced* — dropped instead of
-//! matched a second time. A lost notification therefore delays a job by two
-//! negotiation cycles: one behind the fence, one to be matched again.
+//! kept by lease, and the lease is the same for both sides: an ad — a
+//! machine's, or a job's — lives [`AD_LIFETIME`], its sender renews it
+//! every [`KEEPALIVE_PERIOD`], half of that, and says at once when
+//! something changes; one not renewed is gone at the first cycle (or
+//! flock request) later than its lifetime. A match consumes both ads, and
+//! until the next cycle starts an ad its sender put on the wire before it
+//! could have heard of the match is *fenced* — dropped instead of matched
+//! a second time. A lost notification therefore delays a job by up to
+//! three negotiation cycles: at worst its renewal at the next 15-s instant
+//! meets the fence, the one after arrives a hop past a cycle, and the
+//! cycle after that matches it.
+//!
+//! Cycles run on a 10-s grid, but only while there is something for one to
+//! do: the first job ad to arrive arms the grid's next instant, and the
+//! timer stops after a cycle that leaves no job ad and no fence behind. A
+//! pool of idle machines and no work costs its matchmaker nothing.
 //!
 //! # Negotiation at scale
 //!
@@ -40,11 +50,14 @@
 //!   holds a match: what ranks lower is never evaluated against the job
 //!   shape at all. Later jobs of the shape draw from the list minus the
 //!   machines picked since;
-//! * a machine ad [chained](ClassAd::chained) to a parent whose children
-//!   the engine has already placed joins its shape by comparing the few
+//! * an ad [chained](ClassAd::chained) to a parent whose children the
+//!   engine has already placed joins its shape by comparing the few
 //!   attributes of its own that an evaluation can read, compiling
-//!   nothing: a pool of machines configured alike costs one compilation,
-//!   not one each.
+//!   nothing: a pool of machines configured alike, or a cluster of jobs
+//!   alike in all but `ClusterId`, costs two compilations (the second
+//!   learns that the shape is met twice), not one each. A job ad with a
+//!   `Requirements` of its own — what a schedd sends while it avoids a
+//!   machine — holds an expression within reach, and is compiled.
 //!
 //! Shapes by evaluation subsume what stood here before. The match index
 //! bucketed machines by literal `HasJava` and sorted literal `Memory`
@@ -68,7 +81,7 @@
 //! so later jobs in the same cycle never see it.
 
 use crate::faults::FaultPlan;
-use crate::msg::Msg;
+use crate::msg::{JobAdvert, Msg};
 use classads::ast::{AttrScope, Expr};
 use classads::compile::{CompiledAd, MatchKey, Scratch};
 use classads::ClassAd;
@@ -80,10 +93,24 @@ use std::sync::Arc;
 
 /// How often the matchmaker runs a negotiation cycle.
 pub const NEGOTIATE_PERIOD: SimDuration = SimDuration::from_secs(10);
-/// The lease on a machine ad: one not renewed for longer than this is
-/// discarded at the next cycle (a live startd renews it every
-/// [`crate::startd::KEEPALIVE_PERIOD`], half of this).
+/// The lease on an ad, a machine's or a job's: one not renewed for longer
+/// than this is discarded at the next cycle (its sender renews it every
+/// [`KEEPALIVE_PERIOD`], half of this).
 pub const AD_LIFETIME: SimDuration = SimDuration::from_secs(30);
+/// How often a free startd, or a schedd with idle jobs, renews its ads'
+/// lease: half the ad's lifetime, so one lost keep-alive is survived and a
+/// second expires the ad. Everything else the matchmaker hears is a change
+/// — a machine advertises the instant it becomes free, a job the instant
+/// it becomes idle.
+pub const KEEPALIVE_PERIOD: SimDuration = SimDuration::from_micros(AD_LIFETIME.as_micros() / 2);
+
+/// How long from `now` to the next multiple of `period`, strictly later:
+/// a timer that is armed only while there is work keeps to the grid it
+/// would have ticked on had it never stopped.
+pub(crate) fn until_next(period: SimDuration, now: SimTime) -> SimDuration {
+    let into = now.as_micros() % period.as_micros();
+    SimDuration::from_micros(period.as_micros() - into)
+}
 
 /// Counters the matchmaker accumulates, projected into registries as
 /// `mm_*` metrics.
@@ -112,6 +139,10 @@ pub struct MatchmakerStats {
     /// Machine ads dropped at the fence: sent before their machine could
     /// have heard of the match that consumed its previous ad.
     pub ads_fenced: u64,
+    /// Ads compiled and keyed, a machine's or a job's: every ad that is
+    /// not the child of a parent whose children of its kind are known —
+    /// on arrival, and again whenever its side is asked a new name.
+    pub ads_compiled: u64,
     /// Wall-clock microseconds per negotiation cycle. **Nondeterministic**:
     /// kept out of [`MatchmakerStats::register_into`] so registry snapshots
     /// stay bit-identical across same-seed runs; export it explicitly via
@@ -132,6 +163,7 @@ impl MatchmakerStats {
         reg.counter_add("mm_ads_admitted", &[], self.ads_admitted);
         reg.counter_add("mm_ads_expired", &[], self.ads_expired);
         reg.counter_add("mm_ads_fenced", &[], self.ads_fenced);
+        reg.counter_add("mm_ads_compiled", &[], self.ads_compiled);
     }
 
     /// Merge the wall-clock cycle histogram into a registry. Separate from
@@ -166,6 +198,9 @@ struct Side {
     // `ids`, here and below: the keys are then freed in the order they
     // were cut, not in hash order.)
     shapes: BTreeMap<u64, Arc<MatchKey>>,
+    // The parents whose children have been placed, by the parent's
+    // address. Lookup-only.
+    families: HashMap<usize, Family>,
 }
 
 impl Side {
@@ -188,9 +223,11 @@ impl Side {
         grew
     }
 
+    // What the families remember was learnt under the names asked then.
     fn forget(&mut self) {
         self.ids.clear();
         self.shapes.clear();
+        self.families.clear();
     }
 
     // The shape of the ads `key` was cut from — created, under the next
@@ -206,15 +243,48 @@ impl Side {
         }
     }
 
+    // A family lives while it leads to a live shape.
     fn retain(&mut self, live: impl Fn(u64) -> bool) {
         self.ids.retain(|_, id| live(*id));
         self.shapes.retain(|&id, _| live(id));
+        let shapes = &self.shapes;
+        self.families.retain(|_, family| {
+            family.kinds.retain(|(_, id)| shapes.contains_key(id));
+            !family.kinds.is_empty()
+        });
+    }
+
+    // The shape `ad` negotiates as, where its family knows the way: by
+    // comparing literals, with nothing compiled, keyed or allocated.
+    fn known_shape(&self, ad: &ClassAd) -> Option<u64> {
+        let family = self.families.get(&address(ad.parent()?))?;
+        family.shape_of(ad, &self.asked)
+    }
+
+    // `ad`, just compiled and keyed, turned out to be of a `shape` met
+    // before: if it is a child all of whose attributes within reach are
+    // plain literals, the next one like it need not be compiled. Only a
+    // shape met twice is worth the shortcut: where every ad is its own
+    // shape (a partner reads `MachineId`, or `ClusterId`), nothing is
+    // remembered and nothing is scanned.
+    fn remember(&mut self, ad: &Arc<ClassAd>, shape: u64) {
+        let Some(parent) = ad.parent() else {
+            return;
+        };
+        let family = self.families.entry(address(parent));
+        let family = family.or_insert_with(|| Family::of(parent));
+        if family
+            .within_reach(ad, &self.asked)
+            .all(|(_, v)| v.is_some())
+        {
+            family.kinds.push((Arc::clone(ad), shape));
+        }
     }
 }
 
 /// The children of one parent ad that the engine has placed: how a
-/// [chained](ClassAd::chained) machine ad finds its shape without being
-/// compiled. Two children of one parent can differ, to a match evaluation,
+/// [chained](ClassAd::chained) ad — a machine's, or a job's — finds its
+/// shape without being compiled. Two children of one parent can differ, to a match evaluation,
 /// only in attributes of their own that the evaluation can reach; when
 /// those are all plain literals, equal literals mean equal shapes.
 struct Family {
@@ -305,11 +375,13 @@ struct MachineEntry {
     seq: u64,
 }
 
-/// A queued job: its ad, the shape it negotiates as, and the sequence
-/// number the ad last arrived with.
+/// A queued job: the same of its ad. One stored by
+/// [`MatchEngine::insert_job`], which knows no clock, carries no lease
+/// (`fresh_at` is [`SimTime::MAX`]).
 struct JobEntry {
     ad: Arc<ClassAd>,
     shape: u64,
+    fresh_at: SimTime,
     seq: u64,
 }
 
@@ -342,8 +414,6 @@ pub struct MatchEngine {
     ranking_of: HashMap<u64, u64>,
     // The machines on offer, by machine shape.
     members: BTreeSet<(u64, ActorId)>,
-    // By the parent's address. Lookup-only.
-    families: HashMap<usize, Family>,
     // By ranking. Lookup-only.
     ranked: HashMap<u64, Ranked>,
     // (job shape, machine shape) -> whether they match. Lookup-only.
@@ -410,44 +480,67 @@ impl MatchEngine {
         self.settle();
     }
 
-    /// Insert or replace a job ad. An identical resubmission changes
-    /// nothing; a changed ad keeps its shape (and the shape's verdicts)
-    /// unless the change is one a machine could read.
+    /// Insert or replace a job ad, to stay until it is matched or
+    /// removed. An identical resubmission changes nothing; a changed ad
+    /// keeps its shape (and the shape's verdicts) unless the change is one
+    /// a machine could read.
     pub fn insert_job(&mut self, schedd: ActorId, job: u32, ad: impl Into<Arc<ClassAd>>) {
-        self.store_job(schedd, job, ad.into(), 0);
+        self.store_job(schedd, job, ad.into(), 0, SimTime::MAX);
     }
 
     /// A job ad off the wire, stamped by its schedd with `seq` (the job's
     /// claim epoch) and fenced like [`MatchEngine::machine_ad`]: the epoch
     /// moves when the schedd acts on the notification or declines it, so
     /// an ad that still carries the consumed one's epoch crossed the match.
-    pub fn job_ad(&mut self, schedd: ActorId, job: u32, ad: Arc<ClassAd>, seq: u64) {
+    /// One that gets in holds its lease from `now`, as a machine ad does.
+    pub fn job_ad(&mut self, schedd: ActorId, job: u32, ad: Arc<ClassAd>, seq: u64, now: SimTime) {
         if matches!(self.fenced_jobs.get(&(schedd, job)), Some(&consumed) if seq <= consumed) {
             return;
         }
-        self.store_job(schedd, job, ad, seq);
+        self.store_job(schedd, job, ad, seq, now);
     }
 
-    fn store_job(&mut self, schedd: ActorId, job: u32, ad: Arc<ClassAd>, seq: u64) {
+    fn store_job(
+        &mut self,
+        schedd: ActorId,
+        job: u32,
+        ad: Arc<ClassAd>,
+        seq: u64,
+        fresh_at: SimTime,
+    ) {
         if let Some(existing) = self.jobs.get_mut(&(schedd, job)) {
             if same_ad(&existing.ad, &ad) {
+                existing.fresh_at = fresh_at;
                 existing.seq = seq;
                 return;
             }
         }
         let shape = self.job_shape_of(&ad);
-        self.jobs.insert((schedd, job), JobEntry { ad, shape, seq });
+        let entry = JobEntry {
+            ad,
+            shape,
+            fresh_at,
+            seq,
+        };
+        self.jobs.insert((schedd, job), entry);
         self.settle();
     }
 
-    // The shape a job ad negotiates as. What it reads of a machine is
-    // asked of the machines.
-    fn job_shape_of(&mut self, ad: &ClassAd) -> u64 {
+    // The shape a job ad negotiates as: where its family knows the way,
+    // by comparing literals; otherwise compiled and keyed, what it reads
+    // of a machine asked of the machines.
+    fn job_shape_of(&mut self, ad: &Arc<ClassAd>) -> u64 {
+        if let Some(shape) = self.job_shapes.known_shape(ad) {
+            return shape;
+        }
+        self.stats.ads_compiled += 1;
         let compiled = Arc::new(CompiledAd::compile(ad));
         self.machines_stale |= self.machine_shapes.ask(compiled.partner_reads());
         let key = compiled.match_key(&self.job_shapes.asked);
         let (shape, met) = self.job_shapes.shape_of(key, &mut self.next_shape);
-        if !met {
+        if met {
+            self.job_shapes.remember(ad, shape);
+        } else {
             let key = compiled.rank_key(&self.rankings.asked);
             let (ranking, _) = self.rankings.shape_of(key, &mut self.next_shape);
             self.ranking_of.insert(shape, ranking);
@@ -455,15 +548,13 @@ impl MatchEngine {
         shape
     }
 
-    // The shape a machine ad negotiates as: where its family knows the
-    // way, by comparing literals; otherwise compiled and keyed as a job
-    // is, what it reads of a job asked of the jobs.
+    // The shape a machine ad negotiates as, found as a job's is, what it
+    // reads of a job asked of the jobs.
     fn machine_shape_of(&mut self, ad: &Arc<ClassAd>) -> u64 {
-        let family = ad.parent().and_then(|p| self.families.get(&address(p)));
-        let known = family.and_then(|f| f.shape_of(ad, &self.machine_shapes.asked));
-        if let Some(shape) = known {
+        if let Some(shape) = self.machine_shapes.known_shape(ad) {
             return shape;
         }
+        self.stats.ads_compiled += 1;
         let compiled = Arc::new(CompiledAd::compile(ad));
         self.jobs_stale |= self.job_shapes.ask(compiled.partner_reads());
         let back = compiled.reads_back(&self.machine_shapes.asked);
@@ -474,16 +565,8 @@ impl MatchEngine {
         }
         let key = compiled.match_key(&self.machine_shapes.asked);
         let (shape, met) = self.machine_shapes.shape_of(key, &mut self.next_shape);
-        // Only a shape met twice is worth a shortcut: where every machine
-        // is its own shape (some job reads `MachineId`), nothing is
-        // remembered and nothing is scanned.
-        if let (true, Some(parent)) = (met, ad.parent()) {
-            let family = self.families.entry(address(parent));
-            let family = family.or_insert_with(|| Family::of(parent));
-            let asked = &self.machine_shapes.asked;
-            if family.within_reach(ad, asked).all(|(_, v)| v.is_some()) {
-                family.kinds.push((Arc::clone(ad), shape));
-            }
+        if met {
+            self.machine_shapes.remember(ad, shape);
         }
         shape
     }
@@ -501,8 +584,6 @@ impl MatchEngine {
                 self.jobs = jobs;
             }
             if std::mem::take(&mut self.machines_stale) {
-                // What the families remember was learnt under fewer names.
-                self.families.clear();
                 self.members.clear();
                 let mut machines = std::mem::take(&mut self.machines);
                 for (&id, entry) in &mut machines {
@@ -538,7 +619,29 @@ impl MatchEngine {
         self.jobs.len()
     }
 
-    /// Run one negotiation cycle: expire stale machine ads, then greedily
+    /// Let go of every ad whose lease has run out: a crashed startd stops
+    /// renewing its ad and silently falls out of the pool, and so does the
+    /// ad of a job its schedd no longer offers here.
+    pub fn expire(&mut self, now: SimTime) {
+        let lapsed = |fresh_at: SimTime| now - fresh_at > AD_LIFETIME;
+        let expired: Vec<ActorId> = (self.machines.iter())
+            .filter(|(_, m)| lapsed(m.fresh_at))
+            .map(|(id, _)| *id)
+            .collect();
+        self.stats.ads_expired += expired.len() as u64;
+        for id in expired {
+            self.remove_machine(id);
+        }
+        self.jobs.retain(|_, job| !lapsed(job.fresh_at));
+    }
+
+    /// Has the engine nothing to negotiate and no fence up: would a cycle
+    /// change nothing?
+    pub fn is_idle(&self) -> bool {
+        self.jobs.is_empty() && self.fenced_jobs.is_empty() && self.fenced_machines.is_empty()
+    }
+
+    /// Run one negotiation cycle: expire stale ads, then greedily
     /// match jobs in (schedd, id) order, each taking its best-ranked
     /// compatible machine, rank ties broken by one uniform RNG draw per
     /// matched job. Returns `(schedd, job, machine)` notifications;
@@ -548,19 +651,7 @@ impl MatchEngine {
         self.fenced_machines.clear();
         self.fenced_jobs.clear();
 
-        // Expire stale machine ads — a crashed startd stops renewing its
-        // lease and silently falls out of the pool.
-        let expired: Vec<ActorId> = self
-            .machines
-            .iter()
-            .filter(|(_, m)| now - m.fresh_at > AD_LIFETIME)
-            .map(|(id, _)| *id)
-            .collect();
-        self.stats.ads_expired += expired.len() as u64;
-        for id in expired {
-            self.remove_machine(id);
-        }
-
+        self.expire(now);
         self.stats.ads_active = (self.machines.len() + self.jobs.len()) as u64;
 
         let mut notifications: Vec<(ActorId, u32, ActorId)> = Vec::new();
@@ -621,9 +712,8 @@ impl MatchEngine {
 
         // A job shape outlives the cycle iff one of its jobs stayed
         // queued, a ranking while a job shape has it, a machine shape iff
-        // it still has a member; a family while it leads to a live shape,
-        // and a rank or a verdict while both its shapes live — so none of
-        // them grows monotonically.
+        // it still has a member, and a rank or a verdict while both its
+        // shapes live — so none of them grows monotonically.
         self.job_shapes
             .retain(|id| queued.get(&id).is_some_and(|&jobs| jobs > 0));
         let jobs = &self.job_shapes.shapes;
@@ -634,10 +724,6 @@ impl MatchEngine {
         self.machine_shapes
             .retain(|id| members_of(members, id).next().is_some());
         let machines = &self.machine_shapes.shapes;
-        self.families.retain(|_, family| {
-            family.kinds.retain(|(_, id)| machines.contains_key(id));
-            !family.kinds.is_empty()
-        });
         self.ranked.retain(|ranking, ranked| {
             ranked.order.retain(|(_, id)| machines.contains_key(id));
             rankings.contains(ranking)
@@ -742,6 +828,8 @@ pub struct Matchmaker {
     pub cycles: u64,
     /// Flock requests granted.
     pub flock_grants: u64,
+    /// Whether a [`Msg::NegotiateTick`] is on its way.
+    ticking: bool,
 }
 
 impl Matchmaker {
@@ -754,6 +842,7 @@ impl Matchmaker {
             matches_made: 0,
             cycles: 0,
             flock_grants: 0,
+            ticking: false,
         }
     }
 
@@ -794,14 +883,11 @@ impl Actor<Msg> for Matchmaker {
         "matchmaker".into()
     }
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.send_self_after(NEGOTIATE_PERIOD, Msg::NegotiateTick);
-    }
-
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         // A crashed matchmaker is silent: ads and flock requests vanish
-        // into it, and negotiation halts until the window closes. The
-        // timer keeps re-arming so it wakes up when the crash ends.
+        // into it, and negotiation halts until the window closes. A timer
+        // that was armed keeps re-arming so it wakes up when the crash
+        // ends.
         if self.down(ctx.self_id, ctx.now) {
             if let Msg::NegotiateTick = msg {
                 ctx.send_self_after(NEGOTIATE_PERIOD, Msg::NegotiateTick);
@@ -812,12 +898,26 @@ impl Actor<Msg> for Matchmaker {
             Msg::MachineAd { ad, claims } => {
                 self.engine.machine_ad(from, ad, claims, ctx.now);
             }
-            Msg::JobAd { job, ad, epoch } => {
-                self.engine.job_ad(from, job, ad, epoch);
+            Msg::JobAd(adverts) => {
+                for JobAdvert { job, ad, epoch } in adverts.iter() {
+                    self.engine
+                        .job_ad(from, *job, Arc::clone(ad), *epoch, ctx.now);
+                }
+                // Cycles run on the 10-s grid while there is a job to place
+                // (or a fence to lower): the first job ad to arrive arms
+                // the grid's next instant.
+                if !self.ticking && !self.engine.is_idle() {
+                    self.ticking = true;
+                    let wait = until_next(NEGOTIATE_PERIOD, ctx.now);
+                    ctx.send_self_after(wait, Msg::NegotiateTick);
+                }
             }
             Msg::FlockRequest { .. } => {
                 // Grant with the current machine-ad count: zero is an
-                // explicit saturation denial, never silence.
+                // explicit saturation denial, never silence. Counted after
+                // expiry, which otherwise waits for a cycle — and no cycle
+                // runs while no job is queued.
+                self.engine.expire(ctx.now);
                 self.flock_grants += 1;
                 ctx.send_net(
                     from,
@@ -851,7 +951,13 @@ impl Actor<Msg> for Matchmaker {
                         },
                     );
                 }
-                ctx.send_self_after(NEGOTIATE_PERIOD, Msg::NegotiateTick);
+                // A cycle that matched leaves fences up, and only the next
+                // cycle lowers them: an ad kept out by a fence that nothing
+                // lowers would be kept out for good.
+                self.ticking = !self.engine.is_idle();
+                if self.ticking {
+                    ctx.send_self_after(NEGOTIATE_PERIOD, Msg::NegotiateTick);
+                }
             }
             _ => {}
         }
@@ -954,11 +1060,11 @@ mod tests {
         }
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             let msg = match self.as_job {
-                Some(job) => Msg::JobAd {
+                Some(job) => Msg::JobAd(Arc::new([JobAdvert {
                     job,
                     ad: Arc::new(self.ad.clone()),
                     epoch: 0,
-                },
+                }])),
                 None => Msg::MachineAd {
                     ad: Arc::new(self.ad.clone()),
                     claims: 0,
@@ -1107,6 +1213,22 @@ mod tests {
         Arc::new(base)
     }
 
+    /// `flat` as a schedd would send them: one base for the jobs alike in
+    /// everything but `ClusterId`, which each holds in a child chained to
+    /// it.
+    fn cluster(flat: &[ClassAd]) -> Vec<ClassAd> {
+        let mut bases: BTreeMap<String, Arc<ClassAd>> = BTreeMap::new();
+        let chained = flat.iter().map(|ad| {
+            let mut base = ad.clone();
+            assert!(base.remove("ClusterId"));
+            let base = bases.entry(base.to_string()).or_insert(Arc::new(base));
+            let child = chain(ad, base);
+            assert_eq!(child.own().count(), 1);
+            child
+        });
+        chained.collect()
+    }
+
     /// `(pairs_evaluated, cache_hits, matches_made)`.
     type Counters = (u64, u64, u64);
 
@@ -1200,7 +1322,7 @@ mod tests {
     /// Multi-cycle differential test against the naive kernel: same ads,
     /// same seed, expiry + consumption + re-advertisement churn, plain
     /// and quirky (unevaluable-memory/generic-rank/disjunctive) ads alike,
-    /// the machines arriving flat and chained to a shared base — and,
+    /// machines and jobs arriving flat and chained to shared bases — and,
     /// cycle by cycle, the recorded work counters, which how an ad is
     /// held may not move.
     #[test]
@@ -1222,7 +1344,12 @@ mod tests {
                 .map(|_| pool_machine(&mut gen_rng, quirky))
                 .map(|flat| if chained { chain(&flat, &base) } else { flat })
                 .collect();
-            let job_ads: Vec<ClassAd> = (0..25).map(|_| pool_job(&mut gen_rng, quirky)).collect();
+            // `ClusterId` is what tells a job from the others of its
+            // cluster, and nothing reads it.
+            let job_ads: Vec<ClassAd> = (0..25)
+                .map(|j| pool_job(&mut gen_rng, quirky).with_int("ClusterId", j))
+                .collect();
+            let job_ads = if chained { cluster(&job_ads) } else { job_ads };
 
             let mut now = SimTime::ZERO;
             for (cycle, counters) in recorded.into_iter().enumerate() {
@@ -1262,8 +1389,10 @@ mod tests {
                     naive_machines.remove(&m);
                 }
             }
-            // Chained, every plain machine found its shape by its literals.
-            assert_eq!(engine.families.is_empty(), !chained);
+            // Chained, every plain machine found its shape by its literals,
+            // and every job but the first two of its cluster.
+            assert_eq!(engine.machine_shapes.families.is_empty(), !chained);
+            assert_eq!(engine.job_shapes.families.is_empty(), !chained);
         }
     }
 
@@ -1533,7 +1662,10 @@ mod tests {
         // was keyed twice, before and after a machine asked it for
         // `ImageSize`, into one ranking: its `Rank` reads nothing of it.)
         assert_eq!(engine.next_shape, 2 + 1 + 2);
-        assert_eq!(engine.families[&address(&plain)].kinds.len(), 2);
+        assert_eq!(
+            engine.machine_shapes.families[&address(&plain)].kinds.len(),
+            2
+        );
 
         // (2) The owner's policy reads the machine's own name: children
         // of *that* base merge only where the name is the same too.
@@ -1544,7 +1676,11 @@ mod tests {
             picky.insert_machine(100 + i, machine(&named, i), now);
         }
         assert_split(&picky, |i| (names[i], i % 2));
-        assert_eq!(picky.families[&address(&named)].kinds.len(), 1, "the twins");
+        assert_eq!(
+            picky.machine_shapes.families[&address(&named)].kinds.len(),
+            1,
+            "the twins"
+        );
         picky.insert_job(1, 1, any.clone());
         picky.insert_job(1, 2, any.clone());
         let matched = agree(
@@ -1561,7 +1697,10 @@ mod tests {
         let avoider = job("TARGET.HasJava =?= true && TARGET.MachineId =!= 102");
         engine.insert_job(1, 1, avoider.clone());
         assert_split(&engine, |i| i);
-        assert!(engine.families.is_empty(), "no shape met twice");
+        assert!(
+            engine.machine_shapes.families.is_empty(),
+            "no shape met twice"
+        );
         let before = engine.next_shape;
         let namer = job("TARGET.Name == \"m5\"");
         engine.insert_job(1, 2, namer.clone());
@@ -1570,6 +1709,116 @@ mod tests {
         let matched = agree(&mut engine, &plain, &[java, avoider, namer]);
         assert_eq!(matched.len(), 3);
         assert!(matched.contains(&(1, 2, 105)) && !matched.contains(&(1, 1, 102)));
+    }
+
+    /// The job side of the same. A cluster's jobs — a `ClusterId` each,
+    /// chained to the base their schedd shares among them — are one shape
+    /// and two compilations (the first, and the second to learn the shape
+    /// is met twice) until a machine asks `TARGET.ClusterId`: then the
+    /// family is forgotten and every job is compiled into a shape of its
+    /// own, and only jobs with one `ClusterId` (two schedds' job 5) are
+    /// still alike. A child with a `Requirements` of its own — what a
+    /// schedd sends while it avoids a machine — is compiled every time,
+    /// and two that avoid different machines are never taken for each
+    /// other. The naive kernel must agree throughout.
+    #[test]
+    fn job_shapes_split_on_what_a_match_can_read() {
+        let base = Arc::new(JobSpec::java(0, "ada", vec![], JavaMode::Scoped).base_ad());
+        let job = |id: i64| Arc::new(ClassAd::chained(Arc::clone(&base)).with_int("ClusterId", id));
+        let avoiding = |id: i64, machine: i64| {
+            let requirements = format!(
+                "TARGET.Memory >= MY.ImageSize && TARGET.HasJava =?= true \
+                 && TARGET.MachineId =!= {machine}"
+            );
+            Arc::new(ClassAd::clone(&job(id)).with_expr("Requirements", &requirements))
+        };
+        let machine = |id: usize, requirements: &str| {
+            ClassAd::new()
+                .with_int("Memory", 256)
+                .with_bool("HasJava", true)
+                .with_int("MachineId", id as i64)
+                .with_expr("Requirements", requirements)
+                .with_int("Rank", 0)
+        };
+        let plain = "TARGET.ImageSize <= MY.Memory";
+        let shape = |engine: &MatchEngine, schedd, job| engine.jobs[&(schedd, job)].shape;
+        let shapes_in_use = |engine: &MatchEngine| {
+            let ids: BTreeSet<u64> = engine.jobs.values().map(|j| j.shape).collect();
+            ids.len()
+        };
+        // One cycle of the engine, and of the naive kernel over flat
+        // copies of what the engine holds.
+        let agree = |engine: &mut MatchEngine| {
+            let mut rngs = [SimRng::seed_from_u64(3), SimRng::seed_from_u64(3)];
+            let flat = |ad: &ClassAd| {
+                ad.iter().fold(ClassAd::new(), |mut flat, (name, e)| {
+                    flat.insert_expr(name, e.clone());
+                    flat
+                })
+            };
+            let jobs: BTreeMap<_, _> = (engine.jobs.iter())
+                .map(|(&key, entry)| (key, flat(&entry.ad)))
+                .collect();
+            let machines: BTreeMap<_, _> = (engine.machines.iter())
+                .map(|(&id, entry)| (id, flat(&entry.ad)))
+                .collect();
+            let fast = engine.negotiate(SimTime::from_secs(10), &mut rngs[0]);
+            assert_eq!(fast, naive_negotiate(&jobs, &machines, &mut rngs[1]).0);
+            fast
+        };
+        let now = SimTime::from_secs(10);
+
+        // (1) Nothing reads `ClusterId`: one shape. Six compilations — two
+        // machines, the first job (which has the machines keyed again for
+        // what it reads of them) and the second.
+        let mut engine = MatchEngine::new();
+        for id in [100, 101] {
+            engine.insert_machine(id, machine(id, plain), now);
+        }
+        for id in 1..=2 {
+            engine.insert_job(1, id, job(i64::from(id)));
+        }
+        assert_eq!(engine.stats.ads_compiled, 2 + (1 + 2) + 1);
+        for id in 3..=8 {
+            engine.insert_job(1, id, job(i64::from(id)));
+        }
+        assert_eq!((shapes_in_use(&engine), engine.stats.ads_compiled), (1, 6));
+        assert_eq!(engine.job_shapes.families[&address(&base)].kinds.len(), 1);
+
+        // (2) A child with a `Requirements` of its own is compiled, and so
+        // is the next one like it (and the machines, keyed again now that
+        // `MachineId` is asked of them); one avoiding another machine is a
+        // third shape, whatever the family makes of the first two.
+        engine.insert_job(1, 9, avoiding(9, 100));
+        assert_eq!(engine.stats.ads_compiled, 6 + 1 + 2);
+        engine.insert_job(1, 10, avoiding(10, 100));
+        engine.insert_job(1, 11, avoiding(11, 101));
+        assert_eq!(engine.stats.ads_compiled, 9 + 2);
+        assert_eq!(shape(&engine, 1, 9), shape(&engine, 1, 10));
+        assert_ne!(shape(&engine, 1, 9), shape(&engine, 1, 11));
+        assert_eq!(shapes_in_use(&engine), 3);
+        assert_eq!(engine.job_shapes.families[&address(&base)].kinds.len(), 1);
+        // The first two jobs take the two machines: the avoiders stay.
+        assert_eq!(agree(&mut engine).len(), 2);
+        assert_eq!(engine.job_count(), 9);
+
+        // (3) A machine asks `TARGET.ClusterId`: every job is keyed again,
+        // into a shape of its own; no shape is met twice, so the family
+        // has nothing to remember — until another schedd's job 5 arrives,
+        // which the next job 6 must not be taken for.
+        let picky = "TARGET.ClusterId % 3 == 0 && TARGET.ImageSize <= MY.Memory";
+        let before = engine.stats.ads_compiled;
+        engine.insert_machine(102, machine(102, picky), now);
+        assert_eq!(shapes_in_use(&engine), 9);
+        assert_eq!(engine.stats.ads_compiled, before + 1 + 9);
+        assert!(engine.job_shapes.families.is_empty(), "no shape met twice");
+        engine.insert_job(2, 5, job(5));
+        engine.insert_job(2, 6, job(6));
+        assert_eq!(shape(&engine, 2, 5), shape(&engine, 1, 5));
+        assert_eq!(shape(&engine, 2, 6), shape(&engine, 1, 6));
+        assert_eq!(shapes_in_use(&engine), 9);
+        // The picky machine takes the first job it can tell is its own.
+        assert_eq!(agree(&mut engine), [(1, 3, 102)]);
     }
 
     /// Membership of a machine shape through everything that happens to
@@ -1655,7 +1904,7 @@ mod tests {
         engine.remove_machine(taken[0]);
         engine.negotiate(now, &mut rng);
         assert!(engine.members.is_empty() && engine.machine_shapes.shapes.is_empty());
-        assert!(engine.families.is_empty() && engine.verdicts.is_empty());
+        assert!(engine.machine_shapes.families.is_empty() && engine.verdicts.is_empty());
         assert!(engine.ranked.values().all(|ranked| ranked.order.is_empty()));
     }
 

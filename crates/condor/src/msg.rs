@@ -155,14 +155,30 @@ pub enum ExecutionReport {
     },
 }
 
+/// One idle job as its schedd advertises it: an entry of [`Msg::JobAd`].
+#[derive(Debug, Clone)]
+pub struct JobAdvert {
+    /// Which job.
+    pub job: JobId,
+    /// The job's ClassAd, shared as a machine's is: the schedd builds it
+    /// once and every renewal sends the same allocation.
+    pub ad: Arc<ClassAd>,
+    /// The job's claim epoch when the schedd sent this ad — its sequence
+    /// number, fenced as a machine ad's is: the epoch moves when the
+    /// schedd acts on a match notification, or declines one.
+    pub epoch: u64,
+}
+
 /// One message.
 #[derive(Debug, Clone)]
 pub enum Msg {
     // ---- timers (self-addressed) ----
-    /// Periodic: the schedd advertises its idle jobs; a free startd renews
-    /// its ad's lease at the matchmaker (the keep-alive).
+    /// Periodic: a free startd renews its ad's lease at the matchmaker
+    /// (the keep-alive); a schedd with idle jobs looks at what it avoids
+    /// and whom it flocks to, and on every third renews theirs.
     AdvertiseTick,
-    /// Periodic (matchmaker): run a negotiation cycle.
+    /// Periodic while the matchmaker holds a job ad: run a negotiation
+    /// cycle.
     NegotiateTick,
     /// The claim handshake for `job` timed out.
     ClaimTimeout {
@@ -244,17 +260,9 @@ pub enum Msg {
         /// machine carries the count the consumed ad did, and is fenced.
         claims: u64,
     },
-    /// A schedd advertises one idle job.
-    JobAd {
-        /// Which job.
-        job: JobId,
-        /// The job's ClassAd, shared the same way.
-        ad: Arc<ClassAd>,
-        /// The job's claim epoch when the schedd sent this ad — its
-        /// sequence number, fenced the same way: the epoch moves when the
-        /// schedd acts on a match notification, or declines one.
-        epoch: u64,
-    },
+    /// A schedd advertises idle jobs: the one whose ad just changed, or —
+    /// at a renewal — every job still idle, in one message.
+    JobAd(Arc<[JobAdvert]>),
     /// The matchmaker notifies the schedd of a compatible partner
     /// ("notifies schedds and startds of compatible partners").
     MatchNotify {
@@ -389,6 +397,44 @@ pub enum Msg {
         /// The framed response bytes.
         frames: Vec<u8>,
     },
+}
+
+impl Msg {
+    /// The variant's name: what a per-kind census of deliveries
+    /// ([`desim::World::count_deliveries_by`]) files this message under.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Msg::AdvertiseTick => "AdvertiseTick",
+            Msg::NegotiateTick => "NegotiateTick",
+            Msg::ClaimTimeout { .. } => "ClaimTimeout",
+            Msg::ReportTimeout { .. } => "ReportTimeout",
+            Msg::PostmortemDone { .. } => "PostmortemDone",
+            Msg::RetryJob { .. } => "RetryJob",
+            Msg::ExecutionComplete { .. } => "ExecutionComplete",
+            Msg::HeartbeatTick { .. } => "HeartbeatTick",
+            Msg::LeaseCheck { .. } => "LeaseCheck",
+            Msg::ClaimExpire { .. } => "ClaimExpire",
+            Msg::CkptFetchTimeout { .. } => "CkptFetchTimeout",
+            Msg::NetFaultTick => "NetFaultTick",
+            Msg::MachineAd { .. } => "MachineAd",
+            Msg::JobAd(_) => "JobAd",
+            Msg::MatchNotify { .. } => "MatchNotify",
+            Msg::FlockRequest { .. } => "FlockRequest",
+            Msg::FlockGrant { .. } => "FlockGrant",
+            Msg::FlockTimeout { .. } => "FlockTimeout",
+            Msg::ClaimRequest { .. } => "ClaimRequest",
+            Msg::ClaimAccept { .. } => "ClaimAccept",
+            Msg::ClaimReject { .. } => "ClaimReject",
+            Msg::ReleaseClaim { .. } => "ReleaseClaim",
+            Msg::ClaimRevoked { .. } => "ClaimRevoked",
+            Msg::ActivateClaim(_) => "ActivateClaim",
+            Msg::StarterReport { .. } => "StarterReport",
+            Msg::Heartbeat { .. } => "Heartbeat",
+            Msg::HeartbeatAck { .. } => "HeartbeatAck",
+            Msg::CkptRequest { .. } => "CkptRequest",
+            Msg::CkptResponse { .. } => "CkptResponse",
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,29 @@
 //! in between is logged and the job tries another site. In the **naive**
 //! discipline, every exit is delivered to the user as a result — and the
 //! *user* pays for the missing scope information with postmortem time.
+//!
+//! # What the matchmaker hears, and when
+//!
+//! The schedd's half of the soft-state bargain is the startd's. A job is
+//! advertised the instant it becomes idle or its ad moves — at submission,
+//! when a retry delay ends, when a claim is rejected, when a notification
+//! is declined (the new epoch is what clears the match's fence), under a
+//! new set of avoided machines, to a remote pool the moment it grants —
+//! and everything still idle is renewed every [`KEEPALIVE_PERIOD`], half
+//! the ad's lifetime at the matchmaker, in one message per matchmaker.
+//! The idle set is kept as jobs enter and leave it; a 5-s tick, armed only
+//! while something is idle, looks at the avoided set and the flocking
+//! ladder, and on every third sends the renewal. A tick on which nothing
+//! changed and nothing is due does constant work, and an empty queue
+//! sends and arms nothing.
 
 use crate::faults::FaultPlan;
 use crate::health::{BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::job::{Attempt, JobId, JobRecord, JobSpec, JobState};
+use crate::matchmaker::{until_next, KEEPALIVE_PERIOD};
 use crate::metrics::Metrics;
 use crate::msg::{
-    Activation, CkptAttempt, ExecutionReport, FsSnapshot, LeaseInfo, Msg, ResumeInfo,
+    Activation, CkptAttempt, ExecutionReport, FsSnapshot, JobAdvert, LeaseInfo, Msg, ResumeInfo,
 };
 use classads::ClassAd;
 use desim::prelude::*;
@@ -26,7 +42,9 @@ use errorscope::Scope;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How often the schedd advertises its idle jobs.
+/// How often a schedd with idle jobs looks for a changed avoided set, a
+/// starved job to flock or a pool to probe; every third tick (each
+/// [`KEEPALIVE_PERIOD`]) renews the idle jobs' ads.
 pub const ADVERTISE_PERIOD: SimDuration = SimDuration::from_secs(5);
 
 /// The schedd's configuration.
@@ -148,7 +166,7 @@ enum FlockState {
     Unprobed,
     /// A [`Msg::FlockRequest`] is in flight; its timeout is armed.
     Probing,
-    /// The pool accepted flocked ads; job ads flow there each tick.
+    /// The pool accepted flocked ads; job ads flow there as they do home.
     Granted,
     /// Denied or failed at `at`; re-probe after the denial delay.
     Denied {
@@ -194,17 +212,25 @@ pub struct Schedd {
     flock_states: BTreeMap<u64, FlockState>,
     /// The job whose starvation drove the outstanding probe of each pool.
     flock_probe_job: BTreeMap<u64, JobId>,
-    /// When each currently-idle job first went idle.
-    first_idle: BTreeMap<JobId, SimTime>,
+    /// The idle jobs, each with the instant it went idle — kept as jobs
+    /// enter and leave the state, never by scanning `jobs`.
+    idle: BTreeMap<JobId, SimTime>,
+    /// Whether an [`Msg::AdvertiseTick`] is on its way: armed only while
+    /// something is idle.
+    ticking: bool,
     /// Which pool each matched machine belongs to, learned from
     /// [`Msg::MatchNotify`]. Claims and activations are stamped with it.
     pub machine_pool: BTreeMap<usize, u64>,
-    /// Each job's plain `spec.ad()` — what a claim request carries — built
-    /// once, at the job's first advertisement or claim.
+    /// The part of an ad that jobs alike in owner, universe and image size
+    /// share (`JobSpec::base_ad`), by owner and then the other two.
+    bases: BTreeMap<String, BTreeMap<(&'static str, i64), Arc<ClassAd>>>,
+    /// Each job's plain ad — its `ClusterId` chained to its base; what a
+    /// claim request carries, and what is advertised while nothing is
+    /// avoided — built once, at the job's first advertisement.
     plain_ads: BTreeMap<JobId, Arc<ClassAd>>,
-    /// Each job's advertised ad: its plain ad plus one exclusion clause per
-    /// machine in `advertised_for`. Re-sent by reference every tick, and
-    /// rebuilt only when that list changes.
+    /// While `advertised_for` names a machine, each job's advertised ad:
+    /// its plain ad plus one exclusion clause per machine named. Re-sent by
+    /// reference, and rebuilt only when that list changes.
     advertised: BTreeMap<JobId, Arc<ClassAd>>,
     /// The avoided-machine list the ads in `advertised` were built for.
     advertised_for: Vec<usize>,
@@ -228,8 +254,10 @@ impl Schedd {
             pool_breakers: BTreeMap::new(),
             flock_states: BTreeMap::new(),
             flock_probe_job: BTreeMap::new(),
-            first_idle: BTreeMap::new(),
+            idle: BTreeMap::new(),
+            ticking: false,
             machine_pool: BTreeMap::new(),
+            bases: BTreeMap::new(),
             plain_ads: BTreeMap::new(),
             advertised: BTreeMap::new(),
             advertised_for: Vec::new(),
@@ -275,36 +303,43 @@ impl Schedd {
                 .is_some_and(|c| *c >= self.policy.avoid_threshold)
     }
 
-    /// The job's plain ad, built on first use.
+    /// The job's plain ad, built on first use over the base it shares.
     fn plain_ad(&mut self, job: JobId) -> Arc<ClassAd> {
-        let ad = self
-            .plain_ads
-            .entry(job)
-            .or_insert_with(|| Arc::new(self.jobs[&job].spec.ad()));
-        Arc::clone(ad)
+        if let Some(ad) = self.plain_ads.get(&job) {
+            return Arc::clone(ad);
+        }
+        let spec = &self.jobs[&job].spec;
+        let (owner, universe, image_size) = spec.base_key();
+        if !self.bases.contains_key(owner) {
+            self.bases.insert(owner.to_owned(), BTreeMap::new());
+        }
+        let alike = self.bases.get_mut(owner).expect("just looked");
+        let base = alike
+            .entry((universe, image_size))
+            .or_insert_with(|| Arc::new(spec.base_ad()));
+        let ad = Arc::new(spec.ad_over(Arc::clone(base)));
+        self.plain_ads.insert(job, Arc::clone(&ad));
+        ad
     }
 
     /// The job's ad as advertised under the current `advertised_for` list,
     /// built on first use.
     fn advertised_ad(&mut self, job: JobId) -> Arc<ClassAd> {
-        if let Some(ad) = self.advertised.get(&job) {
-            return Arc::clone(ad);
+        let plain = self.plain_ad(job);
+        if self.advertised_for.is_empty() {
+            return plain;
         }
-        let ad = Self::ad_excluding(&self.plain_ad(job), &self.advertised_for);
-        self.advertised.insert(job, Arc::clone(&ad));
-        ad
+        let excluding = self.advertised.entry(job);
+        Arc::clone(excluding.or_insert_with(|| Self::ad_excluding(&plain, &self.advertised_for)))
     }
 
-    /// `base` with `TARGET.MachineId =!= id` clauses appended for every
+    /// `plain` with `TARGET.MachineId =!= id` clauses appended for every
     /// avoided host — how the schedd "avoids hosts with chronic failures"
-    /// (§5) without the matchmaker needing to know why. With nothing to
-    /// avoid it is `base` itself, not a copy.
-    fn ad_excluding(base: &Arc<ClassAd>, avoided: &[usize]) -> Arc<ClassAd> {
+    /// (§5) without the matchmaker needing to know why. Still a child of
+    /// the job's base, now with a `Requirements` of its own.
+    fn ad_excluding(plain: &ClassAd, avoided: &[usize]) -> Arc<ClassAd> {
         use classads::ast::{BinOp, Expr};
-        if avoided.is_empty() {
-            return Arc::clone(base);
-        }
-        let mut ad = ClassAd::clone(base);
+        let mut ad = plain.clone();
         let mut req = ad
             .get("Requirements")
             .cloned()
@@ -410,52 +445,32 @@ impl Actor<Msg> for Schedd {
 
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         self.self_id = ctx.self_id;
-        ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
+        // What was submitted before the world started goes idle, and is
+        // advertised, now.
+        self.idle = self.jobs.keys().map(|&job| (job, ctx.now)).collect();
+        self.refresh_avoided(ctx.now);
+        self.advertise_all(ctx);
+        self.keep_ticking(ctx);
     }
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         self.self_id = ctx.self_id;
         match msg {
             Msg::AdvertiseTick => {
-                let mut avoided: Vec<usize> = if self.policy.avoid_chronic_hosts {
-                    self.chronic
-                        .iter()
-                        .filter(|(_, c)| **c >= self.policy.avoid_threshold)
-                        .map(|(m, _)| *m)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                // Breaker-open machines are withheld the same way; a
-                // half-open breaker admits the machine (the probe).
-                for m in self.breaker_blocked(ctx.now) {
-                    if !avoided.contains(&m) {
-                        avoided.push(m);
-                    }
+                self.ticking = false;
+                if self.idle.is_empty() {
+                    return;
                 }
-                avoided.sort_unstable();
-                if avoided != self.advertised_for {
-                    self.advertised.clear();
-                    self.advertised_for = avoided;
-                }
-                let idle: Vec<(JobId, u64)> = self
-                    .jobs
-                    .values()
-                    .filter(|j| matches!(j.state, JobState::Idle))
-                    .map(|j| (j.spec.id, j.epoch))
-                    .collect();
-                self.note_idle_jobs(ctx.now);
-                let remotes = self.granted_matchmakers(ctx.now);
-                for (job, epoch) in idle {
-                    let ad = self.advertised_ad(job);
-                    for &mm in &remotes {
-                        let ad = Arc::clone(&ad);
-                        ctx.send_net(mm, Msg::JobAd { job, ad, epoch });
-                    }
-                    ctx.send_net(self.matchmaker, Msg::JobAd { job, ad, epoch });
+                // A machine crossing the chronic threshold moves the
+                // avoided set as it happens; a breaker closing its open
+                // window moves it with the clock.
+                let moved = self.refresh_avoided(ctx.now);
+                let renewal = (ctx.now.as_micros()).is_multiple_of(KEEPALIVE_PERIOD.as_micros());
+                if moved || renewal {
+                    self.advertise_all(ctx);
                 }
                 self.maybe_flock(ctx);
-                ctx.send_self_after(ADVERTISE_PERIOD, Msg::AdvertiseTick);
+                self.keep_ticking(ctx);
             }
 
             Msg::MatchNotify { job, machine, pool } => {
@@ -474,9 +489,11 @@ impl Actor<Msg> for Schedd {
                 if avoided || breaker_open {
                     // Stays idle. The matchmaker consumed the job's ad and
                     // holds every copy of it behind the match's fence; the
-                    // new epoch is what tells it the next ad postdates a
-                    // notification this schedd saw and declined.
+                    // new epoch is what tells it the next ad — sent now —
+                    // postdates a notification this schedd saw and
+                    // declined.
                     rec.epoch += 1;
+                    self.advertise(job, ctx);
                     return;
                 }
                 // Opening a claim starts a new epoch: every message about
@@ -484,6 +501,7 @@ impl Actor<Msg> for Schedd {
                 rec.epoch += 1;
                 let epoch = rec.epoch;
                 rec.state = JobState::Claiming { machine };
+                self.idle.remove(&job);
                 let ad = self.plain_ad(job);
                 ctx.emit(obs::Event::Claim {
                     job: u64::from(job),
@@ -623,7 +641,7 @@ impl Actor<Msg> for Schedd {
                 self.metrics.failed_claims += 1;
                 let rec = self.jobs.get_mut(&job).unwrap();
                 rec.epoch += 1; // claim closed
-                rec.state = JobState::Idle;
+                self.went_idle(job, ctx);
             }
 
             Msg::ClaimTimeout { job, machine } => {
@@ -737,10 +755,9 @@ impl Actor<Msg> for Schedd {
             }
 
             Msg::RetryJob { job } => {
-                if let Some(rec) = self.jobs.get_mut(&job) {
-                    if matches!(rec.state, JobState::Waiting) {
-                        rec.state = JobState::Idle;
-                    }
+                let waiting = |rec: &JobRecord| matches!(rec.state, JobState::Waiting);
+                if self.jobs.get(&job).is_some_and(waiting) {
+                    self.went_idle(job, ctx);
                 }
             }
 
@@ -775,6 +792,13 @@ impl Actor<Msg> for Schedd {
                     );
                 } else {
                     self.flock_states.insert(pool, FlockState::Granted);
+                    // The pool hears of every idle job now, not at the
+                    // next renewal.
+                    self.send_ads(
+                        self.idle.keys().copied().collect(),
+                        &[target.matchmaker],
+                        ctx,
+                    );
                 }
             }
 
@@ -877,29 +901,95 @@ impl Actor<Msg> for Schedd {
 }
 
 impl Schedd {
-    /// Refresh the first-went-idle clock each advertise tick: idle jobs
-    /// keep (or gain) their timestamp, everything else sheds it.
-    fn note_idle_jobs(&mut self, now: SimTime) {
-        let idle: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Idle))
-            .map(|j| j.spec.id)
-            .collect();
-        self.first_idle.retain(|j, _| idle.contains(j));
-        for j in idle {
-            self.first_idle.entry(j).or_insert(now);
+    /// `job` enters the idle state: stamped, and advertised at once.
+    fn went_idle(&mut self, job: JobId, ctx: &mut Context<'_, Msg>) {
+        self.jobs.get_mut(&job).expect("job exists").state = JobState::Idle;
+        self.idle.insert(job, ctx.now);
+        self.advertise(job, ctx);
+        self.keep_ticking(ctx);
+    }
+
+    /// Arm the tick at the next instant of the 5-s grid, unless it is
+    /// armed or nothing is idle: renewals stay on multiples of
+    /// [`KEEPALIVE_PERIOD`] whenever the queue last ran empty.
+    fn keep_ticking(&mut self, ctx: &mut Context<'_, Msg>) {
+        if self.ticking || self.idle.is_empty() {
+            return;
+        }
+        self.ticking = true;
+        let wait = until_next(ADVERTISE_PERIOD, ctx.now);
+        ctx.send_self_after(wait, Msg::AdvertiseTick);
+    }
+
+    /// Bring `advertised_for` up to date with the machines withheld from
+    /// matching right now — hosts past the chronic threshold, and those
+    /// whose breaker is open (a half-open breaker admits the machine: the
+    /// probe). True if the set moved: the ads built for the old one are
+    /// dropped, and every idle job is due a new one.
+    fn refresh_avoided(&mut self, now: SimTime) -> bool {
+        let mut avoided: Vec<usize> = if self.policy.avoid_chronic_hosts {
+            self.chronic
+                .iter()
+                .filter(|(_, c)| **c >= self.policy.avoid_threshold)
+                .map(|(m, _)| *m)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for m in self.breaker_blocked(now) {
+            if !avoided.contains(&m) {
+                avoided.push(m);
+            }
+        }
+        avoided.sort_unstable();
+        let moved = avoided != self.advertised_for;
+        if moved {
+            self.advertised.clear();
+            self.advertised_for = avoided;
+        }
+        moved
+    }
+
+    /// Advertise `job`, whose ad or epoch just changed — and with it every
+    /// other idle job, if the avoided set has moved since they were.
+    fn advertise(&mut self, job: JobId, ctx: &mut Context<'_, Msg>) {
+        if self.refresh_avoided(ctx.now) {
+            self.advertise_all(ctx);
+        } else {
+            let to = self.matchmakers(ctx.now);
+            self.send_ads(vec![job], &to, ctx);
         }
     }
 
-    /// Matchmakers of remote pools currently granting flocked ads, with
-    /// breaker-blocked pools withheld.
-    fn granted_matchmakers(&mut self, now: SimTime) -> Vec<usize> {
-        let Some(cfg) = &self.flock else {
-            return Vec::new();
+    /// Advertise every idle job: a renewal, or a reissue under a new
+    /// avoided set.
+    fn advertise_all(&mut self, ctx: &mut Context<'_, Msg>) {
+        let to = self.matchmakers(ctx.now);
+        self.send_ads(self.idle.keys().copied().collect(), &to, ctx);
+    }
+
+    /// One message to each of `to`, carrying the current ad and epoch of
+    /// each of `jobs`; none if there are no jobs.
+    fn send_ads(&mut self, jobs: Vec<JobId>, to: &[ActorId], ctx: &mut Context<'_, Msg>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let advert = |job: JobId| JobAdvert {
+            job,
+            ad: self.advertised_ad(job),
+            epoch: self.jobs[&job].epoch,
         };
+        let adverts: Arc<[JobAdvert]> = jobs.into_iter().map(advert).collect();
+        for &matchmaker in to {
+            ctx.send_net(matchmaker, Msg::JobAd(Arc::clone(&adverts)));
+        }
+    }
+
+    /// Where job ads go: the matchmakers of remote pools currently granting
+    /// flocked ads (breaker-blocked pools withheld), then the home pool's.
+    fn matchmakers(&mut self, now: SimTime) -> Vec<ActorId> {
         let mut out = Vec::new();
-        for t in &cfg.pools {
+        for t in self.flock.iter().flat_map(|cfg| &cfg.pools) {
             if !matches!(self.flock_states.get(&t.pool), Some(FlockState::Granted)) {
                 continue;
             }
@@ -911,6 +1001,7 @@ impl Schedd {
                 out.push(t.matchmaker);
             }
         }
+        out.push(self.matchmaker);
         out
     }
 
@@ -924,7 +1015,7 @@ impl Schedd {
             return;
         };
         let starving = self
-            .first_idle
+            .idle
             .iter()
             .filter(|(_, t)| ctx.now.since(**t) >= cfg.patience)
             .map(|(j, _)| *j)

@@ -19,7 +19,6 @@
 use crate::faults::FaultPlan;
 use crate::job::Universe;
 use crate::machine::MachineSpec;
-use crate::matchmaker::AD_LIFETIME;
 use crate::metrics::MachineStats;
 use crate::msg::{Activation, CkptAttempt, ExecutionReport, Msg, StoredCkpt};
 use chirp::backend::MemFs;
@@ -41,11 +40,8 @@ use gridvm::wrapper::{run_naive, run_wrapped};
 use gridvm::{self_test, Termination};
 use std::sync::Arc;
 
-/// How often a free startd renews its ad's lease at the matchmaker: half
-/// the ad's lifetime, so one lost keep-alive is survived and a second
-/// expires the ad. Everything else the matchmaker hears from a startd is a
-/// change — the machine advertises the instant it becomes free.
-pub const KEEPALIVE_PERIOD: SimDuration = SimDuration::from_micros(AD_LIFETIME.as_micros() / 2);
+pub use crate::matchmaker::KEEPALIVE_PERIOD;
+
 /// How long a resuming starter waits for the checkpoint server before it
 /// declares the checkpoint unreachable and restarts cold.
 pub const CKPT_FETCH_TIMEOUT: SimDuration = SimDuration::from_secs(10);

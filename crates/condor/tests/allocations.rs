@@ -5,15 +5,19 @@
 //! files the next one by comparing literals. Both are per-machine costs of
 //! every world's start-up (20,000 of each in the ledger's `fed_scale`), so
 //! both are pinned — as is what the builder spends on a machine before
-//! either: a counting global allocator (`propcheck::counting`, in
+//! either. A job's ad is the same thing on the other side — a `ClusterId`
+//! chained to a base its schedd shares — and is pinned the same way: what
+//! a submitted job costs its schedd to advertise, what one more child of a
+//! known base costs the matchmaker, and what a renewal of the whole idle
+//! queue costs, which is the same for forty jobs and for eighty. To count: a counting global allocator (`propcheck::counting`, in
 //! a test crate so the library keeps `forbid(unsafe_code)`) counts what
 //! the calling thread requests. The counts are a function of the code, not
 //! of the host.
 
 use classads::ClassAd;
 use condor::prelude::*;
-use condor::MatchEngine;
-use desim::SimTime;
+use condor::{MatchEngine, Msg, Schedd};
+use desim::prelude::*;
 use propcheck::counting::{allocated, Counting};
 use std::sync::Arc;
 
@@ -83,6 +87,99 @@ fn an_advertisement_allocates_for_the_machine_not_for_the_pool() {
     assert_eq!(engine.machine_count(), MACHINES);
 }
 
+/// Swallows what a schedd sends.
+struct Sink;
+
+impl Actor<Msg> for Sink {
+    fn name(&self) -> String {
+        "sink".into()
+    }
+    fn on_message(&mut self, _: ActorId, _: Msg, _: &mut Context<'_, Msg>) {}
+}
+
+/// A schedd with `jobs` idle jobs of one shape, beside a sink that stands
+/// where its matchmaker would.
+fn queue_of(jobs: u32) -> World<Msg> {
+    let mut world: World<Msg> = World::new(1);
+    let sink = world.add_actor(Box::new(Sink));
+    let mut schedd = Schedd::new(sink, ScheddPolicy::default(), FaultPlan::none().build());
+    for id in 1..=jobs {
+        schedd.submit(JobSpec::java(id, "ada", Vec::new(), JavaMode::Scoped));
+    }
+    world.add_actor(Box::new(schedd));
+    world
+}
+
+#[test]
+fn a_job_ad_allocates_for_the_job_and_a_renewal_for_the_message() {
+    const JOBS: u32 = 40;
+    // The first advertisement: start-up, and the message's delivery.
+    let first = |jobs: u32| {
+        let mut world = queue_of(jobs);
+        allocated(|| world.run_until(SimTime::from_millis(1))).1
+    };
+    // The job's own ad — `ClusterId` under two spellings, the map node
+    // that holds it, the `Arc` — and the schedd's record of it; the base
+    // is built once, and the message is one allocation however long.
+    assert_eq!(
+        (first(2 * JOBS) - first(JOBS)) / u64::from(JOBS),
+        SUBMITTED_JOB
+    );
+
+    // A renewal: the tick at 30 s and the message's delivery, the world
+    // warm from the renewal at 15. The list of who is idle, the list that
+    // is sent, whom it is sent to: no more for eighty jobs than for forty.
+    let renewal = |jobs: u32| {
+        let mut world = queue_of(jobs);
+        world.run_until(SimTime::from_secs(29));
+        allocated(|| world.run_until(SimTime::from_secs(31))).1
+    };
+    assert_eq!((renewal(JOBS), renewal(2 * JOBS)), (RENEWAL, RENEWAL));
+
+    // Ingest: the first two children of a base are compiled (the second
+    // to learn that the shape is met twice); every one after joins by its
+    // literals, and a renewal of all of them allocates nothing at all.
+    let flat = JobSpec::java(0, "ada", Vec::new(), JavaMode::Scoped).ad();
+    let base = Arc::clone(flat.parent().expect("a job ad is chained"));
+    let ads: Vec<Arc<ClassAd>> = (0..MACHINES as i64)
+        .map(|id| Arc::new(ClassAd::chained(Arc::clone(&base)).with_int("ClusterId", id)))
+        .collect();
+    let mut engine = MatchEngine::new();
+    let now = SimTime::ZERO;
+    engine.insert_machine(100, MachineSpec::healthy("m", 256).ad(true), now);
+    let ingest = |engine: &mut MatchEngine, from: usize| {
+        for (id, ad) in ads.iter().enumerate().skip(from) {
+            engine.job_ad(1, id as u32, Arc::clone(ad), 0, now);
+        }
+    };
+    ingest(&mut engine, 0);
+    let compiled = engine.stats.ads_compiled;
+    engine.remove_job(1, 0);
+    engine.remove_job(1, 1);
+    // Jobs 2.. once more into an engine that holds them: nothing. Then
+    // into one that does not: the ordered collection they are filed in
+    // takes a node per handful of entries, and that is all.
+    let (_, renewed, _) = allocated(|| ingest(&mut engine, 2));
+    for id in 2..MACHINES as u32 {
+        engine.remove_job(1, id);
+    }
+    let (_, ingested, _) = allocated(|| ingest(&mut engine, 2));
+    assert_eq!(
+        (renewed, ingested, engine.stats.ads_compiled),
+        (0, KNOWN_PARENT_JOB_INGEST, compiled),
+        "for {} ads",
+        MACHINES - 2
+    );
+    assert_eq!(engine.job_count(), MACHINES - 2);
+}
+
+/// Allocations per submitted job at its first advertisement.
+const SUBMITTED_JOB: u64 = 4;
+/// Allocations per renewal of the idle queue, whatever its length.
+const RENEWAL: u64 = 3;
+/// Allocations for 62 ingests of job ads that are children of a known
+/// parent.
+const KNOWN_PARENT_JOB_INGEST: u64 = 9;
 /// Allocations per machine in `PoolBuilder::build`.
 const BUILD_PER_MACHINE: u64 = 3;
 /// Allocations per start-up advertisement over a shared base.

@@ -7,12 +7,15 @@
 //! `only_the_work_counter_moves` pins the whole run — event count, finish
 //! time, the exported event stream, the metrics registry — to constants
 //! recorded from the binary of the last change that was *meant* to move
-//! them (soft state by lease: startds advertise on change and keep alive
-//! at half the ad lifetime, the matchmaker fences what crosses a match).
-//! It is the sentinel the next digest-preserving change is held to: a
-//! refactor or an optimisation that claims to leave behaviour alone must
-//! leave every one of them alone, and a change that moves the schedule on
-//! purpose re-records them from its own binary and says so.
+//! them (the schedd's half of soft state by lease: jobs are advertised the
+//! instant they become idle and renewed, all in one message, at half the
+//! ad lifetime; the matchmaker runs a cycle only while it holds a job ad).
+//! That change moved two of the five, and in the registry two lines and
+//! added a third — see the constants. It is the sentinel the next
+//! digest-preserving change is held to: a refactor or an optimisation that
+//! claims to leave behaviour alone must leave every one of them alone, and
+//! a change that moves the schedule on purpose re-records them from its
+//! own binary and says so.
 //!
 //! `a_moved_schedule_delivers_the_same_work` is the other direction: its
 //! first block of constants was recorded by running the same body on the
@@ -25,12 +28,29 @@ mod common;
 use ckpt::fnv1a;
 use desim::SimTime;
 
-const EVENTS: u64 = 43_578;
+/// 43,578 before the schedd's lease (1512bf3), by `World::census` on both
+/// sides: 4,134 fewer `JobAd` deliveries — the 4,146 ads of the 5-s
+/// drumbeat, one per idle job per tick, became 12 messages: the submission
+/// and the renewals at 15, 30, … 165 s, while a job was idle — 49 fewer
+/// schedd ticks (84 → 35: none after the last match, at 170 s) and 24
+/// fewer cycles.
+const EVENTS: u64 = 39_371;
+/// Unmoved: the same jobs go to the same machines at the same cycles, so
+/// the finish time and every byte of the exported stream stand.
 const FINISHED_AT_S: u64 = 420;
 const STREAM_BYTES: usize = 280_772;
 const STREAM_FNV: u64 = 16_531_300_256_365_913_880;
-/// The registry snapshot with `mm_pairs_evaluated` masked.
-const REGISTRY_FNV: u64 = 4_977_263_325_719_039_760;
+/// The registry snapshot with `mm_pairs_evaluated` masked. Two lines moved
+/// with the schedd's lease: `mm_cycles` 42 → 18 (the 17 cycles from 10 to
+/// 170 s, which held a job ad — the six that matched among them — and the
+/// one at 180 that lowered the last fences; none after) and the gauge
+/// `mm_ads_active` 300 → 40 (what that last cycle found, not the one at
+/// 420 s) — and one is new: `mm_ads_compiled` 16, the two jobs that stand
+/// for 450, compiled again when the first machine asks `ImageSize` of
+/// them, and two machines at start-up and at each of the five times their
+/// shape had died with its last free member. Every other line — admitted,
+/// refreshed, fenced, matches — is as it was.
+const REGISTRY_FNV: u64 = 9_692_668_085_242_234_074;
 /// What the per-job engine before shapes evaluated for this queue (bab636b,
 /// one evaluation per job per machine), and what shape by shape needs: the
 /// pool is one shape a side, and each of the six cycles that finds a
@@ -89,9 +109,11 @@ fn only_the_work_counter_moves() {
 /// Recorded from the parent (4c839c9): what the work was.
 const JOBS_FNV: u64 = 16_863_989_854_916_197_005;
 const TOTAL_CPU_S: u64 = 67_410;
-/// Recorded from this change: how it was scheduled. At the parent these
-/// read 67,950 events, 420 s and 910 matches (every job matched twice, the
-/// second time onto a machine another job then had to do without).
+/// How it was scheduled: `EVENTS`, `FINISHED_AT_S` and this, recorded from
+/// the last change meant to move them. Under the 5-s machine-ad drumbeat
+/// (4c839c9) they read 67,950 events, 420 s and 910 matches (every job
+/// matched twice, the second time onto a machine another job then had to
+/// do without); 43,578, 420 s and 450 from there to the schedd's lease.
 const MATCHES_MADE: u64 = 450;
 
 #[test]

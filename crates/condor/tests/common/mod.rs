@@ -23,8 +23,11 @@ pub struct MachineAdSeen {
 #[derive(Default)]
 pub struct Wiretap {
     pub machine_ads: Vec<MachineAdSeen>,
-    /// `(arrival time, job, epoch, ad)`.
+    /// `(arrival time, job, epoch, ad)`: every entry of every job-ad
+    /// message.
     pub job_ads: Vec<(SimTime, u32, u64, Arc<ClassAd>)>,
+    /// `(arrival time, entries)` of each job-ad message.
+    pub job_ad_msgs: Vec<(SimTime, usize)>,
     pub claim_ads: Vec<Arc<ClassAd>>,
 }
 
@@ -40,19 +43,43 @@ impl Actor<Msg> for Wiretap {
                 claims,
                 ad,
             }),
-            Msg::JobAd { job, ad, epoch } => self.job_ads.push((ctx.now, job, epoch, ad)),
+            Msg::JobAd(adverts) => {
+                self.job_ad_msgs.push((ctx.now, adverts.len()));
+                let seen = adverts
+                    .iter()
+                    .map(|a| (ctx.now, a.job, a.epoch, Arc::clone(&a.ad)));
+                self.job_ads.extend(seen);
+            }
             Msg::ClaimRequest { ad, .. } => self.claim_ads.push(ad),
             _ => {}
         }
     }
 }
 
+/// A schedd whose one job fits no machine. A matchmaker runs cycles only
+/// while it holds a job ad, so the tests that watch machine ads come and
+/// go cycle by cycle queue this job there: it is renewed like any other,
+/// never matched, and counts one in `ads_active`.
+pub fn stuck_schedd(matchmaker: ActorId) -> Box<condor::Schedd> {
+    let policy = ScheddPolicy::default();
+    let mut schedd = condor::Schedd::new(matchmaker, policy, FaultPlan::none().build());
+    let mut job = JobSpec::java(1, "ada", Vec::new(), JavaMode::Scoped);
+    job.image_size = 1 << 20;
+    schedd.submit(job);
+    Box::new(schedd)
+}
+
 /// The ledger's `pool_drain` world at a size a test can afford: 300
 /// machines, 450 java jobs of 60–240 s, the ledger's lease policy.
 pub fn drain_pool() -> PoolBuilder {
+    pool_of(300, 450)
+}
+
+/// The same world at any size.
+pub fn pool_of(machines: usize, jobs: u32) -> PoolBuilder {
     PoolBuilder::new(1)
-        .machines((0..300).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
-        .jobs((1..=450).map(|i| {
+        .machines((0..machines).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
+        .jobs((1..=jobs).map(|i| {
             JobSpec::java(
                 i,
                 "ada",

@@ -156,10 +156,11 @@ fn learning_startd_rebuilds_its_ad_without_java() {
 }
 
 /// (b) Every idle job's advertised ad follows the avoided-machine list:
-/// shared between ticks while the list holds, rebuilt with a
-/// `TARGET.MachineId =!= id` clause when a machine crosses
-/// `avoid_threshold` or its breaker opens, and rebuilt without it when the
-/// breaker goes half-open. The claim-time ad never carries exclusions.
+/// the same allocation from renewal to renewal while the list holds,
+/// rebuilt with a `TARGET.MachineId =!= id` clause — and reissued at the
+/// 5-s tick that notices — when a machine crosses `avoid_threshold` or its
+/// breaker opens, and rebuilt without it when the breaker goes half-open.
+/// The claim-time ad never carries exclusions.
 #[test]
 fn job_ads_follow_the_avoided_list() {
     let breaker = BreakerPolicy {
@@ -181,13 +182,15 @@ fn job_ads_follow_the_avoided_list() {
     let schedd = world.add_actor(Box::new(schedd));
     let (chronic, tripped) = (7usize, 9usize);
 
-    // Ticks at 5 and 10: nothing avoided.
+    // Submission: nothing avoided, and the ticks at 5 and 10 find nothing
+    // to say.
     world.run_until(SimTime::from_secs(11));
-    // Machine 7 crosses the chronic threshold: ticks at 15 and 20 exclude it.
+    // Machine 7 crosses the chronic threshold: the tick at 15 excludes it.
     let s = world.get_mut::<Schedd>(schedd).unwrap();
     s.chronic.insert(chronic, 2);
     world.run_until(SimTime::from_secs(21));
-    // Machine 9's breaker opens until t=41: ticks at 25..=40 exclude both.
+    // Machine 9's breaker opens until t=41: the tick at 25 excludes both,
+    // and the renewal at 30 says so again.
     let mut b = CircuitBreaker::new(breaker);
     let opened = b
         .on_failure(world.now())
@@ -206,34 +209,34 @@ fn job_ads_follow_the_avoided_list() {
             pool: 0,
         },
     );
-    // From t=41 the breaker is half-open: the probe readmits machine 9.
+    // From t=41 the breaker is half-open: the probe readmits machine 9,
+    // at the tick at 45.
     world.run_until(SimTime::from_secs(51));
 
     let tap = world.get::<Wiretap>(tap).unwrap();
-    // Job 1's ad as sent at the tick at `secs`.
+    let sent_at: Vec<u64> = (tap.job_ad_msgs.iter())
+        .map(|(at, _)| at.as_micros() / 1_000_000)
+        .collect();
+    assert_eq!(sent_at, [0, 15, 25, 30, 45], "one message each");
+    // Job 1's ad as sent in the second after `secs`.
     let ad_at = |secs: u64| -> &Arc<ClassAd> {
         let mut sent = tap
             .job_ads
             .iter()
             .filter(|(at, job, ..)| at.as_secs_f64().floor() as u64 == secs && *job == 1);
-        let (.., ad) = sent.next().expect("advertised at this tick");
-        assert!(sent.next().is_none(), "advertised once per tick (t={secs})");
+        let (.., ad) = sent.next().expect("advertised in this second");
+        assert!(sent.next().is_none(), "advertised once (t={secs})");
         ad
     };
     let excludes =
         |ad: &ClassAd, id: usize| requirements(ad).contains(&format!("TARGET.MachineId =!= {id}"));
-    // (tick, excludes 7, excludes 9, same allocation as the tick before)
+    // (sent at, excludes 7, excludes 9, same allocation as the time before)
     let expected = [
-        (5, false, false, false),
-        (10, false, false, true),
+        (0, false, false, false),
         (15, true, false, false),
-        (20, true, false, true),
         (25, true, true, false),
         (30, true, true, true),
-        (35, true, true, true),
-        (40, true, true, true),
         (45, true, false, false),
-        (50, true, false, true),
     ];
     let mut previous: Option<&Arc<ClassAd>> = None;
     for (tick, no_7, no_9, shared) in expected {
@@ -295,33 +298,6 @@ fn an_owner_policy_may_read_the_machine_id() {
     );
 }
 
-/// Sends one never-matchable job ad at startup, so a live machine's shape
-/// is probed (and the pair's verdict reused) every cycle.
-struct StuckJob {
-    matchmaker: ActorId,
-}
-
-impl Actor<Msg> for StuckJob {
-    fn name(&self) -> String {
-        "stuck-job".into()
-    }
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ad = ClassAd::new()
-            .with_int("ImageSize", 1 << 20)
-            .with_expr("Requirements", "TARGET.Memory >= MY.ImageSize")
-            .with_expr("Rank", "TARGET.Memory");
-        ctx.send_net(
-            self.matchmaker,
-            Msg::JobAd {
-                job: 1,
-                ad: Arc::new(ad),
-                epoch: 0,
-            },
-        );
-    }
-    fn on_message(&mut self, _: ActorId, _: Msg, _: &mut Context<'_, Msg>) {}
-}
-
 /// (c) A crash window silences a startd past `AD_LIFETIME`: its ad expires,
 /// and when it comes back it re-advertises the very same allocation — which
 /// the matchmaker re-admits into a shape that died with its last member (an
@@ -360,7 +336,9 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         mm,
         plan,
     )));
-    world.add_actor(Box::new(StuckJob { matchmaker: mm }));
+    // A job that never matches: the machine's shape is probed (and the
+    // pair's verdict reused) every cycle.
+    world.add_actor(common::stuck_schedd(mm));
     let stats = |world: &World<Msg>| {
         let s = world.get::<Matchmaker>(mm).unwrap().stats();
         (s.pairs_evaluated, s.cache_hits, s.ads_active)

@@ -6,6 +6,7 @@ use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use obs::Collector;
+use std::collections::BTreeMap;
 
 /// A complete simulated system: a set of actors, a pending-event queue, a
 /// virtual clock, a network fabric, a random stream, and a typed event
@@ -27,6 +28,14 @@ pub struct World<M> {
     pub(crate) started: bool,
     pub(crate) stop_requested: bool,
     pub(crate) events_processed: u64,
+    // `None` until [`World::count_deliveries_by`] asks.
+    census: Option<Census<M>>,
+}
+
+/// Deliveries by message kind: how a message is filed, and the counts.
+struct Census<M> {
+    kind: fn(&M) -> &'static str,
+    counts: BTreeMap<&'static str, u64>,
 }
 
 impl<M: 'static> World<M> {
@@ -45,6 +54,7 @@ impl<M: 'static> World<M> {
             started: false,
             stop_requested: false,
             events_processed: 0,
+            census: None,
         }
     }
 
@@ -116,6 +126,20 @@ impl<M: 'static> World<M> {
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// From here on, count every delivery under the name `kind` gives its
+    /// message: the census that says what a run's events were.
+    pub fn count_deliveries_by(&mut self, kind: fn(&M) -> &'static str) {
+        let counts = BTreeMap::new();
+        self.census = Some(Census { kind, counts });
+    }
+
+    /// Deliveries per kind since [`World::count_deliveries_by`]; empty if
+    /// it was never called.
+    pub fn census(&self) -> BTreeMap<&'static str, u64> {
+        let counts = self.census.as_ref().map(|census| census.counts.clone());
+        counts.unwrap_or_default()
     }
 
     /// Number of pending events.
@@ -193,6 +217,9 @@ impl<M: 'static> World<M> {
         debug_assert!(at >= self.now, "time must not run backwards");
         self.now = at;
         self.events_processed += 1;
+        if let Some(census) = &mut self.census {
+            *census.counts.entry((census.kind)(&env.msg)).or_default() += 1;
+        }
 
         let Some(slot) = self.actors.get_mut(env.to) else {
             return true; // message to a never-registered actor: dropped

@@ -21,8 +21,9 @@
 
 use crate::intern::{FastMap, Interner, Sym};
 use crate::json;
-use std::collections::BTreeMap;
-use std::fmt;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// Number of histogram buckets: one for zero plus one per bit length.
 pub const BUCKETS: usize = 65;
@@ -193,23 +194,24 @@ impl MetricKey {
             labels,
         }
     }
+}
 
-    fn write_json_fields(&self, out: &mut String) {
-        json::write_key(out, "name");
-        json::write_str(out, &self.name);
-        if !self.labels.is_empty() {
-            out.push(',');
-            json::write_key(out, "labels");
-            out.push('{');
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_key(out, k);
-                json::write_str(out, v);
+/// The `"name":…,"labels":{…}` fields of one snapshot entry.
+fn write_key_fields(out: &mut String, name: &str, labels: &[(&str, &str)]) {
+    json::write_key(out, "name");
+    json::write_str(out, name);
+    if !labels.is_empty() {
+        out.push(',');
+        json::write_key(out, "labels");
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push('}');
+            json::write_key(out, k);
+            json::write_str(out, v);
         }
+        out.push('}');
     }
 }
 
@@ -291,6 +293,30 @@ fn canonical_labels(pairs: &mut [(Sym, Sym)]) -> LabelSyms {
         LabelSyms::Inline(pairs.len() as u8, inline)
     } else {
         LabelSyms::Spilled(pairs.to_vec())
+    }
+}
+
+/// The entries of one of a registry's maps in key order ([`Registry::sorted`]).
+struct Sorted<'a, V> {
+    // Every entry's labels, each entry's in string order.
+    labels: Vec<(&'a str, &'a str)>,
+    // (name, where in `labels`, value).
+    entries: Vec<(&'a str, Range<usize>, &'a V)>,
+}
+
+impl<'a, V> Sorted<'a, V> {
+    /// `(name, labels, value)` in key order.
+    fn iter(&self) -> impl Iterator<Item = (&'a str, &[(&'a str, &'a str)], &'a V)> + '_ {
+        let entry = |(name, at, value): &(&'a str, Range<usize>, &'a V)| {
+            (*name, &self.labels[at.clone()], *value)
+        };
+        self.entries.iter().map(entry)
+    }
+}
+
+impl<V: PartialEq> PartialEq for Sorted<'_, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -480,10 +506,34 @@ impl Registry {
         }
     }
 
-    /// A map keyed on resolved strings — the canonical form used for
-    /// sorted export and cross-interner equality.
-    fn sorted<'a, V>(&'a self, map: &'a FastMap<SymKey, V>) -> BTreeMap<MetricKey, &'a V> {
-        map.iter().map(|(k, v)| (self.resolve_key(k), v)).collect()
+    /// The entries of `map` under their resolved keys, in [`MetricKey`]'s
+    /// order — the canonical form used for sorted export and
+    /// cross-interner equality. The strings stay the interner's: a
+    /// snapshot of ten thousand entries allocates two vectors, not four
+    /// strings and a tree node each.
+    fn sorted<'a, V>(&'a self, map: &'a FastMap<SymKey, V>) -> Sorted<'a, V> {
+        let mut labels: Vec<(&str, &str)> = Vec::new();
+        let mut entries: Vec<(&str, Range<usize>, &V)> = Vec::with_capacity(map.len());
+        for (key, value) in map {
+            let from = labels.len();
+            let resolve = |&(k, v)| (self.interner.resolve(k), self.interner.resolve(v));
+            labels.extend(key.label_pairs().iter().map(resolve));
+            // The key holds them in symbol order.
+            labels[from..].sort_unstable();
+            let name = self.interner.resolve(key.name);
+            entries.push((name, from..labels.len(), value));
+        }
+        // Small entries, so that sorting moves little; most comparisons
+        // are between entries of one name, the interner's one allocation.
+        entries.sort_unstable_by(|a, b| {
+            let by_name = if std::ptr::eq(a.0, b.0) {
+                Ordering::Equal
+            } else {
+                a.0.cmp(b.0)
+            };
+            by_name.then_with(|| labels[a.1.clone()].cmp(&labels[b.1.clone()]))
+        });
+        Sorted { labels, entries }
     }
 
     /// The whole registry as one JSON document:
@@ -492,40 +542,40 @@ impl Registry {
     /// pre-interning string-keyed registry).
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\"counters\":[");
-        for (i, (k, v)) in self.sorted(&self.counters).iter().enumerate() {
+        for (i, (name, labels, v)) in self.sorted(&self.counters).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('{');
-            k.write_json_fields(&mut out);
+            write_key_fields(&mut out, name, labels);
             out.push(',');
             json::write_key(&mut out, "value");
-            out.push_str(&v.to_string());
+            let _ = write!(out, "{v}");
             out.push('}');
         }
         out.push_str("],\"gauges\":[");
-        for (i, (k, v)) in self.sorted(&self.gauges).iter().enumerate() {
+        for (i, (name, labels, v)) in self.sorted(&self.gauges).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('{');
-            k.write_json_fields(&mut out);
+            write_key_fields(&mut out, name, labels);
             out.push(',');
             json::write_key(&mut out, "value");
             if v.is_finite() {
-                out.push_str(&format!("{v}"));
+                let _ = write!(out, "{v}");
             } else {
                 out.push_str("null");
             }
             out.push('}');
         }
         out.push_str("],\"histograms\":[");
-        for (i, (k, h)) in self.sorted(&self.histograms).iter().enumerate() {
+        for (i, (name, labels, h)) in self.sorted(&self.histograms).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('{');
-            k.write_json_fields(&mut out);
+            write_key_fields(&mut out, name, labels);
             out.push(',');
             json::write_key(&mut out, "histogram");
             h.write_json(&mut out);

@@ -22,5 +22,6 @@ echo "==> every experiment at smoke size (each one's gates are assertions)"
 cargo run --release -p bench --bin exp -- all --smoke
 cargo run --release -p bench --bin exp -- e7 --localize
 cargo run --release -p bench --bin exp -- e13 --phases --smoke
+cargo run --release -p bench --bin exp -- census --smoke
 
 echo "All checks passed."
