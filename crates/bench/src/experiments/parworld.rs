@@ -15,12 +15,13 @@
 //!    machines, partitions, latency spikes, bit-flips) and one fault-free
 //!    reference, each run as a sharded world at 1, 2, and 8 threads.
 //!    Every arm's merged telemetry stream must be **byte-identical**
-//!    across the three thread counts.
+//!    across the three thread counts, and so must its census of
+//!    deliveries by message kind, which sums to the arm's event count.
 //! 2. **E11 federation differential.** The five-pool flocking federation
 //!    with a starved home pool, and the partition-during-flock scenario,
 //!    both sharded and run at 1, 2, and 8 threads. Byte-identical
-//!    streams again — flock probes, breaker trips, and fault windows
-//!    included.
+//!    streams and censuses again — flock probes, breaker trips, and fault
+//!    windows included.
 //! 3. **100k-machine scaling.** Five pools of 20,000 machines each
 //!    (600 in smoke), default latency raised to 50ms so the conservative
 //!    window carries real work, telemetry off. Wall-clock at 1, 2, and 8
@@ -51,7 +52,9 @@ use crate::{f, render_table};
 use campaign::gen::deadline;
 use campaign::generate;
 use ckpt::fnv1a;
-use desim::{ParConfig, SimTime, World};
+use condor::Msg;
+use desim::{NetStats, ParConfig, SimTime, World};
+use std::collections::BTreeMap;
 
 const SHARDS: usize = 4;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -60,16 +63,18 @@ const CAMPAIGN_SEEDS: [u64; 3] = [1042, 1207, 1333];
 /// Everything observable from one sharded run, reduced to comparable
 /// form. `stream` is the full merged JSONL (byte-compared across thread
 /// counts); the rest pins the run shape.
+#[derive(Debug, PartialEq)]
 struct Fingerprint {
     stream: String,
     events: u64,
     now_us: u64,
-    dropped: u64,
+    net: NetStats,
+    census: BTreeMap<&'static str, u64>,
 }
 
 /// Run a built world as a `ParWorld` and fingerprint the outcome.
-fn par_fingerprint<M: Send + 'static>(
-    world: World<M>,
+fn par_fingerprint(
+    world: World<Msg>,
     shards: usize,
     threads: usize,
     until: SimTime,
@@ -81,20 +86,25 @@ fn par_fingerprint<M: Send + 'static>(
         stream: fin.telemetry.to_jsonl(),
         events: fin.events_processed,
         now_us: fin.now.as_micros(),
-        dropped: fin.net_stats.dropped_total(),
+        net: fin.net_stats,
+        census: fin.census,
     }
 }
 
-/// Run `build`'s world at every thread count and assert the streams are
-/// byte-identical; returns the reference fingerprint.
-fn differential<M: Send + 'static>(
-    label: &str,
-    until: SimTime,
-    build: impl Fn() -> World<M>,
-) -> Fingerprint {
+/// Run `build`'s world at every thread count, deliveries counted by
+/// kind, and assert the streams and censuses are identical; returns the
+/// reference fingerprint.
+fn differential(label: &str, until: SimTime, build: impl Fn() -> World<Msg>) -> Fingerprint {
     let mut reference: Option<Fingerprint> = None;
     for threads in THREADS {
-        let fp = par_fingerprint(build(), SHARDS, threads, until);
+        let mut world = build();
+        world.count_deliveries_by(Msg::kind);
+        let fp = par_fingerprint(world, SHARDS, threads, until);
+        assert_eq!(
+            fp.census.values().sum::<u64>(),
+            fp.events,
+            "{label}: the census must count every delivery"
+        );
         match &reference {
             None => reference = Some(fp),
             Some(r) => {
@@ -103,8 +113,8 @@ fn differential<M: Send + 'static>(
                     "{label}: merged event stream diverged at {threads} threads"
                 );
                 assert_eq!(
-                    (r.events, r.now_us, r.dropped),
-                    (fp.events, fp.now_us, fp.dropped),
+                    (r.events, r.now_us, &r.net, &r.census),
+                    (fp.events, fp.now_us, &fp.net, &fp.census),
                     "{label}: run shape diverged at {threads} threads"
                 );
             }
@@ -179,7 +189,7 @@ fn scale_study(shape: &ScaleShape) -> Vec<ScaleRow> {
         let fp = par_fingerprint(world, 8, threads, shape.horizon);
         let secs = wall.elapsed().as_secs_f64();
         assert!(fp.events > 0, "the scaling world must do work");
-        let shape_key = (fp.events, fp.now_us, fp.dropped);
+        let shape_key = (fp.events, fp.now_us, fp.net.dropped_total());
         match &reference {
             None => reference = Some(shape_key),
             Some(r) => assert_eq!(*r, shape_key, "scaling world diverged at {threads} threads"),
@@ -232,7 +242,7 @@ fn deterministic_core(pass: &Pass) -> String {
             fp.stream.len(),
             fp.events,
             fp.now_us,
-            fp.dropped
+            fp.net.dropped_total()
         )
     };
     let rows: Vec<String> = pass
@@ -363,7 +373,7 @@ fn report(pass: &Pass) {
             label,
             fp.events.to_string(),
             fp.stream.len().to_string(),
-            fp.dropped.to_string(),
+            fp.net.dropped_total().to_string(),
         ]
     };
     println!(
@@ -458,4 +468,58 @@ fn scaling_section(size: Size, shape: &ScaleShape, cores: usize) -> String {
         shape.horizon.as_micros() / 1_000_000,
         row_json.join(",")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An E12 campaign whose faults spike one machine's latency and then
+    /// partition it: the fault driver mutates the network mid-run.
+    const NETWORK_FAULT_CAMPAIGN: u64 = 1092;
+
+    /// `World::run_until` and a one-shard `ParWorld` at one and two threads
+    /// are one run: stream, events, clock, delivery statistics and census.
+    /// Returns the messages the network dropped.
+    fn assert_one_shard_case(until: SimTime, build: impl Fn() -> World<Msg>) -> u64 {
+        let counted = || {
+            obs::reset_span_ids(0);
+            let mut world = build();
+            world.count_deliveries_by(Msg::kind);
+            world
+        };
+        let mut world = counted();
+        world.run_until(until);
+        let want = Fingerprint {
+            stream: world.telemetry().to_jsonl(),
+            events: world.events_processed(),
+            now_us: world.now().as_micros(),
+            net: world.net().stats().clone(),
+            census: world.census(),
+        };
+        for threads in [1, 2] {
+            let got = par_fingerprint(counted(), 1, threads, until);
+            assert_eq!(got, want, "{threads} thread(s)");
+        }
+        want.net.dropped_total()
+    }
+
+    #[test]
+    fn world_is_the_one_shard_case() {
+        assert_one_shard_case(FEDERATION_HORIZON, || federation().build().0);
+        let campaign = generate(NETWORK_FAULT_CAMPAIGN);
+        assert!(campaign.describe().contains("net partition"));
+        let dropped = assert_one_shard_case(deadline(), || campaign.build_pool(true).build().0);
+        assert!(dropped > 0, "the partition must cut something");
+    }
+
+    /// E13's four-shard differentials count deliveries by kind alike at 1,
+    /// 2 and 8 threads, and count every event: `differential` asserts both.
+    #[test]
+    fn the_census_counts_the_sharded_engine_at_every_thread_count() {
+        differential("federation", FEDERATION_HORIZON, || federation().build().0);
+        differential("partition-during-flock", PARTITION_HORIZON, || {
+            partition_during_flock().build().0
+        });
+    }
 }

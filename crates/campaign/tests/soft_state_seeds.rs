@@ -1,26 +1,29 @@
-//! Ten campaigns that said why the matchmaker's fences were not optional.
+//! Campaigns that pair a black-hole rogue with a Standard-universe
+//! `heap_sum` job behind a Java job.
 //!
-//! Each pairs a black-hole rogue with a Standard-universe `heap_sum` job
-//! behind a Java job. With machines advertising on change and by lease, the
-//! schedd still on its 5-s job-ad drumbeat, and no fences, the Java job's
-//! *phantom* second match (its schedd's ad crossed the notification of the
-//! first) consumed the rogue's ad, so the Java job landed on a healthy
-//! machine instead of failing twice on the rogue, chronic-host avoidance
-//! never tripped, and when the owner evicted the Standard job — bare
-//! exit-code semantics by design — it resumed on the black hole and the
-//! kernel self-reported P3 every 610 s until the deadline. Fenced, every
-//! match is a claim, the rogue is met, counted and avoided, and all ten
-//! run clean.
+//! The first ten said why the matchmaker's fences were not optional:
+//! unfenced, the Java job's *phantom* second match consumed the rogue's
+//! ad, the Java job landed on a healthy machine instead of failing twice on
+//! the rogue, and the Standard job, evicted by its owner, resumed on the
+//! black hole and reported P3 every 610 s until the deadline. Fenced, every
+//! match is a claim and each ran clean; since the schedd advertises on
+//! change as well, they pass with the fences off too.
 //!
-//! Since the schedd advertises on change too, the ten no longer tell the
-//! fences apart: an idle job's ad crosses a match only where a renewal
-//! meets a cycle (every 30 s) or an ad changes in the very instant of one,
-//! these campaigns have no such crossing, and with both fences off all ten
-//! — and all 8,000 gate-size campaigns of ledger seeds 1–8 — pass. What
-//! the fences still buy is counted instead: on seed 1 `matches_made` reads
-//! 5,597 without them against 4,637 with, for 4,482 and 4,480 claims
-//! accepted (`pool_drain`: 1,521 against 1,500 for 1,500). The seeds stay
-//! as cover for the world that found the bug.
+//! What kept the Standard job off the rogue was chronic-host avoidance,
+//! which needs the Java job to fail there twice — a schedule accident, not
+//! a property. Under push-order ties seed 1,000,078's Java job failed on
+//! `m5` twice, so the Standard job's rematch at 480 s drew `m4`; under the
+//! canonical order `(time, sender, sender's send count)` it fails there
+//! once and the rematch draws `m5`. There the startd ran the image under
+//! the machine's dead JVM install, and the bare exit code handed
+//! `MisconfiguredInstallation` — a remote-resource-scope error — to the
+//! user. The kernel now runs Vanilla and Standard images with the
+//! installation's Java health ignored (`Startd::direct_install`): they
+//! never start a JVM, so the rogue cannot fail them, and every seed here
+//! runs clean whichever machine it draws. Without that fix the canonical
+//! order fails 32 of the 1,000 gate-size campaigns of ledger seed 1, all
+//! of this family; 1,000,078 and 1,000,161 among the first ten, 1,000,067,
+//! 1,000,074 and 1,000,099 added from the rest.
 
 use campaign::{check, generate, RunSummary};
 use obs_analyze::Stream;
@@ -28,7 +31,8 @@ use obs_analyze::Stream;
 #[test]
 fn black_hole_with_a_standard_job_runs_clean_behind_the_fences() {
     for seed in [
-        1000078u64, 1000161, 1000183, 1000318, 1000386, 1000442, 1000456, 1000533, 1000841, 1000864,
+        1000078u64, 1000161, 1000183, 1000318, 1000386, 1000442, 1000456, 1000533, 1000841,
+        1000864, 1000067, 1000074, 1000099,
     ] {
         let campaign = generate(seed);
         obs::reset_span_ids(0);

@@ -565,6 +565,35 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_java_install_does_not_fail_jobs_that_never_start_a_jvm() {
+        // The only machine asserts Java over a dead VM path. Vanilla and
+        // Standard images run directly, so both jobs complete there on the
+        // first attempt: the broken JVM is not their error, and nothing
+        // reaches the user dressed as a result.
+        let job = |id, universe, image| {
+            let mut spec = JobSpec::java(id, "ada", image, JavaMode::Scoped)
+                .with_exec_time(SimDuration::from_secs(10));
+            spec.universe = universe;
+            spec
+        };
+        let report = PoolBuilder::new(6)
+            .machine(MachineSpec::misconfigured("broken", 1024))
+            .job(job(1, Universe::Standard, programs::heap_sum(8)))
+            .job(job(2, Universe::Vanilla, programs::uses_stdlib()))
+            .run(deadline());
+        for id in [1, 2] {
+            let rec = &report.jobs[&id];
+            assert!(matches!(rec.state, JobState::Completed { .. }), "{rec:?}");
+            assert_eq!(rec.attempts.len(), 1, "job {id}");
+        }
+        assert_eq!(report.metrics.incidental_errors_shown_to_user, 0);
+        assert!(report
+            .telemetry
+            .iter()
+            .all(|r| r.event.kind() != "violation"));
+    }
+
+    #[test]
     fn naive_mode_shows_environment_errors_to_user() {
         // Equal-memory machines so the tie-break gives both a chance; the
         // job first lands on the broken one often enough (seeded) to show

@@ -34,10 +34,11 @@ use desim::prelude::*;
 use errorscope::error::codes;
 use errorscope::resultfile::ResultFile;
 use errorscope::Scope;
-use gridvm::config::SelfTestDepth;
+use gridvm::config::{InstallHealth, Installation, SelfTestDepth};
 use gridvm::jvmio::{ChirpJobIo, NoIo};
 use gridvm::wrapper::{run_naive, run_wrapped};
 use gridvm::{self_test, Termination};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 pub use crate::matchmaker::KEEPALIVE_PERIOD;
@@ -666,7 +667,7 @@ impl Startd {
                 let image = gridvm::ProgramImage::from_bytes(&act.image)
                     .expect("image validated during checkpoint restore");
                 let out = m
-                    .run(&image, &self.spec.installation, &mut NoIo, None)
+                    .run(&image, &self.direct_install(), &mut NoIo, None)
                     .expect("unbudgeted run always terminates");
                 self.stats.absorb_vm(&out.vm);
                 self.finish(out.termination, out.stdout, out.instructions, &act)
@@ -829,19 +830,36 @@ impl Startd {
             return None;
         }
         let image = gridvm::ProgramImage::from_bytes(&act.image).ok()?;
-        let (_exit, out) = run_naive(&act.image, &self.spec.installation, &mut NoIo);
+        let install = self.direct_install();
+        let (_exit, out) = run_naive(&act.image, &install, &mut NoIo);
         if out.instructions == 0 {
             return None;
         }
         let budget = (u128::from(out.instructions) * u128::from(banked.as_micros())
             / u128::from(full.as_micros())) as u64;
         let mut m = gridvm::Machine::new(&image);
-        if m.run(&image, &self.spec.installation, &mut NoIo, Some(budget))
-            .is_some()
-        {
+        if m.run(&image, &install, &mut NoIo, Some(budget)).is_some() {
             return None; // finished inside the budget: nothing to resume
         }
         Some(m.snapshot(ckpt::fnv1a(&act.image)).to_bytes())
+    }
+
+    /// The installation a Vanilla or Standard image runs under (fresh,
+    /// resumed, or replayed for a checkpoint): the machine's limits with
+    /// its Java health ignored. These universes run the image directly
+    /// (`job.rs`), so a dead JVM path or a missing standard library is a
+    /// fault of the Java universe alone: handed to a job that never starts
+    /// a JVM, the bare exit code would show its user a
+    /// remote-resource-scope error.
+    fn direct_install(&self) -> Cow<'_, Installation> {
+        let install = &self.spec.installation;
+        match install.health {
+            InstallHealth::Healthy => Cow::Borrowed(install),
+            InstallHealth::BadPath | InstallHealth::MissingStdlib => Cow::Owned(Installation {
+                health: InstallHealth::Healthy,
+                ..install.clone()
+            }),
+        }
     }
 
     fn emit_claim(&self, ctx: &mut Context<'_, Msg>, job: u32, outcome: obs::ClaimOutcome) {
@@ -925,7 +943,7 @@ impl Startd {
                 // No wrapper, no remote I/O: bare exit code semantics.
                 // (Standard additionally checkpoints on eviction, handled
                 // by the caller.)
-                let (_exit, out) = run_naive(&act.image, &self.spec.installation, &mut NoIo);
+                let (_exit, out) = run_naive(&act.image, &self.direct_install(), &mut NoIo);
                 self.stats.absorb_vm(&out.vm);
                 self.finish(out.termination, out.stdout, out.instructions, act)
             }

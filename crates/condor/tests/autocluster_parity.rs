@@ -36,10 +36,17 @@ use desim::SimTime;
 /// fewer cycles.
 const EVENTS: u64 = 39_371;
 /// Unmoved: the same jobs go to the same machines at the same cycles, so
-/// the finish time and every byte of the exported stream stand.
+/// the finish time and the stream's length stand.
 const FINISHED_AT_S: u64 = 420;
 const STREAM_BYTES: usize = 280_772;
-const STREAM_FNV: u64 = 16_531_300_256_365_913_880;
+/// 16,531,300,256,365,913,880 while same-instant deliveries drained in push
+/// order. Under the canonical order `(time, sender, sender's send count)`
+/// the stream holds the same 2,701 records — sorted, the two exports are
+/// identical line for line — but records of one instant follow their
+/// senders' ids: at 10.003 s the schedd's 300 `dispatch` records come in
+/// the order the machines' `ClaimAccept`s are keyed (machine 2, 3, 4, …),
+/// not the order the matchmaker's notifications happened to be pushed.
+const STREAM_FNV: u64 = 8_426_570_410_904_100_564;
 /// The registry snapshot with `mm_pairs_evaluated` masked. Two lines moved
 /// with the schedd's lease: `mm_cycles` 42 → 18 (the 17 cycles from 10 to
 /// 170 s, which held a job ad — the six that matched among them — and the

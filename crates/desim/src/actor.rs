@@ -67,17 +67,17 @@ impl<M: 'static> dyn Actor<M> + Send {
 /// send messages (reliably or over the simulated network), draw randomness,
 /// record telemetry events, and stop the world.
 ///
-/// A `Context` is assembled from disjoint borrows of the [`crate::World`]
-/// for exactly one handler invocation: the actor's name is a borrowed
-/// `&str` and the outbox is the world's reusable buffer, so building one
-/// allocates nothing.
+/// A `Context` is assembled from disjoint borrows of one shard of a
+/// [`crate::World`] for exactly one handler invocation: the actor's name
+/// is a borrowed `&str` and the outbox is the shard's reusable buffer, so
+/// building one allocates nothing.
 pub struct Context<'a, M> {
     /// Current virtual time.
     pub now: SimTime,
     /// The id of the actor being invoked.
     pub self_id: ActorId,
     pub(crate) outbox: &'a mut Vec<(SimTime, Envelope<M>)>,
-    /// The world's random stream.
+    /// The shard's random stream (the world's, when it has one shard).
     pub rng: &'a mut SimRng,
     /// The simulated network fabric (mutable: actors may inject faults).
     pub net: &'a mut Network,
@@ -148,25 +148,6 @@ impl<'a, M: Clone> Context<'a, M> {
             }
             crate::net::Fate::Lost => false,
         }
-    }
-
-    /// Broadcast `msg` over the simulated network to every recipient.
-    /// Clones for all but the last recipient and moves the message into
-    /// the last send, so an N-way broadcast costs N-1 clones instead of N.
-    /// Returns how many recipients had at least one copy dispatched.
-    pub fn send_net_all(&mut self, recipients: &[ActorId], msg: M) -> usize {
-        let mut delivered = 0;
-        if let Some((&last, rest)) = recipients.split_last() {
-            for &to in rest {
-                if self.send_net(to, msg.clone()) {
-                    delivered += 1;
-                }
-            }
-            if self.send_net(last, msg) {
-                delivered += 1;
-            }
-        }
-        delivered
     }
 }
 

@@ -9,17 +9,21 @@
 //! Each world is reproducible: the same seed and the same actor set
 //! always produce the same history, which is what lets the test suite
 //! assert exact error-routing tables and lets every experiment in the
-//! paper reproduction be replayed bit-for-bit. Parallelism never changes
-//! output, only wall-clock, along two independent axes sharing one
-//! process-wide worker pool ([`pool`]):
+//! paper reproduction be replayed bit-for-bit. There is one engine and
+//! one tie-break: every event is keyed `(time, sender, sender's send
+//! count)` ([`EventKey`]), so same-instant deliveries — a *set* the
+//! protocol may not rely on the order of — drain in one canonical order
+//! however the world is driven. A [`World`] is the engine's one-shard
+//! case. Parallelism never changes output, only wall-clock, along two
+//! independent axes sharing one process-wide worker pool ([`pool`]):
 //!
 //! * **Across seeds** — multi-seed studies fan independent worlds across
 //!   threads with [`sweep`]; merged output is bit-identical regardless of
 //!   thread count.
-//! * **Within one world** — [`World::into_parallel`] shards a world's
-//!   actors across workers that advance simulated time in conservative
-//!   windows ([`par`]); event streams and telemetry are bit-identical to
-//!   a single-threaded drain at any thread count.
+//! * **Within one world** — [`World::into_parallel`] splits a world's
+//!   shard in n, drained by workers that advance simulated time in
+//!   conservative windows ([`par`]); output depends on the shard count,
+//!   never on the thread count, and at one shard it is the world's own.
 //!
 //! ```
 //! use desim::prelude::*;

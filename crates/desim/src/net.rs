@@ -352,11 +352,6 @@ impl Network {
         SimDuration::from_micros(min.as_micros().max(1))
     }
 
-    /// Fold another replica's delivery statistics into this one.
-    pub fn merge_stats(&mut self, other: &NetStats) {
-        self.stats.merge(other);
-    }
-
     /// Is the host offline?
     pub fn is_down(&self, h: HostId) -> bool {
         self.down.contains(&h)

@@ -1,61 +1,51 @@
-//! Deterministic intra-world parallelism: sharded actors, conservative
-//! time windows, bit-identical output at any thread count.
+//! Deterministic intra-world parallelism: a world's shard split in n,
+//! conservative time windows, bit-identical output at any thread count.
 //!
-//! A single [`World`] dispatches on one core. [`ParWorld`] converts a
-//! *built* (not yet started) world into a sharded run: actors are
-//! assigned round-robin to `shards` shards, each shard owning its own
-//! event queue, RNG stream, network replica, telemetry staging, and span
-//! range. Simulated time advances in **conservative windows** no wider
-//! than the network's minimum latency (the lookahead): inside a window,
-//! every shard drains only its own events, so shards never contend; any
-//! message to another shard is buffered and routed at the **window
-//! barrier**. Because every cross-shard message is a network send with
-//! latency ≥ the lookahead, it always lands in a *later* window — no
-//! shard can ever receive an event "from the past".
+//! A [`World`] is one `Shard`. [`World::into_parallel`] splits a *built*
+//! (not yet started) world into `shards` of them: actors round-robin
+//! (`id % shards`), each shard with its own keyed queue, random stream
+//! (shard 0 keeps the world's; shard `s > 0` forks `par-shard-{s}` from
+//! it), network replica, telemetry staging and span range. The shards run
+//! the world's own start-up routine, dispatch step and keying function;
+//! this module only drives them. Simulated time advances in
+//! **conservative windows** no wider than the network's minimum latency
+//! (the lookahead): inside a window every shard drains only its own
+//! events; a message to another shard is buffered and routed at the
+//! **window barrier**. Every cross-shard message is a network send with
+//! latency ≥ the lookahead, so it lands in a *later* window.
 //!
 //! ## Why the output is bit-identical at any thread count
 //!
-//! Thread count decides only *who* drains a shard, never *what* the
-//! shard drains:
+//! Thread count decides only *who* drains a shard, never *what* it drains:
 //!
-//! * Events are ordered by a canonical key `(time, source, per-source
-//!   seq)` ([`crate::queue::EventKey`]) that is a pure function of the
-//!   sending actor's execution — not of push order, not of which worker
-//!   delivered it to the queue. Same-time deliveries drain in source-id
-//!   order, FIFO per source.
-//! * Each shard's RNG is forked from the world seed by shard index;
-//!   each shard's span ids come from a private range re-pinned around
-//!   every drain; each shard's telemetry is staged locally and merged at
-//!   the end in `(time, shard, record)` order.
-//! * Network topology mutations made by actors (fault drivers) are
-//!   *deferred*: recorded as [`crate::net::NetOp`]s and applied to every
-//!   shard's replica — including the originator's — at the window
-//!   barrier, in shard order. All replicas are therefore identical
-//!   within any window, which keeps the window width a sound lookahead
-//!   bound even when a mutation lowers a link's latency.
-//! * A `stop_world()` takes effect at the window barrier: every shard
-//!   finishes the window, then the run stops.
+//! * Events are ordered by the canonical key `(time, source, per-source
+//!   seq)` ([`crate::queue::EventKey`]) — the only tie-break there is, a
+//!   pure function of the senders' execution, not of push order.
+//! * Each shard's RNG is fixed by the world seed and the shard index; its
+//!   span ids come from a private range re-pinned around every drain; its
+//!   telemetry is staged locally and merged at the end in
+//!   `(time, shard, record)` order.
+//! * With more than one replica, network mutations made by actors (fault
+//!   drivers) are *deferred*: recorded as [`crate::net::NetOp`]s and
+//!   applied to every replica — the originator's included — at the
+//!   barrier, in shard order. Replicas are therefore identical within a
+//!   window, which keeps its width a sound lookahead bound even when a
+//!   mutation lowers a link's latency. One replica applies them at once,
+//!   as a world does.
+//! * A `stop_world()` takes effect at the window barrier.
 //!
-//! The output is therefore a pure function of `(world, shards, window)`.
-//! "Sequential" is simply `threads = 1` of the same configuration —
-//! which is what the determinism gates compare against. (The classic
-//! [`World::run`] loop keeps its own global-FIFO tie-break and its
-//! single RNG stream, so its histories are *not* comparable to a sharded
-//! run; all its pinned artifacts are untouched by this module.)
-//!
-//! Worker scheduling rides the process-wide [`crate::pool`]: each window
-//! fans shard-drain claims out to the pool, and the driving thread
-//! claims work inline, so a saturated pool degrades to sequential
-//! draining instead of deadlocking — even when whole parallel worlds run
-//! inside a parallel sweep.
+//! The output is therefore a pure function of `(world, shards)`, and at
+//! one shard it is the world's own run: windows batch, they never reorder.
+//! Windows fan shard claims out to the process-wide [`crate::pool`] and
+//! the driving thread claims inline, so a saturated pool degrades to
+//! sequential draining instead of deadlocking.
 
-use crate::actor::{Actor, ActorId, Context, Envelope};
-use crate::net::{NetOp, NetStats, Network};
-use crate::queue::{EventKey, KeyedEventQueue};
-use crate::rng::SimRng;
+use crate::actor::{Actor, ActorId};
+use crate::net::NetStats;
 use crate::time::{SimDuration, SimTime};
-use crate::world::World;
+use crate::world::{Shard, World};
 use obs::Collector;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -83,16 +73,6 @@ pub struct ParConfig {
     pub window: Option<SimDuration>,
 }
 
-impl Default for ParConfig {
-    fn default() -> Self {
-        ParConfig {
-            shards: 8,
-            threads: crate::sweep::default_width(),
-            window: None,
-        }
-    }
-}
-
 impl ParConfig {
     /// A config with `shards` shards and `threads` threads.
     pub fn new(shards: usize, threads: usize) -> Self {
@@ -104,122 +84,22 @@ impl ParConfig {
     }
 }
 
-/// One shard: a disjoint slice of the world with everything it needs to
-/// drain a window without touching any other shard.
-struct Shard<M> {
-    /// This shard's index (fixed at conversion).
-    index: usize,
-    /// Full-length slot table; only this shard's actors are `Some`.
-    actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
-    queue: KeyedEventQueue<Envelope<M>>,
-    rng: SimRng,
-    net: Network,
-    collector: Collector,
-    /// Reused handler outbox (same discipline as [`World`]).
-    outbox: Vec<(SimTime, Envelope<M>)>,
-    /// Cross-shard sends buffered for the window barrier. Reused: drained
-    /// by the barrier, capacity kept.
-    crossbox: Vec<(EventKey, Envelope<M>)>,
-    /// Per-sender send counters (indexed by global actor id; only this
-    /// shard's actors advance theirs).
-    send_seq: Vec<u64>,
-    /// Next span id this shard allocates; bracketed around every drain.
-    span_next: u64,
-    stop: bool,
-    events: u64,
-}
-
-impl<M: 'static> Shard<M> {
-    /// Route one outgoing envelope: same shard → own queue, other shard →
-    /// crossbox (merged at the barrier). The canonical key is assigned
-    /// here, from the *sender's* counter, so it is identical no matter
-    /// which thread runs this shard.
-    #[inline]
-    fn route(&mut self, at: SimTime, env: Envelope<M>, assignment: &[usize]) {
-        let src = env.from;
-        let seq = self.send_seq[src];
-        self.send_seq[src] = seq + 1;
-        let key = EventKey {
-            at,
-            src: src as u64,
-            seq,
-        };
-        if assignment[env.to] == self.index {
-            self.queue.push(key, env);
-        } else {
-            self.crossbox.push((key, env));
-        }
-    }
-
-    /// Drain every event strictly before `end` (and not after `limit`).
-    fn drain_window(
-        &mut self,
-        end: SimTime,
-        limit: SimTime,
-        assignment: &[usize],
-        names: &[String],
-    ) {
-        let saved = obs::peek_span_id();
-        obs::reset_span_ids(self.span_next);
-        while !self.stop {
-            let Some(t) = self.queue.peek_time() else {
-                break;
-            };
-            if t >= end || t > limit {
-                break;
-            }
-            let (key, env) = self.queue.pop().expect("peeked");
-            self.events += 1;
-            let Some(slot) = self.actors.get_mut(env.to) else {
-                continue; // message to a never-registered actor: dropped
-            };
-            let Some(mut actor) = slot.take() else {
-                continue;
-            };
-            {
-                let mut ctx = Context {
-                    now: key.at,
-                    self_id: env.to,
-                    outbox: &mut self.outbox,
-                    rng: &mut self.rng,
-                    net: &mut self.net,
-                    collector: &mut self.collector,
-                    actor_name: &names[env.to],
-                    stop_requested: &mut self.stop,
-                };
-                actor.on_message(env.from, env.msg, &mut ctx);
-            }
-            self.actors[env.to] = Some(actor);
-            // drain(..) preserves send order (per-sender seq depends on
-            // it) and keeps the buffer's capacity, same as `World::step`.
-            let mut outbox = std::mem::take(&mut self.outbox);
-            for (at, env) in outbox.drain(..) {
-                self.route(at, env, assignment);
-            }
-            self.outbox = outbox;
-        }
-        self.span_next = obs::peek_span_id();
-        obs::reset_span_ids(saved);
-    }
-}
-
-/// State shared between the driver and the pool helpers of one window.
-struct WindowJob<M> {
+/// One window's work, shared between the driver and the pool helpers.
+struct WindowJob<M, F> {
     shards: Arc<Vec<Mutex<Shard<M>>>>,
-    assignment: Arc<Vec<usize>>,
     names: Arc<Vec<String>>,
+    work: F,
     next: AtomicUsize,
     done: Mutex<usize>,
     done_cv: Condvar,
-    end: SimTime,
-    limit: SimTime,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-impl<M: 'static> WindowJob<M> {
-    /// The claim loop: grab unclaimed shards and drain them. Run by the
-    /// driver inline and by any pool helpers that arrive in time; every
-    /// shard is drained exactly once regardless of who shows up.
+impl<M: 'static, F: Fn(&mut Shard<M>, &[String])> WindowJob<M, F> {
+    /// The claim loop: grab unclaimed shards and run the work on each,
+    /// span ids pinned to the shard's own range. Run by the driver inline
+    /// and by any pool helpers that arrive in time; every shard is worked
+    /// exactly once regardless of who shows up.
     fn drain_claims(&self) {
         loop {
             let s = self.next.fetch_add(1, Ordering::SeqCst);
@@ -228,7 +108,11 @@ impl<M: 'static> WindowJob<M> {
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let mut shard = self.shards[s].lock().expect("shard mutex");
-                shard.drain_window(self.end, self.limit, &self.assignment, &self.names);
+                let saved = obs::peek_span_id();
+                obs::reset_span_ids(shard.span_next);
+                (self.work)(&mut shard, &self.names);
+                shard.span_next = obs::peek_span_id();
+                obs::reset_span_ids(saved);
             }));
             if let Err(payload) = result {
                 let mut slot = self.panic.lock().expect("panic slot");
@@ -240,7 +124,7 @@ impl<M: 'static> WindowJob<M> {
         }
     }
 
-    /// Block until every shard of this window is drained, then surface
+    /// Block until every shard of this window is worked, then surface
     /// any panic from a drain on the caller.
     fn wait_all_done(&self) {
         let mut d = self.done.lock().expect("done counter");
@@ -259,7 +143,6 @@ impl<M: 'static> WindowJob<M> {
 /// dismantled with [`ParWorld::finish`].
 pub struct ParWorld<M> {
     shards: Arc<Vec<Mutex<Shard<M>>>>,
-    assignment: Arc<Vec<usize>>,
     names: Arc<Vec<String>>,
     threads: usize,
     window: Option<SimDuration>,
@@ -272,89 +155,62 @@ pub struct ParWorld<M> {
 }
 
 impl<M: Send + 'static> World<M> {
-    /// Convert a built world into a sharded parallel run. Must be called
-    /// before the world starts (no events dispatched yet); injected
-    /// messages carry over.
+    /// Split a built world into `cfg.shards` shards for a windowed run.
+    /// Must be called before the world starts (no events dispatched yet);
+    /// injected messages carry over.
     pub fn into_parallel(self, cfg: ParConfig) -> ParWorld<M> {
-        ParWorld::from_world(self, cfg)
+        assert!(!self.started, "a world is split before it starts");
+        let (mut first, names) = (self.shard, self.names);
+        let n = names.len();
+        let count = cfg.shards.min(n).max(1);
+        let staging = |c: &Collector| {
+            if c.is_enabled() {
+                Collector::with_capacity(c.capacity())
+            } else {
+                Collector::disabled()
+            }
+        };
+        let staged = staging(&first.collector);
+        let master_collector = std::mem::replace(&mut first.collector, staged);
+        first.net.set_op_recording(count > 1);
+        // Injections so far reach their shards at the start-up barrier.
+        while let Some(injected) = first.queue.pop() {
+            first.crossbox.push(injected);
+        }
+        let mut shards = Vec::with_capacity(count);
+        for s in 1..count {
+            let rng = first.rng.fork(&format!("par-shard-{s}"));
+            let mut shard = Shard::new(rng, first.net.clone(), staging(&first.collector));
+            let mine = |id: usize| first.actors[id].take_if(|_| id % count == s);
+            shard.actors = (0..n).map(mine).collect();
+            shard.sent = vec![0; n];
+            shard.census_kind = first.census_kind;
+            shards.push(shard);
+        }
+        shards.insert(0, first);
+        let span_base = obs::peek_span_id();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            (shard.index, shard.shards) = (s, count);
+            shard.span_next = span_base + (s as u64) * SHARD_SPAN_STRIDE;
+        }
+        ParWorld {
+            now: shards[0].now,
+            shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
+            names: Arc::new(names),
+            threads: cfg.threads.max(1),
+            window: cfg.window,
+            started: false,
+            stopped: false,
+            master_collector,
+        }
     }
 }
 
 impl<M: Send + 'static> ParWorld<M> {
-    fn from_world(mut world: World<M>, cfg: ParConfig) -> ParWorld<M> {
-        assert!(
-            !world.started,
-            "a world must be converted to a ParWorld before it starts"
-        );
-        let n = world.actors.len();
-        let shards_n = cfg.shards.max(1).min(n.max(1));
-        let assignment: Vec<usize> = (0..n).map(|id| id % shards_n).collect();
-        let span_base = obs::peek_span_id();
-
-        let mut shards: Vec<Shard<M>> = (0..shards_n)
-            .map(|s| Shard {
-                index: s,
-                actors: (0..n).map(|_| None).collect(),
-                queue: KeyedEventQueue::new(),
-                rng: world.rng.fork(&format!("par-shard-{s}")),
-                net: {
-                    let mut replica = world.net.clone();
-                    replica.set_op_recording(true);
-                    replica
-                },
-                collector: if world.collector.is_enabled() {
-                    Collector::with_capacity(world.collector.capacity())
-                } else {
-                    Collector::disabled()
-                },
-                outbox: Vec::new(),
-                crossbox: Vec::new(),
-                send_seq: vec![0; n],
-                span_next: span_base + (s as u64) * SHARD_SPAN_STRIDE,
-                stop: false,
-                events: 0,
-            })
-            .collect();
-
-        for (id, slot) in world.actors.iter_mut().enumerate() {
-            let actor = slot.take().expect("actor present before start");
-            shards[assignment[id]].actors[id] = Some(actor);
-        }
-
-        // Injections made before conversion: external sources order after
-        // every actor at the same instant, in injection order.
-        let mut inject_seq = 0u64;
-        while let Some((at, env)) = world.queue.pop() {
-            let key = EventKey {
-                at,
-                src: EventKey::EXTERNAL,
-                seq: inject_seq,
-            };
-            inject_seq += 1;
-            shards[assignment[env.to]].queue.push(key, env);
-        }
-
-        ParWorld {
-            shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
-            assignment: Arc::new(assignment),
-            names: Arc::new(std::mem::take(&mut world.names)),
-            threads: cfg.threads.max(1),
-            window: cfg.window,
-            now: world.now,
-            started: false,
-            stopped: false,
-            master_collector: std::mem::replace(&mut world.collector, Collector::disabled()),
-        }
-    }
-
-    /// Current virtual time (the window frontier).
+    /// Current virtual time: the deadline of the last
+    /// [`ParWorld::run_until`].
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total events processed so far, across all shards.
@@ -381,247 +237,163 @@ impl<M: Send + 'static> ParWorld<M> {
     /// Inspect a concrete actor between runs (e.g. "is the schedd done?"
     /// from a slice-driving harness).
     pub fn with_actor<T: Actor<M>, R>(&self, id: ActorId, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let shard = self
-            .shards
-            .get(*self.assignment.get(id)?)?
-            .lock()
-            .expect("shard mutex");
+        let shard = self.shards.get(id % self.shards.len())?;
+        let shard = shard.lock().expect("shard mutex");
         let actor = shard.actors.get(id)?.as_deref()?;
         actor.downcast_ref::<T>().map(f)
     }
 
-    /// The registered display name of an actor.
-    pub fn name_of(&self, id: ActorId) -> &str {
-        &self.names[id]
-    }
-
-    /// Run every actor's `on_start`, sequentially in actor-id order, each
-    /// against its own shard's context — so startup is a pure function of
-    /// the world, independent of threads.
+    /// Run every actor's `on_start` — each shard's actors in id order
+    /// against that shard — as one window, on this thread: start-up is
+    /// where the actors allocate, and on `fed_scale_par` spreading it over
+    /// two threads bought no measurable time for ~10 MB of peak RSS (a
+    /// second allocator arena's worth).
     fn start_if_needed(&mut self) {
-        if self.started {
-            return;
+        if !self.started {
+            self.started = true;
+            self.window(self.now, 1, |shard, names| shard.start(names));
         }
-        self.started = true;
-        let mut routed: Vec<(usize, EventKey, Envelope<M>)> = Vec::new();
-        for id in 0..self.assignment.len() {
-            let s = self.assignment[id];
-            let mut guard = self.shards[s].lock().expect("shard mutex");
-            let shard = &mut *guard;
-            let Some(mut actor) = shard.actors[id].take() else {
-                continue;
+    }
+
+    /// Run `work` on every shard over up to `threads` threads, then merge
+    /// at the barrier: deliveries that crossed shards (each after `last`,
+    /// the lookahead contract) into their shards' queues, deferred network
+    /// mutations into every replica in shard order, and any stop into the
+    /// run.
+    fn window(
+        &mut self,
+        last: SimTime,
+        threads: usize,
+        work: impl Fn(&mut Shard<M>, &[String]) + Send + Sync + 'static,
+    ) {
+        let job = Arc::new(WindowJob {
+            shards: Arc::clone(&self.shards),
+            names: Arc::clone(&self.names),
+            work,
+            next: AtomicUsize::new(0),
+            done: Mutex::new(0),
+            done_cv: Condvar::new(),
+            panic: Mutex::new(None),
+        });
+        // Helpers are *optional* claimers: if the pool is saturated, the
+        // inline loop below works every shard by itself.
+        let helpers = threads.min(self.shards.len()) - 1;
+        for _ in 0..helpers {
+            let job = Arc::clone(&job);
+            crate::pool::spawn(move || job.drain_claims());
+        }
+        job.drain_claims();
+        job.wait_all_done();
+
+        let mut ops = Vec::new();
+        for shard in self.shards.iter() {
+            let mut crossed = {
+                let mut shard = shard.lock().expect("shard mutex");
+                ops.append(&mut shard.net.take_pending_ops());
+                self.stopped |= shard.stop;
+                std::mem::take(&mut shard.crossbox)
             };
-            let saved = obs::peek_span_id();
-            obs::reset_span_ids(shard.span_next);
-            {
-                let mut ctx = Context {
-                    now: self.now,
-                    self_id: id,
-                    outbox: &mut shard.outbox,
-                    rng: &mut shard.rng,
-                    net: &mut shard.net,
-                    collector: &mut shard.collector,
-                    actor_name: &self.names[id],
-                    stop_requested: &mut shard.stop,
-                };
-                actor.on_start(&mut ctx);
+            for (key, env) in crossed.drain(..) {
+                assert!(
+                    key.at > last,
+                    "lookahead violation: a cross-shard delivery at {} lands inside the \
+                     window that ends at {} — some message bypassed the network's minimum \
+                     latency (reliable send_after across shards?); widen the latency floor \
+                     or run with one shard",
+                    key.at,
+                    last,
+                );
+                let target = &self.shards[env.to % self.shards.len()];
+                target.lock().expect("shard mutex").queue.push(key, env);
             }
-            shard.span_next = obs::peek_span_id();
-            obs::reset_span_ids(saved);
-            shard.actors[id] = Some(actor);
-            // Assign canonical keys now (sender's counters live here);
-            // push after the lock drops — targets may be other shards.
-            let mut outbox = std::mem::take(&mut shard.outbox);
-            for (at, env) in outbox.drain(..) {
-                let src = env.from;
-                let seq = shard.send_seq[src];
-                shard.send_seq[src] = seq + 1;
-                let key = EventKey {
-                    at,
-                    src: src as u64,
-                    seq,
-                };
-                routed.push((self.assignment[env.to], key, env));
-            }
-            shard.outbox = outbox;
-            drop(guard);
-            for (target, key, env) in routed.drain(..) {
-                self.shards[target]
-                    .lock()
-                    .expect("shard mutex")
-                    .queue
-                    .push(key, env);
-            }
+            shard.lock().expect("shard mutex").crossbox = crossed;
         }
-        // Startup topology mutations replicate before the first window.
-        self.replicate_net_ops();
-        self.collect_stop();
-    }
-
-    /// Gather deferred net ops from every shard (in shard order) and
-    /// apply them to every replica — the single point where topology
-    /// changes take effect.
-    fn replicate_net_ops(&self) {
-        let mut ops: Vec<NetOp> = Vec::new();
-        for s in self.shards.iter() {
-            ops.append(&mut s.lock().expect("shard mutex").net.take_pending_ops());
-        }
-        if ops.is_empty() {
-            return;
-        }
-        for s in self.shards.iter() {
-            let mut shard = s.lock().expect("shard mutex");
-            for op in &ops {
-                shard.net.apply_op(op);
-            }
-        }
-    }
-
-    fn collect_stop(&mut self) {
-        for s in self.shards.iter() {
-            if s.lock().expect("shard mutex").stop {
-                self.stopped = true;
-            }
-        }
-    }
-
-    /// The earliest pending event time across all shards.
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.lock().expect("shard mutex").queue.peek_time())
-            .min()
-    }
-
-    /// The current window width: the configured override, or the
-    /// network's minimum latency (recomputed every barrier, so fault
-    /// drivers lowering a link's latency shrink the lookahead with it).
-    fn window_width(&self) -> SimDuration {
-        match self.window {
-            Some(w) => SimDuration::from_micros(w.as_micros().max(1)),
-            None => self.shards[0]
-                .lock()
-                .expect("shard mutex")
-                .net
-                .min_latency(),
+        for shard in self.shards.iter().filter(|_| !ops.is_empty()) {
+            let mut shard = shard.lock().expect("shard mutex");
+            ops.iter().for_each(|op| shard.net.apply_op(op));
         }
     }
 
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed), the queues drain, or an actor stops the
-    /// world. Returns the number of events processed by this call.
+    /// world; the clock then reads at least `deadline`, as a world's does.
+    /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start_if_needed();
-        let before: u64 = self.events_processed();
+        let before = self.events_processed();
         while !self.stopped {
             // Jump the window to the global next event — quiet stretches
             // of simulated time cost nothing.
-            let Some(t) = self.next_event_time() else {
+            let Some(t) = self
+                .shards
+                .iter()
+                .filter_map(|s| s.lock().expect("shard mutex").queue.peek_time())
+                .min()
+            else {
                 break;
             };
             if t > deadline {
                 break;
             }
-            let end = t + self.window_width();
-            let job = Arc::new(WindowJob {
-                shards: Arc::clone(&self.shards),
-                assignment: Arc::clone(&self.assignment),
-                names: Arc::clone(&self.names),
-                next: AtomicUsize::new(0),
-                done: Mutex::new(0),
-                done_cv: Condvar::new(),
-                end,
-                limit: deadline,
-                panic: Mutex::new(None),
+            // The window: the override, or the network's minimum latency
+            // now (fault drivers may have lowered it), cut at the deadline.
+            let lookahead = self.shards[0]
+                .lock()
+                .expect("shard mutex")
+                .net
+                .min_latency();
+            let width = self.window.unwrap_or(lookahead).as_micros().max(1);
+            let last = (t + SimDuration::from_micros(width - 1)).min(deadline);
+            self.window(last, self.threads, move |shard, names| {
+                shard.drain(last, names)
             });
-            // Helpers are *optional* claimers: if the pool is saturated,
-            // the inline loop below drains everything by itself.
-            let helpers = self
-                .threads
-                .saturating_sub(1)
-                .min(self.shards.len().saturating_sub(1));
-            for _ in 0..helpers {
-                let job = Arc::clone(&job);
-                crate::pool::spawn(move || job.drain_claims());
-            }
-            job.drain_claims();
-            job.wait_all_done();
-            self.barrier_merge(end);
-            self.now = end;
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.now = self.now.max(deadline);
         self.events_processed() - before
     }
 
-    /// The window barrier: route buffered cross-shard deliveries into
-    /// their target shards' queues (asserting the lookahead invariant)
-    /// and replicate topology mutations. Runs on the driving thread only.
-    fn barrier_merge(&mut self, window_end: SimTime) {
-        let mut crossed: Vec<(EventKey, Envelope<M>)> = Vec::new();
-        for s in self.shards.iter() {
-            crossed.append(&mut s.lock().expect("shard mutex").crossbox);
-        }
-        for (key, env) in crossed {
-            assert!(
-                key.at >= window_end,
-                "lookahead violation: a cross-shard delivery at {} lands inside the window \
-                 ending at {} — some message bypassed the network's minimum latency \
-                 (reliable send_after across shards?); widen the latency floor or run \
-                 with one shard",
-                key.at,
-                window_end,
-            );
-            self.shards[self.assignment[env.to]]
-                .lock()
-                .expect("shard mutex")
-                .queue
-                .push(key, env);
-        }
-        self.replicate_net_ops();
-        self.collect_stop();
-    }
-
-    /// Dismantle the run: merge every shard's telemetry and network
-    /// statistics into one deterministic stream (ordered by `(time, shard,
-    /// record)`) and hand back the actors for inspection.
+    /// Dismantle the run: merge every shard's telemetry, network
+    /// statistics and census into one deterministic account (telemetry
+    /// ordered by `(time, shard, record)`) and hand back the actors for
+    /// inspection.
     pub fn finish(self) -> ParFinished<M> {
         let mut actors: Vec<Option<Box<dyn Actor<M> + Send>>> =
-            (0..self.assignment.len()).map(|_| None).collect();
-        let mut collector = self.master_collector;
+            (0..self.names.len()).map(|_| None).collect();
+        let mut telemetry = self.master_collector;
         let mut net_stats = NetStats::default();
+        let mut census = BTreeMap::new();
         let mut events_processed = 0;
 
-        // (at, shard, in-shard order) — each shard's stream is already
-        // time-sorted, so a stable sort on time alone yields exactly that
-        // order. Records re-record through the master collector so
-        // interning and ring eviction happen once, deterministically.
-        let mut staged: Vec<(u64, obs::EventRecord)> = Vec::new();
+        // Each shard's stream is already time-sorted, so a stable sort on
+        // time alone yields `(at, shard, in-shard order)`. Records
+        // re-record through the master collector so interning and ring
+        // eviction happen once, deterministically.
+        let mut staged: Vec<obs::EventRecord> = Vec::new();
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("shard mutex");
             events_processed += shard.events;
             net_stats.merge(shard.net.stats());
-            for r in shard.collector.iter() {
-                let rec = r.to_record();
-                staged.push((rec.at_us, rec));
+            for (kind, count) in &shard.census {
+                *census.entry(*kind).or_default() += count;
             }
+            staged.extend(shard.collector.iter().map(|r| r.to_record()));
             for (id, slot) in shard.actors.iter_mut().enumerate() {
                 if let Some(actor) = slot.take() {
                     actors[id] = Some(actor);
                 }
             }
         }
-        staged.sort_by_key(|(at, _)| *at);
-        for (_, rec) in staged {
-            collector.record(rec.at_us, &rec.actor, rec.event);
+        staged.sort_by_key(|rec| rec.at_us);
+        for rec in staged {
+            telemetry.record(rec.at_us, &rec.actor, rec.event);
         }
 
         ParFinished {
             actors,
             names: Arc::try_unwrap(self.names).unwrap_or_else(|a| (*a).clone()),
-            telemetry: collector,
+            telemetry,
             net_stats,
+            census,
             events_processed,
             now: self.now,
         }
@@ -637,6 +409,10 @@ pub struct ParFinished<M> {
     pub telemetry: Collector,
     /// Per-link delivery statistics summed across shard replicas.
     pub net_stats: NetStats,
+    /// Deliveries per kind summed across shards, as
+    /// [`World::census`] would read (empty unless the world was told to
+    /// [`World::count_deliveries_by`]).
+    pub census: BTreeMap<&'static str, u64>,
     /// Total events processed across all shards.
     pub events_processed: u64,
     /// Virtual time when the run ended.
@@ -658,6 +434,7 @@ impl<M: 'static> ParFinished<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
     use obs::Event;
 
     #[derive(Debug, Clone)]
@@ -947,5 +724,99 @@ mod tests {
         w.inject(a, Msg::Kick);
         let mut pw = w.into_parallel(ParConfig::new(2, 1));
         pw.run_until(SimTime::from_millis(5));
+    }
+
+    /// The clock stops at the deadline on every shard count: an event at
+    /// exactly `h` runs, one at `h` + 1 µs waits for the next call.
+    #[test]
+    fn run_until_stops_the_clock_at_the_deadline() {
+        let h = SimTime::from_millis(5);
+        let after = h + SimDuration::from_micros(1);
+        for shards in [1, 2, 4] {
+            let mut w: World<Msg> = World::new(1);
+            w.add_actor(Box::new(Sink { got: 0 }));
+            let r = w.add_actor(Box::new(Recorder { got: Vec::new() }));
+            w.inject_after(SimDuration::from_millis(5), r, Msg::Hop(0));
+            w.inject_after(SimDuration::from_micros(5_001), r, Msg::Hop(1));
+            let mut pw = w.into_parallel(ParConfig::new(shards, 2));
+            let got = |pw: &ParWorld<Msg>| pw.with_actor(r, |x: &Recorder| x.got.clone());
+            assert_eq!(pw.run_until(h), 1, "{shards} shards");
+            assert_eq!((pw.now(), got(&pw)), (h, Some(vec![0])), "{shards} shards");
+            assert_eq!(pw.run_until(after), 1, "{shards} shards");
+            assert_eq!((pw.now(), got(&pw)), (after, Some(vec![0, 1])));
+        }
+    }
+
+    #[test]
+    fn two_successive_runs_are_one_long_one() {
+        let run = |deadlines: &[u64]| {
+            let mut pw = gossip_world(7, 12).into_parallel(ParConfig::new(2, 2));
+            for &us in deadlines {
+                pw.run_until(SimTime::from_micros(us));
+            }
+            let fin = pw.finish();
+            (fin.telemetry.to_jsonl(), fin.events_processed, fin.now)
+        };
+        let whole = run(&[40_000]);
+        assert_eq!(whole.2, SimTime::from_millis(40));
+        // Cut on an instant that holds events, just after one, and twice.
+        for cuts in [
+            &[7_000, 40_000][..],
+            &[7_001, 40_000],
+            &[999, 12_000, 40_000],
+        ] {
+            assert_eq!(run(cuts), whole, "cut at {cuts:?}");
+        }
+    }
+
+    fn kind(m: &Msg) -> &'static str {
+        match m {
+            Msg::Hop(_) => "hop",
+            Msg::Probe => "probe",
+            Msg::Kick => "kick",
+        }
+    }
+
+    /// A world and its one-shard parallel run are one run, bit for bit —
+    /// a fault driver included: at 10 ms it downs the sink in the instant
+    /// the beacon, a later sender, probes it, so the probe is lost only if
+    /// the mutation applies at once, as a world applies it.
+    #[test]
+    fn a_world_is_its_own_one_shard_run() {
+        let build = || {
+            let mut w = gossip_world(5, 8);
+            w.add_actor(Box::new(Downer { victim: 10 }));
+            w.add_actor(Box::new(Beacon { to: 10, sent: 0 }));
+            w.add_actor(Box::new(Sink { got: 0 }));
+            w.count_deliveries_by(kind);
+            w
+        };
+        let horizon = SimTime::from_millis(40);
+        obs::reset_span_ids(0);
+        let mut world = build();
+        world.run_until(horizon);
+        let net = world.net().stats().clone();
+        assert!(net.dropped_total() > 0, "the fault must bite");
+        let want = (
+            world.telemetry().to_jsonl(),
+            world.events_processed(),
+            world.now(),
+            net,
+            world.census(),
+        );
+        for threads in [1, 2] {
+            obs::reset_span_ids(0);
+            let mut pw = build().into_parallel(ParConfig::new(1, threads));
+            pw.run_until(horizon);
+            let fin = pw.finish();
+            let got = (
+                fin.telemetry.to_jsonl(),
+                fin.events_processed,
+                fin.now,
+                fin.net_stats,
+                fin.census,
+            );
+            assert_eq!(got, want, "{threads} thread(s)");
+        }
     }
 }

@@ -1,72 +1,130 @@
-//! The pending-event set.
+//! The pending-event set: one heap, one key.
 //!
-//! A priority queue of `(SimTime, E)` ordered by time, with a strictly
-//! increasing sequence number breaking ties so that events scheduled at the
-//! same instant pop in FIFO order. Determinism of the whole simulator rests
-//! on this tie-break.
+//! Every event is ordered by its [`EventKey`] `(time, source, per-source
+//! seq)`: the caller supplies the key, so the pop order is a pure function
+//! of the key *set*, independent of the order events were pushed. That is
+//! the engine's only tie-break — same-instant deliveries drain in
+//! source-id order, FIFO per source — and its push-order independence is
+//! what lets cross-shard deliveries merge at a window barrier in any
+//! arrival order and still drain identically.
 //!
 //! The backing store is a hand-rolled **4-ary min-heap** rather than
 //! `std::collections::BinaryHeap`. The simulator's pop-one/push-a-few
 //! cadence spends most of its queue time sifting; a 4-ary layout halves
 //! the tree depth (fewer key comparisons resolve to fewer cache lines
 //! touched per sift) and keys compare directly with no `Ord`-inversion
-//! wrapper.
-//!
-//! Two queue flavors share the heap core:
-//!
-//! * [`EventQueue`] — the classic single-threaded queue, keyed
-//!   `(time, push-seq)`: ties pop in *push* order. Its tie-break depends
-//!   on global push order, which only exists on one thread.
-//! * [`KeyedEventQueue`] — the sharded engine's queue, keyed
-//!   `(time, source, per-source seq)`: the caller supplies the key, so
-//!   the pop order is a pure function of the key *set*, independent of
-//!   the order events were pushed. That push-order independence is what
-//!   lets cross-shard deliveries merge at a window barrier in any
-//!   arrival order and still drain identically.
+//! wrapper. A stored key is one 16-byte integer: the time in the high
+//! word, the source and sequence packed into the low one (source in its
+//! top 24 bits), so a comparison is one wide compare.
 
 use crate::time::SimTime;
 
 const ARITY: usize = 4;
+const SEQ_BITS: u32 = 40;
 
-/// The heap core: a 4-ary min-heap over `(K, E)` ordered by `K` alone.
-/// Callers must guarantee key uniqueness if they need a total order.
-struct Heap<K, E> {
-    items: Vec<(K, E)>,
+/// The canonical ordering key of one event: `(time, source, per-source
+/// sequence)`.
+///
+/// `source` is the sender's actor id (or [`EventKey::EXTERNAL`] for
+/// injections from outside the world) and `seq` counts that sender's sends
+/// from the start of the run — so the key is unique, per-sender FIFO is
+/// preserved at equal times, and the total order does not depend on which
+/// shard pushed the event first. Sources are below 2²⁴ and sequences below
+/// 2⁴⁰ (the world asserts the first at `add_actor`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// Delivery time.
+    pub at: SimTime,
+    /// Sender's actor id, or [`EventKey::EXTERNAL`].
+    pub src: u64,
+    /// The sender's send counter at the moment of sending.
+    pub seq: u64,
 }
 
-impl<K: Ord + Copy, E> Heap<K, E> {
-    fn new() -> Self {
-        Heap { items: Vec::new() }
+impl EventKey {
+    /// The `src` of events injected from outside any actor: the largest
+    /// source, so it orders after every real sender at the same instant.
+    pub const EXTERNAL: u64 = (1 << 24) - 1;
+
+    /// The keying function: `src`'s next send at `at`, advancing `sent`,
+    /// the count of `src`'s sends so far.
+    #[inline]
+    pub(crate) fn next(at: SimTime, src: u64, sent: &mut u64) -> EventKey {
+        let seq = *sent;
+        *sent += 1;
+        EventKey { at, src, seq }
     }
 
-    fn push(&mut self, key: K, event: E) {
-        self.items.push((key, event));
+    #[inline]
+    fn packed(self) -> u128 {
+        debug_assert!(self.src <= Self::EXTERNAL && self.seq >> SEQ_BITS == 0);
+        (u128::from(self.at.as_micros()) << 64) | u128::from(self.src << SEQ_BITS | self.seq)
+    }
+
+    #[inline]
+    fn unpacked(packed: u128) -> EventKey {
+        let (at, word) = ((packed >> 64) as u64, packed as u64);
+        let seq = word & ((1 << SEQ_BITS) - 1);
+        EventKey {
+            at: SimTime::from_micros(at),
+            src: word >> SEQ_BITS,
+            seq,
+        }
+    }
+}
+
+/// A deterministic time-ordered event queue whose tie-break is the
+/// caller-supplied [`EventKey`] — see the module docs.
+pub struct KeyedEventQueue<E> {
+    items: Vec<(u128, E)>,
+}
+
+impl<E> Default for KeyedEventQueue<E> {
+    fn default() -> Self {
+        KeyedEventQueue::new()
+    }
+}
+
+impl<E> KeyedEventQueue<E> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        KeyedEventQueue { items: Vec::new() }
+    }
+
+    /// Schedule `event` under `key`. Keys must be unique across the run
+    /// (guaranteed when `seq` is a per-`src` counter).
+    pub fn push(&mut self, key: EventKey, event: E) {
+        self.items.push((key.packed(), event));
         self.sift_up(self.items.len() - 1);
     }
 
-    fn pop(&mut self) -> Option<(K, E)> {
+    /// Remove and return the earliest event with its key.
+    pub fn pop(&mut self) -> Option<(EventKey, E)> {
         if self.items.is_empty() {
             return None;
         }
         let last = self.items.len() - 1;
         self.items.swap(0, last);
-        let entry = self.items.pop().expect("non-empty");
+        let (packed, event) = self.items.pop().expect("non-empty");
         if !self.items.is_empty() {
             self.sift_down(0);
         }
-        Some(entry)
+        Some((EventKey::unpacked(packed), event))
     }
 
-    fn peek_key(&self) -> Option<K> {
-        self.items.first().map(|e| e.0)
+    /// The time of the earliest event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.items.first().map(|e| EventKey::unpacked(e.0).at)
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.items.len()
     }
 
-    fn clear(&mut self) {
-        self.items.clear();
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -104,137 +162,37 @@ impl<K: Ord + Copy, E> Heap<K, E> {
     }
 }
 
-/// A deterministic time-ordered event queue.
-pub struct EventQueue<E> {
-    heap: Heap<(SimTime, u64), E>,
-    seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
+/// Push-order ties over the one heap (each push is one source's next send,
+/// so equal times pop first in, first out). The engine does not use it: it
+/// is kept only for the frozen ledger's `probe.desim.queue_mops_per_s`
+/// until ROADMAP 1(e–f), as `World::without_trace` is for its callers.
+#[derive(Default)]
+pub struct EventQueue<E>(KeyedEventQueue<E>, u64);
 
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: Heap::new(),
-            seq: 0,
-        }
+        EventQueue(KeyedEventQueue::new(), 0)
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at `at`, behind everything already pushed for `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push((at, seq), event);
+        self.0.push(EventKey::next(at, 0, &mut self.1), event);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|((at, _), e)| (at, e))
-    }
-
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek_key().map(|(at, _)| at)
+        self.0.pop().map(|(key, event)| (key.at, event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.0.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.len() == 0
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-/// The canonical ordering key of one event in the sharded engine:
-/// `(time, source, per-source sequence)`.
-///
-/// `source` is the sender's global actor id (or [`EventKey::EXTERNAL`] for
-/// injections from outside the world) and `seq` counts that sender's sends
-/// from the start of the run — so the key is unique, per-sender FIFO is
-/// preserved at equal times, and the total order does not depend on which
-/// shard pushed the event first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EventKey {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Sender's global actor id, or [`EventKey::EXTERNAL`].
-    pub src: u64,
-    /// The sender's send counter at the moment of sending.
-    pub seq: u64,
-}
-
-impl EventKey {
-    /// The `src` of events injected from outside any actor. Orders after
-    /// every real sender at the same instant.
-    pub const EXTERNAL: u64 = u64::MAX;
-}
-
-/// A deterministic event queue whose tie-break is the caller-supplied
-/// [`EventKey`] rather than push order — see the module docs for why the
-/// sharded engine needs this.
-pub struct KeyedEventQueue<E> {
-    heap: Heap<EventKey, E>,
-}
-
-impl<E> Default for KeyedEventQueue<E> {
-    fn default() -> Self {
-        KeyedEventQueue::new()
-    }
-}
-
-impl<E> KeyedEventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        KeyedEventQueue { heap: Heap::new() }
-    }
-
-    /// Schedule `event` under `key`. Keys must be unique across the run
-    /// (guaranteed when `seq` is a per-`src` counter).
-    pub fn push(&mut self, key: EventKey, event: E) {
-        self.heap.push(key, event);
-    }
-
-    /// Remove and return the earliest event with its key.
-    pub fn pop(&mut self) -> Option<(EventKey, E)> {
-        self.heap.pop()
-    }
-
-    /// The key of the earliest event without removing it.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek_key()
-    }
-
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek_key().map(|k| k.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.len() == 0
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
+        self.0.is_empty()
     }
 }
 
@@ -258,31 +216,25 @@ mod tests {
     fn simultaneous_events_pop_fifo() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
+        q.push(SimTime::from_secs(2), 100);
         for i in 0..100 {
             q.push(t, i);
         }
+        assert_eq!(q.len(), 101);
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t, i)));
         }
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 100)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), ());
+        let mut q = KeyedEventQueue::new();
+        q.push(key(5_000_000, 0, 0), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -294,42 +246,6 @@ mod tests {
         q.push(SimTime::from_secs(5), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn matches_reference_model_under_random_interleaving() {
-        // Differential test: a sorted-Vec model must agree with the heap
-        // on every pop across a deterministic pseudo-random push/pop mix.
-        let mut q = EventQueue::new();
-        // (at, seq, payload); seq == payload == round, the insertion index.
-        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
-        let mut state: u64 = 0x2545_F491_4F6C_DD1D;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for round in 0..2000u64 {
-            let t = SimTime::from_micros(next() % 50);
-            q.push(t, round);
-            model.push((t, round, round));
-            if next() % 3 == 0 {
-                let got = q.pop();
-                let want = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| (e.0, e.1))
-                    .map(|(i, _)| i);
-                let want = want.map(|i| model.remove(i));
-                assert_eq!(got, want.map(|(at, _, payload)| (at, payload)));
-            }
-        }
-        model.sort_by_key(|e| (e.0, e.1));
-        for (at, _, payload) in model {
-            assert_eq!(q.pop(), Some((at, payload)));
-        }
-        assert_eq!(q.pop(), None);
     }
 
     fn key(at_us: u64, src: u64, seq: u64) -> EventKey {
@@ -385,5 +301,56 @@ mod tests {
         q.push(key(1, 3, 99), "sent");
         assert_eq!(q.pop().unwrap().1, "sent");
         assert_eq!(q.pop().unwrap().1, "injected");
+    }
+
+    #[test]
+    fn packing_keeps_the_widest_source_and_sequence() {
+        let widest = key(u64::MAX, EventKey::EXTERNAL, (1 << SEQ_BITS) - 1);
+        let mut q = KeyedEventQueue::new();
+        q.push(widest, ());
+        q.push(
+            key(u64::MAX, EventKey::EXTERNAL - 1, (1 << SEQ_BITS) - 1),
+            (),
+        );
+        q.push(key(u64::MAX, EventKey::EXTERNAL, 0), ());
+        let popped: Vec<EventKey> = std::iter::from_fn(|| q.pop()).map(|(k, _)| k).collect();
+        assert_eq!(popped[2], widest);
+        assert!(popped.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn matches_reference_model_under_random_interleaving() {
+        // Differential test: a sorted-Vec model must agree with the heap
+        // on every pop across a deterministic pseudo-random push/pop mix.
+        let mut q = KeyedEventQueue::new();
+        let mut model: Vec<EventKey> = Vec::new();
+        let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut sent = [0u64; 7];
+        for _ in 0..2000u64 {
+            let src = next() % 7;
+            let k = EventKey::next(
+                SimTime::from_micros(next() % 50),
+                src,
+                &mut sent[src as usize],
+            );
+            q.push(k, k);
+            model.push(k);
+            if next() % 3 == 0 {
+                model.sort();
+                let want = (!model.is_empty()).then(|| model.remove(0));
+                assert_eq!(q.pop().map(|(k, _)| k), want);
+            }
+        }
+        model.sort();
+        for k in model {
+            assert_eq!(q.pop(), Some((k, k)));
+        }
+        assert_eq!(q.pop(), None);
     }
 }

@@ -1,8 +1,21 @@
-//! The simulation world: actors, clock, event loop.
+//! The simulation engine: actors, clock, event loop — one shard of them.
+//!
+//! A [`World`] is the one-shard case of the windowed engine
+//! ([`crate::par`]): a `Shard` (actors, the keyed queue, the random
+//! stream, the network, the collector) plus the actors' names. Everything
+//! that runs an actor lives on the shard and serves both drivers — one
+//! start-up routine (`Shard::start`), one dispatch step
+//! (`Shard::dispatch`) and one keying function (`EventKey::next`):
+//! every send is keyed `(time, sender, sender's send count)` and every
+//! injection `(time, EXTERNAL, injection count)`, so same-instant
+//! deliveries drain in sender-id order, FIFO per sender, however the
+//! world is driven. A world and [`World::into_parallel`] with one shard
+//! are therefore the same run, bit for bit; with more shards the actors
+//! split round-robin and shard 0 keeps the world's random stream.
 
 use crate::actor::{Actor, ActorId, Context, Envelope};
 use crate::net::Network;
-use crate::queue::EventQueue;
+use crate::queue::{EventKey, KeyedEventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use obs::Collector;
@@ -10,151 +23,232 @@ use std::collections::BTreeMap;
 
 /// A complete simulated system: a set of actors, a pending-event queue, a
 /// virtual clock, a network fabric, a random stream, and a typed event
-/// collector.
+/// collector — one `Shard` holding all of them, and the actors' names.
 pub struct World<M> {
-    // Actors are stored `+ Send` so a built world can be converted into a
-    // sharded parallel run ([`crate::par::ParWorld`]); the classic
-    // single-threaded loop below is unchanged by the bound.
-    pub(crate) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
+    pub(crate) shard: Shard<M>,
     pub(crate) names: Vec<String>,
-    pub(crate) queue: EventQueue<Envelope<M>>,
-    pub(crate) now: SimTime,
+    /// Injections so far: the sequence of the next [`EventKey::EXTERNAL`] key.
+    injected: u64,
+    pub(crate) started: bool,
+}
+
+/// What one shard of a world owns: enough to run its actors' handlers
+/// without touching any other shard. Actors `index`, `index + shards`, …
+/// live here; a send to an actor elsewhere waits in `crossbox` for the
+/// window barrier ([`crate::par`]). A [`World`] is one shard.
+pub(crate) struct Shard<M> {
+    pub(crate) index: usize,
+    pub(crate) shards: usize,
+    /// Full-length slot table; only this shard's actors are `Some`.
+    pub(crate) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
+    pub(crate) queue: KeyedEventQueue<Envelope<M>>,
     pub(crate) rng: SimRng,
     pub(crate) net: Network,
     pub(crate) collector: Collector,
-    // Reused across dispatches: drained into the queue after each handler,
-    // keeping its capacity so steady-state dispatch allocates nothing.
-    pub(crate) outbox: Vec<(SimTime, Envelope<M>)>,
-    pub(crate) started: bool,
-    pub(crate) stop_requested: bool,
-    pub(crate) events_processed: u64,
-    // `None` until [`World::count_deliveries_by`] asks.
-    census: Option<Census<M>>,
+    // Reused across dispatches: drained after each handler, keeping its
+    // capacity so steady-state dispatch allocates nothing.
+    outbox: Vec<(SimTime, Envelope<M>)>,
+    pub(crate) crossbox: Vec<(EventKey, Envelope<M>)>,
+    /// Sends so far, per sender (indexed by actor id; only this shard's
+    /// actors advance theirs).
+    pub(crate) sent: Vec<u64>,
+    /// The next span id this shard allocates when sharded (the window
+    /// driver brackets the thread's counter around each of its drains).
+    pub(crate) span_next: u64,
+    pub(crate) stop: bool,
+    pub(crate) now: SimTime,
+    pub(crate) events: u64,
+    /// How [`World::count_deliveries_by`] files a message, and the counts.
+    pub(crate) census_kind: Option<fn(&M) -> &'static str>,
+    pub(crate) census: BTreeMap<&'static str, u64>,
 }
 
-/// Deliveries by message kind: how a message is filed, and the counts.
-struct Census<M> {
-    kind: fn(&M) -> &'static str,
-    counts: BTreeMap<&'static str, u64>,
+impl<M: 'static> Shard<M> {
+    pub(crate) fn new(rng: SimRng, net: Network, collector: Collector) -> Self {
+        Shard {
+            index: 0,
+            shards: 1,
+            actors: Vec::new(),
+            queue: KeyedEventQueue::new(),
+            rng,
+            net,
+            collector,
+            outbox: Vec::new(),
+            crossbox: Vec::new(),
+            sent: Vec::new(),
+            span_next: 0,
+            stop: false,
+            now: SimTime::ZERO,
+            events: 0,
+            census_kind: None,
+            census: BTreeMap::new(),
+        }
+    }
+
+    /// Run `handler` on actor `id` with a context over this shard, then
+    /// key what it sent and route it: to this shard's queue, or to the
+    /// crossbox if the recipient lives on another shard. An actor this
+    /// shard does not hold (never registered) swallows the call.
+    #[inline]
+    fn invoke(
+        &mut self,
+        id: ActorId,
+        names: &[String],
+        handler: impl FnOnce(&mut (dyn Actor<M> + Send), &mut Context<'_, M>),
+    ) {
+        let Some(mut actor) = self.actors.get_mut(id).and_then(Option::take) else {
+            return;
+        };
+        handler(
+            &mut *actor,
+            &mut Context {
+                now: self.now,
+                self_id: id,
+                outbox: &mut self.outbox,
+                rng: &mut self.rng,
+                net: &mut self.net,
+                collector: &mut self.collector,
+                actor_name: &names[id],
+                stop_requested: &mut self.stop,
+            },
+        );
+        self.actors[id] = Some(actor);
+        // In send order: each sender's sequence numbers follow it.
+        for (at, env) in self.outbox.drain(..) {
+            let key = EventKey::next(at, env.from as u64, &mut self.sent[env.from]);
+            if env.to % self.shards == self.index {
+                self.queue.push(key, env);
+            } else {
+                self.crossbox.push((key, env));
+            }
+        }
+    }
+
+    /// Run `on_start` for each of this shard's actors, in id order.
+    pub(crate) fn start(&mut self, names: &[String]) {
+        for id in (self.index..self.actors.len()).step_by(self.shards) {
+            self.invoke(id, names, |actor, ctx| actor.on_start(ctx));
+        }
+    }
+
+    /// Deliver the earliest pending event. Returns `false` if none is
+    /// pending.
+    #[inline]
+    fn dispatch(&mut self, names: &[String]) -> bool {
+        let Some((key, Envelope { from, to, msg })) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(key.at >= self.now, "time must not run backwards");
+        self.now = key.at;
+        self.events += 1;
+        if let Some(kind) = self.census_kind {
+            *self.census.entry(kind(&msg)).or_default() += 1;
+        }
+        self.invoke(to, names, |actor, ctx| actor.on_message(from, msg, ctx));
+        true
+    }
+
+    /// Deliver every pending event up to and including `last`, until a
+    /// handler stops the world.
+    pub(crate) fn drain(&mut self, last: SimTime, names: &[String]) {
+        while !self.stop && self.queue.peek_time().is_some_and(|t| t <= last) {
+            self.dispatch(names);
+        }
+    }
 }
 
 impl<M: 'static> World<M> {
     /// A new world with the given random seed, a default 1 ms network, and
     /// a default-capacity collector.
     pub fn new(seed: u64) -> Self {
+        let rng = SimRng::seed_from_u64(seed);
         World {
-            actors: Vec::new(),
+            shard: Shard::new(rng, Network::default(), Collector::new()),
             names: Vec::new(),
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            rng: SimRng::seed_from_u64(seed),
-            net: Network::default(),
-            collector: Collector::new(),
-            outbox: Vec::new(),
+            injected: 0,
             started: false,
-            stop_requested: false,
-            events_processed: 0,
-            census: None,
         }
-    }
-
-    /// Replace the network model (builder style).
-    pub fn with_network(mut self, net: Network) -> Self {
-        self.net = net;
-        self
     }
 
     /// Does nothing: the free-text trace log this used to disable is gone
     /// (the typed collector is the only record of a run; size or disable
-    /// it with [`World::with_collector`]). Kept only because the frozen
+    /// it through [`World::telemetry_mut`]). Kept only because the frozen
     /// `crates/ledger` still calls it; goes when those calls do.
     pub fn without_trace(self) -> Self {
         self
     }
 
-    /// Replace the event collector (builder style) — e.g.
-    /// `Collector::with_capacity(n)` or `Collector::disabled()`.
-    pub fn with_collector(mut self, collector: Collector) -> Self {
-        self.collector = collector;
-        self
-    }
-
     /// Register an actor; returns its id (also its [`crate::net::HostId`]).
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M> + Send>) -> ActorId {
-        assert!(
-            !self.started,
-            "actors must be added before the world starts"
-        );
-        let id = self.actors.len();
+        assert!(!self.started, "actors join before the world starts");
+        let id = self.names.len();
+        assert!((id as u64) < EventKey::EXTERNAL, "2^24 - 1 actors at most");
         self.names.push(actor.name());
-        self.actors.push(Some(actor));
+        self.shard.actors.push(Some(actor));
+        self.shard.sent.push(0);
         id
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.shard.now
     }
 
     /// The typed event collector.
     pub fn telemetry(&self) -> &Collector {
-        &self.collector
+        &self.shard.collector
     }
 
     /// Mutable access to the collector (e.g. to record events from outside
-    /// any actor, or to drain it between phases).
+    /// any actor, to drain it between phases, or to replace it with one of
+    /// another capacity or a disabled one).
     pub fn telemetry_mut(&mut self) -> &mut Collector {
-        &mut self.collector
+        &mut self.shard.collector
     }
 
     /// The network fabric (e.g. for inspecting delivery statistics).
     pub fn net(&self) -> &Network {
-        &self.net
+        &self.shard.net
     }
 
-    /// The network fabric (e.g. for injecting partitions between steps).
+    /// The network fabric (e.g. for injecting partitions between steps, or
+    /// replacing the model before the world starts).
     pub fn net_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// The world's random stream (e.g. for building randomized workloads
-    /// from the same seed).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
+        &mut self.shard.net
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.shard.events
     }
 
     /// From here on, count every delivery under the name `kind` gives its
     /// message: the census that says what a run's events were.
     pub fn count_deliveries_by(&mut self, kind: fn(&M) -> &'static str) {
-        let counts = BTreeMap::new();
-        self.census = Some(Census { kind, counts });
+        self.shard.census_kind = Some(kind);
+        self.shard.census.clear();
     }
 
     /// Deliveries per kind since [`World::count_deliveries_by`]; empty if
     /// it was never called.
     pub fn census(&self) -> BTreeMap<&'static str, u64> {
-        let counts = self.census.as_ref().map(|census| census.counts.clone());
-        counts.unwrap_or_default()
+        self.shard.census.clone()
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.shard.queue.len()
     }
 
     /// Inspect a concrete actor by id.
     pub fn get<T: Actor<M>>(&self, id: ActorId) -> Option<&T> {
-        self.actors.get(id)?.as_deref()?.downcast_ref::<T>()
+        self.shard.actors.get(id)?.as_deref()?.downcast_ref::<T>()
     }
 
     /// Mutably inspect a concrete actor by id.
     pub fn get_mut<T: Actor<M>>(&mut self, id: ActorId) -> Option<&mut T> {
-        self.actors.get_mut(id)?.as_deref_mut()?.downcast_mut::<T>()
+        let actor = self.shard.actors.get_mut(id)?.as_deref_mut()?;
+        actor.downcast_mut::<T>()
     }
 
     /// The registered display name of an actor.
@@ -163,10 +257,12 @@ impl<M: 'static> World<M> {
     }
 
     /// Inject a message from "outside" (e.g. a user submitting a job),
-    /// arriving after `delay`.
+    /// arriving after `delay`. Same-instant injections arrive after every
+    /// actor's sends, in injection order.
     pub fn inject_after(&mut self, delay: SimDuration, to: ActorId, msg: M) {
-        let at = self.now + SimDuration::from_micros(delay.as_micros().max(1));
-        self.queue.push(at, Envelope { from: to, to, msg });
+        let at = self.shard.now + SimDuration::from_micros(delay.as_micros().max(1));
+        let key = EventKey::next(at, EventKey::EXTERNAL, &mut self.injected);
+        self.shard.queue.push(key, Envelope { from: to, to, msg });
     }
 
     /// Inject a message arriving as soon as possible.
@@ -175,32 +271,9 @@ impl<M: 'static> World<M> {
     }
 
     fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for id in 0..self.actors.len() {
-            let mut actor = self.actors[id].take().expect("actor present at start");
-            let mut ctx = Context {
-                now: self.now,
-                self_id: id,
-                outbox: &mut self.outbox,
-                rng: &mut self.rng,
-                net: &mut self.net,
-                collector: &mut self.collector,
-                actor_name: &self.names[id],
-                stop_requested: &mut self.stop_requested,
-            };
-            actor.on_start(&mut ctx);
-            self.actors[id] = Some(actor);
-        }
-        // In send order (the queue's FIFO tie-break depends on it). Every
-        // actor's first timers and messages at once is the largest the
-        // outbox ever gets — megabytes for 20,000 startds that each arm a
-        // tick and send an ad — so this buffer is handed back, not kept
-        // for handlers that send a handful.
-        for (at, env) in std::mem::take(&mut self.outbox) {
-            self.queue.push(at, env);
+        if !self.started {
+            self.started = true;
+            self.shard.start(&self.names);
         }
     }
 
@@ -208,74 +281,30 @@ impl<M: 'static> World<M> {
     /// empty or a stop was requested.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        if self.stop_requested {
-            return false;
-        }
-        let Some((at, env)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "time must not run backwards");
-        self.now = at;
-        self.events_processed += 1;
-        if let Some(census) = &mut self.census {
-            *census.counts.entry((census.kind)(&env.msg)).or_default() += 1;
-        }
-
-        let Some(slot) = self.actors.get_mut(env.to) else {
-            return true; // message to a never-registered actor: dropped
-        };
-        let Some(mut actor) = slot.take() else {
-            return true; // actor is mid-dispatch (impossible single-threaded) or removed
-        };
-        {
-            let mut ctx = Context {
-                now: self.now,
-                self_id: env.to,
-                outbox: &mut self.outbox,
-                rng: &mut self.rng,
-                net: &mut self.net,
-                collector: &mut self.collector,
-                actor_name: &self.names[env.to],
-                stop_requested: &mut self.stop_requested,
-            };
-            actor.on_message(env.from, env.msg, &mut ctx);
-        }
-        self.actors[env.to] = Some(actor);
-        for (when, e) in self.outbox.drain(..) {
-            self.queue.push(when, e);
-        }
-        true
+        !self.shard.stop && self.shard.dispatch(&self.names)
     }
 
     /// Run until the queue drains, a stop is requested, or `max_events`
     /// have been processed (a runaway guard). Returns the number of events
     /// processed by this call.
     pub fn run(&mut self, max_events: u64) -> u64 {
-        let before = self.events_processed;
+        let before = self.shard.events;
         let mut budget = max_events;
         while budget > 0 && self.step() {
             budget -= 1;
         }
-        self.events_processed - before
+        self.shard.events - before
     }
 
     /// Run until virtual time reaches `deadline` (events at exactly
-    /// `deadline` are processed), the queue drains, or stop is requested.
+    /// `deadline` are processed), the queue drains, or stop is requested;
+    /// the clock then reads at least `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start_if_needed();
-        let before = self.events_processed;
-        while !self.stop_requested {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.events_processed - before
+        let before = self.shard.events;
+        self.shard.drain(deadline, &self.names);
+        self.shard.now = self.shard.now.max(deadline);
+        self.shard.events - before
     }
 }
 
@@ -429,11 +458,11 @@ mod tests {
             }
         }
         let run = |seed: u64| {
-            let net = Network::new(SimDuration::from_millis(2))
+            let mut w: World<Msg> = World::new(seed);
+            *w.net_mut() = Network::new(SimDuration::from_millis(2))
                 .with_jitter(0.4)
                 .with_drop_probability(0.3)
                 .with_duplication_probability(0.2);
-            let mut w: World<Msg> = World::new(seed).with_network(net);
             let r = w.add_actor(Box::new(Recorder { arrivals: vec![] }));
             let s = w.add_actor(Box::new(NetSender {
                 peer: r,

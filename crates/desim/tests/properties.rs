@@ -1,7 +1,7 @@
 //! Properties of the simulation engine, run on seeded generated cases.
 
 use desim::prelude::*;
-use desim::{EventKey, EventQueue, KeyedEventQueue};
+use desim::{EventKey, EventQueue, KeyedEventQueue, ParConfig};
 use propcheck::{check, Gen};
 
 const CASES: u64 = 256;
@@ -311,4 +311,77 @@ fn relay_world_is_deterministic() {
     let (_, _, seen_a) = run(42);
     let (_, _, seen_b) = run(43);
     assert_eq!(seen_a.iter().sum::<u32>(), seen_b.iter().sum::<u32>());
+}
+
+/// A sender's message: who sent it, and where it stood in that sender's
+/// sends.
+type Said = (ActorId, u32);
+
+/// Sends its plan at start-up — `(how, to, delay_ms)`: to itself, reliably,
+/// or over the network — and records every delivery.
+struct Chatter {
+    plan: Vec<(u8, ActorId, u64)>,
+    got: Vec<(SimTime, Said)>,
+}
+
+impl Actor<Said> for Chatter {
+    fn name(&self) -> String {
+        "chatter".into()
+    }
+    fn on_start(&mut self, ctx: &mut Context<'_, Said>) {
+        for (k, &(how, to, ms)) in self.plan.iter().enumerate() {
+            let said = (ctx.self_id, k as u32);
+            let delay = SimDuration::from_millis(ms);
+            match how {
+                0 => ctx.send_self_after(delay, said),
+                1 => ctx.send_after(delay, to, said),
+                _ => assert!(ctx.send_net(to, said), "a fault-free network delivers"),
+            }
+        }
+    }
+    fn on_message(&mut self, _from: ActorId, said: Said, ctx: &mut Context<'_, Said>) {
+        self.got.push((ctx.now, said));
+    }
+}
+
+/// The engine's one tie-break, end to end: actors send same-instant
+/// messages to themselves, reliably and over the network (1 ms, as the
+/// reliable sends' 1 or 2 ms), and every receiver gets each instant's
+/// deliveries ordered by sender id, then by that sender's send order — a
+/// world and its sharded run alike.
+#[test]
+fn same_instant_deliveries_arrive_by_sender_then_send_order() {
+    check(CASES, |g| {
+        let n = g.int(2usize..7);
+        let plans: Vec<Vec<(u8, ActorId, u64)>> = (0..n)
+            .map(|_| g.vec(0..12, |g| (g.int(0u8..3), g.below(n), g.int(1u64..=2))))
+            .collect();
+        let seed = g.u64();
+        let received = |shards: usize| {
+            let mut w: World<Said> = World::new(seed);
+            for plan in &plans {
+                let plan = plan.clone();
+                w.add_actor(Box::new(Chatter {
+                    plan,
+                    got: Vec::new(),
+                }));
+            }
+            let mut pw = w.into_parallel(ParConfig::new(shards, 2));
+            pw.run_until(SimTime::from_millis(5));
+            let fin = pw.finish();
+            (0..n)
+                .map(|id| fin.get::<Chatter>(id).unwrap().got.clone())
+                .collect::<Vec<_>>()
+        };
+        let one = received(1);
+        for got in &one {
+            let mut canonical = got.clone();
+            canonical.sort();
+            canonical.dedup();
+            assert_eq!(got, &canonical, "not (time, sender, send order)");
+        }
+        let sent: usize = plans.iter().map(Vec::len).sum();
+        assert_eq!(one.iter().map(Vec::len).sum::<usize>(), sent);
+        assert_eq!(received(3), one, "three shards deliver what one does");
+    });
 }
