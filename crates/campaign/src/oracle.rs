@@ -217,6 +217,8 @@ pub fn postmortem(faulty: &Stream, reference: &Stream) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use errorscope::error::codes::{DISK_FULL, FILESYSTEM_OFFLINE};
+    use errorscope::ScopedError;
     use obs::Collector;
 
     fn stream(events: Vec<Event>) -> Stream {
@@ -241,6 +243,95 @@ mod tests {
             action,
             scope: scope.to_string(),
         }
+    }
+
+    /// The journeys of `errors` as the kernel renders them
+    /// ([`ScopedError::trail_events`]), one hop of each in turn, so the
+    /// oracle has to tell them apart by span.
+    fn trail_stream(errors: &[&ScopedError]) -> Stream {
+        let trails: Vec<Vec<Event>> = errors.iter().map(|e| e.trail_events()).collect();
+        let longest = trails.iter().map(Vec::len).max().unwrap_or(0);
+        stream(
+            (0..longest)
+                .flat_map(|i| trails.iter().filter_map(move |t| t.get(i).cloned()))
+                .collect(),
+        )
+    }
+
+    fn principles(v: &[Violation]) -> Vec<u8> {
+        v.iter().map(|v| v.principle).collect()
+    }
+
+    fn offline_home_fs() -> ScopedError {
+        ScopedError::escaping(FILESYSTEM_OFFLINE, Scope::LocalResource, "wrapper", "nfs")
+    }
+
+    fn swallowed_disk_full() -> ScopedError {
+        ScopedError::explicit(DISK_FULL, Scope::File, "proxy", "full").swallow("io-library")
+    }
+
+    #[test]
+    fn a_propagated_delivery_agrees_with_the_trail_audit() {
+        use errorscope::audit::{audit_delivery, audit_error};
+        // The theory stack routes a local-resource error to the shadow:
+        // clean by the trail audit and by the oracle over its hops.
+        let stack = java_universe_stack();
+        let d = stack.propagate(offline_home_fs(), "wrapper");
+        assert!(audit_delivery(&stack, &d).is_empty());
+        let v = check(&trail_stream(&[&d.error]), &quiescent());
+        assert!(v.is_empty(), "{v:?}");
+
+        // A swallow: one P1 from each judge.
+        let e = swallowed_disk_full();
+        let trail: Vec<u8> = audit_error(&e).iter().map(|v| v.principle()).collect();
+        assert_eq!(trail, vec![1]);
+        assert_eq!(
+            principles(&check(&trail_stream(&[&e]), &quiescent())),
+            trail
+        );
+    }
+
+    #[test]
+    fn a_trail_consumed_by_the_wrong_layer_is_p3() {
+        let e = offline_home_fs().forwarded("starter").handle("starter");
+        let v = check(&trail_stream(&[&e]), &quiescent());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "delivered-to-scope-manager");
+        assert!(
+            v[0].detail
+                .contains("consumed by starter, manager is shadow"),
+            "{}",
+            v[0]
+        );
+    }
+
+    #[test]
+    fn a_journey_still_in_flight_gets_no_p3_verdict() {
+        let e = offline_home_fs().forwarded("starter");
+        let v = check(&trail_stream(&[&e]), &quiescent());
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn interleaved_trail_journeys_are_judged_per_span() {
+        // A clean delivery, a misrouted one and a swallow, hop by hop in
+        // one stream: one P1, and one P3 naming the misrouted span only.
+        let clean = java_universe_stack()
+            .propagate(offline_home_fs(), "wrapper")
+            .error;
+        let misrouted = offline_home_fs().forwarded("starter").handle("starter");
+        let swallowed = swallowed_disk_full();
+        let v = check(
+            &trail_stream(&[&clean, &misrouted, &swallowed]),
+            &quiescent(),
+        );
+        assert_eq!(principles(&v), vec![1, 3], "{v:?}");
+        assert!(
+            v[1].detail
+                .starts_with(&format!("span {}:", misrouted.span)),
+            "{}",
+            v[1]
+        );
     }
 
     #[test]

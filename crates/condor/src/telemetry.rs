@@ -7,9 +7,10 @@
 //! the schedd embodies `shadow`, `schedd`, and `user` — consulting the
 //! [`LayerStack`] for who manages the error's scope, and emits one
 //! [`obs::Event::SpanHop`] per trail hop it appends (or, for the execute
-//! side, per hop accumulated in-process before the report). The result:
-//! `errorscope::audit::audit_recorded_spans` over the collector agrees
-//! with a trail-based audit of the same errors.
+//! side, per hop accumulated in-process before the report). The result: the
+//! collector holds each journey hop by hop, and the P1–P4 oracle
+//! (`campaign::oracle::check`) judges the stream as a trail-based audit of
+//! the same errors would.
 
 use desim::Context;
 use errorscope::propagate::LayerStack;

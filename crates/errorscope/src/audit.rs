@@ -19,7 +19,8 @@
 //!
 //! The auditor is used by the tests, the figure harnesses, and the naive-vs-
 //! scoped experiment (E1) to *count* principle violations in the baseline
-//! system.
+//! system. A journey *recorded* as telemetry span hops is judged by the
+//! P1–P4 oracle of the `campaign` crate, over the exported stream.
 
 use crate::comm::Comm;
 use crate::error::{HopAction, ScopedError};
@@ -141,72 +142,6 @@ pub fn audit_delivery(stack: &LayerStack, delivery: &Delivery) -> Vec<Violation>
     }
     v.extend(audit_error(&delivery.error));
     v
-}
-
-/// Audit one error journey recorded as telemetry span hops (P1 and P3).
-///
-/// `hops` is the ordered sequence of [`obs::Event::SpanHop`]s for a single
-/// span, as emitted by the actors the error crossed (non-hop events are
-/// ignored). P1 is reported for every `Swallowed` hop; P3 is checked when
-/// the journey terminates in a `Handled` hop, by comparing the handling
-/// layer against `stack.manager_of` for the scope recorded on that hop.
-/// Journeys still in flight (no terminal hop) yield no P3 verdict.
-pub fn audit_span_hops<'a, S: 'a, I>(stack: &LayerStack, hops: I) -> Vec<Violation>
-where
-    I: IntoIterator<Item = &'a obs::Event<S>>,
-{
-    use crate::scope::Scope;
-    use obs::SpanAction;
-
-    let mut v = Vec::new();
-    let mut terminal: Option<(&str, &str)> = None; // (layer, scope) of last Handled
-    for ev in hops {
-        let obs::Event::SpanHop {
-            layer,
-            action,
-            scope,
-            ..
-        } = ev
-        else {
-            continue;
-        };
-        match action {
-            SpanAction::Swallowed => {
-                v.push(Violation::P1ImplicitFromExplicit {
-                    layer: layer.clone(),
-                });
-                terminal = None;
-            }
-            SpanAction::Handled => terminal = Some((layer.as_str(), scope.as_str())),
-            _ => terminal = None,
-        }
-    }
-    if let Some((layer, scope_name)) = terminal {
-        let expected = Scope::from_name(scope_name).and_then(|s| stack.manager_of(s));
-        if expected != Some(layer) {
-            v.push(Violation::P3WrongManager {
-                scope: scope_name.to_string(),
-                handled_by: Some(layer.to_string()),
-                expected: expected.map(str::to_string),
-            });
-        }
-    }
-    v
-}
-
-/// Audit every completed journey in a recorded telemetry stream.
-///
-/// Groups the collector's span-hop events by span id and applies
-/// [`audit_span_hops`] to each journey, tallying the result. This is the
-/// span-native counterpart of auditing [`Delivery`] trails: in a correctly
-/// instrumented system the two agree on P1 and P3 counts.
-pub fn audit_recorded_spans(stack: &LayerStack, collector: &obs::Collector) -> ViolationCounts {
-    let mut counts = ViolationCounts::default();
-    for (_, records) in collector.spans() {
-        let events: Vec<&obs::Event<obs::Sym>> = records.iter().map(|r| r.event).collect();
-        counts.add_all(&audit_span_hops(stack, events));
-    }
-    counts
 }
 
 /// Audit an interface declaration for P4 (generic vocabularies).
@@ -353,73 +288,6 @@ mod tests {
         assert_eq!(v.len(), 2); // open and write both generic
         assert!(v.iter().all(|x| x.principle() == 4));
         assert!(audit_interface(&file_writer_revised()).is_empty());
-    }
-
-    #[test]
-    fn span_audit_agrees_with_trail_audit() {
-        let stack = java_universe_stack();
-        // A correct journey: local-resource error handled by the shadow.
-        let e = ScopedError::escaping(FILESYSTEM_OFFLINE, Scope::LocalResource, "wrapper", "nfs");
-        let d = stack.propagate(e, "wrapper");
-        let trail_verdict = audit_delivery(&stack, &d);
-        let events = d.error.trail_events();
-        let span_verdict = audit_span_hops(&stack, events.iter());
-        assert!(trail_verdict.is_empty());
-        assert_eq!(span_verdict, trail_verdict);
-
-        // A swallowed journey: both audits report the same P1.
-        let e =
-            ScopedError::explicit(DISK_FULL, Scope::File, "proxy", "full").swallow("io-library");
-        let events = e.trail_events();
-        let span_verdict = audit_span_hops(&stack, events.iter());
-        assert_eq!(span_verdict, audit_error(&e));
-    }
-
-    #[test]
-    fn span_audit_flags_wrong_manager() {
-        let stack = java_universe_stack();
-        // Fabricated journey: a local-resource error handled by the starter.
-        let e = ScopedError::escaping(FILESYSTEM_OFFLINE, Scope::LocalResource, "wrapper", "nfs")
-            .forwarded("starter")
-            .handle("starter");
-        let events = e.trail_events();
-        let v = audit_span_hops(&stack, events.iter());
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].principle(), 3);
-        assert!(v[0].to_string().contains("starter"));
-    }
-
-    #[test]
-    fn span_audit_skips_journeys_still_in_flight() {
-        let stack = java_universe_stack();
-        let e = ScopedError::escaping(FILESYSTEM_OFFLINE, Scope::LocalResource, "wrapper", "nfs")
-            .forwarded("starter");
-        let events = e.trail_events();
-        assert!(audit_span_hops(&stack, events.iter()).is_empty());
-    }
-
-    #[test]
-    fn recorded_spans_tally_across_collector() {
-        let stack = java_universe_stack();
-        let mut col = obs::Collector::new();
-        // Journey 1: clean (shadow handles local-resource).
-        let d = stack.propagate(
-            ScopedError::escaping(FILESYSTEM_OFFLINE, Scope::LocalResource, "wrapper", "nfs"),
-            "wrapper",
-        );
-        for ev in d.error.trail_events() {
-            col.record(0, "shadow", ev);
-        }
-        // Journey 2: a swallow (P1).
-        let e =
-            ScopedError::explicit(DISK_FULL, Scope::File, "proxy", "full").swallow("io-library");
-        for ev in e.trail_events() {
-            col.record(1, "io-library", ev);
-        }
-        let counts = audit_recorded_spans(&stack, &col);
-        assert_eq!(counts.p1, 1);
-        assert_eq!(counts.p3, 0);
-        assert_eq!(counts.total(), 1);
     }
 
     #[test]

@@ -57,34 +57,6 @@ impl fmt::Display for Comm {
     }
 }
 
-/// The Avizienis/Laprie chain the paper paraphrases in §3.1: a *fault* is a
-/// violation of underlying assumptions, an *error* is an internal data state
-/// reflecting a fault, and a *failure* is an externally visible deviation
-/// from specification. The voting-machine example: the cosmic ray is the
-/// fault, corrupted in-use data is the error, an altered victor is the
-/// failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DependabilityStage {
-    /// A violation of a system's underlying assumptions.
-    Fault,
-    /// An internal data state that reflects a fault.
-    Error,
-    /// An externally-visible deviation from specifications.
-    Failure,
-}
-
-impl DependabilityStage {
-    /// The next stage a problem may (but need not) progress to: a fault need
-    /// not result in an error, nor an error in a failure.
-    pub fn next(self) -> Option<DependabilityStage> {
-        match self {
-            DependabilityStage::Fault => Some(DependabilityStage::Error),
-            DependabilityStage::Error => Some(DependabilityStage::Failure),
-            DependabilityStage::Failure => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,18 +73,5 @@ mod tests {
         assert_eq!(Comm::Implicit.name(), "implicit");
         assert_eq!(Comm::Explicit.name(), "explicit");
         assert_eq!(Comm::Escaping.name(), "escaping");
-    }
-
-    #[test]
-    fn dependability_chain() {
-        assert_eq!(
-            DependabilityStage::Fault.next(),
-            Some(DependabilityStage::Error)
-        );
-        assert_eq!(
-            DependabilityStage::Error.next(),
-            Some(DependabilityStage::Failure)
-        );
-        assert_eq!(DependabilityStage::Failure.next(), None);
     }
 }

@@ -133,12 +133,6 @@ pub enum HopAction {
     /// was converted back to an explicit error at this higher level of
     /// abstraction (the second half of Principle 2).
     Reexpressed,
-    /// The layer masked the error using a fault-tolerance technique
-    /// (retry, mirror, replicate) and the caller never saw it.
-    Masked {
-        /// The technique applied, e.g. `"retry"` or `"mirror"`.
-        technique: Cow<'static, str>,
-    },
     /// The error reached the program that manages its scope and was
     /// consumed there (Principle 3 satisfied).
     Handled,
@@ -290,21 +284,6 @@ impl ScopedError {
         self
     }
 
-    /// Record that a fault-tolerance technique masked the error.
-    pub fn mask(
-        mut self,
-        technique: impl Into<Cow<'static, str>>,
-        layer: impl Into<Cow<'static, str>>,
-    ) -> Self {
-        self.trail.push(Hop {
-            layer: layer.into(),
-            action: HopAction::Masked {
-                technique: technique.into(),
-            },
-        });
-        self
-    }
-
     /// Record the Principle-1 violation: the layer swallowed the error and
     /// presented a fabricated value as valid. The error object survives only
     /// for auditing; the caller of the offending layer never sees it.
@@ -320,11 +299,6 @@ impl ScopedError {
     /// The layer where the error was born, if the trail is intact.
     pub fn origin(&self) -> Option<&str> {
         self.trail.first().map(|h| h.layer.as_ref())
-    }
-
-    /// The layer that most recently touched the error.
-    pub fn last_layer(&self) -> Option<&str> {
-        self.trail.last().map(|h| h.layer.as_ref())
     }
 
     /// True once a `Handled` hop has been recorded.
@@ -390,9 +364,6 @@ pub fn span_action(action: &HopAction) -> obs::SpanAction {
         },
         HopAction::Escaped => obs::SpanAction::Escaped,
         HopAction::Reexpressed => obs::SpanAction::Reexpressed,
-        HopAction::Masked { technique } => obs::SpanAction::Masked {
-            technique: technique.to_string(),
-        },
         HopAction::Handled => obs::SpanAction::Handled,
         HopAction::SwallowedIntoImplicit => obs::SpanAction::Swallowed,
     }
@@ -478,7 +449,6 @@ mod tests {
         let e = e.forwarded("starter").handle("shadow");
         assert!(e.is_handled());
         assert_eq!(e.hops(), 2);
-        assert_eq!(e.last_layer(), Some("shadow"));
     }
 
     #[test]

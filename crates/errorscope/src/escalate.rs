@@ -29,15 +29,7 @@ pub struct EscalationPolicy {
 }
 
 impl EscalationPolicy {
-    /// A policy that never escalates.
-    pub fn fixed(scope: Scope) -> Self {
-        EscalationPolicy {
-            initial: scope,
-            steps: Vec::new(),
-        }
-    }
-
-    /// Start from `initial` scope.
+    /// Start from `initial` scope; with no steps added, it never widens.
     pub fn new(initial: Scope) -> Self {
         EscalationPolicy {
             initial,
@@ -77,18 +69,10 @@ impl EscalationPolicy {
             .unwrap_or(self.initial)
     }
 
-    /// The instant of the next widening after `elapsed`, if any.
-    pub fn next_step_after(&self, elapsed: Duration) -> Option<Duration> {
-        self.steps
-            .iter()
-            .map(|&(after, _)| after)
-            .find(|after| *after > elapsed)
-    }
-
     /// The paper's canonical example for a refused connection: network
     /// scope for the first minute, process scope up to an hour, then
-    /// remote-resource scope — "a failure to communicate for a year likely
-    /// has larger scope".
+    /// cluster scope — "a failure to communicate for a year likely has
+    /// larger scope".
     pub fn network_default() -> Self {
         EscalationPolicy::new(Scope::Network)
             .after(Duration::from_secs(60), Scope::Process)
@@ -149,44 +133,6 @@ impl RetryCriteria {
             }
         }
     }
-
-    /// The instant (relative to failure onset) at which this criteria gives
-    /// up, or `None` for [`RetryCriteria::Hard`].
-    pub fn gives_up_at(&self) -> Option<Duration> {
-        match self {
-            RetryCriteria::Hard => None,
-            RetryCriteria::Soft { timeout } => Some(*timeout),
-            RetryCriteria::PerJob { deadline } => Some(*deadline),
-        }
-    }
-}
-
-/// A tracker for one indeterminate failure: pairs an [`EscalationPolicy`]
-/// with a failure onset time (in any monotonic time base, e.g. simulation
-/// ticks converted to `Duration`).
-#[derive(Debug, Clone)]
-pub struct IndeterminateFailure {
-    policy: EscalationPolicy,
-    onset: Duration,
-}
-
-impl IndeterminateFailure {
-    /// Record a failure first observed at absolute time `onset`.
-    pub fn observed_at(policy: EscalationPolicy, onset: Duration) -> Self {
-        IndeterminateFailure { policy, onset }
-    }
-
-    /// Current scope given the absolute time `now`. Times before onset are
-    /// clamped to the initial scope.
-    pub fn scope_at(&self, now: Duration) -> Scope {
-        let elapsed = now.saturating_sub(self.onset);
-        self.policy.scope_at(elapsed)
-    }
-
-    /// The onset time.
-    pub fn onset(&self) -> Duration {
-        self.onset
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +145,7 @@ mod tests {
 
     #[test]
     fn fixed_policy_never_escalates() {
-        let p = EscalationPolicy::fixed(Scope::Network);
+        let p = EscalationPolicy::new(Scope::Network);
         assert_eq!(p.scope_at(secs(0)), Scope::Network);
         assert_eq!(p.scope_at(secs(1_000_000)), Scope::Network);
     }
@@ -242,18 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn next_step_lookup() {
-        let p = EscalationPolicy::network_default();
-        assert_eq!(p.next_step_after(secs(0)), Some(secs(60)));
-        assert_eq!(p.next_step_after(secs(60)), Some(secs(3600)));
-        assert_eq!(p.next_step_after(secs(3600)), None);
-    }
-
-    #[test]
     fn hard_mount_retries_forever() {
         let c = RetryCriteria::Hard;
         assert_eq!(c.decide(secs(86_400 * 365)), RetryDecision::Retry);
-        assert_eq!(c.gives_up_at(), None);
     }
 
     #[test]
@@ -261,7 +198,6 @@ mod tests {
         let c = RetryCriteria::Soft { timeout: secs(30) };
         assert_eq!(c.decide(secs(29)), RetryDecision::Retry);
         assert_eq!(c.decide(secs(30)), RetryDecision::GiveUp);
-        assert_eq!(c.gives_up_at(), Some(secs(30)));
     }
 
     #[test]
@@ -272,15 +208,5 @@ mod tests {
         let hasty = RetryCriteria::PerJob { deadline: secs(5) };
         assert_eq!(patient.decide(secs(100)), RetryDecision::Retry);
         assert_eq!(hasty.decide(secs(100)), RetryDecision::GiveUp);
-    }
-
-    #[test]
-    fn indeterminate_failure_tracks_onset() {
-        let f = IndeterminateFailure::observed_at(EscalationPolicy::network_default(), secs(1000));
-        assert_eq!(f.onset(), secs(1000));
-        assert_eq!(f.scope_at(secs(500)), Scope::Network); // before onset: clamp
-        assert_eq!(f.scope_at(secs(1030)), Scope::Network);
-        assert_eq!(f.scope_at(secs(1060)), Scope::Process);
-        assert_eq!(f.scope_at(secs(1000 + 3600)), Scope::Cluster);
     }
 }

@@ -20,13 +20,8 @@
 //!   the NFS hard/soft-mount dilemma (§5).
 //! * [`resultfile`] — the wrapper's result file: the indirect channel that
 //!   replaces the JVM's ambiguous exit code (§4, Figure 4).
-//! * [`mask`] — scope-aware fault-tolerance masking: retry and
-//!   replication combinators that absorb only legitimately transient
-//!   scopes ("we may rewrite, retry, replicate, reset, or reboot", §3).
 //! * [`audit`] — after-the-fact verification of the four principles from an
 //!   error's trail.
-//! * [`stdio`] — classification of `std::io::Error`s into scoped errors
-//!   (and back), so existing Rust code can adopt the discipline.
 //!
 //! ## The four principles
 //!
@@ -70,11 +65,9 @@ pub mod comm;
 pub mod error;
 pub mod escalate;
 pub mod interface;
-pub mod mask;
 pub mod propagate;
 pub mod resultfile;
 pub mod scope;
-pub mod stdio;
 
 pub use comm::Comm;
 pub use error::{ErrorCode, ScopedError};
@@ -89,10 +82,7 @@ pub mod prelude {
     pub use crate::error::{codes, ErrorCode, ScopedError};
     pub use crate::escalate::{EscalationPolicy, RetryCriteria, RetryDecision};
     pub use crate::interface::{Conformance, ErrorVocabulary, InterfaceDecl};
-    pub use crate::mask::{maskable, replicate, retry, MaskOutcome, RetryPolicy};
-    pub use crate::propagate::{
-        java_universe_stack, pvm_stack, rpc_stack, Delivery, Disposition, Layer, LayerStack,
-    };
+    pub use crate::propagate::{java_universe_stack, Delivery, Disposition, Layer, LayerStack};
     pub use crate::resultfile::{Outcome, ResultFile};
     pub use crate::scope::Scope;
 }

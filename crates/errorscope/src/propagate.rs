@@ -125,14 +125,6 @@ impl Disposition {
             _ => Disposition::LogAndReschedule,
         }
     }
-
-    /// Does the job leave the queue as a result?
-    pub fn returns_to_user(self) -> bool {
-        matches!(
-            self,
-            Disposition::ReturnCompleted | Disposition::ReturnUnexecutable
-        )
-    }
 }
 
 impl fmt::Display for Disposition {
@@ -276,42 +268,42 @@ pub fn java_universe_stack() -> LayerStack {
         .layer(Layer::new("user", [Scope::Program]))
 }
 
-/// The paper's §3.3 RPC example: "a failure in remote procedure call has
-/// process scope. It indicates that the mechanism of function call is no
-/// longer valid within the process… The creator of a process is capable of
-/// handling an RPC error of process scope." A lost connection is widened
-/// to process scope as it crosses the RPC layer.
-pub fn rpc_stack() -> LayerStack {
-    LayerStack::new()
-        .layer(Layer::new("socket", []))
-        .layer(Layer::new("rpc", []).widening(Scope::Network, Scope::Process))
-        .layer(Layer::new(
-            "callee-function",
-            [Scope::File, Scope::Function],
-        ))
-        .layer(Layer::new("process-creator", [Scope::Process]))
-}
-
-/// The paper's §3.3 PVM example: "a node failure in PVM has cluster scope.
-/// If one node crashes, then the whole cluster of nodes is obliged to
-/// fail… The creator of a PVM cluster is capable of handling an error of
-/// cluster scope." The PVM layer widens both network- and process-scope
-/// errors to cluster scope.
-pub fn pvm_stack() -> LayerStack {
-    LayerStack::new()
-        .layer(Layer::new("node", []))
-        .layer(
-            Layer::new("pvm", [])
-                .widening(Scope::Network, Scope::Cluster)
-                .widening(Scope::Process, Scope::Cluster),
-        )
-        .layer(Layer::new("cluster-creator", [Scope::Cluster, Scope::Pool]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::codes::*;
+
+    /// The paper's §3.3 RPC example: "a failure in remote procedure call
+    /// has process scope. It indicates that the mechanism of function call
+    /// is no longer valid within the process… The creator of a process is
+    /// capable of handling an RPC error of process scope." A lost
+    /// connection is widened to process scope as it crosses the RPC layer.
+    fn rpc_stack() -> LayerStack {
+        LayerStack::new()
+            .layer(Layer::new("socket", []))
+            .layer(Layer::new("rpc", []).widening(Scope::Network, Scope::Process))
+            .layer(Layer::new(
+                "callee-function",
+                [Scope::File, Scope::Function],
+            ))
+            .layer(Layer::new("process-creator", [Scope::Process]))
+    }
+
+    /// The paper's §3.3 PVM example: "a node failure in PVM has cluster
+    /// scope. If one node crashes, then the whole cluster of nodes is
+    /// obliged to fail… The creator of a PVM cluster is capable of handling
+    /// an error of cluster scope." The PVM layer widens both network- and
+    /// process-scope errors to cluster scope.
+    fn pvm_stack() -> LayerStack {
+        LayerStack::new()
+            .layer(Layer::new("node", []))
+            .layer(
+                Layer::new("pvm", [])
+                    .widening(Scope::Network, Scope::Cluster)
+                    .widening(Scope::Process, Scope::Cluster),
+            )
+            .layer(Layer::new("cluster-creator", [Scope::Cluster, Scope::Pool]))
+    }
 
     #[test]
     fn dispositions_match_section_4() {
@@ -331,8 +323,6 @@ mod tests {
         ] {
             assert_eq!(Disposition::for_scope(s), Disposition::LogAndReschedule);
         }
-        assert!(Disposition::ReturnCompleted.returns_to_user());
-        assert!(!Disposition::LogAndReschedule.returns_to_user());
     }
 
     #[test]

@@ -166,32 +166,6 @@ impl Scope {
         self.parent()
     }
 
-    /// The chain of scopes from `self` up to and including
-    /// [`Scope::System`].
-    pub fn ancestry(self) -> Vec<Scope> {
-        let mut v = vec![self];
-        let mut cur = self;
-        while let Some(p) = cur.parent() {
-            v.push(p);
-            cur = p;
-        }
-        v
-    }
-
-    /// True for the scopes drawn in Figure 3 of the paper (the Java Universe
-    /// case study).
-    pub fn is_grid_scope(self) -> bool {
-        matches!(
-            self,
-            Scope::Program
-                | Scope::VirtualMachine
-                | Scope::RemoteResource
-                | Scope::LocalResource
-                | Scope::Job
-                | Scope::Pool
-        )
-    }
-
     /// A short stable name, used in telemetry events and printed tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -326,16 +300,6 @@ mod tests {
             assert_eq!(Scope::from_name(s.name()), Some(s));
         }
         assert_eq!(Scope::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn ancestry_ends_at_system() {
-        for s in Scope::ALL {
-            let a = s.ancestry();
-            assert_eq!(*a.first().unwrap(), s);
-            assert_eq!(*a.last().unwrap(), Scope::System);
-            assert_eq!(a.len(), s.depth() + 1);
-        }
     }
 
     #[test]

@@ -28,4 +28,9 @@ cargo run --release -p bench --bin exp -- e7 --localize
 cargo run --release -p bench --bin exp -- e13 --phases --smoke
 cargo run --release -p bench --bin exp -- census --smoke
 
+echo "==> every example runs (each one's assert!s are its gate)"
+for example in quickstart java_universe blackhole_pool io_proxy; do
+    cargo run --release --quiet --example "$example" >/dev/null
+done
+
 echo "All checks passed."

@@ -64,10 +64,12 @@ fn every_scoped_delivery_is_violation_free() {
 }
 
 /// The same audit, span-native: the telemetry stream recorded during the
-/// run carries every journey, and auditing it finds the same thing the
-/// trail replay does — nothing.
+/// run carries every journey, and the P1–P4 oracle judging it finds the
+/// same thing the trail replay does — no breach of P1–P3.
 #[test]
 fn recorded_spans_audit_clean_in_scoped_mode() {
+    use campaign::oracle::{check, RunSummary};
+
     let report = PoolBuilder::new(97)
         .machine(MachineSpec::misconfigured("dead", 512))
         .machine(MachineSpec::partially_misconfigured("half", 512))
@@ -78,9 +80,19 @@ fn recorded_spans_audit_clean_in_scoped_mode() {
         }))
         .run(SimTime::from_secs(24 * 3600));
 
-    let stack = java_universe_stack();
-    let counts = errorscope::audit::audit_recorded_spans(&stack, &report.telemetry);
-    assert!(counts.is_clean(), "recorded journeys violate: {counts}");
+    // P4 (no lost work) is not asserted: this pool runs without
+    // chronic-host avoidance, so jobs 1 and 4 are held after 20 failed
+    // attempts on the broken machines. That is lost work, not a misrouted
+    // journey.
+    let stream = obs_analyze::Stream::from_collector(&report.telemetry).unwrap();
+    let violations: Vec<_> = check(&stream, &RunSummary::of(&report))
+        .into_iter()
+        .filter(|v| v.principle <= 3)
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "recorded journeys violate: {violations:?}"
+    );
     // With no self-test and two broken machines, journeys definitely flowed.
     assert!(
         !report.telemetry.spans().is_empty(),
