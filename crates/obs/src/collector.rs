@@ -6,7 +6,7 @@
 //! actor's first event, recording allocates nothing for the name. Strings
 //! are resolved back out through [`EventRef`] views and at JSONL export.
 
-use crate::event::Event;
+use crate::event::{Event, EventFields, PlainStr, ResolveStr};
 use crate::intern::{Interner, Sym};
 use crate::json;
 use crate::ring::RingBuffer;
@@ -60,19 +60,24 @@ impl EventRef<'_> {
             event: self.event.resolve_strings(self.strings),
         }
     }
+}
 
-    /// Serialise to a single JSON line (no trailing newline appended).
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"at_us\":");
-        out.push_str(&self.at_us.to_string());
-        out.push(',');
-        json::write_key(out, "actor");
-        json::write_str(out, self.actor);
-        out.push(',');
-        json::write_key(out, "event");
-        self.event.write_json_with(self.strings, out);
-        out.push('}');
-    }
+/// The one writer of a record's line (no trailing newline), for a live
+/// [`EventRef`] and an owned [`EventRecord`] alike.
+fn write_record<S>(
+    out: &mut String,
+    at_us: u64,
+    actor: &str,
+    event: &Event<S>,
+    strings: &impl ResolveStr<S>,
+) {
+    out.push_str("{\"at_us\":");
+    json::write_u64(out, at_us);
+    out.push_str(",\"actor\":");
+    json::write_str(out, actor);
+    out.push_str(",\"event\":");
+    event.write_json_with(strings, out);
+    out.push('}');
 }
 
 impl fmt::Display for EventRef<'_> {
@@ -105,29 +110,57 @@ pub struct StreamMeta {
 impl StreamMeta {
     /// Serialise as the one-line stream header.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"stream\":{{\"events\":{},\"dropped\":{},\"capacity\":{}}}}}",
-            self.events, self.dropped, self.capacity
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"stream\":{\"events\":");
+        json::write_u64(out, self.events);
+        out.push_str(",\"dropped\":");
+        json::write_u64(out, self.dropped);
+        out.push_str(",\"capacity\":");
+        json::write_u64(out, self.capacity);
+        out.push_str("}}");
     }
 
     /// Parse a line previously produced by [`StreamMeta::to_json`].
     /// Returns `Ok(None)` when the line is not a stream header at all.
     pub fn from_json(line: &str) -> Result<Option<StreamMeta>, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let Some(stream) = v.get("stream") else {
+        // The last `stream` member's counts, in header order.
+        let mut stream = None;
+        json::read_all(line, |r| {
+            r.object(|r, key| {
+                if key != "stream" {
+                    return r.skip();
+                }
+                let mut counts = [None; 3];
+                r.object(|r, key| {
+                    let slot = match key {
+                        "events" => 0,
+                        "dropped" => 1,
+                        "capacity" => 2,
+                        _ => return r.skip(),
+                    };
+                    counts[slot] = r.u64()?;
+                    Ok(())
+                })?;
+                stream = Some(counts);
+                Ok(())
+            })
+        })
+        .map_err(|e| e.to_string())?;
+        let Some([events, dropped, capacity]) = stream else {
             return Ok(None);
         };
-        let u = |k: &str| -> Result<u64, String> {
-            stream
-                .get(k)
-                .and_then(json::Json::as_u64)
-                .ok_or_else(|| format!("stream header missing integer \"{k}\""))
+        let u = |v: Option<u64>, k: &str| {
+            v.ok_or_else(|| format!("stream header missing integer \"{k}\""))
         };
         Ok(Some(StreamMeta {
-            events: u("events")?,
-            dropped: u("dropped")?,
-            capacity: u("capacity")?,
+            events: u(events, "events")?,
+            dropped: u(dropped, "dropped")?,
+            capacity: u(capacity, "capacity")?,
         }))
     }
 }
@@ -136,31 +169,30 @@ impl EventRecord {
     /// Serialise to a single JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str("{\"at_us\":");
-        out.push_str(&self.at_us.to_string());
-        out.push(',');
-        json::write_key(&mut out, "actor");
-        json::write_str(&mut out, &self.actor);
-        out.push(',');
-        json::write_key(&mut out, "event");
-        self.event.write_json(&mut out);
-        out.push('}');
+        write_record(&mut out, self.at_us, &self.actor, &self.event, &PlainStr);
         out
     }
 
-    /// Parse one JSON line produced by [`EventRecord::to_json`].
+    /// Parse one JSON line produced by [`EventRecord::to_json`]: members
+    /// in any order, unknown ones read past, the last of a repeated key
+    /// taken — as a JSON object is read — each straight into its field.
     pub fn from_json(line: &str) -> Result<EventRecord, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let at_us = v
-            .get("at_us")
-            .and_then(json::Json::as_u64)
-            .ok_or("record missing \"at_us\"")?;
-        let actor = v
-            .get("actor")
-            .and_then(json::Json::as_str)
-            .ok_or("record missing \"actor\"")?
-            .to_string();
-        let event = Event::from_json(v.get("event").ok_or("record missing \"event\"")?)?;
+        let (mut at_us, mut actor, mut event) = (None, None, None);
+        json::read_all(line, |r| {
+            r.object(|r, key| {
+                match key {
+                    "at_us" => at_us = r.u64()?,
+                    "actor" => actor = r.str()?,
+                    "event" => event.insert(EventFields::default()).read(r)?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+        })
+        .map_err(|e| e.to_string())?;
+        let at_us = at_us.ok_or("record missing \"at_us\"")?;
+        let actor = actor.ok_or("record missing \"actor\"")?.into_owned();
+        let event = event.ok_or("record missing \"event\"")?.into_event()?;
         Ok(EventRecord {
             at_us,
             actor,
@@ -304,14 +336,22 @@ impl Collector {
     /// from the record count and each line is written in place — no
     /// per-record intermediate `String`.
     pub fn to_jsonl(&self) -> String {
-        // ~96 bytes is the observed median line; headroom avoids the first
-        // few doublings without over-reserving pathological streams.
-        let mut out = String::with_capacity(self.len() * 112);
+        let mut out = String::with_capacity(self.jsonl_capacity());
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// ~96 bytes is the observed median line; headroom avoids the first
+    /// few doublings without over-reserving pathological streams.
+    fn jsonl_capacity(&self) -> usize {
+        self.len() * 112
+    }
+
+    fn write_jsonl(&self, out: &mut String) {
         for r in self.iter() {
-            r.write_json(&mut out);
+            write_record(out, r.at_us, r.actor, r.event, r.strings);
             out.push('\n');
         }
-        out
     }
 
     /// Stream-level accounting for this collector: how many events are
@@ -330,9 +370,11 @@ impl Collector {
     /// one. [`Collector::parse_jsonl`] skips the header; use
     /// [`Collector::parse_jsonl_with_meta`] to read it back.
     pub fn to_jsonl_with_meta(&self) -> String {
-        let mut out = self.stream_meta().to_json();
+        // One buffer for the header line and the records after it.
+        let mut out = String::with_capacity(64 + self.jsonl_capacity());
+        self.stream_meta().write_json(&mut out);
         out.push('\n');
-        out.push_str(&self.to_jsonl());
+        self.write_jsonl(&mut out);
         out
     }
 
@@ -350,7 +392,8 @@ impl Collector {
         input: &str,
     ) -> Result<(Vec<StreamMeta>, Vec<EventRecord>), String> {
         let mut meta = Vec::new();
-        let mut out = Vec::new();
+        // No record's line is shorter than 64 bytes: room for them all.
+        let mut out = Vec::with_capacity(input.len() / 64);
         for (i, line) in input.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;

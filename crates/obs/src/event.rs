@@ -7,13 +7,15 @@
 //! an error's journey through the software stack.
 //!
 //! Events serialise to single-line JSON objects (see
-//! [`Collector::to_jsonl`](crate::Collector::to_jsonl)) and parse back via
-//! [`Event::from_json`], so an exported stream can be re-read and audited
-//! offline.
+//! [`Collector::to_jsonl`](crate::Collector::to_jsonl)) and parse back,
+//! member by member, with the record they sit in
+//! ([`EventRecord::from_json`](crate::EventRecord::from_json)), so an
+//! exported stream can be re-read and audited offline.
 
 use crate::intern::{Interner, Sym};
-use crate::json::{self, Json};
+use crate::json::{self, ParseError, Reader};
 use crate::span::{SpanAction, SpanId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Resolves one of an event's interned-or-owned string fields to `&str`.
@@ -474,14 +476,19 @@ impl<S> Event<S> {
         out.push_str("{\"type\":\"");
         out.push_str(self.kind());
         out.push('"');
-        let field_u64 = |out: &mut String, k: &str, v: u64| {
-            out.push(',');
-            json::write_key(out, k);
-            out.push_str(&v.to_string());
+        // `,"k":` for a key, which is a plain ASCII word: nothing in it to
+        // escape, and spelled whole at compile time.
+        macro_rules! key {
+            ($k:literal) => {
+                concat!(",\"", $k, "\":")
+            };
+        }
+        let field_u64 = |out: &mut String, key: &str, v: u64| {
+            out.push_str(key);
+            json::write_u64(out, v);
         };
-        let field_str = |out: &mut String, k: &str, v: &str| {
-            out.push(',');
-            json::write_key(out, k);
+        let field_str = |out: &mut String, key: &str, v: &str| {
+            out.push_str(key);
             json::write_str(out, v);
         };
         match self {
@@ -490,16 +497,16 @@ impl<S> Event<S> {
                 machine,
                 outcome,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_str(out, "outcome", outcome.name());
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("outcome"), outcome.name());
                 if let ClaimOutcome::Rejected { reason } = outcome {
-                    field_str(out, "reason", reason);
+                    field_str(out, key!("reason"), reason);
                 }
             }
             Event::Dispatch { job, machine } | Event::Match { job, machine } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
             }
             Event::Escape {
                 span,
@@ -507,19 +514,19 @@ impl<S> Event<S> {
                 code,
                 scope,
             } => {
-                field_u64(out, "span", *span);
-                field_str(out, "layer", res.str(layer));
-                field_str(out, "code", res.str(code));
-                field_str(out, "scope", res.str(scope));
+                field_u64(out, key!("span"), *span);
+                field_str(out, key!("layer"), res.str(layer));
+                field_str(out, key!("code"), res.str(code));
+                field_str(out, key!("scope"), res.str(scope));
             }
             Event::Reschedule {
                 job,
                 machine,
                 reason,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_str(out, "reason", res.str(reason));
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("reason"), res.str(reason));
             }
             Event::Disposition {
                 job,
@@ -527,18 +534,18 @@ impl<S> Event<S> {
                 scope,
                 span,
             } => {
-                field_u64(out, "job", *job);
-                field_str(out, "disposition", res.str(disposition));
-                field_str(out, "scope", res.str(scope));
-                field_u64(out, "span", *span);
+                field_u64(out, key!("job"), *job);
+                field_str(out, key!("disposition"), res.str(disposition));
+                field_str(out, key!("scope"), res.str(scope));
+                field_u64(out, key!("span"), *span);
             }
             Event::IoOp { op, outcome } => {
-                field_str(out, "op", op);
-                field_str(out, "outcome", outcome.name());
+                field_str(out, key!("op"), op);
+                field_str(out, key!("outcome"), outcome.name());
                 match outcome {
                     IoOutcome::Ok => {}
                     IoOutcome::Error { code } | IoOutcome::Escaped { code } => {
-                        field_str(out, "code", code);
+                        field_str(out, key!("code"), code);
                     }
                 }
             }
@@ -547,9 +554,9 @@ impl<S> Event<S> {
                 machine,
                 detail,
             } => {
-                field_u64(out, "principle", u64::from(*principle));
-                field_u64(out, "machine", *machine);
-                field_str(out, "detail", detail);
+                field_u64(out, key!("principle"), u64::from(*principle));
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("detail"), detail);
             }
             Event::CheckpointTaken {
                 job,
@@ -557,33 +564,33 @@ impl<S> Event<S> {
                 bytes,
                 banked_us,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_u64(out, "bytes", *bytes);
-                field_u64(out, "banked_us", *banked_us);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_u64(out, key!("bytes"), *bytes);
+                field_u64(out, key!("banked_us"), *banked_us);
             }
             Event::CheckpointRestored {
                 job,
                 machine,
                 saved_us,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_u64(out, "saved_us", *saved_us);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_u64(out, key!("saved_us"), *saved_us);
             }
             Event::CheckpointDiscarded {
                 job,
                 machine,
                 reason,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_str(out, "reason", reason);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("reason"), reason);
             }
             Event::LeaseExpired { job, machine, side } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_str(out, "side", side);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("side"), side);
             }
             Event::StaleEpochDropped {
                 job,
@@ -591,21 +598,20 @@ impl<S> Event<S> {
                 got,
                 current,
             } => {
-                field_u64(out, "job", *job);
-                field_str(out, "kind", kind);
-                field_u64(out, "got", *got);
-                field_u64(out, "current", *current);
+                field_u64(out, key!("job"), *job);
+                field_str(out, key!("kind"), kind);
+                field_u64(out, key!("got"), *got);
+                field_u64(out, key!("current"), *current);
             }
             Event::BreakerStateChange { machine, from, to } => {
-                field_u64(out, "machine", *machine);
-                field_str(out, "from", from);
-                field_str(out, "to", to);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("from"), from);
+                field_str(out, key!("to"), to);
             }
             Event::NetFaultApplied { kind, link, active } => {
-                field_str(out, "kind", kind);
-                field_str(out, "link", link);
-                out.push(',');
-                json::write_key(out, "active");
+                field_str(out, key!("kind"), kind);
+                field_str(out, key!("link"), link);
+                out.push_str(key!("active"));
                 out.push_str(if *active { "true" } else { "false" });
             }
             Event::MemFlip {
@@ -614,15 +620,15 @@ impl<S> Event<S> {
                 target,
                 bit,
             } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "machine", *machine);
-                field_str(out, "target", target);
-                field_u64(out, "bit", *bit);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("machine"), *machine);
+                field_str(out, key!("target"), target);
+                field_u64(out, key!("bit"), *bit);
             }
             Event::FlockFault { job, pool, kind } => {
-                field_u64(out, "job", *job);
-                field_u64(out, "pool", *pool);
-                field_str(out, "kind", kind);
+                field_u64(out, key!("job"), *job);
+                field_u64(out, key!("pool"), *pool);
+                field_str(out, key!("kind"), kind);
             }
             Event::SpanHop {
                 span,
@@ -630,15 +636,17 @@ impl<S> Event<S> {
                 action,
                 scope,
             } => {
-                field_u64(out, "span", *span);
-                field_str(out, "layer", layer);
-                field_str(out, "action", action.name());
+                field_u64(out, key!("span"), *span);
+                field_str(out, key!("layer"), layer);
+                field_str(out, key!("action"), action.name());
                 match action {
-                    SpanAction::Widened { from } => field_str(out, "from", from),
-                    SpanAction::Masked { technique } => field_str(out, "technique", technique),
+                    SpanAction::Widened { from } => field_str(out, key!("from"), from),
+                    SpanAction::Masked { technique } => {
+                        field_str(out, key!("technique"), technique)
+                    }
                     _ => {}
                 }
-                field_str(out, "scope", scope);
+                field_str(out, key!("scope"), scope);
             }
         }
         out.push('}');
@@ -656,157 +664,236 @@ impl Event {
     pub fn intern_strings(self, interner: &mut Interner) -> Event<Sym> {
         self.map_strings(|s| interner.intern(&s))
     }
+}
 
-    /// Reconstruct an event from a parsed JSON object.
-    pub fn from_json(v: &Json) -> Result<Event, String> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("event missing \"type\"")?;
-        let u = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{kind} event missing integer \"{k}\""))
+/// The members of an event object its decoder knows, each the last value
+/// the object gives for it and `None` when that value is missing or of
+/// another type: what [`Json::get`](crate::json::Json::get) and the
+/// `as_*` accessors would find in the object's tree. Unknown members are
+/// read past.
+#[derive(Default)]
+pub(crate) struct EventFields<'a> {
+    ty: Option<Cow<'a, str>>,
+    job: Option<u64>,
+    machine: Option<u64>,
+    span: Option<u64>,
+    principle: Option<u64>,
+    bytes: Option<u64>,
+    banked_us: Option<u64>,
+    saved_us: Option<u64>,
+    got: Option<u64>,
+    current: Option<u64>,
+    bit: Option<u64>,
+    pool: Option<u64>,
+    active: Option<bool>,
+    outcome: Option<Cow<'a, str>>,
+    reason: Option<Cow<'a, str>>,
+    layer: Option<Cow<'a, str>>,
+    code: Option<Cow<'a, str>>,
+    scope: Option<Cow<'a, str>>,
+    disposition: Option<Cow<'a, str>>,
+    op: Option<Cow<'a, str>>,
+    detail: Option<Cow<'a, str>>,
+    side: Option<Cow<'a, str>>,
+    kind: Option<Cow<'a, str>>,
+    from: Option<Cow<'a, str>>,
+    to: Option<Cow<'a, str>>,
+    link: Option<Cow<'a, str>>,
+    target: Option<Cow<'a, str>>,
+    action: Option<Cow<'a, str>>,
+    technique: Option<Cow<'a, str>>,
+}
+
+impl<'a> EventFields<'a> {
+    /// Read the next value of `r` as an event object into these fields,
+    /// which start empty.
+    pub(crate) fn read(&mut self, r: &mut Reader<'a>) -> Result<(), ParseError> {
+        let f = self;
+        r.object(|r, key| {
+            match key {
+                "type" => f.ty = r.str()?,
+                "job" => f.job = r.u64()?,
+                "machine" => f.machine = r.u64()?,
+                "span" => f.span = r.u64()?,
+                "principle" => f.principle = r.u64()?,
+                "bytes" => f.bytes = r.u64()?,
+                "banked_us" => f.banked_us = r.u64()?,
+                "saved_us" => f.saved_us = r.u64()?,
+                "got" => f.got = r.u64()?,
+                "current" => f.current = r.u64()?,
+                "bit" => f.bit = r.u64()?,
+                "pool" => f.pool = r.u64()?,
+                "active" => f.active = r.bool()?,
+                "outcome" => f.outcome = r.str()?,
+                "reason" => f.reason = r.str()?,
+                "layer" => f.layer = r.str()?,
+                "code" => f.code = r.str()?,
+                "scope" => f.scope = r.str()?,
+                "disposition" => f.disposition = r.str()?,
+                "op" => f.op = r.str()?,
+                "detail" => f.detail = r.str()?,
+                "side" => f.side = r.str()?,
+                "kind" => f.kind = r.str()?,
+                "from" => f.from = r.str()?,
+                "to" => f.to = r.str()?,
+                "link" => f.link = r.str()?,
+                "target" => f.target = r.str()?,
+                "action" => f.action = r.str()?,
+                "technique" => f.technique = r.str()?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+    }
+
+    /// The event these members spell, or what the `type` they name lacks.
+    pub(crate) fn into_event(self) -> Result<Event, String> {
+        let kind = self.ty.ok_or("event missing \"type\"")?;
+        let u = |v: Option<u64>, k: &str| -> Result<u64, String> {
+            v.ok_or_else(|| format!("{kind} event missing integer \"{k}\""))
         };
-        let s = |k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{kind} event missing string \"{k}\""))
+        let word = |v: Option<Cow<'a, str>>, k: &str| -> Result<Cow<'a, str>, String> {
+            v.ok_or_else(|| format!("{kind} event missing string \"{k}\""))
         };
-        match kind {
+        let s = |v: Option<Cow<'a, str>>, k: &str| word(v, k).map(Cow::into_owned);
+        match &*kind {
             "claim" => {
-                let outcome = match s("outcome")?.as_str() {
+                let outcome = match &*word(self.outcome, "outcome")? {
                     "requested" => ClaimOutcome::Requested,
                     "accepted" => ClaimOutcome::Accepted,
                     "rejected" => ClaimOutcome::Rejected {
-                        reason: s("reason")?,
+                        reason: s(self.reason, "reason")?,
                     },
                     "timed-out" => ClaimOutcome::TimedOut,
                     other => return Err(format!("unknown claim outcome {other:?}")),
                 };
                 Ok(Event::Claim {
-                    job: u("job")?,
-                    machine: u("machine")?,
+                    job: u(self.job, "job")?,
+                    machine: u(self.machine, "machine")?,
                     outcome,
                 })
             }
             "dispatch" => Ok(Event::Dispatch {
-                job: u("job")?,
-                machine: u("machine")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
             }),
             "match" => Ok(Event::Match {
-                job: u("job")?,
-                machine: u("machine")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
             }),
             "escape" => Ok(Event::Escape {
-                span: u("span")?,
-                layer: s("layer")?,
-                code: s("code")?,
-                scope: s("scope")?,
+                span: u(self.span, "span")?,
+                layer: s(self.layer, "layer")?,
+                code: s(self.code, "code")?,
+                scope: s(self.scope, "scope")?,
             }),
             "reschedule" => Ok(Event::Reschedule {
-                job: u("job")?,
-                machine: u("machine")?,
-                reason: s("reason")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                reason: s(self.reason, "reason")?,
             }),
             "disposition" => Ok(Event::Disposition {
-                job: u("job")?,
-                disposition: s("disposition")?,
-                scope: s("scope")?,
-                span: u("span")?,
+                job: u(self.job, "job")?,
+                disposition: s(self.disposition, "disposition")?,
+                scope: s(self.scope, "scope")?,
+                span: u(self.span, "span")?,
             }),
             "io-op" => {
-                let outcome = match s("outcome")?.as_str() {
+                let outcome = match &*word(self.outcome, "outcome")? {
                     "ok" => IoOutcome::Ok,
-                    "error" => IoOutcome::Error { code: s("code")? },
-                    "escaped" => IoOutcome::Escaped { code: s("code")? },
+                    "error" => IoOutcome::Error {
+                        code: s(self.code, "code")?,
+                    },
+                    "escaped" => IoOutcome::Escaped {
+                        code: s(self.code, "code")?,
+                    },
                     other => return Err(format!("unknown io outcome {other:?}")),
                 };
                 Ok(Event::IoOp {
-                    op: s("op")?,
+                    op: s(self.op, "op")?,
                     outcome,
                 })
             }
             "violation" => {
-                let p = u("principle")?;
+                let p = u(self.principle, "principle")?;
                 Ok(Event::Violation {
                     principle: u8::try_from(p)
                         .map_err(|_| format!("principle {p} out of range"))?,
-                    machine: u("machine").unwrap_or(0),
-                    detail: s("detail")?,
+                    machine: self.machine.unwrap_or(0),
+                    detail: s(self.detail, "detail")?,
                 })
             }
             "ckpt-taken" => Ok(Event::CheckpointTaken {
-                job: u("job")?,
-                machine: u("machine")?,
-                bytes: u("bytes")?,
-                banked_us: u("banked_us")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                bytes: u(self.bytes, "bytes")?,
+                banked_us: u(self.banked_us, "banked_us")?,
             }),
             "ckpt-restored" => Ok(Event::CheckpointRestored {
-                job: u("job")?,
-                machine: u("machine")?,
-                saved_us: u("saved_us")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                saved_us: u(self.saved_us, "saved_us")?,
             }),
             "ckpt-discarded" => Ok(Event::CheckpointDiscarded {
-                job: u("job")?,
-                machine: u("machine")?,
-                reason: s("reason")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                reason: s(self.reason, "reason")?,
             }),
             "lease-expired" => Ok(Event::LeaseExpired {
-                job: u("job")?,
-                machine: u("machine")?,
-                side: s("side")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                side: s(self.side, "side")?,
             }),
             "stale-epoch-dropped" => Ok(Event::StaleEpochDropped {
-                job: u("job")?,
-                kind: s("kind")?,
-                got: u("got")?,
-                current: u("current")?,
+                job: u(self.job, "job")?,
+                kind: s(self.kind, "kind")?,
+                got: u(self.got, "got")?,
+                current: u(self.current, "current")?,
             }),
             "breaker-state-change" => Ok(Event::BreakerStateChange {
-                machine: u("machine")?,
-                from: s("from")?,
-                to: s("to")?,
+                machine: u(self.machine, "machine")?,
+                from: s(self.from, "from")?,
+                to: s(self.to, "to")?,
             }),
             "net-fault-applied" => Ok(Event::NetFaultApplied {
-                kind: s("kind")?,
-                link: s("link")?,
-                active: v
-                    .get("active")
-                    .and_then(Json::as_bool)
+                kind: s(self.kind, "kind")?,
+                link: s(self.link, "link")?,
+                active: self
+                    .active
                     .ok_or("net-fault-applied event missing boolean \"active\"")?,
             }),
             "mem-flip" => Ok(Event::MemFlip {
-                job: u("job")?,
-                machine: u("machine")?,
-                target: s("target")?,
-                bit: u("bit")?,
+                job: u(self.job, "job")?,
+                machine: u(self.machine, "machine")?,
+                target: s(self.target, "target")?,
+                bit: u(self.bit, "bit")?,
             }),
             "flock-fault" => Ok(Event::FlockFault {
-                job: u("job")?,
-                pool: u("pool")?,
-                kind: s("kind")?,
+                job: u(self.job, "job")?,
+                pool: u(self.pool, "pool")?,
+                kind: s(self.kind, "kind")?,
             }),
             "span-hop" => {
-                let action = match s("action")?.as_str() {
+                let action = match &*word(self.action, "action")? {
                     "raised" => SpanAction::Raised,
                     "forwarded" => SpanAction::Forwarded,
-                    "widened" => SpanAction::Widened { from: s("from")? },
+                    "widened" => SpanAction::Widened {
+                        from: s(self.from, "from")?,
+                    },
                     "escaped" => SpanAction::Escaped,
                     "reexpressed" => SpanAction::Reexpressed,
                     "masked" => SpanAction::Masked {
-                        technique: s("technique")?,
+                        technique: s(self.technique, "technique")?,
                     },
                     "handled" => SpanAction::Handled,
                     "swallowed" => SpanAction::Swallowed,
                     other => return Err(format!("unknown span action {other:?}")),
                 };
                 Ok(Event::SpanHop {
-                    span: u("span")?,
-                    layer: s("layer")?,
+                    span: u(self.span, "span")?,
+                    layer: s(self.layer, "layer")?,
                     action,
-                    scope: s("scope")?,
+                    scope: s(self.scope, "scope")?,
                 })
             }
             other => Err(format!("unknown event type {other:?}")),
@@ -945,7 +1032,9 @@ mod tests {
     fn round_trip(e: Event) {
         let mut doc = String::new();
         e.write_json(&mut doc);
-        let parsed = Event::from_json(&json::parse(&doc).unwrap()).unwrap();
+        let mut fields = EventFields::default();
+        json::read_all(&doc, |r| fields.read(r)).unwrap();
+        let parsed = fields.into_event().unwrap();
         assert_eq!(parsed, e, "document was {doc}");
 
         // Byte identity: re-serializing the parsed event reproduces the

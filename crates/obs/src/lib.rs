@@ -26,6 +26,7 @@
 //! `desim`), so it is deliberately dependency-free. Timestamps are plain
 //! `u64` microseconds; the simulator's `SimTime` converts trivially.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collector;

@@ -143,14 +143,13 @@ impl Histogram {
 
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"count\":");
-        out.push_str(&self.count.to_string());
-        out.push_str(",\"sum\":");
-        out.push_str(&self.sum.to_string());
+        json::write_u64(out, self.count);
+        let _ = write!(out, ",\"sum\":{}", self.sum);
         if self.count > 0 {
             out.push_str(",\"min\":");
-            out.push_str(&self.min.to_string());
+            json::write_u64(out, self.min);
             out.push_str(",\"max\":");
-            out.push_str(&self.max.to_string());
+            json::write_u64(out, self.max);
         }
         out.push_str(",\"buckets\":[");
         for (n, (i, c)) in self.nonzero_buckets().into_iter().enumerate() {
@@ -158,7 +157,13 @@ impl Histogram {
                 out.push(',');
             }
             let (lo, hi) = Self::bucket_bounds(i);
-            out.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{c}}}"));
+            out.push_str("{\"lo\":");
+            json::write_u64(out, lo);
+            out.push_str(",\"hi\":");
+            json::write_u64(out, hi);
+            out.push_str(",\"count\":");
+            json::write_u64(out, c);
+            out.push('}');
         }
         out.push_str("]}");
     }
@@ -550,7 +555,7 @@ impl Registry {
             write_key_fields(&mut out, name, labels);
             out.push(',');
             json::write_key(&mut out, "value");
-            let _ = write!(out, "{v}");
+            json::write_u64(&mut out, *v);
             out.push('}');
         }
         out.push_str("],\"gauges\":[");

@@ -10,6 +10,11 @@ echo "==> one tie-break: the push-order EventQueue is named only by its shim, de
 grep -rnw --include=*.rs EventQueue crates | { ! grep -v -e '^crates/desim/src/queue.rs:' \
     -e '^crates/desim/src/lib.rs:[0-9]*:pub use queue::' -e '^crates/desim/tests/' -e '^crates/ledger/'; }
 
+echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
+if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
