@@ -15,11 +15,12 @@
 //!   faults (offline file system, expired credentials, timeouts).
 //! * [`server`] — the proxy, in both the paper's redesigned (scoped) and
 //!   original (naive generic) disciplines.
-//! * [`transport`] — in-process and threaded loopback transports; a broken
-//!   transport is the escaping error.
-//! * [`tcp`] — the same protocol over a real `127.0.0.1` socket, where the
-//!   client experiences escaping errors exactly as a real program does:
-//!   the connection just closes.
+//! * [`transport`] — the [`Transport`] trait and the in-process
+//!   [`DirectTransport`] the simulated grid uses; a broken transport is the
+//!   escaping error.
+//! * [`tcp`] — the one out-of-process transport: the same protocol over a
+//!   real `127.0.0.1` socket, where the client experiences escaping errors
+//!   exactly as a real program does: the connection just closes.
 //! * [`client`] — the job-side I/O library in both disciplines.
 //!
 //! ```
@@ -54,7 +55,7 @@ pub use cookie::Cookie;
 pub use proto::{ChirpError, Fd, FileInfo, OpenMode, Request, Response};
 pub use server::{ChirpServer, DisconnectReason, ErrorDiscipline, ServerOutcome};
 pub use tcp::{serve_once, TcpSession, TcpTransport};
-pub use transport::{Broken, ChannelTransport, DirectTransport, Transport};
+pub use transport::{Broken, DirectTransport, Transport};
 
 /// Convenient glob import.
 pub mod prelude {
@@ -63,5 +64,5 @@ pub mod prelude {
     pub use crate::cookie::Cookie;
     pub use crate::proto::{ChirpError, OpenMode, Request, Response};
     pub use crate::server::{ChirpServer, DisconnectReason, ErrorDiscipline, ServerOutcome};
-    pub use crate::transport::{ChannelTransport, DirectTransport, Transport};
+    pub use crate::transport::{DirectTransport, Transport};
 }

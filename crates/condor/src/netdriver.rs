@@ -216,7 +216,7 @@ mod tests {
         );
         assert!(matches!(
             w.net_mut().fate(&mut rng, 0, 2),
-            desim::Fate::Duplicate(_, _)
+            desim::Fate::Duplicate(_)
         ));
         w.run_until(t(25));
         assert_eq!(

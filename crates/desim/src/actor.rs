@@ -130,8 +130,8 @@ impl<'a, M> Context<'a, M> {
 
 impl<'a, M: Clone> Context<'a, M> {
     /// Send over the simulated network. The message may be silently lost
-    /// (partition, down host, random drop) or *duplicated* (delivered twice,
-    /// each copy with its own latency); returns whether at least one copy was
+    /// (partition or link loss) or *duplicated* (delivered twice, the copy
+    /// right behind the original); returns whether at least one copy was
     /// dispatched, but a *correct* distributed actor should rely on its own
     /// timeout rather than this return value — real senders don't get one.
     pub fn send_net(&mut self, to: ActorId, msg: M) -> bool {
@@ -140,10 +140,10 @@ impl<'a, M: Clone> Context<'a, M> {
                 self.send_after(lat, to, msg);
                 true
             }
-            crate::net::Fate::Duplicate(lat, lat2) => {
+            crate::net::Fate::Duplicate(lat) => {
                 // Clone only for the first copy; the final copy moves.
                 self.send_after(lat, to, msg.clone());
-                self.send_after(lat2, to, msg);
+                self.send_after(lat, to, msg);
                 true
             }
             crate::net::Fate::Lost => false,

@@ -1,9 +1,9 @@
 //! A simulated network.
 //!
-//! Models the connectivity between simulated processes: per-link latency,
-//! message loss, duplication, partitions, and down hosts. Senders consult the
-//! network to learn the delivery latency of a message — or that it will never
-//! arrive, in which case the *sender's own timeout machinery* is what
+//! Models the connectivity between simulated processes: a default latency,
+//! and per-link latency, loss, duplication and partitions. Senders consult
+//! the network to learn the delivery latency of a message — or that it will
+//! never arrive, in which case the *sender's own timeout machinery* is what
 //! eventually notices, exactly as in a real distributed system. The paper's
 //! escaping error "communicated by breaking the connection" appears here as a
 //! link that stops delivering.
@@ -28,19 +28,19 @@ fn link_key(a: HostId, b: HostId) -> (HostId, HostId) {
 }
 
 /// The fate of one message offered to the network: delivered after a
-/// latency, delivered *twice* (original plus a duplicate with its own
-/// latency), or silently lost.
+/// latency, delivered *twice* (original plus a duplicate), or silently
+/// lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fate {
-    /// Lost: partition, down host, or (per-link) random drop. The sender
-    /// learns only via its own timeout.
+    /// Lost: partition or link loss. The sender learns only via its own
+    /// timeout.
     Lost,
     /// Delivered once, this much later.
     Deliver(SimDuration),
-    /// Delivered twice: the original and a duplicate frame, each with its
-    /// own latency. Duplication models retransmission at a lower layer —
-    /// the receiver must be idempotent or fence the copy.
-    Duplicate(SimDuration, SimDuration),
+    /// Delivered twice, both copies this much later: the original and a
+    /// duplicate frame. Duplication models retransmission at a lower layer
+    /// — the receiver must be idempotent or fence the copy.
+    Duplicate(SimDuration),
 }
 
 /// Per-link delivery statistics: what the network ate or multiplied.
@@ -48,7 +48,7 @@ pub enum Fate {
 /// projection order deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Messages silently lost, per link (partition, down host, or drop).
+    /// Messages silently lost, per link (partition or loss).
     pub dropped: BTreeMap<(HostId, HostId), u64>,
     /// Messages delivered twice, per link.
     pub duplicated: BTreeMap<(HostId, HostId), u64>,
@@ -105,23 +105,15 @@ pub enum NetOp {
     Partition(HostId, HostId),
     /// [`Network::heal`].
     Heal(HostId, HostId),
-    /// [`Network::set_host_down`].
-    HostDown(HostId),
-    /// [`Network::set_host_up`].
-    HostUp(HostId),
 }
 
 /// The simulated network fabric.
 #[derive(Debug, Clone)]
 pub struct Network {
     default_latency: SimDuration,
-    latency_jitter: f64,
     link_latency: HashMap<(HostId, HostId), SimDuration>,
     partitioned: HashSet<(HostId, HostId)>,
-    down: HashSet<HostId>,
-    drop_prob: f64,
     link_loss: HashMap<(HostId, HostId), f64>,
-    dup_prob: f64,
     link_dup: HashMap<(HostId, HostId), f64>,
     stats: NetStats,
     /// When true, every mutation is also recorded in `pending` for
@@ -137,44 +129,18 @@ impl Default for Network {
 }
 
 impl Network {
-    /// A fully connected network with the given base latency and no jitter.
+    /// A fully connected, lossless network with the given base latency.
     pub fn new(default_latency: SimDuration) -> Self {
         Network {
             default_latency,
-            latency_jitter: 0.0,
             link_latency: HashMap::new(),
             partitioned: HashSet::new(),
-            down: HashSet::new(),
-            drop_prob: 0.0,
             link_loss: HashMap::new(),
-            dup_prob: 0.0,
             link_dup: HashMap::new(),
             stats: NetStats::default(),
             record_ops: false,
             pending: Vec::new(),
         }
-    }
-
-    /// Set a multiplicative jitter factor: each delivery's latency is
-    /// scaled by a uniform draw in `[1, 1+jitter]`.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!(jitter >= 0.0);
-        self.latency_jitter = jitter;
-        self
-    }
-
-    /// Set an independent per-message drop probability.
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        self.drop_prob = p;
-        self
-    }
-
-    /// Set an independent per-message duplication probability.
-    pub fn with_duplication_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        self.dup_prob = p;
-        self
     }
 
     /// Change the default (no-override) link latency. A *build-time*
@@ -212,8 +178,7 @@ impl Network {
         self.link_latency.remove(&link_key(a, b));
     }
 
-    /// Set a loss probability for one (undirected) link, overriding the
-    /// network-wide drop probability on that link.
+    /// Set a loss probability for one (undirected) link.
     pub fn set_link_loss(&mut self, a: HostId, b: HostId, p: f64) {
         assert!((0.0..=1.0).contains(&p));
         if self.deferred(NetOp::SetLinkLoss(a, b, p)) {
@@ -222,7 +187,7 @@ impl Network {
         self.link_loss.insert(link_key(a, b), p);
     }
 
-    /// Remove a per-link loss override.
+    /// Make a link lossless again.
     pub fn clear_link_loss(&mut self, a: HostId, b: HostId) {
         if self.deferred(NetOp::ClearLinkLoss(a, b)) {
             return;
@@ -230,8 +195,7 @@ impl Network {
         self.link_loss.remove(&link_key(a, b));
     }
 
-    /// Set a duplication probability for one (undirected) link, overriding
-    /// the network-wide duplication probability on that link.
+    /// Set a duplication probability for one (undirected) link.
     pub fn set_link_duplication(&mut self, a: HostId, b: HostId, p: f64) {
         assert!((0.0..=1.0).contains(&p));
         if self.deferred(NetOp::SetLinkDuplication(a, b, p)) {
@@ -240,7 +204,7 @@ impl Network {
         self.link_dup.insert(link_key(a, b), p);
     }
 
-    /// Remove a per-link duplication override.
+    /// Stop a link duplicating.
     pub fn clear_link_duplication(&mut self, a: HostId, b: HostId) {
         if self.deferred(NetOp::ClearLinkDuplication(a, b)) {
             return;
@@ -267,22 +231,6 @@ impl Network {
     /// Is the link between `a` and `b` currently severed?
     pub fn is_partitioned(&self, a: HostId, b: HostId) -> bool {
         self.partitioned.contains(&link_key(a, b))
-    }
-
-    /// Take a host offline: nothing is delivered to or from it.
-    pub fn set_host_down(&mut self, h: HostId) {
-        if self.deferred(NetOp::HostDown(h)) {
-            return;
-        }
-        self.down.insert(h);
-    }
-
-    /// Bring a host back.
-    pub fn set_host_up(&mut self, h: HostId) {
-        if self.deferred(NetOp::HostUp(h)) {
-            return;
-        }
-        self.down.remove(&h);
     }
 
     /// Turn deferred-op recording on or off (see [`NetOp`]). While on,
@@ -328,20 +276,15 @@ impl Network {
             NetOp::Heal(a, b) => {
                 self.partitioned.remove(&link_key(a, b));
             }
-            NetOp::HostDown(h) => {
-                self.down.insert(h);
-            }
-            NetOp::HostUp(h) => {
-                self.down.remove(&h);
-            }
         }
     }
 
     /// The smallest latency any non-loopback message can currently have:
     /// the minimum of the default and every per-link override, clamped to
-    /// the 1µs floor. Jitter only scales latency *up*, so this is a safe
-    /// lookahead bound — a conservative window no wider than this value
-    /// guarantees every cross-shard delivery lands in a later window.
+    /// the 1µs floor. A message takes exactly its link's latency, so this
+    /// is a safe lookahead bound — a conservative window no wider than
+    /// this value guarantees every cross-shard delivery lands in a later
+    /// window.
     pub fn min_latency(&self) -> SimDuration {
         let mut min = self.default_latency;
         for lat in self.link_latency.values() {
@@ -352,27 +295,17 @@ impl Network {
         SimDuration::from_micros(min.as_micros().max(1))
     }
 
-    /// Is the host offline?
-    pub fn is_down(&self, h: HostId) -> bool {
-        self.down.contains(&h)
-    }
-
     /// Per-link delivery statistics accumulated so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
 
-    fn latency(&self, rng: &mut SimRng, from: HostId, to: HostId) -> SimDuration {
-        let base = self
+    fn latency(&self, from: HostId, to: HostId) -> SimDuration {
+        let lat = self
             .link_latency
             .get(&link_key(from, to))
             .copied()
             .unwrap_or(self.default_latency);
-        let lat = if self.latency_jitter > 0.0 {
-            base.mul_f64(1.0 + rng.f64() * self.latency_jitter)
-        } else {
-            base
-        };
         // Clamp to at least 1µs so delivery is strictly after sending.
         SimDuration::from_micros(lat.as_micros().max(1))
     }
@@ -380,7 +313,8 @@ impl Network {
     /// Decide the full fate of one message from `from` to `to`: lost,
     /// delivered once, or delivered twice. Loss is *silent* to the sending
     /// actor, but the network records it in [`Network::stats`]. This is the
-    /// primitive [`crate::actor::Context::send_net`] consults.
+    /// primitive [`crate::actor::Context::send_net`] consults. `rng` is
+    /// drawn only on a link with a loss or duplication probability.
     pub fn fate(&mut self, rng: &mut SimRng, from: HostId, to: HostId) -> Fate {
         if from == to {
             // Loopback never fails and is effectively instant; one
@@ -388,35 +322,32 @@ impl Network {
             return Fate::Deliver(SimDuration::from_micros(1));
         }
         let key = link_key(from, to);
-        if self.is_down(from) || self.is_down(to) || self.is_partitioned(from, to) {
+        if self.is_partitioned(from, to) {
             *self.stats.dropped.entry(key).or_insert(0) += 1;
             return Fate::Lost;
         }
-        let loss = self.link_loss.get(&key).copied().unwrap_or(self.drop_prob);
+        let loss = self.link_loss.get(&key).copied().unwrap_or(0.0);
         if loss > 0.0 && rng.chance(loss) {
             *self.stats.dropped.entry(key).or_insert(0) += 1;
             return Fate::Lost;
         }
-        let lat = self.latency(rng, from, to);
-        let dup = self.link_dup.get(&key).copied().unwrap_or(self.dup_prob);
+        let lat = self.latency(from, to);
+        let dup = self.link_dup.get(&key).copied().unwrap_or(0.0);
         if dup > 0.0 && rng.chance(dup) {
             *self.stats.duplicated.entry(key).or_insert(0) += 1;
-            // The duplicate takes its own (independent) latency draw, so the
-            // copy may arrive before *or* after the original.
-            let lat2 = self.latency(rng, from, to);
-            return Fate::Duplicate(lat, lat2);
+            return Fate::Duplicate(lat);
         }
         Fate::Deliver(lat)
     }
 
     /// Decide the fate of one message from `from` to `to`: `Some(latency)`
     /// if it will be delivered that much later, `None` if it is lost
-    /// (partition, down host, or random drop). Duplication collapses to a
-    /// single delivery here; use [`Network::fate`] to observe the copy.
+    /// (partition or link loss). Duplication collapses to a single
+    /// delivery here; use [`Network::fate`] to observe the copy.
     pub fn transit(&mut self, rng: &mut SimRng, from: HostId, to: HostId) -> Option<SimDuration> {
         match self.fate(rng, from, to) {
             Fate::Lost => None,
-            Fate::Deliver(lat) | Fate::Duplicate(lat, _) => Some(lat),
+            Fate::Deliver(lat) | Fate::Duplicate(lat) => Some(lat),
         }
     }
 }
@@ -438,12 +369,14 @@ mod tests {
 
     #[test]
     fn loopback_is_instant_and_reliable() {
-        let mut net = Network::default().with_drop_probability(1.0);
-        net.set_host_down(3);
+        let mut net = Network::default();
+        net.set_link_loss(3, 3, 1.0);
+        net.partition(3, 3);
         let mut r = rng();
-        // Even a "down" host can talk to itself over loopback: the paper's
-        // chirp connection is "from one process to another on the loopback
-        // network interface" and is as reliable as the local machine.
+        // Even a host whose self-link is marked lossy and severed talks to
+        // itself over loopback: the paper's chirp connection is "from one
+        // process to another on the loopback network interface" and is as
+        // reliable as the local machine.
         assert_eq!(net.transit(&mut r, 3, 3), Some(SimDuration::from_micros(1)));
     }
 
@@ -477,20 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn down_host_receives_and_sends_nothing() {
-        let mut net = Network::default();
-        net.set_host_down(7);
-        let mut r = rng();
-        assert!(net.is_down(7));
-        assert_eq!(net.transit(&mut r, 7, 1), None);
-        assert_eq!(net.transit(&mut r, 1, 7), None);
-        net.set_host_up(7);
-        assert!(net.transit(&mut r, 1, 7).is_some());
-    }
-
-    #[test]
     fn drop_probability_loses_messages() {
-        let mut net = Network::default().with_drop_probability(0.5);
+        let mut net = Network::default();
+        net.set_link_loss(1, 2, 0.5);
         let mut r = rng();
         let delivered = (0..10_000)
             .filter(|_| net.transit(&mut r, 1, 2).is_some())
@@ -501,7 +423,7 @@ mod tests {
 
     #[test]
     fn link_loss_overrides_global_drop_probability() {
-        let mut net = Network::default().with_drop_probability(0.0);
+        let mut net = Network::default();
         net.set_link_loss(1, 2, 1.0);
         let mut r = rng();
         assert_eq!(net.transit(&mut r, 2, 1), None, "lossy link is undirected");
@@ -516,15 +438,13 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice_and_is_counted() {
-        let mut net = Network::default().with_duplication_probability(1.0);
+        let mut net = Network::default();
+        net.set_link_duplication(1, 2, 1.0);
         let mut r = rng();
-        match net.fate(&mut r, 1, 2) {
-            Fate::Duplicate(a, b) => {
-                assert!(a >= SimDuration::from_micros(1));
-                assert!(b >= SimDuration::from_micros(1));
-            }
-            other => panic!("expected Duplicate, got {other:?}"),
-        }
+        assert_eq!(
+            net.fate(&mut r, 1, 2),
+            Fate::Duplicate(SimDuration::from_millis(1))
+        );
         assert_eq!(net.stats().duplicated_total(), 1);
         // transit() collapses the duplicate to one delivery.
         assert!(net.transit(&mut r, 1, 2).is_some());
@@ -536,7 +456,7 @@ mod tests {
         let mut net = Network::default();
         net.set_link_duplication(4, 5, 1.0);
         let mut r = rng();
-        assert!(matches!(net.fate(&mut r, 5, 4), Fate::Duplicate(_, _)));
+        assert!(matches!(net.fate(&mut r, 5, 4), Fate::Duplicate(_)));
         assert!(matches!(net.fate(&mut r, 1, 2), Fate::Deliver(_)));
         net.clear_link_duplication(4, 5);
         assert!(matches!(net.fate(&mut r, 4, 5), Fate::Deliver(_)));
@@ -544,23 +464,13 @@ mod tests {
 
     #[test]
     fn loopback_never_duplicates() {
-        let mut net = Network::default().with_duplication_probability(1.0);
+        let mut net = Network::default();
+        net.set_link_duplication(6, 6, 1.0);
         let mut r = rng();
         assert_eq!(
             net.fate(&mut r, 6, 6),
             Fate::Deliver(SimDuration::from_micros(1))
         );
-    }
-
-    #[test]
-    fn jitter_scales_latency_within_bounds() {
-        let mut net = Network::new(SimDuration::from_millis(10)).with_jitter(0.5);
-        let mut r = rng();
-        for _ in 0..1000 {
-            let l = net.transit(&mut r, 1, 2).unwrap();
-            assert!(l >= SimDuration::from_millis(10), "lat {l}");
-            assert!(l <= SimDuration::from_millis(15), "lat {l}");
-        }
     }
 
     #[test]
@@ -575,10 +485,12 @@ mod tests {
         // Determinism: two networks with the same configuration, driven by
         // identically seeded RNGs, decide the same fate for every message.
         let mk = || {
-            Network::new(SimDuration::from_millis(2))
-                .with_jitter(0.3)
-                .with_drop_probability(0.2)
-                .with_duplication_probability(0.1)
+            let mut net = Network::new(SimDuration::from_millis(2));
+            for to in 2..5 {
+                net.set_link_loss(1, to, 0.2);
+                net.set_link_duplication(1, to, 0.1);
+            }
+            net
         };
         let (mut a, mut b) = (mk(), mk());
         let mut ra = SimRng::seed_from_u64(99);

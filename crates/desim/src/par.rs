@@ -624,19 +624,20 @@ mod tests {
         );
     }
 
-    /// A fault driver: downs a host mid-run through the deferred-op path.
-    struct Downer {
-        victim: ActorId,
+    /// A fault driver: severs one link mid-run through the deferred-op
+    /// path.
+    struct Cutter {
+        link: (ActorId, ActorId),
     }
-    impl Actor<Msg> for Downer {
+    impl Actor<Msg> for Cutter {
         fn name(&self) -> String {
-            "downer".into()
+            "cutter".into()
         }
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             ctx.send_self_after(SimDuration::from_millis(10), Msg::Kick);
         }
         fn on_message(&mut self, _f: ActorId, _m: Msg, ctx: &mut Context<'_, Msg>) {
-            ctx.net.set_host_down(self.victim);
+            ctx.net.partition(self.link.0, self.link.1);
         }
     }
 
@@ -677,11 +678,11 @@ mod tests {
     fn deferred_net_ops_hit_every_replica_and_stay_deterministic() {
         let run = |threads: usize| {
             let mut w: World<Msg> = World::new(5);
-            let driver = w.add_actor(Box::new(Downer { victim: 2 }));
+            let driver = w.add_actor(Box::new(Cutter { link: (1, 2) }));
             let beacon = w.add_actor(Box::new(Beacon { to: 2, sent: 0 }));
             let sink = w.add_actor(Box::new(Sink { got: 0 }));
             assert_eq!((driver, beacon, sink), (0, 1, 2));
-            // Three actors, three shards: the driver's host_down must
+            // Three actors, three shards: the driver's partition must
             // cross two shard boundaries to stop the beacon's deliveries.
             let mut pw = w.into_parallel(ParConfig::new(3, threads));
             pw.run_until(SimTime::from_millis(40));
@@ -694,7 +695,7 @@ mod tests {
         assert!(sent >= 15, "beacon kept ticking: {sent}");
         assert!(
             got < sent,
-            "host_down never took effect ({got} of {sent} arrived)"
+            "the partition never took effect ({got} of {sent} arrived)"
         );
         assert!(got >= 4, "probes before the fault must arrive: {got}");
         assert_eq!(dropped, u64::from(sent - got));
@@ -778,14 +779,15 @@ mod tests {
     }
 
     /// A world and its one-shard parallel run are one run, bit for bit —
-    /// a fault driver included: at 10 ms it downs the sink in the instant
-    /// the beacon, a later sender, probes it, so the probe is lost only if
-    /// the mutation applies at once, as a world applies it.
+    /// a fault driver included: at 10 ms it severs the sink's link to the
+    /// beacon in the instant the beacon, a later sender, probes it, so the
+    /// probe is lost only if the mutation applies at once, as a world
+    /// applies it.
     #[test]
     fn a_world_is_its_own_one_shard_run() {
         let build = || {
             let mut w = gossip_world(5, 8);
-            w.add_actor(Box::new(Downer { victim: 10 }));
+            w.add_actor(Box::new(Cutter { link: (9, 10) }));
             w.add_actor(Box::new(Beacon { to: 10, sent: 0 }));
             w.add_actor(Box::new(Sink { got: 0 }));
             w.count_deliveries_by(kind);

@@ -442,8 +442,9 @@ mod tests {
     #[test]
     fn lossy_jittery_network_is_deterministic_across_runs() {
         // Satellite of the partition-tolerance work: identical seeds and
-        // identical drop/jitter/duplication settings must yield identical
-        // delivery traces (arrival times included) across two runs.
+        // identical per-link latency/loss/duplication settings must yield
+        // identical delivery traces (arrival times included) across two
+        // runs.
         struct Recorder {
             arrivals: Vec<SimTime>,
         }
@@ -459,16 +460,16 @@ mod tests {
         }
         let run = |seed: u64| {
             let mut w: World<Msg> = World::new(seed);
-            *w.net_mut() = Network::new(SimDuration::from_millis(2))
-                .with_jitter(0.4)
-                .with_drop_probability(0.3)
-                .with_duplication_probability(0.2);
             let r = w.add_actor(Box::new(Recorder { arrivals: vec![] }));
             let s = w.add_actor(Box::new(NetSender {
                 peer: r,
                 attempts: 200,
                 delivered: 0,
             }));
+            let net = w.net_mut();
+            net.set_link_latency(s, r, SimDuration::from_millis(3));
+            net.set_link_loss(s, r, 0.3);
+            net.set_link_duplication(s, r, 0.2);
             w.run(10_000);
             (
                 w.get::<Recorder>(r).unwrap().arrivals.clone(),

@@ -30,15 +30,16 @@ fn queue_pops_stable_sorted() {
     });
 }
 
-/// Network transit: latency is always >= 1µs when delivered; loopback
-/// always delivers; partitions always block.
+/// Network transit: a delivered message takes exactly the base latency,
+/// and never less than 1µs; loopback always delivers; partitions always
+/// block.
 #[test]
 fn network_invariants() {
     check(CASES, |g| {
-        let (base_ms, jitter) = (g.int(0u64..50), g.f64(0.0..1.0));
+        let base_ms = g.int(0u64..50);
         let (a, b) = (g.int(0usize..8), g.int(0usize..8));
         let partitioned = g.bool();
-        let mut net = Network::new(SimDuration::from_millis(base_ms)).with_jitter(jitter);
+        let mut net = Network::new(SimDuration::from_millis(base_ms));
         if partitioned {
             net.partition(a, b);
         }
@@ -50,10 +51,7 @@ fn network_invariants() {
             assert_eq!(r, None);
         } else {
             let lat = r.expect("healthy link delivers");
-            assert!(lat.as_micros() >= 1);
-            let upper = SimDuration::from_millis(base_ms).mul_f64(1.0 + jitter)
-                + SimDuration::from_micros(2);
-            assert!(lat <= upper, "latency {lat} above bound {upper}");
+            assert_eq!(lat, SimDuration::from_micros((base_ms * 1_000).max(1)));
         }
     });
 }

@@ -5,8 +5,8 @@
 //! consumed it, and the schedd's ruling. Each hop is classified into the
 //! three phases of the HPC resilience-pattern taxonomy — *detection*
 //! (the error became visible), *containment* (it was carried, widened, or
-//! re-expressed without leaking), and *recovery* (it was masked, handled,
-//! or answered with a disposition).
+//! re-expressed without leaking), and *recovery* (it was handled, or
+//! answered with a disposition).
 
 use crate::chain::span_jobs;
 use crate::stream::Stream;
@@ -23,8 +23,8 @@ pub enum Phase {
     /// The error was carried without leaking: forwarded, widened to an
     /// enclosing scope, or re-expressed in a richer vocabulary.
     Containment,
-    /// Something acted on the error: masked it, handled it as the manager
-    /// of its scope, ruled a disposition — or swallowed it, which is
+    /// Something acted on the error: handled it as the manager of its
+    /// scope, ruled a disposition — or swallowed it, which is
     /// recovery's *failure* mode (a Principle 1 violation).
     Recovery,
 }

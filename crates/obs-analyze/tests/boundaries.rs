@@ -119,14 +119,13 @@ fn any_event(g: &mut Gen, machine: u64) -> Event {
         _ => Event::SpanHop {
             span: job,
             layer: text(g),
-            action: match g.below(8) {
+            action: match g.below(7) {
                 0 => SpanAction::Raised,
                 1 => SpanAction::Forwarded,
                 2 => SpanAction::Widened { from: text(g) },
                 3 => SpanAction::Escaped,
                 4 => SpanAction::Reexpressed,
-                5 => SpanAction::Masked { technique: text(g) },
-                6 => SpanAction::Handled,
+                5 => SpanAction::Handled,
                 _ => SpanAction::Swallowed,
             },
             scope: text(g),
@@ -486,6 +485,14 @@ fn integers_are_read_as_the_tree_reads_them() {
     }
 }
 
+#[test]
+fn a_masked_span_action_is_refused() {
+    let masked = line(
+        r#"{"type":"span-hop","span":1,"layer":"rpc","action":"masked","technique":"retry","scope":"process"}"#,
+    );
+    assert_eq!(refusal(&masked), "line 1: unknown span action \"masked\"");
+}
+
 /// The reference: each line parsed into a `Json` tree, then read by member
 /// lookups on it — the stream's reader before it read fields directly.
 mod tree {
@@ -684,9 +691,6 @@ mod tree {
                     "widened" => SpanAction::Widened { from: s("from")? },
                     "escaped" => SpanAction::Escaped,
                     "reexpressed" => SpanAction::Reexpressed,
-                    "masked" => SpanAction::Masked {
-                        technique: s("technique")?,
-                    },
                     "handled" => SpanAction::Handled,
                     "swallowed" => SpanAction::Swallowed,
                     other => return Err(format!("unknown span action {other:?}")),

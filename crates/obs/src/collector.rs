@@ -1,12 +1,12 @@
 //! The bounded event collector and its JSONL exporter.
 //!
 //! Recording is a hot path — every `Context::emit` in the simulator lands
-//! here — so the collector stores the recording actor's name as an
-//! interned [`Sym`](crate::Sym) rather than an owned `String`: after an
-//! actor's first event, recording allocates nothing for the name. Strings
-//! are resolved back out through [`EventRef`] views and at JSONL export.
+//! here. Every record carries an actor name, so the collector stores it as
+//! an interned [`Sym`](crate::Sym): after an actor's first event, the name
+//! costs no allocation. The event itself is kept exactly as it was handed
+//! in, and [`EventRef`] views lend it back by reference.
 
-use crate::event::{Event, EventFields, PlainStr, ResolveStr};
+use crate::event::{Event, EventFields};
 use crate::intern::{Interner, Sym};
 use crate::json;
 use crate::ring::RingBuffer;
@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// One recorded event: what, when, and which actor saw it. This is the
-/// owned form used by the JSONL parser; live collector storage is the
-/// interned [`StoredRecord`], viewed through [`EventRef`].
+/// owned form the JSONL parser returns; the collector keeps the same event
+/// with only the actor name interned, lent out as an [`EventRef`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Simulation time, microseconds.
@@ -27,56 +27,46 @@ pub struct EventRecord {
     pub event: Event,
 }
 
-/// The in-ring representation: the actor name *and* the event's hot
-/// string fields are symbols in the collector's interner.
+/// The in-ring representation: the actor name is a symbol in the
+/// collector's interner, the event is the one recorded.
 #[derive(Debug, Clone, PartialEq)]
 struct StoredRecord {
     at_us: u64,
     actor: Sym,
-    event: Event<Sym>,
+    event: Event,
 }
 
 /// A borrowed view of one recorded event, with the actor name resolved.
-/// The event itself stays in its interned form; [`EventRef::to_record`]
-/// resolves it fully when an owned copy is needed.
 #[derive(Debug, Clone, Copy)]
 pub struct EventRef<'a> {
     /// Simulation time, microseconds.
     pub at_us: u64,
     /// The recording actor's name.
     pub actor: &'a str,
-    /// The event, hot string fields interned.
-    pub event: &'a Event<Sym>,
-    /// The interner the event's symbols resolve through.
-    strings: &'a Interner,
+    /// The event, as recorded.
+    pub event: &'a Event,
 }
 
 impl EventRef<'_> {
-    /// An owned copy of this record, with every symbol resolved.
+    /// An owned copy of this record.
     pub fn to_record(&self) -> EventRecord {
         EventRecord {
             at_us: self.at_us,
             actor: self.actor.to_string(),
-            event: self.event.resolve_strings(self.strings),
+            event: self.event.clone(),
         }
     }
 }
 
 /// The one writer of a record's line (no trailing newline), for a live
 /// [`EventRef`] and an owned [`EventRecord`] alike.
-fn write_record<S>(
-    out: &mut String,
-    at_us: u64,
-    actor: &str,
-    event: &Event<S>,
-    strings: &impl ResolveStr<S>,
-) {
+fn write_record(out: &mut String, at_us: u64, actor: &str, event: &Event) {
     out.push_str("{\"at_us\":");
     json::write_u64(out, at_us);
     out.push_str(",\"actor\":");
     json::write_str(out, actor);
     out.push_str(",\"event\":");
-    event.write_json_with(strings, out);
+    event.write_json(out);
     out.push('}');
 }
 
@@ -87,7 +77,7 @@ impl fmt::Display for EventRef<'_> {
             "[{:>12.6}s] {:<12} {}",
             self.at_us as f64 / 1e6,
             self.actor,
-            self.event.resolve_strings(self.strings)
+            self.event
         )
     }
 }
@@ -169,7 +159,7 @@ impl EventRecord {
     /// Serialise to a single JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        write_record(&mut out, self.at_us, &self.actor, &self.event, &PlainStr);
+        write_record(&mut out, self.at_us, &self.actor, &self.event);
         out
     }
 
@@ -257,16 +247,13 @@ impl Collector {
 
     /// Record `event` as seen by `actor` at simulation time `at_us`.
     /// After `actor`'s first event, the name costs one hash lookup and no
-    /// allocation; the event's hot string fields (escape layers, scopes,
-    /// dispositions, reschedule reasons) are interned the same way, so a
-    /// retained record stores `u32` symbols instead of heap strings.
+    /// allocation; the event is kept as it is.
     #[inline]
     pub fn record(&mut self, at_us: u64, actor: &str, event: Event) {
         if !self.enabled {
             return;
         }
         let actor = self.actors.intern(actor);
-        let event = event.intern_strings(&mut self.actors);
         self.ring.push(StoredRecord {
             at_us,
             actor,
@@ -280,7 +267,6 @@ impl Collector {
             at_us: r.at_us,
             actor: self.actors.resolve(r.actor),
             event: &r.event,
-            strings: &self.actors,
         })
     }
 
@@ -349,7 +335,7 @@ impl Collector {
 
     fn write_jsonl(&self, out: &mut String) {
         for r in self.iter() {
-            write_record(out, r.at_us, r.actor, r.event, r.strings);
+            write_record(out, r.at_us, r.actor, r.event);
             out.push('\n');
         }
     }
@@ -422,6 +408,7 @@ impl Default for Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::one_of_each_kind;
     use crate::event::{ClaimOutcome, IoOutcome};
     use crate::span::SpanAction;
 
@@ -529,47 +516,23 @@ mod tests {
     }
 
     #[test]
-    fn interned_hot_fields_resolve_and_export_identically() {
+    fn every_kind_is_kept_as_recorded_and_exported_as_its_record() {
+        let events = one_of_each_kind();
         let mut c = Collector::new();
-        c.record(
-            5,
-            "startd:m1",
-            Event::Escape {
-                span: 3,
-                layer: "io-library".into(),
-                code: "FilesystemOffline".into(),
-                scope: "local-resource".into(),
-            },
-        );
-        c.record(
-            9,
-            "schedd",
-            Event::Reschedule {
-                job: 1,
-                machine: 2,
-                reason: "remote-resource-scope error: jvm missing".into(),
-            },
-        );
-        // The stored form resolves back to exactly what was recorded…
-        let records: Vec<EventRecord> = c.iter().map(|r| r.to_record()).collect();
-        assert_eq!(
-            records[0].event,
-            Event::Escape {
-                span: 3,
-                layer: "io-library".into(),
-                code: "FilesystemOffline".into(),
-                scope: "local-resource".into(),
-            }
-        );
-        // …and the export round-trips byte-identically through the parser.
-        let jsonl = c.to_jsonl();
-        let reparsed = Collector::parse_jsonl(&jsonl).unwrap();
-        let mut rewritten = String::new();
-        for r in &reparsed {
-            rewritten.push_str(&r.to_json());
-            rewritten.push('\n');
+        for (i, e) in events.iter().enumerate() {
+            let actor = if i % 2 == 0 { "schedd" } else { "startd:m1" };
+            c.record(i as u64, actor, e.clone());
         }
-        assert_eq!(rewritten, jsonl);
+        // The ring lends back exactly what was recorded…
+        let kept: Vec<&Event> = c.iter().map(|r| r.event).collect();
+        assert_eq!(kept, events.iter().collect::<Vec<_>>());
+        // …and the export is each record's own line, in order.
+        let mut lines = String::new();
+        for r in c.iter() {
+            lines.push_str(&r.to_record().to_json());
+            lines.push('\n');
+        }
+        assert_eq!(c.to_jsonl(), lines);
     }
 
     #[test]

@@ -12,37 +12,10 @@
 //! ([`EventRecord::from_json`](crate::EventRecord::from_json)), so an
 //! exported stream can be re-read and audited offline.
 
-use crate::intern::{Interner, Sym};
 use crate::json::{self, ParseError, Reader};
 use crate::span::{SpanAction, SpanId};
 use std::borrow::Cow;
 use std::fmt;
-
-/// Resolves one of an event's interned-or-owned string fields to `&str`.
-///
-/// The event enum is generic over its hot string fields ([`Event<S>`]);
-/// serialization is written once against this trait so the owned form
-/// (`S = String`, resolver [`PlainStr`]) and the collector's interned form
-/// (`S = Sym`, resolver [`Interner`]) produce byte-identical JSON.
-pub(crate) trait ResolveStr<S> {
-    /// The text behind `s`.
-    fn str<'a>(&'a self, s: &'a S) -> &'a str;
-}
-
-/// The trivial resolver for `Event<String>`: the field *is* the text.
-pub(crate) struct PlainStr;
-
-impl ResolveStr<String> for PlainStr {
-    fn str<'a>(&'a self, s: &'a String) -> &'a str {
-        s
-    }
-}
-
-impl ResolveStr<Sym> for Interner {
-    fn str<'a>(&'a self, s: &'a Sym) -> &'a str {
-        self.resolve(*s)
-    }
-}
 
 /// How a claim attempt concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,17 +71,12 @@ impl IoOutcome {
     }
 }
 
-/// One typed telemetry event.
-///
-/// The type is generic over its *hot* string fields — the ones written on
-/// every escape/reschedule/disposition the scheduler emits. Constructed
-/// events use the default `S = String`; inside the [`Collector`]
-/// (crate::Collector) those fields are interned and stored as
-/// `Event<Sym>`, so a retained record carries three `u32`s where it used
-/// to carry three heap strings. Cold fields (rejection reasons, span-hop
-/// layers, violation details) stay owned in both forms.
+/// One typed telemetry event. Its strings are owned: the
+/// [`Collector`](crate::Collector) keeps each event exactly as it was
+/// handed one, and [`Collector::iter`](crate::Collector::iter) lends it
+/// back unchanged.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event<S = String> {
+pub enum Event {
     /// A step of the claiming protocol for `job` on `machine`.
     Claim {
         /// Which job.
@@ -139,11 +107,11 @@ pub enum Event<S = String> {
         /// The error's journey span.
         span: SpanId,
         /// The interface it escaped.
-        layer: S,
+        layer: String,
         /// Machine-readable condition.
-        code: S,
+        code: String,
         /// The error's scope name.
-        scope: S,
+        scope: String,
     },
     /// The schedd put a job back in the idle queue.
     Reschedule {
@@ -152,16 +120,16 @@ pub enum Event<S = String> {
         /// The machine the failed attempt ran on.
         machine: u64,
         /// Why, human-readable.
-        reason: S,
+        reason: String,
     },
     /// The schedd's final ruling on an execution report.
     Disposition {
         /// Which job.
         job: u64,
         /// The disposition name (`return-completed`, `log-and-reschedule`…).
-        disposition: S,
+        disposition: String,
         /// The scope that drove the ruling.
-        scope: S,
+        scope: String,
         /// The error journey that ended here ([`crate::NO_SPAN`] when the
         /// outcome carried no scoped error — completions, naive exits).
         span: SpanId,
@@ -303,7 +271,7 @@ pub enum Event<S = String> {
     },
 }
 
-impl<S> Event<S> {
+impl Event {
     /// The event's wire name (the `type` field).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -337,142 +305,8 @@ impl<S> Event<S> {
         }
     }
 
-    /// Rebuild the event with every hot string field mapped through `f`,
-    /// leaving all other fields untouched. This is the one exhaustive
-    /// match both directions of the `String`↔[`Sym`] conversion share.
-    pub fn map_strings<T>(self, mut f: impl FnMut(S) -> T) -> Event<T> {
-        match self {
-            Event::Claim {
-                job,
-                machine,
-                outcome,
-            } => Event::Claim {
-                job,
-                machine,
-                outcome,
-            },
-            Event::Dispatch { job, machine } => Event::Dispatch { job, machine },
-            Event::Match { job, machine } => Event::Match { job, machine },
-            Event::Escape {
-                span,
-                layer,
-                code,
-                scope,
-            } => Event::Escape {
-                span,
-                layer: f(layer),
-                code: f(code),
-                scope: f(scope),
-            },
-            Event::Reschedule {
-                job,
-                machine,
-                reason,
-            } => Event::Reschedule {
-                job,
-                machine,
-                reason: f(reason),
-            },
-            Event::Disposition {
-                job,
-                disposition,
-                scope,
-                span,
-            } => Event::Disposition {
-                job,
-                disposition: f(disposition),
-                scope: f(scope),
-                span,
-            },
-            Event::IoOp { op, outcome } => Event::IoOp { op, outcome },
-            Event::Violation {
-                principle,
-                machine,
-                detail,
-            } => Event::Violation {
-                principle,
-                machine,
-                detail,
-            },
-            Event::CheckpointTaken {
-                job,
-                machine,
-                bytes,
-                banked_us,
-            } => Event::CheckpointTaken {
-                job,
-                machine,
-                bytes,
-                banked_us,
-            },
-            Event::CheckpointRestored {
-                job,
-                machine,
-                saved_us,
-            } => Event::CheckpointRestored {
-                job,
-                machine,
-                saved_us,
-            },
-            Event::CheckpointDiscarded {
-                job,
-                machine,
-                reason,
-            } => Event::CheckpointDiscarded {
-                job,
-                machine,
-                reason,
-            },
-            Event::LeaseExpired { job, machine, side } => {
-                Event::LeaseExpired { job, machine, side }
-            }
-            Event::StaleEpochDropped {
-                job,
-                kind,
-                got,
-                current,
-            } => Event::StaleEpochDropped {
-                job,
-                kind,
-                got,
-                current,
-            },
-            Event::BreakerStateChange { machine, from, to } => {
-                Event::BreakerStateChange { machine, from, to }
-            }
-            Event::NetFaultApplied { kind, link, active } => {
-                Event::NetFaultApplied { kind, link, active }
-            }
-            Event::MemFlip {
-                job,
-                machine,
-                target,
-                bit,
-            } => Event::MemFlip {
-                job,
-                machine,
-                target,
-                bit,
-            },
-            Event::FlockFault { job, pool, kind } => Event::FlockFault { job, pool, kind },
-            Event::SpanHop {
-                span,
-                layer,
-                action,
-                scope,
-            } => Event::SpanHop {
-                span,
-                layer,
-                action,
-                scope,
-            },
-        }
-    }
-
-    /// Append this event as a JSON object to `out`, resolving hot string
-    /// fields through `res`. The byte output is identical for the owned
-    /// and interned instantiations.
-    pub(crate) fn write_json_with<R: ResolveStr<S>>(&self, res: &R, out: &mut String) {
+    /// Append this event as a JSON object to `out`.
+    pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"type\":\"");
         out.push_str(self.kind());
         out.push('"');
@@ -515,9 +349,9 @@ impl<S> Event<S> {
                 scope,
             } => {
                 field_u64(out, key!("span"), *span);
-                field_str(out, key!("layer"), res.str(layer));
-                field_str(out, key!("code"), res.str(code));
-                field_str(out, key!("scope"), res.str(scope));
+                field_str(out, key!("layer"), layer);
+                field_str(out, key!("code"), code);
+                field_str(out, key!("scope"), scope);
             }
             Event::Reschedule {
                 job,
@@ -526,7 +360,7 @@ impl<S> Event<S> {
             } => {
                 field_u64(out, key!("job"), *job);
                 field_u64(out, key!("machine"), *machine);
-                field_str(out, key!("reason"), res.str(reason));
+                field_str(out, key!("reason"), reason);
             }
             Event::Disposition {
                 job,
@@ -535,8 +369,8 @@ impl<S> Event<S> {
                 span,
             } => {
                 field_u64(out, key!("job"), *job);
-                field_str(out, key!("disposition"), res.str(disposition));
-                field_str(out, key!("scope"), res.str(scope));
+                field_str(out, key!("disposition"), disposition);
+                field_str(out, key!("scope"), scope);
                 field_u64(out, key!("span"), *span);
             }
             Event::IoOp { op, outcome } => {
@@ -639,30 +473,13 @@ impl<S> Event<S> {
                 field_u64(out, key!("span"), *span);
                 field_str(out, key!("layer"), layer);
                 field_str(out, key!("action"), action.name());
-                match action {
-                    SpanAction::Widened { from } => field_str(out, key!("from"), from),
-                    SpanAction::Masked { technique } => {
-                        field_str(out, key!("technique"), technique)
-                    }
-                    _ => {}
+                if let SpanAction::Widened { from } = action {
+                    field_str(out, key!("from"), from);
                 }
                 field_str(out, key!("scope"), scope);
             }
         }
         out.push('}');
-    }
-}
-
-impl Event {
-    /// Append this event as a JSON object to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        self.write_json_with(&PlainStr, out)
-    }
-
-    /// Intern the hot string fields into `interner`, producing the
-    /// collector's compact storage form.
-    pub fn intern_strings(self, interner: &mut Interner) -> Event<Sym> {
-        self.map_strings(|s| interner.intern(&s))
     }
 }
 
@@ -701,7 +518,6 @@ pub(crate) struct EventFields<'a> {
     link: Option<Cow<'a, str>>,
     target: Option<Cow<'a, str>>,
     action: Option<Cow<'a, str>>,
-    technique: Option<Cow<'a, str>>,
 }
 
 impl<'a> EventFields<'a> {
@@ -739,7 +555,6 @@ impl<'a> EventFields<'a> {
                 "link" => f.link = r.str()?,
                 "target" => f.target = r.str()?,
                 "action" => f.action = r.str()?,
-                "technique" => f.technique = r.str()?,
                 _ => r.skip()?,
             }
             Ok(())
@@ -882,9 +697,6 @@ impl<'a> EventFields<'a> {
                     },
                     "escaped" => SpanAction::Escaped,
                     "reexpressed" => SpanAction::Reexpressed,
-                    "masked" => SpanAction::Masked {
-                        technique: s(self.technique, "technique")?,
-                    },
                     "handled" => SpanAction::Handled,
                     "swallowed" => SpanAction::Swallowed,
                     other => return Err(format!("unknown span action {other:?}")),
@@ -898,15 +710,6 @@ impl<'a> EventFields<'a> {
             }
             other => Err(format!("unknown event type {other:?}")),
         }
-    }
-}
-
-impl Event<Sym> {
-    /// Resolve the hot string fields back out of `interner`, producing an
-    /// owned event equal to the one originally recorded.
-    pub fn resolve_strings(&self, interner: &Interner) -> Event {
-        self.clone()
-            .map_strings(|s| interner.resolve(s).to_string())
     }
 }
 
@@ -1026,8 +829,110 @@ impl fmt::Display for Event {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One event of each of the 18 kinds.
+    pub(crate) fn one_of_each_kind() -> Vec<Event> {
+        let events = vec![
+            Event::Claim {
+                job: 1,
+                machine: 3,
+                outcome: ClaimOutcome::Rejected {
+                    reason: "busy \"again\"".into(),
+                },
+            },
+            Event::Dispatch { job: 2, machine: 4 },
+            Event::Match { job: 2, machine: 4 },
+            Event::Escape {
+                span: 9,
+                layer: "io-library".into(),
+                code: "FilesystemOffline".into(),
+                scope: "local-resource".into(),
+            },
+            Event::Reschedule {
+                job: 5,
+                machine: 2,
+                reason: "machine vanished".into(),
+            },
+            Event::Disposition {
+                job: 5,
+                disposition: "log-and-reschedule".into(),
+                scope: "remote-resource".into(),
+                span: 9,
+            },
+            Event::IoOp {
+                op: "read".into(),
+                outcome: IoOutcome::Escaped {
+                    code: "ConnectionTimedOut".into(),
+                },
+            },
+            Event::Violation {
+                principle: 1,
+                machine: 4,
+                detail: "swallowed at jvm".into(),
+            },
+            Event::CheckpointTaken {
+                job: 3,
+                machine: 2,
+                bytes: 4096,
+                banked_us: 1_500_000,
+            },
+            Event::CheckpointRestored {
+                job: 3,
+                machine: 4,
+                saved_us: 1_500_000,
+            },
+            Event::CheckpointDiscarded {
+                job: 3,
+                machine: 4,
+                reason: "checksum mismatch".into(),
+            },
+            Event::LeaseExpired {
+                job: 4,
+                machine: 6,
+                side: "schedd".into(),
+            },
+            Event::StaleEpochDropped {
+                job: 4,
+                kind: "report".into(),
+                got: 2,
+                current: 3,
+            },
+            Event::BreakerStateChange {
+                machine: 6,
+                from: "closed".into(),
+                to: "open".into(),
+            },
+            Event::NetFaultApplied {
+                kind: "partition".into(),
+                link: "1-5".into(),
+                active: true,
+            },
+            Event::MemFlip {
+                job: 4,
+                machine: 2,
+                target: "heap-word".into(),
+                bit: 257,
+            },
+            Event::FlockFault {
+                job: 3,
+                pool: 2,
+                kind: "unreachable".into(),
+            },
+            Event::SpanHop {
+                span: 7,
+                layer: "rpc".into(),
+                action: SpanAction::Widened {
+                    from: "network".into(),
+                },
+                scope: "process".into(),
+            },
+        ];
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(Event::kind).collect();
+        assert_eq!(kinds.len(), 18);
+        events
+    }
 
     fn round_trip(e: Event) {
         let mut doc = String::new();
@@ -1043,110 +948,22 @@ mod tests {
         let mut redoc = String::new();
         parsed.write_json(&mut redoc);
         assert_eq!(redoc, doc, "reserialization must be byte-identical");
-
-        // The interned form serializes to the same bytes, and resolving
-        // it recovers the original event.
-        let mut interner = Interner::new();
-        let interned = e.clone().intern_strings(&mut interner);
-        let mut idoc = String::new();
-        interned.write_json_with(&interner, &mut idoc);
-        assert_eq!(idoc, doc, "interned serialization must be byte-identical");
-        assert_eq!(interned.resolve_strings(&interner), e);
-        assert_eq!(interned.kind(), e.kind());
-        assert_eq!(interned.span(), e.span());
     }
 
     #[test]
     fn every_variant_round_trips() {
+        for e in one_of_each_kind() {
+            round_trip(e);
+        }
         round_trip(Event::Claim {
             job: 1,
             machine: 3,
             outcome: ClaimOutcome::Requested,
         });
-        round_trip(Event::Claim {
-            job: 1,
-            machine: 3,
-            outcome: ClaimOutcome::Rejected {
-                reason: "busy \"again\"".into(),
-            },
-        });
-        round_trip(Event::Dispatch { job: 2, machine: 4 });
-        round_trip(Event::Match { job: 2, machine: 4 });
-        round_trip(Event::Escape {
-            span: 9,
-            layer: "io-library".into(),
-            code: "FilesystemOffline".into(),
-            scope: "local-resource".into(),
-        });
-        round_trip(Event::Reschedule {
-            job: 5,
-            machine: 2,
-            reason: "machine vanished".into(),
-        });
-        round_trip(Event::Disposition {
-            job: 5,
-            disposition: "log-and-reschedule".into(),
-            scope: "remote-resource".into(),
-            span: 9,
-        });
-        round_trip(Event::IoOp {
-            op: "read".into(),
-            outcome: IoOutcome::Escaped {
-                code: "ConnectionTimedOut".into(),
-            },
-        });
-        round_trip(Event::Violation {
-            principle: 1,
-            machine: 4,
-            detail: "swallowed at jvm".into(),
-        });
-        round_trip(Event::CheckpointTaken {
-            job: 3,
-            machine: 2,
-            bytes: 4096,
-            banked_us: 1_500_000,
-        });
-        round_trip(Event::CheckpointRestored {
-            job: 3,
-            machine: 4,
-            saved_us: 1_500_000,
-        });
-        round_trip(Event::CheckpointDiscarded {
-            job: 3,
-            machine: 4,
-            reason: "checksum mismatch".into(),
-        });
-        round_trip(Event::LeaseExpired {
-            job: 4,
-            machine: 6,
-            side: "schedd".into(),
-        });
-        round_trip(Event::StaleEpochDropped {
-            job: 4,
-            kind: "report".into(),
-            got: 2,
-            current: 3,
-        });
-        round_trip(Event::BreakerStateChange {
-            machine: 6,
-            from: "closed".into(),
-            to: "open".into(),
-        });
-        round_trip(Event::NetFaultApplied {
-            kind: "partition".into(),
-            link: "1-5".into(),
-            active: true,
-        });
         round_trip(Event::NetFaultApplied {
             kind: "loss".into(),
             link: "1-2".into(),
             active: false,
-        });
-        round_trip(Event::MemFlip {
-            job: 4,
-            machine: 2,
-            target: "heap-word".into(),
-            bit: 257,
         });
         round_trip(Event::MemFlip {
             job: 9,
@@ -1155,22 +972,9 @@ mod tests {
             bit: 40,
         });
         round_trip(Event::FlockFault {
-            job: 3,
-            pool: 2,
-            kind: "unreachable".into(),
-        });
-        round_trip(Event::FlockFault {
             job: 4,
             pool: 1,
             kind: "saturated".into(),
-        });
-        round_trip(Event::SpanHop {
-            span: 7,
-            layer: "rpc".into(),
-            action: SpanAction::Widened {
-                from: "network".into(),
-            },
-            scope: "process".into(),
         });
         round_trip(Event::SpanHop {
             span: 7,

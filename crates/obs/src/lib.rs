@@ -4,8 +4,8 @@
 //! that journey as data instead of prose. It provides:
 //!
 //! * [`RingBuffer`] — the bounded storage shared by the event collector and
-//!   `desim`'s trace log, so long simulations cannot grow memory without
-//!   bound.
+//!   `chirp`'s client event log, so long simulations cannot grow memory
+//!   without bound.
 //! * [`Event`] / [`EventRecord`] / [`Collector`] — typed protocol events
 //!   (claim, dispatch, escape, reschedule, disposition, I/O op, violation)
 //!   plus **error-journey spans**: every `ScopedError` hop becomes a
@@ -15,8 +15,9 @@
 //!   histograms with per-scope and per-machine labels.
 //! * [`Interner`] / [`Sym`] — hot-path string interning: metric keys and
 //!   event actor names are stored as dense `u32` symbols and resolved back
-//!   to strings only at export time, so steady-state telemetry allocates
-//!   nothing.
+//!   to strings only at export time, so a counter touch or an actor's name
+//!   allocates only the first time it is seen. An event's own strings are
+//!   owned by the event, which the collector keeps as it was handed.
 //! * Exporters — a JSONL event stream ([`Collector::to_jsonl`]) and a JSON
 //!   metrics snapshot ([`Registry::snapshot_json`]) — with a hand-rolled
 //!   parser ([`json`]) so exports can be round-tripped and validated

@@ -75,11 +75,6 @@ pub enum SpanAction {
     /// Re-expressed explicitly in a richer vocabulary (e.g. the wrapper's
     /// result file).
     Reexpressed,
-    /// Masked by a recovery technique.
-    Masked {
-        /// The technique applied.
-        technique: String,
-    },
     /// Consumed by the manager of its scope.
     Handled,
     /// Converted to an implicit error — a Principle 1 violation.
@@ -95,7 +90,6 @@ impl SpanAction {
             SpanAction::Widened { .. } => "widened",
             SpanAction::Escaped => "escaped",
             SpanAction::Reexpressed => "reexpressed",
-            SpanAction::Masked { .. } => "masked",
             SpanAction::Handled => "handled",
             SpanAction::Swallowed => "swallowed",
         }
@@ -106,7 +100,6 @@ impl fmt::Display for SpanAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpanAction::Widened { from } => write!(f, "widened(from {from})"),
-            SpanAction::Masked { technique } => write!(f, "masked({technique})"),
             other => f.write_str(other.name()),
         }
     }
@@ -140,21 +133,11 @@ mod tests {
     #[test]
     fn action_names_are_stable() {
         assert_eq!(SpanAction::Raised.name(), "raised");
-        assert_eq!(
-            SpanAction::Widened {
-                from: "network".into()
-            }
-            .name(),
-            "widened"
-        );
-        assert_eq!(
-            format!(
-                "{}",
-                SpanAction::Masked {
-                    technique: "retry".into()
-                }
-            ),
-            "masked(retry)"
-        );
+        let widened = SpanAction::Widened {
+            from: "network".into(),
+        };
+        assert_eq!(widened.name(), "widened");
+        assert_eq!(format!("{widened}"), "widened(from network)");
+        assert_eq!(format!("{}", SpanAction::Handled), "handled");
     }
 }

@@ -1,16 +1,18 @@
-//! The Chirp proxy over a real threaded loopback connection.
+//! The Chirp proxy over a real TCP loopback connection.
 //!
 //! Run with: `cargo run --example io_proxy`
 //!
-//! Demonstrates Figure 2's I/O path with the proxy on its own thread, the
-//! shared-secret cookie handshake of §2.2, and the escaping error: when the
-//! backing store goes offline mid-session, the proxy *breaks the
-//! connection* rather than inventing an in-vocabulary excuse — and the
-//! client library surfaces a scoped escape, not an IOException.
+//! Demonstrates Figure 2's I/O path with the proxy behind a `127.0.0.1`
+//! socket on its own thread, the shared-secret cookie handshake of §2.2,
+//! and the escaping error: when the backing store goes offline mid-session,
+//! the proxy *breaks the connection* rather than inventing an in-vocabulary
+//! excuse (§3.1). The job's library sees only the closed socket, so its
+//! escape has network scope; the starter, which hosts the proxy, knows why.
 
 use chirp::backend::EnvFault;
 use chirp::client::IoError;
 use chirp::prelude::*;
+use chirp::{serve_once, TcpTransport};
 use errorscope::Scope;
 
 fn main() {
@@ -23,9 +25,11 @@ fn main() {
 
     let cookie = Cookie::generate(0x10B);
     let server = ChirpServer::new(sandbox, cookie.clone());
-    let (transport, server_thread) = ChannelTransport::spawn(server);
+    let (addr, server_thread) = serve_once(server).expect("bind 127.0.0.1");
+    println!("== the starter's proxy listens on {addr} ==");
 
-    // The job side: the I/O library, scoped discipline.
+    // The job side: the I/O library dials the proxy, scoped discipline.
+    let transport = TcpTransport::connect(addr).expect("dial the proxy");
     let mut lib = ChirpClient::new(transport).with_discipline(ClientDiscipline::Scoped);
 
     println!("== authenticating with the scratch-directory cookie ==");
@@ -48,20 +52,19 @@ fn main() {
     }
 
     println!("== the backing store goes offline: the connection breaks ==");
-    let mut escapes = 0;
     loop {
         match lib.stat("input.txt") {
             Ok(info) => println!("  stat ok ({} bytes)", info.size),
             Err(IoError::Escape(se)) => {
                 println!("  ESCAPING error: {se}");
-                assert_eq!(se.scope, Scope::LocalResource);
-                escapes += 1;
+                // The socket just closed: the library cannot know why, so
+                // the escape has network scope, to be widened with time (§5).
+                assert_eq!(se.scope, Scope::Network);
                 break;
             }
             Err(other) => panic!("unexpected {other:?}"),
         }
     }
-    assert_eq!(escapes, 1);
 
     println!("== the connection stays broken: every later call escapes ==");
     assert!(matches!(
@@ -70,10 +73,13 @@ fn main() {
     ));
 
     drop(lib);
-    let server = server_thread.join().expect("server thread");
+    let session = server_thread.join().expect("server thread");
+    // The starter, on its side of the socket, knows exactly why.
+    let reason = session.disconnect.expect("the proxy hung up");
+    assert_eq!(reason, DisconnectReason::Env(EnvFault::FilesystemOffline));
     println!(
-        "\nproxy handled {} requests before hanging up — \
-         the escaping error reached the starter, not the program.",
-        server.requests_handled
+        "\nproxy handled {} requests, then hung up ({reason:?}) — \
+         the job saw a closed socket; only the starter knows why.",
+        session.server.requests_handled
     );
 }

@@ -10,6 +10,13 @@ echo "==> one tie-break: the push-order EventQueue is named only by its shim, de
 grep -rnw --include=*.rs EventQueue crates | { ! grep -v -e '^crates/desim/src/queue.rs:' \
     -e '^crates/desim/src/lib.rs:[0-9]*:pub use queue::' -e '^crates/desim/tests/' -e '^crates/ledger/'; }
 
+echo "==> one form each: no second event type, out-of-process transport or network-wide fault model comes back"
+if grep -rnw --include=*.rs -e ChannelTransport -e map_strings -e ResolveStr -e with_jitter \
+    -e with_drop_probability -e with_duplication_probability -e set_host_down -e HostDown \
+    -e SpanAction::Masked crates src tests examples; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1

@@ -304,7 +304,7 @@ fn error_journey_spans_are_complete() {
             );
         }
 
-        let hops: Vec<&Event<obs::Sym>> = records
+        let hops: Vec<&Event> = records
             .iter()
             .map(|r| r.event)
             .filter(|e| matches!(e, Event::SpanHop { .. }))
