@@ -172,7 +172,10 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
     let r = pool(5, 3, true, p);
     let files = vec![
         artifact("BENCH_blackhole.json", r.registry().snapshot_json()),
-        artifact("BENCH_blackhole.events.jsonl", r.telemetry.to_jsonl()),
+        artifact(
+            "BENCH_blackhole.events.jsonl",
+            r.telemetry.to_jsonl_with_meta(),
+        ),
     ];
     ((), files)
 }

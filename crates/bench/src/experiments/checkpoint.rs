@@ -202,10 +202,13 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
     );
     let files = vec![
         artifact("BENCH_checkpoint.json", snapshot),
-        artifact("BENCH_checkpoint.events.jsonl", on.telemetry.to_jsonl()),
+        artifact(
+            "BENCH_checkpoint.events.jsonl",
+            on.telemetry.to_jsonl_with_meta(),
+        ),
         artifact(
             "BENCH_checkpoint_corrupt.events.jsonl",
-            corrupt.telemetry.to_jsonl(),
+            corrupt.telemetry.to_jsonl_with_meta(),
         ),
     ];
     ((), files)

@@ -327,7 +327,7 @@ fn pass(size: Size) -> (Pass, Vec<Artifact>) {
         artifact("BENCH_flock.json", snapshot(&pass)),
         artifact(
             "BENCH_flock.events.jsonl",
-            pass.partition.telemetry.to_jsonl(),
+            pass.partition.telemetry.to_jsonl_with_meta(),
         ),
     ];
     (pass, files)

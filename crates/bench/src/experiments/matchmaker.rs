@@ -207,7 +207,7 @@ fn pass(size: Size) -> ((Vec<ScaleResult>, usize), Vec<Artifact>) {
     ] {
         assert!(snapshot.contains(key), "registry must carry {key}");
     }
-    let events = pool.telemetry.to_jsonl();
+    let events = pool.telemetry.to_jsonl_with_meta();
     let match_events = events
         .lines()
         .filter(|l| l.contains("\"type\":\"match\""))

@@ -138,7 +138,7 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
         artifact("BENCH_naive_vs_scoped.json", snapshot),
         artifact(
             "BENCH_naive_vs_scoped.events.jsonl",
-            scoped.telemetry.to_jsonl(),
+            scoped.telemetry.to_jsonl_with_meta(),
         ),
     ];
     ((), files)

@@ -276,7 +276,10 @@ fn verify_determinism() {
         b.registry().snapshot_json(),
         "same-seed metrics snapshots must be bit-identical"
     );
-    assert_eq!(a.telemetry.to_jsonl(), b.telemetry.to_jsonl());
+    assert_eq!(
+        a.telemetry.to_jsonl_with_meta(),
+        b.telemetry.to_jsonl_with_meta()
+    );
     assert_eq!(a.finished_at, b.finished_at);
     assert_eq!(a.net, b.net);
     println!(
@@ -333,7 +336,7 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
         artifact("BENCH_partition.json", snapshot),
         artifact(
             "BENCH_partition.events.jsonl",
-            adaptive.telemetry.to_jsonl(),
+            adaptive.telemetry.to_jsonl_with_meta(),
         ),
     ];
     ((), files)

@@ -83,7 +83,7 @@ fn par_fingerprint(
     pw.run_until(until);
     let fin = pw.finish();
     Fingerprint {
-        stream: fin.telemetry.to_jsonl(),
+        stream: fin.telemetry.to_jsonl_with_meta(),
         events: fin.events_processed,
         now_us: fin.now.as_micros(),
         net: fin.net_stats,
@@ -491,7 +491,7 @@ mod tests {
         let mut world = counted();
         world.run_until(until);
         let want = Fingerprint {
-            stream: world.telemetry().to_jsonl(),
+            stream: world.telemetry().to_jsonl_with_meta(),
             events: world.events_processed(),
             now_us: world.now().as_micros(),
             net: world.net().stats().clone(),

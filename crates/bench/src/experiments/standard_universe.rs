@@ -100,7 +100,7 @@ fn export(_: Size) -> ((), Vec<Artifact>) {
         artifact("BENCH_standard_universe.json", snapshot),
         artifact(
             "BENCH_standard_universe.events.jsonl",
-            standard.telemetry.to_jsonl(),
+            standard.telemetry.to_jsonl_with_meta(),
         ),
     ];
     ((), files)

@@ -43,7 +43,8 @@ pub fn artifact(name: &'static str, body: String) -> Artifact {
 /// report, asserts the gates, and splices in anything wall-clock (which
 /// must stay out of the comparison). Finally every artifact is written to
 /// the working directory and re-parsed: `.json` with [`obs::json::parse`],
-/// `.jsonl` with [`obs::Collector::parse_jsonl`].
+/// `.jsonl` with [`obs::Collector::parse_jsonl_with_meta`], which must find
+/// the stream header every export carries.
 ///
 /// Panics, like every other gate of the experiments, naming the first
 /// file that differs.
@@ -79,8 +80,9 @@ pub fn drive<T>(
     for a in &files {
         std::fs::write(a.name, &a.body).unwrap_or_else(|e| panic!("write {}: {e}", a.name));
         if a.name.ends_with(".jsonl") {
-            let events = obs::Collector::parse_jsonl(&a.body)
+            let (meta, events) = obs::Collector::parse_jsonl_with_meta(&a.body)
                 .unwrap_or_else(|e| panic!("{} is not valid JSONL: {e}", a.name));
+            assert!(!meta.is_empty(), "{} has no stream header", a.name);
             println!("Telemetry: {} ({} events)", a.name, events.len());
         } else {
             if a.name.ends_with(".json") {

@@ -39,7 +39,6 @@ pub struct CkptServerStats {
 /// The checkpoint-server daemon.
 pub struct CkptServer {
     server: ChirpServer<MemFs>,
-    max_frame: u32,
     corrupt_prefixes: Vec<String>,
     flip_prefixes: Vec<(String, u64)>,
     /// Traffic counters.
@@ -47,21 +46,15 @@ pub struct CkptServer {
 }
 
 impl CkptServer {
-    /// A fresh server trusting `cookie`, with the default frame limit.
+    /// A fresh server trusting `cookie`. Frames are capped at
+    /// [`wire::MAX_FRAME`].
     pub fn new(cookie: Cookie) -> CkptServer {
         CkptServer {
             server: ChirpServer::new(MemFs::default(), cookie),
-            max_frame: wire::MAX_FRAME,
             corrupt_prefixes: Vec::new(),
             flip_prefixes: Vec::new(),
             stats: CkptServerStats::default(),
         }
-    }
-
-    /// Lower (or raise) the per-frame size limit (builder style).
-    pub fn with_max_frame(mut self, limit: u32) -> CkptServer {
-        self.max_frame = limit;
-        self
     }
 
     /// Fault injection: corrupt every image stored under a key starting
@@ -126,7 +119,7 @@ impl Actor<Msg> for CkptServer {
         let mut out = Vec::new();
         let mut rest = &frames[..];
         loop {
-            let (payload, consumed) = match wire::deframe_with_limit(rest, self.max_frame) {
+            let (payload, consumed) = match wire::deframe(rest) {
                 Ok(Some(hit)) => hit,
                 Ok(None) => break,
                 Err(_) => {

@@ -47,6 +47,18 @@ use std::sync::Arc;
 /// [`KEEPALIVE_PERIOD`]) renews the idle jobs' ads.
 pub const ADVERTISE_PERIOD: SimDuration = SimDuration::from_secs(5);
 
+/// How long the schedd waits for a startd to answer a claim request.
+pub const CLAIM_TIMEOUT: SimDuration = SimDuration::from_secs(20);
+
+/// Delay before retrying after a *local-resource* failure — the home file
+/// system needs time to come back; trying another execution site would
+/// not help.
+pub const LOCAL_RESOURCE_DELAY: SimDuration = SimDuration::from_secs(120);
+
+/// Extra slack on top of the job's own execution time before the shadow
+/// declares the attempt vanished.
+pub const REPORT_SLACK: SimDuration = SimDuration::from_secs(120);
+
 /// The schedd's configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheddPolicy {
@@ -55,10 +67,6 @@ pub struct ScheddPolicy {
     /// jitter; [`RetryPolicy::Fixed`] restores the original constant-delay
     /// kernel.
     pub retry: RetryPolicy,
-    /// Delay before retrying after a *local-resource* failure — the home
-    /// file system needs time to come back; trying another execution site
-    /// would not help.
-    pub local_resource_delay: SimDuration,
     /// How long the human takes to postmortem a wrongly-returned job
     /// (naive mode). "A human is the slowest part of any computing system."
     pub postmortem_delay: SimDuration,
@@ -69,11 +77,6 @@ pub struct ScheddPolicy {
     pub avoid_chronic_hosts: bool,
     /// Environmental failures on one host before it is avoided.
     pub avoid_threshold: u32,
-    /// Claim handshake timeout.
-    pub claim_timeout: SimDuration,
-    /// Extra slack on top of the job's own execution time before the
-    /// shadow declares the attempt vanished.
-    pub report_slack: SimDuration,
     /// Claim leasing: when set, activations carry these lease terms, the
     /// startd heartbeats, and a missed lease converts a silent partition
     /// into an explicit scope-of-the-claim error on both sides. `None`
@@ -93,13 +96,10 @@ impl Default for ScheddPolicy {
                 max: SimDuration::from_secs(60),
                 jitter: 0.1,
             },
-            local_resource_delay: SimDuration::from_secs(120),
             postmortem_delay: SimDuration::from_secs(600),
             max_attempts: 20,
             avoid_chronic_hosts: false,
             avoid_threshold: 2,
-            claim_timeout: SimDuration::from_secs(20),
-            report_slack: SimDuration::from_secs(120),
             lease: None,
             breaker: None,
         }
@@ -517,10 +517,7 @@ impl Actor<Msg> for Schedd {
                         pool,
                     },
                 );
-                ctx.send_self_after(
-                    self.policy.claim_timeout,
-                    Msg::ClaimTimeout { job, machine },
-                );
+                ctx.send_self_after(CLAIM_TIMEOUT, Msg::ClaimTimeout { job, machine });
             }
 
             Msg::ClaimAccept { job, epoch } => {
@@ -550,7 +547,7 @@ impl Actor<Msg> for Schedd {
                     let rec = self.jobs.get_mut(&job).unwrap();
                     rec.epoch += 1; // claim closed without activating
                     rec.state = JobState::Waiting;
-                    ctx.send_self_after(self.policy.local_resource_delay, Msg::RetryJob { job });
+                    ctx.send_self_after(LOCAL_RESOURCE_DELAY, Msg::RetryJob { job });
                     return;
                 }
                 let rec = self.jobs.get_mut(&job).unwrap();
@@ -612,7 +609,7 @@ impl Actor<Msg> for Schedd {
                 // shadow timeout room for that before declaring the
                 // attempt vanished.
                 let budget = if resuming { spec.exec_time } else { remaining };
-                let deadline = budget + budget + self.policy.report_slack;
+                let deadline = budget + budget + REPORT_SLACK;
                 ctx.send_self_after(
                     deadline,
                     Msg::ReportTimeout {
@@ -1478,7 +1475,7 @@ impl Schedd {
                         let delay = if scope == Scope::LocalResource {
                             // Our own file system's fault, not the host's:
                             // no blame, no backoff escalation.
-                            self.policy.local_resource_delay
+                            LOCAL_RESOURCE_DELAY
                         } else {
                             *self.chronic.entry(machine).or_insert(0) += 1;
                             self.machine_failure(machine, ctx);

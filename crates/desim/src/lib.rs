@@ -18,8 +18,8 @@
 //! independent axes sharing one process-wide worker pool ([`pool`]):
 //!
 //! * **Across seeds** — multi-seed studies fan independent worlds across
-//!   threads with [`sweep`]; merged output is bit-identical regardless of
-//!   thread count.
+//!   threads with [`sweep`]; results come back in seed order, bit-identical
+//!   regardless of thread count.
 //! * **Within one world** — [`World::into_parallel`] splits a world's
 //!   shard in n, drained by workers that advance simulated time in
 //!   conservative windows ([`par`]); output depends on the shard count,
@@ -63,7 +63,7 @@ pub use net::{Fate, NetOp, NetStats, Network};
 pub use par::{ParConfig, ParFinished, ParWorld};
 pub use queue::{EventKey, EventQueue, KeyedEventQueue};
 pub use rng::SimRng;
-pub use sweep::{default_width, run_sweep, SeedRun, Sweep};
+pub use sweep::{default_width, run_sweep};
 pub use time::{SimDuration, SimTime};
 pub use world::World;
 

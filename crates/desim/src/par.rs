@@ -496,7 +496,11 @@ mod tests {
         let mut pw = gossip_world(7, 12).into_parallel(cfg);
         pw.run_until(SimTime::from_millis(500));
         let fin = pw.finish();
-        (fin.telemetry.to_jsonl(), fin.events_processed, fin.now)
+        (
+            fin.telemetry.to_jsonl_with_meta(),
+            fin.events_processed,
+            fin.now,
+        )
     }
 
     #[test]
@@ -583,7 +587,11 @@ mod tests {
             pw.run_until(SimTime::from_secs(10));
             assert!(pw.stopped());
             let fin = pw.finish();
-            (fin.telemetry.to_jsonl(), fin.events_processed, fin.now)
+            (
+                fin.telemetry.to_jsonl_with_meta(),
+                fin.events_processed,
+                fin.now,
+            )
         };
         let base = run(1);
         assert_eq!(base, run(2));
@@ -756,7 +764,11 @@ mod tests {
                 pw.run_until(SimTime::from_micros(us));
             }
             let fin = pw.finish();
-            (fin.telemetry.to_jsonl(), fin.events_processed, fin.now)
+            (
+                fin.telemetry.to_jsonl_with_meta(),
+                fin.events_processed,
+                fin.now,
+            )
         };
         let whole = run(&[40_000]);
         assert_eq!(whole.2, SimTime::from_millis(40));
@@ -800,7 +812,7 @@ mod tests {
         let net = world.net().stats().clone();
         assert!(net.dropped_total() > 0, "the fault must bite");
         let want = (
-            world.telemetry().to_jsonl(),
+            world.telemetry().to_jsonl_with_meta(),
             world.events_processed(),
             world.now(),
             net,
@@ -812,7 +824,7 @@ mod tests {
             pw.run_until(horizon);
             let fin = pw.finish();
             let got = (
-                fin.telemetry.to_jsonl(),
+                fin.telemetry.to_jsonl_with_meta(),
                 fin.events_processed,
                 fin.now,
                 fin.net_stats,

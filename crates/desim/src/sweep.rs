@@ -3,12 +3,12 @@
 //! Experiments answer statistical questions ("median goodput over 32
 //! seeds"), which means running the *same* scenario under many seeds. Each
 //! [`crate::World`] is single-threaded and self-contained, so seeds are
-//! embarrassingly parallel — this module fans them out across the
+//! embarrassingly parallel — [`run_sweep`] fans them out across the
 //! process-wide [`crate::pool`] (shared with intra-world shard draining,
-//! so nested parallelism never multiplies threads) and then merges the
-//! results **in seed order**, so the merged registry snapshot and event
-//! stream are bit-identical no matter how many worker threads ran the
-//! sweep or which thread ran which seed.
+//! so nested parallelism never multiplies threads) and returns the results
+//! **in seed order**, so whatever a caller builds from them — an event
+//! stream, a registry snapshot — is bit-identical no matter how many
+//! worker threads ran the sweep or which thread ran which seed.
 //!
 //! Three details make that guarantee hold:
 //!
@@ -18,14 +18,11 @@
 //!   ([`obs::next_span_id`]); before each seed's closure runs, the worker
 //!   calls [`obs::reset_span_ids`] with a base derived from the seed's
 //!   index ([`span_base`]). A seed's span ids are therefore a pure
-//!   function of its own execution — and distinct across seeds in the
-//!   merged stream.
+//!   function of its own execution — and distinct across seeds.
 //! * The submitting thread claims seeds inline alongside the pool
 //!   helpers, so a sweep makes progress even when every pool worker is
 //!   busy — it never blocks waiting for the pool.
 
-use crate::world::World;
-use obs::{Collector, Registry};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -158,75 +155,12 @@ where
         .collect()
 }
 
-/// What one seed of a sweep produced: its registry of metrics and its
-/// telemetry stream.
-#[derive(Debug, Clone)]
-pub struct SeedRun {
-    /// The seed that was run.
-    pub seed: u64,
-    /// Metrics accumulated by this seed's run.
-    pub registry: Registry,
-    /// The seed's typed event stream (owned, detached from the world).
-    pub telemetry: Collector,
-}
-
-impl SeedRun {
-    /// Capture a finished world's outputs under `registry`.
-    pub fn from_world<M: 'static>(seed: u64, world: &World<M>, registry: Registry) -> SeedRun {
-        SeedRun {
-            seed,
-            registry,
-            telemetry: world.telemetry().clone(),
-        }
-    }
-}
-
-/// A completed sweep: one [`SeedRun`] per seed, in seed order.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    /// Per-seed results, ordered as the input seed list.
-    pub runs: Vec<SeedRun>,
-}
-
-impl Sweep {
-    /// Fan `run` over `seeds` on up to `threads` threads. `run` receives
-    /// each seed and returns that seed's [`SeedRun`]; results come back in
-    /// seed order regardless of scheduling.
-    pub fn run<F>(seeds: &[u64], threads: usize, run: F) -> Sweep
-    where
-        F: Fn(u64) -> SeedRun + Send + Sync + 'static,
-    {
-        Sweep {
-            runs: run_sweep(seeds, threads, move |_, seed| run(seed)),
-        }
-    }
-
-    /// All per-seed registries merged in seed order. Deterministic: the
-    /// merge folds left over the ordered runs.
-    pub fn merged_registry(&self) -> Registry {
-        let mut out = Registry::new();
-        for r in &self.runs {
-            out.merge(&r.registry);
-        }
-        out
-    }
-
-    /// Every seed's event stream as one JSONL document, seed order, each
-    /// seed's events in record order.
-    pub fn merged_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.runs {
-            out.push_str(&r.telemetry.to_jsonl());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actor::{Actor, ActorId, Context};
     use crate::time::SimDuration;
+    use crate::world::World;
     use obs::Event;
 
     #[derive(Debug, Clone)]
@@ -260,42 +194,35 @@ mod tests {
         }
     }
 
-    fn run_seed(seed: u64) -> SeedRun {
+    /// One seed's run: the seed and the world's event stream.
+    fn run_seed(_: usize, seed: u64) -> (u64, obs::Collector) {
         let mut w: World<Work> = World::new(seed);
         w.add_actor(Box::new(Churner { remaining: 40 }));
         w.run(10_000);
-        let mut reg = Registry::new();
-        reg.counter_add(
-            "events",
-            &[("seed", &seed.to_string())],
-            w.events_processed(),
-        );
-        SeedRun::from_world(seed, &w, reg)
+        (seed, w.telemetry().clone())
     }
 
     #[test]
     fn results_come_back_in_seed_order() {
         let seeds: Vec<u64> = (100..116).collect();
-        let sweep = Sweep::run(&seeds, 4, run_seed);
-        let got: Vec<u64> = sweep.runs.iter().map(|r| r.seed).collect();
+        let runs = run_sweep(&seeds, 4, run_seed);
+        let got: Vec<u64> = runs.iter().map(|r| r.0).collect();
         assert_eq!(got, seeds);
     }
 
     #[test]
     fn merged_output_is_identical_across_thread_counts() {
         let seeds: Vec<u64> = (0..12).collect();
-        let base = Sweep::run(&seeds, 1, run_seed);
+        let streams = |threads| -> Vec<String> {
+            let runs = run_sweep(&seeds, threads, run_seed);
+            runs.iter().map(|r| r.1.to_jsonl_with_meta()).collect()
+        };
+        let base = streams(1);
         for threads in [2, 3, 8] {
-            let other = Sweep::run(&seeds, threads, run_seed);
             assert_eq!(
-                base.merged_jsonl(),
-                other.merged_jsonl(),
+                base,
+                streams(threads),
                 "event streams must be bit-identical at {threads} threads"
-            );
-            assert_eq!(
-                base.merged_registry().snapshot_json(),
-                other.merged_registry().snapshot_json(),
-                "metric snapshots must be bit-identical at {threads} threads"
             );
         }
     }
@@ -303,9 +230,8 @@ mod tests {
     #[test]
     fn span_ids_are_disjoint_across_seeds() {
         let seeds: Vec<u64> = (0..4).collect();
-        let sweep = Sweep::run(&seeds, 2, run_seed);
-        for (i, run) in sweep.runs.iter().enumerate() {
-            for r in run.telemetry.iter() {
+        for (i, (_, telemetry)) in run_sweep(&seeds, 2, run_seed).iter().enumerate() {
+            for r in telemetry.iter() {
                 if let Some(span) = r.event.span() {
                     let base = span_base(i);
                     assert!(

@@ -447,9 +447,6 @@ pub fn render_report(faulty: &Stream, loc: &Localization) -> String {
         faulty.actors().len(),
         faulty.dropped()
     );
-    for w in &faulty.warnings {
-        let _ = writeln!(out, "warning: {w}");
-    }
     let _ = writeln!(out);
     let _ = writeln!(
         out,

@@ -1,5 +1,10 @@
 //! Stream ingestion: parse an exported `.events.jsonl`, check it is
-//! complete, and refuse to analyze a truncated record.
+//! complete, and refuse to analyze a record that cannot show it is.
+//!
+//! Completeness is read from the export's `StreamMeta` header. A stream
+//! without one cannot say whether the collector's ring dropped events, and
+//! an analysis that silently starts mid-run would blame the wrong actor, so
+//! a missing header is an explicit error, not a warning.
 
 use obs::{Collector, EventRecord, StreamMeta};
 use std::collections::BTreeSet;
@@ -8,23 +13,27 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct Stream {
     /// Stream headers found in the export (one per concatenated export;
-    /// empty for legacy headerless streams).
+    /// never empty).
     pub meta: Vec<StreamMeta>,
     /// The records, in recorded order.
     pub records: Vec<EventRecord>,
-    /// Loud, non-fatal caveats — e.g. "no stream header: completeness
-    /// cannot be verified".
-    pub warnings: Vec<String>,
 }
 
 impl Stream {
-    /// Parse a JSONL export. Returns an error for malformed lines and for
-    /// *truncated* streams — any header reporting `dropped > 0` — because
-    /// a causal analysis that silently starts mid-run would blame the
-    /// wrong actor. Headerless streams parse with a warning instead: they
-    /// predate drop accounting, so completeness is unverifiable.
+    /// Parse a JSONL export. Returns an error for malformed lines, for a
+    /// stream with no header — its completeness cannot be checked — and
+    /// for a *truncated* stream, one with any header reporting
+    /// `dropped > 0`.
     pub fn parse(input: &str) -> Result<Stream, String> {
         let (meta, records) = Collector::parse_jsonl_with_meta(input)?;
+        if meta.is_empty() {
+            return Err(
+                "refusing headerless stream: it has no {\"stream\":…} header, so \
+                 whether the collector ring dropped events cannot be checked (export it \
+                 with to_jsonl_with_meta)"
+                    .to_string(),
+            );
+        }
         let dropped: u64 = meta.iter().map(|m| m.dropped).sum();
         if dropped > 0 {
             return Err(format!(
@@ -33,17 +42,7 @@ impl Stream {
                  the run (re-run with a larger capacity)"
             ));
         }
-        let mut warnings = Vec::new();
-        if meta.is_empty() {
-            warnings.push(
-                "stream has no header: cannot verify that no events were dropped".to_string(),
-            );
-        }
-        Ok(Stream {
-            meta,
-            records,
-            warnings,
-        })
+        Ok(Stream { meta, records })
     }
 
     /// Build a stream straight from a live collector (the in-process
@@ -61,7 +60,6 @@ impl Stream {
         Ok(Stream {
             meta: vec![c.stream_meta()],
             records: c.iter().map(|r| r.to_record()).collect(),
-            warnings: Vec::new(),
         })
     }
 
@@ -96,7 +94,6 @@ mod tests {
         let s = Stream::parse(&c.to_jsonl_with_meta()).unwrap();
         assert_eq!(s.records.len(), 5);
         assert_eq!(s.meta.len(), 1);
-        assert!(s.warnings.is_empty());
         assert_eq!(s.dropped(), 0);
         assert!(s.actors().contains("schedd"));
     }
@@ -112,11 +109,20 @@ mod tests {
     }
 
     #[test]
-    fn headerless_streams_warn() {
+    fn headerless_streams_are_refused() {
         let c = collector_with(3, 64);
-        let s = Stream::parse(&c.to_jsonl()).unwrap();
-        assert_eq!(s.records.len(), 3);
-        assert_eq!(s.warnings.len(), 1);
-        assert!(s.warnings[0].contains("no header"));
+        let export = c.to_jsonl_with_meta();
+        let (header, records) = export.split_once('\n').unwrap();
+        assert!(header.starts_with("{\"stream\":"));
+        // The records alone parse, but cannot show they are the whole run.
+        assert_eq!(
+            Collector::parse_jsonl_with_meta(records).unwrap().1.len(),
+            3
+        );
+        let err = Stream::parse(records).unwrap_err();
+        assert!(err.starts_with("refusing headerless stream"), "{err}");
+        // So is an empty input: no header, nothing to vouch for.
+        let err = Stream::parse("").unwrap_err();
+        assert!(err.starts_with("refusing headerless stream"), "{err}");
     }
 }

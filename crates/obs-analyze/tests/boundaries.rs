@@ -4,8 +4,9 @@
 //! integers written other ways) and damaged (a bit flipped, the tail lost,
 //! a span cut, repeated or overwritten).
 //!
-//! `Collector::parse_jsonl` and `Stream::parse` never panic and agree; each
-//! ends in `Ok` or an error that names the line or the reason. And the
+//! `Collector::parse_jsonl_with_meta` and `Stream::parse` never panic and
+//! agree; each ends in `Ok` or an error that names the line or the reason
+//! (a stream with no header, or a truncated one, is refused). And the
 //! field-by-field reader behind them reads exactly what a JSON tree reads:
 //! [`tree`] at the bottom of this file is that reference — `json::parse`,
 //! then member lookups on the tree.
@@ -295,8 +296,8 @@ fn exported_streams_parse_or_are_refused_with_a_reason() {
     let mut corpus = Gen::new(0);
     let corpus: Vec<String> = (0..500).map(|_| any_export(&mut corpus)).collect();
     for export in &corpus {
-        let records = Collector::parse_jsonl(export).expect("own export");
-        assert_eq!(records.len(), export.lines().count() - 1);
+        let (meta, records) = Collector::parse_jsonl_with_meta(export).expect("own export");
+        assert_eq!((meta.len(), records.len()), (1, export.lines().count() - 1));
     }
     check(100_000, |g| {
         let valid = g.pick(&corpus);
@@ -304,13 +305,23 @@ fn exported_streams_parse_or_are_refused_with_a_reason() {
             0 => g.string(CHARS, 0..200),
             _ => String::from_utf8_lossy(&g.mutated(valid.as_bytes())).into_owned(),
         };
-        match (Stream::parse(&input), Collector::parse_jsonl(&input)) {
-            (Ok(stream), Ok(records)) => assert_eq!(stream.records, records),
+        match (
+            Stream::parse(&input),
+            Collector::parse_jsonl_with_meta(&input),
+        ) {
+            (Ok(stream), Ok((meta, records))) => {
+                assert_eq!((stream.meta, stream.records), (meta, records))
+            }
+            (Err(refused), Ok((meta, _))) if meta.is_empty() => {
+                assert!(refused.starts_with("refusing headerless"), "{refused}")
+            }
             (Err(refused), Ok(_)) => {
                 assert!(refused.starts_with("refusing truncated"), "{refused}")
             }
             (Err(a), Err(b)) => assert!(a == b && a.starts_with("line "), "{a} / {b}"),
-            (Ok(_), Err(e)) => panic!("Stream::parse accepted what parse_jsonl refused: {e}"),
+            (Ok(_), Err(e)) => {
+                panic!("Stream::parse accepted what parse_jsonl_with_meta refused: {e}")
+            }
         }
     });
 }

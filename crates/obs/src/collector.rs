@@ -2,15 +2,18 @@
 //!
 //! Recording is a hot path — every `Context::emit` in the simulator lands
 //! here. Every record carries an actor name, so the collector stores it as
-//! an interned [`Sym`](crate::Sym): after an actor's first event, the name
-//! costs no allocation. The event itself is kept exactly as it was handed
-//! in, and [`EventRef`] views lend it back by reference.
+//! a symbol in its own private interner: after an actor's first event, the
+//! name costs no allocation. The event itself is kept exactly as it was
+//! handed in, and [`EventRef`] views lend it back by reference.
+//!
+//! There is one export, [`Collector::to_jsonl_with_meta`]: its first line
+//! is the [`StreamMeta`] header, so every stream says whether it is the
+//! whole run or a ring-truncated suffix of it.
 
 use crate::event::{Event, EventFields};
 use crate::intern::{Interner, Sym};
 use crate::json;
 use crate::ring::RingBuffer;
-use crate::span::SpanId;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -290,24 +293,6 @@ impl Collector {
         self.ring.capacity()
     }
 
-    /// All events belonging to `span`, in record order.
-    pub fn span(&self, span: SpanId) -> Vec<EventRef<'_>> {
-        self.iter()
-            .filter(|r| r.event.span() == Some(span))
-            .collect()
-    }
-
-    /// Every span id seen, with its events in record order.
-    pub fn spans(&self) -> BTreeMap<SpanId, Vec<EventRef<'_>>> {
-        let mut out: BTreeMap<SpanId, Vec<EventRef<'_>>> = BTreeMap::new();
-        for r in self.iter() {
-            if let Some(id) = r.event.span() {
-                out.entry(id).or_default().push(r);
-            }
-        }
-        out
-    }
-
     /// Event counts by wire name, for quick summaries.
     pub fn counts_by_kind(&self) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();
@@ -315,29 +300,6 @@ impl Collector {
             *out.entry(r.event.kind()).or_insert(0) += 1;
         }
         out
-    }
-
-    /// Export every retained event as JSON Lines (one object per line,
-    /// trailing newline included when non-empty). Output is preallocated
-    /// from the record count and each line is written in place — no
-    /// per-record intermediate `String`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.jsonl_capacity());
-        self.write_jsonl(&mut out);
-        out
-    }
-
-    /// ~96 bytes is the observed median line; headroom avoids the first
-    /// few doublings without over-reserving pathological streams.
-    fn jsonl_capacity(&self) -> usize {
-        self.len() * 112
-    }
-
-    fn write_jsonl(&self, out: &mut String) {
-        for r in self.iter() {
-            write_record(out, r.at_us, r.actor, r.event);
-            out.push('\n');
-        }
     }
 
     /// Stream-level accounting for this collector: how many events are
@@ -351,29 +313,30 @@ impl Collector {
         }
     }
 
-    /// Like [`Collector::to_jsonl`], with a [`StreamMeta`] header line
-    /// prepended so consumers can tell a complete stream from a truncated
-    /// one. [`Collector::parse_jsonl`] skips the header; use
-    /// [`Collector::parse_jsonl_with_meta`] to read it back.
+    /// Export the stream as JSON Lines: the [`StreamMeta`] header line,
+    /// then one object per retained event, each line ending in a newline.
+    /// Consumers use the header to tell a complete stream from a truncated
+    /// one; [`Collector::parse_jsonl_with_meta`] reads both back. Header
+    /// and records are written in place into one buffer preallocated from
+    /// the record count — no per-record intermediate `String`.
     pub fn to_jsonl_with_meta(&self) -> String {
-        // One buffer for the header line and the records after it.
-        let mut out = String::with_capacity(64 + self.jsonl_capacity());
+        // ~96 bytes is the observed median line; headroom avoids the
+        // first few doublings without over-reserving pathological streams.
+        let mut out = String::with_capacity(64 + self.len() * 112);
         self.stream_meta().write_json(&mut out);
         out.push('\n');
-        self.write_jsonl(&mut out);
+        for r in self.iter() {
+            write_record(&mut out, r.at_us, r.actor, r.event);
+            out.push('\n');
+        }
         out
     }
 
-    /// Parse a JSONL export back into records. Blank lines and stream
-    /// header lines are skipped (so concatenated and headered exports both
-    /// parse); any malformed line is an error.
-    pub fn parse_jsonl(input: &str) -> Result<Vec<EventRecord>, String> {
-        Self::parse_jsonl_with_meta(input).map(|(_, records)| records)
-    }
-
     /// Parse a JSONL export, returning every stream header encountered
-    /// (one per concatenated export, in order; empty for legacy headerless
-    /// streams) alongside the records.
+    /// (one per concatenated export, in order) alongside the records.
+    /// Blank lines are skipped; any malformed line is an error naming it.
+    /// Whether a stream without a header is acceptable is the caller's
+    /// call: `obs_analyze::Stream::parse` refuses one.
     pub fn parse_jsonl_with_meta(
         input: &str,
     ) -> Result<(Vec<StreamMeta>, Vec<EventRecord>), String> {
@@ -451,18 +414,22 @@ mod tests {
         for (i, e) in sample_events().into_iter().enumerate() {
             c.record(i as u64 * 1_000_000, "schedd", e);
         }
-        let jsonl = c.to_jsonl();
-        let parsed = Collector::parse_jsonl(&jsonl).unwrap();
+        let jsonl = c.to_jsonl_with_meta();
+        let (meta, parsed) = Collector::parse_jsonl_with_meta(&jsonl).unwrap();
+        assert_eq!(meta, vec![c.stream_meta()]);
         assert_eq!(parsed, c.iter().map(|r| r.to_record()).collect::<Vec<_>>());
     }
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        let err = Collector::parse_jsonl("{\"at_us\":1}\n").unwrap_err();
+        let err = Collector::parse_jsonl_with_meta("{\"at_us\":1}\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        assert!(Collector::parse_jsonl("not json\n").is_err());
+        assert!(Collector::parse_jsonl_with_meta("not json\n").is_err());
         // Blank lines are fine.
-        assert_eq!(Collector::parse_jsonl("\n\n").unwrap(), vec![]);
+        assert_eq!(
+            Collector::parse_jsonl_with_meta("\n\n").unwrap(),
+            (vec![], vec![])
+        );
     }
 
     #[test]
@@ -500,19 +467,12 @@ mod tests {
         );
         let jsonl = c.to_jsonl_with_meta();
         assert!(jsonl.starts_with("{\"stream\":{\"events\":3,\"dropped\":5,\"capacity\":3}}\n"));
-        // The header is invisible to the plain parser…
-        let plain = Collector::parse_jsonl(&jsonl).unwrap();
-        assert_eq!(plain.len(), 3);
-        // …and recovered by the meta-aware one, even for concatenated
-        // streams (the sweep harness glues per-seed exports together).
+        // The header is not a record, and each of concatenated exports
+        // keeps its own.
         let twice = format!("{jsonl}{jsonl}");
         let (metas, records) = Collector::parse_jsonl_with_meta(&twice).unwrap();
         assert_eq!(metas, vec![meta, meta]);
         assert_eq!(records.len(), 6);
-        // Headerless legacy streams parse with no meta.
-        let (metas, records) = Collector::parse_jsonl_with_meta(&c.to_jsonl()).unwrap();
-        assert!(metas.is_empty());
-        assert_eq!(records.len(), 3);
     }
 
     #[test]
@@ -526,13 +486,15 @@ mod tests {
         // The ring lends back exactly what was recorded…
         let kept: Vec<&Event> = c.iter().map(|r| r.event).collect();
         assert_eq!(kept, events.iter().collect::<Vec<_>>());
-        // …and the export is each record's own line, in order.
-        let mut lines = String::new();
+        // …and the export is the header, then each record's own line, in
+        // order.
+        let mut lines = c.stream_meta().to_json();
+        lines.push('\n');
         for r in c.iter() {
             lines.push_str(&r.to_record().to_json());
             lines.push('\n');
         }
-        assert_eq!(c.to_jsonl(), lines);
+        assert_eq!(c.to_jsonl_with_meta(), lines);
     }
 
     #[test]
@@ -541,24 +503,6 @@ mod tests {
         c.record(0, "a", Event::Dispatch { job: 1, machine: 1 });
         assert!(c.is_empty());
         assert!(!c.is_enabled());
-    }
-
-    #[test]
-    fn span_grouping_preserves_order() {
-        let mut c = Collector::new();
-        for (i, e) in sample_events().into_iter().enumerate() {
-            c.record(i as u64, "startd:m01", e);
-        }
-        let spans = c.spans();
-        assert_eq!(spans.len(), 1);
-        let journey = &spans[&11];
-        // Raised, reexpressed, then the disposition that closed it.
-        assert_eq!(journey.len(), 3);
-        assert!(journey.windows(2).all(|w| w[0].at_us <= w[1].at_us));
-        assert_eq!(journey[0].event.kind(), "span-hop");
-        assert_eq!(journey[2].event.kind(), "disposition");
-        assert_eq!(c.span(11).len(), 3);
-        assert!(c.span(99).is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! an error's journey through the software stack.
 //!
 //! Events serialise to single-line JSON objects (see
-//! [`Collector::to_jsonl`](crate::Collector::to_jsonl)) and parse back,
+//! [`Collector::to_jsonl_with_meta`](crate::Collector::to_jsonl_with_meta))
+//! and parse back,
 //! member by member, with the record they sit in
 //! ([`EventRecord::from_json`](crate::EventRecord::from_json)), so an
 //! exported stream can be re-read and audited offline.

@@ -1,31 +1,22 @@
-//! String interning for hot-path telemetry.
+//! The collector's actor-name table.
 //!
-//! Every metric increment and every recorded event used to carry owned
-//! `String`s (metric names, label pairs, actor names), which meant an
-//! allocation — often several — per telemetry touch. An [`Interner`] maps
-//! each distinct string to a dense `u32` [`Sym`] exactly once; after the
-//! first sighting, re-interning is a single hash lookup with no
-//! allocation, and equality/hashing of keys collapses to integer work.
-//!
-//! Symbols are meaningful only relative to the interner that produced
-//! them: two interners may assign the same `Sym` to different strings.
-//! Holders of cross-interner data (e.g. [`crate::Registry::merge`])
-//! resolve through the source interner and re-intern into the
-//! destination. Interning order is deterministic — the same sequence of
-//! `intern` calls yields the same symbols — which is what lets interned
-//! telemetry stay bit-reproducible across runs and across the parallel
-//! sweep harness.
+//! Every recorded event carries the name of the actor that saw it, and a
+//! run repeats a few names millions of times. An [`Interner`] maps each
+//! distinct name to a dense `u32` [`Sym`] exactly once; after the first
+//! sighting, re-interning allocates nothing. Interning order is
+//! deterministic — the same sequence of `intern` calls yields the same
+//! symbols — and a symbol never leaves the collector that made it: it is
+//! resolved back to the name whenever a record is lent out.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast multiply-rotate hasher (the FxHash construction) for the
-/// interner and metric tables. Telemetry keys are program-chosen metric
-/// and actor names, never adversarial input, so trading SipHash's
-/// flood-resistance for a few-instruction hash is free speed on the
-/// hottest path in the crate.
+/// interner's table. Actor names are program-chosen, never adversarial
+/// input, so trading SipHash's flood-resistance for a few-instruction hash
+/// is free speed on the collector's record path.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
 
@@ -74,26 +65,14 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The `BuildHasher` for [`FxHasher`]-keyed tables.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` on the fast hasher — what the interner and registry use.
-pub(crate) type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
 /// An interned string: a dense index into one [`Interner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(u32);
+pub(crate) struct Sym(u32);
 
 impl Sym {
     /// The raw index (dense, starting at 0 in interning order).
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Construct from a raw index — crate-internal, for padding slots in
-    /// fixed-size key arrays.
-    pub(crate) const fn from_raw(raw: u32) -> Sym {
-        Sym(raw)
     }
 }
 
@@ -116,7 +95,7 @@ struct CacheSlot {
 const EMPTY_SLOT: CacheSlot = CacheSlot {
     addr: 0,
     len: 0,
-    sym: Sym::from_raw(0),
+    sym: Sym(0),
 };
 
 /// A deterministic string-to-symbol table.
@@ -124,18 +103,17 @@ const EMPTY_SLOT: CacheSlot = CacheSlot {
 /// Strings are stored once; `intern` allocates only on the first sighting
 /// of a string, and `resolve` is an array index.
 ///
-/// Hot paths re-intern the same few names (metric literals, actor names)
-/// millions of times, and even a fast string hash plus table probe costs
-/// more than the old code's small-string allocation did. A tiny
-/// direct-mapped cache keyed on the argument's address short-circuits
-/// that: on a hit the only work is an equality memcmp against the
-/// interned bytes. The memcmp makes the cache sound — if an address was
-/// reused for different text, the bytes differ and the slow path runs —
-/// and the symbol an intern call returns never depends on cache state, so
-/// determinism is untouched.
+/// The record path re-interns the same few actor names millions of times,
+/// and even a fast string hash plus table probe costs more than the work
+/// around it. A tiny direct-mapped cache keyed on the argument's address
+/// short-circuits that: on a hit the only work is an equality memcmp
+/// against the interned bytes. The memcmp makes the cache sound — if an
+/// address was reused for different text, the bytes differ and the slow
+/// path runs — and the symbol an intern call returns never depends on
+/// cache state, so determinism is untouched.
 #[derive(Debug, Clone)]
-pub struct Interner {
-    lookup: FastMap<Box<str>, Sym>,
+pub(crate) struct Interner {
+    lookup: HashMap<Box<str>, Sym, BuildHasherDefault<FxHasher>>,
     strings: Vec<Box<str>>,
     cache: [CacheSlot; CACHE_SLOTS],
 }
@@ -143,7 +121,7 @@ pub struct Interner {
 impl Default for Interner {
     fn default() -> Self {
         Interner {
-            lookup: FastMap::default(),
+            lookup: HashMap::default(),
             strings: Vec::new(),
             cache: [EMPTY_SLOT; CACHE_SLOTS],
         }
@@ -161,13 +139,13 @@ fn cache_index(addr: usize, len: usize) -> usize {
 
 impl Interner {
     /// An empty interner.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Interner::default()
     }
 
     /// The symbol for `s`, allocating one if this is its first sighting.
     #[inline]
-    pub fn intern(&mut self, s: &str) -> Sym {
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
         let addr = s.as_ptr() as usize;
         let idx = cache_index(addr, s.len());
         let slot = self.cache[idx];
@@ -196,32 +174,15 @@ impl Interner {
         sym
     }
 
-    /// The symbol for `s`, if it has been interned — never allocates.
-    #[inline]
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.lookup.get(s).copied()
-    }
-
     /// The string behind a symbol.
     ///
     /// # Panics
     /// If `sym` did not come from this interner (index out of range); a
     /// symbol from a *different* interner with an in-range index resolves
-    /// to the wrong string, which is why symbols must never cross
-    /// interner boundaries unresolved.
+    /// to the wrong string, which is why symbols never leave the collector.
     #[inline]
-    pub fn resolve(&self, sym: Sym) -> &str {
+    pub(crate) fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.index()]
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
     }
 }
 
@@ -238,7 +199,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(i.len(), 2);
+        // A copy of the text at another address is the same name.
+        assert_eq!(i.intern(&String::from("startd")), b);
     }
 
     #[test]
@@ -246,8 +208,6 @@ mod tests {
         let mut i = Interner::new();
         let s = i.intern("attempt_cpu_us");
         assert_eq!(i.resolve(s), "attempt_cpu_us");
-        assert_eq!(i.get("attempt_cpu_us"), Some(s));
-        assert_eq!(i.get("absent"), None);
     }
 
     #[test]
@@ -260,18 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_interner() {
-        let i = Interner::new();
-        assert!(i.is_empty());
-        assert_eq!(i.len(), 0);
-    }
-
-    #[test]
     fn clone_preserves_mapping() {
         let mut i = Interner::new();
         let a = i.intern("x");
-        let j = i.clone();
+        let mut j = i.clone();
         assert_eq!(j.resolve(a), "x");
-        assert_eq!(j.get("x"), Some(a));
+        assert_eq!(j.intern("x"), a);
     }
 }

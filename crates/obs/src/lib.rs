@@ -12,16 +12,18 @@
 //!   timestamped [`Event::SpanHop`] keyed by the span id the error received
 //!   at birth.
 //! * [`Registry`] / [`Histogram`] — named counters, gauges, and log-scale
-//!   histograms with per-scope and per-machine labels.
-//! * [`Interner`] / [`Sym`] — hot-path string interning: metric keys and
-//!   event actor names are stored as dense `u32` symbols and resolved back
-//!   to strings only at export time, so a counter touch or an actor's name
-//!   allocates only the first time it is seen. An event's own strings are
-//!   owned by the event, which the collector keeps as it was handed.
-//! * Exporters — a JSONL event stream ([`Collector::to_jsonl`]) and a JSON
-//!   metrics snapshot ([`Registry::snapshot_json`]) — with a hand-rolled
-//!   parser ([`json`]) so exports can be round-tripped and validated
-//!   without any external dependency.
+//!   histograms with per-scope and per-machine labels, kept in key order.
+//! * Exporters — a JSONL event stream whose first line is its
+//!   [`StreamMeta`] header ([`Collector::to_jsonl_with_meta`]), so a reader
+//!   can tell a complete stream from a truncated one, and a JSON metrics
+//!   snapshot ([`Registry::snapshot_json`]) — with a hand-rolled parser
+//!   ([`json`]) so exports can be round-tripped and validated without any
+//!   external dependency.
+//!
+//! The collector interns actor names (a private table with an
+//! address-keyed cache), so an actor's name allocates only the first time
+//! it records; an event's own strings are owned by the event, which the
+//! collector keeps as it was handed.
 //!
 //! `obs` sits *below* every other crate in the workspace (including
 //! `desim`), so it is deliberately dependency-free. Timestamps are plain
@@ -32,7 +34,7 @@
 
 pub mod collector;
 pub mod event;
-pub mod intern;
+mod intern;
 pub mod json;
 pub mod metrics;
 pub mod ring;
@@ -40,7 +42,6 @@ pub mod span;
 
 pub use collector::{Collector, EventRecord, EventRef, StreamMeta};
 pub use event::{ClaimOutcome, Event, IoOutcome};
-pub use intern::{Interner, Sym};
-pub use metrics::{Histogram, MetricKey, Registry};
+pub use metrics::{Histogram, Registry};
 pub use ring::RingBuffer;
 pub use span::{next_span_id, peek_span_id, reset_span_ids, SpanAction, SpanId, NO_SPAN};

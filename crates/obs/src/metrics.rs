@@ -6,24 +6,21 @@
 //! (`machine=...`) labels, and the experiment binaries write the snapshot
 //! as JSON next to their event streams.
 //!
-//! Internally the registry is keyed on interned symbols ([`crate::Sym`]):
-//! a metric touch interns its name and label strings (hash lookups, no
-//! allocation after first sighting) and indexes a hash map by a small
-//! integer key. Strings are resolved — and entries sorted into the
-//! historical `(name, labels)` order — only when a snapshot is exported,
-//! so [`Registry::snapshot_json`] output is byte-identical to the old
-//! string-keyed implementation.
+//! Every metric is filled in after a run, by a `register_into`
+//! projection, so nothing here is on a simulation's hot path. The
+//! registry is three `BTreeMap`s keyed by `(name, labels sorted by key)`,
+//! and [`Registry::snapshot_json`] writes each in iteration order, which is
+//! that key order. Names and label keys are `&'static str` — every caller
+//! passes literals — and only label values are owned.
 //!
 //! [`Histogram`] uses power-of-two buckets over `u64` values (we feed it
 //! microsecond durations): bucket 0 holds exactly the value 0, bucket
 //! `i >= 1` holds values of bit length `i`, i.e. the range
 //! `[2^(i-1), 2^i - 1]`. Bucket 64 therefore ends at `u64::MAX`.
 
-use crate::intern::{FastMap, Interner, Sym};
 use crate::json;
-use std::cmp::Ordering;
-use std::fmt::{self, Write as _};
-use std::ops::Range;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Number of histogram buckets: one for zero plus one per bit length.
 pub const BUCKETS: usize = 65;
@@ -169,169 +166,60 @@ impl Histogram {
     }
 }
 
-/// A metric identity: a name plus sorted `(key, value)` labels.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// The metric name, e.g. `jobs_completed`.
-    pub name: String,
-    /// Label pairs, kept sorted so equal label sets compare equal.
-    pub labels: Vec<(String, String)>,
+/// A metric identity: its name and its labels sorted by key, so equal
+/// label sets are equal keys and map order is export order.
+type Key = (&'static str, Vec<(&'static str, String)>);
+
+fn key(name: &'static str, labels: &[(&'static str, &str)]) -> Key {
+    let mut labels: Vec<(&'static str, String)> =
+        labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
+    labels.sort_unstable();
+    (name, labels)
 }
 
-impl MetricKey {
-    /// A key with no labels.
-    pub fn plain(name: &str) -> Self {
-        MetricKey {
-            name: name.to_string(),
-            labels: Vec::new(),
+/// One map of a snapshot as a JSON array: each entry's `name`, its
+/// `labels` when it has any, then `field` written by `value`.
+fn write_entries<V>(
+    out: &mut String,
+    map: &BTreeMap<Key, V>,
+    field: &str,
+    value: impl Fn(&mut String, &V),
+) {
+    out.push('[');
+    for (i, ((name, labels), v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-    }
-
-    /// A key with labels (sorted internally).
-    pub fn labeled(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
-    }
-}
-
-/// The `"name":…,"labels":{…}` fields of one snapshot entry.
-fn write_key_fields(out: &mut String, name: &str, labels: &[(&str, &str)]) {
-    json::write_key(out, "name");
-    json::write_str(out, name);
-    if !labels.is_empty() {
-        out.push(',');
-        json::write_key(out, "labels");
         out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::write_key(out, "name");
+        json::write_str(out, name);
+        if !labels.is_empty() {
+            out.push(',');
+            json::write_key(out, "labels");
+            out.push('{');
+            for (j, (k, v)) in labels.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                json::write_key(out, k);
+                json::write_str(out, v);
             }
-            json::write_key(out, k);
-            json::write_str(out, v);
+            out.push('}');
         }
+        out.push(',');
+        json::write_key(out, field);
+        value(out, v);
         out.push('}');
     }
-}
-
-impl fmt::Display for MetricKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.labels.is_empty() {
-            f.write_str("{")?;
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                write!(f, "{k}={v:?}")?;
-            }
-            f.write_str("}")?;
-        }
-        Ok(())
-    }
-}
-
-/// How many label pairs a key holds inline before spilling to the heap.
-/// Every metric in the repo today uses 0 or 1 labels; 4 leaves headroom.
-const INLINE_LABELS: usize = 4;
-
-/// The label set of an interned key. `Inline` covers the common case with
-/// zero allocation; label sets wider than [`INLINE_LABELS`] spill to a
-/// `Vec`. Construction always canonicalises (pairs sorted by symbol, spill
-/// only when the inline array cannot hold them), so derived `Eq`/`Hash`
-/// agree with label-set equality.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum LabelSyms {
-    Inline(u8, [(Sym, Sym); INLINE_LABELS]),
-    Spilled(Vec<(Sym, Sym)>),
-}
-
-/// An interned metric identity: symbols only, cheap to hash and compare.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SymKey {
-    name: Sym,
-    labels: LabelSyms,
-}
-
-impl SymKey {
-    fn label_pairs(&self) -> &[(Sym, Sym)] {
-        match &self.labels {
-            LabelSyms::Inline(n, pairs) => &pairs[..usize::from(*n)],
-            LabelSyms::Spilled(v) => v,
-        }
-    }
-}
-
-/// Hand-rolled to keep key hashing at one word per label pair plus one for
-/// the name: the derived impl feeds the hasher ~11 separate integer writes
-/// (discriminant, padding slots, each `u32` alone), and with a
-/// multiply-based hasher those writes form a serial dependency chain that
-/// dominated `counter_add`. Consistent with the derived `Eq`: the hash is
-/// a pure function of `(name, live label pairs, label count)`, and equal
-/// keys always carry identical zero padding.
-impl std::hash::Hash for SymKey {
-    #[inline]
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let pairs = self.label_pairs();
-        state.write_u64(((self.name.index() as u64) << 8) | pairs.len() as u64);
-        for &(k, v) in pairs {
-            state.write_u64(((k.index() as u64) << 32) | v.index() as u64);
-        }
-    }
-}
-
-/// Canonicalise freshly interned label pairs: sorted by `(Sym, Sym)`.
-/// Symbols are bijective with strings, so symbol order is a total order on
-/// label pairs — any insertion order of the same label set produces the
-/// same key. (Export re-sorts by *string* order separately.)
-fn canonical_labels(pairs: &mut [(Sym, Sym)]) -> LabelSyms {
-    pairs.sort_unstable();
-    if pairs.len() <= INLINE_LABELS {
-        let mut inline = [(Sym::from_raw(0), Sym::from_raw(0)); INLINE_LABELS];
-        inline[..pairs.len()].copy_from_slice(pairs);
-        LabelSyms::Inline(pairs.len() as u8, inline)
-    } else {
-        LabelSyms::Spilled(pairs.to_vec())
-    }
-}
-
-/// The entries of one of a registry's maps in key order ([`Registry::sorted`]).
-struct Sorted<'a, V> {
-    // Every entry's labels, each entry's in string order.
-    labels: Vec<(&'a str, &'a str)>,
-    // (name, where in `labels`, value).
-    entries: Vec<(&'a str, Range<usize>, &'a V)>,
-}
-
-impl<'a, V> Sorted<'a, V> {
-    /// `(name, labels, value)` in key order.
-    fn iter(&self) -> impl Iterator<Item = (&'a str, &[(&'a str, &'a str)], &'a V)> + '_ {
-        let entry = |(name, at, value): &(&'a str, Range<usize>, &'a V)| {
-            (*name, &self.labels[at.clone()], *value)
-        };
-        self.entries.iter().map(entry)
-    }
-}
-
-impl<V: PartialEq> PartialEq for Sorted<'_, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
+    out.push(']');
 }
 
 /// A registry of named metrics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    interner: Interner,
-    counters: FastMap<SymKey, u64>,
-    gauges: FastMap<SymKey, f64>,
-    histograms: FastMap<SymKey, Histogram>,
+    counters: BTreeMap<Key, u64>,
+    gauges: BTreeMap<Key, f64>,
+    histograms: BTreeMap<Key, Histogram>,
 }
 
 impl Registry {
@@ -340,265 +228,71 @@ impl Registry {
         Registry::default()
     }
 
-    /// Intern a key for a write: allocation-free after each string's first
-    /// sighting (label sets wider than [`INLINE_LABELS`] pairs excepted).
-    #[inline]
-    fn make_key(&mut self, name: &str, labels: &[(&str, &str)]) -> SymKey {
-        let name = self.interner.intern(name);
-        if labels.is_empty() {
-            return SymKey {
-                name,
-                labels: LabelSyms::Inline(0, [(Sym::from_raw(0), Sym::from_raw(0)); INLINE_LABELS]),
-            };
-        }
-        if labels.len() <= INLINE_LABELS {
-            let mut pairs = [(Sym::from_raw(0), Sym::from_raw(0)); INLINE_LABELS];
-            for (slot, (k, v)) in pairs.iter_mut().zip(labels) {
-                *slot = (self.interner.intern(k), self.interner.intern(v));
-            }
-            SymKey {
-                name,
-                labels: canonical_labels(&mut pairs[..labels.len()]),
-            }
-        } else {
-            let mut pairs: Vec<(Sym, Sym)> = labels
-                .iter()
-                .map(|(k, v)| (self.interner.intern(k), self.interner.intern(v)))
-                .collect();
-            SymKey {
-                name,
-                labels: canonical_labels(&mut pairs),
-            }
-        }
-    }
-
-    /// Look up a key without interning (for reads): `None` means some part
-    /// of the key has never been seen, so the metric cannot exist.
-    fn find_key(&self, name: &str, labels: &[(&str, &str)]) -> Option<SymKey> {
-        let name = self.interner.get(name)?;
-        if labels.len() <= INLINE_LABELS {
-            let mut pairs = [(Sym::from_raw(0), Sym::from_raw(0)); INLINE_LABELS];
-            for (slot, (k, v)) in pairs.iter_mut().zip(labels) {
-                *slot = (self.interner.get(k)?, self.interner.get(v)?);
-            }
-            Some(SymKey {
-                name,
-                labels: canonical_labels(&mut pairs[..labels.len()]),
-            })
-        } else {
-            let mut pairs = labels
-                .iter()
-                .map(|(k, v)| Some((self.interner.get(k)?, self.interner.get(v)?)))
-                .collect::<Option<Vec<_>>>()?;
-            Some(SymKey {
-                name,
-                labels: canonical_labels(&mut pairs),
-            })
-        }
-    }
-
-    /// Resolve an interned key back to owned strings, in the historical
-    /// `(name, sorted labels)` form — export-path only.
-    fn resolve_key(&self, key: &SymKey) -> MetricKey {
-        let mut labels: Vec<(String, String)> = key
-            .label_pairs()
-            .iter()
-            .map(|&(k, v)| {
-                (
-                    self.interner.resolve(k).to_string(),
-                    self.interner.resolve(v).to_string(),
-                )
-            })
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: self.interner.resolve(key.name).to_string(),
-            labels,
-        }
-    }
-
     /// Add `delta` to a counter, creating it at zero first if needed.
-    #[inline]
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = self.make_key(name, labels);
-        *self.counters.entry(key).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+        *self.counters.entry(key(name, labels)).or_insert(0) += delta;
     }
 
     /// Set a gauge.
-    pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let key = self.make_key(name, labels);
-        self.gauges.insert(key, value);
-    }
-
-    /// Record a sample into a histogram, creating it if needed.
-    #[inline]
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        let key = self.make_key(name, labels);
-        self.histograms.entry(key).or_default().record(value);
+    pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: f64) {
+        self.gauges.insert(key(name, labels), value);
     }
 
     /// Merge a whole histogram into a named histogram, creating it if
     /// needed — for folding externally-kept histograms into a snapshot.
-    pub fn histogram_merge(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        let key = self.make_key(name, labels);
-        self.histograms.entry(key).or_default().merge(h);
+    pub fn histogram_merge(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        h: &Histogram,
+    ) {
+        self.histograms
+            .entry(key(name, labels))
+            .or_default()
+            .merge(h);
     }
 
     /// A counter's value (0 if absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.find_key(name, labels)
-            .and_then(|k| self.counters.get(&k))
-            .copied()
-            .unwrap_or(0)
+    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> u64 {
+        self.counters.get(&key(name, labels)).copied().unwrap_or(0)
     }
 
     /// A gauge's value, if set.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauges.get(&self.find_key(name, labels)?).copied()
+    pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<f64> {
+        self.gauges.get(&key(name, labels)).copied()
     }
 
     /// A histogram, if it exists.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        self.histograms.get(&self.find_key(name, labels)?)
-    }
-
-    /// All counters as resolved `(key, value)` pairs in key order.
-    pub fn counters(&self) -> Vec<(MetricKey, u64)> {
-        let mut out: Vec<(MetricKey, u64)> = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (self.resolve_key(k), v))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Fold another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge. Symbols are resolved through the
-    /// other registry's interner and re-interned here, so registries built
-    /// in different threads (or different seed runs) merge correctly.
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, &v) in &other.counters {
-            let key = self.reintern_key(other, k);
-            *self.counters.entry(key).or_insert(0) += v;
-        }
-        for (k, &v) in &other.gauges {
-            let key = self.reintern_key(other, k);
-            self.gauges.insert(key, v);
-        }
-        for (k, h) in &other.histograms {
-            let key = self.reintern_key(other, k);
-            self.histograms.entry(key).or_default().merge(h);
-        }
-    }
-
-    /// Translate a key from `other`'s symbol space into ours.
-    fn reintern_key(&mut self, other: &Registry, key: &SymKey) -> SymKey {
-        let name = self.interner.intern(other.interner.resolve(key.name));
-        let mut pairs: Vec<(Sym, Sym)> = key
-            .label_pairs()
-            .iter()
-            .map(|&(k, v)| {
-                (
-                    self.interner.intern(other.interner.resolve(k)),
-                    self.interner.intern(other.interner.resolve(v)),
-                )
-            })
-            .collect();
-        SymKey {
-            name,
-            labels: canonical_labels(&mut pairs),
-        }
-    }
-
-    /// The entries of `map` under their resolved keys, in [`MetricKey`]'s
-    /// order — the canonical form used for sorted export and
-    /// cross-interner equality. The strings stay the interner's: a
-    /// snapshot of ten thousand entries allocates two vectors, not four
-    /// strings and a tree node each.
-    fn sorted<'a, V>(&'a self, map: &'a FastMap<SymKey, V>) -> Sorted<'a, V> {
-        let mut labels: Vec<(&str, &str)> = Vec::new();
-        let mut entries: Vec<(&str, Range<usize>, &V)> = Vec::with_capacity(map.len());
-        for (key, value) in map {
-            let from = labels.len();
-            let resolve = |&(k, v)| (self.interner.resolve(k), self.interner.resolve(v));
-            labels.extend(key.label_pairs().iter().map(resolve));
-            // The key holds them in symbol order.
-            labels[from..].sort_unstable();
-            let name = self.interner.resolve(key.name);
-            entries.push((name, from..labels.len(), value));
-        }
-        // Small entries, so that sorting moves little; most comparisons
-        // are between entries of one name, the interner's one allocation.
-        entries.sort_unstable_by(|a, b| {
-            let by_name = if std::ptr::eq(a.0, b.0) {
-                Ordering::Equal
-            } else {
-                a.0.cmp(b.0)
-            };
-            by_name.then_with(|| labels[a.1.clone()].cmp(&labels[b.1.clone()]))
-        });
-        Sorted { labels, entries }
+    pub fn histogram(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> Option<&Histogram> {
+        self.histograms.get(&key(name, labels))
     }
 
     /// The whole registry as one JSON document:
     /// `{"counters":[...],"gauges":[...],"histograms":[...]}` with entries
-    /// in sorted key order (deterministic output, byte-identical to the
-    /// pre-interning string-keyed registry).
+    /// in `(name, labels)` order, so equal registries write equal bytes.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":[");
-        for (i, (name, labels, v)) in self.sorted(&self.counters).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            write_key_fields(&mut out, name, labels);
-            out.push(',');
-            json::write_key(&mut out, "value");
-            json::write_u64(&mut out, *v);
-            out.push('}');
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, (name, labels, v)) in self.sorted(&self.gauges).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            write_key_fields(&mut out, name, labels);
-            out.push(',');
-            json::write_key(&mut out, "value");
+        let mut out = String::from("{\"counters\":");
+        write_entries(&mut out, &self.counters, "value", |out, &v| {
+            json::write_u64(out, v)
+        });
+        out.push_str(",\"gauges\":");
+        write_entries(&mut out, &self.gauges, "value", |out, v| {
             if v.is_finite() {
                 let _ = write!(out, "{v}");
             } else {
                 out.push_str("null");
             }
-            out.push('}');
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, (name, labels, h)) in self.sorted(&self.histograms).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            write_key_fields(&mut out, name, labels);
-            out.push(',');
-            json::write_key(&mut out, "histogram");
-            h.write_json(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
+        });
+        out.push_str(",\"histograms\":");
+        write_entries(&mut out, &self.histograms, "histogram", |out, h| {
+            h.write_json(out)
+        });
+        out.push('}');
         out
-    }
-}
-
-/// Equality over *resolved* content: two registries are equal when they
-/// hold the same metrics with the same values, regardless of the order
-/// their interners learned the strings in.
-impl PartialEq for Registry {
-    fn eq(&self, other: &Self) -> bool {
-        self.sorted(&self.counters) == other.sorted(&other.counters)
-            && self.sorted(&self.gauges) == other.sorted(&other.gauges)
-            && self.sorted(&self.histograms) == other.sorted(&other.histograms)
     }
 }
 
@@ -690,8 +384,10 @@ mod tests {
         r.counter_add("jobs_completed", &[], 7);
         r.counter_add("outcomes_total", &[("scope", "local-resource")], 2);
         r.gauge_set("cpu_efficiency", &[], 0.875);
-        r.observe("attempt_cpu_us", &[("scope", "program")], 0);
-        r.observe("attempt_cpu_us", &[("scope", "program")], 120_000_000);
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(120_000_000);
+        r.histogram_merge("attempt_cpu_us", &[("scope", "program")], &h);
         let doc = r.snapshot_json();
         let v = crate::json::parse(&doc).expect("snapshot parses");
         let counters = v.get("counters").unwrap().as_arr().unwrap();
@@ -726,57 +422,44 @@ mod tests {
         r.counter_add("wide", &reversed, 3);
         assert_eq!(r.counter("wide", &labels), 5);
         assert_eq!(r.counter("wide", &reversed), 5);
-        // Export sorts by string order and parses cleanly.
+        // Export writes the labels sorted and parses cleanly.
         let doc = r.snapshot_json();
         assert!(crate::json::parse(&doc).is_ok());
         assert!(doc.contains("\"a\":\"1\",\"b\":\"2\",\"c\":\"3\""));
     }
 
     #[test]
-    fn equality_and_merge_cross_interner_order() {
-        // Same content, interned in opposite orders: must be equal, and
-        // snapshots must be byte-identical.
+    fn insertion_order_is_invisible() {
+        // Same content, inserted in opposite orders: equal registries,
+        // byte-identical snapshots, entries in name order.
         let mut a = Registry::new();
-        a.counter_add("x", &[], 1);
-        a.counter_add("y", &[("scope", "job")], 2);
+        a.counter_add("zeta", &[], 1);
+        a.counter_add("alpha", &[("scope", "job")], 2);
         let mut b = Registry::new();
-        b.counter_add("y", &[("scope", "job")], 2);
-        b.counter_add("x", &[], 1);
+        b.counter_add("alpha", &[("scope", "job")], 2);
+        b.counter_add("zeta", &[], 1);
         assert_eq!(a, b);
-        assert_eq!(a.snapshot_json(), b.snapshot_json());
-        // Merging re-interns through the source registry's table.
-        let mut m = Registry::new();
-        m.counter_add("z", &[], 10);
-        m.merge(&a);
-        assert_eq!(m.counter("x", &[]), 1);
-        assert_eq!(m.counter("y", &[("scope", "job")]), 2);
-        assert_eq!(m.counter("z", &[]), 10);
-    }
-
-    #[test]
-    fn counters_iterate_resolved_and_sorted() {
-        let mut r = Registry::new();
-        r.counter_add("zeta", &[], 1);
-        r.counter_add("alpha", &[("m", "1")], 2);
-        let counters = r.counters();
-        assert_eq!(counters.len(), 2);
-        assert_eq!(counters[0].0.name, "alpha");
-        assert_eq!(counters[1].0.name, "zeta");
-        assert_eq!(counters[0].1, 2);
+        let doc = a.snapshot_json();
+        assert_eq!(doc, b.snapshot_json());
+        assert!(doc.find("alpha").unwrap() < doc.find("zeta").unwrap());
     }
 
     #[test]
     fn registry_merge_folds_all_three_kinds() {
-        let mut a = Registry::new();
-        a.counter_add("c", &[], 1);
-        a.observe("h", &[], 10);
-        let mut b = Registry::new();
-        b.counter_add("c", &[], 2);
-        b.gauge_set("g", &[], 1.5);
-        b.observe("h", &[], 20);
-        a.merge(&b);
-        assert_eq!(a.counter("c", &[]), 3);
-        assert_eq!(a.gauge("g", &[]), Some(1.5));
-        assert_eq!(a.histogram("h", &[]).unwrap().count(), 2);
+        // Counters add, a gauge takes the last value, histograms merge.
+        let mut r = Registry::new();
+        let mut h = Histogram::new();
+        h.record(10);
+        r.counter_add("c", &[], 1);
+        r.gauge_set("g", &[], 0.5);
+        r.histogram_merge("h", &[], &h);
+        h.record(20);
+        r.counter_add("c", &[], 2);
+        r.gauge_set("g", &[], 1.5);
+        r.histogram_merge("h", &[], &h);
+        assert_eq!(r.counter("c", &[]), 3);
+        assert_eq!(r.gauge("g", &[]), Some(1.5));
+        assert_eq!(r.histogram("h", &[]).unwrap().count(), 3);
+        assert_eq!(r.histogram("absent", &[]), None);
     }
 }

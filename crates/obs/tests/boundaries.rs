@@ -3,7 +3,8 @@
 //! (a bit flipped, the tail lost, a span cut, repeated or overwritten).
 //! Every input ends in `Ok` or an error that says where; none panics or
 //! asks the allocator for more than a fixed multiple of its length.
-//! (`Collector::parse_jsonl` gets the same treatment beside its consumer,
+//! (`Collector::parse_jsonl_with_meta` gets the same treatment beside its
+//! consumer,
 //! in `obs-analyze/tests/boundaries.rs`.)
 
 use obs::json;

@@ -1,12 +1,12 @@
 //! Regression guard for the metrics snapshot wire format.
 //!
-//! The fixture in `tests/fixtures/registry_snapshot.json` was generated
-//! from the pre-interning `Registry` (string-keyed `BTreeMap`s). The
-//! interned registry must keep `snapshot_json` byte-identical: same entry
-//! order (sorted by name, then labels), same escaping, same number
-//! formatting. Regenerate with `REGEN_FIXTURES=1 cargo test -p obs`.
+//! The fixture in `tests/fixtures/registry_snapshot.json` pins what
+//! `snapshot_json` writes: entry order (sorted by name, then labels), label
+//! order, escaping and number formatting. The registry has produced these
+//! bytes in every form it has taken. Regenerate with
+//! `REGEN_FIXTURES=1 cargo test -p obs`.
 
-use obs::Registry;
+use obs::{Histogram, Registry};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -29,11 +29,23 @@ fn sample_registry() -> Registry {
     r.gauge_set("cpu_efficiency", &[], 0.875);
     r.gauge_set("advertising_java", &[("machine", "ws0")], 1.0);
     r.gauge_set("broken", &[], f64::NAN);
-    r.observe("attempt_cpu_us", &[("scope", "program")], 0);
-    r.observe("attempt_cpu_us", &[("scope", "program")], 120_000_000);
-    r.observe("attempt_cpu_us", &[("scope", "network")], 1023);
-    r.observe("attempt_cpu_us", &[("scope", "network")], 1024);
-    r.observe("huge", &[], u64::MAX);
+    let hist = |samples: &[u64]| {
+        let mut h = Histogram::new();
+        samples.iter().for_each(|&s| h.record(s));
+        h
+    };
+    r.histogram_merge("attempt_cpu_us", &[("scope", "program")], &hist(&[0]));
+    r.histogram_merge(
+        "attempt_cpu_us",
+        &[("scope", "program")],
+        &hist(&[120_000_000]),
+    );
+    r.histogram_merge(
+        "attempt_cpu_us",
+        &[("scope", "network")],
+        &hist(&[1023, 1024]),
+    );
+    r.histogram_merge("huge", &[], &hist(&[u64::MAX]));
     r
 }
 

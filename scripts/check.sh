@@ -17,6 +17,12 @@ if grep -rnw --include=*.rs -e ChannelTransport -e map_strings -e ResolveStr -e 
     exit 1
 fi
 
+echo "==> one registry, one sweep, one export: no interned metric key, merged sweep or headerless stream comes back"
+if grep -rnF --include=*.rs -e SeedRun -e Sweep::run -e merged_registry -e SymKey -e LabelSyms \
+    -e obs::Interner -e obs::Sym -e '.to_jsonl()' -e 'parse_jsonl(' crates src tests examples; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1

@@ -277,15 +277,16 @@ fn journey_rich_report() -> RunReport {
 #[test]
 fn error_journey_spans_are_complete() {
     use errorscope::propagate::java_universe_stack;
-    use obs::{Event, SpanAction};
 
     let report = journey_rich_report();
     assert_eq!(report.metrics.incidental_errors_shown_to_user, 0);
 
     let stack = java_universe_stack();
-    let spans = report.telemetry.spans();
+    let stream = obs_analyze::Stream::from_collector(&report.telemetry).unwrap();
     let mut completed = 0usize;
-    for (span, records) in &spans {
+    // Every record that carries a span id is a hop of its span's journey.
+    for journey in obs_analyze::journeys(&stream) {
+        let (span, records) = (journey.span, &journey.hops);
         // Virtual time never runs backwards within a span, even though the
         // startd and the schedd emit from different actors.
         for pair in records.windows(2) {
@@ -304,43 +305,28 @@ fn error_journey_spans_are_complete() {
             );
         }
 
-        let hops: Vec<&Event> = records
+        // The `span-hop` records, as opposed to escapes and dispositions.
+        let hops: Vec<_> = records
             .iter()
-            .map(|r| r.event)
-            .filter(|e| matches!(e, Event::SpanHop { .. }))
+            .filter(|h| h.action != "escape" && h.action != "disposition")
             .collect();
         assert!(!hops.is_empty(), "span {span} recorded no journey hops");
-        let Event::SpanHop { action, .. } = hops[0] else {
-            unreachable!()
-        };
         assert_eq!(
-            *action,
-            SpanAction::Raised,
+            hops[0].action, "raised",
             "span {span} must begin at the error's birth"
         );
-        let Event::SpanHop {
-            action,
-            layer,
-            scope,
-            ..
-        } = hops[hops.len() - 1]
-        else {
-            unreachable!()
-        };
-        if *action == SpanAction::Handled {
+        let last = hops[hops.len() - 1];
+        if last.action == "handled" {
             completed += 1;
             // P3, per journey: consumed exactly by the manager of its scope.
-            let s = errorscope::Scope::from_name(scope).unwrap();
+            let s = errorscope::Scope::from_name(&last.scope).unwrap();
             assert_eq!(
                 stack.manager_of(s),
-                Some(layer.as_str()),
+                Some(last.layer.as_str()),
                 "span {span} handled at the wrong layer"
             );
             // A completed journey reaches exactly one disposition.
-            let dispositions = records
-                .iter()
-                .filter(|r| matches!(r.event, Event::Disposition { .. }))
-                .count();
+            let dispositions = records.iter().filter(|h| h.action == "disposition").count();
             assert_eq!(dispositions, 1, "span {span} dispositions");
         }
     }
@@ -410,21 +396,9 @@ fn span_audit_matches_trail_audit() {
 
     // And the journeys the spans describe are the same population the
     // attempts describe: one completed journey per environment failure.
-    let completed_spans = report
-        .telemetry
-        .spans()
-        .values()
-        .filter(|records| {
-            records.iter().any(|r| {
-                matches!(
-                    &r.event,
-                    obs::Event::SpanHop {
-                        action: obs::SpanAction::Handled,
-                        ..
-                    }
-                )
-            })
-        })
+    let completed_spans = obs_analyze::journeys(&stream)
+        .iter()
+        .filter(|j| j.managed_by.is_some())
         .count();
     assert_eq!(completed_spans, deliveries);
 }
@@ -436,8 +410,10 @@ fn span_audit_matches_trail_audit() {
 fn telemetry_exports_parse_cleanly() {
     let report = journey_rich_report();
 
-    let jsonl = report.telemetry.to_jsonl();
-    let parsed = obs::Collector::parse_jsonl(&jsonl).expect("JSONL must round-trip");
+    let jsonl = report.telemetry.to_jsonl_with_meta();
+    let (meta, parsed) =
+        obs::Collector::parse_jsonl_with_meta(&jsonl).expect("JSONL must round-trip");
+    assert_eq!(meta, vec![report.telemetry.stream_meta()]);
     assert_eq!(parsed.len(), report.telemetry.len());
 
     let snapshot = report.registry().snapshot_json();

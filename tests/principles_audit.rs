@@ -95,7 +95,7 @@ fn recorded_spans_audit_clean_in_scoped_mode() {
     );
     // With no self-test and two broken machines, journeys definitely flowed.
     assert!(
-        !report.telemetry.spans().is_empty(),
+        !obs_analyze::journeys(&stream).is_empty(),
         "expected recorded journeys"
     );
     assert_eq!(report.metrics.incidental_errors_shown_to_user, 0);
@@ -129,7 +129,7 @@ fn naive_violations_are_recorded_as_events() {
     );
     // The naive discipline records no journeys — it throws the scope
     // information away, which is the point.
-    assert!(report.telemetry.spans().is_empty());
+    assert!(report.telemetry.iter().all(|r| r.event.span().is_none()));
 }
 
 /// Principle 4 at the protocol level: the Chirp contract is concise and

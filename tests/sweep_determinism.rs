@@ -1,11 +1,12 @@
-//! The parallel sweep harness must be a pure function of its seed list:
-//! fanning 32 seeds of a full condor-pool scenario across 1, 2, and 8
-//! worker threads has to produce byte-identical merged telemetry and
-//! metric snapshots. This is the determinism contract the throughput
-//! experiment (E8) and every statistical study in the repo lean on.
+//! A parallel sweep must be a pure function of its seed list: fanning 32
+//! seeds of a full condor-pool scenario across 1, 2, and 8 worker threads
+//! with `desim::run_sweep` has to produce byte-identical telemetry and
+//! metric snapshots, seed by seed. Every statistical study in the repo
+//! leans on this contract.
 
 use condor::prelude::*;
-use desim::sweep::{SeedRun, Sweep};
+use desim::run_sweep;
+use desim::sweep::{span_base, SPAN_STRIDE};
 use desim::{SimDuration, SimTime};
 use gridvm::programs;
 
@@ -14,7 +15,7 @@ const SEEDS: u64 = 32;
 /// A small but complete pool: matchmaking, claiming, a java job per
 /// machine, telemetry, and enough randomness (jittered backoff) that a
 /// scheduling bug would show up as a diff.
-fn run_seed(seed: u64) -> SeedRun {
+fn run_pool(seed: u64) -> RunReport {
     let report = PoolBuilder::new(seed)
         .machines((0..2).map(|i| MachineSpec::healthy(&format!("ws{i}"), 256)))
         .schedd_policy(ScheddPolicy {
@@ -31,64 +32,62 @@ fn run_seed(seed: u64) -> SeedRun {
         }))
         .run(SimTime::from_secs(3600));
     assert!(report.quiescent, "seed {seed}: pool must drain");
-    SeedRun {
-        seed,
-        registry: report.registry(),
-        telemetry: report.telemetry,
-    }
+    report
+}
+
+/// One seed's exports: its headered event stream and its registry
+/// snapshot.
+fn exports(_: usize, seed: u64) -> (String, String) {
+    let report = run_pool(seed);
+    (
+        report.telemetry.to_jsonl_with_meta(),
+        report.registry().snapshot_json(),
+    )
 }
 
 #[test]
 fn sweep_of_32_pool_seeds_is_bit_identical_across_thread_counts() {
     let seeds: Vec<u64> = (1..=SEEDS).collect();
-    let single = Sweep::run(&seeds, 1, run_seed);
-    let merged_jsonl = single.merged_jsonl();
-    let merged_snapshot = single.merged_registry().snapshot_json();
+    let single = run_sweep(&seeds, 1, exports);
 
-    assert!(
-        !merged_jsonl.is_empty(),
-        "the scenario must actually record telemetry"
-    );
     // Every seed contributed events, in seed order.
-    assert_eq!(single.runs.len(), seeds.len());
-    for run in &single.runs {
-        assert!(
-            !run.telemetry.is_empty(),
-            "seed {} recorded no events",
-            run.seed
-        );
+    assert_eq!(single.len(), seeds.len());
+    for (seed, (stream, _)) in seeds.iter().zip(&single) {
+        let (meta, records) = obs::Collector::parse_jsonl_with_meta(stream).unwrap();
+        assert_eq!(meta.len(), 1, "seed {seed}: one stream header");
+        assert!(!records.is_empty(), "seed {seed} recorded no events");
     }
 
     for threads in [2usize, 8] {
-        let parallel = Sweep::run(&seeds, threads, run_seed);
-        assert_eq!(
-            merged_jsonl,
-            parallel.merged_jsonl(),
-            "{threads}-thread sweep diverged from the single-thread event stream"
-        );
-        assert_eq!(
-            merged_snapshot,
-            parallel.merged_registry().snapshot_json(),
-            "{threads}-thread sweep diverged from the single-thread snapshot"
-        );
+        let parallel = run_sweep(&seeds, threads, exports);
+        for (i, (a, b)) in single.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                a.0, b.0,
+                "{threads}-thread sweep diverged from the single-thread event stream \
+                 at seed index {i}"
+            );
+            assert_eq!(
+                a.1, b.1,
+                "{threads}-thread sweep diverged from the single-thread snapshot \
+                 at seed index {i}"
+            );
+        }
     }
 }
 
 #[test]
 fn sweep_results_arrive_in_seed_order_with_disjoint_spans() {
     let seeds: Vec<u64> = (1..=4).collect();
-    let sweep = Sweep::run(&seeds, 4, run_seed);
-    let order: Vec<u64> = sweep.runs.iter().map(|r| r.seed).collect();
+    let runs = run_sweep(&seeds, 4, |_, seed| (seed, run_pool(seed).telemetry));
+    let order: Vec<u64> = runs.iter().map(|r| r.0).collect();
     assert_eq!(order, seeds);
-    for (i, run) in sweep.runs.iter().enumerate() {
-        let base = desim::sweep::span_base(i);
-        for rec in run.telemetry.iter() {
+    for (i, (seed, telemetry)) in runs.iter().enumerate() {
+        let base = span_base(i);
+        for rec in telemetry.iter() {
             if let Some(span) = rec.event.span() {
                 assert!(
-                    span >= base && span < base + desim::sweep::SPAN_STRIDE,
-                    "seed {} span {span} escaped its [{}-based) range",
-                    run.seed,
-                    base
+                    span >= base && span < base + SPAN_STRIDE,
+                    "seed {seed} span {span} escaped its [{base}-based) range"
                 );
             }
         }
