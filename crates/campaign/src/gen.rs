@@ -743,7 +743,6 @@ impl FlockCampaign {
             max_attempts: 60,
             ..ScheddPolicy::default()
         })
-        .patience(SimDuration::from_secs(30))
         .faults(plan)
     }
 

@@ -3,7 +3,9 @@
 //! "The proxy allows the starter to transparently add additional I/O
 //! functionality to the job without placing any burden on the user" (§2.2).
 //! A [`FileBackend`] is whatever the proxy ultimately talks to: the local
-//! scratch space, or the Condor remote I/O channel to the shadow.
+//! scratch space, or the Condor remote I/O channel to the shadow. It
+//! offers only what the proxy's operations need: existence, size, create,
+//! positional read and append.
 //!
 //! Backends report failures as [`BackendFailure`]: either an in-vocabulary
 //! [`crate::proto::ChirpError`]-equivalent condition, or an
@@ -70,8 +72,6 @@ pub enum BackendFailure {
     AccessDenied,
     /// Quota exhausted.
     DiskFull,
-    /// Rename target exists.
-    AlreadyExists,
     /// An environmental fault that must escape the protocol.
     Env(EnvFault),
 }
@@ -91,10 +91,6 @@ pub trait FileBackend: Send {
     fn read_at(&mut self, path: &str, offset: u64, len: u32) -> BResult<Vec<u8>>;
     /// Append bytes to the end of the file.
     fn append(&mut self, path: &str, data: &[u8]) -> BResult<()>;
-    /// Remove a file.
-    fn unlink(&mut self, path: &str) -> BResult<()>;
-    /// Rename a file; fails with `AlreadyExists` if the target exists.
-    fn rename(&mut self, from: &str, to: &str) -> BResult<()>;
 }
 
 /// An in-memory file store with quota, read-only paths, and injectable
@@ -145,6 +141,15 @@ impl MemFs {
         self.files.get(path).map(|v| v.as_slice())
     }
 
+    /// Delete a file if present, releasing its bytes from the quota — the
+    /// file vanishing behind the proxy's back, as a test stages it.
+    pub fn remove(&mut self, path: &str) -> &mut Self {
+        if let Some(old) = self.files.remove(path) {
+            self.used -= old.len() as u64;
+        }
+        self
+    }
+
     /// Mark a path read-only: writes yield `AccessDenied`.
     pub fn set_readonly(&mut self, path: &str) {
         self.readonly.insert(path.to_string());
@@ -164,11 +169,6 @@ impl MemFs {
     /// Bytes currently stored.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     fn gate(&mut self) -> BResult<()> {
@@ -235,36 +235,6 @@ impl FileBackend for MemFs {
         self.used += data.len() as u64;
         Ok(())
     }
-
-    fn unlink(&mut self, path: &str) -> BResult<()> {
-        self.gate()?;
-        if self.readonly.contains(path) {
-            return Err(BackendFailure::AccessDenied);
-        }
-        match self.files.remove(path) {
-            Some(old) => {
-                self.used -= old.len() as u64;
-                Ok(())
-            }
-            None => Err(BackendFailure::NotFound),
-        }
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> BResult<()> {
-        self.gate()?;
-        if !self.files.contains_key(from) {
-            return Err(BackendFailure::NotFound);
-        }
-        if self.files.contains_key(to) {
-            return Err(BackendFailure::AlreadyExists);
-        }
-        if self.readonly.contains(from) || self.readonly.contains(to) {
-            return Err(BackendFailure::AccessDenied);
-        }
-        let data = self.files.remove(from).unwrap();
-        self.files.insert(to.to_string(), data);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +253,7 @@ mod tests {
         assert_eq!(fs.read_at("a", 0, 5).unwrap(), b"hello");
         assert_eq!(fs.read_at("a", 6, 100).unwrap(), b"world");
         assert_eq!(fs.read_at("a", 100, 10).unwrap(), b"");
-        fs.unlink("a").unwrap();
+        fs.remove("a");
         assert_eq!(fs.exists("a"), Ok(false));
     }
 
@@ -293,8 +263,6 @@ mod tests {
         assert_eq!(fs.size("x"), Err(BackendFailure::NotFound));
         assert_eq!(fs.read_at("x", 0, 1), Err(BackendFailure::NotFound));
         assert_eq!(fs.append("x", b"d"), Err(BackendFailure::NotFound));
-        assert_eq!(fs.unlink("x"), Err(BackendFailure::NotFound));
-        assert_eq!(fs.rename("x", "y"), Err(BackendFailure::NotFound));
     }
 
     #[test]
@@ -305,7 +273,7 @@ mod tests {
         fs.append("f", b"67890").unwrap();
         assert_eq!(fs.append("f", b"x"), Err(BackendFailure::DiskFull));
         // Freeing space makes writes possible again.
-        fs.unlink("f").unwrap();
+        fs.remove("f");
         fs.create("g").unwrap();
         assert_eq!(fs.append("g", b"ok"), Ok(()));
         assert_eq!(fs.used(), 2);
@@ -318,20 +286,8 @@ mod tests {
         fs.set_readonly("etc");
         assert_eq!(fs.append("etc", b"x"), Err(BackendFailure::AccessDenied));
         assert_eq!(fs.create("etc"), Err(BackendFailure::AccessDenied));
-        assert_eq!(fs.unlink("etc"), Err(BackendFailure::AccessDenied));
         // Reads still work.
         assert_eq!(fs.read_at("etc", 0, 6).unwrap(), b"config");
-    }
-
-    #[test]
-    fn rename_semantics() {
-        let mut fs = MemFs::default();
-        fs.put("a", b"data");
-        fs.put("b", b"other");
-        assert_eq!(fs.rename("a", "b"), Err(BackendFailure::AlreadyExists));
-        fs.rename("a", "c").unwrap();
-        assert_eq!(fs.get("c"), Some(&b"data"[..]));
-        assert_eq!(fs.get("a"), None);
     }
 
     #[test]
@@ -387,6 +343,7 @@ mod tests {
         assert_eq!(fs.used(), 5);
         fs.put("a", b"12");
         assert_eq!(fs.used(), 2);
-        assert_eq!(fs.file_count(), 1);
+        fs.remove("a").remove("a");
+        assert_eq!((fs.used(), fs.get("a")), (0, None));
     }
 }

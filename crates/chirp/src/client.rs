@@ -2,7 +2,10 @@
 //!
 //! "For such programs, we provide a simple I/O library. This library
 //! presents files using standard Java abstractions" (§2.2). Here the
-//! abstraction is a typed Rust API over a [`Transport`].
+//! abstraction is a typed Rust API over a [`Transport`], one method per
+//! operation a job issues: `auth`, `open`, `read`, `write`, `close` and
+//! `stat`. Checkpoint images are not the job's traffic: the starter frames
+//! `put_ckpt`/`get_ckpt` itself.
 //!
 //! The library exists in the paper's two incarnations:
 //!
@@ -183,88 +186,6 @@ impl<T: Transport> ChirpClient<T> {
         self.finish("stat", r)
     }
 
-    /// Remove a file.
-    pub fn unlink(&mut self, path: &str) -> IoResult<()> {
-        let r = match self.call(&Request::Unlink {
-            path: path.to_string(),
-        }) {
-            Ok(Response::Ok) => Ok(()),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("unlink", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("unlink", r)
-    }
-
-    /// Fetch a whole file in one round trip.
-    pub fn get_file(&mut self, path: &str) -> IoResult<Vec<u8>> {
-        let r = match self.call(&Request::GetFile {
-            path: path.to_string(),
-        }) {
-            Ok(Response::Data { data }) => Ok(data),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("getfile", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("getfile", r)
-    }
-
-    /// Store a whole file in one round trip.
-    pub fn put_file(&mut self, path: &str, data: &[u8]) -> IoResult<u32> {
-        let r = match self.call(&Request::PutFile {
-            path: path.to_string(),
-            data: data.to_vec(),
-        }) {
-            Ok(Response::Written { len }) => Ok(len),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("putfile", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("putfile", r)
-    }
-
-    /// Store a checkpoint image under a key in one round trip.
-    pub fn put_ckpt(&mut self, key: &str, data: &[u8]) -> IoResult<u32> {
-        let r = match self.call(&Request::PutCkpt {
-            key: key.to_string(),
-            data: data.to_vec(),
-        }) {
-            Ok(Response::Written { len }) => Ok(len),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("put_ckpt", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("put_ckpt", r)
-    }
-
-    /// Fetch a checkpoint image by key. [`ChirpError::NotFound`] is the
-    /// explicit, expected answer when no checkpoint has been taken yet.
-    pub fn get_ckpt(&mut self, key: &str) -> IoResult<Vec<u8>> {
-        let r = match self.call(&Request::GetCkpt {
-            key: key.to_string(),
-        }) {
-            Ok(Response::Data { data }) => Ok(data),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("get_ckpt", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("get_ckpt", r)
-    }
-
-    /// Rename a file.
-    pub fn rename(&mut self, from: &str, to: &str) -> IoResult<()> {
-        let r = match self.call(&Request::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
-        }) {
-            Ok(Response::Ok) => Ok(()),
-            Ok(Response::Error(e)) => Err(self.explicit(e)),
-            Ok(other) => Err(self.protocol_surprise("rename", &other)),
-            Err(broke) => Err(broke),
-        };
-        self.finish("rename", r)
-    }
-
     /// Recorded I/O op events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &obs::Event> {
         self.events.iter()
@@ -410,8 +331,6 @@ mod tests {
         assert_eq!(c.write(out, b"results").unwrap(), 7);
         c.close(out).unwrap();
         assert_eq!(c.stat("out.dat").unwrap().size, 7);
-        c.rename("out.dat", "final.dat").unwrap();
-        c.unlink("final.dat").unwrap();
     }
 
     #[test]
@@ -540,19 +459,6 @@ mod tests {
         // Draining empties the log.
         assert!(c.take_events().is_empty());
         assert_eq!(c.events().count(), 0);
-    }
-
-    #[test]
-    fn checkpoint_round_trip_and_missing_key() {
-        let mut c = scoped(|_| {});
-        // No checkpoint yet: explicit NotFound, not an escape.
-        let err = c.get_ckpt("ckpt/job1/attempt0").unwrap_err();
-        assert_eq!(err, IoError::Explicit(ChirpError::NotFound));
-        assert!(!err.is_escape());
-        // Store and fetch.
-        let image = vec![7u8; 96];
-        assert_eq!(c.put_ckpt("ckpt/job1/attempt0", &image).unwrap(), 96);
-        assert_eq!(c.get_ckpt("ckpt/job1/attempt0").unwrap(), image);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! directly with any storage resource, but instead calls a proxy in the
 //! starter via a simple protocol called Chirp."
 //!
-//! Following Principle 4, every operation declares a **concise and finite**
-//! set of explicit error codes ([`explicit_errors_of`]). A failure outside
-//! an operation's vocabulary is *never* returned as a response; the server
-//! instead breaks the connection — the network form of an escaping error
-//! ("On a network connection, an escaping error is communicated by breaking
-//! the connection", §3.1).
+//! The vocabulary is the eight operations the grid issues: the job's
+//! `auth`, `open`, `read`, `write`, `close` and `stat`, and the starter's
+//! `put_ckpt`/`get_ckpt`. Following Principle 4, every operation declares
+//! a **concise and finite** set of explicit error codes
+//! ([`explicit_errors_of`]), drawn from six [`ChirpError`] codes. A failure
+//! outside an operation's vocabulary is *never* returned as a response; the
+//! server instead breaks the connection — the network form of an escaping
+//! error ("On a network connection, an escaping error is communicated by
+//! breaking the connection", §3.1).
 
 use errorscope::interface::{ErrorVocabulary, InterfaceDecl};
 use std::fmt;
@@ -90,34 +93,9 @@ pub enum Request {
         /// Path to inspect.
         path: String,
     },
-    /// Remove a file.
-    Unlink {
-        /// Path to remove.
-        path: String,
-    },
-    /// Rename a file.
-    Rename {
-        /// Existing path.
-        from: String,
-        /// New path.
-        to: String,
-    },
-    /// Fetch a whole file in one round trip — the staging primitive the
-    /// starter uses for input transfer.
-    GetFile {
-        /// Path to fetch.
-        path: String,
-    },
-    /// Store a whole file in one round trip.
-    PutFile {
-        /// Destination path (created or truncated).
-        path: String,
-        /// Contents.
-        data: Vec<u8>,
-    },
-    /// Store a checkpoint image under an opaque key. Semantically a
-    /// `PutFile` into the checkpoint namespace, but a distinct operation so
-    /// the checkpoint server can enforce its own vocabulary and limits.
+    /// Store a checkpoint image under an opaque key, in one round trip.
+    /// The starter frames it; the checkpoint server enforces its own
+    /// vocabulary and limits.
     PutCkpt {
         /// Checkpoint key, e.g. `ckpt/job3/attempt1`.
         key: String,
@@ -141,10 +119,6 @@ impl Request {
             Request::Write { .. } => "write",
             Request::Close { .. } => "close",
             Request::Stat { .. } => "stat",
-            Request::Unlink { .. } => "unlink",
-            Request::Rename { .. } => "rename",
-            Request::GetFile { .. } => "getfile",
-            Request::PutFile { .. } => "putfile",
             Request::PutCkpt { .. } => "put_ckpt",
             Request::GetCkpt { .. } => "get_ckpt",
         }
@@ -175,8 +149,6 @@ pub enum ChirpError {
     TooManyOpen,
     /// The cookie presented at `auth` was wrong.
     NotAuthenticated,
-    /// The destination of a rename already exists.
-    AlreadyExists,
 }
 
 impl ChirpError {
@@ -189,7 +161,6 @@ impl ChirpError {
             ChirpError::BadFd => 4,
             ChirpError::TooManyOpen => 5,
             ChirpError::NotAuthenticated => 6,
-            ChirpError::AlreadyExists => 7,
         }
     }
 
@@ -202,7 +173,6 @@ impl ChirpError {
             4 => Some(ChirpError::BadFd),
             5 => Some(ChirpError::TooManyOpen),
             6 => Some(ChirpError::NotAuthenticated),
-            7 => Some(ChirpError::AlreadyExists),
             _ => None,
         }
     }
@@ -216,7 +186,6 @@ impl ChirpError {
             ChirpError::BadFd => "BadFileDescriptor",
             ChirpError::TooManyOpen => "TooManyOpenFiles",
             ChirpError::NotAuthenticated => "NotAuthenticated",
-            ChirpError::AlreadyExists => "AlreadyExists",
         }
     }
 }
@@ -230,7 +199,7 @@ impl fmt::Display for ChirpError {
 /// A server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Generic success (auth, close, unlink, rename).
+    /// Generic success (auth, close).
     Ok,
     /// Successful open.
     Opened {
@@ -266,10 +235,6 @@ pub fn explicit_errors_of(op: &str) -> Vec<ChirpError> {
         "write" => vec![DiskFull, BadFd],
         "close" => vec![BadFd],
         "stat" => vec![NotFound, AccessDenied],
-        "unlink" => vec![NotFound, AccessDenied],
-        "rename" => vec![NotFound, AccessDenied, AlreadyExists],
-        "getfile" => vec![NotFound, AccessDenied],
-        "putfile" => vec![AccessDenied, DiskFull],
         // Checkpoint traffic. A missing checkpoint is an ordinary explicit
         // answer to `get_ckpt` (first attempt of a job has none); storage
         // refusals are explicit on `put_ckpt` so the starter can fall back
@@ -285,8 +250,7 @@ pub fn explicit_errors_of(op: &str) -> Vec<ChirpError> {
 /// suitable for auditing.
 pub fn chirp_interface() -> InterfaceDecl {
     let ops = [
-        "auth", "open", "read", "write", "close", "stat", "unlink", "rename", "getfile", "putfile",
-        "put_ckpt", "get_ckpt",
+        "auth", "open", "read", "write", "close", "stat", "put_ckpt", "get_ckpt",
     ];
     let mut decl = InterfaceDecl::new("chirp");
     for op in ops {
@@ -308,11 +272,12 @@ mod tests {
 
     #[test]
     fn error_bytes_round_trip() {
-        for b in 1..=7u8 {
+        for b in 1..=6u8 {
             let e = ChirpError::from_byte(b).unwrap();
             assert_eq!(e.to_byte(), b);
         }
         assert_eq!(ChirpError::from_byte(0), None);
+        assert_eq!(ChirpError::from_byte(7), None);
         assert_eq!(ChirpError::from_byte(99), None);
     }
 
@@ -373,14 +338,6 @@ mod tests {
             "open"
         );
         assert_eq!(Request::Auth { cookie: vec![] }.op(), "auth");
-        assert_eq!(
-            Request::Rename {
-                from: "a".into(),
-                to: "b".into()
-            }
-            .op(),
-            "rename"
-        );
         assert_eq!(
             Request::PutCkpt {
                 key: "ckpt/job1/attempt0".into(),

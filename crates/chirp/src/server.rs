@@ -6,7 +6,7 @@
 //! a backend condition the operation's contract does not admit (the
 //! paper's "file system subject to losing a file in the middle of a
 //! write") — causes a [`ServerOutcome::Disconnect`]: the network form of an
-//! escaping error.
+//! escaping error. A session holds at most [`MAX_OPEN`] descriptors.
 //!
 //! The server can also run in the **naive generic** discipline the paper's
 //! first implementation used ("we blindly converted all possible explicit
@@ -59,6 +59,10 @@ pub enum ServerOutcome {
     Disconnect(DisconnectReason),
 }
 
+/// Cap on simultaneously open descriptors: an `open` past it is answered
+/// with the explicit [`ChirpError::TooManyOpen`].
+pub const MAX_OPEN: usize = 64;
+
 struct OpenFile {
     path: String,
     mode: OpenMode,
@@ -73,7 +77,6 @@ pub struct ChirpServer<B: FileBackend> {
     authenticated: bool,
     fds: BTreeMap<Fd, OpenFile>,
     next_fd: Fd,
-    max_open: usize,
     /// Count of requests handled, for metrics.
     pub requests_handled: u64,
 }
@@ -88,7 +91,6 @@ impl<B: FileBackend> ChirpServer<B> {
             authenticated: false,
             fds: BTreeMap::new(),
             next_fd: 3,
-            max_open: 64,
             requests_handled: 0,
         }
     }
@@ -96,12 +98,6 @@ impl<B: FileBackend> ChirpServer<B> {
     /// Switch discipline (builder style).
     pub fn with_discipline(mut self, d: ErrorDiscipline) -> Self {
         self.discipline = d;
-        self
-    }
-
-    /// Cap on simultaneously open descriptors.
-    pub fn with_max_open(mut self, n: usize) -> Self {
-        self.max_open = n;
         self
     }
 
@@ -146,17 +142,13 @@ impl<B: FileBackend> ChirpServer<B> {
             Request::Write { fd, data } => self.do_write(*fd, data),
             Request::Close { fd } => self.do_close(*fd),
             Request::Stat { path } => self.do_stat(path),
-            Request::Unlink { path } => self.do_unlink(path),
-            Request::Rename { from, to } => self.do_rename(from, to),
-            Request::GetFile { path } => self.do_getfile(path),
-            Request::PutFile { path, data } => self.do_putfile(path, data),
             Request::PutCkpt { key, data } => self.do_put_ckpt(key, data),
             Request::GetCkpt { key } => self.do_get_ckpt(key),
         }
     }
 
     fn do_open(&mut self, path: &str, mode: OpenMode) -> ServerOutcome {
-        if self.fds.len() >= self.max_open {
+        if self.fds.len() >= MAX_OPEN {
             return self.explicit("open", ChirpError::TooManyOpen);
         }
         let prep = match mode {
@@ -236,46 +228,6 @@ impl<B: FileBackend> ChirpServer<B> {
         }
     }
 
-    fn do_unlink(&mut self, path: &str) -> ServerOutcome {
-        match self.backend.unlink(path) {
-            Ok(()) => ServerOutcome::Reply(Response::Ok),
-            Err(e) => self.map_failure("unlink", e),
-        }
-    }
-
-    fn do_rename(&mut self, from: &str, to: &str) -> ServerOutcome {
-        match self.backend.rename(from, to) {
-            Ok(()) => ServerOutcome::Reply(Response::Ok),
-            Err(e) => self.map_failure("rename", e),
-        }
-    }
-
-    fn do_getfile(&mut self, path: &str) -> ServerOutcome {
-        let size = match self.backend.size(path) {
-            Ok(n) => n,
-            Err(e) => return self.map_failure("getfile", e),
-        };
-        match self
-            .backend
-            .read_at(path, 0, size.min(u64::from(u32::MAX)) as u32)
-        {
-            Ok(data) => ServerOutcome::Reply(Response::Data { data }),
-            Err(e) => self.map_failure("getfile", e),
-        }
-    }
-
-    fn do_putfile(&mut self, path: &str, data: &[u8]) -> ServerOutcome {
-        if let Err(e) = self.backend.create(path) {
-            return self.map_failure("putfile", e);
-        }
-        match self.backend.append(path, data) {
-            Ok(()) => ServerOutcome::Reply(Response::Written {
-                len: data.len() as u32,
-            }),
-            Err(e) => self.map_failure("putfile", e),
-        }
-    }
-
     fn do_put_ckpt(&mut self, key: &str, data: &[u8]) -> ServerOutcome {
         // A checkpoint store is a truncating whole-file write under the key.
         // The image bytes are opaque here: integrity is the *restorer's*
@@ -322,7 +274,6 @@ impl<B: FileBackend> ChirpServer<B> {
             BackendFailure::NotFound => Some(ChirpError::NotFound),
             BackendFailure::AccessDenied => Some(ChirpError::AccessDenied),
             BackendFailure::DiskFull => Some(ChirpError::DiskFull),
-            BackendFailure::AlreadyExists => Some(ChirpError::AlreadyExists),
             BackendFailure::Env(_) => None,
         };
         match (candidate, self.discipline) {
@@ -544,7 +495,7 @@ mod tests {
         let mut s = server();
         let fd = open(&mut s, "victim", OpenMode::Write);
         // Remove the file behind the proxy's back.
-        s.backend_mut().unlink("victim").unwrap();
+        s.backend_mut().remove("victim");
         let out = s.handle(&Request::Write {
             fd,
             data: b"x".to_vec(),
@@ -562,12 +513,13 @@ mod tests {
     fn too_many_open_is_explicit() {
         let mut fs = MemFs::default();
         fs.put("f", b"x");
-        let mut s = ChirpServer::new(fs, Cookie::generate(1)).with_max_open(2);
+        let mut s = ChirpServer::new(fs, Cookie::generate(1));
         s.handle(&Request::Auth {
             cookie: Cookie::generate(1).as_bytes().to_vec(),
         });
-        open(&mut s, "f", OpenMode::Read);
-        open(&mut s, "f", OpenMode::Read);
+        for _ in 0..MAX_OPEN {
+            open(&mut s, "f", OpenMode::Read);
+        }
         let out = s.handle(&Request::Open {
             path: "f".into(),
             mode: OpenMode::Read,
@@ -575,63 +527,6 @@ mod tests {
         assert_eq!(
             out,
             ServerOutcome::Reply(Response::Error(ChirpError::TooManyOpen))
-        );
-    }
-
-    #[test]
-    fn getfile_and_putfile() {
-        let mut s = server();
-        let out = s.handle(&Request::GetFile {
-            path: "input.txt".into(),
-        });
-        assert_eq!(
-            out,
-            ServerOutcome::Reply(Response::Data {
-                data: b"hello world".to_vec()
-            })
-        );
-        let out = s.handle(&Request::PutFile {
-            path: "staged.bin".into(),
-            data: vec![7; 32],
-        });
-        assert_eq!(out, ServerOutcome::Reply(Response::Written { len: 32 }));
-        // PutFile truncates.
-        let out = s.handle(&Request::PutFile {
-            path: "staged.bin".into(),
-            data: vec![1; 4],
-        });
-        assert_eq!(out, ServerOutcome::Reply(Response::Written { len: 4 }));
-        let out = s.handle(&Request::Stat {
-            path: "staged.bin".into(),
-        });
-        assert_eq!(
-            out,
-            ServerOutcome::Reply(Response::Info(FileInfo { size: 4 }))
-        );
-        // Missing source is an explicit in-vocabulary error.
-        let out = s.handle(&Request::GetFile {
-            path: "ghost".into(),
-        });
-        assert_eq!(
-            out,
-            ServerOutcome::Reply(Response::Error(ChirpError::NotFound))
-        );
-    }
-
-    #[test]
-    fn putfile_disk_full_is_explicit() {
-        let fs = MemFs::new(8);
-        let mut s = ChirpServer::new(fs, Cookie::generate(1));
-        s.handle(&Request::Auth {
-            cookie: Cookie::generate(1).as_bytes().to_vec(),
-        });
-        let out = s.handle(&Request::PutFile {
-            path: "big".into(),
-            data: vec![0; 100],
-        });
-        assert_eq!(
-            out,
-            ServerOutcome::Reply(Response::Error(ChirpError::DiskFull))
         );
     }
 
@@ -691,30 +586,6 @@ mod tests {
         assert_eq!(
             out,
             ServerOutcome::Reply(Response::Error(ChirpError::DiskFull))
-        );
-    }
-
-    #[test]
-    fn rename_and_unlink() {
-        let mut s = server();
-        assert_eq!(
-            s.handle(&Request::Rename {
-                from: "input.txt".into(),
-                to: "renamed.txt".into()
-            }),
-            ServerOutcome::Reply(Response::Ok)
-        );
-        assert_eq!(
-            s.handle(&Request::Unlink {
-                path: "renamed.txt".into()
-            }),
-            ServerOutcome::Reply(Response::Ok)
-        );
-        assert_eq!(
-            s.handle(&Request::Unlink {
-                path: "renamed.txt".into()
-            }),
-            ServerOutcome::Reply(Response::Error(ChirpError::NotFound))
         );
     }
 }

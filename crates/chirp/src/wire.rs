@@ -119,24 +119,6 @@ fn write_request(b: &mut Vec<u8>, req: &Request) {
             b.push(5);
             put_str(b, path);
         }
-        Request::Unlink { path } => {
-            b.push(6);
-            put_str(b, path);
-        }
-        Request::Rename { from, to } => {
-            b.push(7);
-            put_str(b, from);
-            put_str(b, to);
-        }
-        Request::GetFile { path } => {
-            b.push(8);
-            put_str(b, path);
-        }
-        Request::PutFile { path, data } => {
-            b.push(9);
-            put_str(b, path);
-            put_bytes(b, data);
-        }
         Request::PutCkpt { key, data } => {
             b.push(10);
             put_str(b, key);
@@ -173,18 +155,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         },
         4 => Request::Close { fd: buf.u32()? },
         5 => Request::Stat { path: buf.str()? },
-        6 => Request::Unlink { path: buf.str()? },
-        7 => {
-            let from = buf.str()?;
-            let to = buf.str()?;
-            Request::Rename { from, to }
-        }
-        8 => Request::GetFile { path: buf.str()? },
-        9 => {
-            let path = buf.str()?;
-            let data = buf.bytes()?;
-            Request::PutFile { path, data }
-        }
         10 => {
             let key = buf.str()?;
             let data = buf.bytes()?;
@@ -342,18 +312,6 @@ pub(crate) mod tests {
             },
             Request::Close { fd: 7 },
             Request::Stat { path: "x/y".into() },
-            Request::Unlink { path: "x".into() },
-            Request::Rename {
-                from: "a".into(),
-                to: "b".into(),
-            },
-            Request::GetFile {
-                path: "whole.bin".into(),
-            },
-            Request::PutFile {
-                path: "dest.bin".into(),
-                data: vec![9; 300],
-            },
             Request::PutCkpt {
                 key: "ckpt/job42/attempt1".into(),
                 data: vec![0xC4; 512],
@@ -412,6 +370,23 @@ pub(crate) mod tests {
         let mut enc = encode_response(&Response::Ok);
         enc.push(0);
         assert!(decode_response(&enc).is_err());
+        // Tags 6-9 (once `unlink`, `rename`, `getfile`, `putfile`) and
+        // error byte 7 (once rename's name collision) are not part of the
+        // protocol: a peer that sends them is refused like any foreign byte.
+        let mut path = Vec::new();
+        put_str(&mut path, "x");
+        for tag in 6..=9u8 {
+            let mut b = vec![tag];
+            b.extend_from_slice(&path);
+            assert_eq!(
+                decode_request(&b),
+                Err(WireError(format!("unknown request tag {tag}")))
+            );
+        }
+        assert_eq!(
+            decode_response(&[255, 7]),
+            Err(WireError("unknown error code".into()))
+        );
     }
 
     /// A connection can die after any byte. Every proper prefix of every

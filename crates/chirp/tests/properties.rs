@@ -22,11 +22,11 @@ fn path(g: &mut Gen) -> String {
     g.string(&printable, 0..=40)
 }
 
-/// A request of any of the twelve kinds.
+/// A request of any of the eight kinds.
 fn any_request(g: &mut Gen) -> Request {
     let (fd, len) = (g.int(0..=u32::MAX), g.int(0..=u32::MAX));
-    let (path, to, data) = (path(g), path(g), g.bytes(0..256));
-    match g.below(12) {
+    let (path, data) = (path(g), g.bytes(0..256));
+    match g.below(8) {
         0 => Request::Auth { cookie: data },
         1 => {
             let mode = *g.pick(&[OpenMode::Read, OpenMode::Write, OpenMode::Append]);
@@ -36,11 +36,7 @@ fn any_request(g: &mut Gen) -> Request {
         3 => Request::Write { fd, data },
         4 => Request::Close { fd },
         5 => Request::Stat { path },
-        6 => Request::Unlink { path },
-        7 => Request::Rename { from: path, to },
-        8 => Request::GetFile { path },
-        9 => Request::PutFile { path, data },
-        10 => Request::PutCkpt { key: path, data },
+        6 => Request::PutCkpt { key: path, data },
         _ => Request::GetCkpt { key: path },
     }
 }
@@ -53,7 +49,7 @@ fn any_response(g: &mut Gen) -> Response {
         2 => Response::Data { data },
         3 => Response::Written { len: fd },
         4 => Response::Info(FileInfo { size }),
-        _ => Response::Error(ChirpError::from_byte(g.int(1u8..8)).unwrap()),
+        _ => Response::Error(ChirpError::from_byte(g.int(1u8..7)).unwrap()),
     }
 }
 
@@ -183,7 +179,9 @@ fn memfs_quota_invariant() {
             match g.below(4) {
                 0 => drop(fs.create(path)),
                 1 => drop(fs.append(path, &vec![0u8; n])),
-                2 => drop(fs.unlink(path)),
+                2 => {
+                    fs.remove(path);
+                }
                 _ => drop(fs.read_at(path, 0, n as u32)),
             }
             assert!(fs.used() <= quota, "used {} > quota {quota}", fs.used());

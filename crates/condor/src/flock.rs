@@ -108,9 +108,6 @@ pub struct FederationBuilder {
     schedd_policy: ScheddPolicy,
     startd_policy: StartdPolicy,
     plan: FaultPlan,
-    patience: SimDuration,
-    probe_timeout: SimDuration,
-    denial_delay: SimDuration,
     pool_breaker: crate::health::BreakerPolicy,
     swallow_escapes: bool,
 }
@@ -118,7 +115,6 @@ pub struct FederationBuilder {
 impl FederationBuilder {
     /// A new federation with the given random seed and no pools yet.
     pub fn new(seed: u64) -> FederationBuilder {
-        let defaults = FlockConfig::default();
         FederationBuilder {
             seed,
             pools: Vec::new(),
@@ -127,10 +123,7 @@ impl FederationBuilder {
             schedd_policy: ScheddPolicy::default(),
             startd_policy: StartdPolicy::default(),
             plan: FaultPlan::none(),
-            patience: defaults.patience,
-            probe_timeout: defaults.probe_timeout,
-            denial_delay: defaults.denial_delay,
-            pool_breaker: defaults.breaker,
+            pool_breaker: crate::health::BreakerPolicy::default(),
             swallow_escapes: false,
         }
     }
@@ -186,25 +179,6 @@ impl FederationBuilder {
         self
     }
 
-    /// How long a job may starve before the schedd flocks.
-    pub fn patience(mut self, d: SimDuration) -> FederationBuilder {
-        self.patience = d;
-        self
-    }
-
-    /// How long a flock probe waits before declaring the remote
-    /// matchmaker unreachable.
-    pub fn probe_timeout(mut self, d: SimDuration) -> FederationBuilder {
-        self.probe_timeout = d;
-        self
-    }
-
-    /// How long a denial or failure parks a remote pool.
-    pub fn denial_delay(mut self, d: SimDuration) -> FederationBuilder {
-        self.denial_delay = d;
-        self
-    }
-
     /// The per-remote-pool circuit breaker policy.
     pub fn pool_breaker(mut self, p: crate::health::BreakerPolicy) -> FederationBuilder {
         self.pool_breaker = p;
@@ -255,24 +229,18 @@ impl FederationBuilder {
 
         for p in 0..n_pools {
             let id = world.add_actor(Box::new(
-                Matchmaker::new()
-                    .with_pool(p as u64)
-                    .with_faults(Arc::clone(&plan)),
+                Matchmaker::new(Arc::clone(&plan)).with_pool(p as u64),
             ));
             assert_eq!(id, p, "matchmaker {p} must land at actor id {p}");
         }
 
         let cfg = FlockConfig {
-            home_pool: 0,
             pools: (1..n_pools)
                 .map(|p| FlockTarget {
                     pool: p as u64,
                     matchmaker: p,
                 })
                 .collect(),
-            patience: self.patience,
-            probe_timeout: self.probe_timeout,
-            denial_delay: self.denial_delay,
             breaker: self.pool_breaker,
             swallow_escapes: self.swallow_escapes,
         };

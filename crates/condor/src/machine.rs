@@ -70,12 +70,6 @@ impl MachineSpec {
         }
     }
 
-    /// Replace the installation (builder style).
-    pub fn with_installation(mut self, install: Installation) -> MachineSpec {
-        self.installation = install;
-        self
-    }
-
     /// The machine-independent part of the ad: what the owner configured —
     /// `memory`, `arch`, `opsys` and `owner_requirements`, and nothing else
     /// of the spec.

@@ -145,9 +145,7 @@ pub struct MatchmakerStats {
     pub ads_compiled: u64,
     /// Wall-clock microseconds per negotiation cycle. **Nondeterministic**:
     /// kept out of [`MatchmakerStats::register_into`] so registry snapshots
-    /// stay bit-identical across same-seed runs; export it explicitly via
-    /// [`MatchmakerStats::register_timing_into`] when wall-clock data is
-    /// wanted.
+    /// stay bit-identical across same-seed runs.
     pub cycle_us: obs::Histogram,
 }
 
@@ -164,13 +162,6 @@ impl MatchmakerStats {
         reg.counter_add("mm_ads_expired", &[], self.ads_expired);
         reg.counter_add("mm_ads_fenced", &[], self.ads_fenced);
         reg.counter_add("mm_ads_compiled", &[], self.ads_compiled);
-    }
-
-    /// Merge the wall-clock cycle histogram into a registry. Separate from
-    /// [`MatchmakerStats::register_into`] because wall-clock durations are
-    /// not reproducible and would break byte-identical snapshot gates.
-    pub fn register_timing_into(&self, reg: &mut obs::Registry) {
-        reg.histogram_merge("mm_cycle_us", &[], &self.cycle_us);
     }
 }
 
@@ -820,8 +811,9 @@ pub struct Matchmaker {
     pool_id: u64,
     /// The fault plan, consulted for matchmaker-down windows (the
     /// matchmaker is an actor; [`FaultPlan::crash`] on its id silences
-    /// it). `None` means never down.
-    plan: Option<Arc<FaultPlan>>,
+    /// it): while crashed, every inbound ad and flock request is dropped
+    /// silently.
+    plan: Arc<FaultPlan>,
     /// Total matches produced.
     pub matches_made: u64,
     /// Negotiation cycles run.
@@ -833,12 +825,12 @@ pub struct Matchmaker {
 }
 
 impl Matchmaker {
-    /// A new matchmaker.
-    pub fn new() -> Matchmaker {
+    /// A new matchmaker under `plan`.
+    pub fn new(plan: Arc<FaultPlan>) -> Matchmaker {
         Matchmaker {
             engine: MatchEngine::new(),
             pool_id: 0,
-            plan: None,
+            plan,
             matches_made: 0,
             cycles: 0,
             flock_grants: 0,
@@ -852,29 +844,13 @@ impl Matchmaker {
         self
     }
 
-    /// Consult `plan` for crash windows scheduled against this
-    /// matchmaker's actor id: while crashed, every inbound ad and flock
-    /// request is dropped silently.
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Matchmaker {
-        self.plan = Some(plan);
-        self
-    }
-
     /// The engine's counters.
     pub fn stats(&self) -> &MatchmakerStats {
         &self.engine.stats
     }
 
     fn down(&self, self_id: ActorId, now: SimTime) -> bool {
-        self.plan
-            .as_ref()
-            .is_some_and(|p| p.crashed_at(self_id, now))
-    }
-}
-
-impl Default for Matchmaker {
-    fn default() -> Self {
-        Matchmaker::new()
+        self.plan.crashed_at(self_id, now)
     }
 }
 
@@ -1082,7 +1058,7 @@ mod tests {
     #[test]
     fn two_way_match_prefers_highest_rank() {
         let mut w: World<Msg> = World::new(2);
-        let mm = w.add_actor(Box::new(Matchmaker::new()));
+        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
         let job = JobSpec::java(1, "ada", vec![], JavaMode::Scoped);
         let schedd = w.add_actor(Box::new(AdSender::job(mm, 1, job.ad())));
         let _small = w.add_actor(Box::new(AdSender::machine(
@@ -1107,7 +1083,7 @@ mod tests {
     #[test]
     fn consumed_ads_are_not_rematched() {
         let mut w: World<Msg> = World::new(4);
-        let mm = w.add_actor(Box::new(Matchmaker::new()));
+        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
         let j1 = JobSpec::java(1, "ada", vec![], JavaMode::Scoped);
         let j2 = JobSpec::java(2, "bob", vec![], JavaMode::Scoped);
         let s1 = w.add_actor(Box::new(AdSender::job(mm, 1, j1.ad())));
@@ -1128,7 +1104,7 @@ mod tests {
     #[test]
     fn stale_machine_ads_expire() {
         let mut w: World<Msg> = World::new(3);
-        let mm = w.add_actor(Box::new(Matchmaker::new()));
+        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
         let _m = w.add_actor(Box::new(AdSender::machine(
             mm,
             MachineSpec::healthy("m", 512).ad(true),

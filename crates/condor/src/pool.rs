@@ -362,7 +362,7 @@ impl PoolBuilder {
         let mut world: World<Msg> = World::new(self.seed);
         let plan = self.plan.build();
 
-        let mm = world.add_actor(Box::new(Matchmaker::new()));
+        let mm = world.add_actor(Box::new(Matchmaker::new(Arc::clone(&plan))));
         assert_eq!(mm, Self::MATCHMAKER_ID);
 
         let mut schedd = Schedd::new(mm, self.schedd_policy, Arc::clone(&plan));
@@ -700,6 +700,35 @@ mod tests {
         let rec = &report.jobs[&1];
         assert!(rec.attempts.iter().any(|a| a.scope.is_none()));
         assert_eq!(rec.attempts.last().unwrap().scope, Some(Scope::Program));
+    }
+
+    #[test]
+    fn crashed_matchmaker_makes_no_match_until_it_recovers() {
+        // A crash window aimed at the matchmaker's actor id silences it:
+        // ads sent during the window are dropped, so the first match comes
+        // from an ad re-sent after the window closes.
+        let down = SimTime::from_secs(300);
+        let report = PoolBuilder::new(9)
+            .machine(MachineSpec::healthy("m1", 256))
+            .faults(
+                FaultPlan::none()
+                    .crash(PoolBuilder::MATCHMAKER_ID, Window::new(SimTime::ZERO, down)),
+            )
+            .job(
+                JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
+                    .with_exec_time(SimDuration::from_secs(30)),
+            )
+            .run(deadline());
+        let first_match = report
+            .telemetry
+            .iter()
+            .find_map(|r| matches!(r.event, obs::Event::Match { job: 1, .. }).then_some(r.at_us))
+            .expect("the job was matched once the matchmaker came back");
+        assert!(
+            first_match >= down.as_micros(),
+            "matched at {first_match} us, inside the crash window"
+        );
+        assert_eq!(report.metrics.jobs_completed, 1);
     }
 
     #[test]

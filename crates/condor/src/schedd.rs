@@ -47,6 +47,20 @@ use std::sync::Arc;
 /// [`KEEPALIVE_PERIOD`]) renews the idle jobs' ads.
 pub const ADVERTISE_PERIOD: SimDuration = SimDuration::from_secs(5);
 
+/// How long a job may sit idle before a flocking schedd escalates to a
+/// remote pool.
+pub const FLOCK_PATIENCE: SimDuration = SimDuration::from_secs(30);
+
+/// How long a flocking schedd waits for a [`Msg::FlockGrant`] before
+/// declaring the remote matchmaker unreachable.
+pub const FLOCK_PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// How long a denial (or failure) parks a remote pool before re-probing.
+pub const FLOCK_DENIAL_DELAY: SimDuration = SimDuration::from_secs(30);
+
+/// The home pool's id; machines without a recorded pool belong here.
+const HOME_POOL: u64 = 0;
+
 /// How long the schedd waits for a startd to answer a claim request.
 pub const CLAIM_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
@@ -121,21 +135,10 @@ pub struct FlockTarget {
 /// unreachable matchmaker, or a partition mid-flock becomes an explicit
 /// pool-scope error, never a hang, and the job falls back to the home
 /// queue still schedulable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlockConfig {
-    /// The home pool's id; machines without a recorded pool are assumed
-    /// to belong here.
-    pub home_pool: u64,
     /// Remote pools, tried in preference order.
     pub pools: Vec<FlockTarget>,
-    /// How long a job may sit idle before the schedd escalates to a
-    /// remote pool.
-    pub patience: SimDuration,
-    /// How long to wait for a [`Msg::FlockGrant`] before declaring the
-    /// remote matchmaker unreachable.
-    pub probe_timeout: SimDuration,
-    /// How long a denial (or failure) parks a pool before re-probing.
-    pub denial_delay: SimDuration,
     /// Per-remote-pool circuit breaker policy.
     pub breaker: BreakerPolicy,
     /// **Test-only mutation seed.** A schedd built with this flag is
@@ -143,20 +146,6 @@ pub struct FlockConfig {
     /// widening them to pool scope, exactly the Principle-1 breach the
     /// campaign oracle must flag. Never set outside tests.
     pub swallow_escapes: bool,
-}
-
-impl Default for FlockConfig {
-    fn default() -> Self {
-        FlockConfig {
-            home_pool: 0,
-            pools: Vec::new(),
-            patience: SimDuration::from_secs(30),
-            probe_timeout: SimDuration::from_secs(10),
-            denial_delay: SimDuration::from_secs(30),
-            breaker: BreakerPolicy::default(),
-            swallow_escapes: false,
-        }
-    }
 }
 
 /// Where the schedd stands with one remote pool.
@@ -823,7 +812,7 @@ impl Actor<Msg> for Schedd {
                     "PoolUnreachable",
                     format!(
                         "pool {pool} matchmaker silent for {}: unreachable",
-                        cfg.probe_timeout
+                        FLOCK_PROBE_TIMEOUT
                     ),
                     ctx,
                 );
@@ -1002,11 +991,11 @@ impl Schedd {
         out
     }
 
-    /// The flocking ladder: when some job has starved past the patience
-    /// window, probe the first remote pool (in configured order) that is
-    /// neither already granting, mid-probe, freshly denied, nor breaker-
-    /// blocked. One probe per tick; the probe doubles as a half-open
-    /// breaker's trial request.
+    /// The flocking ladder: when some job has starved past
+    /// [`FLOCK_PATIENCE`], probe the first remote pool (in configured
+    /// order) that is neither already granting, mid-probe, freshly denied,
+    /// nor breaker-blocked. One probe per tick; the probe doubles as a
+    /// half-open breaker's trial request.
     fn maybe_flock(&mut self, ctx: &mut Context<'_, Msg>) {
         let Some(cfg) = self.flock.clone() else {
             return;
@@ -1014,7 +1003,7 @@ impl Schedd {
         let starving = self
             .idle
             .iter()
-            .filter(|(_, t)| ctx.now.since(**t) >= cfg.patience)
+            .filter(|(_, t)| ctx.now.since(**t) >= FLOCK_PATIENCE)
             .map(|(j, _)| *j)
             .next();
         let Some(job) = starving else {
@@ -1029,7 +1018,7 @@ impl Schedd {
             {
                 FlockState::Granted => continue,
                 FlockState::Probing => return, // one probe in flight
-                FlockState::Denied { at } if ctx.now.since(at) < cfg.denial_delay => continue,
+                FlockState::Denied { at } if ctx.now.since(at) < FLOCK_DENIAL_DELAY => continue,
                 FlockState::Unprobed | FlockState::Denied { .. } => {}
             }
             let blocked = self
@@ -1043,7 +1032,7 @@ impl Schedd {
             self.flock_probe_job.insert(target.pool, job);
             self.metrics.flock_escalations += 1;
             ctx.send_net(target.matchmaker, Msg::FlockRequest { pool: target.pool });
-            ctx.send_self_after(cfg.probe_timeout, Msg::FlockTimeout { pool: target.pool });
+            ctx.send_self_after(FLOCK_PROBE_TIMEOUT, Msg::FlockTimeout { pool: target.pool });
             return;
         }
     }
@@ -1149,8 +1138,8 @@ impl Schedd {
             .machine_pool
             .get(&machine)
             .copied()
-            .unwrap_or(cfg.home_pool);
-        if pool == cfg.home_pool {
+            .unwrap_or(HOME_POOL);
+        if pool == HOME_POOL {
             return;
         }
         self.pool_fault(job, pool, kind, code, note, ctx);

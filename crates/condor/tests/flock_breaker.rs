@@ -149,7 +149,9 @@ impl Actor<Msg> for Prober {
 #[test]
 fn a_pool_of_silent_startds_denies_a_lifetime_later_with_no_job_queued() {
     let mut world: World<Msg> = World::new(62);
-    let mm = world.add_actor(Box::new(Matchmaker::new().with_pool(1)));
+    let mm = world.add_actor(Box::new(
+        Matchmaker::new(FaultPlan::none().build()).with_pool(1),
+    ));
     let silent_from = Window::new(t(20), SimTime::MAX);
     let plan = FaultPlan::none()
         .crash(mm + 1, silent_from)

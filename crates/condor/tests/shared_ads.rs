@@ -328,7 +328,7 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
 
     // At the matchmaker: expiry, then re-admission into a new shape.
     let mut world: World<Msg> = World::new(5);
-    let mm = world.add_actor(Box::new(Matchmaker::new()));
+    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
     let plan = FaultPlan::none().crash(mm + 1, crash).build();
     world.add_actor(Box::new(Startd::new(
         spec(),

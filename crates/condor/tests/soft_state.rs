@@ -88,7 +88,7 @@ fn idle_startds_keep_alive_at_half_the_ad_lifetime() {
     }
 
     let mut world: World<Msg> = World::new(1);
-    let mm = world.add_actor(Box::new(Matchmaker::new()));
+    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
     for i in 0..N {
         world.add_actor(idle_startd(&format!("m{i}"), mm, FaultPlan::none()));
     }
@@ -322,7 +322,7 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
                 FaultPlan::none().crash(1, Window::new(secs(onset), secs(end)))
             };
             let mut world: World<Msg> = World::new(3);
-            let mm = world.add_actor(Box::new(Matchmaker::new()));
+            let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
             let startd = world.add_actor(idle_startd("m", mm, plan));
             world.add_actor(common::stuck_schedd(mm));
             world.run_until(secs(onset));
@@ -366,7 +366,7 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
 #[test]
 fn one_lost_keepalive_is_survived_two_are_not() {
     let mut world: World<Msg> = World::new(4);
-    let mm = world.add_actor(Box::new(Matchmaker::new()));
+    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
     let startd = world.add_actor(idle_startd("m", mm, FaultPlan::none()));
     world.add_actor(common::stuck_schedd(mm));
     let cut = |world: &mut World<Msg>, from: u64, to: u64| {
@@ -564,7 +564,7 @@ fn idle_jobs_are_renewed_in_one_message_at_half_the_ad_lifetime() {
 fn one_lost_renewal_is_survived_two_are_not() {
     const N: u32 = 5;
     let mut world: World<Msg> = World::new(4);
-    let mm = world.add_actor(Box::new(Matchmaker::new()));
+    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
     let mut schedd = Schedd::new(mm, ScheddPolicy::default(), FaultPlan::none().build());
     for id in 1..=N {
         schedd.submit(idle_job(id, 1 << 20));

@@ -32,24 +32,6 @@ pub fn job_of(event: &Event) -> Option<u64> {
     }
 }
 
-/// The machine (startd actor id) an event names directly, if any.
-pub fn machine_of(event: &Event) -> Option<u64> {
-    match event {
-        Event::Claim { machine, .. }
-        | Event::Dispatch { machine, .. }
-        | Event::Match { machine, .. }
-        | Event::Reschedule { machine, .. }
-        | Event::CheckpointTaken { machine, .. }
-        | Event::CheckpointRestored { machine, .. }
-        | Event::CheckpointDiscarded { machine, .. }
-        | Event::LeaseExpired { machine, .. }
-        | Event::BreakerStateChange { machine, .. }
-        | Event::MemFlip { machine, .. } => Some(*machine),
-        Event::Violation { machine, .. } if *machine != 0 => Some(*machine),
-        _ => None,
-    }
-}
-
 /// One job's causal chain.
 #[derive(Debug, Clone)]
 pub struct JobChain {

@@ -23,6 +23,13 @@ if grep -rnF --include=*.rs -e SeedRun -e Sweep::run -e merged_registry -e SymKe
     exit 1
 fi
 
+echo "==> one vocabulary: no retired chirp op or error, server cap option, matchmaker fault setter or flock timing setter comes back"
+if grep -rnF -e Request::Unlink -e Request::Rename -e Request::GetFile -e Request::PutFile \
+    -e AlreadyExists -e with_max_open -e '.with_faults(' -e '.patience(' -e '.probe_timeout(' \
+    -e '.denial_delay(' crates src tests examples; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
