@@ -22,8 +22,8 @@
 
 use crate::harness::{artifact, drive, Artifact, Size};
 use crate::scenarios::{
-    makespan_secs, mean_over_seeds, owner_interrupted, OWNER_HORIZON, OWNER_JOBS as JOBS,
-    OWNER_JOB_SECS as JOB_SECS, OWNER_MACHINES as MACHINES,
+    makespan_secs, mean_over_seeds, owner_interrupted, owner_returns, OWNER_HORIZON,
+    OWNER_JOBS as JOBS, OWNER_JOB_SECS as JOB_SECS, OWNER_MACHINES as MACHINES,
 };
 use crate::{f, render_table};
 use condor::prelude::*;
@@ -50,7 +50,11 @@ fn pool(mode: Mode, period: u64, busy: u64, seed: u64, corrupt: bool) -> RunRepo
         Mode::Off => Universe::Vanilla,
         _ => Universe::Standard,
     };
-    let mut b = owner_interrupted(universe, period, busy, seed, corrupt);
+    let mut faults = owner_returns(period, busy, corrupt);
+    if corrupt {
+        faults.extend((1..=JOBS).map(|job| Fault::CkptCorrupt { job }));
+    }
+    let mut b = owner_interrupted(universe, faults, seed);
     if mode != Mode::Off {
         b = b.with_checkpoint_server();
     }
@@ -59,11 +63,6 @@ fn pool(mode: Mode, period: u64, busy: u64, seed: u64, corrupt: bool) -> RunRepo
             ckpt_period: Some(SimDuration::from_secs(secs)),
             ..StartdPolicy::default()
         });
-    }
-    if corrupt {
-        for j in 1..=JOBS {
-            b = b.corrupt_checkpoints_for(j);
-        }
     }
     b.run(OWNER_HORIZON)
 }

@@ -34,8 +34,8 @@
 use crate::harness::{artifact, drive, Artifact, Size};
 use crate::render_table;
 use crate::scenarios::adaptive_schedd_policy;
+use condor::culprit_machine;
 use condor::prelude::*;
-use condor::{culprit_machine, CULPRIT_CKPT_SERVER};
 use desim::{SimDuration, SimTime};
 use gridvm::config::SelfTestDepth;
 use gridvm::programs;
@@ -51,11 +51,13 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
     match scenario {
         "partition" => {
             let plan = if faulty {
-                FaultPlan::none().net_partition(
-                    [PoolBuilder::SCHEDD_ID],
-                    [m0],
-                    Window::new(SimTime::from_secs(60), SimTime::from_secs(400)),
-                )
+                FaultPlan::new(vec![Fault::Net {
+                    window: Window::new(SimTime::from_secs(60), SimTime::from_secs(400)),
+                    fault: NetFault::Partition {
+                        a: vec![PoolBuilder::SCHEDD_ID],
+                        b: vec![m0],
+                    },
+                }])
             } else {
                 FaultPlan::none()
             };
@@ -126,20 +128,15 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
             // Both runs share the owner-activity window (it is part of the
             // scenario, not the injected fault): the owner's return evicts
             // the job, forcing a checkpoint round-trip through the server.
-            let plan = if faulty {
-                FaultPlan::none()
-                    .owner_activity(
-                        m0,
-                        Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-                    )
-                    .expect("corrupt-checkpoint", [CULPRIT_CKPT_SERVER.to_string()])
-            } else {
-                FaultPlan::none().owner_activity(
-                    m0,
-                    Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-                )
-            };
-            let mut builder = PoolBuilder::new(seed)
+            let mut faults = vec![Fault::OwnerActivity {
+                machine: m0,
+                window: Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
+            }];
+            if faulty {
+                faults.push(Fault::CkptCorrupt { job: 1 });
+            }
+            let plan = FaultPlan::new(faults);
+            let report = PoolBuilder::new(seed)
                 .machine(MachineSpec::healthy("interrupted", 1024))
                 .machine(MachineSpec::healthy("backup", 128))
                 .with_checkpoint_server()
@@ -148,11 +145,9 @@ fn run_scenario(scenario: &str, seed: u64, faulty: bool) -> (FaultPlan, RunRepor
                     universe: Universe::Standard,
                     ..JobSpec::java(1, "ada", programs::calls_exit(0), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(600))
-                });
-            if faulty {
-                builder = builder.corrupt_checkpoints_for(1);
-            }
-            (plan, builder.run(SimTime::from_secs(48 * 3600)))
+                })
+                .run(SimTime::from_secs(48 * 3600));
+            (plan, report)
         }
         other => panic!("unknown scenario {other}"),
     }

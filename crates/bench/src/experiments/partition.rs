@@ -55,27 +55,35 @@ enum Mode {
 /// 2's link, and a link to machine 3 that duplicates every frame.
 fn plan() -> FaultPlan {
     let m = |i: usize| PoolBuilder::FIRST_MACHINE_ID + i;
-    FaultPlan::none()
-        .net_partition(
-            [PoolBuilder::SCHEDD_ID],
-            [m(0), m(1), m(2), m(3)],
-            Window::new(SimTime::from_secs(OUTAGE.0), SimTime::from_secs(OUTAGE.1)),
-        )
-        .net_loss(
-            PoolBuilder::SCHEDD_ID,
-            m(2),
-            0.3,
-            Window::new(
+    let s = PoolBuilder::SCHEDD_ID;
+    FaultPlan::new(vec![
+        Fault::Net {
+            window: Window::new(SimTime::from_secs(OUTAGE.0), SimTime::from_secs(OUTAGE.1)),
+            fault: NetFault::Partition {
+                a: vec![s],
+                b: vec![m(0), m(1), m(2), m(3)],
+            },
+        },
+        Fault::Net {
+            window: Window::new(
                 SimTime::from_secs(OUTAGE.1),
                 SimTime::from_secs(OUTAGE.1 + 300),
             ),
-        )
-        .net_duplication(
-            PoolBuilder::SCHEDD_ID,
-            m(3),
-            1.0,
-            Window::from(SimTime::ZERO),
-        )
+            fault: NetFault::Loss {
+                a: s,
+                b: m(2),
+                prob: 0.3,
+            },
+        },
+        Fault::Net {
+            window: Window::from(SimTime::ZERO),
+            fault: NetFault::Duplication {
+                a: s,
+                b: m(3),
+                prob: 1.0,
+            },
+        },
+    ])
 }
 
 fn pool(mode: Mode, seed: u64) -> RunReport {

@@ -13,12 +13,14 @@
 //! Run with: `cargo run --release -p bench --bin exp -- ext`
 
 use crate::harness::{artifact, drive, Artifact, Size};
-use crate::scenarios::{makespan_secs, mean_over_seeds, owner_interrupted, OWNER_HORIZON};
+use crate::scenarios::{
+    makespan_secs, mean_over_seeds, owner_interrupted, owner_returns, OWNER_HORIZON,
+};
 use crate::{f, render_table};
 use condor::prelude::*;
 
 fn pool(universe: Universe, period: u64, busy: u64, seed: u64) -> RunReport {
-    owner_interrupted(universe, period, busy, seed, false).run(OWNER_HORIZON)
+    owner_interrupted(universe, owner_returns(period, busy, false), seed).run(OWNER_HORIZON)
 }
 
 pub fn run(size: Size, _: &[String]) {

@@ -44,36 +44,36 @@ pub const OWNER_JOBS: u32 = 4;
 /// A 30-minute job.
 pub const OWNER_JOB_SECS: u64 = 1800;
 
-/// Four workstations whose owners all come back on a staggered cycle —
-/// busy for `busy` seconds every `period` seconds — running four
-/// 30-minute jobs of `universe`. With `once`, each owner interrupts a
-/// single time and then stays away. Callers add what they vary (a
-/// checkpoint server, a startd policy) and run to [`OWNER_HORIZON`].
-pub fn owner_interrupted(
-    universe: Universe,
-    period: u64,
-    busy: u64,
-    seed: u64,
-    once: bool,
-) -> PoolBuilder {
-    let mut plan = FaultPlan::none();
+/// The owners of the four workstations all come back on a staggered
+/// cycle — busy for `busy` seconds every `period` seconds. With `once`,
+/// each owner interrupts a single time and then stays away.
+pub fn owner_returns(period: u64, busy: u64, once: bool) -> Vec<Fault> {
+    let mut faults = Vec::new();
     for m in 0..OWNER_MACHINES {
         let phase = (period / OWNER_MACHINES as u64) * m as u64;
         let mut start = phase + period;
         while start < 7 * 24 * 3600 {
-            plan = plan.owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID + m,
-                Window::new(secs(start), secs(start + busy)),
-            );
+            faults.push(Fault::OwnerActivity {
+                machine: PoolBuilder::FIRST_MACHINE_ID + m,
+                window: Window::new(secs(start), secs(start + busy)),
+            });
             start += period + busy;
             if once {
                 break;
             }
         }
     }
+    faults
+}
+
+/// Four workstations under `faults` (the [`owner_returns`] schedule, and
+/// whatever else a caller injects) running four 30-minute jobs of
+/// `universe`. Callers add what they vary (a checkpoint server, a startd
+/// policy) and run to [`OWNER_HORIZON`].
+pub fn owner_interrupted(universe: Universe, faults: Vec<Fault>, seed: u64) -> PoolBuilder {
     PoolBuilder::new(seed)
         .machines((0..OWNER_MACHINES).map(|i| MachineSpec::healthy(&format!("ws{i}"), 256)))
-        .faults(plan)
+        .faults(FaultPlan::new(faults))
         .jobs((1..=OWNER_JOBS).map(|i| {
             JobSpec {
                 universe,
@@ -193,7 +193,13 @@ pub fn partition_during_flock() -> FederationBuilder {
     far.extend(b.machine_ids(1));
     let schedd = b.schedd_id();
     b.schedd_policy(flock_policy())
-        .faults(FaultPlan::none().net_partition([schedd], far, Window::new(secs(80), secs(900))))
+        .faults(FaultPlan::new(vec![Fault::Net {
+            window: Window::new(secs(80), secs(900)),
+            fault: NetFault::Partition {
+                a: vec![schedd],
+                b: far,
+            },
+        }]))
         .job(flock_job(1, 120))
 }
 

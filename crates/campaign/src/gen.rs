@@ -146,76 +146,6 @@ pub struct JobPlan {
     pub standard: bool,
 }
 
-/// A scheduled machine crash.
-#[derive(Debug, Clone)]
-pub struct CrashPlan {
-    /// Victim actor id.
-    pub machine: usize,
-    /// Crash time, seconds.
-    pub from_s: u64,
-    /// Repair delay in seconds; `None` means the machine never returns.
-    pub len_s: Option<u64>,
-}
-
-/// Which network misbehavior a [`NetPlan`] injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetKind {
-    /// Both directions severed.
-    Partition,
-    /// Probabilistic message drop.
-    Loss,
-    /// Fixed delivery delay.
-    Latency,
-    /// Probabilistic message duplication.
-    Duplication,
-}
-
-impl NetKind {
-    fn name(self) -> &'static str {
-        match self {
-            NetKind::Partition => "partition",
-            NetKind::Loss => "loss",
-            NetKind::Latency => "latency",
-            NetKind::Duplication => "duplication",
-        }
-    }
-}
-
-/// One timed fault on the schedd–machine link.
-#[derive(Debug, Clone)]
-pub struct NetPlan {
-    /// What goes wrong.
-    pub kind: NetKind,
-    /// The machine end of the link.
-    pub machine: usize,
-    /// Onset, seconds.
-    pub from_s: u64,
-    /// Duration, seconds (always bounded).
-    pub len_s: u64,
-    /// Loss/duplication probability in permille, or latency in
-    /// milliseconds — an integer so `describe()` never formats a float.
-    pub permille: u64,
-}
-
-/// The campaign's silent-data-corruption arm.
-#[derive(Debug, Clone)]
-pub enum FlipPlan {
-    /// Flip one bit of the job's live heap immediately after a checkpoint
-    /// restore passes its digest check: undetectable by construction.
-    Heap {
-        /// Victim job.
-        job: u32,
-        /// Placement seed (reduced modulo the heap size when it lands).
-        seed_bit: u64,
-    },
-    /// Flip one bit of every stored checkpoint image: the restore digest
-    /// must catch it.
-    Ckpt {
-        /// Victim job.
-        job: u32,
-    },
-}
-
 /// A fully-sampled fault campaign: topology, queue, and schedule.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -229,15 +159,11 @@ pub struct Campaign {
     pub breaker: bool,
     /// The queue.
     pub jobs: Vec<JobPlan>,
-    /// Owner activity on the first machine `(from_s, to_s)` — evicts the
-    /// standard job mid-run, forcing the checkpoint round-trip.
-    pub owner_window: Option<(u64, u64)>,
-    /// A machine crash, if scheduled.
-    pub crash: Option<CrashPlan>,
-    /// Network faults, if scheduled.
-    pub net: Vec<NetPlan>,
-    /// The bit-flip arm, if armed.
-    pub flip: Option<FlipPlan>,
+    /// The fault schedule, in draw order: owner activity on the first
+    /// machine (evicting the standard job mid-run, forcing the checkpoint
+    /// round-trip), the bit-flip arm, network faults on schedd–machine
+    /// links, and a machine crash — each only if sampled.
+    pub faults: Vec<Fault>,
 }
 
 /// The campaign deadline: generous enough that any run the kernel *can*
@@ -286,19 +212,22 @@ pub fn generate(seed: u64) -> Campaign {
 
     // The eviction window and the flip arm exist only when there is a
     // checkpointing job for them to act on.
-    let owner_window = standard.then(|| (240 + rng.below(240), 3600 + rng.below(1800)));
-    let flip = if standard {
+    let mut faults = Vec::new();
+    if standard {
+        let from = 240 + rng.below(240);
+        faults.push(Fault::OwnerActivity {
+            machine: PB::FIRST_MACHINE_ID,
+            window: Window::new(secs(from), secs(3600 + rng.below(1800))),
+        });
         match rng.below(10) {
-            0..=3 => Some(FlipPlan::Heap {
+            0..=3 => faults.push(Fault::HeapFlip {
                 job: 1,
-                seed_bit: rng.next_u64(),
+                bit: rng.next_u64(),
             }),
-            4..=6 => Some(FlipPlan::Ckpt { job: 1 }),
-            _ => None,
+            4..=6 => faults.push(Fault::CkptFlip { job: 1 }),
+            _ => {}
         }
-    } else {
-        None
-    };
+    }
 
     // Bounded network trouble on schedd-machine links. The anchor is
     // never an endpoint: chronic-host avoidance is permanent, so a lossy
@@ -310,26 +239,34 @@ pub fn generate(seed: u64) -> Campaign {
     if rogue.is_some() {
         eligible.push(PB::FIRST_MACHINE_ID + machines);
     }
-    let mut net = Vec::new();
+    let s = PB::SCHEDD_ID;
     for _ in 0..rng.below(3) {
-        let kind = match rng.below(4) {
-            0 => NetKind::Partition,
-            1 => NetKind::Loss,
-            2 => NetKind::Latency,
-            _ => NetKind::Duplication,
+        // Loss and duplication probabilities and latencies are drawn in
+        // steps of 50 (permille or milliseconds).
+        let kind = rng.below(4);
+        let step = match kind {
+            0 => 0,
+            2 => 50 + rng.below(8) * 50,
+            _ => 50 + rng.below(10) * 50,
         };
-        let permille = match kind {
-            NetKind::Partition => 0,
-            NetKind::Loss | NetKind::Duplication => 50 + rng.below(10) * 50,
-            NetKind::Latency => 50 + rng.below(8) * 50,
+        let m = eligible[rng.below(eligible.len() as u64) as usize];
+        let from = 60 + rng.below(900);
+        let window = Window::new(secs(from), secs(from + 120 + rng.below(1500)));
+        let prob = step as f64 / 1000.0;
+        let fault = match kind {
+            0 => NetFault::Partition {
+                a: vec![s],
+                b: vec![m],
+            },
+            1 => NetFault::Loss { a: s, b: m, prob },
+            2 => NetFault::LatencySpike {
+                a: s,
+                b: m,
+                latency: SimDuration::from_millis(step),
+            },
+            _ => NetFault::Duplication { a: s, b: m, prob },
         };
-        net.push(NetPlan {
-            kind,
-            machine: eligible[rng.below(eligible.len() as u64) as usize],
-            from_s: 60 + rng.below(900),
-            len_s: 120 + rng.below(1500),
-            permille,
-        });
+        faults.push(Fault::Net { window, fault });
     }
 
     // Crashes may hit any non-anchor machine (the same eligibility set
@@ -337,11 +274,16 @@ pub fn generate(seed: u64) -> Campaign {
     // anchor survives, not that only the first machine may die. An
     // unbounded crash stays legal anywhere in the set for the same
     // reason — the anchor outlives it.
-    let crash = rng.chance(35).then(|| CrashPlan {
-        machine: eligible[rng.below(eligible.len() as u64) as usize],
-        from_s: 200 + rng.below(1800),
-        len_s: (!rng.chance(30)).then(|| 600 + rng.below(1800)),
-    });
+    if rng.chance(35) {
+        let actor = eligible[rng.below(eligible.len() as u64) as usize];
+        let from = 200 + rng.below(1800);
+        let window = if rng.chance(30) {
+            Window::from(secs(from))
+        } else {
+            Window::new(secs(from), secs(from + 600 + rng.below(1800)))
+        };
+        faults.push(Fault::Crash { actor, window });
+    }
 
     // A job from the shared random-program generator joins some queues.
     // Sampled last, from fresh draws, so every decision above is identical
@@ -362,63 +304,15 @@ pub fn generate(seed: u64) -> Campaign {
         rogue,
         breaker,
         jobs,
-        owner_window,
-        crash,
-        net,
-        flip,
+        faults,
     }
 }
 
-impl Campaign {
-    /// The campaign's fault schedule as an (unbuilt) [`FaultPlan`].
-    /// `Campaign::build_pool` validates it through
-    /// [`FaultPlan::try_build`]-backed `build()`, so a generator bug that
-    /// produces an inverted window fails fast with a named window, not a
-    /// silent no-op fault.
-    pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        if let Some((from, to)) = self.owner_window {
-            plan = plan.owner_activity(
-                PB::FIRST_MACHINE_ID,
-                Window::new(SimTime::from_secs(from), SimTime::from_secs(to)),
-            );
-        }
-        if let Some(c) = &self.crash {
-            let from = SimTime::from_secs(c.from_s);
-            let window = match c.len_s {
-                Some(len) => Window::new(from, SimTime::from_secs(c.from_s + len)),
-                None => Window::from(from),
-            };
-            plan = plan.crash(c.machine, window);
-        }
-        for n in &self.net {
-            let window = Window::new(
-                SimTime::from_secs(n.from_s),
-                SimTime::from_secs(n.from_s + n.len_s),
-            );
-            let s = PB::SCHEDD_ID;
-            plan = match n.kind {
-                NetKind::Partition => plan.net_partition([s], [n.machine], window),
-                NetKind::Loss => plan.net_loss(s, n.machine, n.permille as f64 / 1000.0, window),
-                NetKind::Latency => plan.net_latency_spike(
-                    s,
-                    n.machine,
-                    SimDuration::from_millis(n.permille),
-                    window,
-                ),
-                NetKind::Duplication => {
-                    plan.net_duplication(s, n.machine, n.permille as f64 / 1000.0, window)
-                }
-            };
-        }
-        match &self.flip {
-            Some(FlipPlan::Heap { job, seed_bit }) => plan = plan.heap_flip(*job, *seed_bit),
-            Some(FlipPlan::Ckpt { job }) => plan = plan.ckpt_flip(*job),
-            None => {}
-        }
-        plan
-    }
+fn secs(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
 
+impl Campaign {
     /// The pool for this campaign. `faulty = false` builds the identical
     /// topology with every injected fault removed (the rogue machine
     /// becomes a healthy twin of the same size), giving the byte-identical
@@ -469,8 +363,11 @@ impl Campaign {
             }
             builder = builder.job(spec);
         }
+        // `PoolBuilder::build` validates the plan through
+        // `FaultPlan::try_build`, so a generator bug that produces an
+        // inverted window fails fast with the entry named.
         let plan = if faulty {
-            self.fault_plan()
+            FaultPlan::new(self.faults.clone())
         } else {
             FaultPlan::none()
         };
@@ -510,48 +407,8 @@ impl Campaign {
                 if j.standard { "standard" } else { "java" }
             );
         }
-        if let Some((from, to)) = self.owner_window {
-            let _ = writeln!(out, "  owner-activity machine=2 [{from}s, {to}s)");
-        }
-        if let Some(c) = &self.crash {
-            match c.len_s {
-                Some(len) => {
-                    let _ = writeln!(
-                        out,
-                        "  crash machine={} [{}s, {}s)",
-                        c.machine,
-                        c.from_s,
-                        c.from_s + len
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  crash machine={} [{}s, forever)",
-                        c.machine, c.from_s
-                    );
-                }
-            }
-        }
-        for n in &self.net {
-            let _ = writeln!(
-                out,
-                "  net {} machine={} [{}s, {}s) permille={}",
-                n.kind.name(),
-                n.machine,
-                n.from_s,
-                n.from_s + n.len_s,
-                n.permille
-            );
-        }
-        match &self.flip {
-            Some(FlipPlan::Heap { job, seed_bit }) => {
-                let _ = writeln!(out, "  flip heap job={job} seed-bit={seed_bit}");
-            }
-            Some(FlipPlan::Ckpt { job }) => {
-                let _ = writeln!(out, "  flip ckpt job={job}");
-            }
-            None => {}
+        for f in &self.faults {
+            let _ = writeln!(out, "  {f}");
         }
         out
     }
@@ -578,43 +435,6 @@ pub fn negative_control_pool(seed: u64, faulty: bool) -> PoolBuilder {
         }))
 }
 
-/// Which remote-pool fault a [`FlockCampaign`] window injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlockFaultKind {
-    /// The remote pool's matchmaker crashes: flock probes must time out
-    /// into explicit `unreachable` pool faults, never hang.
-    MatchmakerCrash,
-    /// The inter-pool link partitions — the schedd loses the remote
-    /// matchmaker *and* its machines at once, mid-flock.
-    Partition,
-    /// The remote pool's machines revoke flocked claims at activation:
-    /// the visiting job is bounced back with an explicit revocation.
-    Revocation,
-}
-
-impl FlockFaultKind {
-    fn name(self) -> &'static str {
-        match self {
-            FlockFaultKind::MatchmakerCrash => "matchmaker-crash",
-            FlockFaultKind::Partition => "partition",
-            FlockFaultKind::Revocation => "revocation",
-        }
-    }
-}
-
-/// One timed fault against a remote pool in a [`FlockCampaign`].
-#[derive(Debug, Clone)]
-pub struct FlockFaultPlan {
-    /// What goes wrong.
-    pub kind: FlockFaultKind,
-    /// The victim pool (never the home pool, never the anchor pool).
-    pub pool: u64,
-    /// Onset, seconds.
-    pub from_s: u64,
-    /// Duration, seconds (always bounded).
-    pub len_s: u64,
-}
-
 /// A fully-sampled federation campaign: pool topology, queue, and the
 /// remote-pool fault schedule. The liveness rail generalizes the
 /// single-pool anchor: the *last* pool is the anchor pool — never a
@@ -630,8 +450,11 @@ pub struct FlockCampaign {
     /// Nominal execution time of each job, seconds (queue ids are
     /// `1..=jobs.len()`).
     pub jobs: Vec<u64>,
-    /// The remote-pool fault schedule.
-    pub faults: Vec<FlockFaultPlan>,
+    /// The remote-pool fault schedule, in draw order: a remote
+    /// matchmaker crash, a partition between the schedd and a remote pool
+    /// (its matchmaker and machines), or a flock revocation on each of a
+    /// remote pool's machines.
+    pub faults: Vec<Fault>,
 }
 
 /// Sample the federation campaign for `seed`. Pure: same seed, same
@@ -650,21 +473,33 @@ pub fn generate_flock(seed: u64) -> FlockCampaign {
     // Fault targets exclude pool 0 (home: faults there are just the
     // saturation flocking already exercises) and the anchor pool.
     let targets = (n_pools - 2) as u64;
-    let faults = (0..1 + rng.below(2))
-        .map(|_| {
-            let kind = match rng.below(3) {
-                0 => FlockFaultKind::MatchmakerCrash,
-                1 => FlockFaultKind::Partition,
-                _ => FlockFaultKind::Revocation,
-            };
-            FlockFaultPlan {
-                kind,
-                pool: 1 + rng.below(targets),
-                from_s: rng.below(300),
-                len_s: 300 + rng.below(1200),
-            }
-        })
-        .collect();
+    let schedd = n_pools;
+    let mut faults = Vec::new();
+    for _ in 0..1 + rng.below(2) {
+        let kind = rng.below(3);
+        let pool = 1 + rng.below(targets) as usize;
+        let from = rng.below(300);
+        let window = Window::new(secs(from), secs(from + 300 + rng.below(1200)));
+        match kind {
+            // Matchmaker `p` is actor `p`.
+            0 => faults.push(Fault::Crash {
+                actor: pool,
+                window,
+            }),
+            1 => faults.push(Fault::Net {
+                window,
+                fault: NetFault::Partition {
+                    a: vec![schedd],
+                    b: std::iter::once(pool)
+                        .chain(machine_ids(&pools, pool))
+                        .collect(),
+                },
+            }),
+            _ => faults.extend(
+                machine_ids(&pools, pool).map(|machine| Fault::FlockRevocation { machine, window }),
+            ),
+        }
+    }
     FlockCampaign {
         seed,
         pools,
@@ -673,50 +508,15 @@ pub fn generate_flock(seed: u64) -> FlockCampaign {
     }
 }
 
+/// The machine actor ids of `pool`, mirroring [`FederationBuilder`]'s
+/// deterministic layout (matchmaker `p` at actor `p`, schedd after the
+/// matchmakers, machines after the schedd grouped by pool).
+fn machine_ids(pools: &[usize], pool: usize) -> std::ops::Range<usize> {
+    let first = pools.len() + 1 + pools[..pool].iter().sum::<usize>();
+    first..first + pools[pool]
+}
+
 impl FlockCampaign {
-    /// The machine actor ids of `pool`, mirroring
-    /// [`FederationBuilder`]'s deterministic layout (matchmaker `p` at
-    /// actor `p`, schedd after the matchmakers, machines after the
-    /// schedd grouped by pool).
-    fn machine_ids(&self, pool: u64) -> Vec<usize> {
-        let mut next = self.pools.len() + 1;
-        for (p, &n) in self.pools.iter().enumerate() {
-            if p as u64 == pool {
-                return (next..next + n).collect();
-            }
-            next += n;
-        }
-        Vec::new()
-    }
-
-    /// The campaign's fault schedule as an (unbuilt) [`FaultPlan`].
-    pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        let schedd = self.pools.len();
-        for f in &self.faults {
-            let window = Window::new(
-                SimTime::from_secs(f.from_s),
-                SimTime::from_secs(f.from_s + f.len_s),
-            );
-            match f.kind {
-                FlockFaultKind::MatchmakerCrash => {
-                    plan = plan.crash(f.pool as usize, window);
-                }
-                FlockFaultKind::Partition => {
-                    let mut far = vec![f.pool as usize];
-                    far.extend(self.machine_ids(f.pool));
-                    plan = plan.net_partition([schedd], far, window);
-                }
-                FlockFaultKind::Revocation => {
-                    for m in self.machine_ids(f.pool) {
-                        plan = plan.flock_revocation(m, window);
-                    }
-                }
-            }
-        }
-        plan
-    }
-
     /// The federation for this campaign. `faulty = false` builds the
     /// identical topology with the fault schedule removed — the
     /// reference stream for the post-mortem localizer.
@@ -726,7 +526,7 @@ impl FlockCampaign {
             b = b.pool((0..n).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
         }
         let plan = if faulty {
-            self.fault_plan()
+            FaultPlan::new(self.faults.clone())
         } else {
             FaultPlan::none()
         };
@@ -761,14 +561,7 @@ impl FlockCampaign {
             self.seed, self.pools, self.jobs
         );
         for f in &self.faults {
-            let _ = writeln!(
-                out,
-                "  fault {} pool={} [{}s, {}s)",
-                f.kind.name(),
-                f.pool,
-                f.from_s,
-                f.from_s + f.len_s
-            );
+            let _ = writeln!(out, "  {f}");
         }
         out
     }
@@ -778,6 +571,7 @@ impl FlockCampaign {
 mod tests {
     use super::*;
     use crate::oracle::{check, RunSummary};
+    use condor::culprit_link;
     use obs_analyze::Stream;
 
     #[test]
@@ -799,19 +593,22 @@ mod tests {
     fn every_generated_plan_validates() {
         for seed in 0..200 {
             let c = generate(seed);
-            c.fault_plan()
+            let plan = FaultPlan::new(c.faults.clone())
                 .try_build()
                 .unwrap_or_else(|e| panic!("seed {seed}: generator built a bad plan: {e}"));
             assert!(!c.jobs.is_empty(), "seed {seed}: empty queue");
             // The liveness rails: neither a crash window nor a net fault
             // ever touches the anchor — a healthy anchor always remains.
+            // Every net entry labels each of its endpoints.
             let anchor = PB::FIRST_MACHINE_ID + c.machines - 1;
-            if let Some(crash) = &c.crash {
-                assert_ne!(crash.machine, anchor, "seed {seed}: crash on the anchor");
-            }
-            for n in &c.net {
-                assert_ne!(n.machine, anchor, "seed {seed}: net fault on the anchor");
-            }
+            assert!(
+                !plan.crashes_during(anchor, SimTime::ZERO, SimTime::MAX),
+                "seed {seed}: crash on the anchor"
+            );
+            assert!(
+                !plan.accepted_culprits().contains(&culprit_link(anchor)),
+                "seed {seed}: net fault on the anchor"
+            );
         }
     }
 
@@ -820,7 +617,12 @@ mod tests {
         // One full end-to-end spin of a seed known to compose an owner
         // eviction with a flip arm; the sweep harness does thousands.
         let c = generate(3);
-        assert!(c.flip.is_some(), "seed 3 should arm the flip for this test");
+        assert!(
+            c.faults
+                .iter()
+                .any(|f| matches!(f, Fault::HeapFlip { .. } | Fault::CkptFlip { .. })),
+            "seed 3 should arm the flip for this test"
+        );
         let report = c.run(true);
         let stream = Stream::from_collector(&report.telemetry).unwrap();
         let summary = RunSummary::of(&report);
@@ -871,22 +673,31 @@ mod tests {
     fn every_flock_plan_validates_and_spares_the_anchor_pool() {
         for seed in 0..100 {
             let c = generate_flock(seed);
-            c.fault_plan()
+            let plan = FaultPlan::new(c.faults.clone())
                 .try_build()
                 .unwrap_or_else(|e| panic!("seed {seed}: generator built a bad plan: {e}"));
             assert!(!c.jobs.is_empty(), "seed {seed}: empty queue");
             assert!(!c.faults.is_empty(), "seed {seed}: nothing injected");
             // The federated liveness rail: the last pool is the anchor —
-            // it has machines and no fault window ever targets it (or
-            // the home pool, whose starvation is the point).
-            let anchor = c.pools.len() as u64 - 1;
-            assert!(c.pools[anchor as usize] >= 1, "seed {seed}: empty anchor");
-            for f in &c.faults {
-                assert!(
-                    f.pool >= 1 && f.pool < anchor,
-                    "seed {seed}: fault on pool {} (anchor {anchor})",
-                    f.pool
-                );
+            // it has machines and no fault window ever targets its
+            // matchmaker or machines (or the home pool's, whose
+            // starvation is the point).
+            let anchor = c.pools.len() - 1;
+            assert!(c.pools[anchor] >= 1, "seed {seed}: empty anchor");
+            let revoked = |id| {
+                c.faults
+                    .iter()
+                    .any(|f| matches!(f, Fault::FlockRevocation { machine, .. } if *machine == id))
+            };
+            for p in [0, anchor] {
+                for id in std::iter::once(p).chain(machine_ids(&c.pools, p)) {
+                    assert!(
+                        !plan.crashes_during(id, SimTime::ZERO, SimTime::MAX)
+                            && !plan.accepted_culprits().contains(&culprit_link(id))
+                            && !revoked(id),
+                        "seed {seed}: a fault touches actor {id} of pool {p}"
+                    );
+                }
             }
         }
     }

@@ -37,9 +37,6 @@ pub mod gen;
 pub mod oracle;
 pub mod sdc;
 
-pub use gen::{
-    generate, generate_flock, Campaign, CrashPlan, FlipPlan, FlockCampaign, FlockFaultKind,
-    FlockFaultPlan, JobPlan, NetKind, NetPlan, Program, RogueKind,
-};
+pub use gen::{generate, generate_flock, Campaign, FlockCampaign, JobPlan, Program, RogueKind};
 pub use oracle::{check, postmortem, RunSummary, Violation};
 pub use sdc::{flip_stats, FlipStats};

@@ -6,6 +6,7 @@
 //! regardless of how many worker threads claimed them.
 
 use campaign::generate;
+use condor::FaultPlan;
 use desim::sweep::run_sweep;
 use propcheck::check;
 
@@ -22,7 +23,7 @@ fn every_sampled_plan_validates() {
     check(1024, |g| {
         let seed = g.int(0..=u64::MAX);
         assert!(
-            generate(seed).fault_plan().try_build().is_ok(),
+            FaultPlan::new(generate(seed).faults).try_build().is_ok(),
             "seed {seed}"
         );
     });

@@ -202,6 +202,15 @@ pub fn key(job: u64, attempt: u32) -> String {
     format!("ckpt/job{job}/attempt{attempt}")
 }
 
+/// The job a [`key`] belongs to, or `None` for a string that is not one.
+pub fn key_job(key: &str) -> Option<u64> {
+    key.strip_prefix("ckpt/job")?
+        .split_once('/')?
+        .0
+        .parse()
+        .ok()
+}
+
 struct Reader<'a> {
     b: &'a [u8],
     pos: usize,
@@ -802,6 +811,9 @@ mod tests {
         assert_eq!(key(3, 0), "ckpt/job3/attempt0");
         assert_ne!(key(3, 1), key(3, 0));
         assert_ne!(key(4, 0), key(3, 0));
+        assert_eq!(key_job(&key(31, 2)), Some(31));
+        assert_eq!(key_job("ckpt/jobx/attempt0"), None);
+        assert_eq!(key_job("image"), None);
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //! *restorer's* concern: a corrupt or mismatched image is detected by the
 //! starter at resume time and handled as an explicit checkpoint-scope
 //! error (discard and cold-restart), never an implicit crash inside the
-//! resumed program. To exercise exactly that path, tests can arm
-//! [`CkptServer::corrupt_key_prefix`], which flips a byte in matching
-//! images as they are stored.
+//! resumed program. To exercise exactly that path the server reads the
+//! pool's fault plan: a `CkptCorrupt` entry ([`crate::faults::Fault`])
+//! corrupts a byte of every image stored for its job, unlogged, and a
+//! `CkptFlip` entry flips one bit of each and logs the flip as a
+//! `mem-flip` event the post-mortem can name.
 
+use crate::faults::FaultPlan;
+use crate::job::JobId;
 use crate::msg::Msg;
 use chirp::backend::MemFs;
 use chirp::cookie::Cookie;
@@ -22,6 +26,7 @@ use chirp::server::{ChirpServer, ServerOutcome};
 use chirp::wire;
 use chirp::Request;
 use desim::{Actor, ActorId, Context};
+use std::sync::Arc;
 
 /// Traffic counters, inspectable after a run.
 #[derive(Debug, Clone, Default)]
@@ -39,41 +44,20 @@ pub struct CkptServerStats {
 /// The checkpoint-server daemon.
 pub struct CkptServer {
     server: ChirpServer<MemFs>,
-    corrupt_prefixes: Vec<String>,
-    flip_prefixes: Vec<(String, u64)>,
+    plan: Arc<FaultPlan>,
     /// Traffic counters.
     pub stats: CkptServerStats,
 }
 
 impl CkptServer {
-    /// A fresh server trusting `cookie`. Frames are capped at
-    /// [`wire::MAX_FRAME`].
-    pub fn new(cookie: Cookie) -> CkptServer {
+    /// A fresh server trusting `cookie` and damaging stored images as
+    /// `plan` schedules. Frames are capped at [`wire::MAX_FRAME`].
+    pub fn new(cookie: Cookie, plan: Arc<FaultPlan>) -> CkptServer {
         CkptServer {
             server: ChirpServer::new(MemFs::default(), cookie),
-            corrupt_prefixes: Vec::new(),
-            flip_prefixes: Vec::new(),
+            plan,
             stats: CkptServerStats::default(),
         }
-    }
-
-    /// Fault injection: corrupt every image stored under a key starting
-    /// with `prefix` (builder style). Use [`ckpt::key`] prefixes like
-    /// `"ckpt/job3/"` to target one job.
-    pub fn corrupt_key_prefix(mut self, prefix: &str) -> CkptServer {
-        self.corrupt_prefixes.push(prefix.to_string());
-        self
-    }
-
-    /// Fault injection for the SDC campaign: flip exactly one bit of
-    /// every image stored under a key starting with `prefix` (builder
-    /// style), and log the flip as an [`obs::Event::MemFlip`] attributed
-    /// to `job` — bit rot in storage that the restorer's digest check
-    /// must catch. Unlike [`CkptServer::corrupt_key_prefix`], the damage
-    /// is on the scrubber's record, so a post-mortem can name it.
-    pub fn flip_bit_key_prefix(mut self, prefix: &str, job: u64) -> CkptServer {
-        self.flip_prefixes.push((prefix.to_string(), job));
-        self
     }
 
     fn account(&mut self, req: &mut Request, ctx: &mut Context<'_, Msg>) {
@@ -81,20 +65,19 @@ impl CkptServer {
             Request::PutCkpt { key, data } => {
                 self.stats.puts += 1;
                 self.stats.bytes_stored += data.len() as u64;
-                if self.corrupt_prefixes.iter().any(|p| key.starts_with(p)) {
+                let Some(job) = ckpt::key_job(key).and_then(|j| JobId::try_from(j).ok()) else {
+                    return;
+                };
+                if self.plan.ckpt_corrupted(job) {
                     *data = ckpt::corrupt_bytes(data, data.len() / 2);
                 }
-                if let Some((_, job)) = self
-                    .flip_prefixes
-                    .iter()
-                    .find(|(p, _)| key.starts_with(p.as_str()))
-                {
+                if self.plan.ckpt_flipped(job) {
                     // The bit is a deterministic function of the key, so
                     // same-seed runs flip the same bit of the same image.
                     let (flipped, bit) = ckpt::flip_bit(data, ckpt::fnv1a(key.as_bytes()));
                     *data = flipped;
                     ctx.emit(obs::Event::MemFlip {
-                        job: *job,
+                        job: u64::from(job),
                         machine: ctx.self_id as u64,
                         target: "ckpt-image".to_string(),
                         bit,

@@ -1,10 +1,11 @@
 //! The fault plan: scheduled environmental failures.
 //!
 //! Experiments describe faults declaratively — "the submitter's file system
-//! is offline from t=100s to t=300s", "machine 7 crashes at t=200s" — and
-//! every daemon consults the shared plan deterministically. Static
-//! misconfiguration lives in [`crate::machine::MachineSpec`]; the plan
-//! holds the *timed* faults.
+//! is offline from t=100s to t=300s", "machine 7 crashes at t=200s" — as a
+//! list of [`Fault`] entries, and every daemon consults the shared plan
+//! deterministically. Static misconfiguration lives in
+//! [`crate::machine::MachineSpec`]; the plan holds the *timed* faults and
+//! the damage done to stored or restored checkpoint images.
 
 use crate::job::JobId;
 use chirp::backend::EnvFault;
@@ -28,13 +29,6 @@ impl Window {
         Window { from, to }
     }
 
-    /// A window covering `[from, to)`, or `None` if it would be empty or
-    /// inverted. Campaign generators that mass-produce plans use this to
-    /// reject bad samples instead of panicking mid-sweep.
-    pub fn checked(from: SimTime, to: SimTime) -> Option<Window> {
-        (from < to).then_some(Window { from, to })
-    }
-
     /// From `from` onward, forever.
     pub fn from(from: SimTime) -> Window {
         Window {
@@ -54,29 +48,17 @@ impl Window {
     }
 }
 
-#[derive(Debug, Clone)]
-struct FsFault {
-    schedd: usize,
-    window: Window,
-    fault: EnvFault,
-}
-
-#[derive(Debug, Clone)]
-struct MachineCrash {
-    machine: usize,
-    window: Window,
-}
-
-#[derive(Debug, Clone)]
-struct OwnerBusy {
-    machine: usize,
-    window: Window,
-}
-
-#[derive(Debug, Clone)]
-struct FlockRevocation {
-    machine: usize,
-    window: Window,
+/// `[240s, 3600s)`, `[200s, forever)`; an edge off the whole second is
+/// printed in microseconds.
+impl fmt::Display for Window {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let edge = |t: SimTime| match t.as_micros() {
+            _ if t == SimTime::MAX => "forever".to_string(),
+            us if us % 1_000_000 == 0 => format!("{}s", us / 1_000_000),
+            us => format!("{us}us"),
+        };
+        write!(f, "[{}, {})", edge(self.from), edge(self.to))
+    }
 }
 
 /// What a timed network fault does to the fabric while its window is open.
@@ -131,15 +113,209 @@ impl NetFault {
             NetFault::Duplication { .. } => "duplication",
         }
     }
+
+    /// The links the fault touches, as used in `net-fault-applied` events:
+    /// `a1,a2|b1,b2` for a partition, `low-high` for one link.
+    pub fn link(&self) -> String {
+        match self {
+            NetFault::Partition { a, b } => {
+                let fmt = |v: &[usize]| {
+                    v.iter()
+                        .map(|h| h.to_string())
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                format!("{}|{}", fmt(a), fmt(b))
+            }
+            NetFault::Loss { a, b, .. }
+            | NetFault::LatencySpike { a, b, .. }
+            | NetFault::Duplication { a, b, .. } => format!("{}-{}", a.min(b), a.max(b)),
+        }
+    }
+
+    /// The undirected links the fault touches, as normalized `(low, high)`
+    /// host pairs.
+    fn links(&self) -> Vec<(usize, usize)> {
+        let norm = |a: usize, b: usize| (a.min(b), a.max(b));
+        match self {
+            NetFault::Partition { a, b } => a
+                .iter()
+                .flat_map(|&x| b.iter().map(move |&y| norm(x, y)))
+                .collect(),
+            NetFault::Loss { a, b, .. }
+            | NetFault::LatencySpike { a, b, .. }
+            | NetFault::Duplication { a, b, .. } => vec![norm(*a, *b)],
+        }
+    }
 }
 
-/// One scheduled network fault: what happens, and when.
+/// One entry of a [`FaultPlan`]: a fault the kernel honours, and where and
+/// when it strikes. A plan is a list of these, so a hand-written plan is a
+/// `vec![Fault::…]` literal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TimedNetFault {
-    /// When the fault is in force.
-    pub window: Window,
-    /// What it does to the fabric.
-    pub fault: NetFault,
+pub enum Fault {
+    /// The submitter file system served by `schedd` suffers `fault` during
+    /// `window`.
+    FsFault {
+        /// The schedd whose home file system fails (actor id).
+        schedd: usize,
+        /// When.
+        window: Window,
+        /// What the file system does.
+        fault: EnvFault,
+    },
+    /// `actor` is crashed (silent, unreachable) during `window`. The
+    /// startds and the matchmaker read this entry.
+    Crash {
+        /// The victim (actor id).
+        actor: usize,
+        /// When.
+        window: Window,
+    },
+    /// The owner of `machine` uses it during `window`: visiting jobs are
+    /// evicted at the window's start and the machine is withdrawn from the
+    /// pool until it ends. Not a fault at all — owner policy — but it
+    /// flows through the same schedule. This is the condition Condor's
+    /// checkpointing (§2.1, Standard Universe) exists to survive.
+    OwnerActivity {
+        /// The owner's machine (actor id).
+        machine: usize,
+        /// When the owner is at the desk.
+        window: Window,
+    },
+    /// During `window`, `machine` (a remote pool's startd) revokes any
+    /// flocked claim at activation time — the remote administrator
+    /// reclaims the machine just as the visiting job arrives. The schedd
+    /// must convert the revocation into an explicit pool-scope error and
+    /// fall back to its home queue.
+    FlockRevocation {
+        /// The remote machine (actor id).
+        machine: usize,
+        /// When.
+        window: Window,
+    },
+    /// `fault` is in force on the fabric during `window` — "schedd↔machines
+    /// 3–5 partitioned from t=100s to t=250s", declaratively.
+    Net {
+        /// When.
+        window: Window,
+        /// What it does to the fabric.
+        fault: NetFault,
+    },
+    /// A memory bit-flip lands in `job`'s live heap the next time the job
+    /// is restored from a checkpoint — *after* the image digest has been
+    /// validated, so no checksum can see it. `bit` seeds the flip's
+    /// placement (it is reduced modulo the heap's size when it lands).
+    /// This is the silent-data-corruption class the FNV-1a digests cannot
+    /// catch: the run completes and the answer is wrong.
+    ///
+    /// The entry carries no ground-truth label: which machine performs the
+    /// restore is not known at plan time, and the injector's own
+    /// `mem-flip` event records the culprit at the instant of the flip.
+    HeapFlip {
+        /// The victim job.
+        job: JobId,
+        /// Placement seed.
+        bit: u64,
+    },
+    /// The checkpoint server flips one bit of every image stored for
+    /// `job` and logs the flip — damage in storage, *before* the digest
+    /// is rechecked, which the FNV-1a trailer must therefore catch on
+    /// restore.
+    CkptFlip {
+        /// The victim job.
+        job: JobId,
+    },
+    /// The checkpoint server corrupts a byte of every image stored for
+    /// `job`, unlogged. The corruption surfaces as an explicit discard at
+    /// resume time, never as a crash in the program.
+    CkptCorrupt {
+        /// The victim job.
+        job: JobId,
+    },
+}
+
+impl Fault {
+    /// When the entry is in force, for the kinds that have a window.
+    fn window(&self) -> Option<Window> {
+        match self {
+            Fault::FsFault { window, .. }
+            | Fault::Crash { window, .. }
+            | Fault::OwnerActivity { window, .. }
+            | Fault::FlockRevocation { window, .. }
+            | Fault::Net { window, .. } => Some(*window),
+            Fault::HeapFlip { .. } | Fault::CkptFlip { .. } | Fault::CkptCorrupt { .. } => None,
+        }
+    }
+
+    /// The ground truth the entry labels itself with: every endpoint of a
+    /// network fault's links, or the checkpoint server for stored-image
+    /// damage.
+    fn label(&self) -> Option<FaultLabel> {
+        let server = |kind: &str| FaultLabel {
+            kind: kind.to_string(),
+            culprits: vec![CULPRIT_CKPT_SERVER.to_string()],
+        };
+        match self {
+            Fault::Net { fault, .. } => {
+                let mut culprits: Vec<String> = match fault {
+                    NetFault::Partition { a, b } => a.iter().chain(b).copied().collect(),
+                    NetFault::Loss { a, b, .. }
+                    | NetFault::LatencySpike { a, b, .. }
+                    | NetFault::Duplication { a, b, .. } => vec![*a, *b],
+                }
+                .into_iter()
+                .map(culprit_link)
+                .collect();
+                culprits.sort();
+                culprits.dedup();
+                Some(FaultLabel {
+                    kind: fault.kind().to_string(),
+                    culprits,
+                })
+            }
+            Fault::CkptFlip { .. } => Some(server("ckpt-flip")),
+            Fault::CkptCorrupt { .. } => Some(server("corrupt-checkpoint")),
+            _ => None,
+        }
+    }
+}
+
+/// One line per entry: `crash actor=3 [200s, 800s)`,
+/// `net loss 1-3 [60s, 400s) prob=0.25`, `ckpt-flip job=1`.
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fault::FsFault {
+                schedd,
+                window,
+                fault,
+            } => write!(f, "fs-fault schedd={schedd} {window} {fault}"),
+            Fault::Crash { actor, window } => write!(f, "crash actor={actor} {window}"),
+            Fault::OwnerActivity { machine, window } => {
+                write!(f, "owner-activity machine={machine} {window}")
+            }
+            Fault::FlockRevocation { machine, window } => {
+                write!(f, "flock-revocation machine={machine} {window}")
+            }
+            Fault::Net { window, fault } => {
+                write!(f, "net {} {} {window}", fault.kind(), fault.link())?;
+                match fault {
+                    NetFault::Partition { .. } => Ok(()),
+                    NetFault::Loss { prob, .. } | NetFault::Duplication { prob, .. } => {
+                        write!(f, " prob={prob}")
+                    }
+                    NetFault::LatencySpike { latency, .. } => match latency.as_micros() {
+                        us if us % 1000 == 0 => write!(f, " latency={}ms", us / 1000),
+                        us => write!(f, " latency={us}us"),
+                    },
+                }
+            }
+            Fault::HeapFlip { job, bit } => write!(f, "heap-flip job={job} bit={bit}"),
+            Fault::CkptFlip { job } => write!(f, "ckpt-flip job={job}"),
+            Fault::CkptCorrupt { job } => write!(f, "ckpt-corrupt job={job}"),
+        }
+    }
 }
 
 /// Ground truth for one injected fault: what kind of failure it is, and
@@ -170,53 +346,34 @@ pub fn culprit_link(id: usize) -> String {
     format!("link:{id}")
 }
 
-/// The culprit name for a faulty remote pool (by pool id).
-pub fn culprit_pool(id: u64) -> String {
-    format!("pool:{id}")
-}
-
 /// The culprit name for corrupted checkpoint storage.
 pub const CULPRIT_CKPT_SERVER: &str = "ckpt-server";
 
-fn link_label(kind: &str, hosts: impl IntoIterator<Item = usize>) -> FaultLabel {
-    let mut culprits: Vec<String> = hosts.into_iter().map(culprit_link).collect();
-    culprits.sort();
-    culprits.dedup();
-    FaultLabel {
-        kind: kind.to_string(),
-        culprits,
-    }
-}
-
 /// Why a fault plan was rejected at build time.
 ///
-/// `Window`'s fields are public (daemons pattern-match on them), so an
-/// inverted or zero-length window is constructible by struct literal even
-/// though [`Window::new`] asserts. [`FaultPlan::try_build`] is the last
-/// line of defense: a campaign generator mass-producing plans fails fast
-/// here instead of silently scheduling a fault that can never fire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`Fault`] and [`Window`] are plain data, so an inverted window or an
+/// out-of-range probability is constructible by literal even though
+/// [`Window::new`] asserts. [`FaultPlan::try_build`] is the last line of
+/// defense: a campaign generator mass-producing plans fails fast here
+/// instead of silently scheduling a fault that can never fire.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// A fault's window is empty or inverted (`from >= to`).
-    BadWindow {
-        /// Which entry carries the bad window (e.g. `"crash of machine 3"`).
-        what: String,
-        /// The window's start.
-        from: SimTime,
-        /// The window's end.
-        to: SimTime,
-    },
+    /// The entry's window is empty or inverted (`from >= to`).
+    BadWindow(Fault),
+    /// The entry's loss or duplication probability is outside `[0, 1]`
+    /// (NaN included).
+    BadProbability(Fault),
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::BadWindow { what, from, to } => write!(
-                f,
-                "bad fault window on {what}: [{}us, {}us) is empty or inverted",
-                from.as_micros(),
-                to.as_micros()
-            ),
+            PlanError::BadWindow(entry) => {
+                write!(f, "bad fault window on `{entry}`: empty or inverted")
+            }
+            PlanError::BadProbability(entry) => {
+                write!(f, "bad probability on `{entry}`: outside [0, 1]")
+            }
         }
     }
 }
@@ -227,16 +384,11 @@ impl std::error::Error for PlanError {}
 /// advisory — they never widen [`FaultPlan::accepted_culprits`].
 pub const OVERLAP_WARNING: &str = "overlap-warning";
 
-/// The complete fault schedule for one run.
+/// The complete fault schedule for one run: the list of [`Fault`]s plus
+/// its ground-truth labels.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    fs_faults: Vec<FsFault>,
-    crashes: Vec<MachineCrash>,
-    owner_busy: Vec<OwnerBusy>,
-    flock_revocations: Vec<FlockRevocation>,
-    net_faults: Vec<TimedNetFault>,
-    heap_flips: Vec<(JobId, u64)>,
-    ckpt_flips: Vec<JobId>,
+    faults: Vec<Fault>,
     labels: Vec<FaultLabel>,
 }
 
@@ -246,149 +398,23 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// The submitter file system served by `schedd` suffers `fault` during
-    /// `window`.
-    pub fn fs_fault(mut self, schedd: usize, window: Window, fault: EnvFault) -> FaultPlan {
-        self.fs_faults.push(FsFault {
-            schedd,
-            window,
-            fault,
-        });
-        self
+    /// The plan that schedules `faults`. Network faults and both
+    /// checkpoint-damage kinds label themselves, in list order.
+    pub fn new(faults: Vec<Fault>) -> FaultPlan {
+        let labels = faults.iter().filter_map(Fault::label).collect();
+        FaultPlan { faults, labels }
     }
 
-    /// `machine` is crashed (silent, unreachable) during `window`.
-    pub fn crash(mut self, machine: usize, window: Window) -> FaultPlan {
-        self.crashes.push(MachineCrash { machine, window });
-        self
+    /// The scheduled entries, in declaration order.
+    pub fn faults(&self) -> &[Fault] {
+        &self.faults
     }
 
-    /// The owner of `machine` uses it during `window`: visiting jobs are
-    /// evicted at the window's start and the machine is withdrawn from the
-    /// pool until it ends. Not a fault at all — owner policy — but it
-    /// flows through the same schedule. This is the condition Condor's
-    /// checkpointing (§2.1, Standard Universe) exists to survive.
-    pub fn owner_activity(mut self, machine: usize, window: Window) -> FaultPlan {
-        self.owner_busy.push(OwnerBusy { machine, window });
-        self
-    }
-
-    /// During `window`, `machine` (a remote pool's startd) revokes any
-    /// flocked claim at activation time — the remote administrator
-    /// reclaims the machine just as the visiting job arrives. The schedd
-    /// must convert the revocation into an explicit pool-scope error and
-    /// fall back to its home queue.
-    pub fn flock_revocation(mut self, machine: usize, window: Window) -> FaultPlan {
-        self.flock_revocations
-            .push(FlockRevocation { machine, window });
-        self
-    }
-
-    /// The links between the hosts in `a` and the hosts in `b` are severed
-    /// during `window` — "schedd↔machines 3–5 partitioned from t=100s to
-    /// t=250s", declaratively.
-    pub fn net_partition(
-        mut self,
-        a: impl IntoIterator<Item = usize>,
-        b: impl IntoIterator<Item = usize>,
-        window: Window,
-    ) -> FaultPlan {
-        let a: Vec<usize> = a.into_iter().collect();
-        let b: Vec<usize> = b.into_iter().collect();
-        self.labels
-            .push(link_label("partition", a.iter().chain(&b).copied()));
-        self.net_faults.push(TimedNetFault {
-            window,
-            fault: NetFault::Partition { a, b },
-        });
-        self
-    }
-
-    /// The link `a`–`b` drops each message with probability `prob` during
-    /// `window`.
-    pub fn net_loss(mut self, a: usize, b: usize, prob: f64, window: Window) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob));
-        self.labels.push(link_label("loss", [a, b]));
-        self.net_faults.push(TimedNetFault {
-            window,
-            fault: NetFault::Loss { a, b, prob },
-        });
-        self
-    }
-
-    /// The link `a`–`b` delivers with `latency` during `window`.
-    pub fn net_latency_spike(
-        mut self,
-        a: usize,
-        b: usize,
-        latency: SimDuration,
-        window: Window,
-    ) -> FaultPlan {
-        self.labels.push(link_label("latency", [a, b]));
-        self.net_faults.push(TimedNetFault {
-            window,
-            fault: NetFault::LatencySpike { a, b, latency },
-        });
-        self
-    }
-
-    /// The link `a`–`b` duplicates each delivered message with probability
-    /// `prob` during `window`.
-    pub fn net_duplication(mut self, a: usize, b: usize, prob: f64, window: Window) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob));
-        self.labels.push(link_label("duplication", [a, b]));
-        self.net_faults.push(TimedNetFault {
-            window,
-            fault: NetFault::Duplication { a, b, prob },
-        });
-        self
-    }
-
-    /// A memory bit-flip lands in `job`'s live heap the next time the job
-    /// is restored from a checkpoint — *after* the image digest has been
-    /// validated, so no checksum can see it. `bit` seeds the flip's
-    /// placement (it is reduced modulo the heap's size when it lands).
-    /// This is the silent-data-corruption class the FNV-1a digests cannot
-    /// catch: the run completes and the answer is wrong.
-    ///
-    /// No ground-truth label is attached here: which machine performs the
-    /// restore is not known at plan time, and the injector's own
-    /// `mem-flip` event records the culprit at the instant of the flip.
-    pub fn heap_flip(mut self, job: JobId, bit: u64) -> FaultPlan {
-        self.heap_flips.push((job, bit));
-        self
-    }
-
-    /// The checkpoint server flips one bit of every image stored for
-    /// `job` — damage in storage, *before* the digest is rechecked, which
-    /// the FNV-1a trailer must therefore catch on restore.
-    pub fn ckpt_flip(mut self, job: JobId) -> FaultPlan {
-        self.ckpt_flips.push(job);
-        self.labels.push(FaultLabel {
-            kind: "ckpt-flip".to_string(),
-            culprits: vec![CULPRIT_CKPT_SERVER.to_string()],
-        });
-        self
-    }
-
-    /// The heap-flip bit seed scheduled for `job`, if any.
-    pub fn heap_flip_for(&self, job: JobId) -> Option<u64> {
-        self.heap_flips
-            .iter()
-            .find(|(j, _)| *j == job)
-            .map(|(_, bit)| *bit)
-    }
-
-    /// Every job whose stored checkpoint images get a flipped bit.
-    pub fn ckpt_flip_jobs(&self) -> &[JobId] {
-        &self.ckpt_flips
-    }
-
-    /// Declare ground truth for a fault the plan cannot see — a statically
-    /// misconfigured machine, a corrupting checkpoint server — so a
-    /// campaign built from this plan is self-describing: the localizer's
-    /// verdict can be checked against [`FaultPlan::ground_truth`] without
-    /// the harness keeping a side table.
+    /// Declare ground truth for a fault that belongs to the topology, not
+    /// the plan — a statically misconfigured machine — so a campaign
+    /// built from this plan is self-describing: the localizer's verdict
+    /// can be checked against [`FaultPlan::ground_truth`] without the
+    /// harness keeping a side table.
     pub fn expect(mut self, kind: &str, culprits: impl IntoIterator<Item = String>) -> FaultPlan {
         self.labels.push(FaultLabel {
             kind: kind.to_string(),
@@ -397,10 +423,9 @@ impl FaultPlan {
         self
     }
 
-    /// Ground-truth labels for every declared fault: the timed network
-    /// faults label themselves (any endpoint of a severed link is an
-    /// acceptable culprit); machine-level and checkpoint faults are added
-    /// via [`FaultPlan::expect`].
+    /// Ground-truth labels for every declared fault: the entries' own
+    /// labels (any endpoint of a severed link is an acceptable culprit),
+    /// then those added via [`FaultPlan::expect`].
     pub fn ground_truth(&self) -> &[FaultLabel] {
         &self.labels
     }
@@ -420,83 +445,50 @@ impl FaultPlan {
         out
     }
 
-    /// Every window in the plan, paired with a description of what it
-    /// schedules.
-    fn windows(&self) -> Vec<(String, Window)> {
-        let mut out = Vec::new();
-        for f in &self.fs_faults {
-            out.push((format!("fs fault at schedd {}", f.schedd), f.window));
-        }
-        for c in &self.crashes {
-            out.push((format!("crash of machine {}", c.machine), c.window));
-        }
-        for o in &self.owner_busy {
-            out.push((format!("owner activity on machine {}", o.machine), o.window));
-        }
-        for r in &self.flock_revocations {
-            out.push((
-                format!("flock revocation on machine {}", r.machine),
-                r.window,
-            ));
-        }
-        for n in &self.net_faults {
-            out.push((format!("net {}", n.fault.kind()), n.window));
-        }
-        out
-    }
-
-    /// The undirected links a network fault touches, as normalized
-    /// `(low, high)` host pairs.
-    fn fault_links(fault: &NetFault) -> Vec<(usize, usize)> {
-        let norm = |a: usize, b: usize| (a.min(b), a.max(b));
-        match fault {
-            NetFault::Partition { a, b } => a
-                .iter()
-                .flat_map(|&x| b.iter().map(move |&y| norm(x, y)))
-                .collect(),
-            NetFault::Loss { a, b, .. }
-            | NetFault::LatencySpike { a, b, .. }
-            | NetFault::Duplication { a, b, .. } => vec![norm(*a, *b)],
-        }
-    }
-
     /// Validate and freeze into a shareable handle.
     ///
-    /// Rejects any entry whose window is empty or inverted. Two network
-    /// faults whose windows overlap on the same link are legal (the later
+    /// Rejects any entry whose window is empty or inverted, and any loss
+    /// or duplication probability outside `[0, 1]`. Two network faults
+    /// whose windows overlap on the same link are legal (the later
     /// declaration wins while both are open) but usually a generator bug,
     /// so each such pair gets an advisory [`OVERLAP_WARNING`] label naming
     /// the shared link.
     pub fn try_build(mut self) -> Result<Arc<FaultPlan>, PlanError> {
-        for (what, w) in self.windows() {
-            if w.from >= w.to {
-                return Err(PlanError::BadWindow {
-                    what,
-                    from: w.from,
-                    to: w.to,
-                });
+        for entry in &self.faults {
+            if entry.window().is_some_and(|w| w.from >= w.to) {
+                return Err(PlanError::BadWindow(entry.clone()));
+            }
+            if let Fault::Net {
+                fault: NetFault::Loss { prob, .. } | NetFault::Duplication { prob, .. },
+                ..
+            } = entry
+            {
+                if !(0.0..=1.0).contains(prob) {
+                    return Err(PlanError::BadProbability(entry.clone()));
+                }
             }
         }
+        let nets: Vec<(Window, &NetFault)> = self.net_faults().collect();
         let mut warned: Vec<(usize, usize)> = Vec::new();
-        for i in 0..self.net_faults.len() {
-            for j in i + 1..self.net_faults.len() {
-                let (a, b) = (&self.net_faults[i], &self.net_faults[j]);
+        for (i, (wa, a)) in nets.iter().enumerate() {
+            for (wb, b) in &nets[i + 1..] {
                 // Half-open windows intersect iff each starts before the
                 // other ends.
-                if !(a.window.from < b.window.to && b.window.from < a.window.to) {
+                if !(wa.from < wb.to && wb.from < wa.to) {
                     continue;
                 }
-                for link in FaultPlan::fault_links(&a.fault) {
-                    if FaultPlan::fault_links(&b.fault).contains(&link) && !warned.contains(&link) {
+                for link in a.links() {
+                    if b.links().contains(&link) && !warned.contains(&link) {
                         warned.push(link);
-                        self.labels.push(FaultLabel {
-                            kind: OVERLAP_WARNING.to_string(),
-                            culprits: vec![culprit_link(link.0), culprit_link(link.1)],
-                        });
                     }
                 }
             }
         }
+        self.labels
+            .extend(warned.into_iter().map(|(a, b)| FaultLabel {
+                kind: OVERLAP_WARNING.to_string(),
+                culprits: vec![culprit_link(a), culprit_link(b)],
+            }));
         Ok(Arc::new(self))
     }
 
@@ -508,9 +500,13 @@ impl FaultPlan {
             .unwrap_or_else(|e| panic!("invalid fault plan: {e}"))
     }
 
-    /// The scheduled network faults, in declaration order.
-    pub fn net_faults(&self) -> &[TimedNetFault] {
-        &self.net_faults
+    /// The scheduled network faults with their windows, in declaration
+    /// order.
+    pub fn net_faults(&self) -> impl Iterator<Item = (Window, &NetFault)> {
+        self.faults.iter().filter_map(|f| match f {
+            Fault::Net { window, fault } => Some((*window, fault)),
+            _ => None,
+        })
     }
 
     /// Every instant at which some network fault's window opens or closes —
@@ -518,9 +514,8 @@ impl FaultPlan {
     /// `SimTime::MAX` ("forever") excluded.
     pub fn net_fault_edges(&self) -> Vec<SimTime> {
         let mut edges: Vec<SimTime> = self
-            .net_faults
-            .iter()
-            .flat_map(|f| [f.window.from, f.window.to])
+            .net_faults()
+            .flat_map(|(w, _)| [w.from, w.to])
             .filter(|t| *t != SimTime::MAX)
             .collect();
         edges.sort();
@@ -532,46 +527,57 @@ impl FaultPlan {
     /// at any point in `[start, end]`. The earliest-declared overlapping
     /// fault wins.
     pub fn fs_fault_during(&self, schedd: usize, start: SimTime, end: SimTime) -> Option<EnvFault> {
-        self.fs_faults
-            .iter()
-            .find(|f| f.schedd == schedd && f.window.overlaps(start, end))
-            .map(|f| f.fault)
+        self.faults.iter().find_map(|f| match f {
+            Fault::FsFault {
+                schedd: s,
+                window,
+                fault,
+            } if *s == schedd && window.overlaps(start, end) => Some(*fault),
+            _ => None,
+        })
     }
 
     /// Is the file system faulty at exactly `t`?
     pub fn fs_fault_at(&self, schedd: usize, t: SimTime) -> Option<EnvFault> {
-        self.fs_faults
-            .iter()
-            .find(|f| f.schedd == schedd && f.window.contains(t))
-            .map(|f| f.fault)
+        self.faults.iter().find_map(|f| match f {
+            Fault::FsFault {
+                schedd: s,
+                window,
+                fault,
+            } if *s == schedd && window.contains(t) => Some(*fault),
+            _ => None,
+        })
     }
 
-    /// Is `machine` crashed at instant `t`?
-    pub fn crashed_at(&self, machine: usize, t: SimTime) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.machine == machine && c.window.contains(t))
+    /// Is `actor` crashed at instant `t`?
+    pub fn crashed_at(&self, actor: usize, t: SimTime) -> bool {
+        self.faults.iter().any(
+            |f| matches!(f, Fault::Crash { actor: a, window } if *a == actor && window.contains(t)),
+        )
     }
 
-    /// Does `machine` crash at any point during `[start, end]`?
-    pub fn crashes_during(&self, machine: usize, start: SimTime, end: SimTime) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.machine == machine && c.window.overlaps(start, end))
+    /// Does `actor` crash at any point during `[start, end]`?
+    pub fn crashes_during(&self, actor: usize, start: SimTime, end: SimTime) -> bool {
+        self.faults.iter().any(|f| {
+            matches!(f, Fault::Crash { actor: a, window }
+                if *a == actor && window.overlaps(start, end))
+        })
     }
 
     /// Does `machine` revoke flocked claims at instant `t`?
     pub fn flock_revoked_at(&self, machine: usize, t: SimTime) -> bool {
-        self.flock_revocations
-            .iter()
-            .any(|r| r.machine == machine && r.window.contains(t))
+        self.faults.iter().any(|f| {
+            matches!(f, Fault::FlockRevocation { machine: m, window }
+                if *m == machine && window.contains(t))
+        })
     }
 
     /// Is the owner using `machine` at instant `t`?
     pub fn owner_busy_at(&self, machine: usize, t: SimTime) -> bool {
-        self.owner_busy
-            .iter()
-            .any(|o| o.machine == machine && o.window.contains(t))
+        self.faults.iter().any(|f| {
+            matches!(f, Fault::OwnerActivity { machine: m, window }
+                if *m == machine && window.contains(t))
+        })
     }
 
     /// The first instant strictly after `start` and at or before `end` at
@@ -583,11 +589,35 @@ impl FaultPlan {
         start: SimTime,
         end: SimTime,
     ) -> Option<SimTime> {
-        self.owner_busy
+        self.faults
             .iter()
-            .filter(|o| o.machine == machine && o.window.from > start && o.window.from <= end)
-            .map(|o| o.window.from)
+            .filter_map(|f| match f {
+                Fault::OwnerActivity { machine: m, window }
+                    if *m == machine && window.from > start && window.from <= end =>
+                {
+                    Some(window.from)
+                }
+                _ => None,
+            })
             .min()
+    }
+
+    /// The heap-flip bit seed scheduled for `job`, if any.
+    pub fn heap_flip_for(&self, job: JobId) -> Option<u64> {
+        self.faults.iter().find_map(|f| match f {
+            Fault::HeapFlip { job: j, bit } if *j == job => Some(*bit),
+            _ => None,
+        })
+    }
+
+    /// Does the checkpoint server flip a bit of `job`'s stored images?
+    pub fn ckpt_flipped(&self, job: JobId) -> bool {
+        self.faults.contains(&Fault::CkptFlip { job })
+    }
+
+    /// Does the checkpoint server corrupt `job`'s stored images?
+    pub fn ckpt_corrupted(&self, job: JobId) -> bool {
+        self.faults.contains(&Fault::CkptCorrupt { job })
     }
 }
 
@@ -599,9 +629,43 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn w(from: u64, to: u64) -> Window {
+        Window::new(t(from), t(to))
+    }
+
+    /// `[20s, 10s)`: `Window`'s fields are pub, so an inverted window is
+    /// constructible by literal even though `Window::new` asserts.
+    fn inverted() -> Window {
+        Window {
+            from: t(20),
+            to: t(10),
+        }
+    }
+
+    fn crash(actor: usize, window: Window) -> Fault {
+        Fault::Crash { actor, window }
+    }
+
+    fn owner(machine: usize, window: Window) -> Fault {
+        Fault::OwnerActivity { machine, window }
+    }
+
+    fn net(window: Window, fault: NetFault) -> Fault {
+        Fault::Net { window, fault }
+    }
+
+    fn loss(a: usize, b: usize, prob: f64, window: Window) -> Fault {
+        net(window, NetFault::Loss { a, b, prob })
+    }
+
+    fn partition(a: &[usize], b: &[usize], window: Window) -> Fault {
+        let (a, b) = (a.to_vec(), b.to_vec());
+        net(window, NetFault::Partition { a, b })
+    }
+
     #[test]
     fn window_membership() {
-        let w = Window::new(t(10), t(20));
+        let w = w(10, 20);
         assert!(!w.contains(t(9)));
         assert!(w.contains(t(10)));
         assert!(w.contains(t(19)));
@@ -611,7 +675,7 @@ mod tests {
 
     #[test]
     fn window_overlap() {
-        let w = Window::new(t(10), t(20));
+        let w = w(10, 20);
         assert!(w.overlaps(t(0), t(10)));
         assert!(w.overlaps(t(15), t(16)));
         assert!(w.overlaps(t(19), t(30)));
@@ -629,8 +693,8 @@ mod tests {
     fn window_boundary_cases() {
         // Adjacent windows share an edge but no instant: [10,20) ends
         // exactly where [20,30) begins.
-        let first = Window::new(t(10), t(20));
-        let second = Window::new(t(20), t(30));
+        let first = w(10, 20);
+        let second = w(20, 30);
         assert!(!first.contains(t(20)));
         assert!(second.contains(t(20)));
         // A zero-length query interval [20,20] touches only the second.
@@ -650,8 +714,7 @@ mod tests {
         assert!(forever.overlaps(t(0), SimTime::MAX));
         assert!(forever.overlaps(t(5), t(5)));
         // A bounded window never overlaps a query starting at its end.
-        let w = Window::new(t(10), t(20));
-        assert!(!w.overlaps(t(20), SimTime::MAX));
+        assert!(!first.overlaps(t(20), SimTime::MAX));
         // A window reaching MAX contains every representable instant
         // before it.
         let to_max = Window::new(t(10), SimTime::MAX);
@@ -660,45 +723,66 @@ mod tests {
 
     #[test]
     fn net_fault_plan_and_edges() {
-        let plan = FaultPlan::none()
-            .net_partition([1], [4, 5], Window::new(t(100), t(250)))
-            .net_loss(1, 3, 0.2, Window::new(t(300), t(400)))
-            .net_latency_spike(
-                1,
-                2,
-                SimDuration::from_millis(80),
-                Window::new(t(100), t(300)),
-            )
-            .net_duplication(1, 2, 0.3, Window::from(t(50)))
-            .build();
-        assert_eq!(plan.net_faults().len(), 4);
-        assert_eq!(plan.net_faults()[0].fault.kind(), "partition");
-        assert_eq!(plan.net_faults()[1].fault.kind(), "loss");
-        assert_eq!(plan.net_faults()[2].fault.kind(), "latency");
-        assert_eq!(plan.net_faults()[3].fault.kind(), "duplication");
+        let latency = SimDuration::from_millis(80);
+        let plan = FaultPlan::new(vec![
+            partition(&[1], &[4, 5], w(100, 250)),
+            loss(1, 3, 0.2, w(300, 400)),
+            net(
+                w(100, 300),
+                NetFault::LatencySpike {
+                    a: 1,
+                    b: 2,
+                    latency,
+                },
+            ),
+            net(
+                Window::from(t(50)),
+                NetFault::Duplication {
+                    a: 1,
+                    b: 2,
+                    prob: 0.3,
+                },
+            ),
+        ])
+        .build();
+        let kinds: Vec<_> = plan.net_faults().map(|(_, f)| f.kind()).collect();
+        assert_eq!(kinds, vec!["partition", "loss", "latency", "duplication"]);
         // Edges: sorted, deduplicated (100 appears twice), MAX excluded.
         assert_eq!(
             plan.net_fault_edges(),
             vec![t(50), t(100), t(250), t(300), t(400)]
         );
         assert!(FaultPlan::none().net_fault_edges().is_empty());
+        // One printer: every entry is one line.
+        let lines: Vec<String> = plan.faults().iter().map(Fault::to_string).collect();
+        assert_eq!(
+            lines,
+            vec![
+                "net partition 1|4,5 [100s, 250s)",
+                "net loss 1-3 [300s, 400s) prob=0.2",
+                "net latency 1-2 [100s, 300s) latency=80ms",
+                "net duplication 1-2 [50s, forever) prob=0.3",
+            ]
+        );
     }
 
     #[test]
     fn plans_are_self_describing() {
-        let plan = FaultPlan::none()
-            .net_partition([1], [4, 5], Window::new(t(100), t(250)))
-            .net_loss(1, 3, 0.2, Window::new(t(300), t(400)))
-            .expect("black-hole", [culprit_machine(2)])
-            .expect("corrupt-checkpoint", [CULPRIT_CKPT_SERVER.to_string()])
-            .build();
+        let plan = FaultPlan::new(vec![
+            partition(&[1], &[4, 5], w(100, 250)),
+            loss(1, 3, 0.2, w(300, 400)),
+            Fault::CkptCorrupt { job: 1 },
+        ])
+        .expect("black-hole", [culprit_machine(2)])
+        .build();
         let labels = plan.ground_truth();
         assert_eq!(labels.len(), 4);
         assert_eq!(labels[0].kind, "partition");
         assert_eq!(labels[0].culprits, vec!["link:1", "link:4", "link:5"]);
         assert_eq!(labels[1].culprits, vec!["link:1", "link:3"]);
-        assert_eq!(labels[2].culprits, vec!["machine:2"]);
-        assert_eq!(labels[3].culprits, vec!["ckpt-server"]);
+        assert_eq!(labels[2].kind, "corrupt-checkpoint");
+        assert_eq!(labels[2].culprits, vec!["ckpt-server"]);
+        assert_eq!(labels[3].culprits, vec!["machine:2"]);
         assert_eq!(
             plan.accepted_culprits(),
             vec![
@@ -716,25 +800,23 @@ mod tests {
 
     #[test]
     fn fs_faults_are_per_schedd() {
-        let plan = FaultPlan::none()
-            .fs_fault(1, Window::new(t(100), t(200)), EnvFault::FilesystemOffline)
-            .build();
-        assert_eq!(
-            plan.fs_fault_at(1, t(150)),
-            Some(EnvFault::FilesystemOffline)
-        );
+        let offline = EnvFault::FilesystemOffline;
+        let plan = FaultPlan::new(vec![Fault::FsFault {
+            schedd: 1,
+            window: w(100, 200),
+            fault: offline,
+        }])
+        .build();
+        assert_eq!(plan.fs_fault_at(1, t(150)), Some(offline));
         assert_eq!(plan.fs_fault_at(2, t(150)), None);
         assert_eq!(plan.fs_fault_at(1, t(250)), None);
-        assert_eq!(
-            plan.fs_fault_during(1, t(0), t(100)),
-            Some(EnvFault::FilesystemOffline)
-        );
+        assert_eq!(plan.fs_fault_during(1, t(0), t(100)), Some(offline));
         assert_eq!(plan.fs_fault_during(1, t(0), t(99)), None);
     }
 
     #[test]
     fn crashes_are_per_machine() {
-        let plan = FaultPlan::none().crash(3, Window::from(t(50))).build();
+        let plan = FaultPlan::new(vec![crash(3, Window::from(t(50)))]).build();
         assert!(!plan.crashed_at(3, t(49)));
         assert!(plan.crashed_at(3, t(50)));
         assert!(plan.crashed_at(3, t(1_000_000)));
@@ -753,148 +835,124 @@ mod tests {
     }
 
     #[test]
-    fn checked_window_rejects_empty_and_inverted() {
-        assert_eq!(
-            Window::checked(t(10), t(20)),
-            Some(Window::new(t(10), t(20)))
-        );
-        assert_eq!(Window::checked(t(10), t(10)), None);
-        assert_eq!(Window::checked(t(20), t(10)), None);
-    }
-
-    #[test]
     fn try_build_rejects_inverted_windows() {
-        // Window's fields are pub, so an inverted window is constructible
-        // by literal even though Window::new asserts.
-        let bad = Window {
-            from: t(20),
-            to: t(10),
-        };
-        let err = FaultPlan::none().crash(3, bad).try_build().unwrap_err();
-        match &err {
-            PlanError::BadWindow { what, from, to } => {
-                assert_eq!(what, "crash of machine 3");
-                assert_eq!((*from, *to), (t(20), t(10)));
-            }
-        }
-        assert!(err.to_string().contains("crash of machine 3"));
-
+        let err = FaultPlan::new(vec![crash(3, inverted())])
+            .try_build()
+            .unwrap_err();
+        assert_eq!(err, PlanError::BadWindow(crash(3, inverted())));
+        assert_eq!(
+            err.to_string(),
+            "bad fault window on `crash actor=3 [20s, 10s)`: empty or inverted"
+        );
         let zero = Window {
             from: t(5),
             to: t(5),
         };
-        assert!(FaultPlan::none()
-            .owner_activity(1, zero)
-            .try_build()
-            .is_err());
-        assert!(FaultPlan::none()
-            .net_loss(1, 2, 0.1, bad)
-            .try_build()
-            .is_err());
-        assert!(FaultPlan::none()
-            .fs_fault(0, bad, EnvFault::FilesystemOffline)
-            .try_build()
-            .is_err());
+        for entry in [
+            owner(1, zero),
+            loss(1, 2, 0.1, inverted()),
+            Fault::FsFault {
+                schedd: 0,
+                window: inverted(),
+                fault: EnvFault::FilesystemOffline,
+            },
+        ] {
+            assert!(FaultPlan::new(vec![entry]).try_build().is_err());
+        }
+    }
+
+    #[test]
+    fn try_build_rejects_probabilities_outside_the_unit_interval() {
+        for prob in [-0.1, 1.5, f64::NAN] {
+            let lossy = loss(1, 2, prob, w(10, 20));
+            let err = FaultPlan::new(vec![lossy]).try_build().unwrap_err();
+            assert!(matches!(err, PlanError::BadProbability(_)), "{err}");
+            assert!(err.to_string().contains("`net loss 1-2 [10s, 20s) prob="));
+
+            let duplicating = net(w(10, 20), NetFault::Duplication { a: 1, b: 2, prob });
+            let err = FaultPlan::new(vec![duplicating]).try_build().unwrap_err();
+            assert!(matches!(err, PlanError::BadProbability(_)), "{err}");
+            assert!(err.to_string().contains("`net duplication 1-2"), "{err}");
+        }
+        // Both ends of the interval are legal.
+        let edges = vec![loss(1, 2, 0.0, w(10, 20)), loss(1, 3, 1.0, w(10, 20))];
+        assert!(FaultPlan::new(edges).try_build().is_ok());
     }
 
     #[test]
     #[should_panic(expected = "invalid fault plan")]
     fn build_panics_on_inverted_window() {
-        let bad = Window {
-            from: t(20),
-            to: t(10),
-        };
-        let _ = FaultPlan::none().crash(3, bad).build();
+        let _ = FaultPlan::new(vec![crash(3, inverted())]).build();
     }
 
     #[test]
     fn overlapping_same_link_faults_get_warning_labels() {
+        let warnings = |faults: Vec<Fault>| -> Vec<Vec<String>> {
+            let plan = FaultPlan::new(faults).build();
+            let labels = plan.ground_truth().iter();
+            let warned = labels.filter(|l| l.kind == OVERLAP_WARNING);
+            warned.map(|l| l.culprits.clone()).collect()
+        };
         // Loss and a partition covering link 1–4 at once: warn-labeled.
-        let plan = FaultPlan::none()
-            .net_loss(1, 4, 0.2, Window::new(t(100), t(300)))
-            .net_partition([1], [4, 5], Window::new(t(200), t(400)))
-            .build();
-        let warnings: Vec<_> = plan
-            .ground_truth()
-            .iter()
-            .filter(|l| l.kind == OVERLAP_WARNING)
-            .collect();
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].culprits, vec!["link:1", "link:4"]);
+        let both = vec![
+            loss(1, 4, 0.2, w(100, 300)),
+            partition(&[1], &[4, 5], w(200, 400)),
+        ];
+        assert_eq!(warnings(both.clone()), vec![vec!["link:1", "link:4"]]);
         // Advisory only: the warning never widens the accepted culprits.
-        assert_eq!(plan.accepted_culprits(), vec!["link:1", "link:4", "link:5"]);
+        let accepted = FaultPlan::new(both).build().accepted_culprits();
+        assert_eq!(accepted, vec!["link:1", "link:4", "link:5"]);
 
         // Disjoint windows on the same link: no warning.
-        let quiet = FaultPlan::none()
-            .net_loss(1, 4, 0.2, Window::new(t(100), t(200)))
-            .net_loss(4, 1, 0.5, Window::new(t(200), t(300)))
-            .build();
-        assert!(quiet
-            .ground_truth()
-            .iter()
-            .all(|l| l.kind != OVERLAP_WARNING));
-
+        let quiet = vec![loss(1, 4, 0.2, w(100, 200)), loss(4, 1, 0.5, w(200, 300))];
+        assert!(warnings(quiet).is_empty());
         // Overlapping windows on *different* links: no warning either.
-        let other = FaultPlan::none()
-            .net_loss(1, 4, 0.2, Window::new(t(100), t(300)))
-            .net_loss(1, 5, 0.2, Window::new(t(100), t(300)))
-            .build();
-        assert!(other
-            .ground_truth()
-            .iter()
-            .all(|l| l.kind != OVERLAP_WARNING));
+        let other = vec![loss(1, 4, 0.2, w(100, 300)), loss(1, 5, 0.2, w(100, 300))];
+        assert!(warnings(other).is_empty());
     }
 
     #[test]
     fn flip_schedules_are_queryable() {
-        let plan = FaultPlan::none()
-            .heap_flip(7, 0xDEAD_BEEF)
-            .ckpt_flip(3)
-            .ckpt_flip(9)
-            .build();
+        let plan = FaultPlan::new(vec![
+            Fault::HeapFlip {
+                job: 7,
+                bit: 0xDEAD_BEEF,
+            },
+            Fault::CkptFlip { job: 3 },
+            Fault::CkptFlip { job: 9 },
+            Fault::CkptCorrupt { job: 4 },
+        ])
+        .build();
         assert_eq!(plan.heap_flip_for(7), Some(0xDEAD_BEEF));
         assert_eq!(plan.heap_flip_for(8), None);
-        assert_eq!(plan.ckpt_flip_jobs(), &[3, 9]);
-        // ckpt flips are self-describing (the server is the culprit);
-        // heap flips are not labeled — the mem-flip event names the
-        // machine at the instant of injection.
-        let kinds: Vec<_> = plan
-            .ground_truth()
-            .iter()
-            .map(|l| l.kind.as_str())
-            .collect();
-        assert_eq!(kinds, vec!["ckpt-flip", "ckpt-flip"]);
+        assert!(plan.ckpt_flipped(3) && plan.ckpt_flipped(9) && !plan.ckpt_flipped(7));
+        assert!(plan.ckpt_corrupted(4) && !plan.ckpt_corrupted(3));
+        // Stored-image damage is self-describing (the server is the
+        // culprit); heap flips are not labeled — the mem-flip event names
+        // the machine at the instant of injection.
+        let kinds: Vec<_> = plan.ground_truth().iter().map(|l| &l.kind).collect();
+        assert_eq!(kinds, ["ckpt-flip", "ckpt-flip", "corrupt-checkpoint"]);
         assert_eq!(plan.accepted_culprits(), vec![CULPRIT_CKPT_SERVER]);
     }
 
     #[test]
     fn flock_revocation_windows() {
-        let plan = FaultPlan::none()
-            .flock_revocation(7, Window::new(t(100), t(200)))
-            .build();
+        let revoke = |window| Fault::FlockRevocation { machine: 7, window };
+        let plan = FaultPlan::new(vec![revoke(w(100, 200))]).build();
         assert!(!plan.flock_revoked_at(7, t(99)));
         assert!(plan.flock_revoked_at(7, t(100)));
         assert!(plan.flock_revoked_at(7, t(199)));
         assert!(!plan.flock_revoked_at(7, t(200)));
         assert!(!plan.flock_revoked_at(8, t(150)));
-        assert_eq!(culprit_pool(3), "pool:3");
         // Revocation windows are validated like every other entry.
-        let bad = Window {
-            from: t(20),
-            to: t(10),
-        };
-        assert!(FaultPlan::none()
-            .flock_revocation(7, bad)
+        assert!(FaultPlan::new(vec![revoke(inverted())])
             .try_build()
             .is_err());
     }
 
     #[test]
     fn owner_activity_windows() {
-        let plan = FaultPlan::none()
-            .owner_activity(2, Window::new(t(100), t(200)))
-            .owner_activity(2, Window::new(t(500), t(600)))
-            .build();
+        let plan = FaultPlan::new(vec![owner(2, w(100, 200)), owner(2, w(500, 600))]).build();
         assert!(!plan.owner_busy_at(2, t(99)));
         assert!(plan.owner_busy_at(2, t(150)));
         assert!(!plan.owner_busy_at(2, t(200)));

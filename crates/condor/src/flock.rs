@@ -277,7 +277,7 @@ impl FederationBuilder {
         }
         // The network-fault driver registers last: nothing addresses it,
         // so its id never perturbs the ids the fault plan aims at.
-        if !plan.net_faults().is_empty() {
+        if plan.net_faults().next().is_some() {
             world.add_actor(Box::new(crate::netdriver::NetFaultDriver::new(Arc::clone(
                 &plan,
             ))));
@@ -337,7 +337,7 @@ impl FederationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, Window};
     use crate::job::JavaMode;
     use gridvm::programs;
 
@@ -404,10 +404,10 @@ mod tests {
             .pool([])
             .pool([MachineSpec::healthy("r1", 256)])
             .pool([MachineSpec::healthy("r2", 256)])
-            .faults(FaultPlan::none().crash(
-                FederationBuilder::matchmaker_id(1),
-                Window::from(SimTime::ZERO),
-            ))
+            .faults(FaultPlan::new(vec![Fault::Crash {
+                actor: FederationBuilder::matchmaker_id(1),
+                window: Window::from(SimTime::ZERO),
+            }]))
             .job(job(1))
             .run(deadline());
         assert!(report.quiescent);

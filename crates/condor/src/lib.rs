@@ -62,8 +62,8 @@ pub mod telemetry;
 
 pub use ckptserver::{CkptServer, CkptServerStats};
 pub use faults::{
-    culprit_link, culprit_machine, culprit_pool, FaultLabel, FaultPlan, NetFault, PlanError,
-    TimedNetFault, Window, CULPRIT_CKPT_SERVER, OVERLAP_WARNING,
+    culprit_link, culprit_machine, Fault, FaultLabel, FaultPlan, NetFault, PlanError, Window,
+    CULPRIT_CKPT_SERVER, OVERLAP_WARNING,
 };
 pub use flock::{FederationBuilder, FlockReport};
 pub use health::{BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
@@ -82,7 +82,7 @@ pub use startd::{Startd, StartdPolicy};
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::faults::{FaultLabel, FaultPlan, Window};
+    pub use crate::faults::{Fault, FaultLabel, FaultPlan, NetFault, Window};
     pub use crate::flock::{FederationBuilder, FlockReport};
     pub use crate::health::{BreakerPolicy, RetryPolicy};
     pub use crate::job::{JavaMode, JobSpec, JobState, Universe};

@@ -25,7 +25,7 @@ pub struct NetFaultDriver {
 impl NetFaultDriver {
     /// A driver for `plan`.
     pub fn new(plan: Arc<FaultPlan>) -> NetFaultDriver {
-        let n = plan.net_faults().len();
+        let n = plan.net_faults().count();
         NetFaultDriver {
             plan,
             active: vec![false; n],
@@ -62,43 +62,24 @@ impl NetFaultDriver {
         }
     }
 
-    fn link_label(fault: &NetFault) -> String {
-        match fault {
-            NetFault::Partition { a, b } => {
-                let fmt = |v: &[usize]| {
-                    v.iter()
-                        .map(|h| h.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                format!("{}|{}", fmt(a), fmt(b))
-            }
-            NetFault::Loss { a, b, .. }
-            | NetFault::LatencySpike { a, b, .. }
-            | NetFault::Duplication { a, b, .. } => {
-                format!("{}-{}", a.min(b), a.max(b))
-            }
-        }
-    }
-
     /// Bring the fabric in line with the plan at `ctx.now`, emitting one
     /// `net-fault-applied` event per fault whose state flipped.
     fn reconcile(&mut self, ctx: &mut Context<'_, Msg>) {
         let plan = Arc::clone(&self.plan);
-        for (i, tf) in plan.net_faults().iter().enumerate() {
-            let should = tf.window.contains(ctx.now);
+        for (i, (window, fault)) in plan.net_faults().enumerate() {
+            let should = window.contains(ctx.now);
             if should == self.active[i] {
                 continue;
             }
             if should {
-                Self::apply(&tf.fault, ctx.net);
+                Self::apply(fault, ctx.net);
             } else {
-                Self::clear(&tf.fault, ctx.net);
+                Self::clear(fault, ctx.net);
             }
             self.active[i] = should;
             ctx.emit(obs::Event::NetFaultApplied {
-                kind: tf.fault.kind().to_string(),
-                link: Self::link_label(&tf.fault),
+                kind: fault.kind().to_string(),
+                link: fault.link(),
                 active: should,
             });
         }
@@ -129,7 +110,7 @@ impl Actor<Msg> for NetFaultDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, Window};
     use desim::{SimDuration, SimTime, World};
 
     fn t(s: u64) -> SimTime {
@@ -138,10 +119,24 @@ mod tests {
 
     #[test]
     fn driver_applies_and_clears_at_window_edges() {
-        let plan = FaultPlan::none()
-            .net_partition([1], [2], Window::new(t(100), t(200)))
-            .net_loss(1, 3, 1.0, Window::new(t(150), t(250)))
-            .build();
+        let plan = FaultPlan::new(vec![
+            Fault::Net {
+                window: Window::new(t(100), t(200)),
+                fault: NetFault::Partition {
+                    a: vec![1],
+                    b: vec![2],
+                },
+            },
+            Fault::Net {
+                window: Window::new(t(150), t(250)),
+                fault: NetFault::Loss {
+                    a: 1,
+                    b: 3,
+                    prob: 1.0,
+                },
+            },
+        ])
+        .build();
         let mut w: World<Msg> = World::new(1);
         // Actors 0..3 exist only as host ids.
         let d = w.add_actor(Box::new(NetFaultDriver::new(Arc::clone(&plan))));
@@ -197,15 +192,26 @@ mod tests {
 
     #[test]
     fn latency_spike_and_duplication_windows() {
-        let plan = FaultPlan::none()
-            .net_latency_spike(
-                0,
-                2,
-                SimDuration::from_millis(500),
-                Window::new(t(10), t(20)),
-            )
-            .net_duplication(0, 2, 1.0, Window::new(t(10), t(20)))
-            .build();
+        let window = Window::new(t(10), t(20));
+        let plan = FaultPlan::new(vec![
+            Fault::Net {
+                window,
+                fault: NetFault::LatencySpike {
+                    a: 0,
+                    b: 2,
+                    latency: SimDuration::from_millis(500),
+                },
+            },
+            Fault::Net {
+                window,
+                fault: NetFault::Duplication {
+                    a: 0,
+                    b: 2,
+                    prob: 1.0,
+                },
+            },
+        ])
+        .build();
         let mut w: World<Msg> = World::new(1);
         w.add_actor(Box::new(NetFaultDriver::new(plan)));
         let mut rng = desim::SimRng::seed_from_u64(9);

@@ -177,7 +177,6 @@ pub struct PoolBuilder {
     startd_policy: StartdPolicy,
     plan: FaultPlan,
     ckpt_server: bool,
-    ckpt_corrupt_prefixes: Vec<String>,
 }
 
 impl PoolBuilder {
@@ -193,7 +192,6 @@ impl PoolBuilder {
             startd_policy: StartdPolicy::default(),
             plan: FaultPlan::none(),
             ckpt_server: false,
-            ckpt_corrupt_prefixes: Vec::new(),
         }
     }
 
@@ -260,15 +258,6 @@ impl PoolBuilder {
     /// of merely trusting the schedd's progress ledger.
     pub fn with_checkpoint_server(mut self) -> PoolBuilder {
         self.ckpt_server = true;
-        self
-    }
-
-    /// Fault injection: corrupt every checkpoint image the server stores
-    /// for `job` (primary-schedd job ids). The corruption surfaces as an
-    /// explicit discard at resume time, never as a crash in the program.
-    pub fn corrupt_checkpoints_for(mut self, job: u32) -> PoolBuilder {
-        self.ckpt_corrupt_prefixes
-            .push(format!("ckpt/job{}/", u64::from(job)));
         self
     }
 
@@ -400,21 +389,13 @@ impl PoolBuilder {
             world.add_actor(Box::new(extra));
         }
         if let Some((id, cookie)) = ckpt {
-            let mut server = CkptServer::new(cookie);
-            for prefix in &self.ckpt_corrupt_prefixes {
-                server = server.corrupt_key_prefix(prefix);
-            }
-            // The plan's scheduled image flips arm the server here: one
-            // logged bit-flip per stored image of each targeted job.
-            for &job in plan.ckpt_flip_jobs() {
-                server = server.flip_bit_key_prefix(&format!("ckpt/job{job}/"), u64::from(job));
-            }
+            let server = CkptServer::new(cookie, Arc::clone(&plan));
             let got = world.add_actor(Box::new(server));
             assert_eq!(got, id, "checkpoint server id precomputed wrong");
         }
         // The network-fault driver registers last: nothing addresses it, so
         // its id never perturbs the ids the fault plan aims at.
-        if !plan.net_faults().is_empty() {
+        if plan.net_faults().next().is_some() {
             world.add_actor(Box::new(crate::netdriver::NetFaultDriver::new(Arc::clone(
                 &plan,
             ))));
@@ -426,7 +407,7 @@ impl PoolBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, Window};
     use crate::job::{JavaMode, JobState, Universe};
     use chirp::backend::EnvFault;
     use errorscope::resultfile::Outcome;
@@ -648,11 +629,11 @@ mod tests {
         let report = PoolBuilder::new(7)
             .machine(MachineSpec::healthy("m1", 256))
             .home_file("input.txt", b"hello")
-            .faults(FaultPlan::none().fs_fault(
-                PoolBuilder::SCHEDD_ID,
-                Window::new(SimTime::ZERO, SimTime::from_secs(200)),
-                EnvFault::FilesystemOffline,
-            ))
+            .faults(FaultPlan::new(vec![Fault::FsFault {
+                schedd: PoolBuilder::SCHEDD_ID,
+                window: Window::new(SimTime::ZERO, SimTime::from_secs(200)),
+                fault: EnvFault::FilesystemOffline,
+            }]))
             .job(
                 JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                     .with_inputs(&["input.txt"])
@@ -663,6 +644,14 @@ mod tests {
         // Completion had to wait out the outage.
         let done = report.jobs[&1].finished.unwrap();
         assert!(done >= SimTime::from_secs(200), "finished at {done}");
+        // Every staging failure left a record the oracle can see.
+        let logged = report
+            .telemetry
+            .iter()
+            .filter(|r| matches!(r.event, obs::Event::Reschedule { .. }))
+            .count();
+        assert!(report.metrics.reschedules > 0);
+        assert_eq!(logged as u64, report.metrics.reschedules);
     }
 
     #[test]
@@ -686,10 +675,10 @@ mod tests {
         let report = PoolBuilder::new(9)
             .machine(MachineSpec::healthy("doomed", 1024))
             .machine(MachineSpec::healthy("ok", 128))
-            .faults(FaultPlan::none().crash(
-                PoolBuilder::FIRST_MACHINE_ID,
-                Window::from(SimTime::from_secs(20)),
-            ))
+            .faults(FaultPlan::new(vec![Fault::Crash {
+                actor: PoolBuilder::FIRST_MACHINE_ID,
+                window: Window::from(SimTime::from_secs(20)),
+            }]))
             .job(
                 JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                     .with_exec_time(SimDuration::from_secs(60)),
@@ -710,10 +699,10 @@ mod tests {
         let down = SimTime::from_secs(300);
         let report = PoolBuilder::new(9)
             .machine(MachineSpec::healthy("m1", 256))
-            .faults(
-                FaultPlan::none()
-                    .crash(PoolBuilder::MATCHMAKER_ID, Window::new(SimTime::ZERO, down)),
-            )
+            .faults(FaultPlan::new(vec![Fault::Crash {
+                actor: PoolBuilder::MATCHMAKER_ID,
+                window: Window::new(SimTime::ZERO, down),
+            }]))
             .job(
                 JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                     .with_exec_time(SimDuration::from_secs(30)),
@@ -893,7 +882,7 @@ mod tests {
 #[cfg(test)]
 mod eviction_tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, Window};
     use crate::job::{JavaMode, JobSpec, JobState, Universe};
     use gridvm::programs;
 
@@ -911,10 +900,10 @@ mod eviction_tests {
         PoolBuilder::new(seed)
             .machine(MachineSpec::healthy("interrupted", 1024))
             .machine(MachineSpec::healthy("backup", 128))
-            .faults(FaultPlan::none().owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID,
-                Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-            ))
+            .faults(FaultPlan::new(vec![Fault::OwnerActivity {
+                machine: PoolBuilder::FIRST_MACHINE_ID,
+                window: Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
+            }]))
             .job(long_job(universe))
             .run(SimTime::from_secs(24 * 3600))
     }
@@ -962,10 +951,10 @@ mod eviction_tests {
         let report = PoolBuilder::new(22)
             .machine(MachineSpec::healthy("busy", 1024))
             .machine(MachineSpec::healthy("backup", 128))
-            .faults(
-                FaultPlan::none()
-                    .owner_activity(PoolBuilder::FIRST_MACHINE_ID, Window::from(SimTime::ZERO)),
-            )
+            .faults(FaultPlan::new(vec![Fault::OwnerActivity {
+                machine: PoolBuilder::FIRST_MACHINE_ID,
+                window: Window::from(SimTime::ZERO),
+            }]))
             .job(long_job(Universe::Vanilla))
             .run(SimTime::from_secs(24 * 3600));
         assert_eq!(report.metrics.jobs_completed, 1);
@@ -984,17 +973,16 @@ mod eviction_tests {
     fn repeated_evictions_still_converge_with_checkpoints() {
         // Owner activity every 200s on the only fast machine; a 500s
         // Standard job needs three slices but gets there.
-        let mut plan = FaultPlan::none();
-        for k in 0..20 {
+        let owner = (0..20).map(|k| {
             let start = 200 + k * 400;
-            plan = plan.owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID,
-                Window::new(SimTime::from_secs(start), SimTime::from_secs(start + 200)),
-            );
-        }
+            Fault::OwnerActivity {
+                machine: PoolBuilder::FIRST_MACHINE_ID,
+                window: Window::new(SimTime::from_secs(start), SimTime::from_secs(start + 200)),
+            }
+        });
         let report = PoolBuilder::new(23)
             .machine(MachineSpec::healthy("flaky-owner", 1024))
-            .faults(plan)
+            .faults(FaultPlan::new(owner.collect()))
             .job(JobSpec {
                 universe: Universe::Standard,
                 ..JobSpec::java(1, "ada", programs::calls_exit(0), JavaMode::Scoped)
@@ -1010,7 +998,7 @@ mod eviction_tests {
 #[cfg(test)]
 mod ckpt_server_tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, NetFault, Window};
     use crate::job::{Attempt, JavaMode, JobSpec, JobState, Universe};
     use gridvm::programs;
 
@@ -1022,6 +1010,14 @@ mod ckpt_server_tests {
         }
     }
 
+    /// The owner of the first machine is at the desk over `[300s, 4000s)`.
+    fn owner_returns() -> Fault {
+        Fault::OwnerActivity {
+            machine: PoolBuilder::FIRST_MACHINE_ID,
+            window: Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
+        }
+    }
+
     /// One machine with a mid-run owner-activity window plus a backup
     /// machine, and a real checkpoint server in the pool.
     fn server_pool(seed: u64) -> PoolBuilder {
@@ -1029,10 +1025,7 @@ mod ckpt_server_tests {
             .machine(MachineSpec::healthy("interrupted", 1024))
             .machine(MachineSpec::healthy("backup", 128))
             .with_checkpoint_server()
-            .faults(FaultPlan::none().owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID,
-                Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-            ))
+            .faults(FaultPlan::new(vec![owner_returns()]))
             .job(standard_job(600))
     }
 
@@ -1066,7 +1059,10 @@ mod ckpt_server_tests {
         // never an implicit crash, and the job must still complete from a
         // cold restart.
         let report = server_pool(32)
-            .corrupt_checkpoints_for(1)
+            .faults(FaultPlan::new(vec![
+                owner_returns(),
+                Fault::CkptCorrupt { job: 1 },
+            ]))
             .run(SimTime::from_secs(48 * 3600));
         assert_eq!(report.metrics.jobs_completed, 1, "{:?}", report.jobs[&1]);
         assert!(report.metrics.checkpoints_taken >= 1);
@@ -1094,15 +1090,17 @@ mod ckpt_server_tests {
         let server = PoolBuilder::FIRST_MACHINE_ID + 2;
         let at = SimTime::from_secs;
         let report = server_pool(38)
-            .faults(
-                FaultPlan::none()
-                    .owner_activity(
-                        PoolBuilder::FIRST_MACHINE_ID,
-                        Window::new(at(300), at(4000)),
-                    )
-                    // Up in time for the eviction's PUT, down for the GET.
-                    .net_partition([backup], [server], Window::new(at(305), at(2000))),
-            )
+            .faults(FaultPlan::new(vec![
+                owner_returns(),
+                // Up in time for the eviction's PUT, down for the GET.
+                Fault::Net {
+                    window: Window::new(at(305), at(2000)),
+                    fault: NetFault::Partition {
+                        a: vec![backup],
+                        b: vec![server],
+                    },
+                },
+            ]))
             .run(at(24 * 3600));
         assert_eq!(report.metrics.jobs_completed, 1, "{:?}", report.jobs[&1]);
         assert_eq!(report.metrics.checkpoints_taken, 1);
@@ -1160,7 +1158,7 @@ mod ckpt_server_tests {
 
     #[test]
     fn scheduled_ckpt_flip_is_logged_and_detected_on_restore() {
-        // The plan's ckpt_flip arms the server: every stored image for
+        // The plan's CkptFlip entry arms the server: every stored image for
         // job 1 gets one flipped bit plus a mem-flip scrubber record. The
         // FNV-1a trailer must catch the damage at restore — an explicit
         // discard, a cold restart, and still a completed job.
@@ -1168,14 +1166,10 @@ mod ckpt_server_tests {
             .machine(MachineSpec::healthy("interrupted", 1024))
             .machine(MachineSpec::healthy("backup", 128))
             .with_checkpoint_server()
-            .faults(
-                FaultPlan::none()
-                    .owner_activity(
-                        PoolBuilder::FIRST_MACHINE_ID,
-                        Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-                    )
-                    .ckpt_flip(1),
-            )
+            .faults(FaultPlan::new(vec![
+                owner_returns(),
+                Fault::CkptFlip { job: 1 },
+            ]))
             .job(standard_job(600))
             .run(SimTime::from_secs(48 * 3600));
         assert_eq!(report.metrics.jobs_completed, 1, "{:?}", report.jobs[&1]);
@@ -1197,14 +1191,13 @@ mod ckpt_server_tests {
             .machine(MachineSpec::healthy("interrupted", 1024))
             .machine(MachineSpec::healthy("backup", 128))
             .with_checkpoint_server()
-            .faults(
-                FaultPlan::none()
-                    .owner_activity(
-                        PoolBuilder::FIRST_MACHINE_ID,
-                        Window::new(SimTime::from_secs(300), SimTime::from_secs(4000)),
-                    )
-                    .heap_flip(1, 0x1234_5678),
-            )
+            .faults(FaultPlan::new(vec![
+                owner_returns(),
+                Fault::HeapFlip {
+                    job: 1,
+                    bit: 0x1234_5678,
+                },
+            ]))
             .job(JobSpec {
                 universe: Universe::Standard,
                 ..JobSpec::java(1, "ada", programs::heap_sum(64), JavaMode::Scoped)
@@ -1249,14 +1242,13 @@ mod ckpt_server_tests {
         // Resuming from a checkpoint is still a fresh attempt against the
         // budget: a job that keeps getting evicted parks at max_attempts
         // even though later attempts resumed banked progress.
-        let mut plan = FaultPlan::none();
-        for k in 0..30 {
+        let owner = (0..30).map(|k| {
             let start = 200 + k * 400;
-            plan = plan.owner_activity(
-                PoolBuilder::FIRST_MACHINE_ID,
-                Window::new(SimTime::from_secs(start), SimTime::from_secs(start + 200)),
-            );
-        }
+            Fault::OwnerActivity {
+                machine: PoolBuilder::FIRST_MACHINE_ID,
+                window: Window::new(SimTime::from_secs(start), SimTime::from_secs(start + 200)),
+            }
+        });
         let report = PoolBuilder::new(35)
             .machine(MachineSpec::healthy("flaky-owner", 1024))
             .with_checkpoint_server()
@@ -1264,7 +1256,7 @@ mod ckpt_server_tests {
                 max_attempts: 3,
                 ..ScheddPolicy::default()
             })
-            .faults(plan)
+            .faults(FaultPlan::new(owner.collect()))
             .job(standard_job(5000))
             .run(SimTime::from_secs(48 * 3600));
         let rec = &report.jobs[&1];
@@ -1295,7 +1287,7 @@ mod ckpt_server_tests {
 #[cfg(test)]
 mod partition_tests {
     use super::*;
-    use crate::faults::Window;
+    use crate::faults::{Fault, NetFault, Window};
     use crate::health::{BreakerPolicy, RetryPolicy};
     use crate::job::{JavaMode, JobSpec};
     use crate::msg::LeaseInfo;
@@ -1312,6 +1304,17 @@ mod partition_tests {
         })
     }
 
+    /// The schedd is cut off from `machines` during `window`.
+    fn schedd_cut_from(machines: &[usize], window: Window) -> Fault {
+        Fault::Net {
+            window,
+            fault: NetFault::Partition {
+                a: vec![PoolBuilder::SCHEDD_ID],
+                b: machines.to_vec(),
+            },
+        }
+    }
+
     /// A mid-run partition between the schedd and the only machine, with
     /// leasing on: both sides turn the silence into an explicit error, the
     /// startd frees itself, and the job completes exactly once after the
@@ -1324,11 +1327,10 @@ mod partition_tests {
                 lease: lease(),
                 ..ScheddPolicy::default()
             })
-            .faults(FaultPlan::none().net_partition(
-                [PoolBuilder::SCHEDD_ID],
-                [PoolBuilder::FIRST_MACHINE_ID],
+            .faults(FaultPlan::new(vec![schedd_cut_from(
+                &[PoolBuilder::FIRST_MACHINE_ID],
                 Window::new(t(30), t(600)),
-            ))
+            )]))
             .job(
                 JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                     .with_exec_time(SimDuration::from_secs(120)),
@@ -1377,14 +1379,13 @@ mod partition_tests {
                     lease,
                     ..ScheddPolicy::default()
                 })
-                .faults(FaultPlan::none().net_partition(
-                    [PoolBuilder::SCHEDD_ID],
-                    [
+                .faults(FaultPlan::new(vec![schedd_cut_from(
+                    &[
                         PoolBuilder::FIRST_MACHINE_ID,
                         PoolBuilder::FIRST_MACHINE_ID + 1,
                     ],
                     Window::new(t(30), t(700)),
-                ))
+                )]))
                 .job(
                     JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(120)),
@@ -1426,12 +1427,14 @@ mod partition_tests {
                 lease: lease(),
                 ..ScheddPolicy::default()
             })
-            .faults(FaultPlan::none().net_duplication(
-                PoolBuilder::SCHEDD_ID,
-                PoolBuilder::FIRST_MACHINE_ID,
-                1.0,
-                Window::from(SimTime::ZERO),
-            ))
+            .faults(FaultPlan::new(vec![Fault::Net {
+                window: Window::from(SimTime::ZERO),
+                fault: NetFault::Duplication {
+                    a: PoolBuilder::SCHEDD_ID,
+                    b: PoolBuilder::FIRST_MACHINE_ID,
+                    prob: 1.0,
+                },
+            }]))
             .job(
                 JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                     .with_exec_time(SimDuration::from_secs(60)),
@@ -1477,11 +1480,10 @@ mod partition_tests {
                     breaker,
                     ..ScheddPolicy::default()
                 })
-                .faults(FaultPlan::none().net_partition(
-                    [PoolBuilder::SCHEDD_ID],
-                    [PoolBuilder::FIRST_MACHINE_ID],
+                .faults(FaultPlan::new(vec![schedd_cut_from(
+                    &[PoolBuilder::FIRST_MACHINE_ID],
                     Window::new(outage.0, outage.1),
-                ))
+                )]))
                 .job(
                     JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(60)),
@@ -1543,26 +1545,25 @@ mod partition_tests {
                     breaker: Some(BreakerPolicy::default()),
                     ..ScheddPolicy::default()
                 })
-                .faults(
-                    FaultPlan::none()
-                        .net_partition(
-                            [PoolBuilder::SCHEDD_ID],
-                            [PoolBuilder::FIRST_MACHINE_ID],
-                            Window::new(t(40), t(300)),
-                        )
-                        .net_loss(
-                            PoolBuilder::SCHEDD_ID,
-                            PoolBuilder::FIRST_MACHINE_ID + 1,
-                            0.5,
-                            Window::new(t(10), t(200)),
-                        )
-                        .net_duplication(
-                            PoolBuilder::SCHEDD_ID,
-                            PoolBuilder::FIRST_MACHINE_ID + 1,
-                            1.0,
-                            Window::new(t(200), t(500)),
-                        ),
-                )
+                .faults(FaultPlan::new(vec![
+                    schedd_cut_from(&[PoolBuilder::FIRST_MACHINE_ID], Window::new(t(40), t(300))),
+                    Fault::Net {
+                        window: Window::new(t(10), t(200)),
+                        fault: NetFault::Loss {
+                            a: PoolBuilder::SCHEDD_ID,
+                            b: PoolBuilder::FIRST_MACHINE_ID + 1,
+                            prob: 0.5,
+                        },
+                    },
+                    Fault::Net {
+                        window: Window::new(t(200), t(500)),
+                        fault: NetFault::Duplication {
+                            a: PoolBuilder::SCHEDD_ID,
+                            b: PoolBuilder::FIRST_MACHINE_ID + 1,
+                            prob: 1.0,
+                        },
+                    },
+                ]))
                 .jobs((1..=3).map(|i| {
                     JobSpec::java(i, "ada", programs::completes_main(), JavaMode::Scoped)
                         .with_exec_time(SimDuration::from_secs(60))

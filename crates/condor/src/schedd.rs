@@ -528,10 +528,17 @@ impl Actor<Msg> for Schedd {
                 // down right now, staging itself fails: a local-resource
                 // error the shadow reports to the schedd ("the job cannot
                 // run right now").
-                if self.plan.fs_fault_at(ctx.self_id, ctx.now).is_some()
-                    && !self.jobs[&job].spec.inputs.is_empty()
+                if let Some(fault) = self
+                    .plan
+                    .fs_fault_at(ctx.self_id, ctx.now)
+                    .filter(|_| !self.jobs[&job].spec.inputs.is_empty())
                 {
                     ctx.send_net(machine, Msg::ReleaseClaim { job });
+                    ctx.emit(obs::Event::Reschedule {
+                        job: u64::from(job),
+                        machine: machine as u64,
+                        reason: format!("{}-scope error: {fault} while staging", fault.scope()),
+                    });
                     self.metrics.reschedules += 1;
                     let rec = self.jobs.get_mut(&job).unwrap();
                     rec.epoch += 1; // claim closed without activating

@@ -48,10 +48,10 @@ fn pool_breaker_reopens_on_probe_timeout_and_closes_on_negotiation() {
         .pool([])
         .pool([MachineSpec::healthy("r1", 256)])
         .pool_breaker(breaker)
-        .faults(FaultPlan::none().crash(
-            FederationBuilder::matchmaker_id(1),
-            Window::new(SimTime::ZERO, t(200)),
-        ))
+        .faults(FaultPlan::new(vec![Fault::Crash {
+            actor: FederationBuilder::matchmaker_id(1),
+            window: Window::new(SimTime::ZERO, t(200)),
+        }]))
         .job(
             JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(30)),
@@ -153,10 +153,17 @@ fn a_pool_of_silent_startds_denies_a_lifetime_later_with_no_job_queued() {
         Matchmaker::new(FaultPlan::none().build()).with_pool(1),
     ));
     let silent_from = Window::new(t(20), SimTime::MAX);
-    let plan = FaultPlan::none()
-        .crash(mm + 1, silent_from)
-        .crash(mm + 2, silent_from)
-        .build();
+    let plan = FaultPlan::new(vec![
+        Fault::Crash {
+            actor: mm + 1,
+            window: silent_from,
+        },
+        Fault::Crash {
+            actor: mm + 2,
+            window: silent_from,
+        },
+    ])
+    .build();
     for name in ["r1", "r2"] {
         let spec = MachineSpec::healthy(name, 256);
         let startd = Startd::new(spec, StartdPolicy::default(), mm, plan.clone());

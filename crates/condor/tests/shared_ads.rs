@@ -313,7 +313,11 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // On the wire: the ad survives the crash.
     let mut world: World<Msg> = World::new(5);
     let tap = world.add_actor(Box::new(Wiretap::default()));
-    let plan = FaultPlan::none().crash(tap + 1, crash).build();
+    let plan = FaultPlan::new(vec![Fault::Crash {
+        actor: tap + 1,
+        window: crash,
+    }])
+    .build();
     world.add_actor(Box::new(Startd::new(
         spec(),
         StartdPolicy::default(),
@@ -329,7 +333,11 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // At the matchmaker: expiry, then re-admission into a new shape.
     let mut world: World<Msg> = World::new(5);
     let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
-    let plan = FaultPlan::none().crash(mm + 1, crash).build();
+    let plan = FaultPlan::new(vec![Fault::Crash {
+        actor: mm + 1,
+        window: crash,
+    }])
+    .build();
     world.add_actor(Box::new(Startd::new(
         spec(),
         StartdPolicy::default(),

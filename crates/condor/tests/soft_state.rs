@@ -182,7 +182,12 @@ fn activation(universe: Universe, exec_s: u64) -> Activation {
 fn a_machine_says_so_the_instant_it_frees_itself() {
     let java = Universe::Java(JavaMode::Scoped);
     let window = |from, to| Window::new(secs(from), secs(to));
-    let crash = |from, to| FaultPlan::none().crash(1, window(from, to));
+    let crash = |from, to| {
+        FaultPlan::new(vec![Fault::Crash {
+            actor: 1,
+            window: window(from, to),
+        }])
+    };
     let activate = |act: Activation| Msg::ActivateClaim(Box::new(act));
     // (way, faults, script, run until, ads after the first two as (ms, claims))
     type Row = (
@@ -289,7 +294,10 @@ fn a_machine_says_so_the_instant_it_frees_itself() {
         (
             // Evicted at the window's onset: the report goes, the ad waits.
             "the owner comes back mid-run: reported, but silent while in use",
-            FaultPlan::none().owner_activity(1, window(25, 50)),
+            FaultPlan::new(vec![Fault::OwnerActivity {
+                machine: 1,
+                window: window(25, 50),
+            }]),
             vec![(20, claim(java)), (21, activate(activation(java, 10)))],
             80,
             vec![(60_001, 1), (75_001, 1)],
@@ -319,7 +327,10 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
             let plan = if partitioned {
                 FaultPlan::none()
             } else {
-                FaultPlan::none().crash(1, Window::new(secs(onset), secs(end)))
+                FaultPlan::new(vec![Fault::Crash {
+                    actor: 1,
+                    window: Window::new(secs(onset), secs(end)),
+                }])
             };
             let mut world: World<Msg> = World::new(3);
             let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
@@ -611,7 +622,10 @@ fn an_ad_its_schedd_stopped_renewing_leaves_within_a_lifetime_and_a_cycle() {
     let home_machine = builder.machine_ids(0)[0];
     let crash = Window::new(secs(0), secs(40));
     let (mut world, schedd, _) = builder
-        .faults(FaultPlan::none().crash(home_machine, crash))
+        .faults(FaultPlan::new(vec![Fault::Crash {
+            actor: home_machine,
+            window: crash,
+        }]))
         .build();
     let remote = FederationBuilder::matchmaker_id(1);
     let held = |world: &World<Msg>| {

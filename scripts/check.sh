@@ -30,6 +30,16 @@ if grep -rnF -e Request::Unlink -e Request::Rename -e Request::GetFile -e Reques
     exit 1
 fi
 
+echo "==> one fault vocabulary: no campaign fault type, plan builder method or off-plan checkpoint corrupter comes back"
+if grep -rnF --include=*.rs -e CrashPlan -e NetPlan -e NetKind -e FlipPlan -e FlockFaultPlan \
+    -e FlockFaultKind -e TimedNetFault -e owner_window -e corrupt_checkpoints_for \
+    -e corrupt_key_prefix -e flip_bit_key_prefix -e ckpt_flip_jobs -e '.fault_plan(' \
+    -e '.fs_fault(' -e '.crash(' -e '.owner_activity(' -e '.flock_revocation(' -e '.net_partition(' \
+    -e '.net_loss(' -e '.net_latency_spike(' -e '.net_duplication(' -e '.heap_flip(' \
+    -e '.ckpt_flip(' -e Window::checked -e culprit_pool crates src tests examples; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1

@@ -117,11 +117,11 @@ fn transient_fs_outage_is_waited_out() {
         .machine(MachineSpec::healthy("a", 256))
         .machine(MachineSpec::healthy("b", 256))
         .home_file("input.txt", b"payload")
-        .faults(FaultPlan::none().fs_fault(
-            PB::SCHEDD_ID,
-            Window::new(SimTime::from_secs(0), SimTime::from_secs(400)),
-            EnvFault::FilesystemOffline,
-        ))
+        .faults(FaultPlan::new(vec![Fault::FsFault {
+            schedd: PB::SCHEDD_ID,
+            window: Window::new(SimTime::from_secs(0), SimTime::from_secs(400)),
+            fault: EnvFault::FilesystemOffline,
+        }]))
         .job(
             JobSpec::java(1, "ada", programs::reads_and_writes(), JavaMode::Scoped)
                 .with_inputs(&["input.txt"])
@@ -145,10 +145,10 @@ fn crash_recovery_via_timeout() {
     let report = PB::new(17)
         .machine(MachineSpec::healthy("doomed", 1024))
         .machine(MachineSpec::healthy("ok", 128))
-        .faults(FaultPlan::none().crash(
-            PB::FIRST_MACHINE_ID,
-            Window::new(SimTime::from_secs(30), SimTime::from_secs(900)),
-        ))
+        .faults(FaultPlan::new(vec![Fault::Crash {
+            actor: PB::FIRST_MACHINE_ID,
+            window: Window::new(SimTime::from_secs(30), SimTime::from_secs(900)),
+        }]))
         .job(
             JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(120)),
