@@ -14,8 +14,8 @@ use crate::render_table;
 use crate::scenarios::{flock_policy, scale_job, scaling_federation, secs};
 use campaign::gen::deadline;
 use condor::prelude::*;
-use condor::{Msg, Schedd};
-use desim::{SimDuration, SimTime, World};
+use condor::Msg;
+use desim::SimTime;
 use std::collections::BTreeMap;
 
 type Census = BTreeMap<&'static str, u64>;
@@ -26,20 +26,14 @@ const SEED_STRIDE: u64 = 1_000_003;
 /// Every 64th campaign also runs its reference arm, as in the ledger.
 const REFERENCE_EVERY: u64 = 64;
 
-/// Run a built pool the way `PoolBuilder::run` and the ledger do — in
-/// 30-s slices until every job is terminal or `deadline` passes — and
+/// Build and drain a pool the way `PoolBuilder::run` and the ledger do —
+/// in 30-s slices until every job is terminal or `deadline` passes — and
 /// return its census.
-fn drain(built: (World<Msg>, usize, Vec<usize>), deadline: SimTime) -> Census {
-    let (mut world, schedd, _) = built;
+fn drain_counting(builder: PoolBuilder, deadline: SimTime) -> Census {
+    let layout = builder.layout();
+    let (mut world, _, _) = builder.build();
     world.count_deliveries_by(Msg::kind);
-    let mut now = SimTime::ZERO;
-    loop {
-        now = (now + SimDuration::from_secs(30)).min(deadline);
-        world.run_until(now);
-        if world.get::<Schedd>(schedd).expect("schedd").all_done() || now >= deadline {
-            break;
-        }
-    }
+    layout.drain(&mut world, deadline);
     assert_eq!(
         world.census().values().sum::<u64>(),
         world.events_processed()
@@ -52,7 +46,7 @@ fn pool_drain(machines: usize, jobs: u32) -> Census {
         .machines((0..machines).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
         .jobs((1..=jobs).map(scale_job))
         .schedd_policy(flock_policy());
-    drain(builder.build(), secs(48 * 3600))
+    drain_counting(builder, secs(48 * 3600))
 }
 
 fn fed_scale(pools: u64, machines_per: usize, jobs: u32, horizon: SimTime) -> Census {
@@ -72,7 +66,7 @@ fn campaign_sweep(campaigns: u64) -> Census {
             &[true]
         };
         for &faulty in arms {
-            for (kind, n) in drain(campaign.build_pool(faulty).build(), deadline()) {
+            for (kind, n) in drain_counting(campaign.build_pool(faulty), deadline()) {
                 *total.entry(kind).or_default() += n;
             }
         }

@@ -43,16 +43,18 @@
 use crate::harness::{artifact, drive, Artifact, Size};
 use crate::scenarios::{
     federation, negotiate_cycles, partition_during_flock, Negotiation, FEDERATION_HORIZON,
-    FEDERATION_JOBS, IMAGE_SIZES, MEM_TIERS, OVERSIZE, PARTITION_HORIZON,
+    FEDERATION_JOBS, FEDERATION_POOLS, IMAGE_SIZES, MEM_TIERS, OVERSIZE, PARTITION_HORIZON,
 };
 use crate::{f, render_table};
 use campaign::{check, generate_flock, RunSummary};
 use classads::ClassAd;
 use condor::prelude::*;
+use condor::Matchmaker;
 use desim::sweep::run_sweep;
 use desim::SimRng;
 use errorscope::Scope;
 use obs_analyze::Stream;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------
 // Sections 1 and 2 run `scenarios::federation` and
@@ -60,11 +62,12 @@ use obs_analyze::Stream;
 // ---------------------------------------------------------------------
 
 /// The partition scenario's gates, asserted on both determinism passes.
-fn check_partition(report: &FlockReport) -> (usize, usize, usize) {
+fn check_partition(report: &RunReport) -> (usize, usize, usize) {
+    let summary = RunSummary::of(report);
     assert!(
         report.quiescent,
         "partition run must drain: {:?}",
-        report.unfinished()
+        summary.unfinished
     );
     assert_eq!(report.metrics.jobs_completed, 1);
     // Exactly once: however many claims the partition burned, exactly
@@ -104,7 +107,7 @@ fn check_partition(report: &FlockReport) -> (usize, usize, usize) {
         pool_rulings >= 1,
         "pool faults must carry pool-scope rulings"
     );
-    let violations = check(&stream, &RunSummary::of_flock(report));
+    let violations = check(&stream, &summary);
     assert!(
         violations.is_empty(),
         "oracle fired on the partition run: {violations:?}"
@@ -135,7 +138,7 @@ fn campaign_rows(seeds: &[u64], threads: usize) -> Vec<CampaignRow> {
         let report = c.run(true);
         let stream = Stream::from_collector(&report.telemetry)
             .unwrap_or_else(|e| panic!("flock campaign seed {seed}: {e}"));
-        let violations: Vec<String> = check(&stream, &RunSummary::of_flock(&report))
+        let violations: Vec<String> = check(&stream, &RunSummary::of(&report))
             .iter()
             .map(|v| v.to_string())
             .collect();
@@ -231,8 +234,12 @@ fn scale_study(
 // ---------------------------------------------------------------------
 
 struct Pass {
-    federation: FlockReport,
-    partition: FlockReport,
+    federation: RunReport,
+    /// Flock grants each of the federation's pools served, by pool id.
+    flock_grants: Vec<u64>,
+    /// The federation's home-pool machines.
+    home_machines: Range<usize>,
+    partition: RunReport,
     partition_gates: (usize, usize, usize),
     campaigns: Vec<CampaignRow>,
     scale: Vec<PoolScale>,
@@ -249,7 +256,7 @@ fn shape(size: Size) -> (Vec<u64>, (u64, usize, usize)) {
 /// no span-dependent fields.
 fn snapshot(p: &Pass) -> String {
     let fed = &p.federation;
-    let grants: Vec<String> = fed.flock_grants.iter().map(u64::to_string).collect();
+    let grants: Vec<String> = p.flock_grants.iter().map(u64::to_string).collect();
     let campaign_rows: Vec<String> = p
         .campaigns
         .iter()
@@ -306,7 +313,15 @@ fn snapshot(p: &Pass) -> String {
 fn pass(size: Size) -> (Pass, Vec<Artifact>) {
     let (seeds, big) = shape(size);
     let threads = desim::sweep::default_width();
-    let federation = federation().run(FEDERATION_HORIZON);
+    let grid = federation();
+    let (layout, home_machines) = (grid.layout(), grid.machine_ids(0));
+    let (mut world, _, _) = grid.build();
+    layout.drain(&mut world, FEDERATION_HORIZON);
+    let federation = layout.report(&world);
+    let flock_grants = (0..FEDERATION_POOLS)
+        .map(|p| world.get::<Matchmaker>(PoolBuilder::matchmaker_id(p)))
+        .map(|mm| mm.expect("matchmaker").flock_grants)
+        .collect();
     obs::reset_span_ids(1_000_000);
     let partition = partition_during_flock().run(PARTITION_HORIZON);
     let partition_gates = check_partition(&partition);
@@ -318,6 +333,8 @@ fn pass(size: Size) -> (Pass, Vec<Artifact>) {
     scale.extend(scale_study(big.0, big.1, big.2, false, threads));
     let pass = Pass {
         federation,
+        flock_grants,
+        home_machines,
         partition,
         partition_gates,
         campaigns,
@@ -352,28 +369,29 @@ fn report(size: Size, pass: &Pass) {
     // Gate 1: the federation drains through flocking, and remote pools
     // actually served.
     let fed = &pass.federation;
+    let summary = RunSummary::of(fed);
     assert!(
         fed.quiescent,
         "federation must drain: {:?}",
-        fed.unfinished()
+        summary.unfinished
     );
     assert_eq!(fed.metrics.jobs_completed, u64::from(FEDERATION_JOBS));
-    assert!(fed.unfinished().is_empty(), "{:?}", fed.unfinished());
+    assert!(summary.unfinished.is_empty(), "{:?}", summary.unfinished);
     assert!(
         fed.metrics.flock_escalations >= 1,
         "a starved home pool must escalate to flocking"
     );
-    let remote_grants: u64 = fed.flock_grants.iter().skip(1).sum();
+    let remote_grants: u64 = pass.flock_grants.iter().skip(1).sum();
     assert!(remote_grants >= 1, "remote pools must serve flock grants");
     let remote_execs = fed
         .jobs
         .values()
         .flat_map(|r| &r.attempts)
-        .filter(|a| fed.pool_of_machine.get(&a.machine).copied().unwrap_or(0) != 0)
+        .filter(|a| !pass.home_machines.contains(&a.machine))
         .count();
     assert!(remote_execs >= 1, "some attempts must run on remote pools");
     let fstream = Stream::from_collector(&fed.telemetry).expect("federation stream");
-    let fv = check(&fstream, &RunSummary::of_flock(fed));
+    let fv = check(&fstream, &summary);
     assert!(fv.is_empty(), "oracle fired on the federation: {fv:?}");
     println!(
         "{}",
@@ -523,6 +541,23 @@ fn report(size: Size, pass: &Pass) {
 mod tests {
     use super::*;
     use crate::scenarios::PARTITION_HORIZON;
+
+    /// A federation's registry records what the network dropped: here the
+    /// inter-pool link to pool 1 while the job's flocked claim ran there.
+    #[test]
+    fn the_registry_counts_what_the_inter_pool_partition_dropped() {
+        let grid = partition_during_flock();
+        let (schedd, far) = (grid.schedd_id(), grid.machine_ids(1));
+        let report = grid.run(PARTITION_HORIZON);
+        let reg = report.registry();
+        let dropped: u64 = std::iter::once(PoolBuilder::matchmaker_id(1))
+            .chain(far)
+            .map(|id| format!("{}-{}", id.min(schedd), id.max(schedd)))
+            .map(|link| reg.counter("net_msgs_dropped", &[("link", &link)]))
+            .sum();
+        assert!(dropped > 0);
+        assert_eq!(dropped, report.net.dropped_total());
+    }
 
     /// Time to detect, pinned: in the partition-during-flock scenario the
     /// inter-pool link drops at 80 s, and the lease expiry, the flock

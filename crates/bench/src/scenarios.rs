@@ -131,13 +131,14 @@ pub fn flock_policy() -> ScheddPolicy {
 }
 
 pub const FEDERATION_JOBS: u32 = 30;
+pub const FEDERATION_POOLS: u64 = 5;
 
 /// Five pools, a starved two-machine home pool, thirty jobs; run or
 /// shard it to [`FEDERATION_HORIZON`].
-pub fn federation() -> FederationBuilder {
-    let mut b = FederationBuilder::new(47)
-        .pool((0..2).map(|i| MachineSpec::healthy(&format!("home{i}"), 256)));
-    for p in 1..5 {
+pub fn federation() -> PoolBuilder {
+    let mut b = PoolBuilder::new(47)
+        .machines((0..2).map(|i| MachineSpec::healthy(&format!("home{i}"), 256)));
+    for p in 1..FEDERATION_POOLS {
         b = b.pool((0..3).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
     }
     b.jobs((1..=FEDERATION_JOBS).map(|i| flock_job(i, 60 + u64::from(i % 5) * 30)))
@@ -167,10 +168,11 @@ pub fn scaling_federation(
     machines_per: usize,
     jobs: u32,
 ) -> desim::World<condor::Msg> {
-    let mut b = FederationBuilder::new(seed);
-    for p in 0..pools {
-        b = b.pool((0..machines_per).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
-    }
+    let machines =
+        |p: u64| (0..machines_per).map(move |i| MachineSpec::healthy(&format!("p{p}m{i}"), 256));
+    let b = (1..pools).fold(PoolBuilder::new(seed).machines(machines(0)), |b, p| {
+        b.pool(machines(p))
+    });
     let (mut world, _, _) = b
         .jobs((1..=jobs).map(scale_job))
         .schedd_policy(flock_policy())
@@ -184,12 +186,11 @@ pub fn scaling_federation(
 /// and its machines at once — goes down after the flocked claim lands and
 /// stays down long past the lease, then heals. Fault windows ride the
 /// deferred net-op path when the world is sharded.
-pub fn partition_during_flock() -> FederationBuilder {
-    let b = FederationBuilder::new(48)
-        .pool([])
+pub fn partition_during_flock() -> PoolBuilder {
+    let b = PoolBuilder::new(48)
         .pool([MachineSpec::healthy("r1", 256)])
         .pool([MachineSpec::healthy("r2", 256)]);
-    let mut far = vec![FederationBuilder::matchmaker_id(1)];
+    let mut far = vec![PoolBuilder::matchmaker_id(1)];
     far.extend(b.machine_ids(1));
     let schedd = b.schedd_id();
     b.schedd_policy(flock_policy())

@@ -473,30 +473,29 @@ pub fn generate_flock(seed: u64) -> FlockCampaign {
     // Fault targets exclude pool 0 (home: faults there are just the
     // saturation flocking already exercises) and the anchor pool.
     let targets = (n_pools - 2) as u64;
-    let schedd = n_pools;
+    let grid = federation(seed, &pools);
     let mut faults = Vec::new();
     for _ in 0..1 + rng.below(2) {
         let kind = rng.below(3);
-        let pool = 1 + rng.below(targets) as usize;
+        let pool = 1 + rng.below(targets);
         let from = rng.below(300);
         let window = Window::new(secs(from), secs(from + 300 + rng.below(1200)));
         match kind {
-            // Matchmaker `p` is actor `p`.
             0 => faults.push(Fault::Crash {
-                actor: pool,
+                actor: PB::matchmaker_id(pool),
                 window,
             }),
             1 => faults.push(Fault::Net {
                 window,
                 fault: NetFault::Partition {
-                    a: vec![schedd],
-                    b: std::iter::once(pool)
-                        .chain(machine_ids(&pools, pool))
+                    a: vec![grid.schedd_id()],
+                    b: std::iter::once(PB::matchmaker_id(pool))
+                        .chain(grid.machine_ids(pool))
                         .collect(),
                 },
             }),
             _ => faults.extend(
-                machine_ids(&pools, pool).map(|machine| Fault::FlockRevocation { machine, window }),
+                (grid.machine_ids(pool)).map(|machine| Fault::FlockRevocation { machine, window }),
             ),
         }
     }
@@ -508,29 +507,26 @@ pub fn generate_flock(seed: u64) -> FlockCampaign {
     }
 }
 
-/// The machine actor ids of `pool`, mirroring [`FederationBuilder`]'s
-/// deterministic layout (matchmaker `p` at actor `p`, schedd after the
-/// matchmakers, machines after the schedd grouped by pool).
-fn machine_ids(pools: &[usize], pool: usize) -> std::ops::Range<usize> {
-    let first = pools.len() + 1 + pools[..pool].iter().sum::<usize>();
-    first..first + pools[pool]
+/// The federation's pools: `pools[p]` healthy machines in pool `p`.
+fn federation(seed: u64, pools: &[usize]) -> PB {
+    let machines =
+        |p: usize| (0..pools[p]).map(move |i| MachineSpec::healthy(&format!("p{p}m{i}"), 256));
+    (1..pools.len()).fold(PB::new(seed).machines(machines(0)), |b, p| {
+        b.pool(machines(p))
+    })
 }
 
 impl FlockCampaign {
     /// The federation for this campaign. `faulty = false` builds the
     /// identical topology with the fault schedule removed — the
     /// reference stream for the post-mortem localizer.
-    pub fn build(&self, faulty: bool) -> FederationBuilder {
-        let mut b = FederationBuilder::new(self.seed);
-        for (p, &n) in self.pools.iter().enumerate() {
-            b = b.pool((0..n).map(|i| MachineSpec::healthy(&format!("p{p}m{i}"), 256)));
-        }
+    pub fn build(&self, faulty: bool) -> PB {
         let plan = if faulty {
             FaultPlan::new(self.faults.clone())
         } else {
             FaultPlan::none()
         };
-        b.jobs(self.jobs.iter().enumerate().map(|(i, &exec)| {
+        let jobs = self.jobs.iter().enumerate().map(|(i, &exec)| {
             JobSpec::java(
                 i as u32 + 1,
                 "ada",
@@ -538,16 +534,18 @@ impl FlockCampaign {
                 JavaMode::Scoped,
             )
             .with_exec_time(SimDuration::from_secs(exec))
-        }))
-        .schedd_policy(ScheddPolicy {
-            max_attempts: 60,
-            ..ScheddPolicy::default()
-        })
-        .faults(plan)
+        });
+        federation(self.seed, &self.pools)
+            .jobs(jobs)
+            .schedd_policy(ScheddPolicy {
+                max_attempts: 60,
+                ..ScheddPolicy::default()
+            })
+            .faults(plan)
     }
 
     /// Run the campaign (or its fault-free reference) to the deadline.
-    pub fn run(&self, faulty: bool) -> FlockReport {
+    pub fn run(&self, faulty: bool) -> RunReport {
         self.build(faulty).run(deadline())
     }
 
@@ -689,8 +687,9 @@ mod tests {
                     .iter()
                     .any(|f| matches!(f, Fault::FlockRevocation { machine, .. } if *machine == id))
             };
-            for p in [0, anchor] {
-                for id in std::iter::once(p).chain(machine_ids(&c.pools, p)) {
+            let grid = c.build(false);
+            for p in [0, anchor as u64] {
+                for id in std::iter::once(PB::matchmaker_id(p)).chain(grid.machine_ids(p)) {
                     assert!(
                         !plan.crashes_during(id, SimTime::ZERO, SimTime::MAX)
                             && !plan.accepted_culprits().contains(&culprit_link(id))
@@ -706,9 +705,9 @@ mod tests {
     fn a_sampled_flock_campaign_runs_clean_through_the_oracle() {
         let c = generate_flock(5);
         let report = c.run(true);
-        assert!(report.quiescent, "unfinished: {:?}", report.unfinished());
+        let summary = RunSummary::of(&report);
+        assert!(report.quiescent, "unfinished: {:?}", summary.unfinished);
         let stream = Stream::from_collector(&report.telemetry).unwrap();
-        let summary = RunSummary::of_flock(&report);
         let violations = check(&stream, &summary);
         assert!(
             violations.is_empty(),

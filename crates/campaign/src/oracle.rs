@@ -59,9 +59,9 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Summarize a pool run. `Held` and `AwaitingPostmortem` count as
-    /// unfinished: the work is lost to the queue even though the schedd
-    /// considers them settled.
+    /// Summarize a run, of one pool or a federation. `Held` and
+    /// `AwaitingPostmortem` count as unfinished: the work is lost to the
+    /// queue even though the schedd considers them settled.
     pub fn of(report: &RunReport) -> RunSummary {
         let mut unfinished = Vec::new();
         for (id, rec) in &report.jobs {
@@ -73,15 +73,6 @@ impl RunSummary {
         RunSummary {
             quiescent: report.quiescent,
             unfinished,
-        }
-    }
-
-    /// Summarize a federation run: same P4 contract, sourced from the
-    /// flocking schedd's report.
-    pub fn of_flock(report: &condor::FlockReport) -> RunSummary {
-        RunSummary {
-            quiescent: report.quiescent,
-            unfinished: report.unfinished(),
         }
     }
 }
@@ -389,8 +380,7 @@ mod tests {
         use condor::prelude::*;
         use desim::{SimDuration, SimTime};
         let run = |buggy: bool| {
-            let mut b = FederationBuilder::new(71)
-                .pool([])
+            let mut b = PoolBuilder::new(71)
                 .pool([])
                 .pool([MachineSpec::healthy("r2", 256)])
                 .job(
@@ -407,7 +397,7 @@ mod tests {
             }
             let report = b.run(SimTime::from_secs(3600));
             let stream = Stream::from_collector(&report.telemetry).unwrap();
-            let summary = RunSummary::of_flock(&report);
+            let summary = RunSummary::of(&report);
             check(&stream, &summary)
         };
         let violations = run(true);

@@ -17,10 +17,11 @@
 //!   the simulated fabric at window edges.
 //! * [`health`] — adaptive retry (exponential backoff with deterministic
 //!   jitter) and per-machine circuit breakers.
-//! * [`pool`] — one-stop pool assembly and run reports.
-//! * [`flock`] — federated pools: one schedd flocking to remote
-//!   matchmakers, with every cross-pool failure an explicit pool-scope
-//!   error.
+//! * [`pool`] — one-stop assembly and run reports for one pool or a
+//!   federation: one schedd flocking to remote matchmakers, with every
+//!   cross-pool failure an explicit pool-scope error.
+//! * [`flock`] — the frozen ledger's name for a federation, forwarding to
+//!   [`pool`].
 //! * [`metrics`] — the quantities the experiments report.
 //! * [`telemetry`] — error-journey span plumbing over the `obs` layer.
 //!
@@ -65,7 +66,6 @@ pub use faults::{
     culprit_link, culprit_machine, Fault, FaultLabel, FaultPlan, NetFault, PlanError, Window,
     CULPRIT_CKPT_SERVER, OVERLAP_WARNING,
 };
-pub use flock::{FederationBuilder, FlockReport};
 pub use health::{BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 pub use job::{Attempt, JavaMode, JobId, JobRecord, JobSpec, JobState, Universe};
 pub use machine::MachineSpec;
@@ -76,14 +76,15 @@ pub use msg::{
     StoredCkpt,
 };
 pub use netdriver::NetFaultDriver;
-pub use pool::{PoolBuilder, RunReport};
+pub use pool::{Layout, PoolBuilder, RunReport};
 pub use schedd::{FlockConfig, FlockTarget, Schedd, ScheddPolicy, UserEvent};
 pub use startd::{Startd, StartdPolicy};
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::faults::{Fault, FaultLabel, FaultPlan, NetFault, Window};
-    pub use crate::flock::{FederationBuilder, FlockReport};
+    // The ledger's federation facade.
+    pub use crate::flock::*;
     pub use crate::health::{BreakerPolicy, RetryPolicy};
     pub use crate::job::{JavaMode, JobSpec, JobState, Universe};
     pub use crate::machine::MachineSpec;

@@ -808,7 +808,7 @@ pub struct Matchmaker {
     engine: MatchEngine,
     /// The pool this matchmaker serves; stamped on every match
     /// notification and flock grant. Defaults to 0 (the home pool).
-    pool_id: u64,
+    pub(crate) pool_id: u64,
     /// The fault plan, consulted for matchmaker-down windows (the
     /// matchmaker is an actor; [`FaultPlan::crash`] on its id silences
     /// it): while crashed, every inbound ad and flock request is dropped

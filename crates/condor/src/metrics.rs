@@ -27,6 +27,10 @@ pub struct Metrics {
     /// Human postmortems performed (naive mode resubmissions).
     pub postmortems: u64,
     /// Times the schedd logged an environmental error and rescheduled.
+    /// Not the count of `reschedule` events: the schedd records one of
+    /// those for every vanished, revoked and lease-expired attempt too,
+    /// which this counter leaves out (106 of E12's campaigns 1000..2000
+    /// differ).
     pub reschedules: u64,
     /// Claims that were rejected or timed out.
     pub failed_claims: u64,
@@ -54,13 +58,18 @@ pub struct Metrics {
     /// Execution time thrown away by evictions of non-checkpointable jobs
     /// (microseconds in JSON).
     pub work_lost_to_eviction: SimDuration,
-    /// Checkpoints stored on the checkpoint server.
+    /// Checkpoints stored on the checkpoint server, as the schedd learned
+    /// of them from eviction reports. The `ckpt-*` events are what the
+    /// startds did; a report that never arrives leaves the three
+    /// checkpoint counters short of them (37 of E12's campaigns 1000..2000).
     pub checkpoints_taken: u64,
-    /// Attempts that successfully resumed from a stored checkpoint.
+    /// Attempts that successfully resumed from a stored checkpoint (as
+    /// reported; see [`Metrics::checkpoints_taken`]).
     pub checkpoints_restored: u64,
     /// Stored checkpoints rejected at resume time (missing, corrupt, or
     /// version-mismatched) — each an explicit checkpoint-scope error
-    /// followed by a cold restart.
+    /// followed by a cold restart (as reported; see
+    /// [`Metrics::checkpoints_taken`]).
     pub checkpoints_discarded: u64,
     /// Total serialized size of checkpoints stored on the server.
     pub checkpoint_bytes: u64,

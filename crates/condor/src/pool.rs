@@ -1,22 +1,28 @@
-//! Pool assembly: build a whole simulated grid in a few lines.
+//! Grid assembly: build a whole simulated grid in a few lines.
 //!
-//! [`PoolBuilder`] wires a matchmaker, one schedd, and any number of
-//! startds into a [`desim::World`], submits jobs, and runs to quiescence,
-//! returning a [`RunReport`] with the schedd's metrics, the user log, each
-//! job's attempt history, and per-machine statistics.
+//! [`PoolBuilder`] is the one assembler, for one pool or a federation. In
+//! the paper's lattice a pool is one more ring around the cluster (§3.3):
+//! each [`PoolBuilder::pool`] adds a remote pool with its own matchmaker
+//! and startds, and the schedd flocks to them, in order, when the home
+//! pool cannot place a job. [`PoolBuilder::run`] is build, then
+//! [`Layout::drain`], then [`Layout::report`]: one [`RunReport`] — the
+//! schedd's metrics, the user log, each job's attempt history, and
+//! per-machine statistics — for any number of pools.
 
 use crate::ckptserver::{CkptServer, CkptServerStats};
 use crate::faults::FaultPlan;
+use crate::health::BreakerPolicy;
 use crate::job::{JobRecord, JobSpec};
 use crate::machine::{BaseAds, MachineSpec};
 use crate::matchmaker::{Matchmaker, MatchmakerStats};
 use crate::metrics::{MachineStats, Metrics};
 use crate::msg::Msg;
-use crate::schedd::{Schedd, ScheddPolicy, UserEvent};
+use crate::schedd::{FlockConfig, FlockTarget, Schedd, ScheddPolicy, UserEvent};
 use crate::startd::{Startd, StartdPolicy};
 use chirp::cookie::Cookie;
 use desim::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One schedd's share of a finished run (for pools with extra schedds).
@@ -47,8 +53,8 @@ pub struct RunReport {
     pub machines: BTreeMap<usize, MachineStats>,
     /// The checkpoint server's traffic counters, when the pool ran one.
     pub ckpt_server: Option<CkptServerStats>,
-    /// The matchmaker's negotiation counters (pairs evaluated, cache hits,
-    /// cycles, …).
+    /// The home pool's matchmaker's negotiation counters (pairs evaluated,
+    /// cache hits, cycles, …).
     pub matchmaker: MatchmakerStats,
     /// The run's typed event stream: protocol events, remote I/O
     /// operations, and error-journey spans.
@@ -166,10 +172,12 @@ impl RunReport {
     }
 }
 
-/// Builder for a simulated pool.
+/// Builder for a simulated grid: one pool, or a federation of pools
+/// around one flocking schedd.
 pub struct PoolBuilder {
     seed: u64,
-    machines: Vec<MachineSpec>,
+    /// Machines by pool; pool 0, the home pool, is always there.
+    pools: Vec<Vec<MachineSpec>>,
     jobs: Vec<JobSpec>,
     home_files: Vec<(String, Vec<u8>)>,
     extra_schedd_jobs: Vec<Vec<JobSpec>>,
@@ -177,14 +185,16 @@ pub struct PoolBuilder {
     startd_policy: StartdPolicy,
     plan: FaultPlan,
     ckpt_server: bool,
+    pool_breaker: BreakerPolicy,
+    swallow_escapes: bool,
 }
 
 impl PoolBuilder {
-    /// A new pool with the given random seed.
+    /// A new grid with the given random seed: an empty home pool.
     pub fn new(seed: u64) -> PoolBuilder {
         PoolBuilder {
             seed,
-            machines: Vec::new(),
+            pools: vec![Vec::new()],
             jobs: Vec::new(),
             home_files: Vec::new(),
             extra_schedd_jobs: Vec::new(),
@@ -192,18 +202,30 @@ impl PoolBuilder {
             startd_policy: StartdPolicy::default(),
             plan: FaultPlan::none(),
             ckpt_server: false,
+            pool_breaker: BreakerPolicy::default(),
+            swallow_escapes: false,
         }
     }
 
-    /// Add one machine.
+    /// Add one machine to the home pool.
     pub fn machine(mut self, spec: MachineSpec) -> PoolBuilder {
-        self.machines.push(spec);
+        self.pools[0].push(spec);
         self
     }
 
-    /// Add several machines.
+    /// Add several machines to the home pool.
     pub fn machines(mut self, specs: impl IntoIterator<Item = MachineSpec>) -> PoolBuilder {
-        self.machines.extend(specs);
+        self.pools[0].extend(specs);
+        self
+    }
+
+    /// Add a remote pool — 1, 2, … in the order added — with its own
+    /// matchmaker and these machines (possibly none: an empty pool answers
+    /// flock probes with an explicit saturation denial). A grid of more
+    /// than one pool flocks: a job the home pool cannot place is offered
+    /// to the remote pools in order.
+    pub fn pool(mut self, machines: impl IntoIterator<Item = MachineSpec>) -> PoolBuilder {
+        self.pools.push(machines.into_iter().collect());
         self
     }
 
@@ -226,7 +248,7 @@ impl PoolBuilder {
     }
 
     /// Add another submitter: a second (third, …) schedd with its own job
-    /// queue, competing for the same pool through the one matchmaker —
+    /// queue, competing for the home pool through its matchmaker —
     /// "each participant of the system is represented by a daemon process
     /// that represents its interests" (§2.1). Extra schedds are registered
     /// *after* the machines, so machine actor ids are unaffected.
@@ -241,7 +263,7 @@ impl PoolBuilder {
         self
     }
 
-    /// Set the startd policy (applies to every machine).
+    /// Set the startd policy (applies to every machine in every pool).
     pub fn startd_policy(mut self, p: StartdPolicy) -> PoolBuilder {
         self.startd_policy = p;
         self
@@ -261,100 +283,111 @@ impl PoolBuilder {
         self
     }
 
+    /// The per-remote-pool circuit breaker policy.
+    pub fn pool_breaker(mut self, p: BreakerPolicy) -> PoolBuilder {
+        self.pool_breaker = p;
+        self
+    }
+
+    /// **Test-only.** Build the deliberately buggy schedd that swallows
+    /// remote-pool escapes instead of widening them — the mutation seed
+    /// the campaign oracle must flag as a Principle-1 breach.
+    pub fn swallow_escapes(mut self) -> PoolBuilder {
+        self.swallow_escapes = true;
+        self
+    }
+
     /// Does nothing: the trace log it used to disable is gone. Kept only
     /// for the frozen `crates/ledger` call site.
     pub fn without_trace(self) -> PoolBuilder {
         self
     }
 
-    /// Actor ids are assigned in order: matchmaker = 0, schedd = 1,
-    /// machines = 2.. — use this to aim fault-plan entries at machines.
+    /// The matchmaker of a one-pool grid: [`PoolBuilder::matchmaker_id`]`(0)`.
     pub const MATCHMAKER_ID: usize = 0;
-    /// See [`PoolBuilder::MATCHMAKER_ID`].
+    /// The schedd of a one-pool grid: [`PoolBuilder::schedd_id`].
     pub const SCHEDD_ID: usize = 1;
-    /// First machine actor id.
+    /// The first machine of a one-pool grid: the start of
+    /// [`PoolBuilder::machine_ids`]`(0)`.
     pub const FIRST_MACHINE_ID: usize = 2;
+
+    // The actor layout, the one encoding of it: matchmakers `0..P`, the
+    // schedd at `P`, the machines grouped by pool in declaration order,
+    // the extra schedds, the checkpoint server, and last the network-fault
+    // driver — nothing addresses it, so its id never perturbs the ids a
+    // fault plan aims at.
+
+    /// The matchmaker actor id of `pool`.
+    pub fn matchmaker_id(pool: u64) -> usize {
+        pool as usize
+    }
+
+    /// The schedd's actor id: right after the matchmakers.
+    pub fn schedd_id(&self) -> usize {
+        self.pools.len()
+    }
+
+    /// The machine actor ids of `pool`, in declaration order.
+    pub fn machine_ids(&self, pool: u64) -> Range<usize> {
+        let pool = pool as usize;
+        let first = self.schedd_id() + 1 + self.pools[..pool].iter().map(Vec::len).sum::<usize>();
+        first..first + self.pools[pool].len()
+    }
+
+    /// The ids [`Layout::drain`] watches and [`Layout::report`] reads,
+    /// taken before [`PoolBuilder::build`] consumes the builder.
+    pub fn layout(&self) -> Layout {
+        let last = self.pools.len() as u64 - 1;
+        let machines = self.machine_ids(0).start..self.machine_ids(last).end;
+        let extras = machines.end..machines.end + self.extra_schedd_jobs.len();
+        Layout {
+            schedds: std::iter::once(self.schedd_id())
+                .chain(extras.clone())
+                .collect(),
+            ckpt_server: self.ckpt_server.then_some(extras.end),
+            machines,
+        }
+    }
 
     /// Build the world and run until every job is terminal or `deadline`
     /// passes.
     pub fn run(self, deadline: SimTime) -> RunReport {
-        let (mut world, schedd_id, machine_ids) = self.build();
-        let n_machines = machine_ids.len();
-        let extra_ids: Vec<usize> = {
-            // Extra schedds follow the machines.
-            let first_extra = Self::FIRST_MACHINE_ID + n_machines;
-            (first_extra..)
-                .take_while(|id| world.get::<Schedd>(*id).is_some())
-                .collect()
-        };
-        let all_done = |world: &World<Msg>| {
-            world.get::<Schedd>(schedd_id).expect("schedd").all_done()
-                && extra_ids
-                    .iter()
-                    .all(|id| world.get::<Schedd>(*id).unwrap().all_done())
-        };
-        // Drive in slices so we can stop as soon as the queues quiesce.
-        let slice = SimDuration::from_secs(30);
-        let mut now = SimTime::ZERO;
-        loop {
-            now = SimTime::from_micros((now + slice).as_micros().min(deadline.as_micros()));
-            world.run_until(now);
-            if all_done(&world) || now >= deadline {
-                break;
-            }
-        }
-        let quiescent = all_done(&world);
-        let schedd = world.get::<Schedd>(schedd_id).unwrap();
-        let mut machines = BTreeMap::new();
-        for id in machine_ids {
-            let s = world.get::<Startd>(id).expect("startd present");
-            machines.insert(id, s.stats.clone());
-        }
-        let extra_schedds: Vec<ScheddSummary> = extra_ids
-            .iter()
-            .map(|id| {
-                let s = world.get::<Schedd>(*id).unwrap();
-                ScheddSummary {
-                    id: *id,
-                    metrics: s.metrics.clone(),
-                    user_log: s.user_log.clone(),
-                    jobs: s.jobs.clone(),
-                }
-            })
-            .collect();
-        let ckpt_server = world
-            .get::<CkptServer>(Self::FIRST_MACHINE_ID + n_machines + extra_schedds.len())
-            .map(|s| s.stats.clone());
-        let matchmaker = world
-            .get::<Matchmaker>(Self::MATCHMAKER_ID)
-            .map(|m| m.stats().clone())
-            .unwrap_or_default();
-        RunReport {
-            metrics: schedd.metrics.clone(),
-            user_log: schedd.user_log.clone(),
-            jobs: schedd.jobs.clone(),
-            extra_schedds,
-            machines,
-            ckpt_server,
-            matchmaker,
-            telemetry: world.telemetry().clone(),
-            net: world.net().stats().clone(),
-            finished_at: world.now(),
-            quiescent,
-            events: world.events_processed(),
-        }
+        let layout = self.layout();
+        let (mut world, _, _) = self.build();
+        layout.drain(&mut world, deadline);
+        layout.report(&world)
     }
 
     /// Build the world without running it (for tests that need to poke at
-    /// the network or inspect mid-flight state).
+    /// the network or inspect mid-flight state). Returns the world, the
+    /// schedd's actor id and every machine's, pool by pool.
     pub fn build(self) -> (World<Msg>, usize, Vec<usize>) {
+        // The checkpoint server's id is known before the startds that must
+        // talk to it are built.
+        let ckpt = (self.layout().ckpt_server).map(|id| (id, Cookie::generate(self.seed ^ 0xCB0B)));
         let mut world: World<Msg> = World::new(self.seed);
         let plan = self.plan.build();
+        let n_pools = self.pools.len();
 
-        let mm = world.add_actor(Box::new(Matchmaker::new(Arc::clone(&plan))));
-        assert_eq!(mm, Self::MATCHMAKER_ID);
+        for p in 0..n_pools as u64 {
+            let mm = Matchmaker::new(Arc::clone(&plan)).with_pool(p);
+            assert_eq!(world.add_actor(Box::new(mm)), Self::matchmaker_id(p));
+        }
 
-        let mut schedd = Schedd::new(mm, self.schedd_policy, Arc::clone(&plan));
+        let home = Self::matchmaker_id(0);
+        let mut schedd = Schedd::new(home, self.schedd_policy, Arc::clone(&plan));
+        if n_pools > 1 {
+            schedd = schedd.with_flock(FlockConfig {
+                pools: (1..n_pools as u64)
+                    .map(|pool| FlockTarget {
+                        pool,
+                        matchmaker: Self::matchmaker_id(pool),
+                    })
+                    .collect(),
+                breaker: self.pool_breaker,
+                swallow_escapes: self.swallow_escapes,
+            });
+        }
         for (path, data) in &self.home_files {
             schedd.put_home_file(path, data);
         }
@@ -362,27 +395,25 @@ impl PoolBuilder {
             schedd.submit(job);
         }
         let schedd_id = world.add_actor(Box::new(schedd));
-        assert_eq!(schedd_id, Self::SCHEDD_ID);
+        assert_eq!(schedd_id, n_pools, "the schedd follows the matchmakers");
 
-        // The checkpoint server (if any) registers after machines and
-        // extra schedds, so its actor id is known before the startds that
-        // must talk to it are built.
-        let ckpt = self.ckpt_server.then(|| {
-            let id = Self::FIRST_MACHINE_ID + self.machines.len() + self.extra_schedd_jobs.len();
-            (id, Cookie::generate(self.seed ^ 0xCB0B))
-        });
         let mut machine_ids = Vec::new();
         let mut bases = BaseAds::default();
-        for spec in self.machines {
-            let base = bases.base_for(&spec);
-            let mut startd = Startd::sharing(base, spec, self.startd_policy, mm, Arc::clone(&plan));
-            if let Some((id, cookie)) = &ckpt {
-                startd = startd.with_ckpt_server(*id, cookie.clone());
+        for (p, machines) in self.pools.into_iter().enumerate() {
+            let (pool, mm) = (p as u64, Self::matchmaker_id(p as u64));
+            for spec in machines {
+                let base = bases.base_for(&spec);
+                let mut startd =
+                    Startd::sharing(base, spec, self.startd_policy, mm, Arc::clone(&plan))
+                        .with_pool(pool);
+                if let Some((id, cookie)) = &ckpt {
+                    startd = startd.with_ckpt_server(*id, cookie.clone());
+                }
+                machine_ids.push(world.add_actor(Box::new(startd)));
             }
-            machine_ids.push(world.add_actor(Box::new(startd)));
         }
         for jobs in self.extra_schedd_jobs {
-            let mut extra = Schedd::new(mm, self.schedd_policy, Arc::clone(&plan));
+            let mut extra = Schedd::new(home, self.schedd_policy, Arc::clone(&plan));
             for job in jobs {
                 extra.submit(job);
             }
@@ -393,14 +424,82 @@ impl PoolBuilder {
             let got = world.add_actor(Box::new(server));
             assert_eq!(got, id, "checkpoint server id precomputed wrong");
         }
-        // The network-fault driver registers last: nothing addresses it, so
-        // its id never perturbs the ids the fault plan aims at.
         if plan.net_faults().next().is_some() {
             world.add_actor(Box::new(crate::netdriver::NetFaultDriver::new(Arc::clone(
                 &plan,
             ))));
         }
         (world, schedd_id, machine_ids)
+    }
+}
+
+/// Where a built grid's schedds, machines and checkpoint server sit: what
+/// [`Layout::drain`] watches and [`Layout::report`] reads. From
+/// [`PoolBuilder::layout`].
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// The schedd first, then the extra schedds.
+    schedds: Vec<usize>,
+    /// Every pool's machines.
+    machines: Range<usize>,
+    ckpt_server: Option<usize>,
+}
+
+impl Layout {
+    /// Has every schedd's queue reached a terminal state?
+    fn all_done(&self, world: &World<Msg>) -> bool {
+        (self.schedds.iter()).all(|&id| world.get::<Schedd>(id).expect("schedd").all_done())
+    }
+
+    /// Run a built world in 30-s slices until every job is terminal or
+    /// `deadline` passes.
+    pub fn drain(&self, world: &mut World<Msg>, deadline: SimTime) {
+        let mut now = SimTime::ZERO;
+        loop {
+            now = (now + SimDuration::from_secs(30)).min(deadline);
+            world.run_until(now);
+            if self.all_done(world) || now >= deadline {
+                break;
+            }
+        }
+    }
+
+    /// What the world's schedds, machines, home matchmaker and checkpoint
+    /// server hold now.
+    pub fn report(&self, world: &World<Msg>) -> RunReport {
+        let summary = |id: usize| {
+            let s = world.get::<Schedd>(id).expect("schedd");
+            ScheddSummary {
+                id,
+                metrics: s.metrics.clone(),
+                user_log: s.user_log.clone(),
+                jobs: s.jobs.clone(),
+            }
+        };
+        let schedd = summary(self.schedds[0]);
+        let machine = |id: usize| {
+            let s = world.get::<Startd>(id).expect("startd present");
+            (id, s.stats.clone())
+        };
+        let matchmaker = world
+            .get::<Matchmaker>(PoolBuilder::matchmaker_id(0))
+            .expect("home matchmaker");
+        RunReport {
+            metrics: schedd.metrics,
+            user_log: schedd.user_log,
+            jobs: schedd.jobs,
+            extra_schedds: self.schedds[1..].iter().map(|&id| summary(id)).collect(),
+            machines: self.machines.clone().map(machine).collect(),
+            ckpt_server: (self.ckpt_server)
+                .map(|id| world.get::<CkptServer>(id).expect("checkpoint server"))
+                .map(|s| s.stats.clone()),
+            matchmaker: matchmaker.stats().clone(),
+            telemetry: world.telemetry().clone(),
+            net: world.net().stats().clone(),
+            finished_at: world.now(),
+            quiescent: self.all_done(world),
+            events: world.events_processed(),
+        }
     }
 }
 
@@ -1767,5 +1866,184 @@ mod render_tests {
         assert!(h.contains("attempt 1"), "{h}");
         assert!(h.contains("program"), "{h}");
         assert!(report.render_history(99).contains("no such job"));
+    }
+}
+
+#[cfg(test)]
+mod flock_tests {
+    use super::*;
+    use crate::faults::{Fault, Window};
+    use crate::job::JavaMode;
+    use gridvm::programs;
+
+    fn job(id: u32) -> JobSpec {
+        JobSpec::java(id, "ada", programs::completes_main(), JavaMode::Scoped)
+            .with_exec_time(SimDuration::from_secs(30))
+    }
+
+    fn deadline() -> SimTime {
+        SimTime::from_secs(3600)
+    }
+
+    #[test]
+    fn starved_job_flocks_to_a_remote_pool_and_completes() {
+        // Home pool has no machines at all: the job starves past the
+        // patience window, the schedd probes pool 1, and the job runs
+        // remotely — a flocked claim end to end.
+        let grid = PoolBuilder::new(41)
+            .pool([MachineSpec::healthy("r1", 256)])
+            .job(job(1));
+        let (layout, remote) = (grid.layout(), grid.machine_ids(1));
+        let (mut world, _, _) = grid.build();
+        layout.drain(&mut world, deadline());
+        let report = layout.report(&world);
+        assert!(report.quiescent, "{:?}", report.jobs);
+        assert_eq!(report.metrics.jobs_completed, 1);
+        assert!(report.metrics.flock_escalations >= 1);
+        let pool1 = world.get::<Matchmaker>(PoolBuilder::matchmaker_id(1));
+        assert_eq!(pool1.unwrap().flock_grants, 1, "pool 1 served the probe");
+        // The one attempt ran on pool 1's machine.
+        let rec = &report.jobs[&1];
+        let machine = rec.attempts.last().unwrap().machine;
+        assert!(remote.contains(&machine));
+    }
+
+    #[test]
+    fn saturated_pool_is_an_explicit_denial_not_silence() {
+        // Pool 1 is empty (saturated); pool 2 has the machine. The denial
+        // from pool 1 must surface as an explicit pool-scope FlockFault,
+        // and the job must still complete via pool 2.
+        let report = PoolBuilder::new(42)
+            .pool([])
+            .pool([MachineSpec::healthy("r2", 256)])
+            .job(job(1))
+            .run(deadline());
+        assert!(report.quiescent);
+        assert_eq!(report.metrics.jobs_completed, 1);
+        assert!(report.metrics.flock_faults >= 1, "{:?}", report.metrics);
+        let saturated: Vec<u64> = report
+            .telemetry
+            .iter()
+            .filter_map(|r| match &r.event {
+                obs::Event::FlockFault { pool, kind, .. } if kind == "saturated" => Some(*pool),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(saturated, vec![1], "pool 1 denied; only pool 1");
+    }
+
+    #[test]
+    fn crashed_remote_matchmaker_times_out_and_the_next_pool_serves() {
+        // Pool 1's matchmaker is down the whole run: the probe times out
+        // (unreachable — never a hang), its breaker records the failure,
+        // and pool 2 takes the job.
+        let grid = PoolBuilder::new(43)
+            .pool([MachineSpec::healthy("r1", 256)])
+            .pool([MachineSpec::healthy("r2", 256)])
+            .faults(FaultPlan::new(vec![Fault::Crash {
+                actor: PoolBuilder::matchmaker_id(1),
+                window: Window::from(SimTime::ZERO),
+            }]))
+            .job(job(1));
+        let pool2 = grid.machine_ids(2);
+        let report = grid.run(deadline());
+        assert!(report.quiescent);
+        assert_eq!(report.metrics.jobs_completed, 1);
+        let unreachable = report
+            .telemetry
+            .iter()
+            .filter(|r| {
+                matches!(&r.event,
+                    obs::Event::FlockFault { pool, kind, .. } if *pool == 1 && kind == "unreachable")
+            })
+            .count();
+        assert!(
+            unreachable >= 1,
+            "probe of the dead matchmaker must time out"
+        );
+        let rec = &report.jobs[&1];
+        let machine = rec.attempts.last().unwrap().machine;
+        assert!(pool2.contains(&machine));
+    }
+
+    #[test]
+    fn same_seed_same_federation_report() {
+        let run = || {
+            PoolBuilder::new(44)
+                .machine(MachineSpec::healthy("h1", 128))
+                .pool([MachineSpec::healthy("r1", 256)])
+                .jobs((1..=4).map(job))
+                .run(deadline())
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.finished_at, b.finished_at);
+        assert_eq!(a.metrics.jobs_completed, b.metrics.jobs_completed);
+        assert_eq!(a.metrics.flock_escalations, b.metrics.flock_escalations);
+        assert_eq!(
+            a.registry().snapshot_json(),
+            b.registry().snapshot_json(),
+            "registry snapshots must be byte-identical"
+        );
+    }
+}
+
+#[cfg(test)]
+mod layout_tests {
+    use super::*;
+
+    fn healthy(name: &str) -> MachineSpec {
+        MachineSpec::healthy(name, 256)
+    }
+
+    /// Build `grid` and check that its schedd, each of its `pools`'
+    /// matchmakers and every machine sit at the ids it names, in the pool
+    /// it names.
+    fn assert_layout_hosts(grid: PoolBuilder, pools: u64) -> World<Msg> {
+        let ids: Vec<Range<usize>> = (0..pools).map(|p| grid.machine_ids(p)).collect();
+        let schedd = grid.schedd_id();
+        let (world, built, machines) = grid.build();
+        assert_eq!(
+            (built, machines),
+            (schedd, ids.iter().cloned().flatten().collect())
+        );
+        assert!(world.get::<Schedd>(schedd).is_some());
+        for (p, ids) in (0..).zip(ids) {
+            let mm = world.get::<Matchmaker>(PoolBuilder::matchmaker_id(p));
+            assert_eq!(mm.expect("matchmaker").pool_id, p);
+            for id in ids {
+                assert_eq!(world.get::<Startd>(id).expect("startd").pool_id, p);
+            }
+        }
+        world
+    }
+
+    #[test]
+    fn every_id_of_the_layout_hosts_its_actor() {
+        // Three pools around an empty home pool, as partition-during-flock.
+        let fed = PoolBuilder::new(1)
+            .pool([healthy("r1")])
+            .pool([healthy("r2"), healthy("r3")]);
+        let ids = (0..3).map(|p| fed.machine_ids(p)).collect::<Vec<_>>();
+        assert_eq!((fed.schedd_id(), ids), (3, vec![4..4, 4..5, 5..7]));
+        assert_layout_hosts(fed, 3);
+
+        // One pool, with an extra schedd and a checkpoint server after the
+        // machines: the one-pool ids.
+        let one = PoolBuilder::new(1)
+            .machines([healthy("m1"), healthy("m2")])
+            .extra_schedd([])
+            .with_checkpoint_server();
+        let first = PoolBuilder::FIRST_MACHINE_ID;
+        assert_eq!(PoolBuilder::matchmaker_id(0), PoolBuilder::MATCHMAKER_ID);
+        assert_eq!(one.schedd_id(), PoolBuilder::SCHEDD_ID);
+        assert_eq!(one.machine_ids(0), first..first + 2);
+        let layout = one.layout();
+        assert_eq!(layout.schedds, [PoolBuilder::SCHEDD_ID, first + 2]);
+        assert_eq!(layout.ckpt_server, Some(first + 3));
+        let world = assert_layout_hosts(one, 1);
+        assert!(world.get::<Schedd>(first + 2).is_some());
+        assert!(world.get::<CkptServer>(first + 3).is_some());
     }
 }

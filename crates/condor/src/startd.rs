@@ -138,7 +138,7 @@ pub struct Startd {
     ad: Option<Arc<ClassAd>>,
     /// The pool this machine belongs to. Claims stamped with a different
     /// pool are rejected; activations are revoked. Defaults to 0.
-    pool_id: u64,
+    pub(crate) pool_id: u64,
     /// The checkpoint server to migrate Standard-universe jobs through,
     /// if the pool runs one.
     ckpt_server: Option<(ActorId, Cookie)>,
@@ -1073,7 +1073,6 @@ impl Startd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flock::FederationBuilder;
     use crate::pool::PoolBuilder;
 
     /// A builder hands machines of one owner configuration one base ad:
@@ -1095,11 +1094,10 @@ mod tests {
             ]
         };
         let (mut pool, _, ids) = PoolBuilder::new(1).machines(specs()).build();
-        let (mut fed, _, pool_of) = FederationBuilder::new(1)
-            .pool(specs())
+        let (mut fed, _, fed_ids) = PoolBuilder::new(1)
+            .machines(specs())
             .pool([MachineSpec::healthy("c", 256)])
             .build();
-        let fed_ids: Vec<usize> = pool_of.into_keys().collect();
         for (world, ids) in [(&mut pool, &ids), (&mut fed, &fed_ids)] {
             world.run_until(SimTime::from_secs(1));
             let ad = |i: usize| {

@@ -8,7 +8,7 @@
 
 use condor::matchmaker::AD_LIFETIME;
 use condor::prelude::*;
-use condor::{CircuitBreaker, FederationBuilder, Matchmaker, Msg, Startd};
+use condor::{CircuitBreaker, Matchmaker, Msg, Startd};
 use desim::prelude::*;
 use gridvm::programs;
 
@@ -18,7 +18,7 @@ fn t(s: u64) -> SimTime {
 
 /// Breaker transitions recorded for the remote matchmaker's actor id,
 /// as (from, to) pairs in stream order.
-fn transitions(report: &condor::FlockReport, matchmaker: usize) -> Vec<(String, String)> {
+fn transitions(report: &RunReport, matchmaker: usize) -> Vec<(String, String)> {
     report
         .telemetry
         .iter()
@@ -44,24 +44,24 @@ fn pool_breaker_reopens_on_probe_timeout_and_closes_on_negotiation() {
         open_for: SimDuration::from_secs(60),
         max_open: SimDuration::from_secs(600),
     };
-    let report = FederationBuilder::new(61)
-        .pool([])
+    let grid = PoolBuilder::new(61)
         .pool([MachineSpec::healthy("r1", 256)])
         .pool_breaker(breaker)
         .faults(FaultPlan::new(vec![Fault::Crash {
-            actor: FederationBuilder::matchmaker_id(1),
+            actor: PoolBuilder::matchmaker_id(1),
             window: Window::new(SimTime::ZERO, t(200)),
         }]))
         .job(
             JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
                 .with_exec_time(SimDuration::from_secs(30)),
-        )
-        .run(t(3600));
+        );
+    let pool1 = grid.machine_ids(1);
+    let report = grid.run(t(3600));
 
     assert!(report.quiescent, "{:?}", report.jobs);
     assert_eq!(report.metrics.jobs_completed, 1);
 
-    let trs = transitions(&report, FederationBuilder::matchmaker_id(1));
+    let trs = transitions(&report, PoolBuilder::matchmaker_id(1));
     assert!(
         trs.iter().any(|(f, to)| f == "closed" && to == "open"),
         "repeated probe timeouts must open the breaker: {trs:?}"
@@ -93,7 +93,7 @@ fn pool_breaker_reopens_on_probe_timeout_and_closes_on_negotiation() {
     let at: Vec<(u64, String)> = (report.telemetry.iter())
         .filter_map(|r| match &r.event {
             obs::Event::BreakerStateChange { machine, to, .. }
-                if *machine == FederationBuilder::matchmaker_id(1) as u64 =>
+                if *machine == PoolBuilder::matchmaker_id(1) as u64 =>
             {
                 Some((r.at_us, to.clone()))
             }
@@ -108,7 +108,7 @@ fn pool_breaker_reopens_on_probe_timeout_and_closes_on_negotiation() {
     assert_eq!(at, recorded.map(|(at, to)| (at, to.to_string())));
     // The job eventually ran on the once-broken pool.
     let machine = report.jobs[&1].attempts.last().unwrap().machine;
-    assert_eq!(report.pool_of_machine[&machine], 1);
+    assert!(pool1.contains(&machine));
     assert!(
         report.jobs[&1].finished.unwrap() >= t(200),
         "after the heal"

@@ -17,9 +17,7 @@ use common::Wiretap;
 use condor::matchmaker::{AD_LIFETIME, NEGOTIATE_PERIOD};
 use condor::prelude::*;
 use condor::startd::KEEPALIVE_PERIOD;
-use condor::{
-    Activation, FederationBuilder, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd, Startd,
-};
+use condor::{Activation, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd, Startd};
 use desim::prelude::*;
 use gridvm::programs;
 use std::sync::Arc;
@@ -615,11 +613,11 @@ fn one_lost_renewal_is_survived_two_are_not() {
 /// used to sit until a machine matched it and the schedd looked away.
 #[test]
 fn an_ad_its_schedd_stopped_renewing_leaves_within_a_lifetime_and_a_cycle() {
-    let builder = FederationBuilder::new(9)
-        .pool([MachineSpec::healthy("home", 256)])
+    let builder = PoolBuilder::new(9)
+        .machine(MachineSpec::healthy("home", 256))
         .pool([MachineSpec::healthy("tiny", 32)])
         .job(idle_job(1, 64).with_exec_time(SimDuration::from_secs(200)));
-    let home_machine = builder.machine_ids(0)[0];
+    let home_machine = builder.machine_ids(0).start;
     let crash = Window::new(secs(0), secs(40));
     let (mut world, schedd, _) = builder
         .faults(FaultPlan::new(vec![Fault::Crash {
@@ -627,7 +625,7 @@ fn an_ad_its_schedd_stopped_renewing_leaves_within_a_lifetime_and_a_cycle() {
             window: crash,
         }]))
         .build();
-    let remote = FederationBuilder::matchmaker_id(1);
+    let remote = PoolBuilder::matchmaker_id(1);
     let held = |world: &World<Msg>| {
         let s = world.get::<Matchmaker>(remote).unwrap().stats();
         (s.ads_active, s.cycles)

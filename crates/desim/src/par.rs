@@ -345,7 +345,7 @@ impl<M: Send + 'static> ParWorld<M> {
             let width = self.window.unwrap_or(lookahead).as_micros().max(1);
             let last = (t + SimDuration::from_micros(width - 1)).min(deadline);
             self.window(last, self.threads, move |shard, names| {
-                shard.drain(last, names)
+                shard.deliver_through(last, names)
             });
         }
         self.now = self.now.max(deadline);

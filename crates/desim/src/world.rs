@@ -150,7 +150,7 @@ impl<M: 'static> Shard<M> {
 
     /// Deliver every pending event up to and including `last`, until a
     /// handler stops the world.
-    pub(crate) fn drain(&mut self, last: SimTime, names: &[String]) {
+    pub(crate) fn deliver_through(&mut self, last: SimTime, names: &[String]) {
         while !self.stop && self.queue.peek_time().is_some_and(|t| t <= last) {
             self.dispatch(names);
         }
@@ -302,7 +302,7 @@ impl<M: 'static> World<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start_if_needed();
         let before = self.shard.events;
-        self.shard.drain(deadline, &self.names);
+        self.shard.deliver_through(deadline, &self.names);
         self.shard.now = self.shard.now.max(deadline);
         self.shard.events - before
     }

@@ -40,6 +40,18 @@ if grep -rnF --include=*.rs -e CrashPlan -e NetPlan -e NetKind -e FlipPlan -e Fl
     exit 1
 fi
 
+echo "==> one assembler, one drain, one run report: no federation report, flock summary or machine-to-pool map comes back"
+if grep -rnw --include=*.rs -e FlockReport -e of_flock -e pool_of_machine crates src tests examples \
+    | grep -v '^crates/ledger/'; then
+    exit 1
+fi
+
+echo "==> the federation facade and the drain loop live in condor's pool and flock modules (and the frozen ledger)"
+if grep -rnE --include=*.rs -e '\bFederationBuilder\b' -e '\bfn drain\b' crates src tests examples \
+    | grep -v -e '^crates/condor/src/flock.rs:' -e '^crates/condor/src/pool.rs:' -e '^crates/ledger/'; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
