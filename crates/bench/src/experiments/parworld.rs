@@ -29,10 +29,13 @@
 //!    and delivery statistics. The ≥2x-at-8-threads gate applies when
 //!    the host actually has ≥8 cores (on smaller hosts the gate is
 //!    determinism, not speedup — same discipline as E8's sweep section).
+//!    The process's peak resident set (`VmHWM`) is read after the three
+//!    arms: the scaling world is the largest thing it builds.
 //!
 //! Artifacts: `BENCH_parworld.json` — a `deterministic` core (stream
 //! digests and counts; two passes must serialize byte-identically) plus
-//! a `scaling` section (wall-clocks, excluded from the two-pass gate).
+//! a `scaling` section (wall-clocks and peak resident set, excluded from
+//! the two-pass gate; `peak_rss_mb` is `null` off Linux).
 //!
 //! Run with: `cargo run --release -p bench --bin exp -- e13`
 //! (pass `--smoke` for the CI-sized study).
@@ -43,7 +46,7 @@
 //! deliveries, steady state, drop — so that the table perf work on this
 //! world is sized from is a command, not a scratch copy.
 
-use crate::harness::{artifact, drive, Artifact, Size};
+use crate::harness::{artifact, drive, peak_rss_mb, Artifact, Size};
 use crate::scenarios::{
     federation, partition_during_flock, scaling_federation, secs, FEDERATION_HORIZON,
     PARTITION_HORIZON,
@@ -430,6 +433,13 @@ fn scaling_section(size: Size, shape: &ScaleShape, cores: usize) -> String {
                 .collect::<Vec<_>>(),
         )
     );
+    // The scaling world is the biggest thing this process builds, so the
+    // process's high-water mark is its footprint.
+    let peak_rss = peak_rss_mb();
+    match peak_rss {
+        Some(mb) => println!("peak resident set (VmHWM, whole process): {mb:.1} MB"),
+        None => println!("peak resident set: not available on this platform"),
+    }
     let at8 = rows.iter().find(|r| r.threads == 8).expect("8-thread arm");
     let speedup = base / at8.secs;
     if cores >= 8 && size == Size::Full {
@@ -461,12 +471,13 @@ fn scaling_section(size: Size, shape: &ScaleShape, cores: usize) -> String {
         .collect();
     format!(
         "{{\"pools\":{},\"machines_per_pool\":{},\"jobs\":{},\"horizon_secs\":{},\
-         \"shards\":8,\"rows\":[{}]}}",
+         \"shards\":8,\"rows\":[{}],\"peak_rss_mb\":{}}}",
         shape.pools,
         shape.machines_per,
         shape.jobs,
         shape.horizon.as_micros() / 1_000_000,
-        row_json.join(",")
+        row_json.join(","),
+        peak_rss.map_or("null".to_string(), |mb| format!("{mb:.1}"))
     )
 }
 

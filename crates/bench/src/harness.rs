@@ -113,3 +113,12 @@ pub fn time_ns<R>(mut f: impl FnMut() -> R) -> f64 {
     let best = (0..5).map(|_| batch(n, &mut f)).fold(f64::MAX, f64::min);
     best * 1e9 / n as f64
 }
+
+/// Peak resident set of this process so far in MB (`VmHWM`); `None` off
+/// Linux.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}

@@ -11,19 +11,66 @@
 //! it holds only what tells it apart, and every reader — lookup, iteration,
 //! printing, equality, the interpreter, the compiler — sees the flattened
 //! ad, the ad's own attributes shadowing the parent's.
+//!
+//! A pool holds one such child per machine, of two or three attributes, so
+//! the container is a per-machine cost: an ad keeps its own attributes in
+//! one vector, sorted by lower-cased name and sized exactly, where a
+//! B-tree would spend a ≈1.1 KB leaf on them.
 
 use crate::ast::Expr;
 use crate::parser::{parse_ad_pairs, ParseError};
 use crate::value::Value;
-use std::collections::{btree_map, BTreeMap};
+use std::cmp::Ordering;
 use std::fmt;
-use std::iter::Peekable;
 use std::sync::Arc;
 
-// Keyed by lower-case name; value keeps the display spelling plus the
-// expression, and insertion order is not semantic (BTreeMap gives
-// deterministic iteration).
-type Attrs = BTreeMap<String, (String, Expr)>;
+// The ad's own attributes, sorted by lower-case name (lookup is a binary
+// search; iteration order is lexical, so deterministic) and sized exactly:
+// a machine's child ad holds two or three of them, and a pool holds
+// thousands of such ads.
+type Attrs = Vec<Attr>;
+
+// One attribute: its name as written followed by the same name lower-cased,
+// in one allocation (ASCII lower-casing keeps the length, so each is half
+// of it), and its expression.
+#[derive(Debug, Clone, PartialEq)]
+struct Attr {
+    names: Box<str>,
+    expr: Expr,
+}
+
+impl Attr {
+    fn new(display: &str, expr: Expr) -> Attr {
+        let mut names = String::with_capacity(2 * display.len());
+        names.push_str(display);
+        names.push_str(display);
+        names[display.len()..].make_ascii_lowercase();
+        Attr {
+            names: names.into_boxed_str(),
+            expr,
+        }
+    }
+
+    /// The name as written.
+    fn display(&self) -> &str {
+        &self.names[..self.names.len() / 2]
+    }
+
+    /// The name as looked up.
+    fn key(&self) -> &str {
+        &self.names[self.names.len() / 2..]
+    }
+}
+
+// Where `lc_name` is in `attrs`, or where it would go.
+fn find(attrs: &[Attr], lc_name: &str) -> Result<usize, usize> {
+    attrs.binary_search_by(|attr| attr.key().cmp(lc_name))
+}
+
+// The attribute called `lc_name` in `attrs`.
+fn lookup<'a>(attrs: &'a [Attr], lc_name: &str) -> Option<&'a Attr> {
+    attrs.get(find(attrs, lc_name).ok()?)
+}
 
 /// A classified advertisement.
 #[derive(Debug, Clone, Default)]
@@ -63,23 +110,40 @@ impl ClassAd {
     /// Parse an ad from `[ name = expr; … ]` syntax. Later duplicates of a
     /// name override earlier ones.
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let mut ad = ClassAd::new();
-        for (name, expr) in parse_ad_pairs(input)? {
-            ad.insert_expr(name, expr);
-        }
-        Ok(ad)
+        let pairs = parse_ad_pairs(input)?.into_iter();
+        let mut attrs: Attrs = pairs.map(|(name, expr)| Attr::new(&name, expr)).collect();
+        // The sort is stable, so duplicates stay in written order; each
+        // later one takes the earlier one's place.
+        attrs.sort_by(|a, b| a.key().cmp(b.key()));
+        attrs.dedup_by(|later, earlier| {
+            let same = later.key() == earlier.key();
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        attrs.shrink_to_fit();
+        Ok(ClassAd {
+            attrs,
+            parent: None,
+        })
     }
 
     /// Insert an attribute given its expression.
-    pub fn insert_expr(&mut self, name: impl Into<String>, expr: Expr) -> &mut Self {
-        let display = name.into();
-        self.attrs
-            .insert(display.to_ascii_lowercase(), (display, expr));
+    pub fn insert_expr(&mut self, name: impl AsRef<str>, expr: Expr) -> &mut Self {
+        let attr = Attr::new(name.as_ref(), expr);
+        match find(&self.attrs, attr.key()) {
+            Ok(at) => self.attrs[at] = attr,
+            Err(at) => {
+                self.attrs.reserve_exact(1);
+                self.attrs.insert(at, attr);
+            }
+        }
         self
     }
 
     /// Insert a literal value.
-    pub fn insert(&mut self, name: impl Into<String>, value: Value) -> &mut Self {
+    pub fn insert(&mut self, name: impl AsRef<str>, value: Value) -> &mut Self {
         self.insert_expr(name, Expr::Lit(value))
     }
 
@@ -119,14 +183,15 @@ impl ClassAd {
         self
     }
 
-    fn entry(&self, lc_name: &str) -> Option<&(String, Expr)> {
-        let inherited = || self.parent.as_ref()?.attrs.get(lc_name);
-        self.attrs.get(lc_name).or_else(inherited)
+    fn entry(&self, lc_name: &str) -> Option<&Attr> {
+        let inherited = || lookup(&self.parent.as_ref()?.attrs, lc_name);
+        lookup(&self.attrs, lc_name).or_else(inherited)
     }
 
     /// Look up an attribute's expression by (case-insensitive) name.
     pub fn get(&self, name: &str) -> Option<&Expr> {
-        self.entry(&name.to_ascii_lowercase()).map(|(_, e)| e)
+        self.entry(&name.to_ascii_lowercase())
+            .map(|attr| &attr.expr)
     }
 
     /// Remove an attribute. Returns whether it was present. Removing an
@@ -134,14 +199,17 @@ impl ClassAd {
     /// of itself), so the parent's value cannot show through.
     pub fn remove(&mut self, name: &str) -> bool {
         let name = name.to_ascii_lowercase();
-        if let Some(parent) = self.parent.take_if(|p| p.attrs.contains_key(&name)) {
-            for (key, inherited) in &parent.attrs {
-                self.attrs
-                    .entry(key.clone())
-                    .or_insert_with(|| inherited.clone());
-            }
+        let inherited = |p: &Arc<ClassAd>| find(&p.attrs, &name).is_ok();
+        if self.parent.as_ref().is_some_and(inherited) {
+            self.attrs = self.entries().cloned().collect();
+            self.parent = None;
         }
-        self.attrs.remove(&name).is_some()
+        let Ok(at) = find(&self.attrs, &name) else {
+            return false;
+        };
+        self.attrs.remove(at);
+        self.attrs.shrink_to_fit();
+        true
     }
 
     /// True if the attribute exists.
@@ -151,11 +219,7 @@ impl ClassAd {
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        let inherited = self.parent.as_ref().map_or(0, |p| {
-            let visible = |key: &&String| !self.attrs.contains_key(*key);
-            p.attrs.keys().filter(visible).count()
-        });
-        self.attrs.len() + inherited
+        self.entries().count()
     }
 
     /// True when the ad has no attributes.
@@ -163,29 +227,29 @@ impl ClassAd {
         self.attrs.is_empty() && self.parent.as_ref().is_none_or(|p| p.attrs.is_empty())
     }
 
-    // Own and inherited entries merged by lower-cased name, own first on a
-    // tie (and the inherited one dropped): the flattened ad's order.
+    // Own and inherited attributes merged by lower-cased name, own first on
+    // a tie (and the inherited one dropped): the flattened ad's order.
     fn entries(&self) -> Entries<'_> {
         Entries {
-            own: self.attrs.iter().peekable(),
-            inherited: self.parent.as_ref().map(|p| p.attrs.iter().peekable()),
+            own: &self.attrs,
+            inherited: self.parent.as_ref().map_or(&[], |p| &p.attrs),
         }
     }
 
     /// Iterate `(display_name, expr)` in deterministic (lexical) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries().map(|(_, (d, e))| (d.as_str(), e))
+        self.entries().map(|attr| (attr.display(), &attr.expr))
     }
 
     /// Iterate `(lower_cased_name, expr)` in the same order.
     pub(crate) fn keyed(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries().map(|(key, (_, e))| (key.as_str(), e))
+        self.entries().map(|attr| (attr.key(), &attr.expr))
     }
 
     /// Iterate `(lower_cased_name, expr)` over the attributes this ad holds
     /// itself rather than inherits, in lexical order.
     pub fn own(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.attrs.iter().map(|(key, (_, e))| (key.as_str(), e))
+        self.attrs.iter().map(|attr| (attr.key(), &attr.expr))
     }
 
     /// Evaluate one attribute of this ad with no candidate ad in scope.
@@ -195,40 +259,38 @@ impl ClassAd {
     }
 }
 
-type Entry<'a> = (&'a String, &'a (String, Expr));
-type EntryIter<'a> = Peekable<btree_map::Iter<'a, String, (String, Expr)>>;
-
 struct Entries<'a> {
-    own: EntryIter<'a>,
-    inherited: Option<EntryIter<'a>>,
+    own: &'a [Attr],
+    inherited: &'a [Attr],
 }
 
 impl<'a> Iterator for Entries<'a> {
-    type Item = Entry<'a>;
+    type Item = &'a Attr;
 
-    fn next(&mut self) -> Option<Entry<'a>> {
-        let Some(inherited) = &mut self.inherited else {
-            return self.own.next();
-        };
-        match (self.own.peek(), inherited.peek()) {
-            (Some((mine, _)), Some((theirs, _))) if mine >= theirs => {
-                if mine == theirs {
-                    inherited.next(); // shadowed
-                    self.own.next()
-                } else {
-                    inherited.next()
+    fn next(&mut self) -> Option<&'a Attr> {
+        let take_own = match (self.own.first(), self.inherited.first()) {
+            (Some(mine), Some(theirs)) => match mine.key().cmp(theirs.key()) {
+                Ordering::Less => true,
+                Ordering::Equal => {
+                    self.inherited = &self.inherited[1..]; // shadowed
+                    true
                 }
-            }
-            (Some(_), _) => self.own.next(),
-            (None, _) => inherited.next(),
-        }
+                Ordering::Greater => false,
+            },
+            (mine, _) => mine.is_some(),
+        };
+        let side = if take_own {
+            &mut self.own
+        } else {
+            &mut self.inherited
+        };
+        let (first, rest) = side.split_first()?;
+        *side = rest;
+        Some(first)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let (own, inherited) = (
-            self.own.len(),
-            self.inherited.as_ref().map_or(0, |i| i.len()),
-        );
+        let (own, inherited) = (self.own.len(), self.inherited.len());
         (own.max(inherited), Some(own + inherited))
     }
 }
@@ -260,6 +322,8 @@ impl fmt::Display for ClassAd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propcheck::{check, Gen};
+    use std::collections::BTreeMap;
 
     #[test]
     fn build_and_lookup_case_insensitive() {
@@ -360,6 +424,147 @@ mod tests {
         assert!(!child.has("a") && !child.remove("a"));
         assert_eq!(child, ClassAd::new().with_int("b", 2));
         assert_eq!(parent.len(), 2);
+    }
+
+    /// The semantics the storage keeps, written over ordered maps: the
+    /// ad's own attributes keyed by lower-cased name, and its parent's
+    /// read through where it has none of its own.
+    #[derive(Default)]
+    struct Model {
+        own: BTreeMap<String, (String, Expr)>,
+        parent: Option<BTreeMap<String, (String, Expr)>>,
+    }
+
+    impl Model {
+        fn insert(&mut self, name: &str, expr: Expr) {
+            let key = name.to_ascii_lowercase();
+            self.own.insert(key, (name.to_string(), expr));
+        }
+
+        fn remove(&mut self, name: &str) -> bool {
+            let key = name.to_ascii_lowercase();
+            if let Some(parent) = self.parent.take_if(|p| p.contains_key(&key)) {
+                for (key, inherited) in parent {
+                    self.own.entry(key).or_insert(inherited);
+                }
+            }
+            self.own.remove(&key).is_some()
+        }
+
+        fn flat(&self) -> BTreeMap<String, (String, Expr)> {
+            let mut flat = self.parent.clone().unwrap_or_default();
+            flat.extend(self.own.clone());
+            flat
+        }
+
+        fn get(&self, name: &str) -> Option<Expr> {
+            let flat = self.flat();
+            flat.get(&name.to_ascii_lowercase()).map(|(_, e)| e.clone())
+        }
+    }
+
+    const NAMES: [&str; 10] = [
+        "a", "A", "b", "B", "name", "Name", "NAME", "hasJava", "HasJava", "memory",
+    ];
+
+    fn any_expr(g: &mut Gen) -> Expr {
+        match g.below(4) {
+            0 => Expr::int(g.int(0i64..3)),
+            1 => Expr::Lit(Value::Bool(g.bool())),
+            2 => Expr::string(*g.pick(&["x", "y"])),
+            _ => Expr::attr(g.pick::<&str>(&NAMES)),
+        }
+    }
+
+    /// `ad` reads as `model` through every reader.
+    fn agrees(ad: &ClassAd, model: &Model) {
+        let flat = model.flat();
+        let own = model.own.iter();
+        assert!(ad.iter().eq(flat.values().map(|(d, e)| (d.as_str(), e))));
+        assert!(ad
+            .keyed()
+            .eq(flat.iter().map(|(k, (_, e))| (k.as_str(), e))));
+        assert!(ad.own().eq(own.map(|(k, (_, e))| (k.as_str(), e))));
+        assert_eq!((ad.len(), ad.is_empty()), (flat.len(), flat.is_empty()));
+        assert_eq!(ad.parent().is_some(), model.parent.is_some());
+        let lines = flat.values().map(|(d, e)| format!("    {d} = {e};\n"));
+        assert_eq!(ad.to_string(), format!("[\n{}]", lines.collect::<String>()));
+        let mut copy = ClassAd::new();
+        for (display, expr) in flat.values() {
+            copy.insert_expr(display, expr.clone());
+        }
+        assert_eq!(*ad, copy);
+        assert_eq!(copy, *ad);
+    }
+
+    /// The sorted vector against the ordered maps it replaced, on mixed-case
+    /// and duplicate names, over flat ads and two children of one parent:
+    /// every step of a random edit sequence leaves every reader, and `==`
+    /// between the two ads, as the model says.
+    #[test]
+    fn storage_agrees_with_the_map_model() {
+        check(10_000, |g| {
+            let (mut parent, mut parent_model) = (ClassAd::new(), Model::default());
+            for _ in 0..g.int(0..=4) {
+                let (name, expr) = (*g.pick(&NAMES), any_expr(g));
+                parent.insert_expr(name, expr.clone());
+                parent_model.insert(name, expr);
+            }
+            agrees(&parent, &parent_model);
+            let (parent, chained) = (Arc::new(parent), g.bool());
+            let fresh = || match chained {
+                true => (
+                    ClassAd::chained(Arc::clone(&parent)),
+                    Model {
+                        own: BTreeMap::new(),
+                        parent: Some(parent_model.own.clone()),
+                    },
+                ),
+                false => (ClassAd::new(), Model::default()),
+            };
+            let mut ads = [fresh(), fresh()];
+            for _ in 0..g.int(1..=12) {
+                let (ad, model) = &mut ads[g.below(2)];
+                let name = *g.pick(&NAMES);
+                match g.below(6) {
+                    0 => {
+                        let value = Value::Int(g.int(0i64..3));
+                        ad.insert(name, value.clone());
+                        model.insert(name, Expr::Lit(value));
+                    }
+                    1 => {
+                        let expr = any_expr(g);
+                        ad.insert_expr(name, expr.clone());
+                        model.insert(name, expr);
+                    }
+                    2 => assert_eq!(ad.remove(name), model.remove(name)),
+                    3 => assert_eq!(ad.get(name), model.get(name).as_ref()),
+                    4 => assert_eq!(ad.has(name), model.get(name).is_some()),
+                    _ => assert_eq!(ad.len(), model.flat().len()),
+                }
+                let [(a, a_model), (b, b_model)] = &ads;
+                agrees(a, a_model);
+                agrees(b, b_model);
+                let same = a_model.flat() == b_model.flat();
+                assert_eq!((a == b, b == a), (same, same));
+            }
+        });
+    }
+
+    /// `parse` sorts what it reads and keeps the last of a name, spelling
+    /// and all — as inserting the pairs in written order does.
+    #[test]
+    fn parse_agrees_with_inserting_in_order() {
+        check(10_000, |g| {
+            let mut model = Model::default();
+            let pairs = g.vec(0..=8, |g| (*g.pick(&NAMES), any_expr(g)));
+            for (name, expr) in &pairs {
+                model.insert(name, expr.clone());
+            }
+            let text: Vec<String> = pairs.iter().map(|(n, e)| format!("{n} = {e}")).collect();
+            let ad = ClassAd::parse(&format!("[ {} ]", text.join("; "))).unwrap();
+            agrees(&ad, &model);
+        });
     }
 
     #[test]

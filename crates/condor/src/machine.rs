@@ -3,8 +3,9 @@
 //! A machine's ad is a shape and a name. Everything its owner configured —
 //! `Memory`, `Arch`, `OpSys`, the policy in `Requirements`, `Rank` — is the
 //! machine-independent *base*, built (and its policy text parsed) once per
-//! distinct configuration and shared by every machine that has it
-//! (`BaseAds`, in both pool builders). What a machine adds is a child
+//! distinct configuration and shared, with the rest of what the startd
+//! reads of the spec but the name, by every machine that has it
+//! (`SharedConfigs`, in the pool builder). What a machine adds is a child
 //! [chained](ClassAd::chained) to that base: its `Name`, the `MachineId`
 //! its startd stamps on it, and `HasJava` — the one thing §5's startd
 //! decides per machine, after the self-test, and may take back.
@@ -85,9 +86,19 @@ impl MachineSpec {
     }
 
     // What the [base ad](MachineSpec::base_ad) is made from.
-    fn configuration(&self) -> (i64, &str, &str, &str) {
+    fn ad_configuration(&self) -> (i64, &str, &str, &str) {
         let policy = &self.owner_requirements;
         (self.memory, &self.arch, &self.opsys, policy)
+    }
+
+    // Whether a machine of `other`'s spec may share this one's
+    // configuration: the base ad's fields, and everything else the startd
+    // reads of the spec but the name. Two machines advertising alike may
+    // still run different installations.
+    fn configured_like(&self, other: &MachineSpec) -> bool {
+        self.ad_configuration() == other.ad_configuration()
+            && self.asserts_java == other.asserts_java
+            && self.installation == other.installation
     }
 
     /// The machine's own part of the ad, chained to `base` (which must be
@@ -95,12 +106,7 @@ impl MachineSpec {
     /// the startd's decision after any self-test — it may differ from the
     /// owner's assertion.
     pub fn ad_over(&self, base: Arc<ClassAd>, advertise_java: bool) -> ClassAd {
-        let ad = ClassAd::chained(base).with_str("Name", &self.name);
-        if advertise_java {
-            ad.with_bool("HasJava", true)
-        } else {
-            ad
-        }
+        child_ad(base, &self.name, advertise_java)
     }
 
     /// The machine's ClassAd, over a base of its own.
@@ -109,32 +115,66 @@ impl MachineSpec {
     }
 }
 
-/// Hands every machine of one owner configuration the same base ad: the
-/// sharing step of the pool builders. A pool's machines mostly come in
-/// runs of one configuration, so the base handed out last is tried first;
-/// telling configurations apart compares and hashes borrowed fields and
-/// allocates nothing per machine.
+/// The ad of the machine called `name`: its own part chained to `base`.
+pub(crate) fn child_ad(base: Arc<ClassAd>, name: &str, advertise_java: bool) -> ClassAd {
+    let ad = ClassAd::chained(base).with_str("Name", name);
+    if advertise_java {
+        ad.with_bool("HasJava", true)
+    } else {
+        ad
+    }
+}
+
+/// What a startd keeps of its [`MachineSpec`] besides the name, which its
+/// statistics hold: shared, by `Arc`, among the machines configured alike.
+#[derive(Debug)]
+pub(crate) struct SharedConfig {
+    /// The spec's [base ad](MachineSpec::base_ad).
+    pub(crate) base: Arc<ClassAd>,
+    /// The owner's assertion that Java works here.
+    pub(crate) asserts_java: bool,
+    /// The installation the self-test probes and every job runs on.
+    pub(crate) installation: Installation,
+}
+
+impl SharedConfig {
+    /// `spec`'s configuration, shared with nobody yet.
+    pub(crate) fn of(spec: &MachineSpec) -> SharedConfig {
+        SharedConfig {
+            base: Arc::new(spec.base_ad()),
+            asserts_java: spec.asserts_java,
+            installation: spec.installation.clone(),
+        }
+    }
+}
+
+/// Hands every machine of one configuration the same [`SharedConfig`]: the
+/// sharing step of the pool builder. A pool's machines mostly come in runs
+/// of one configuration, so the configuration handed out last is tried
+/// first; telling configurations apart hashes and compares borrowed fields
+/// and allocates nothing per machine.
 #[derive(Default)]
-pub(crate) struct BaseAds {
-    // The first spec seen of each configuration, and its base.
-    known: Vec<(MachineSpec, Arc<ClassAd>)>,
-    // Where in `known` the configurations of one hash are. Lookup-only.
+pub(crate) struct SharedConfigs {
+    // The first spec seen of each configuration, and what it shares.
+    known: Vec<(MachineSpec, Arc<SharedConfig>)>,
+    // Where in `known` the configurations whose ads hash alike are.
+    // Lookup-only.
     index: HashMap<u64, Vec<usize>>,
     last: usize,
 }
 
-impl BaseAds {
-    /// The shared [base ad](MachineSpec::base_ad) for `spec`.
-    pub(crate) fn base_for(&mut self, spec: &MachineSpec) -> Arc<ClassAd> {
-        let wanted = spec.configuration();
-        let same = |&at: &usize| self.known[at].0.configuration() == wanted;
+impl SharedConfigs {
+    /// The shared configuration for `spec`.
+    pub(crate) fn for_spec(&mut self, spec: &MachineSpec) -> Arc<SharedConfig> {
+        let same = |&at: &usize| self.known[at].0.configured_like(spec);
         if !(self.last < self.known.len() && same(&self.last)) {
             let mut hasher = DefaultHasher::new();
-            wanted.hash(&mut hasher);
+            spec.ad_configuration().hash(&mut hasher);
             let alike = self.index.entry(hasher.finish()).or_default();
             self.last = alike.iter().copied().find(same).unwrap_or_else(|| {
                 alike.push(self.known.len());
-                self.known.push((spec.clone(), Arc::new(spec.base_ad())));
+                let shared = Arc::new(SharedConfig::of(spec));
+                self.known.push((spec.clone(), shared));
                 self.known.len() - 1
             });
         }
@@ -172,30 +212,43 @@ mod tests {
         assert_eq!(m.ad(true), parsed.with_bool("HasJava", true));
     }
 
-    /// One base per configuration, each seen again after two hundred
-    /// others — the order that defeats the last-tried fast path.
+    /// One base, in one shared configuration, per configuration, each seen
+    /// again after two hundred others — the order that defeats the
+    /// last-tried fast path.
     #[test]
     fn base_ads_are_one_per_configuration() {
-        let mut bases = BaseAds::default();
+        let mut configs = SharedConfigs::default();
         let spec = |i: usize, memory: i64| MachineSpec::healthy(&format!("m{i}"), memory);
         let specs: Vec<MachineSpec> = (0..600).map(|i| spec(i, 64 + (i % 200) as i64)).collect();
-        let handed: Vec<Arc<ClassAd>> = specs.iter().map(|s| bases.base_for(s)).collect();
-        assert_eq!(bases.known.len(), 200);
-        for (i, (spec, base)) in specs.iter().zip(&handed).enumerate() {
-            assert_eq!(**base, spec.base_ad());
-            assert!(Arc::ptr_eq(base, &handed[i % 200]));
+        let handed: Vec<Arc<SharedConfig>> = specs.iter().map(|s| configs.for_spec(s)).collect();
+        assert_eq!(configs.known.len(), 200);
+        for (i, (spec, config)) in specs.iter().zip(&handed).enumerate() {
+            assert_eq!(*config.base, spec.base_ad());
+            assert!(Arc::ptr_eq(config, &handed[i % 200]));
         }
-        // Every field of the configuration tells, and nothing else does.
-        let plain = bases.base_for(&spec(0, 64));
-        let named = MachineSpec::misconfigured("other", 64);
-        assert!(Arc::ptr_eq(&plain, &bases.base_for(&named)));
+        // Every field but the name tells: those of the ad, and those the
+        // startd reads besides.
+        let plain = configs.for_spec(&spec(0, 64));
+        assert!(Arc::ptr_eq(&plain, &configs.for_spec(&spec(7, 64))));
         let mut odd = spec(0, 64);
         odd.opsys = "SOLARIS".into();
-        assert!(!Arc::ptr_eq(&plain, &bases.base_for(&odd)));
+        assert!(!Arc::ptr_eq(&plain, &configs.for_spec(&odd)));
         odd = spec(0, 64);
         odd.owner_requirements = "true".into();
-        assert!(!Arc::ptr_eq(&plain, &bases.base_for(&odd)));
-        assert_eq!(bases.known.len(), 202);
+        assert!(!Arc::ptr_eq(&plain, &configs.for_spec(&odd)));
+        odd = spec(0, 64);
+        odd.asserts_java = false;
+        assert!(!Arc::ptr_eq(&plain, &configs.for_spec(&odd)));
+        for odd in [
+            MachineSpec::misconfigured("m0", 64),
+            MachineSpec::partially_misconfigured("m0", 64),
+        ] {
+            let config = configs.for_spec(&odd);
+            assert!(!Arc::ptr_eq(&plain, &config));
+            assert_eq!(config.installation, odd.installation);
+            assert_eq!(config.base, plain.base, "same ad, its own base");
+        }
+        assert_eq!(configs.known.len(), 205);
     }
 
     #[test]

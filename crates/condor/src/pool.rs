@@ -13,7 +13,7 @@ use crate::ckptserver::{CkptServer, CkptServerStats};
 use crate::faults::FaultPlan;
 use crate::health::BreakerPolicy;
 use crate::job::{JobRecord, JobSpec};
-use crate::machine::{BaseAds, MachineSpec};
+use crate::machine::{MachineSpec, SharedConfigs};
 use crate::matchmaker::{Matchmaker, MatchmakerStats};
 use crate::metrics::{MachineStats, Metrics};
 use crate::msg::Msg;
@@ -398,14 +398,14 @@ impl PoolBuilder {
         assert_eq!(schedd_id, n_pools, "the schedd follows the matchmakers");
 
         let mut machine_ids = Vec::new();
-        let mut bases = BaseAds::default();
+        let mut configs = SharedConfigs::default();
         for (p, machines) in self.pools.into_iter().enumerate() {
             let (pool, mm) = (p as u64, Self::matchmaker_id(p as u64));
             for spec in machines {
-                let base = bases.base_for(&spec);
-                let mut startd =
-                    Startd::sharing(base, spec, self.startd_policy, mm, Arc::clone(&plan))
-                        .with_pool(pool);
+                let config = configs.for_spec(&spec);
+                let policy = self.startd_policy;
+                let mut startd = Startd::sharing(config, spec.name, policy, mm, Arc::clone(&plan))
+                    .with_pool(pool);
                 if let Some((id, cookie)) = &ckpt {
                     startd = startd.with_ckpt_server(*id, cookie.clone());
                 }

@@ -18,7 +18,7 @@
 
 use crate::faults::FaultPlan;
 use crate::job::Universe;
-use crate::machine::MachineSpec;
+use crate::machine::{child_ad, MachineSpec, SharedConfig};
 use crate::metrics::MachineStats;
 use crate::msg::{Activation, CkptAttempt, ExecutionReport, Msg, StoredCkpt};
 use chirp::backend::MemFs;
@@ -122,19 +122,18 @@ enum State {
 
 /// The startd actor.
 pub struct Startd {
-    spec: MachineSpec,
+    /// What the owner configured, shared with every machine configured
+    /// alike; the machine's name is `stats.name`.
+    config: Arc<SharedConfig>,
     policy: StartdPolicy,
     matchmaker: ActorId,
     plan: Arc<FaultPlan>,
     state: State,
     advertising_java: bool,
-    /// What the owner configured, shared with every machine configured
-    /// alike (`MachineSpec::base_ad`).
-    base: Arc<ClassAd>,
     /// This machine's ad — `Name`, `MachineId` and `HasJava` chained to
-    /// `base` — built at first use, re-sent by reference on every
-    /// advertisement and checked against every claim; dropped when
-    /// `advertising_java` changes.
+    /// the configuration's base ad — built at first use, re-sent by
+    /// reference on every advertisement and checked against every claim;
+    /// dropped when `advertising_java` changes.
     ad: Option<Arc<ClassAd>>,
     /// The pool this machine belongs to. Claims stamped with a different
     /// pool are rejected; activations are revoked. Defaults to 0.
@@ -157,32 +156,31 @@ impl Startd {
         matchmaker: ActorId,
         plan: Arc<FaultPlan>,
     ) -> Startd {
-        let base = Arc::new(spec.base_ad());
-        Startd::sharing(base, spec, policy, matchmaker, plan)
+        let config = Arc::new(SharedConfig::of(&spec));
+        Startd::sharing(config, spec.name, policy, matchmaker, plan)
     }
 
-    /// [`Startd::new`] over a `base` shared with other machines: it must be
-    /// `spec`'s [`MachineSpec::base_ad`], as the pool builders' `BaseAds`
+    /// [`Startd::new`] for the machine called `name`, over a `config`
+    /// shared with other machines, as the pool builder's `SharedConfigs`
     /// hands it out.
-    pub fn sharing(
-        base: Arc<ClassAd>,
-        spec: MachineSpec,
+    pub(crate) fn sharing(
+        config: Arc<SharedConfig>,
+        name: String,
         policy: StartdPolicy,
         matchmaker: ActorId,
         plan: Arc<FaultPlan>,
     ) -> Startd {
         let stats = MachineStats {
-            name: spec.name.clone(),
+            name,
             ..MachineStats::default()
         };
         Startd {
-            spec,
+            config,
             policy,
             matchmaker,
             plan,
             state: State::Free,
             advertising_java: false,
-            base,
             ad: None,
             pool_id: 0,
             ckpt_server: None,
@@ -215,9 +213,8 @@ impl Startd {
     /// The machine's ad as it stands, `id` being this actor's.
     fn ad(&mut self, id: ActorId) -> &Arc<ClassAd> {
         self.ad.get_or_insert_with(|| {
-            let mut ad = self
-                .spec
-                .ad_over(Arc::clone(&self.base), self.advertising_java);
+            let base = Arc::clone(&self.config.base);
+            let mut ad = child_ad(base, &self.stats.name, self.advertising_java);
             ad.insert("MachineId", classads::Value::Int(id as i64));
             Arc::new(ad)
         })
@@ -256,14 +253,14 @@ impl Startd {
 
 impl Actor<Msg> for Startd {
     fn name(&self) -> String {
-        format!("startd:{}", self.spec.name)
+        format!("startd:{}", self.stats.name)
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         self.stats_id = ctx.self_id;
         // §5: test the installation before advertising the capability.
         self.advertising_java =
-            self.spec.asserts_java && self_test(&self.spec.installation, self.policy.self_test);
+            self.config.asserts_java && self_test(&self.config.installation, self.policy.self_test);
         self.stats.advertising_java = self.advertising_java;
         self.release(ctx);
         ctx.send_self_after(KEEPALIVE_PERIOD, Msg::AdvertiseTick);
@@ -852,7 +849,7 @@ impl Startd {
     /// a JVM, the bare exit code would show its user a
     /// remote-resource-scope error.
     fn direct_install(&self) -> Cow<'_, Installation> {
-        let install = &self.spec.installation;
+        let install = &self.config.installation;
         match install.health {
             InstallHealth::Healthy => Cow::Borrowed(install),
             InstallHealth::BadPath | InstallHealth::MissingStdlib => Cow::Owned(Installation {
@@ -980,12 +977,13 @@ impl Startd {
 
                 let out = match mode {
                     crate::job::JavaMode::Naive => {
-                        let (_exit, out) = run_naive(&act.image, &self.spec.installation, &mut io);
+                        let (_exit, out) =
+                            run_naive(&act.image, &self.config.installation, &mut io);
                         self.stats.absorb_vm(&out.vm);
                         self.finish(out.termination, out.stdout, out.instructions, act)
                     }
                     crate::job::JavaMode::Scoped => {
-                        let w = run_wrapped(&act.image, &self.spec.installation, &mut io);
+                        let w = run_wrapped(&act.image, &self.config.installation, &mut io);
                         self.stats.absorb_vm(&w.vm);
                         // The starter examines the result file and ignores
                         // the JVM result entirely (§4).

@@ -373,3 +373,50 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         (2, 2, 1, 0)
     );
 }
+
+/// (e) Machines that advertise alike share one configuration, but not one
+/// installation: a pool of one ad configuration that mixes a healthy, a
+/// misconfigured and a half-installed JVM keeps each startd on its own.
+/// The trivial self-test takes `HasJava` from the dead one, the broken
+/// standard library surfaces as remote-resource scope, and only the
+/// healthy machine completes a job.
+#[test]
+fn machines_advertising_alike_keep_their_own_installations() {
+    let specs = [
+        MachineSpec::healthy("good", 256),
+        MachineSpec::misconfigured("dead", 256),
+        MachineSpec::partially_misconfigured("half", 256),
+    ];
+    assert!(specs.iter().all(|s| s.base_ad() == specs[0].base_ad()));
+    let builder = PoolBuilder::new(5)
+        .machines(specs)
+        .startd_policy(StartdPolicy {
+            self_test: SelfTestDepth::Trivial,
+            ..StartdPolicy::default()
+        })
+        .jobs((1..=4).map(java_job));
+    let ids = builder.machine_ids(0);
+    let report = builder.run(SimTime::from_secs(600));
+    let [good, dead, half] = [0, 1, 2].map(|i| &report.machines[&(ids.start + i)]);
+    assert_eq!(
+        (&*good.name, &*dead.name, &*half.name),
+        ("good", "dead", "half")
+    );
+
+    assert!(good.advertising_java && half.advertising_java);
+    assert!(!dead.advertising_java, "the self-test found no JVM");
+    assert_eq!((dead.executions, good.remote_resource_failures), (0, 0));
+    assert!(
+        half.remote_resource_failures > 0,
+        "no job met the missing stdlib"
+    );
+    assert_eq!(half.remote_resource_failures, half.executions);
+    for (id, job) in &report.jobs {
+        assert!(matches!(job.state, JobState::Completed { .. }), "job {id}");
+        let last = job.attempts.last().expect("an attempt");
+        assert_eq!(
+            last.machine, ids.start,
+            "job {id} completed off the healthy machine"
+        );
+    }
+}

@@ -21,7 +21,10 @@
 # altogether. Timings are not compared — that is `ledger compare` and the
 # benchmark driver's job — but the two binaries are what a perf table is
 # usually taken from next, so the script prints where each side's
-# `gridvm::compile::run_ops` instantiations start mod 64.
+# `gridvm::compile::run_ops` instantiations start mod 64, and each row
+# shows both sides' `peak_rss_mb`, read off the same `gate --entry` line
+# as the digest: one sample a side, printed and never compared, so it
+# adds no run and no pass/fail condition.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,19 +60,32 @@ placement() {
 printf 'run_ops start mod 64, base:  %s\n' "$(placement "$base_bin")"
 printf 'run_ops start mod 64, change:%s\n' "$(placement "$head_bin")"
 
-# "<sim_digest> <ops_failed>" of one run.
+# The `gate --entry` line of one run.
+entry() {
+    "$1" gate --entry --workload "$2" --size "$3" --seed "$4" --reps 1 --trace 0
+}
+
+# "<sim_digest> <ops_failed>" of an entry line.
 outcome() {
-    "$1" gate --entry --workload "$2" --size "$3" --seed "$4" --reps 1 --trace 0 |
-        sed -n 's/^{"sim_digest":"\([0-9a-f]*\)".*"ops_failed":\([0-9]*\),.*/\1 \2/p'
+    sed -n 's/^{"sim_digest":"\([0-9a-f]*\)".*"ops_failed":\([0-9]*\),.*/\1 \2/p' <<<"$1"
+}
+
+# The entry's peak resident set in MB (nothing where the host reports none).
+peak_rss() {
+    sed -n 's/.*"peak_rss_mb":{"unit":"MB","median":\([0-9.]*\).*/\1/p' <<<"$1" |
+        awk '{ printf "%.1f", $1 }'
 }
 
 status=0
-printf '%-15s %-5s %-4s %-22s %-22s\n' workload size seed "base ($base_ref)" change
+printf '%-15s %-5s %-4s %-22s %-22s %-8s %-8s\n' workload size seed "base ($base_ref)" change \
+    "MB base" "MB chg"
 for size in $sizes; do
     for seed in 1 2; do
         for w in $workloads; do
-            b=$(outcome "$base_bin" "$w" "$size" "$seed")
-            h=$(outcome "$head_bin" "$w" "$size" "$seed")
+            base_entry=$(entry "$base_bin" "$w" "$size" "$seed")
+            head_entry=$(entry "$head_bin" "$w" "$size" "$seed")
+            b=$(outcome "$base_entry")
+            h=$(outcome "$head_entry")
             verdict=
             if [ -z "$b" ] || [ -z "$h" ] || [ "${b#* }" != "${h#* }" ]; then
                 verdict=DIFFERS
@@ -80,7 +96,8 @@ for size in $sizes; do
                 verdict=DIFFERS
             fi
             [ -z "$verdict" ] || [ "$verdict" = moved ] || status=1
-            printf '%-15s %-5s %-4s %-22s %-22s %s\n' "$w" "$size" "$seed" "$b" "$h" "$verdict"
+            printf '%-15s %-5s %-4s %-22s %-22s %-8s %-8s %s\n' "$w" "$size" "$seed" "$b" "$h" \
+                "$(peak_rss "$base_entry")" "$(peak_rss "$head_entry")" "$verdict"
         done
     done
 done
