@@ -5,9 +5,11 @@
 //! it drives them, with [`desim::World::count_deliveries_by`] switched on:
 //! `pool_drain`'s busy pool, `fed_scale`'s idle federation, and
 //! `campaign_sweep`'s fuzzed campaigns (every 64th with its fault-free
-//! reference arm). Each column sums to the workload's `desim.events`. This
-//! is the table every change to a periodic message is sized from; it
-//! writes nothing.
+//! reference arm). Each column sums to the workload's `desim.events`.
+//! Under the sums, the traffic the event queue is shaped for: how many
+//! instants each workload drained — the queue opens each as one batch —
+//! and the largest batch. This is the table every change to a periodic
+//! message is sized from; it writes nothing.
 
 use crate::harness::Size;
 use crate::render_table;
@@ -20,6 +22,12 @@ use std::collections::BTreeMap;
 
 type Census = BTreeMap<&'static str, u64>;
 
+/// Instants drained and the largest batch, as [`desim::World::batches`].
+type Batches = (u64, usize);
+
+/// One workload's column: its deliveries by kind, and its batches.
+type Column = (Census, Batches);
+
 /// The ledger's seed, and the stride between the campaigns it derives.
 const SEED: u64 = 1;
 const SEED_STRIDE: u64 = 1_000_003;
@@ -29,7 +37,7 @@ const REFERENCE_EVERY: u64 = 64;
 /// Build and drain a pool the way `PoolBuilder::run` and the ledger do —
 /// in 30-s slices until every job is terminal or `deadline` passes — and
 /// return its census.
-fn drain_counting(builder: PoolBuilder, deadline: SimTime) -> Census {
+fn drain_counting(builder: PoolBuilder, deadline: SimTime) -> Column {
     let layout = builder.layout();
     let (mut world, _, _) = builder.build();
     world.count_deliveries_by(Msg::kind);
@@ -38,10 +46,10 @@ fn drain_counting(builder: PoolBuilder, deadline: SimTime) -> Census {
         world.census().values().sum::<u64>(),
         world.events_processed()
     );
-    world.census()
+    (world.census(), world.batches())
 }
 
-fn pool_drain(machines: usize, jobs: u32) -> Census {
+fn pool_drain(machines: usize, jobs: u32) -> Column {
     let builder = PoolBuilder::new(SEED)
         .machines((0..machines).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
         .jobs((1..=jobs).map(scale_job))
@@ -49,15 +57,15 @@ fn pool_drain(machines: usize, jobs: u32) -> Census {
     drain_counting(builder, secs(48 * 3600))
 }
 
-fn fed_scale(pools: u64, machines_per: usize, jobs: u32, horizon: SimTime) -> Census {
+fn fed_scale(pools: u64, machines_per: usize, jobs: u32, horizon: SimTime) -> Column {
     let mut world = scaling_federation(SEED, pools, machines_per, jobs);
     world.count_deliveries_by(Msg::kind);
     world.run_until(horizon);
-    world.census()
+    (world.census(), world.batches())
 }
 
-fn campaign_sweep(campaigns: u64) -> Census {
-    let mut total = Census::new();
+fn campaign_sweep(campaigns: u64) -> Column {
+    let (mut total, mut batches) = (Census::new(), (0, 0));
     for i in 0..campaigns {
         let campaign = campaign::generate(SEED * SEED_STRIDE + i);
         let arms: &[bool] = if i % REFERENCE_EVERY == 0 {
@@ -66,12 +74,14 @@ fn campaign_sweep(campaigns: u64) -> Census {
             &[true]
         };
         for &faulty in arms {
-            for (kind, n) in drain_counting(campaign.build_pool(faulty), deadline()) {
+            let (census, run) = drain_counting(campaign.build_pool(faulty), deadline());
+            for (kind, n) in census {
                 *total.entry(kind).or_default() += n;
             }
+            batches = (batches.0 + run.0, batches.1.max(run.1));
         }
     }
-    total
+    (total, batches)
 }
 
 pub fn run(size: Size) {
@@ -92,24 +102,24 @@ pub fn run(size: Size) {
         ("campaign_sweep", campaign_sweep(size.pick(24, 1000))),
     ];
     let kinds: std::collections::BTreeSet<&str> = (columns.iter())
-        .flat_map(|(_, c)| c.keys().copied())
+        .flat_map(|(_, (c, _))| c.keys().copied())
         .collect();
     let cell = |census: &Census, kind: &str| census.get(kind).map_or("-".into(), u64::to_string);
     let mut rows: Vec<Vec<String>> = kinds
         .iter()
         .map(|kind| {
             let mut row = vec![kind.to_string()];
-            row.extend(columns.iter().map(|(_, census)| cell(census, kind)));
+            row.extend(columns.iter().map(|(_, (census, _))| cell(census, kind)));
             row
         })
         .collect();
-    let mut totals = vec!["all".to_string()];
-    totals.extend(
-        columns
-            .iter()
-            .map(|(_, c)| c.values().sum::<u64>().to_string()),
-    );
-    rows.push(totals);
+    for (i, name) in ["all", "instants", "largest batch"].into_iter().enumerate() {
+        let mut row = vec![name.to_string()];
+        row.extend(columns.iter().map(|(_, (census, (instants, largest)))| {
+            [census.values().sum(), *instants, *largest as u64][i].to_string()
+        }));
+        rows.push(row);
+    }
     let mut header = vec!["deliveries"];
     header.extend(columns.iter().map(|(name, _)| *name));
     println!(

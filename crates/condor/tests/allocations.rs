@@ -9,10 +9,12 @@
 //! chained to a base its schedd shares — and is pinned the same way: what
 //! a submitted job costs its schedd to advertise, what one more child of a
 //! known base costs the matchmaker, and what a renewal of the whole idle
-//! queue costs, which is the same for forty jobs and for eighty. To count: a counting global allocator (`propcheck::counting`, in
-//! a test crate so the library keeps `forbid(unsafe_code)`) counts what
-//! the calling thread requests. The counts are a function of the code, not
-//! of the host.
+//! queue costs, which is the same for forty jobs and for eighty. Once a
+//! pool is warm, its steady state — idle machines renewing their ads in
+//! same-instant batches — allocates nothing at all. To count: a counting
+//! global allocator (`propcheck::counting`, in a test crate so the library
+//! keeps `forbid(unsafe_code)`) counts what the calling thread requests.
+//! The counts are a function of the code, not of the host.
 
 use classads::ClassAd;
 use condor::prelude::*;
@@ -172,6 +174,29 @@ fn a_job_ad_allocates_for_the_job_and_a_renewal_for_the_message() {
         MACHINES - 2
     );
     assert_eq!(engine.job_count(), MACHINES - 2);
+}
+
+/// An idle pool of `machines` machines with its collector off, run to
+/// 60 s: what dispatching its next nine minutes allocates. Every startd
+/// renews its ad every 15 s, so each renewal is one same-instant batch of
+/// `machines` deliveries.
+fn idle_pool_allocates(machines: usize) -> u64 {
+    let healthy = |i| MachineSpec::healthy(&format!("p0m{i}"), 256);
+    let (mut world, _, _) = PoolBuilder::new(1)
+        .machines((0..machines).map(healthy))
+        .build();
+    *world.telemetry_mut() = obs::Collector::disabled();
+    world.run_until(SimTime::from_secs(60));
+    allocated(|| world.run_until(SimTime::from_secs(600))).1
+}
+
+#[test]
+fn steady_state_dispatch_allocates_nothing() {
+    // The largest pool's batches outgrow any small buffer the engine
+    // might keep and free above a size.
+    for machines in [500, 2_000, 8_000] {
+        assert_eq!(idle_pool_allocates(machines), 0, "{machines} machines");
+    }
 }
 
 /// Allocations per submitted job at its first advertisement.

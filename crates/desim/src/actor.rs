@@ -14,17 +14,6 @@ use std::any::Any;
 /// Identifies an actor within a [`crate::world::World`].
 pub type ActorId = usize;
 
-/// A message in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sender.
-    pub from: ActorId,
-    /// Recipient.
-    pub to: ActorId,
-    /// Payload.
-    pub msg: M,
-}
-
 /// A simulated process.
 ///
 /// `M` is the message alphabet shared by all actors in one world.
@@ -76,7 +65,8 @@ pub struct Context<'a, M> {
     pub now: SimTime,
     /// The id of the actor being invoked.
     pub self_id: ActorId,
-    pub(crate) outbox: &'a mut Vec<(SimTime, Envelope<M>)>,
+    /// What the handler sent, in send order: `(arrival, recipient, msg)`.
+    pub(crate) outbox: &'a mut Vec<(SimTime, ActorId, M)>,
     /// The shard's random stream (the world's, when it has one shard).
     pub rng: &'a mut SimRng,
     /// The simulated network fabric (mutable: actors may inject faults).
@@ -92,14 +82,7 @@ impl<'a, M> Context<'a, M> {
     /// network cannot lose.
     pub fn send_after(&mut self, delay: SimDuration, to: ActorId, msg: M) {
         let at = self.now + SimDuration::from_micros(delay.as_micros().max(1));
-        self.outbox.push((
-            at,
-            Envelope {
-                from: self.self_id,
-                to,
-                msg,
-            },
-        ));
+        self.outbox.push((at, to, msg));
     }
 
     /// Send reliably with minimal (1µs) delay.

@@ -58,7 +58,7 @@ pub mod sweep;
 pub mod time;
 pub mod world;
 
-pub use actor::{Actor, ActorId, Context, Envelope};
+pub use actor::{Actor, ActorId, Context};
 pub use net::{Fate, NetOp, NetStats, Network};
 pub use par::{ParConfig, ParFinished, ParWorld};
 pub use queue::{EventKey, EventQueue, KeyedEventQueue};
@@ -69,7 +69,7 @@ pub use world::World;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::actor::{Actor, ActorId, Context, Envelope};
+    pub use crate::actor::{Actor, ActorId, Context};
     pub use crate::net::Network;
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};

@@ -293,7 +293,7 @@ impl<M: Send + 'static> ParWorld<M> {
                 self.stopped |= shard.stop;
                 std::mem::take(&mut shard.crossbox)
             };
-            for (key, env) in crossed.drain(..) {
+            for (key, delivery) in crossed.drain(..) {
                 assert!(
                     key.at > last,
                     "lookahead violation: a cross-shard delivery at {} lands inside the \
@@ -303,8 +303,9 @@ impl<M: Send + 'static> ParWorld<M> {
                     key.at,
                     last,
                 );
-                let target = &self.shards[env.to % self.shards.len()];
-                target.lock().expect("shard mutex").queue.push(key, env);
+                let target = &self.shards[delivery.0 % self.shards.len()];
+                let mut target = target.lock().expect("shard mutex");
+                target.queue.push(key, delivery);
             }
             shard.lock().expect("shard mutex").crossbox = crossed;
         }
@@ -630,6 +631,68 @@ mod tests {
             fin.get::<Recorder>(target).unwrap().got,
             (0..8).collect::<Vec<_>>()
         );
+    }
+
+    /// Records who each `Hop` came from.
+    struct Senders {
+        got: Vec<(ActorId, u32)>,
+    }
+    impl Actor<Msg> for Senders {
+        fn name(&self) -> String {
+            "senders".into()
+        }
+        fn on_message(&mut self, from: ActorId, m: Msg, _ctx: &mut Context<'_, Msg>) {
+            if let Msg::Hop(v) = m {
+                self.got.push((from, v));
+            }
+        }
+    }
+
+    /// Greets one peer over the network at start-up, with its own id.
+    struct Greeter {
+        to: ActorId,
+    }
+    impl Actor<Msg> for Greeter {
+        fn name(&self) -> String {
+            "greeter".into()
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            ctx.send_net(self.to, Msg::Hop(ctx.self_id as u32));
+        }
+        fn on_message(&mut self, _f: ActorId, _m: Msg, _ctx: &mut Context<'_, Msg>) {}
+    }
+
+    /// The queue keeps no sender: a delivery's `from` is its key's source,
+    /// and an injection, keyed `EXTERNAL`, comes from its recipient — on a
+    /// world, and on its sharded runs, whose start-up barrier re-routes the
+    /// queued injections.
+    #[test]
+    fn a_handler_sees_its_sender_and_an_injection_comes_from_its_recipient() {
+        let build = || {
+            let mut w: World<Msg> = World::new(1);
+            let r = 2;
+            for id in 0..5 {
+                if id == r {
+                    w.add_actor(Box::new(Senders { got: Vec::new() }));
+                } else {
+                    w.add_actor(Box::new(Greeter { to: r }));
+                }
+            }
+            w.inject(r, Msg::Hop(99));
+            w.inject_after(SimDuration::from_millis(3), r, Msg::Hop(98));
+            w
+        };
+        let want = vec![(2, 99), (0, 0), (1, 1), (3, 3), (4, 4), (2, 98)];
+        let horizon = SimTime::from_millis(10);
+        let mut world = build();
+        world.run_until(horizon);
+        assert_eq!(world.get::<Senders>(2).unwrap().got, want);
+        for shards in [1, 2, 3] {
+            let mut pw = build().into_parallel(ParConfig::new(shards, 2));
+            pw.run_until(horizon);
+            let got = pw.with_actor(2, |s: &Senders| s.got.clone());
+            assert_eq!(got.as_ref(), Some(&want), "{shards} shards");
+        }
     }
 
     /// A fault driver: severs one link mid-run through the deferred-op

@@ -13,7 +13,7 @@
 //! are therefore the same run, bit for bit; with more shards the actors
 //! split round-robin and shard 0 keeps the world's random stream.
 
-use crate::actor::{Actor, ActorId, Context, Envelope};
+use crate::actor::{Actor, ActorId, Context};
 use crate::net::Network;
 use crate::queue::{EventKey, KeyedEventQueue};
 use crate::rng::SimRng;
@@ -41,14 +41,16 @@ pub(crate) struct Shard<M> {
     pub(crate) shards: usize,
     /// Full-length slot table; only this shard's actors are `Some`.
     pub(crate) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
-    pub(crate) queue: KeyedEventQueue<Envelope<M>>,
+    /// Pending deliveries as `(recipient, msg)`: the sender is the key's
+    /// `src` (see `Shard::dispatch`).
+    pub(crate) queue: KeyedEventQueue<(ActorId, M)>,
     pub(crate) rng: SimRng,
     pub(crate) net: Network,
     pub(crate) collector: Collector,
     // Reused across dispatches: drained after each handler, keeping its
     // capacity so steady-state dispatch allocates nothing.
-    outbox: Vec<(SimTime, Envelope<M>)>,
-    pub(crate) crossbox: Vec<(EventKey, Envelope<M>)>,
+    outbox: Vec<(SimTime, ActorId, M)>,
+    pub(crate) crossbox: Vec<(EventKey, (ActorId, M))>,
     /// Sends so far, per sender (indexed by actor id; only this shard's
     /// actors advance theirs).
     pub(crate) sent: Vec<u64>,
@@ -114,12 +116,12 @@ impl<M: 'static> Shard<M> {
         );
         self.actors[id] = Some(actor);
         // In send order: each sender's sequence numbers follow it.
-        for (at, env) in self.outbox.drain(..) {
-            let key = EventKey::next(at, env.from as u64, &mut self.sent[env.from]);
-            if env.to % self.shards == self.index {
-                self.queue.push(key, env);
+        for (at, to, msg) in self.outbox.drain(..) {
+            let key = EventKey::next(at, id as u64, &mut self.sent[id]);
+            if to % self.shards == self.index {
+                self.queue.push(key, (to, msg));
             } else {
-                self.crossbox.push((key, env));
+                self.crossbox.push((key, (to, msg)));
             }
         }
     }
@@ -132,11 +134,16 @@ impl<M: 'static> Shard<M> {
     }
 
     /// Deliver the earliest pending event. Returns `false` if none is
-    /// pending.
+    /// pending. The sender is the key's source; an injection, keyed
+    /// [`EventKey::EXTERNAL`], comes from its recipient.
     #[inline]
     fn dispatch(&mut self, names: &[String]) -> bool {
-        let Some((key, Envelope { from, to, msg })) = self.queue.pop() else {
+        let Some((key, (to, msg))) = self.queue.pop() else {
             return false;
+        };
+        let from = match key.src {
+            EventKey::EXTERNAL => to,
+            src => src as ActorId,
         };
         debug_assert!(key.at >= self.now, "time must not run backwards");
         self.now = key.at;
@@ -240,6 +247,13 @@ impl<M: 'static> World<M> {
         self.shard.queue.len()
     }
 
+    /// The instants drained so far — the queue opens each as one batch —
+    /// and the most events one of them held.
+    pub fn batches(&self) -> (u64, usize) {
+        let queue = &self.shard.queue;
+        (queue.instants(), queue.largest_batch())
+    }
+
     /// Inspect a concrete actor by id.
     pub fn get<T: Actor<M>>(&self, id: ActorId) -> Option<&T> {
         self.shard.actors.get(id)?.as_deref()?.downcast_ref::<T>()
@@ -262,7 +276,7 @@ impl<M: 'static> World<M> {
     pub fn inject_after(&mut self, delay: SimDuration, to: ActorId, msg: M) {
         let at = self.shard.now + SimDuration::from_micros(delay.as_micros().max(1));
         let key = EventKey::next(at, EventKey::EXTERNAL, &mut self.injected);
-        self.shard.queue.push(key, Envelope { from: to, to, msg });
+        self.shard.queue.push(key, (to, msg));
     }
 
     /// Inject a message arriving as soon as possible.

@@ -30,6 +30,156 @@ fn queue_pops_stable_sorted() {
     });
 }
 
+/// The keyed queue against a sorted-`Vec` model, pops interleaved with
+/// pushes, in the three traffic shapes it serves: the engine's own
+/// (time only advances and every push lands later, in large same-instant
+/// batches that several senders fill out of order), arbitrary pushes at
+/// and before the instant being drained, and one event set merged at a
+/// barrier in permuted orders.
+#[test]
+fn keyed_queue_matches_the_sorted_model() {
+    check(10_000, |g| match g.below(3) {
+        0 => des_shaped(g),
+        1 => arbitrary_order(g),
+        _ => barrier_merge(g),
+    });
+}
+
+/// A keyed queue and the model it must agree with: every pending key,
+/// sorted in descending order so that the earliest is last.
+#[derive(Default)]
+struct Model {
+    queue: KeyedEventQueue<EventKey>,
+    pending: Vec<EventKey>,
+    /// Sends so far per source; the last source is `EXTERNAL`.
+    sent: Vec<u64>,
+}
+
+impl Model {
+    fn new(sources: usize) -> Model {
+        Model {
+            sent: vec![0; sources + 1],
+            ..Model::default()
+        }
+    }
+
+    /// Push source `src`'s next event at `at_us`.
+    fn push(&mut self, at_us: u64, src: usize) {
+        let mut key = key(at_us, src, &mut self.sent);
+        if src + 1 == self.sent.len() {
+            key.src = EventKey::EXTERNAL;
+        }
+        self.insert(key);
+    }
+
+    fn insert(&mut self, key: EventKey) {
+        self.queue.push(key, key);
+        let i = self.pending.partition_point(|k| *k > key);
+        self.pending.insert(i, key);
+    }
+
+    /// Pop one event from both and check they agree.
+    fn pop(&mut self) -> Option<EventKey> {
+        let want = self.pending.pop();
+        let got = self.queue.pop();
+        assert_eq!(got.map(|(k, _)| k), want, "pop order");
+        assert!(got.is_none_or(|(k, e)| k == e), "a key keeps its event");
+        assert_eq!(self.queue.len(), self.pending.len());
+        assert_eq!(self.queue.peek_time(), self.pending.last().map(|k| k.at));
+        want
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert!(self.queue.is_empty());
+    }
+}
+
+/// The engine's traffic: each pop is a dispatch at its instant, which
+/// sends a few events at delays on one period's lattice — so instants
+/// collect large batches, and more of them are pending than the queue's
+/// instant cache has lines. The sender is any source, not the one popped,
+/// so a batch's runs arrive out of order and meet at activation.
+fn des_shaped(g: &mut Gen) {
+    let sources = g.int(1usize..=64);
+    let period = g.int(1u64..=1_000);
+    let delays = g.vec(1..=40, |g| period * g.int(1u64..=48));
+    let mut model = Model::new(sources);
+    for src in 0..=sources {
+        for _ in 0..g.int(0..3) {
+            model.push(*g.pick(&delays), src);
+        }
+    }
+    for _ in 0..g.int(0..=400) {
+        let Some(now) = model.pop() else { break };
+        for _ in 0..g.int(0..=3) {
+            model.push(now.at.as_micros() + *g.pick(&delays), g.int(0..=sources));
+        }
+    }
+    model.drain();
+}
+
+/// Pushes anywhere near the last pop: at its instant (into the rest of
+/// the batch being drained), before it, or a little after.
+fn arbitrary_order(g: &mut Gen) {
+    let sources = g.int(1usize..=8);
+    let mut model = Model::new(sources);
+    let mut now = 0u64;
+    for _ in 0..g.int(0..=300) {
+        if g.below(3) == 0 {
+            if let Some(key) = model.pop() {
+                now = key.at.as_micros();
+            }
+            continue;
+        }
+        let at = match g.below(4) {
+            0 => now,
+            1 => now.saturating_sub(g.int(1u64..=3)),
+            _ => now + g.int(0u64..=5),
+        };
+        model.push(at, g.int(0..=sources));
+    }
+    model.drain();
+}
+
+/// One event set delivered at a barrier while a batch is open: in any
+/// arrival order the queue drains it the same way, and as the model does.
+fn barrier_merge(g: &mut Gen) {
+    let set = g.vec(0..=200, |g| (g.int(1u64..=20), g.int(0usize..6)));
+    let (open, drained) = (g.int(0usize..=6), g.int(0usize..=6));
+    let mut drains = Vec::new();
+    for _ in 0..3 {
+        // The open batch at 0, from a source of its own, partly drained.
+        let mut model = Model::new(7);
+        for _ in 0..open {
+            model.push(0, 6);
+        }
+        for _ in 0..drained {
+            model.pop();
+        }
+        let mut arrival: Vec<(u64, EventKey)> = (set.iter())
+            .map(|&(at, src)| (g.u64(), key(at, src, &mut model.sent)))
+            .collect();
+        arrival.sort();
+        for (_, key) in arrival {
+            model.insert(key);
+        }
+        drains.push(std::iter::from_fn(|| model.pop()).collect::<Vec<_>>());
+    }
+    assert!(drains.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// Source `src`'s next key at `at_us`: its sequence numbers follow the
+/// order keys are made in, not the order they are pushed in.
+fn key(at_us: u64, src: usize, sent: &mut [u64]) -> EventKey {
+    sent[src] += 1;
+    EventKey {
+        at: SimTime::from_micros(at_us),
+        src: src as u64,
+        seq: sent[src] - 1,
+    }
+}
+
 /// Network transit: a delivered message takes exactly the base latency,
 /// and never less than 1µs; loopback always delivers; partitions always
 /// block.
