@@ -10,6 +10,13 @@
 //! instants each workload drained — the queue opens each as one batch —
 //! and the largest batch. This is the table every change to a periodic
 //! message is sized from; it writes nothing.
+//!
+//! `exp census --cost` adds where the handlers' time went: every 64th
+//! delivery's handler is timed ([`desim::World::census_cost`]), by kind,
+//! in milliseconds and as a share of the column, beside the wall-clock of
+//! the runs and — for `pool_drain` — the time to snapshot its registry
+//! (the ledger's `obs.registry_s`). The timing reads the clock only, so
+//! the runs are the uncounted ones.
 
 use crate::harness::Size;
 use crate::render_table;
@@ -17,16 +24,48 @@ use crate::scenarios::{flock_policy, scale_job, scaling_federation, secs};
 use campaign::gen::deadline;
 use condor::prelude::*;
 use condor::Msg;
-use desim::SimTime;
+use desim::{SimTime, World};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 type Census = BTreeMap<&'static str, u64>;
 
-/// Instants drained and the largest batch, as [`desim::World::batches`].
-type Batches = (u64, usize);
+/// One workload's column.
+#[derive(Default)]
+struct Column {
+    /// Deliveries by kind.
+    census: Census,
+    /// Estimated handler nanoseconds by kind ([`World::census_cost`]).
+    cost: Census,
+    /// Instants drained, and the largest batch, as [`World::batches`].
+    instants: u64,
+    largest: usize,
+    /// Wall-clock milliseconds of the runs themselves.
+    run_ms: f64,
+    /// `pool_drain` only: milliseconds to snapshot its registry, the
+    /// ledger's `obs.registry_s`.
+    registry_ms: Option<f64>,
+}
 
-/// One workload's column: its deliveries by kind, and its batches.
-type Column = (Census, Batches);
+impl Column {
+    /// Fold one drained world into the column.
+    fn add(&mut self, world: &World<Msg>, run_ms: f64) {
+        assert_eq!(
+            world.census().values().sum::<u64>(),
+            world.events_processed()
+        );
+        for (kind, n) in world.census() {
+            *self.census.entry(kind).or_default() += n;
+        }
+        for (kind, ns) in world.census_cost() {
+            *self.cost.entry(kind).or_default() += ns;
+        }
+        let (instants, largest) = world.batches();
+        self.instants += instants;
+        self.largest = self.largest.max(largest);
+        self.run_ms += run_ms;
+    }
+}
 
 /// The ledger's seed, and the stride between the campaigns it derives.
 const SEED: u64 = 1;
@@ -35,18 +74,16 @@ const SEED_STRIDE: u64 = 1_000_003;
 const REFERENCE_EVERY: u64 = 64;
 
 /// Build and drain a pool the way `PoolBuilder::run` and the ledger do —
-/// in 30-s slices until every job is terminal or `deadline` passes — and
-/// return its census.
-fn drain_counting(builder: PoolBuilder, deadline: SimTime) -> Column {
+/// in 30-s slices until every job is terminal or `deadline` passes —
+/// counting its deliveries into `column`; returns the drained world.
+fn drain_counting(builder: PoolBuilder, deadline: SimTime, column: &mut Column) -> World<Msg> {
     let layout = builder.layout();
     let (mut world, _, _) = builder.build();
     world.count_deliveries_by(Msg::kind);
+    let clock = Instant::now();
     layout.drain(&mut world, deadline);
-    assert_eq!(
-        world.census().values().sum::<u64>(),
-        world.events_processed()
-    );
-    (world.census(), world.batches())
+    column.add(&world, clock.elapsed().as_secs_f64() * 1e3);
+    world
 }
 
 fn pool_drain(machines: usize, jobs: u32) -> Column {
@@ -54,18 +91,29 @@ fn pool_drain(machines: usize, jobs: u32) -> Column {
         .machines((0..machines).map(|i| MachineSpec::healthy(&format!("m{i}"), 256)))
         .jobs((1..=jobs).map(scale_job))
         .schedd_policy(flock_policy());
-    drain_counting(builder, secs(48 * 3600))
+    let layout = builder.layout();
+    let mut column = Column::default();
+    let world = drain_counting(builder, secs(48 * 3600), &mut column);
+    let report = layout.report(&world);
+    let clock = Instant::now();
+    let snapshot = report.registry().snapshot_json();
+    column.registry_ms = Some(clock.elapsed().as_secs_f64() * 1e3);
+    assert!(!snapshot.is_empty());
+    column
 }
 
 fn fed_scale(pools: u64, machines_per: usize, jobs: u32, horizon: SimTime) -> Column {
     let mut world = scaling_federation(SEED, pools, machines_per, jobs);
     world.count_deliveries_by(Msg::kind);
+    let clock = Instant::now();
     world.run_until(horizon);
-    (world.census(), world.batches())
+    let mut column = Column::default();
+    column.add(&world, clock.elapsed().as_secs_f64() * 1e3);
+    column
 }
 
 fn campaign_sweep(campaigns: u64) -> Column {
-    let (mut total, mut batches) = (Census::new(), (0, 0));
+    let mut column = Column::default();
     for i in 0..campaigns {
         let campaign = campaign::generate(SEED * SEED_STRIDE + i);
         let arms: &[bool] = if i % REFERENCE_EVERY == 0 {
@@ -74,17 +122,15 @@ fn campaign_sweep(campaigns: u64) -> Column {
             &[true]
         };
         for &faulty in arms {
-            let (census, run) = drain_counting(campaign.build_pool(faulty), deadline());
-            for (kind, n) in census {
-                *total.entry(kind).or_default() += n;
-            }
-            batches = (batches.0 + run.0, batches.1.max(run.1));
+            drain_counting(campaign.build_pool(faulty), deadline(), &mut column);
         }
     }
-    (total, batches)
+    column
 }
 
-pub fn run(size: Size) {
+/// `exp census [--cost]`: the deliveries table, and with `--cost` the
+/// handler time by kind beside it.
+pub fn run(size: Size, cost: bool) {
     let columns = [
         (
             "pool_drain",
@@ -102,22 +148,24 @@ pub fn run(size: Size) {
         ("campaign_sweep", campaign_sweep(size.pick(24, 1000))),
     ];
     let kinds: std::collections::BTreeSet<&str> = (columns.iter())
-        .flat_map(|(_, (c, _))| c.keys().copied())
+        .flat_map(|(_, c)| c.census.keys().copied())
         .collect();
     let cell = |census: &Census, kind: &str| census.get(kind).map_or("-".into(), u64::to_string);
     let mut rows: Vec<Vec<String>> = kinds
         .iter()
         .map(|kind| {
             let mut row = vec![kind.to_string()];
-            row.extend(columns.iter().map(|(_, (census, _))| cell(census, kind)));
+            row.extend(columns.iter().map(|(_, c)| cell(&c.census, kind)));
             row
         })
         .collect();
     for (i, name) in ["all", "instants", "largest batch"].into_iter().enumerate() {
         let mut row = vec![name.to_string()];
-        row.extend(columns.iter().map(|(_, (census, (instants, largest)))| {
-            [census.values().sum(), *instants, *largest as u64][i].to_string()
-        }));
+        row.extend(
+            columns.iter().map(|(_, c)| {
+                [c.census.values().sum(), c.instants, c.largest as u64][i].to_string()
+            }),
+        );
         rows.push(row);
     }
     let mut header = vec!["deliveries"];
@@ -125,6 +173,48 @@ pub fn run(size: Size) {
     println!(
         "Deliveries by message kind, seed {SEED}, the ledger's {} size:\n",
         size.pick("smoke", "gate")
+    );
+    print!("{}", render_table(&header, &rows));
+    if cost {
+        print_cost(&columns, &kinds);
+    }
+}
+
+/// The cost table: estimated handler milliseconds and share by kind, per
+/// workload, over the wall-clock of the runs themselves.
+fn print_cost(columns: &[(&str, Column)], kinds: &std::collections::BTreeSet<&str>) {
+    let ms = |ns: u64| format!("{:.1}", ns as f64 / 1e6);
+    let cell = |c: &Column, kind: &str| {
+        let total: u64 = c.cost.values().sum();
+        match c.cost.get(kind) {
+            Some(&ns) if total > 0 => {
+                format!("{} ({:.0} %)", ms(ns), 100.0 * ns as f64 / total as f64)
+            }
+            _ => "-".into(),
+        }
+    };
+    let mut rows: Vec<Vec<String>> = kinds
+        .iter()
+        .map(|kind| {
+            let mut row = vec![kind.to_string()];
+            row.extend(columns.iter().map(|(_, c)| cell(c, kind)));
+            row
+        })
+        .collect();
+    let mut total = vec!["all handlers".to_string()];
+    total.extend(columns.iter().map(|(_, c)| ms(c.cost.values().sum())));
+    let mut run = vec!["run (wall-clock)".to_string()];
+    run.extend(columns.iter().map(|(_, c)| format!("{:.1}", c.run_ms)));
+    let mut registry = vec!["registry snapshot".to_string()];
+    registry.extend(
+        (columns.iter()).map(|(_, c)| c.registry_ms.map_or("-".into(), |ms| format!("{ms:.1}"))),
+    );
+    rows.extend([total, run, registry]);
+    let mut header = vec!["handler ms (share)"];
+    header.extend(columns.iter().map(|(name, _)| *name));
+    println!(
+        "\nHandler time by message kind: every 64th delivery timed, counted 64 times \
+         (a job's VM runs inside its handler); one run, so milliseconds are noisy:\n"
     );
     print!("{}", render_table(&header, &rows));
 }

@@ -56,7 +56,7 @@ use campaign::gen::deadline;
 use campaign::generate;
 use ckpt::fnv1a;
 use condor::Msg;
-use desim::{NetStats, ParConfig, SimTime, World};
+use desim::{NetStats, ParConfig, ParStats, SimTime, World};
 use std::collections::BTreeMap;
 
 const SHARDS: usize = 4;
@@ -269,10 +269,31 @@ fn deterministic_core(pass: &Pass) -> String {
     )
 }
 
+/// What `phase` returns, and the milliseconds it took.
+fn timed<T>(phase: impl FnOnce() -> T) -> (f64, T) {
+    let t = std::time::Instant::now();
+    let out = phase();
+    (t.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// The median of `ms`.
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// Threads of `--phases`' and `--crossover`'s sharded runs: the ledger's
+/// `fed_scale_par` runs `min(2, nproc)`.
+const PAR_THREADS: usize = 2;
+
 /// `--phases`: the scaling world at the ledger's `fed_scale` size (5 x
 /// 4,000 machines, 200 jobs, 100 s; a tenth of the machines in smoke),
-/// run once per repetition on the sequential engine and timed phase by
-/// phase. Milliseconds, median of five.
+/// run once per repetition on the sequential engine and once on the
+/// sharded one (8 shards, 2 threads, as `fed_scale_par`), timed phase by
+/// phase, and then where the sharded run's time went: each thread's
+/// draining, the driving thread's wait for the helper, the serial barrier,
+/// and the keys each engine's queues sorted when an instant opened out of
+/// order. Milliseconds, median of five.
 fn phases(size: Size) {
     const REPS: usize = 5;
     /// The first advertisements land one 50 ms hop after start-up.
@@ -283,27 +304,70 @@ fn phases(size: Size) {
         jobs: size.pick(20, 200),
         horizon: secs(100),
     };
-    // What `phase` returns, and the milliseconds it took.
-    fn timed<T>(phase: impl FnOnce() -> T) -> (f64, T) {
-        let t = std::time::Instant::now();
-        let out = phase();
-        (t.elapsed().as_secs_f64() * 1e3, out)
-    }
-    // Per repetition: (milliseconds, events) of each phase.
-    let mut reps: Vec<[(f64, u64); 5]> = Vec::new();
+    // Per repetition: (milliseconds, events) of each phase, both engines.
+    let (mut seq, mut par) = (Vec::new(), Vec::new());
+    let mut stats: Vec<ParStats> = Vec::new();
+    let mut seq_sorted = 0;
     for _ in 0..REPS {
         let (build, mut world) = timed(|| scale_world(&shape));
         let on_start = timed(|| world.run_until(SimTime::ZERO));
         let first_wave = timed(|| world.run_until(FIRST_WAVE));
         let steady = timed(|| world.run_until(shape.horizon));
         assert!(first_wave.1 > 0 && steady.1 > 0, "the world must do work");
+        seq_sorted = world.sorted_keys();
         let (dropped, ()) = timed(|| drop(world));
-        reps.push([(build, 0), on_start, first_wave, steady, (dropped, 0)]);
+        seq.push(vec![(build, 0), on_start, first_wave, steady, (dropped, 0)]);
+
+        let (build, world) = timed(|| scale_world(&shape));
+        let (convert, mut pw) = timed(|| world.into_parallel(ParConfig::new(8, PAR_THREADS)));
+        let on_start = timed(|| pw.run_until(SimTime::ZERO));
+        let first_wave = timed(|| pw.run_until(FIRST_WAVE));
+        let steady = timed(|| pw.run_until(shape.horizon));
+        stats.push(pw.stats());
+        let (finish, fin) = timed(|| pw.finish());
+        let (dropped, ()) = timed(|| drop(fin));
+        par.push(vec![
+            (build, 0),
+            (convert, 0),
+            on_start,
+            first_wave,
+            steady,
+            (finish, 0),
+            (dropped, 0),
+        ]);
     }
+    let events = |rep: &[(f64, u64)]| rep.iter().map(|p| p.1).collect::<Vec<_>>();
+    let same_run = |reps: &[Vec<(f64, u64)>]| reps.iter().all(|r| events(r) == events(&reps[0]));
     assert!(
-        reps.iter().all(|r| r.map(|p| p.1) == reps[0].map(|p| p.1)),
+        same_run(&seq) && same_run(&par),
         "every repetition is the same run"
     );
+    assert_eq!(
+        events(&seq[0]).iter().sum::<u64>(),
+        events(&par[0]).iter().sum::<u64>(),
+        "both engines run the same events"
+    );
+    let phase_rows = |names: &[&str], reps: &[Vec<(f64, u64)>]| -> Vec<Vec<String>> {
+        (names.iter().enumerate())
+            .map(|(phase, name)| {
+                let ms = reps.iter().map(|r| r[phase].0).collect();
+                vec![
+                    name.to_string(),
+                    f(median(ms), 2),
+                    reps[0][phase].1.to_string(),
+                ]
+            })
+            .collect()
+    };
+    println!(
+        "E13 --phases: {} pools x {} machines, {} jobs, {} s horizon, 50ms latency; \
+         median of {REPS}\n",
+        shape.pools,
+        shape.machines_per,
+        shape.jobs,
+        shape.horizon.as_micros() / 1_000_000
+    );
+    println!("sequential engine:");
     let names = [
         "build",
         "on_start",
@@ -311,30 +375,127 @@ fn phases(size: Size) {
         "steady state",
         "drop",
     ];
-    let rows: Vec<Vec<String>> = (names.iter().enumerate())
-        .map(|(phase, name)| {
-            let mut ms: Vec<f64> = reps.iter().map(|r| r[phase].0).collect();
-            ms.sort_by(f64::total_cmp);
-            let events = reps[0][phase].1;
-            vec![name.to_string(), f(ms[REPS / 2], 2), events.to_string()]
-        })
-        .collect();
-    println!(
-        "E13 --phases: {} pools x {} machines, {} jobs, {} s horizon, sequential \
-         engine, 50ms latency; median of {REPS}\n",
-        shape.pools,
-        shape.machines_per,
-        shape.jobs,
-        shape.horizon.as_micros() / 1_000_000
-    );
+    let rows = phase_rows(&names, &seq);
     println!("{}", render_table(&["phase", "ms", "events"], &rows));
+    println!("sharded engine, 8 shards, {PAR_THREADS} threads:");
+    let names = [
+        "build",
+        "into_parallel",
+        "on_start",
+        "first wave (to 60 ms)",
+        "steady state",
+        "finish",
+        "drop",
+    ];
+    let rows = phase_rows(&names, &par);
+    println!("{}", render_table(&["phase", "ms", "events"], &rows));
+
+    let ms = |d: fn(&ParStats) -> std::time::Duration| {
+        f(
+            median(stats.iter().map(|s| d(s).as_secs_f64() * 1e3).collect()),
+            2,
+        )
+    };
+    let first = &stats[0];
+    println!(
+        "where the sharded run's time went ({} windows, {} deliveries crossed shards):",
+        first.windows, first.crossings
+    );
+    let rows = vec![
+        vec!["drain, driving thread".into(), ms(|s| s.drain_driver)],
+        vec!["drain, helper".into(), ms(|s| s.drain_helpers)],
+        vec!["wait for the helper".into(), ms(|s| s.wait)],
+        vec!["barrier".into(), ms(|s| s.barrier)],
+    ];
+    println!("{}", render_table(&["where", "ms"], &rows));
+    let mut rows: Vec<Vec<String>> = (first.events.iter().zip(&first.sorted_keys))
+        .enumerate()
+        .map(|(s, (events, sorted))| vec![s.to_string(), events.to_string(), sorted.to_string()])
+        .collect();
+    rows.push(vec![
+        "all".into(),
+        first.events.iter().sum::<u64>().to_string(),
+        first.sorted_keys.iter().sum::<u64>().to_string(),
+    ]);
+    rows.push(vec![
+        "sequential".into(),
+        events(&seq[0]).iter().sum::<u64>().to_string(),
+        seq_sorted.to_string(),
+    ]);
+    println!(
+        "{}",
+        render_table(&["shard", "events", "keys sorted at batch opening"], &rows)
+    );
+}
+
+/// `--crossover`: where the sharded engine starts to pay. E13's scaling
+/// world (5 pools, a job per ten machines, 300 s) at 4,000, 8,000 and
+/// 20,000 machines a pool (400 and 800 in smoke), each run on the
+/// sequential engine and on 8 shards at 2 threads, alternately; the run
+/// alone is timed (`run_until`, and for the sharded engine
+/// `into_parallel` and `finish` too). Seconds, median of three.
+fn crossover(size: Size) {
+    const REPS: usize = 3;
+    println!(
+        "E13 --crossover: sequential against 8 shards at {PAR_THREADS} threads, \
+         5 pools, 300 s, 50ms latency; run seconds, median of {REPS}\n"
+    );
+    let mut rows = Vec::new();
+    for machines_per in size.pick([400, 800, 2_000], [4_000, 8_000, 20_000]) {
+        let shape = ScaleShape {
+            pools: 5,
+            machines_per,
+            jobs: machines_per as u32 / 10,
+            horizon: secs(300),
+        };
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        let mut events = (0, 0);
+        for _ in 0..REPS {
+            let mut world = scale_world(&shape);
+            let (ms, n) = timed(|| world.run_until(shape.horizon));
+            seq.push(ms / 1e3);
+            events.0 = n;
+            drop(world);
+            let world = scale_world(&shape);
+            let (ms, fin) = timed(|| {
+                let mut pw = world.into_parallel(ParConfig::new(8, PAR_THREADS));
+                pw.run_until(shape.horizon);
+                pw.finish()
+            });
+            par.push(ms / 1e3);
+            events.1 = fin.events_processed;
+        }
+        assert_eq!(events.0, events.1, "both engines run the same events");
+        let (seq, par) = (median(seq), median(par));
+        rows.push(vec![
+            machines_per.to_string(),
+            events.0.to_string(),
+            f(seq, 3),
+            f(par, 3),
+            format!("{:.2}x", seq / par),
+        ]);
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "machines a pool",
+                "events",
+                "sequential (s)",
+                "sharded (s)",
+                "speed-up"
+            ],
+            &rows
+        )
+    );
 }
 
 pub fn run(size: Size, operands: &[String]) {
     match operands {
         [] => {}
         [flag] if flag == "--phases" => return phases(size),
-        other => panic!("e13 takes only --phases, got {other:?}"),
+        [flag] if flag == "--crossover" => return crossover(size),
+        other => panic!("e13 takes only --phases or --crossover, got {other:?}"),
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let shape = size.pick(

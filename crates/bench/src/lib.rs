@@ -151,7 +151,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
     Experiment {
         id: "e13",
         title: "intra-world parallel simulation: bit-identical at 1/2/8 threads",
-        operands: "[--phases]",
+        operands: "[--phases | --crossover]",
         artifacts: &["BENCH_parworld.json"],
         run: experiments::parworld::run,
     },

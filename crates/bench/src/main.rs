@@ -7,8 +7,9 @@
 //! exp e7 --localize             E7's post-mortem cross-check
 //! exp e13 --phases [--smoke]    where the scaling world's wall-clock goes
 //! exp e10 <faulty> <reference>  localize two exported event streams
-//! exp census [--smoke]          deliveries per message kind over the
-//!                               ledger's three simulated worlds
+//! exp census [--cost] [--smoke] deliveries per message kind over the
+//!                               ledger's three simulated worlds, and
+//!                               with --cost the handler time by kind
 //! ```
 //!
 //! Artifacts (`BENCH_*`) land in the working directory. Every gate is an
@@ -19,7 +20,7 @@ use bench::{experiment, Experiment, EXPERIMENTS};
 
 fn usage(problem: &str) -> ! {
     eprintln!(
-        "exp: {problem}\nusage: exp list | exp all [--smoke] | exp <id>... [--smoke] | exp census [--smoke]"
+        "exp: {problem}\nusage: exp list | exp all [--smoke] | exp <id>... [--smoke] | exp census [--cost] [--smoke]"
     );
     std::process::exit(2);
 }
@@ -41,10 +42,12 @@ fn main() {
     let mut chosen: Vec<&Experiment> = Vec::new();
     let mut operands: Vec<String> = Vec::new();
     let mut census = false;
+    let mut cost = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "list" => return list(),
             "census" => census = true,
+            "--cost" => cost = true,
             "--smoke" => size = Size::Smoke,
             "all" => chosen.extend(&EXPERIMENTS),
             other => match experiment(other) {
@@ -57,7 +60,10 @@ fn main() {
         if !(chosen.is_empty() && operands.is_empty()) {
             usage("census runs by itself");
         }
-        return bench::experiments::census::run(size);
+        return bench::experiments::census::run(size, cost);
+    }
+    if cost {
+        usage("--cost goes with census");
     }
     match chosen.as_slice() {
         [] => usage(&format!("no experiment among {operands:?}")),

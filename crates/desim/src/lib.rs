@@ -60,7 +60,7 @@ pub mod world;
 
 pub use actor::{Actor, ActorId, Context};
 pub use net::{Fate, NetOp, NetStats, Network};
-pub use par::{ParConfig, ParFinished, ParWorld};
+pub use par::{ParConfig, ParFinished, ParStats, ParWorld, Placement};
 pub use queue::{EventKey, EventQueue, KeyedEventQueue};
 pub use rng::SimRng;
 pub use sweep::{default_width, run_sweep};

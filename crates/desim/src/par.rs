@@ -2,16 +2,21 @@
 //! conservative time windows, bit-identical output at any thread count.
 //!
 //! A [`World`] is one `Shard`. [`World::into_parallel`] splits a *built*
-//! (not yet started) world into `shards` of them: actors round-robin
-//! (`id % shards`), each shard with its own keyed queue, random stream
-//! (shard 0 keeps the world's; shard `s > 0` forks `par-shard-{s}` from
-//! it), network replica, telemetry staging and span range. The shards run
-//! the world's own start-up routine, dispatch step and keying function;
-//! this module only drives them. Simulated time advances in
-//! **conservative windows** no wider than the network's minimum latency
-//! (the lookahead): inside a window every shard drains only its own
-//! events; a message to another shard is buffered and routed at the
-//! **window barrier**. Every cross-shard message is a network send with
+//! (not yet started) world into `shards` of them, each with its own keyed
+//! queue, random stream (shard 0 keeps the world's; shard `s > 0` forks
+//! `par-shard-{s}` from it), network replica, telemetry staging and span
+//! range. Where an actor lives is one function, [`Placement`]: the first
+//! `shards` ids are dealt one a shard — in a condor world these are the
+//! servers, matchmakers `0..P` and then the schedd — and the rest are cut
+//! into `shards` contiguous ranges within one actor of equal size, so a
+//! shard's actors are neighbours in memory. The shards run the world's own
+//! start-up routine, dispatch step and keying function; this module only
+//! drives them. Simulated time advances in **conservative windows** no
+//! wider than the network's minimum latency (the lookahead): inside a
+//! window every shard drains only its own events; a message to another
+//! shard is buffered and routed at the **window barrier**, source shard
+//! by source shard, so what a shard receives from higher ranges arrives
+//! in key order behind its own range's sends. Every cross-shard message is a network send with
 //! latency ≥ the lookahead, so it lands in a *later* window.
 //!
 //! ## Why the output is bit-identical at any thread count
@@ -46,9 +51,11 @@ use crate::time::{SimDuration, SimTime};
 use crate::world::{Shard, World};
 use obs::Collector;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Span-id stride between shards of one parallel run: shard `s` allocates
 /// span ids in `[base + s * SHARD_SPAN_STRIDE, …)` where `base` is the
@@ -84,6 +91,95 @@ impl ParConfig {
     }
 }
 
+/// Where each actor of a world lives when it is split into shards: the
+/// one placement the start-up routine, the send path, the barrier and
+/// [`ParWorld::with_actor`] all read.
+///
+/// For `n` actors and `s` shards (at most `n`, at least one): actor
+/// `i < s` is shard `i`'s *head*, and the other `n - s` ids are cut into
+/// `s` contiguous ranges, shard by shard, whose sizes differ by at most
+/// one (the larger ones first). Ids past the world — a send to an actor
+/// never registered — fall to the last shard, which swallows them as a
+/// world does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    shards: usize,
+    /// Every range holds `base` actors, and the first `extra` one more.
+    base: usize,
+    extra: usize,
+}
+
+impl Placement {
+    /// The placement of `actors` actors over `shards` shards (clamped to
+    /// `1..=actors`).
+    pub fn new(actors: usize, shards: usize) -> Placement {
+        let shards = shards.min(actors).max(1);
+        let rest = actors - actors.min(shards);
+        Placement {
+            shards,
+            base: rest / shards,
+            extra: rest % shards,
+        }
+    }
+
+    /// The number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The shard actor `id` lives on.
+    pub fn shard_of(&self, id: ActorId) -> usize {
+        let Some(r) = id.checked_sub(self.shards) else {
+            return id;
+        };
+        let wide = self.extra * (self.base + 1);
+        if r < wide {
+            return r / (self.base + 1);
+        }
+        // With empty ranges (`base` 0) every id from here on is past the
+        // world.
+        let narrow = (r - wide).checked_div(self.base).unwrap_or(usize::MAX);
+        self.extra.saturating_add(narrow).min(self.shards - 1)
+    }
+
+    /// Shard `shard`'s range: the actors it holds besides its head
+    /// `shard`, in id order. The last shard's range is open-ended.
+    pub fn range(&self, shard: usize) -> Range<ActorId> {
+        let start = |s: usize| self.shards + s * self.base + s.min(self.extra);
+        let end = if shard + 1 == self.shards {
+            usize::MAX
+        } else {
+            start(shard + 1)
+        };
+        start(shard)..end
+    }
+}
+
+/// What a sharded run has done so far. The counts are a function of the
+/// world and the shard count; the durations are wall-clock.
+#[derive(Debug, Clone, Default)]
+pub struct ParStats {
+    /// Windows run, the start-up window included.
+    pub windows: u64,
+    /// Deliveries handed from one shard to another at a barrier (the
+    /// world's injections, handed out at start-up, included).
+    pub crossings: u64,
+    /// Events each shard processed.
+    pub events: Vec<u64>,
+    /// Keys each shard's queue sorted because an instant opened out of
+    /// key order.
+    pub sorted_keys: Vec<u64>,
+    /// The driving thread's time working shards.
+    pub drain_driver: Duration,
+    /// The pool helpers' time working shards, summed over helpers.
+    pub drain_helpers: Duration,
+    /// The driving thread's time waiting for helpers to finish a window.
+    pub wait: Duration,
+    /// The serial barrier: handing over crossboxes, network mutations
+    /// and stops.
+    pub barrier: Duration,
+}
+
 /// One window's work, shared between the driver and the pool helpers.
 struct WindowJob<M, F> {
     shards: Arc<Vec<Mutex<Shard<M>>>>,
@@ -93,19 +189,23 @@ struct WindowJob<M, F> {
     done: Mutex<usize>,
     done_cv: Condvar,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Nanoseconds the helpers spent working shards.
+    helper_ns: AtomicU64,
 }
 
 impl<M: 'static, F: Fn(&mut Shard<M>, &[String])> WindowJob<M, F> {
     /// The claim loop: grab unclaimed shards and run the work on each,
     /// span ids pinned to the shard's own range. Run by the driver inline
     /// and by any pool helpers that arrive in time; every shard is worked
-    /// exactly once regardless of who shows up.
-    fn drain_claims(&self) {
+    /// exactly once regardless of who shows up. A helper times its
+    /// claims into `helper_ns`.
+    fn drain_claims(&self, helper: bool) {
         loop {
             let s = self.next.fetch_add(1, Ordering::SeqCst);
             if s >= self.shards.len() {
                 return;
             }
+            let clock = helper.then(Instant::now);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let mut shard = self.shards[s].lock().expect("shard mutex");
                 let saved = obs::peek_span_id();
@@ -117,6 +217,10 @@ impl<M: 'static, F: Fn(&mut Shard<M>, &[String])> WindowJob<M, F> {
             if let Err(payload) = result {
                 let mut slot = self.panic.lock().expect("panic slot");
                 slot.get_or_insert(payload);
+            }
+            if let Some(clock) = clock {
+                let ns = clock.elapsed().as_nanos() as u64;
+                self.helper_ns.fetch_add(ns, Ordering::Relaxed);
             }
             let mut d = self.done.lock().expect("done counter");
             *d += 1;
@@ -144,11 +248,13 @@ impl<M: 'static, F: Fn(&mut Shard<M>, &[String])> WindowJob<M, F> {
 pub struct ParWorld<M> {
     shards: Arc<Vec<Mutex<Shard<M>>>>,
     names: Arc<Vec<String>>,
+    placement: Placement,
     threads: usize,
     window: Option<SimDuration>,
     now: SimTime,
     started: bool,
     stopped: bool,
+    stats: ParStats,
     /// The world's original collector: pre-run records stay, shard staging
     /// is merged in behind them by [`ParWorld::finish`].
     master_collector: Collector,
@@ -162,7 +268,8 @@ impl<M: Send + 'static> World<M> {
         assert!(!self.started, "a world is split before it starts");
         let (mut first, names) = (self.shard, self.names);
         let n = names.len();
-        let count = cfg.shards.min(n).max(1);
+        let placement = Placement::new(n, cfg.shards);
+        let count = placement.shards();
         let staging = |c: &Collector| {
             if c.is_enabled() {
                 Collector::with_capacity(c.capacity())
@@ -173,6 +280,7 @@ impl<M: Send + 'static> World<M> {
         let staged = staging(&first.collector);
         let master_collector = std::mem::replace(&mut first.collector, staged);
         first.net.set_op_recording(count > 1);
+        first.place(0, placement);
         // Injections so far reach their shards at the start-up barrier.
         while let Some(injected) = first.queue.pop() {
             first.crossbox.push(injected);
@@ -181,7 +289,8 @@ impl<M: Send + 'static> World<M> {
         for s in 1..count {
             let rng = first.rng.fork(&format!("par-shard-{s}"));
             let mut shard = Shard::new(rng, first.net.clone(), staging(&first.collector));
-            let mine = |id: usize| first.actors[id].take_if(|_| id % count == s);
+            shard.place(s, placement);
+            let mine = |id: usize| first.actors[id].take_if(|_| placement.shard_of(id) == s);
             shard.actors = (0..n).map(mine).collect();
             shard.sent = vec![0; n];
             shard.census_kind = first.census_kind;
@@ -190,17 +299,18 @@ impl<M: Send + 'static> World<M> {
         shards.insert(0, first);
         let span_base = obs::peek_span_id();
         for (s, shard) in shards.iter_mut().enumerate() {
-            (shard.index, shard.shards) = (s, count);
             shard.span_next = span_base + (s as u64) * SHARD_SPAN_STRIDE;
         }
         ParWorld {
             now: shards[0].now,
             shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
             names: Arc::new(names),
+            placement,
             threads: cfg.threads.max(1),
             window: cfg.window,
             started: false,
             stopped: false,
+            stats: ParStats::default(),
             master_collector,
         }
     }
@@ -234,11 +344,24 @@ impl<M: Send + 'static> ParWorld<M> {
         self.stopped
     }
 
+    /// What the run has done so far: windows, crossings, events and
+    /// sorted keys per shard, and where the driving thread's time went.
+    pub fn stats(&self) -> ParStats {
+        let mut stats = self.stats.clone();
+        for shard in self.shards.iter() {
+            let shard = shard.lock().expect("shard mutex");
+            stats.events.push(shard.events);
+            stats.sorted_keys.push(shard.queue.sorted_keys());
+        }
+        stats
+    }
+
     /// Inspect a concrete actor between runs (e.g. "is the schedd done?"
     /// from a slice-driving harness).
     pub fn with_actor<T: Actor<M>, R>(&self, id: ActorId, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let shard = self.shards.get(id % self.shards.len())?;
-        let shard = shard.lock().expect("shard mutex");
+        let shard = self.shards[self.placement.shard_of(id)]
+            .lock()
+            .expect("shard mutex");
         let actor = shard.actors.get(id)?.as_deref()?;
         actor.downcast_ref::<T>().map(f)
     }
@@ -257,15 +380,16 @@ impl<M: Send + 'static> ParWorld<M> {
 
     /// Run `work` on every shard over up to `threads` threads, then merge
     /// at the barrier: deliveries that crossed shards (each after `last`,
-    /// the lookahead contract) into their shards' queues, deferred network
-    /// mutations into every replica in shard order, and any stop into the
-    /// run.
+    /// the lookahead contract) into their shards' queues, source shard by
+    /// source shard, deferred network mutations into every replica in
+    /// shard order, and any stop into the run.
     fn window(
         &mut self,
         last: SimTime,
         threads: usize,
         work: impl Fn(&mut Shard<M>, &[String]) + Send + Sync + 'static,
     ) {
+        let clock = Instant::now();
         let job = Arc::new(WindowJob {
             shards: Arc::clone(&self.shards),
             names: Arc::clone(&self.names),
@@ -274,25 +398,30 @@ impl<M: Send + 'static> ParWorld<M> {
             done: Mutex::new(0),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
+            helper_ns: AtomicU64::new(0),
         });
         // Helpers are *optional* claimers: if the pool is saturated, the
         // inline loop below works every shard by itself.
         let helpers = threads.min(self.shards.len()) - 1;
         for _ in 0..helpers {
             let job = Arc::clone(&job);
-            crate::pool::spawn(move || job.drain_claims());
+            crate::pool::spawn(move || job.drain_claims(true));
         }
-        job.drain_claims();
+        job.drain_claims(false);
+        let drained = Instant::now();
         job.wait_all_done();
+        let waited = Instant::now();
 
+        // Every shard at once: the barrier takes no lock per delivery.
+        let mut shards: Vec<_> = (self.shards.iter())
+            .map(|s| s.lock().expect("shard mutex"))
+            .collect();
         let mut ops = Vec::new();
-        for shard in self.shards.iter() {
-            let mut crossed = {
-                let mut shard = shard.lock().expect("shard mutex");
-                ops.append(&mut shard.net.take_pending_ops());
-                self.stopped |= shard.stop;
-                std::mem::take(&mut shard.crossbox)
-            };
+        for s in 0..shards.len() {
+            ops.append(&mut shards[s].net.take_pending_ops());
+            self.stopped |= shards[s].stop;
+            let mut crossed = std::mem::take(&mut shards[s].crossbox);
+            self.stats.crossings += crossed.len() as u64;
             for (key, delivery) in crossed.drain(..) {
                 assert!(
                     key.at > last,
@@ -303,16 +432,20 @@ impl<M: Send + 'static> ParWorld<M> {
                     key.at,
                     last,
                 );
-                let target = &self.shards[delivery.0 % self.shards.len()];
-                let mut target = target.lock().expect("shard mutex");
-                target.queue.push(key, delivery);
+                let target = self.placement.shard_of(delivery.0);
+                shards[target].queue.push(key, delivery);
             }
-            shard.lock().expect("shard mutex").crossbox = crossed;
+            shards[s].crossbox = crossed;
         }
-        for shard in self.shards.iter().filter(|_| !ops.is_empty()) {
-            let mut shard = shard.lock().expect("shard mutex");
+        for shard in shards.iter_mut().filter(|_| !ops.is_empty()) {
             ops.iter().for_each(|op| shard.net.apply_op(op));
         }
+        drop(shards);
+        self.stats.windows += 1;
+        self.stats.drain_driver += drained - clock;
+        self.stats.wait += waited - drained;
+        self.stats.barrier += waited.elapsed();
+        self.stats.drain_helpers += Duration::from_nanos(job.helper_ns.load(Ordering::Relaxed));
     }
 
     /// Run until virtual time reaches `deadline` (events at exactly
@@ -842,6 +975,121 @@ mod tests {
             &[999, 12_000, 40_000],
         ] {
             assert_eq!(run(cuts), whole, "cut at {cuts:?}");
+        }
+    }
+
+    /// The first ids one a shard, then contiguous ranges, the larger
+    /// ones first; a condor world's servers are its heads.
+    #[test]
+    fn placement_deals_heads_then_cuts_ranges() {
+        let p = Placement::new(20, 8);
+        let ranges: Vec<_> = (0..8).map(|s| p.range(s)).collect();
+        assert_eq!(
+            ranges,
+            [
+                8..10,
+                10..12,
+                12..14,
+                14..16,
+                16..17,
+                17..18,
+                18..19,
+                19..usize::MAX
+            ]
+        );
+        let shards: Vec<usize> = (0..22).map(|id| p.shard_of(id)).collect();
+        let want = [
+            0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 7, 7,
+        ];
+        assert_eq!(shards, want);
+        // Five matchmakers and a schedd over 8 shards: one server a shard.
+        let fed = Placement::new(5 + 1 + 20_000, 8);
+        assert_eq!(
+            (0..6).map(|id| fed.shard_of(id)).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5]
+        );
+        assert_eq!(Placement::new(3, 8).shards(), 3);
+        assert_eq!(Placement::new(0, 8).range(0), 1..usize::MAX);
+    }
+
+    /// Greets every actor over the network when kicked, and every actor
+    /// the placement puts on its own shard reliably too: a reliable send
+    /// the router took off the shard trips the lookahead assertion, and a
+    /// greeting routed to the wrong shard is swallowed there.
+    struct Roll {
+        placement: Placement,
+        actors: usize,
+        started: u32,
+        net_from: Vec<ActorId>,
+        local_from: Vec<ActorId>,
+    }
+    impl Actor<Msg> for Roll {
+        fn name(&self) -> String {
+            "roll".into()
+        }
+        fn on_start(&mut self, _ctx: &mut Context<'_, Msg>) {
+            self.started += 1;
+        }
+        fn on_message(&mut self, from: ActorId, m: Msg, ctx: &mut Context<'_, Msg>) {
+            match m {
+                Msg::Kick => {
+                    let home = self.placement.shard_of(ctx.self_id);
+                    for to in 0..self.actors {
+                        ctx.send_net(to, Msg::Hop(0));
+                        if self.placement.shard_of(to) == home {
+                            ctx.send(to, Msg::Probe);
+                        }
+                    }
+                }
+                Msg::Hop(_) => self.net_from.push(from),
+                Msg::Probe => self.local_from.push(from),
+            }
+        }
+    }
+
+    /// Start-up, the send path, the barrier and `with_actor` all place
+    /// actors where [`Placement`] says.
+    #[test]
+    fn every_router_follows_the_placement() {
+        let n = 11;
+        for shards in [1, 2, 3] {
+            let placement = Placement::new(n, shards);
+            let mut w: World<Msg> = World::new(4);
+            for id in 0..n {
+                w.add_actor(Box::new(Roll {
+                    placement,
+                    actors: n,
+                    started: 0,
+                    net_from: Vec::new(),
+                    local_from: Vec::new(),
+                }));
+                w.inject(id, Msg::Kick);
+            }
+            let mut pw = w.into_parallel(ParConfig::new(shards, 2));
+            pw.run_until(SimTime::from_millis(10));
+            let crossed = (0..n)
+                .flat_map(|a| (0..n).map(move |b| (a, b)))
+                .filter(|&(a, b)| placement.shard_of(a) != placement.shard_of(b))
+                .count();
+            // Each of the n injections is handed out at the start-up barrier.
+            let stats = pw.stats();
+            assert_eq!(stats.crossings as usize, crossed + n, "{shards} shards");
+            assert_eq!(stats.events.len(), shards);
+            for id in 0..n {
+                let seen = pw.with_actor(id, |r: &Roll| {
+                    (r.started, r.net_from.clone(), r.local_from.clone())
+                });
+                let (started, mut net_from, mut local_from) =
+                    seen.expect("with_actor reaches every id");
+                net_from.sort_unstable();
+                local_from.sort_unstable();
+                assert_eq!(started, 1, "actor {id} starts once, {shards} shards");
+                assert_eq!(net_from, (0..n).collect::<Vec<_>>(), "actor {id}");
+                let home = placement.shard_of(id);
+                let locals: Vec<ActorId> =
+                    (0..n).filter(|&a| placement.shard_of(a) == home).collect();
+                assert_eq!(local_from, locals, "actor {id}, {shards} shards");
+            }
         }
     }
 

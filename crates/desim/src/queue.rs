@@ -141,6 +141,7 @@ pub struct KeyedEventQueue<E> {
     len: usize,
     instants: u64,
     largest_batch: usize,
+    sorted_keys: u64,
 }
 
 impl<E> Default for KeyedEventQueue<E> {
@@ -173,6 +174,7 @@ impl<E> KeyedEventQueue<E> {
             len: 0,
             instants: 0,
             largest_batch: 0,
+            sorted_keys: 0,
         }
     }
 
@@ -268,6 +270,11 @@ impl<E> KeyedEventQueue<E> {
     /// The most events one batch has held.
     pub fn largest_batch(&self) -> usize {
         self.largest_batch
+    }
+
+    /// Keys sorted so far because an instant opened out of key order.
+    pub fn sorted_keys(&self) -> u64 {
+        self.sorted_keys
     }
 
     #[inline]
@@ -374,6 +381,7 @@ impl<E> KeyedEventQueue<E> {
             }
             let slots = &self.slots;
             self.sorting.sort_unstable_by_key(|&s| slots[s as usize].0);
+            self.sorted_keys += self.sorting.len() as u64;
             for pair in self.sorting.windows(2) {
                 self.links[pair[0] as usize] = pair[1];
             }

@@ -11,15 +11,26 @@
 //! deliveries drain in sender-id order, FIFO per sender, however the
 //! world is driven. A world and [`World::into_parallel`] with one shard
 //! are therefore the same run, bit for bit; with more shards the actors
-//! split round-robin and shard 0 keeps the world's random stream.
+//! split by [`crate::par::Placement`] — the first ids one a shard, the
+//! rest in contiguous ranges — and shard 0 keeps the world's random
+//! stream. A shard knows its own actors as its head id and its range, so
+//! routing a send is two comparisons; only a send that leaves the shard
+//! asks the placement where it goes.
 
 use crate::actor::{Actor, ActorId, Context};
 use crate::net::Network;
+use crate::par::Placement;
 use crate::queue::{EventKey, KeyedEventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use obs::Collector;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::time::Instant;
+
+/// While the census is on, every this-many-th dispatch has its handler
+/// timed ([`World::census_cost`]).
+const COST_EVERY: u64 = 64;
 
 /// A complete simulated system: a set of actors, a pending-event queue, a
 /// virtual clock, a network fabric, a random stream, and a typed event
@@ -33,12 +44,14 @@ pub struct World<M> {
 }
 
 /// What one shard of a world owns: enough to run its actors' handlers
-/// without touching any other shard. Actors `index`, `index + shards`, …
-/// live here; a send to an actor elsewhere waits in `crossbox` for the
-/// window barrier ([`crate::par`]). A [`World`] is one shard.
+/// without touching any other shard. Actor `index` (its head) and the
+/// actors of `range` live here; a send to an actor elsewhere waits in
+/// `crossbox` for the window barrier ([`crate::par`]). A [`World`] is one
+/// shard, whose range is every id but its head 0.
 pub(crate) struct Shard<M> {
     pub(crate) index: usize,
-    pub(crate) shards: usize,
+    /// The rest of this shard's actors: its range in the [`Placement`].
+    range: Range<ActorId>,
     /// Full-length slot table; only this shard's actors are `Some`.
     pub(crate) actors: Vec<Option<Box<dyn Actor<M> + Send>>>,
     /// Pending deliveries as `(recipient, msg)`: the sender is the key's
@@ -63,13 +76,15 @@ pub(crate) struct Shard<M> {
     /// How [`World::count_deliveries_by`] files a message, and the counts.
     pub(crate) census_kind: Option<fn(&M) -> &'static str>,
     pub(crate) census: BTreeMap<&'static str, u64>,
+    /// Nanoseconds in the sampled handlers, by kind, while the census is on.
+    pub(crate) cost: BTreeMap<&'static str, u64>,
 }
 
 impl<M: 'static> Shard<M> {
     pub(crate) fn new(rng: SimRng, net: Network, collector: Collector) -> Self {
         Shard {
             index: 0,
-            shards: 1,
+            range: Placement::new(0, 1).range(0),
             actors: Vec::new(),
             queue: KeyedEventQueue::new(),
             rng,
@@ -84,7 +99,13 @@ impl<M: 'static> Shard<M> {
             events: 0,
             census_kind: None,
             census: BTreeMap::new(),
+            cost: BTreeMap::new(),
         }
+    }
+
+    /// Make this shard `index` of `placement`.
+    pub(crate) fn place(&mut self, index: usize, placement: Placement) {
+        (self.index, self.range) = (index, placement.range(index));
     }
 
     /// Run `handler` on actor `id` with a context over this shard, then
@@ -115,10 +136,12 @@ impl<M: 'static> Shard<M> {
             },
         );
         self.actors[id] = Some(actor);
-        // In send order: each sender's sequence numbers follow it.
+        // In send order: each sender's sequence numbers follow it. The
+        // recipient is here if it is the head or in the range: no
+        // division, no table.
         for (at, to, msg) in self.outbox.drain(..) {
             let key = EventKey::next(at, id as u64, &mut self.sent[id]);
-            if to % self.shards == self.index {
+            if to == self.index || self.range.contains(&to) {
                 self.queue.push(key, (to, msg));
             } else {
                 self.crossbox.push((key, (to, msg)));
@@ -126,9 +149,11 @@ impl<M: 'static> Shard<M> {
         }
     }
 
-    /// Run `on_start` for each of this shard's actors, in id order.
+    /// Run `on_start` for each of this shard's actors, in id order: its
+    /// head, then its range.
     pub(crate) fn start(&mut self, names: &[String]) {
-        for id in (self.index..self.actors.len()).step_by(self.shards) {
+        let range = self.range.start..self.range.end.min(self.actors.len());
+        for id in std::iter::once(self.index).chain(range) {
             self.invoke(id, names, |actor, ctx| actor.on_start(ctx));
         }
     }
@@ -148,10 +173,17 @@ impl<M: 'static> Shard<M> {
         debug_assert!(key.at >= self.now, "time must not run backwards");
         self.now = key.at;
         self.events += 1;
-        if let Some(kind) = self.census_kind {
-            *self.census.entry(kind(&msg)).or_default() += 1;
-        }
+        // Counted, and every 64th counted delivery timed: a clock read on
+        // each side of the one handler call.
+        let timed = self.census_kind.and_then(|kind| {
+            let kind = kind(&msg);
+            *self.census.entry(kind).or_default() += 1;
+            (self.events.is_multiple_of(COST_EVERY)).then(|| (kind, Instant::now()))
+        });
         self.invoke(to, names, |actor, ctx| actor.on_message(from, msg, ctx));
+        if let Some((kind, start)) = timed {
+            *self.cost.entry(kind).or_default() += start.elapsed().as_nanos() as u64;
+        }
         true
     }
 
@@ -234,12 +266,23 @@ impl<M: 'static> World<M> {
     pub fn count_deliveries_by(&mut self, kind: fn(&M) -> &'static str) {
         self.shard.census_kind = Some(kind);
         self.shard.census.clear();
+        self.shard.cost.clear();
     }
 
     /// Deliveries per kind since [`World::count_deliveries_by`]; empty if
     /// it was never called.
     pub fn census(&self) -> BTreeMap<&'static str, u64> {
         self.shard.census.clone()
+    }
+
+    /// Estimated nanoseconds in handlers per kind since
+    /// [`World::count_deliveries_by`]: every 64th delivery's handler is
+    /// timed — anything it runs, a job's VM included — and counts 64
+    /// times. Timing reads the clock only, so the run is the one an
+    /// uncounted world makes.
+    pub fn census_cost(&self) -> BTreeMap<&'static str, u64> {
+        let cost = self.shard.cost.iter();
+        cost.map(|(&kind, &ns)| (kind, ns * COST_EVERY)).collect()
     }
 
     /// Number of pending events.
@@ -252,6 +295,12 @@ impl<M: 'static> World<M> {
     pub fn batches(&self) -> (u64, usize) {
         let queue = &self.shard.queue;
         (queue.instants(), queue.largest_batch())
+    }
+
+    /// Keys the queue has sorted because an instant opened out of key
+    /// order.
+    pub fn sorted_keys(&self) -> u64 {
+        self.shard.queue.sorted_keys()
     }
 
     /// Inspect a concrete actor by id.
@@ -513,6 +562,39 @@ mod tests {
         w.inject_after(SimDuration::from_secs(1), r, Msg::Net(2));
         w.run(100);
         assert_eq!(w.get::<NetReceiver>(r).unwrap().got, 2);
+    }
+
+    /// Greets every actor, one id past the world included, over the
+    /// network and reliably.
+    struct Greeter {
+        actors: usize,
+    }
+    impl Actor<Msg> for Greeter {
+        fn name(&self) -> String {
+            "greeter".into()
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            for to in 0..=self.actors {
+                ctx.send_net(to, Msg::Net(0));
+                ctx.send(to, Msg::Tick);
+            }
+        }
+        fn on_message(&mut self, _f: ActorId, _m: Msg, _c: &mut Context<'_, Msg>) {}
+    }
+
+    /// A world is one shard: every send stays on it — nothing waits for
+    /// a barrier that never comes.
+    #[test]
+    fn a_world_keeps_every_send_local() {
+        let n = 9;
+        let mut w: World<Msg> = World::new(2);
+        for _ in 0..n {
+            w.add_actor(Box::new(Greeter { actors: n }));
+        }
+        w.run_until(SimTime::from_millis(1));
+        assert!(w.shard.crossbox.is_empty());
+        assert_eq!(w.events_processed(), 2 * (n * (n + 1)) as u64);
+        assert_eq!(w.pending(), 0);
     }
 
     #[test]

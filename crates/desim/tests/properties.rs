@@ -1,7 +1,7 @@
 //! Properties of the simulation engine, run on seeded generated cases.
 
 use desim::prelude::*;
-use desim::{EventKey, EventQueue, KeyedEventQueue, ParConfig};
+use desim::{EventKey, EventQueue, KeyedEventQueue, ParConfig, Placement};
 use propcheck::{check, Gen};
 
 const CASES: u64 = 256;
@@ -89,7 +89,7 @@ impl Model {
         want
     }
 
-    fn drain(&mut self) {
+    fn pop_all(&mut self) {
         while self.pop().is_some() {}
         assert!(self.queue.is_empty());
     }
@@ -116,7 +116,7 @@ fn des_shaped(g: &mut Gen) {
             model.push(now.at.as_micros() + *g.pick(&delays), g.int(0..=sources));
         }
     }
-    model.drain();
+    model.pop_all();
 }
 
 /// Pushes anywhere near the last pop: at its instant (into the rest of
@@ -139,7 +139,7 @@ fn arbitrary_order(g: &mut Gen) {
         };
         model.push(at, g.int(0..=sources));
     }
-    model.drain();
+    model.pop_all();
 }
 
 /// One event set delivered at a barrier while a batch is open: in any
@@ -349,13 +349,15 @@ fn canonical_target_stream(events: &[(EventKey, usize)], target: usize) -> Vec<E
 }
 
 /// The conservative-window drain, modeled at the queue level: targets are
-/// assigned round-robin to `shards_n` keyed queues; deliveries are held
-/// in a crossbox and merged at the barrier opening the window containing
-/// them; each shard then drains only its own window. Returns each
-/// target's received stream.
+/// placed on `shards_n` keyed queues by the engine's [`Placement`];
+/// deliveries are held in a crossbox and merged at the barrier opening the
+/// window containing them; each shard then drains only its own window.
+/// Returns each target's received stream.
 fn window_drain(events: &[(EventKey, usize)], shards_n: usize, window: u64) -> Vec<Vec<EventKey>> {
-    let mut queues: Vec<KeyedEventQueue<usize>> =
-        (0..shards_n).map(|_| KeyedEventQueue::new()).collect();
+    let placement = Placement::new(6, shards_n);
+    let mut queues: Vec<KeyedEventQueue<usize>> = (0..placement.shards())
+        .map(|_| KeyedEventQueue::new())
+        .collect();
     let mut held: Vec<(EventKey, usize)> = events.to_vec();
     held.sort();
     held.reverse(); // Vec::pop() yields earliest first
@@ -370,7 +372,7 @@ fn window_drain(events: &[(EventKey, usize)], shards_n: usize, window: u64) -> V
         // Barrier: deliver everything landing inside this window.
         while held.last().is_some_and(|(k, _)| k.at < end) {
             let (k, target) = held.pop().unwrap();
-            queues[target % shards_n].push(k, target);
+            queues[placement.shard_of(target)].push(k, target);
         }
         // Each shard drains its own window, in shard order.
         for q in queues.iter_mut() {
@@ -381,6 +383,55 @@ fn window_drain(events: &[(EventKey, usize)], shards_n: usize, window: u64) -> V
         }
     }
     streams
+}
+
+/// The placement of `n` actors over `shards` shards is a partition of the
+/// ids: the first `shards` ids are one a shard, and each shard's range is
+/// contiguous, follows the previous one, and is within one actor of every
+/// other; ids past the world fall to the last shard.
+#[test]
+fn placement_is_heads_then_near_equal_contiguous_ranges() {
+    check(CASES, |g| {
+        let n = g.int(0usize..3000);
+        let asked = g.int(1usize..40);
+        let placement = Placement::new(n, asked);
+        let shards = placement.shards();
+        assert_eq!(shards, asked.min(n).max(1));
+        let mut owner = vec![None; n];
+        let mut sizes = Vec::new();
+        let mut next = shards;
+        for s in 0..shards {
+            let range = placement.range(s);
+            assert_eq!(
+                range.start,
+                next.min(n.max(shards)),
+                "ranges follow each other"
+            );
+            let end = range.end.min(n.max(shards));
+            next = end;
+            sizes.push(end - range.start);
+            for id in std::iter::once(s).chain(range.start..end) {
+                if id < n {
+                    assert_eq!(owner[id].replace(s), None, "id {id} placed twice");
+                }
+            }
+        }
+        assert_eq!(
+            next,
+            n.max(shards),
+            "the ranges cover every id after the heads"
+        );
+        let (small, large) = (sizes.iter().min(), sizes.iter().max());
+        assert!(large.unwrap() - small.unwrap() <= 1, "ranges {sizes:?}");
+        for (id, owner) in owner.iter().enumerate() {
+            assert_eq!(*owner, Some(placement.shard_of(id)), "id {id} of {n}");
+        }
+        for past in [n, n + 1, n + g.int(0usize..1000)] {
+            if past >= shards {
+                assert_eq!(placement.shard_of(past), shards - 1, "id {past} past {n}");
+            }
+        }
+    });
 }
 
 /// One fixed workload beside the window-barrier property above: 150

@@ -73,7 +73,8 @@ echo "==> every experiment at smoke size (each one's gates are assertions)"
 cargo run --release -p bench --bin exp -- all --smoke
 cargo run --release -p bench --bin exp -- e7 --localize
 cargo run --release -p bench --bin exp -- e13 --phases --smoke
-cargo run --release -p bench --bin exp -- census --smoke
+cargo run --release -p bench --bin exp -- e13 --crossover --smoke
+cargo run --release -p bench --bin exp -- census --cost --smoke
 
 echo "==> every example runs (each one's assert!s are its gate)"
 for example in quickstart java_universe blackhole_pool io_proxy; do
