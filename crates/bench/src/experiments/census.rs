@@ -13,10 +13,13 @@
 //!
 //! `exp census --cost` adds where the handlers' time went: every 64th
 //! delivery's handler is timed ([`desim::World::census_cost`]), by kind,
-//! in milliseconds and as a share of the column, beside the wall-clock of
-//! the runs and — for `pool_drain` — the time to snapshot its registry
-//! (the ledger's `obs.registry_s`). The timing reads the clock only, so
-//! the runs are the uncounted ones.
+//! in milliseconds and as a share of the runs' wall-clock. One more row
+//! holds the rest of that wall-clock, "outside handlers": the engine's own
+//! queue, dispatch and network, and the estimate's sampling error. Every
+//! column then sums to its run. Beside them: the wall-clock itself and, for
+//! `pool_drain`, the time to snapshot its registry (the ledger's
+//! `obs.registry_s`). The timing reads the clock only, so the runs are the
+//! uncounted ones.
 
 use crate::harness::Size;
 use crate::render_table;
@@ -180,18 +183,15 @@ pub fn run(size: Size, cost: bool) {
     }
 }
 
-/// The cost table: estimated handler milliseconds and share by kind, per
-/// workload, over the wall-clock of the runs themselves.
+/// The cost table: estimated handler milliseconds by kind, per workload,
+/// and the rest of the run outside them, each with its share of the
+/// wall-clock of the runs themselves.
 fn print_cost(columns: &[(&str, Column)], kinds: &std::collections::BTreeSet<&str>) {
-    let ms = |ns: u64| format!("{:.1}", ns as f64 / 1e6);
-    let cell = |c: &Column, kind: &str| {
-        let total: u64 = c.cost.values().sum();
-        match c.cost.get(kind) {
-            Some(&ns) if total > 0 => {
-                format!("{} ({:.0} %)", ms(ns), 100.0 * ns as f64 / total as f64)
-            }
-            _ => "-".into(),
-        }
+    let handlers_ms = |c: &Column| c.cost.values().sum::<u64>() as f64 / 1e6;
+    let share = |c: &Column, ms: f64| format!("{ms:.1} ({:.0} %)", 100.0 * ms / c.run_ms);
+    let cell = |c: &Column, kind: &str| match c.cost.get(kind) {
+        Some(&ns) if c.run_ms > 0.0 => share(c, ns as f64 / 1e6),
+        _ => "-".into(),
     };
     let mut rows: Vec<Vec<String>> = kinds
         .iter()
@@ -201,20 +201,23 @@ fn print_cost(columns: &[(&str, Column)], kinds: &std::collections::BTreeSet<&st
             row
         })
         .collect();
+    let mut outside = vec!["outside handlers".to_string()];
+    outside.extend((columns.iter()).map(|(_, c)| share(c, c.run_ms - handlers_ms(c))));
     let mut total = vec!["all handlers".to_string()];
-    total.extend(columns.iter().map(|(_, c)| ms(c.cost.values().sum())));
+    total.extend((columns.iter()).map(|(_, c)| format!("{:.1}", handlers_ms(c))));
     let mut run = vec!["run (wall-clock)".to_string()];
     run.extend(columns.iter().map(|(_, c)| format!("{:.1}", c.run_ms)));
     let mut registry = vec!["registry snapshot".to_string()];
     registry.extend(
         (columns.iter()).map(|(_, c)| c.registry_ms.map_or("-".into(), |ms| format!("{ms:.1}"))),
     );
-    rows.extend([total, run, registry]);
+    rows.extend([outside, total, run, registry]);
     let mut header = vec!["handler ms (share)"];
     header.extend(columns.iter().map(|(name, _)| *name));
     println!(
-        "\nHandler time by message kind: every 64th delivery timed, counted 64 times \
-         (a job's VM runs inside its handler); one run, so milliseconds are noisy:\n"
+        "\nHandler time by message kind, ms (share of the run): every 64th delivery \
+         timed, counted 64 times (a job's VM runs inside its handler); one run, so \
+         milliseconds are noisy:\n"
     );
     print!("{}", render_table(&header, &rows));
 }

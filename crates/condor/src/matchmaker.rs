@@ -76,6 +76,15 @@
 //! comparison (equality by content is the fallback for a same-content ad
 //! in a different allocation).
 //!
+//! Machines are filed by actor id in a slot table, not an ordered map: the
+//! renewal each machine sends every [`KEEPALIVE_PERIOD`] is nearly every
+//! event of an idle federation, and a pool's machines are a contiguous
+//! range of ids, so a slot per id from the lowest to the highest is dense
+//! and a renewal is one indexed load instead of a search over thousands of
+//! machines. A machine's fence lives in its slot, stamped with the cycle
+//! that raised it: the next cycle lowers every fence by moving the cycle
+//! counter on. Expiry walks the slots in id order.
+//!
 //! Shape membership holds the paper's soft-state bargain: an expired ad
 //! leaves its shape, and a consumed ad leaves it the moment it is picked,
 //! so later jobs in the same cycle never see it.
@@ -366,6 +375,116 @@ struct MachineEntry {
     seq: u64,
 }
 
+/// A machine's place in the [`MachineTable`]: its entry while it has an ad
+/// on offer, and the fence its last consumed ad left behind — up while the
+/// cycle that raised it is the engine's current one.
+#[derive(Default)]
+struct Slot {
+    entry: Option<MachineEntry>,
+    fenced_in: u64,
+    fence_seq: u64,
+}
+
+/// The machines, filed by actor id: one slot per id from `base` to the
+/// highest id seen. A pool's machines are a contiguous range of ids, so
+/// the table is dense, and a renewal, a fence check and an admission are
+/// each one indexed load. It grows upward as a vector does, and downward
+/// by at least its own length (never below id 0), so ids arriving in
+/// descending order cost amortized constant time too. Walked in id order.
+#[derive(Default)]
+struct MachineTable {
+    base: ActorId,
+    slots: Vec<Slot>,
+    // Slots holding an entry.
+    len: usize,
+}
+
+impl MachineTable {
+    fn slot(&self, id: ActorId) -> Option<&Slot> {
+        self.slots.get(id.checked_sub(self.base)?)
+    }
+
+    fn slot_mut(&mut self, id: ActorId) -> Option<&mut Slot> {
+        self.slots.get_mut(id.checked_sub(self.base)?)
+    }
+
+    #[cfg(test)]
+    fn get(&self, id: ActorId) -> Option<&MachineEntry> {
+        self.slot(id)?.entry.as_ref()
+    }
+
+    fn get_mut(&mut self, id: ActorId) -> Option<&mut MachineEntry> {
+        self.slot_mut(id)?.entry.as_mut()
+    }
+
+    // The slot of `id`, the table grown to hold it.
+    fn grow_to(&mut self, id: ActorId) -> &mut Slot {
+        if self.slots.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            let below = (self.base - id).max(self.slots.len()).min(self.base);
+            let mut slots = Vec::with_capacity(below + self.slots.len());
+            slots.resize_with(below, Slot::default);
+            slots.append(&mut self.slots);
+            self.slots = slots;
+            self.base -= below;
+        }
+        let at = id - self.base;
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, Slot::default);
+        }
+        &mut self.slots[at]
+    }
+
+    fn insert(&mut self, id: ActorId, entry: MachineEntry) {
+        if self.grow_to(id).entry.replace(entry).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, id: ActorId) -> Option<MachineEntry> {
+        let entry = self.slot_mut(id)?.entry.take()?;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    // Take `id`'s entry out, fencing its slot in `cycle` against the
+    // entry's sequence number.
+    fn consume(&mut self, id: ActorId, cycle: u64) -> Option<MachineEntry> {
+        let slot = self.slot_mut(id)?;
+        let entry = slot.entry.take()?;
+        (slot.fenced_in, slot.fence_seq) = (cycle, entry.seq);
+        self.len -= 1;
+        Some(entry)
+    }
+
+    // Take out, in id order, every entry `lapsed` holds for, handing each
+    // to `gone`.
+    fn remove_where(
+        &mut self,
+        lapsed: impl Fn(&MachineEntry) -> bool,
+        mut gone: impl FnMut(ActorId, MachineEntry),
+    ) {
+        for (at, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(entry) = slot.entry.take_if(|entry| lapsed(entry)) {
+                self.len -= 1;
+                gone(self.base + at, entry);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (ActorId, &MachineEntry)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(at, slot)| Some((self.base + at, slot.entry.as_ref()?)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (ActorId, &mut MachineEntry)> {
+        let (base, slots) = (self.base, self.slots.iter_mut().enumerate());
+        slots.filter_map(move |(at, slot)| Some((base + at, slot.entry.as_mut()?)))
+    }
+}
+
 /// A queued job: the same of its ad. One stored by
 /// [`MatchEngine::insert_job`], which knows no clock, carries no lease
 /// (`fresh_at` is [`SimTime::MAX`]).
@@ -391,7 +510,7 @@ fn same_ad(old: &Arc<ClassAd>, new: &Arc<ClassAd>) -> bool {
 /// naive O(jobs × machines) kernel preserved as [`naive_negotiate`].
 #[derive(Default)]
 pub struct MatchEngine {
-    machines: BTreeMap<ActorId, MachineEntry>,
+    machines: MachineTable,
     // Keyed by (schedd, job) so several schedds can coexist.
     jobs: BTreeMap<(ActorId, u32), JobEntry>,
     job_shapes: Side,
@@ -414,8 +533,11 @@ pub struct MatchEngine {
     machines_stale: bool,
     // The fences: the sequence number of every ad the last cycle consumed,
     // forgotten when the next one starts. Only [`MatchEngine::machine_ad`]
-    // and [`MatchEngine::job_ad`] consult them.
-    fenced_machines: BTreeMap<ActorId, u64>,
+    // and [`MatchEngine::job_ad`] consult them. A machine's is in its slot,
+    // stamped with `cycle`, which the next cycle moves on, lowering them
+    // all; `fences_up` counts those the current cycle raised.
+    cycle: u64,
+    fences_up: usize,
     fenced_jobs: BTreeMap<(ActorId, u32), u64>,
     next_shape: u64,
     scratch: Scratch,
@@ -441,7 +563,10 @@ impl MatchEngine {
     /// claim since cannot have seen the match, and its ad would be matched
     /// again while the first match's claim is still on its way.
     pub fn machine_ad(&mut self, id: ActorId, ad: Arc<ClassAd>, seq: u64, now: SimTime) {
-        if matches!(self.fenced_machines.get(&id), Some(&consumed) if seq <= consumed) {
+        // With no fence up there is nothing to look up (and a slot never
+        // fenced reads cycle 0, the engine's own before its first cycle).
+        let fenced = |slot: &Slot| slot.fenced_in == self.cycle && seq <= slot.fence_seq;
+        if self.fences_up > 0 && self.machines.slot(id).is_some_and(fenced) {
             self.stats.ads_fenced += 1;
             return;
         }
@@ -449,7 +574,7 @@ impl MatchEngine {
     }
 
     fn store_machine(&mut self, id: ActorId, ad: Arc<ClassAd>, seq: u64, now: SimTime) {
-        if let Some(existing) = self.machines.get_mut(&id) {
+        if let Some(existing) = self.machines.get_mut(id) {
             if same_ad(&existing.ad, &ad) {
                 existing.fresh_at = now;
                 existing.seq = seq;
@@ -577,7 +702,7 @@ impl MatchEngine {
             if std::mem::take(&mut self.machines_stale) {
                 self.members.clear();
                 let mut machines = std::mem::take(&mut self.machines);
-                for (&id, entry) in &mut machines {
+                for (id, entry) in machines.iter_mut() {
                     entry.shape = self.machine_shape_of(&entry.ad);
                     self.members.insert((entry.shape, id));
                 }
@@ -590,7 +715,7 @@ impl MatchEngine {
     /// immediately — the engine holds no state the pool has not recently
     /// asserted.
     pub fn remove_machine(&mut self, id: ActorId) {
-        if let Some(e) = self.machines.remove(&id) {
+        if let Some(e) = self.machines.remove(id) {
             self.members.remove(&(e.shape, id));
         }
     }
@@ -602,7 +727,7 @@ impl MatchEngine {
 
     /// Live machine ads.
     pub fn machine_count(&self) -> usize {
-        self.machines.len()
+        self.machines.len
     }
 
     /// Live job ads.
@@ -615,21 +740,19 @@ impl MatchEngine {
     /// ad of a job its schedd no longer offers here.
     pub fn expire(&mut self, now: SimTime) {
         let lapsed = |fresh_at: SimTime| now - fresh_at > AD_LIFETIME;
-        let expired: Vec<ActorId> = (self.machines.iter())
-            .filter(|(_, m)| lapsed(m.fresh_at))
-            .map(|(id, _)| *id)
-            .collect();
-        self.stats.ads_expired += expired.len() as u64;
-        for id in expired {
-            self.remove_machine(id);
-        }
+        let (members, expired) = (&mut self.members, &mut self.stats.ads_expired);
+        let gone = |id, m: MachineEntry| {
+            members.remove(&(m.shape, id));
+            *expired += 1;
+        };
+        self.machines.remove_where(|m| lapsed(m.fresh_at), gone);
         self.jobs.retain(|_, job| !lapsed(job.fresh_at));
     }
 
     /// Has the engine nothing to negotiate and no fence up: would a cycle
     /// change nothing?
     pub fn is_idle(&self) -> bool {
-        self.jobs.is_empty() && self.fenced_jobs.is_empty() && self.fenced_machines.is_empty()
+        self.jobs.is_empty() && self.fenced_jobs.is_empty() && self.fences_up == 0
     }
 
     /// Run one negotiation cycle: expire stale ads, then greedily
@@ -639,11 +762,12 @@ impl MatchEngine {
     /// consumed ads are already removed when this returns.
     pub fn negotiate(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<(ActorId, u32, ActorId)> {
         // Whatever the last cycle matched has had a whole period to say so.
-        self.fenced_machines.clear();
+        self.cycle += 1;
+        self.fences_up = 0;
         self.fenced_jobs.clear();
 
         self.expire(now);
-        self.stats.ads_active = (self.machines.len() + self.jobs.len()) as u64;
+        self.stats.ads_active = (self.machines.len + self.jobs.len()) as u64;
 
         let mut notifications: Vec<(ActorId, u32, ActorId)> = Vec::new();
         // This cycle's match list per job shape: the machines the naive
@@ -680,9 +804,13 @@ impl MatchEngine {
             // "Ties must not always favour the same host, or a free
             // fast-failing machine becomes a deterministic magnet."
             let mid = list[rng.index(list.len())];
-            self.fenced_machines.insert(mid, self.machines[&mid].seq);
+            let consumed = self
+                .machines
+                .consume(mid, self.cycle)
+                .expect("a listed machine");
+            self.members.remove(&(consumed.shape, mid));
+            self.fences_up += 1;
             self.fenced_jobs.insert((schedd, job), entry.seq);
-            self.remove_machine(mid);
             notifications.push((schedd, job, mid));
             let left = queued.get_mut(&entry.shape).expect("counted above");
             *left -= 1;
@@ -1597,7 +1725,7 @@ mod tests {
         // Two machines share a shape iff `class` gives them one label.
         fn assert_split<L: Ord>(engine: &MatchEngine, class: impl Fn(usize) -> L) {
             let mut of_shape: BTreeMap<u64, BTreeSet<L>> = BTreeMap::new();
-            for (&id, m) in &engine.machines {
+            for (id, m) in engine.machines.iter() {
                 assert!(engine.members.contains(&(m.shape, id)));
                 of_shape.entry(m.shape).or_default().insert(class(id - 100));
             }
@@ -1736,7 +1864,7 @@ mod tests {
                 .map(|(&key, entry)| (key, flat(&entry.ad)))
                 .collect();
             let machines: BTreeMap<_, _> = (engine.machines.iter())
-                .map(|(&id, entry)| (id, flat(&entry.ad)))
+                .map(|(id, entry)| (id, flat(&entry.ad)))
                 .collect();
             let fast = engine.negotiate(SimTime::from_secs(10), &mut rngs[0]);
             assert_eq!(fast, naive_negotiate(&jobs, &machines, &mut rngs[1]).0);
@@ -1961,7 +2089,7 @@ mod tests {
         engine.insert_job(1, 0, taker);
         assert_eq!(cycle(&mut engine, &machines), (vec![(1, 0, 100)], 5, 4));
         let cohort_shape = engine.jobs[&(1, 1)].shape;
-        let small = engine.machines[&101].shape;
+        let small = engine.machines.get(101).expect("on offer").shape;
         assert_eq!(engine.job_shapes.shapes.len(), 1);
         assert_eq!(engine.rankings.shapes.len(), 1);
         assert_eq!(
@@ -2006,5 +2134,232 @@ mod tests {
         let out = engine.negotiate(now, &mut rng);
         assert_eq!(out.len(), 1);
         assert_eq!(engine.stats.pairs_evaluated, 4);
+    }
+
+    // -----------------------------------------------------------------
+    // The machine table against the B-tree it replaced
+    // -----------------------------------------------------------------
+
+    /// The machine side of the engine as it was held before the slot
+    /// table — a `BTreeMap` of entries, one of fences, one of fenced jobs
+    /// — negotiated by the frozen kernel.
+    #[derive(Default)]
+    struct BTreeModel {
+        // Ad, lease renewed at, sequence number.
+        machines: BTreeMap<ActorId, (Arc<ClassAd>, SimTime, u64)>,
+        fenced: BTreeMap<ActorId, u64>,
+        fenced_jobs: BTreeSet<(ActorId, u32)>,
+        jobs: BTreeMap<(ActorId, u32), ClassAd>,
+        // Admitted, refreshed, fenced, expired.
+        counts: (u64, u64, u64, u64),
+    }
+
+    impl BTreeModel {
+        fn machine_ad(&mut self, id: ActorId, ad: &Arc<ClassAd>, seq: u64, now: SimTime) {
+            if matches!(self.fenced.get(&id), Some(&consumed) if seq <= consumed) {
+                self.counts.2 += 1;
+                return;
+            }
+            self.insert_machine(id, ad, seq, now);
+        }
+
+        fn insert_machine(&mut self, id: ActorId, ad: &Arc<ClassAd>, seq: u64, now: SimTime) {
+            if let Some(held) = self.machines.get_mut(&id) {
+                if same_ad(&held.0, ad) {
+                    (held.1, held.2) = (now, seq);
+                    self.counts.1 += 1;
+                    return;
+                }
+            }
+            self.counts.0 += 1;
+            self.machines.insert(id, (Arc::clone(ad), now, seq));
+        }
+
+        // The ids expired, in the order they went.
+        fn expire(&mut self, now: SimTime) -> Vec<ActorId> {
+            let expired: Vec<ActorId> = (self.machines.iter())
+                .filter(|(_, m)| now - m.1 > AD_LIFETIME)
+                .map(|(&id, _)| id)
+                .collect();
+            for id in &expired {
+                self.machines.remove(id);
+            }
+            self.counts.3 += expired.len() as u64;
+            expired
+        }
+
+        fn negotiate(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<(ActorId, u32, ActorId)> {
+            self.fenced.clear();
+            self.fenced_jobs.clear();
+            self.expire(now);
+            let machines: BTreeMap<ActorId, ClassAd> = (self.machines.iter())
+                .map(|(&id, m)| (id, (*m.0).clone()))
+                .collect();
+            let (matched, _) = naive_negotiate(&self.jobs, &machines, rng);
+            for &(schedd, job, machine) in &matched {
+                let (_, _, seq) = self.machines.remove(&machine).expect("matched");
+                self.fenced.insert(machine, seq);
+                self.fenced_jobs.insert((schedd, job));
+                self.jobs.remove(&(schedd, job));
+            }
+            matched
+        }
+
+        fn is_idle(&self) -> bool {
+            self.jobs.is_empty() && self.fenced.is_empty() && self.fenced_jobs.is_empty()
+        }
+    }
+
+    /// What the engine and the model must agree on after every step: the
+    /// ad census, the count, idleness, and every entry in walk order.
+    type Held = (
+        (u64, u64, u64, u64),
+        usize,
+        bool,
+        Vec<(ActorId, *const ClassAd, SimTime, u64)>,
+    );
+
+    fn held_by_engine(engine: &MatchEngine) -> Held {
+        for (id, m) in engine.machines.iter() {
+            assert!(engine.members.contains(&(m.shape, id)), "{id} unfiled");
+        }
+        assert_eq!(engine.members.len(), engine.machine_count());
+        let st = &engine.stats;
+        let entries = (engine.machines.iter())
+            .map(|(id, m)| (id, Arc::as_ptr(&m.ad), m.fresh_at, m.seq))
+            .collect();
+        (
+            (
+                st.ads_admitted,
+                st.ads_refreshed,
+                st.ads_fenced,
+                st.ads_expired,
+            ),
+            engine.machine_count(),
+            engine.is_idle(),
+            entries,
+        )
+    }
+
+    fn held_by_model(model: &BTreeModel) -> Held {
+        let entries = (model.machines.iter())
+            .map(|(&id, m)| (id, Arc::as_ptr(&m.0), m.1, m.2))
+            .collect();
+        (model.counts, model.machines.len(), model.is_idle(), entries)
+    }
+
+    /// The ids a case draws its machines from, in the order they first
+    /// advertise: sparse, high first and then ever lower (the table grows
+    /// downward), or a federation's five contiguous ranges.
+    fn machine_ids(g: &mut propcheck::Gen) -> Vec<ActorId> {
+        match g.below(3) {
+            0 => g.vec(1..=12, |g| g.int(0..4_000usize)),
+            1 => {
+                let top = g.int(0..4_000usize);
+                let mut ids = g.vec(1..=12, |g| g.int(0..=top));
+                ids.sort_unstable_by(|a, b| b.cmp(a));
+                ids
+            }
+            _ => {
+                let mut next = g.int(0..50usize);
+                let mut pools: Vec<Vec<ActorId>> = Vec::new();
+                for _ in 0..5 {
+                    let len = g.int(1..=6usize);
+                    pools.push((next..next + len).collect());
+                    next += len + g.int(0..20usize);
+                }
+                pools.rotate_left(g.below(5));
+                pools.concat()
+            }
+        }
+    }
+
+    /// Random runs of admissions, renewals (the same allocation, or equal
+    /// content in another), fenced and unfenced re-advertisements,
+    /// removals, expiries and cycles, through the engine and through the
+    /// B-tree model of the table it had before: the same census, count,
+    /// entries, walk and expiry order, and notifications.
+    #[test]
+    fn the_machine_table_agrees_with_the_btree_it_replaced() {
+        propcheck::check(300, |g| {
+            let ids = machine_ids(g);
+            let mut ad_rng = SimRng::seed_from_u64(g.u64());
+            let base = pool_base();
+            let machine_ads: Vec<Arc<ClassAd>> = (0..4)
+                .map(|i| {
+                    let flat = pool_machine(&mut ad_rng, false);
+                    Arc::new(if i % 2 == 1 {
+                        chain(&flat, &base)
+                    } else {
+                        flat
+                    })
+                })
+                .collect();
+            let job_ads: Vec<ClassAd> = (0..3).map(|_| pool_job(&mut ad_rng, false)).collect();
+            let seed = g.u64();
+            let mut rngs = [SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed)];
+            let (mut engine, mut model) = (MatchEngine::new(), BTreeModel::default());
+            let (mut now, mut seen) = (SimTime::ZERO, 0);
+            for step in 0..60 {
+                now += SimDuration::from_secs(g.int(0..=12u64));
+                let at = g.below((seen + 1).min(ids.len()));
+                seen = seen.max(at + 1);
+                let id = ids[at];
+                let sent = Arc::clone(g.pick(&machine_ads));
+                let ad = if g.below(4) == 0 {
+                    Arc::new((*sent).clone())
+                } else {
+                    sent
+                };
+                match g.below(10) {
+                    0..=3 => {
+                        let seq = g.int(0..=3u64);
+                        engine.machine_ad(id, Arc::clone(&ad), seq, now);
+                        model.machine_ad(id, &ad, seq, now);
+                    }
+                    4 => {
+                        engine.insert_machine(id, Arc::clone(&ad), now);
+                        model.insert_machine(id, &ad, 0, now);
+                    }
+                    5 => {
+                        engine.remove_machine(id);
+                        model.machines.remove(&id);
+                    }
+                    6 => {
+                        let before: Vec<ActorId> =
+                            engine.machines.iter().map(|(id, _)| id).collect();
+                        engine.expire(now);
+                        let after: BTreeSet<ActorId> =
+                            engine.machines.iter().map(|(id, _)| id).collect();
+                        let gone: Vec<ActorId> = before
+                            .into_iter()
+                            .filter(|id| !after.contains(id))
+                            .collect();
+                        assert_eq!(gone, model.expire(now), "step {step}: expiry");
+                    }
+                    7 => {
+                        let job = g.int(0..6u32);
+                        if g.bool() {
+                            let ad = g.pick(&job_ads).clone();
+                            engine.insert_job(1, job, ad.clone());
+                            model.jobs.insert((1, job), ad);
+                        } else {
+                            engine.remove_job(1, job);
+                            model.jobs.remove(&(1, job));
+                        }
+                    }
+                    _ => {
+                        let fast = engine.negotiate(now, &mut rngs[0]);
+                        let slow = model.negotiate(now, &mut rngs[1]);
+                        assert_eq!(fast, slow, "step {step}: notifications");
+                    }
+                }
+                assert_eq!(
+                    held_by_engine(&engine),
+                    held_by_model(&model),
+                    "step {step}"
+                );
+            }
+        });
     }
 }

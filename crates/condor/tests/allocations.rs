@@ -84,10 +84,49 @@ fn an_advertisement_allocates_for_the_machine_not_for_the_pool() {
             engine.insert_machine(100 + i, Arc::clone(ad), now);
         }
     });
-    // The two ordered collections a machine is filed in take a node per
-    // handful of entries; nothing is allocated per ad.
+    // The machine table grows by doubling and the shape's member set takes
+    // a node per handful of entries; nothing is allocated per ad.
     assert_eq!(ingest, KNOWN_PARENT_INGEST, "for {} ads", MACHINES - 2);
     assert_eq!(engine.machine_count(), MACHINES);
+}
+
+#[test]
+fn a_keepalive_round_and_a_fenced_readvertisement_allocate_nothing() {
+    // A pool of the ledger's `fed_scale` size, its ids past a matchmaker
+    // and a schedd, as `PoolBuilder` lays them out.
+    const POOL: usize = 4_000;
+    const FIRST: usize = 2;
+    let spec = MachineSpec::healthy("p0m0", 256);
+    let base = Arc::new(spec.base_ad());
+    let ads: Vec<Arc<ClassAd>> = (FIRST..FIRST + POOL)
+        .map(|id| startup_ad(&spec, Arc::clone(&base), id))
+        .collect();
+    let advertise = |engine: &mut MatchEngine, secs| {
+        for (id, ad) in (FIRST..).zip(&ads) {
+            engine.machine_ad(id, Arc::clone(ad), 0, SimTime::from_secs(secs));
+        }
+    };
+    let mut engine = MatchEngine::new();
+    advertise(&mut engine, 0);
+    assert_eq!(engine.stats.ads_admitted, POOL as u64);
+
+    // Every machine renews the ad its matchmaker holds: a lease moves in
+    // a slot, and that is all.
+    let (_, renewal, _) = allocated(|| advertise(&mut engine, 15));
+    assert_eq!(renewal, 0);
+    assert_eq!(engine.stats.ads_refreshed, POOL as u64);
+
+    // A job takes a machine; the machine's next ad, sent before it could
+    // have heard of the match, meets the fence in that machine's slot.
+    engine.insert_job(1, 1, JobSpec::java(1, "ada", vec![], JavaMode::Scoped).ad());
+    let matched = engine.negotiate(SimTime::from_secs(20), &mut SimRng::seed_from_u64(1));
+    let [(1, 1, machine)] = matched[..] else {
+        panic!("one match expected, got {matched:?}");
+    };
+    let ad = Arc::clone(&ads[machine - FIRST]);
+    let (_, fenced, _) = allocated(|| engine.machine_ad(machine, ad, 0, SimTime::from_secs(30)));
+    assert_eq!((fenced, engine.stats.ads_fenced), (0, 1));
+    assert_eq!(engine.machine_count(), POOL - 1);
 }
 
 /// Swallows what a schedd sends.
@@ -212,5 +251,11 @@ const BUILD_PER_MACHINE: u64 = 2;
 const STARTUP_AD: u64 = 8;
 /// The same ad built over a base of its own (`MachineSpec::ad`).
 const FLAT_AD: u64 = 36;
-/// Allocations for 62 ingests of children of a known parent.
-const KNOWN_PARENT_INGEST: u64 = 18;
+/// Allocations for 62 ingests of children of a known parent, ids 102 to
+/// 163 into an engine holding 100 and 101. The machine table's vector
+/// starts at four slots and doubles as it fills: at ids 104, 108, 116
+/// and 132 — 4. The shape's member set, a B-tree of eleven keys a node
+/// filled at its right edge, splits at its 12th entry (a leaf and a new
+/// root) and at every 7th after, the 19th to the 61st — 2 + 7 = 9.
+/// 4 + 9 = 13.
+const KNOWN_PARENT_INGEST: u64 = 13;

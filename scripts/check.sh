@@ -52,6 +52,13 @@ if grep -rnE --include=*.rs -e '\bFederationBuilder\b' -e '\bfn drain\b' crates 
     exit 1
 fi
 
+echo "==> a renewal is one slot: the matchmaker files machines in its slot table, no fence map or id-keyed B-tree comes back"
+if grep -nE -e '\bfenced_machines\b' -e 'BTreeMap<ActorId, *MachineEntry>' crates/condor/src/matchmaker.rs \
+    || sed '/^#\[cfg(test)\]/,$d' crates/condor/src/matchmaker.rs | grep -nE 'BTreeMap<ActorId\b' \
+    | grep -vF 'machines: &BTreeMap<ActorId, ClassAd>,'; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
