@@ -68,7 +68,7 @@
 
 use crate::config::Installation;
 use crate::isa::Instr;
-use crate::machine::decimal;
+use crate::machine::{decimal, Arrays};
 use crate::trace::{Recorded, Recorder};
 
 /// Index into a trace's register file. A byte, so that indexing the
@@ -617,6 +617,7 @@ pub(crate) fn run_trace(
     locals: &mut [i64],
     heap: &mut Vec<Vec<i64>>,
     heap_words: &mut u64,
+    arrays: &mut Arrays,
     stdout: &mut String,
     install: &Installation,
     remaining: u64,
@@ -632,12 +633,13 @@ pub(crate) fn run_trace(
     let circuit = u64::from(t.base_len);
     let (mut circuits, mut exit) = (0, None);
     if remaining >= circuit {
-        (circuits, exit) =
-            run_ops::<false>(t, r, stack, heap, heap_words, stdout, install, remaining);
+        (circuits, exit) = run_ops::<false>(
+            t, r, stack, heap, heap_words, arrays, stdout, install, remaining,
+        );
     }
     let (snap, guard) = exit.unwrap_or_else(|| {
         let left = remaining - circuits * circuit;
-        run_ops::<true>(t, r, stack, heap, heap_words, stdout, install, left)
+        run_ops::<true>(t, r, stack, heap, heap_words, arrays, stdout, install, left)
             .1
             .expect("a circuit that does not fit cannot close")
     });
@@ -666,6 +668,7 @@ fn run_ops<const TIGHT: bool>(
     stack: &mut Vec<i64>,
     heap: &mut Vec<Vec<i64>>,
     heap_words: &mut u64,
+    arrays: &mut Arrays,
     stdout: &mut String,
     install: &Installation,
     mut left: u64,
@@ -761,7 +764,7 @@ fn run_ops<const TIGHT: bool>(
                     bail!(); // OutOfMemoryError, VM scope
                 }
                 *heap_words += words;
-                heap.push(vec![0; size as usize]);
+                heap.push(arrays.take(size as usize));
                 reg!(dst) = heap.len() as i64;
             }
             OpKind::ALen(dst, arr) => match array!(reg!(arr)) {
@@ -848,6 +851,7 @@ mod tests {
             &mut locals,
             &mut Vec::new(),
             &mut 0,
+            &mut Arrays::default(),
             &mut String::new(),
             &Installation::healthy(),
             remaining,

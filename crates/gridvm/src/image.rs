@@ -8,6 +8,8 @@
 //! job unexecutable rather than retry it elsewhere.
 
 use crate::isa::{Instr, IoMode};
+use crate::machine::SPARE_BYTES;
+use std::cell::Cell;
 use std::fmt;
 
 /// Magic bytes at the front of every image.
@@ -69,6 +71,70 @@ impl fmt::Display for ImageError {
 }
 
 impl std::error::Error for ImageError {}
+
+/// Functions and strings an image decoded over another did not use,
+/// kept for their buffers.
+#[derive(Debug, Default)]
+struct Leftovers {
+    functions: Vec<Function>,
+    strings: Vec<String>,
+}
+
+/// Cut `v` to `len` entries, the cut ones kept in `leftovers`, with room
+/// for `len`.
+fn fit<T>(v: &mut Vec<T>, len: usize, leftovers: &mut Vec<T>) {
+    if v.len() > len {
+        leftovers.extend(v.drain(len..));
+    }
+    v.reserve_exact(len - v.len());
+}
+
+/// The image `load_and_run` last decoded on this thread, and its
+/// leftovers: the next one is decoded over them, so a job's image costs
+/// no allocation its predecessor's buffers could hold. Only capacity
+/// travels; every field is read afresh.
+struct Spare {
+    image: ProgramImage,
+    leftovers: Leftovers,
+}
+
+impl Spare {
+    /// Heap bytes the spare holds, near enough to bound it.
+    fn bytes(&self) -> usize {
+        let (image, left) = (&self.image, &self.leftovers);
+        let functions = image.functions.iter().chain(&left.functions);
+        let strings = image.strings.iter().chain(&left.strings);
+        size_of::<Function>() * (image.functions.capacity() + left.functions.capacity())
+            + size_of::<String>() * (image.strings.capacity() + left.strings.capacity())
+            + functions
+                .map(|f| f.name.capacity() + size_of::<Instr>() * f.code.capacity())
+                .sum::<usize>()
+            + strings.map(String::capacity).sum::<usize>()
+    }
+}
+
+thread_local! {
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
+/// `f` on `bytes` decoded as [`ProgramImage::from_bytes`] would, into the
+/// buffers of this thread's last decoded image. The spare is kept while
+/// it holds no more than [`SPARE_BYTES`].
+pub(crate) fn with_decoded<T>(
+    bytes: &[u8],
+    f: impl FnOnce(Result<&ProgramImage, ImageError>) -> T,
+) -> T {
+    let mut spare = SPARE.try_with(Cell::take).ok().flatten().unwrap_or(Spare {
+        image: ProgramImage::empty(),
+        leftovers: Leftovers::default(),
+    });
+    let decoded = spare.image.decode(bytes, &mut spare.leftovers);
+    let out = f(decoded.map(|()| &spare.image));
+    if spare.bytes() <= SPARE_BYTES {
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
+    }
+    out
+}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -184,14 +250,18 @@ impl<'a> Reader<'a> {
         self.pos += 8;
         Ok(i64::from_le_bytes(s.try_into().unwrap()))
     }
-    fn str(&mut self) -> Result<String, ImageError> {
+    /// A string, read over `out`.
+    fn str(&mut self, out: &mut String) -> Result<(), ImageError> {
         let n = self.u32()? as usize;
         let s = self
             .b
             .get(self.pos..self.pos + n)
             .ok_or(ImageError::Truncated)?;
         self.pos += n;
-        String::from_utf8(s.to_vec()).map_err(|_| ImageError::Truncated)
+        let s = std::str::from_utf8(s).map_err(|_| ImageError::Truncated)?;
+        out.clear();
+        out.push_str(s);
+        Ok(())
     }
     /// A count of things that each take at least `min_size` bytes: more
     /// of them than the bytes that remain could hold is a truncated
@@ -295,6 +365,25 @@ impl ProgramImage {
 
     /// Load and integrity-check an image.
     pub fn from_bytes(bytes: &[u8]) -> Result<ProgramImage, ImageError> {
+        let mut image = ProgramImage::empty();
+        image.decode(bytes, &mut Leftovers::default())?;
+        Ok(image)
+    }
+
+    /// No functions and no strings: what an image is decoded over.
+    fn empty() -> ProgramImage {
+        ProgramImage {
+            entry: 0,
+            functions: Vec::new(),
+            strings: Vec::new(),
+        }
+    }
+
+    /// [`ProgramImage::from_bytes`] over this image: its functions and
+    /// strings, and those in `leftovers`, lend their buffers to the ones
+    /// decoded, and those the decoded image has no place for are left in
+    /// `leftovers`. On an error the image is partly decoded.
+    fn decode(&mut self, bytes: &[u8], leftovers: &mut Leftovers) -> Result<(), ImageError> {
         if bytes.len() < MAGIC.len() + 8 {
             return Err(ImageError::Truncated);
         }
@@ -307,43 +396,50 @@ impl ProgramImage {
             return Err(ImageError::ChecksumMismatch);
         }
         let mut r = Reader { b: body, pos: 4 };
-        let entry = r.u16()?;
+        self.entry = r.u16()?;
         // A function is at least its name length, three bytes of arity
         // and its code length; an instruction at least its opcode; a
         // string at least its length.
         let nfuncs = r.u16()?;
-        let mut functions = Vec::with_capacity(r.count(nfuncs.into(), 11)?);
-        for _ in 0..nfuncs {
-            let name = r.str()?;
-            let max_locals = r.u8()?;
-            let args = r.u8()?;
-            let rets = r.u8()?;
-            let n = r.u32()? as usize;
-            let mut code = Vec::with_capacity(r.count(n, 1)?);
-            for _ in 0..n {
-                code.push(decode_instr(&mut r)?);
+        let nfuncs = r.count(nfuncs.into(), 11)?;
+        fit(&mut self.functions, nfuncs, &mut leftovers.functions);
+        for at in 0..nfuncs {
+            if at == self.functions.len() {
+                let f = leftovers.functions.pop().unwrap_or_else(|| Function {
+                    name: String::new(),
+                    max_locals: 0,
+                    args: 0,
+                    rets: 0,
+                    code: Vec::new(),
+                });
+                self.functions.push(f);
             }
-            functions.push(Function {
-                name,
-                max_locals,
-                args,
-                rets,
-                code,
-            });
+            let f = &mut self.functions[at];
+            r.str(&mut f.name)?;
+            f.max_locals = r.u8()?;
+            f.args = r.u8()?;
+            f.rets = r.u8()?;
+            let n = r.u32()? as usize;
+            f.code.clear();
+            f.code.reserve_exact(r.count(n, 1)?);
+            for _ in 0..n {
+                f.code.push(decode_instr(&mut r)?);
+            }
         }
         let nstrings = r.u16()?;
-        let mut strings = Vec::with_capacity(r.count(nstrings.into(), 4)?);
-        for _ in 0..nstrings {
-            strings.push(r.str()?);
+        let nstrings = r.count(nstrings.into(), 4)?;
+        fit(&mut self.strings, nstrings, &mut leftovers.strings);
+        for at in 0..nstrings {
+            if at == self.strings.len() {
+                self.strings
+                    .push(leftovers.strings.pop().unwrap_or_default());
+            }
+            r.str(&mut self.strings[at])?;
         }
-        if entry as usize >= functions.len() {
+        if self.entry as usize >= self.functions.len() {
             return Err(ImageError::BadEntry);
         }
-        Ok(ProgramImage {
-            entry,
-            functions,
-            strings,
-        })
+        Ok(())
     }
 
     /// Deliberately corrupt a serialised image by flipping one payload bit

@@ -7,13 +7,14 @@
 //! (Figure 4) and the wrapper preserves.
 
 use crate::config::Installation;
-use crate::image::{ProgramImage, MAGIC};
+use crate::image::{self, ProgramImage, MAGIC};
 use crate::isa::Instr;
 use crate::jvmio::{IoOutcome, JobIo};
 use crate::trace::{Plan, TraceState, VmStats};
 use crate::verify::verify;
 use errorscope::error::codes;
 use errorscope::{ErrorCode, Scope, ScopedError};
+use std::cell::Cell;
 
 /// How an execution attempt concluded.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,37 +107,25 @@ pub fn load_and_run(image_bytes: &[u8], install: &Installation, io: &mut dyn Job
             vm: VmStats::default(),
         };
     }
-    // Corrupt image: job scope.
-    let image = match ProgramImage::from_bytes(image_bytes) {
-        Ok(img) => img,
-        Err(e) => {
-            return RunOutput {
-                termination: Termination::EnvFailure {
-                    scope: Scope::Job,
-                    code: codes::CORRUPT_IMAGE,
-                    message: e.to_string(),
-                },
-                stdout: String::new(),
-                instructions: 0,
-                env_error: None,
-                vm: VmStats::default(),
-            }
-        }
+    // Corrupt image, or bytecode that fails verification: job scope.
+    let corrupt = |message: String| RunOutput {
+        termination: Termination::EnvFailure {
+            scope: Scope::Job,
+            code: codes::CORRUPT_IMAGE,
+            message,
+        },
+        stdout: String::new(),
+        instructions: 0,
+        env_error: None,
+        vm: VmStats::default(),
     };
-    if let Err(e) = verify(&image) {
-        return RunOutput {
-            termination: Termination::EnvFailure {
-                scope: Scope::Job,
-                code: codes::CORRUPT_IMAGE,
-                message: e.to_string(),
-            },
-            stdout: String::new(),
-            instructions: 0,
-            env_error: None,
-            vm: VmStats::default(),
-        };
-    }
-    execute(&image, install, io)
+    image::with_decoded(image_bytes, |decoded| match decoded {
+        Err(e) => corrupt(e.to_string()),
+        Ok(image) => match verify(image) {
+            Err(e) => corrupt(e.to_string()),
+            Ok(()) => execute(image, install, io),
+        },
+    })
 }
 
 /// One activation: which function, where in it, and where its locals
@@ -157,7 +146,7 @@ pub fn execute(image: &ProgramImage, install: &Installation, io: &mut dyn JobIo)
         .expect("unbudgeted run always terminates");
     RunOutput {
         termination,
-        stdout: machine.stdout,
+        stdout: std::mem::take(&mut machine.stdout),
         instructions: machine.instructions,
         env_error,
         vm: machine.trace.stats,
@@ -217,6 +206,126 @@ pub struct Machine {
     /// [`Machine::snapshot`] captures pure interpreter state, so a
     /// restored machine starts cold.
     trace: TraceState,
+    /// Emptied arrays `NewArray` takes before it allocates. Never
+    /// checkpointed: it holds capacity, not values.
+    arrays: Arrays,
+}
+
+/// The most bytes any one kind of buffer a retiring machine or a loaded
+/// image leaves its thread may hold: the arrays together, the locals
+/// arena, the operand stack, the callers, the heap's spine, the decoded
+/// image, the verifier's depths. Anything longer is freed (`heap_sum`'s
+/// megabyte array among it), so what a thread keeps between jobs stays a
+/// few pages.
+pub(crate) const SPARE_BYTES: usize = 16 << 10;
+
+/// An array's smallest capacity; capacity class `c` holds arrays of
+/// capacity `MIN_ARRAY << c` up to twice that.
+const MIN_ARRAY: usize = 4;
+
+/// Capacity classes: the last holds arrays of [`SPARE_BYTES`].
+const CLASSES: usize = 10;
+
+/// Emptied arrays for `NewArray`, filed by capacity class. A fresh array
+/// of a class's length gets the class's capacity, so any spare in the
+/// class holds any length the class serves; longer arrays are neither
+/// rounded nor kept.
+#[derive(Debug, Default)]
+pub(crate) struct Arrays {
+    classes: [Vec<Vec<i64>>; CLASSES],
+    /// Capacity held across the classes, at most [`SPARE_BYTES`] / 8.
+    words: usize,
+}
+
+impl Arrays {
+    /// A zero-filled array of `len` words, on a spare's buffer if this
+    /// length's class has one.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<i64> {
+        if len == 0 {
+            return Vec::new();
+        }
+        // The least class whose every array can hold `len`.
+        let class = len.div_ceil(MIN_ARRAY).next_power_of_two().trailing_zeros() as usize;
+        let Some(spares) = self.classes.get_mut(class) else {
+            return vec![0; len];
+        };
+        let mut a = match spares.pop() {
+            Some(a) => {
+                self.words -= a.capacity();
+                a
+            }
+            None => Vec::with_capacity(MIN_ARRAY << class),
+        };
+        a.resize(len, 0);
+        a
+    }
+
+    /// Keep `a`'s buffer for a later [`Arrays::take`], emptied, unless it
+    /// is too small to file or would take the classes past
+    /// [`SPARE_BYTES`].
+    fn give(&mut self, mut a: Vec<i64>) {
+        let capacity = a.capacity();
+        if capacity < MIN_ARRAY || 8 * (self.words + capacity) > SPARE_BYTES {
+            return;
+        }
+        let class = (capacity / MIN_ARRAY).ilog2() as usize;
+        a.clear();
+        self.words += capacity;
+        self.classes[class].push(a);
+    }
+}
+
+/// A machine's working memory once it retires: the frame buffers and the
+/// heap's spine, emptied, and its spare arrays with the heap's arrays
+/// among them. A retiring machine leaves this with its thread and the
+/// thread's next [`Machine::new`] starts on it, as the trace tier's own
+/// buffers do (`crate::trace`). Only capacity travels: every buffer is
+/// cleared when it is left and zero-filled to the length it is taken
+/// at, so no value, count or handle passes from one machine to the next.
+#[derive(Debug, Default)]
+struct Spare {
+    callers: Vec<Frame>,
+    locals: Vec<i64>,
+    stack: Vec<i64>,
+    heap: Vec<Vec<i64>>,
+    arrays: Arrays,
+}
+
+thread_local! {
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
+/// `v`'s buffer, emptied — or none if it is longer than [`SPARE_BYTES`].
+fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+    let mut v = std::mem::take(v);
+    if size_of::<T>() * v.capacity() > SPARE_BYTES {
+        return Vec::new();
+    }
+    v.clear();
+    v
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        let mut arrays = std::mem::take(&mut self.arrays);
+        for a in self.heap.drain(..) {
+            arrays.give(a);
+        }
+        let spare = Spare {
+            callers: emptied(&mut self.callers),
+            locals: emptied(&mut self.locals),
+            stack: emptied(&mut self.stack),
+            heap: emptied(&mut self.heap),
+            arrays,
+        };
+        // One spare a thread: while another is already left (a machine
+        // restored while this one ran took none), that one stays. A
+        // thread that is itself going away has nowhere to leave it.
+        let _ = SPARE.try_with(|slot| {
+            let kept = slot.take().unwrap_or(spare);
+            slot.set(Some(kept));
+        });
+    }
 }
 
 /// What the first `Print` reserves for stdout.
@@ -229,24 +338,39 @@ fn grow(stack: &mut Vec<i64>) {
 }
 
 impl Machine {
-    /// A fresh machine poised at the entry point of `image`.
+    /// A fresh machine poised at the entry point of `image`, on the
+    /// buffers this thread's last one left behind.
     pub fn new(image: &ProgramImage) -> Machine {
         let entry = image.entry as usize;
+        let Spare {
+            callers,
+            mut locals,
+            mut stack,
+            heap,
+            arrays,
+        } = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        locals.resize(image.functions[entry].max_locals as usize, 0);
+        stack.reserve(MIN_STACK);
         Machine {
             frame: Frame {
                 func: entry,
                 pc: 0,
                 base: 0,
             },
-            callers: Vec::new(),
-            locals: vec![0; image.functions[entry].max_locals as usize],
-            stack: Vec::with_capacity(MIN_STACK),
-            heap: Vec::new(),
+            callers,
+            locals,
+            stack,
+            heap,
             heap_words: 0,
             instructions: 0,
             io_ops: 0,
             stdout: String::new(),
             trace: TraceState::default(),
+            arrays,
         }
     }
 
@@ -356,6 +480,7 @@ impl Machine {
             io_ops: state.io_ops,
             stdout: state.stdout,
             trace: TraceState::default(),
+            arrays: Arrays::default(),
         })
     }
 
@@ -442,6 +567,7 @@ impl Machine {
             io_ops,
             stdout,
             trace,
+            arrays,
         } = self;
         let Frame {
             mut func,
@@ -611,7 +737,8 @@ impl Machine {
                             // always land on pure interpreter state.
                             stack.truncate(sp);
                             let exit = trace.enter(
-                                compiled, stack, lv, heap, heap_words, stdout, install, left,
+                                compiled, stack, lv, heap, heap_words, arrays, stdout, install,
+                                left,
                             );
                             sp = stack.len();
                             stack.resize(stack.capacity(), 0);
@@ -667,7 +794,7 @@ impl Machine {
                         });
                     }
                     *heap_words += words;
-                    heap.push(vec![0; size as usize]);
+                    heap.push(arrays.take(size as usize));
                     push!(heap.len() as i64); // handle = index + 1
                 }
                 Instr::Call(target) => {

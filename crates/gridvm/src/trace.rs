@@ -24,6 +24,7 @@
 use crate::compile::{run_trace, CompiledTrace, Lowering, TraceExit, MAX_REGS};
 use crate::config::Installation;
 use crate::isa::Instr;
+use crate::machine::Arrays;
 use std::cell::Cell;
 
 /// Deterministic counters for the trace tier. These are a pure function of
@@ -117,9 +118,13 @@ enum Head {
 /// died with the machine would be allocated per trace; instead a retiring
 /// [`TraceState`] leaves its buffers, emptied, with its thread, and the
 /// thread's next one starts with them. Only capacity travels — never a
-/// count, a trace or a recording. (The traces themselves are not kept:
-/// their vectors live as long as a machine does, and blocks of that age
-/// handed from machine to machine sat between `heap_sum`'s megabyte
+/// count, a trace or a recording. The machine's own working memory — its
+/// heap arrays, frame buffers and heap spine — the image `load_and_run`
+/// decodes and the verifier's depth array pass from job to job the same
+/// way, each kind held to `SPARE_BYTES` (`crate::machine`), so a
+/// megabyte array is freed, never kept. (The traces themselves are not
+/// kept: their vectors live as long as a machine does, and blocks of that
+/// age handed from machine to machine sat between `heap_sum`'s megabyte
 /// checkpoints on the allocator's heap — `vm_hot_loops` peak RSS 8.8 →
 /// 10.5 MB for 0.1 µs a trace.)
 #[derive(Debug, Default)]
@@ -233,6 +238,7 @@ impl TraceState {
         locals: &mut [i64],
         heap: &mut Vec<Vec<i64>>,
         heap_words: &mut u64,
+        arrays: &mut Arrays,
         stdout: &mut String,
         install: &Installation,
         remaining: u64,
@@ -243,7 +249,7 @@ impl TraceState {
         };
         let r = regs.get_or_insert_with(|| Box::new([0; MAX_REGS]));
         let exit = run_trace(
-            t, r, stack, locals, heap, heap_words, stdout, install, remaining,
+            t, r, stack, locals, heap, heap_words, arrays, stdout, install, remaining,
         );
         self.stats.compiled_instructions += exit.committed;
         if exit.guard {

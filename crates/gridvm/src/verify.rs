@@ -8,7 +8,15 @@
 
 use crate::image::{Function, ProgramImage};
 use crate::isa::Instr;
+use crate::machine::SPARE_BYTES;
+use std::cell::Cell;
 use std::fmt;
+
+thread_local! {
+    /// The depth array of this thread's last verification, emptied: only
+    /// its capacity is used again.
+    static DEPTH: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +54,14 @@ pub fn verify(img: &ProgramImage) -> Result<(), VerifyError> {
             reason: "entry function out of range".into(),
         });
     }
-    // One depth array serves every function, sized for the longest.
+    // One depth array serves every function, sized for the longest, on
+    // the buffer of this thread's last one.
     let longest = img.functions.iter().map(|f| f.code.len()).max();
-    let mut depth = vec![0; longest.unwrap_or(0)];
-    for (fi, f) in img.functions.iter().enumerate() {
+    let mut depth = DEPTH.try_with(Cell::take).unwrap_or_default();
+    depth.clear();
+    depth.reserve_exact(longest.unwrap_or(0));
+    depth.resize(longest.unwrap_or(0), 0);
+    let checked = img.functions.iter().enumerate().try_for_each(|(fi, f)| {
         if f.code.is_empty() {
             return Err(VerifyError {
                 function: fi,
@@ -57,8 +69,12 @@ pub fn verify(img: &ProgramImage) -> Result<(), VerifyError> {
                 reason: "empty function body".into(),
             });
         }
-        check_function(fi, f, img, &mut depth[..f.code.len()])?;
+        check_function(fi, f, img, &mut depth[..f.code.len()])
+    });
+    if size_of::<i64>() * depth.capacity() <= SPARE_BYTES {
+        let _ = DEPTH.try_with(|spare| spare.set(depth));
     }
+    checked?;
     let entry = &img.functions[img.entry as usize];
     if entry.args != 0 {
         return Err(VerifyError {

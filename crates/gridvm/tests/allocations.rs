@@ -4,35 +4,20 @@
 //! the library keeps `forbid(unsafe_code)`) counts what the calling thread
 //! requests.
 //! The counts are a function of the code and the inputs, not of the host,
-//! so the budgets below gate anywhere: each is the figure the path
-//! achieves today plus a tenth.
+//! so the budgets below gate anywhere, and are exact.
 
 use gridvm::jvmio::NoIo;
 use gridvm::{
     execute, programs, run_wrapped, verify, Function, ImageError, Installation, Instr,
     ProgramImage, TraceConfig,
 };
-use propcheck::counting::{allocated, Counting};
+use propcheck::counting::{allocated, retained, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The ledger's five installation arms.
-fn arms(seed: u64) -> [(&'static str, Installation); 5] {
-    [
-        ("healthy", Installation::healthy()),
-        ("missing-stdlib", Installation::missing_stdlib()),
-        (
-            "small-heap",
-            Installation::healthy().with_heap_limit(1 << 12),
-        ),
-        (
-            "tight-fuel",
-            Installation::healthy().with_fuel(500 + seed * 7919 % 4000),
-        ),
-        ("bad-path", Installation::bad_path()),
-    ]
-}
+mod arms;
+use arms::arms;
 
 /// `for i in 0..18 { acc += i; acc %= 7 }`: one loop, one trace.
 fn one_hot_loop() -> ProgramImage {
@@ -70,13 +55,20 @@ const SEEDS: u64 = 2000;
 
 #[test]
 fn a_job_stays_on_its_allocation_diet() {
-    // Mean allocations per job, by installation arm: the 23.27, 20.72,
-    // 23.27, 23.08 and 7.00 achieved (39.61, 33.16, 39.61, 38.97 and 8.00
-    // before the diet, compiling half as many traces), plus a tenth.
-    const BUDGET: [f64; 5] = [25.6, 22.8, 25.6, 25.4, 7.7];
+    // Allocations over the 2,000 jobs, by installation arm: means of
+    // 16119 / 2000 = 8.06, 14597 / 2000 = 7.30, 15978 / 2000 = 7.99,
+    // 16062 / 2000 = 8.03 and 14000 / 2000 = 7.00 a job. With a thread's
+    // machine, image and depth array each starting on the last one's
+    // buffers, what is left is what a job hands back — the result file
+    // and its journey, stdout, an exception's text — and the traces it
+    // compiles (23.27, 20.72, 23.27, 23.08 and 7.00 when each job
+    // allocated its own heap arrays, frame buffers and load scratch;
+    // 39.61, 33.16, 39.61, 38.97 and 8.00 before the trace tier recycled
+    // its buffers).
+    const TOTALS: [u64; 5] = [16119, 14597, 15978, 16062, 14000];
     let images: Vec<Vec<u8>> = (0..SEEDS).map(programs::generate).collect();
-    // The trace tier's buffers pass from one machine of a thread to the
-    // next; the first has none to inherit.
+    // Working memory passes from one job of a thread to the next; the
+    // first has none to inherit.
     run_wrapped(&images[0], &Installation::healthy(), &mut NoIo);
 
     let mut totals = [0u64; 5];
@@ -86,9 +78,58 @@ fn a_job_stays_on_its_allocation_diet() {
         }
     }
     let means = totals.map(|total| total as f64 / SEEDS as f64);
-    for ((mean, budget), (arm, _)) in means.iter().zip(BUDGET).zip(arms(0)) {
-        assert!(*mean <= budget, "{arm}: {means:.2?} allocations per job");
-    }
+    assert_eq!(totals, TOTALS, "{means:.2?} allocations per job");
+}
+
+/// `for i in 0..k { new long[8] }`: `k` arrays, all live to the end.
+fn k_arrays(k: i64) -> Vec<u8> {
+    use Instr::*;
+    let code = vec![
+        Push(0),
+        Store(0),
+        Load(0), // 2: while i < k
+        Push(k),
+        CmpLt,
+        JumpIfZero(14),
+        Push(8),
+        NewArray,
+        Pop,
+        Load(0), // i += 1
+        Push(1),
+        Add,
+        Store(0),
+        Jump(2),
+        Halt, // 14
+    ];
+    ProgramImage::single("k-arrays", 1, code).to_bytes()
+}
+
+#[test]
+fn a_warm_thread_allocates_no_more_for_more_arrays() {
+    let install = Installation::healthy();
+    let run = |k| allocated(|| run_wrapped(&k_arrays(k), &install, &mut NoIo)).1;
+    let cold = run(64);
+    let (four, sixty_four) = (run(4), run(64));
+    // The image bytes themselves are the test's: counted on both sides.
+    assert_eq!(four, sixty_four, "k = 4: {four}, k = 64: {sixty_four}");
+    assert!(cold >= sixty_four + 64, "cold {cold}, warm {sixty_four}");
+}
+
+/// The most a thread keeps of any one kind of a job's working memory —
+/// its arrays together, each frame buffer, its decoded image, its
+/// verifier depths: `SPARE_BYTES` in `gridvm::machine`.
+const SPARE_BYTES: i64 = 16 << 10;
+
+#[test]
+fn a_megabyte_array_is_freed_not_kept() {
+    let install = Installation::healthy().with_fuel(u64::MAX);
+    let image = programs::heap_sum(200_000);
+    let (instructions, kept) = retained(|| run_wrapped(&image, &install, &mut NoIo).instructions);
+    assert!(instructions > 1_000_000, "{instructions}");
+    assert!(kept <= SPARE_BYTES, "the thread kept {kept} bytes");
+    // And a warm thread keeps nothing more.
+    let (_, again) = retained(|| run_wrapped(&image, &install, &mut NoIo).instructions);
+    assert_eq!(again, 0);
 }
 
 #[test]
@@ -126,12 +167,22 @@ fn a_trace_costs_at_most_four_allocations() {
 
 #[test]
 fn the_verifier_allocates_its_depth_array_and_nothing_else() {
+    // A thread keeps its last depth array, so an image allocates one —
+    // exactly as long as its longest function — only when that function
+    // is longer than every one this thread verified before.
+    let mut longest_yet = 0;
     for seed in 0..SEEDS {
         let img = ProgramImage::from_bytes(&programs::generate(seed)).expect("loads");
         let (verdict, allocations, bytes) = allocated(|| verify(&img));
         verdict.expect("generated programs verify");
         let longest = img.functions.iter().map(|f| f.code.len()).max().unwrap();
-        assert_eq!((allocations, bytes), (1, 8 * longest as u64), "seed {seed}");
+        let grew = if longest > longest_yet {
+            (1, 8 * longest as u64)
+        } else {
+            (0, 0)
+        };
+        longest_yet = longest_yet.max(longest);
+        assert_eq!((allocations, bytes), grew, "seed {seed}");
     }
 }
 

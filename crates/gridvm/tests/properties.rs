@@ -1,6 +1,7 @@
 //! Properties of the GridVM, run on seeded generated cases: total
-//! decoding, verifier soundness, and crash-free execution of arbitrary
-//! verified programs.
+//! decoding, verifier soundness, crash-free execution of arbitrary
+//! verified programs, and runs that do not depend on what the thread ran
+//! before.
 
 use gridvm::image::{Function, ProgramImage};
 use gridvm::isa::{Instr, IoMode};
@@ -8,7 +9,11 @@ use gridvm::jvmio::NoIo;
 use gridvm::machine::{load_and_run, Termination};
 use gridvm::prelude::*;
 use gridvm::verify::verify;
+use gridvm::{programs, Machine, TraceConfig, VmStats};
 use propcheck::{check, Gen};
+
+mod arms;
+use arms::arms;
 
 const CASES: u64 = 512;
 
@@ -207,4 +212,197 @@ fn asm_accepts_simple_generated_listings() {
         let out = load_and_run(&img.to_bytes(), &Installation::healthy(), &mut NoIo);
         assert_eq!(out.termination, Termination::Completed { exit_code: 0 });
     });
+}
+
+// ---------------------------------------------------------------------
+// A thread's working memory carries capacity, never a value
+// ---------------------------------------------------------------------
+
+/// A program that leaves every buffer a retiring machine and its loader
+/// hand to the thread dirty: forty arrays of lengths 40 down to 1, every
+/// element -1; a helper frame's eight locals at -1; seventy values on the
+/// operand stack, past its first buffer; two functions and three strings,
+/// more than a generated image has.
+fn dirty() -> Vec<u8> {
+    use Instr::*;
+    let mut main = vec![
+        Push(40),
+        Store(0), // n = 40
+        Load(0),  // 2: while n != 0
+        JumpIfZero(27),
+        Load(0),
+        NewArray,
+        Store(1), // a = new[n]
+        Push(0),
+        Store(2), // i = 0
+        Load(2),  // 9: while i < n
+        Load(0),
+        CmpLt,
+        JumpIfZero(22),
+        Load(1),
+        Load(2),
+        Push(-1),
+        AStore, // a[i] = -1
+        Load(2),
+        Push(1),
+        Add,
+        Store(2),
+        Jump(9),
+        Load(0), // 22: n -= 1
+        Push(1),
+        Sub,
+        Store(0),
+        Jump(2),
+        Push(-9), // 27
+        Store(3),
+        Call(1),
+    ];
+    main.extend([Push(-3); 70]);
+    main.push(Halt);
+    let helper = (0..8).flat_map(|i| [Push(-1), Store(i)]).chain([Ret]);
+    let strings = ["dirty-a.txt", "dirty-b.txt", "dirty-c.txt"];
+    let img = ProgramImage {
+        entry: 0,
+        functions: vec![
+            Function {
+                name: "dirty".into(),
+                max_locals: 4,
+                args: 0,
+                rets: 0,
+                code: main,
+            },
+            Function {
+                name: "dirty-helper".into(),
+                max_locals: 8,
+                args: 0,
+                rets: 0,
+                code: helper.collect(),
+            },
+        ],
+        strings: strings.map(String::from).to_vec(),
+    };
+    verify(&img).expect("the dirty program verifies");
+    img.to_bytes()
+}
+
+/// Everything a run of `bytes` under `install` shows: the wrapped run's
+/// exit code, result-file bytes, stdout, instructions and trace counters;
+/// then, on a machine of its own, the checkpoint bytes every 97
+/// instructions and, restored from each, what the rest of the run gives.
+type Observed = (
+    i32,
+    String,
+    String,
+    u64,
+    VmStats,
+    Vec<Vec<u8>>,
+    Vec<RunOutput>,
+);
+
+fn observe(bytes: &[u8], install: &Installation) -> Observed {
+    let w = run_wrapped(bytes, install, &mut NoIo);
+    let img = ProgramImage::from_bytes(bytes).expect("generated images load");
+    let digest = ckpt::fnv1a(bytes);
+    let mut m = Machine::new(&img);
+    let mut cuts = Vec::new();
+    while m.run(&img, install, &mut NoIo, Some(97)).is_none() {
+        cuts.push(m.snapshot(digest).to_bytes());
+    }
+    let finished = cuts
+        .iter()
+        .map(|cut| {
+            let state = ckpt::MachineState::from_bytes(cut).expect("decodes");
+            let mut m = Machine::restore(state, &img, digest).expect("restores");
+            let out = m.run(&img, install, &mut NoIo, None);
+            out.expect("unbudgeted run terminates")
+        })
+        .collect();
+    let exit = w.jvm_exit.0;
+    (
+        exit,
+        w.result_file_bytes,
+        w.stdout,
+        w.instructions,
+        w.vm,
+        cuts,
+        finished,
+    )
+}
+
+/// E14's generated corpus under the ledger's five installation arms runs
+/// alike on a cold thread and on a warm one that has just run a larger,
+/// different program: nothing a thread keeps between machines — arrays,
+/// frame buffers, the decoded image, the verifier's depths, the trace
+/// tier's buffers — reaches a result, a counter or a checkpoint.
+#[test]
+fn a_warm_thread_runs_a_job_as_a_cold_one_does() {
+    let dirty = dirty();
+    check(CASES / 2, |g| {
+        let seed = g.u64() % 100_000;
+        let bytes = programs::generate(seed);
+        for (arm, install) in arms(seed) {
+            let cold = std::thread::scope(|s| {
+                s.spawn(|| observe(&bytes, &install))
+                    .join()
+                    .expect("cold run")
+            });
+            run_wrapped(&dirty, &Installation::healthy(), &mut NoIo);
+            let warm = observe(&bytes, &install);
+            assert_eq!(cold, warm, "seed {seed}, {arm}");
+        }
+    });
+}
+
+/// A fresh array reads zero on a warm thread, whichever tier allocates
+/// it: each of 30 iterations reads an element of a new array before
+/// writing it.
+#[test]
+fn a_recycled_array_reads_zero() {
+    use Instr::*;
+    let code = vec![
+        Push(0),
+        Store(0), // acc = 0
+        Push(0),
+        Store(1), // i = 0
+        Load(1),  // 4: while i < 30
+        Push(30),
+        CmpLt,
+        JumpIfZero(30),
+        Push(8),
+        NewArray,
+        Store(2), // a = new[8]
+        Load(0),
+        Load(2),
+        Load(1),
+        Push(8),
+        Mod,
+        ALoad,
+        Add,
+        Store(0), // acc += a[i % 8]
+        Load(2),
+        Load(1),
+        Push(8),
+        Mod,
+        Push(99),
+        AStore, // a[i % 8] = 99
+        Load(1),
+        Push(1),
+        Add,
+        Store(1), // i += 1
+        Jump(4),
+        Load(0), // 30
+        Print,
+        Halt,
+    ];
+    let bytes = ProgramImage::single("read-before-write", 3, code).to_bytes();
+    let dirty = dirty();
+    for trace in [TraceConfig::default(), TraceConfig::off()] {
+        let install = Installation::healthy().with_trace(trace);
+        run_wrapped(&dirty, &Installation::healthy(), &mut NoIo);
+        let w = run_wrapped(&bytes, &install, &mut NoIo);
+        assert_eq!(w.stdout, "0\n", "{:?}", w.result_file);
+        // The compiled tier allocated most of the arrays when it was on.
+        let compiled = w.vm.compiled_instructions > 0;
+        assert_eq!(compiled, install.trace.enabled);
+    }
 }

@@ -21,7 +21,8 @@
 # altogether. Timings are not compared — that is `ledger compare` and the
 # benchmark driver's job — but the two binaries are what a perf table is
 # usually taken from next, so the script prints where each side's
-# `gridvm::compile::run_ops` instantiations start mod 64, and each row
+# `gridvm::compile::run_ops` instantiations start mod 64 and the per-job
+# path's decoder, verifier and interpreter loops start mod 4096, and each row
 # shows both sides' `peak_rss_mb`, read off the same `gate --entry` line
 # as the digest: one sample a side, printed and never compared, so it
 # adds no run and no pass/fail condition.
@@ -59,6 +60,25 @@ placement() {
 }
 printf 'run_ops start mod 64, base:  %s\n' "$(placement "$base_bin")"
 printf 'run_ops start mod 64, change:%s\n' "$(placement "$head_bin")"
+
+# Where the per-job path's other jump-table loops landed, mod 4096: a
+# change to anything linked ahead of `gridvm` moves them all, and
+# `vm_short_jobs` has read 8-13 % apart on that alone. `decode` is the
+# image decoder's loop (absent, `-`, from a base whose `from_bytes` held it).
+short_path() {
+    local name addr
+    for name in 'image::ProgramImage::from_bytes' 'image::ProgramImage::decode' \
+        'verify::verify' 'machine::frame_loop' 'machine::Machine::interpret'; do
+        addr=$(nm -C "$1" | awk -v n="gridvm::$name" '$3 == n { print $1; exit }')
+        if [ -n "$addr" ]; then
+            printf ' %s 0x%03x' "${name#*::}" $((0x$addr % 4096))
+        else
+            printf ' %s -' "${name#*::}"
+        fi
+    done
+}
+printf 'per-job path start mod 4096, base:  %s\n' "$(short_path "$base_bin")"
+printf 'per-job path start mod 4096, change:%s\n' "$(short_path "$head_bin")"
 
 # The `gate --entry` line of one run.
 entry() {

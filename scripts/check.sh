@@ -59,6 +59,12 @@ if grep -nE -e '\bfenced_machines\b' -e 'BTreeMap<ActorId, *MachineEntry>' crate
     exit 1
 fi
 
+echo "==> a short job allocates only what it hands back: no fresh heap array in gridvm, and no process allocator outside test crates"
+if grep -rnF --include=*.rs 'heap.push(vec![0;' crates/gridvm \
+    || grep -rnE --include=*.rs '^\s*#\[global_allocator\]' crates src tests examples | grep -v '/tests/'; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
