@@ -73,7 +73,7 @@ pub use matchmaker::{MatchEngine, Matchmaker, MatchmakerStats};
 pub use metrics::{MachineStats, Metrics};
 pub use msg::{
     Activation, CkptAttempt, ExecutionReport, FsSnapshot, JobAdvert, LeaseInfo, Msg, ResumeInfo,
-    StoredCkpt,
+    Site, StoredCkpt,
 };
 pub use netdriver::NetFaultDriver;
 pub use pool::{Layout, PoolBuilder, RunReport};

@@ -1,8 +1,11 @@
 //! The message alphabet of the simulated Condor kernel.
 //!
 //! These are the arrows of Figure 1 (matchmaking, claiming) and Figure 2
-//! (activation, execution reports), plus the self-addressed timer messages
-//! each daemon uses for periodic work and timeouts.
+//! (activation, execution reports), plus the self-addressed timers each
+//! daemon uses: ticks for periodic work, and one [`Msg::Deadline`] for
+//! every timeout. A deadline names its [`Site`] and the epoch it was armed
+//! for; the actor acts on it only while that epoch is still current, so
+//! one comparison per actor decides whether any of its deadlines is stale.
 
 use crate::job::{JobId, Universe};
 use classads::ClassAd;
@@ -169,6 +172,38 @@ pub struct JobAdvert {
     pub epoch: u64,
 }
 
+/// Where a [`Msg::Deadline`] was armed: each site is one silence the
+/// kernel turns into an explicit error when its time runs out (§5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// Schedd: a claim request went unanswered for `CLAIM_TIMEOUT`.
+    Claim,
+    /// Schedd: an activated claim sent no execution report in time.
+    Report,
+    /// Schedd: a running claim's lease went unrenewed.
+    Lease,
+    /// Startd: an accepted claim was never activated.
+    Activation,
+    /// Startd: the checkpoint server never answered a resume's fetch.
+    CkptFetch,
+    /// Schedd: a remote pool's matchmaker never answered a flock probe.
+    FlockProbe,
+}
+
+impl Site {
+    /// What a census of deliveries files a deadline at this site under.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Site::Claim => "Deadline:Claim",
+            Site::Report => "Deadline:Report",
+            Site::Lease => "Deadline:Lease",
+            Site::Activation => "Deadline:Activation",
+            Site::CkptFetch => "Deadline:CkptFetch",
+            Site::FlockProbe => "Deadline:FlockProbe",
+        }
+    }
+}
+
 /// One message.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -180,22 +215,17 @@ pub enum Msg {
     /// Periodic while the matchmaker holds a job ad: run a negotiation
     /// cycle.
     NegotiateTick,
-    /// The claim handshake for `job` timed out.
-    ClaimTimeout {
-        /// Which job.
-        job: JobId,
-        /// The machine being claimed.
-        machine: usize,
-    },
-    /// No execution report arrived for `job` in time.
-    ReportTimeout {
-        /// Which job.
-        job: JobId,
-        /// The machine it was running on.
-        machine: usize,
-        /// Attempt number the timeout was armed for (stale timeouts are
-        /// ignored).
-        attempt: usize,
+    /// A deadline armed by this actor has come: the site's silence is due
+    /// to become an explicit error. Live only while `epoch` is still the
+    /// current epoch of the record `id` names; otherwise it is stale and
+    /// changes nothing.
+    Deadline {
+        /// Which silence this deadline gives a scope.
+        site: Site,
+        /// The job, or for [`Site::FlockProbe`] the pool.
+        id: u64,
+        /// The claim epoch (or probe number) the deadline was armed for.
+        epoch: u64,
     },
     /// The human finished postmortem analysis of a wrongly-returned job
     /// (naive mode only) and resubmits it.
@@ -218,30 +248,6 @@ pub enum Msg {
         /// Which job.
         job: JobId,
         /// The claim epoch the tick was armed for (stale ticks are ignored).
-        epoch: u64,
-    },
-    /// Periodic (schedd): check whether a running claim's lease is still
-    /// being renewed.
-    LeaseCheck {
-        /// Which job.
-        job: JobId,
-        /// The claim epoch the check was armed for.
-        epoch: u64,
-    },
-    /// A claim was accepted but never activated; the startd frees itself
-    /// (startd self-timer).
-    ClaimExpire {
-        /// Which job.
-        job: JobId,
-        /// The claim epoch the timer was armed for.
-        epoch: u64,
-    },
-    /// The checkpoint server never answered a resume's fetch (startd
-    /// self-timer, armed when the request leaves).
-    CkptFetchTimeout {
-        /// Which job.
-        job: JobId,
-        /// The claim epoch the timer was armed for.
         epoch: u64,
     },
     /// The network-fault driver reached a window edge and must reconfigure
@@ -290,12 +296,6 @@ pub enum Msg {
         /// How many machine ads it currently holds. Zero means the pool
         /// is saturated — an explicit pool-scope denial, not silence.
         free: u64,
-    },
-    /// No [`Msg::FlockGrant`] arrived in time (schedd self-timer): the
-    /// remote matchmaker is unreachable.
-    FlockTimeout {
-        /// The pool that went silent.
-        pool: u64,
     },
 
     // ---- claiming (Figure 1: "Claiming Protocol") ----
@@ -400,28 +400,29 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// A deadline at `site` for `id` (a job, or a pool), armed for `epoch`.
+    pub fn deadline(site: Site, id: impl Into<u64>, epoch: u64) -> Msg {
+        let id = id.into();
+        Msg::Deadline { site, id, epoch }
+    }
+
     /// The variant's name: what a per-kind census of deliveries
     /// ([`desim::World::count_deliveries_by`]) files this message under.
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::AdvertiseTick => "AdvertiseTick",
             Msg::NegotiateTick => "NegotiateTick",
-            Msg::ClaimTimeout { .. } => "ClaimTimeout",
-            Msg::ReportTimeout { .. } => "ReportTimeout",
+            Msg::Deadline { site, .. } => site.kind(),
             Msg::PostmortemDone { .. } => "PostmortemDone",
             Msg::RetryJob { .. } => "RetryJob",
             Msg::ExecutionComplete { .. } => "ExecutionComplete",
             Msg::HeartbeatTick { .. } => "HeartbeatTick",
-            Msg::LeaseCheck { .. } => "LeaseCheck",
-            Msg::ClaimExpire { .. } => "ClaimExpire",
-            Msg::CkptFetchTimeout { .. } => "CkptFetchTimeout",
             Msg::NetFaultTick => "NetFaultTick",
             Msg::MachineAd { .. } => "MachineAd",
             Msg::JobAd(_) => "JobAd",
             Msg::MatchNotify { .. } => "MatchNotify",
             Msg::FlockRequest { .. } => "FlockRequest",
             Msg::FlockGrant { .. } => "FlockGrant",
-            Msg::FlockTimeout { .. } => "FlockTimeout",
             Msg::ClaimRequest { .. } => "ClaimRequest",
             Msg::ClaimAccept { .. } => "ClaimAccept",
             Msg::ClaimReject { .. } => "ClaimReject",

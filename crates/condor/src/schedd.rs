@@ -33,6 +33,7 @@ use crate::matchmaker::{until_next, KEEPALIVE_PERIOD};
 use crate::metrics::Metrics;
 use crate::msg::{
     Activation, CkptAttempt, ExecutionReport, FsSnapshot, JobAdvert, LeaseInfo, Msg, ResumeInfo,
+    Site,
 };
 use classads::ClassAd;
 use desim::prelude::*;
@@ -153,8 +154,10 @@ pub struct FlockConfig {
 enum FlockState {
     /// Never probed (or demoted after a failure and due for a re-probe).
     Unprobed,
-    /// A [`Msg::FlockRequest`] is in flight; its timeout is armed.
-    Probing,
+    /// A [`Msg::FlockRequest`] driven by `job`'s starvation is in flight;
+    /// its deadline carries `probe`, the schedd's escalation count when it
+    /// left, so no two probes share one.
+    Probing { job: JobId, probe: u64 },
     /// The pool accepted flocked ads; job ads flow there as they do home.
     Granted,
     /// Denied or failed at `at`; re-probe after the denial delay.
@@ -199,8 +202,6 @@ pub struct Schedd {
     pub pool_breakers: BTreeMap<u64, CircuitBreaker>,
     /// Where the schedd stands with each remote pool.
     flock_states: BTreeMap<u64, FlockState>,
-    /// The job whose starvation drove the outstanding probe of each pool.
-    flock_probe_job: BTreeMap<u64, JobId>,
     /// The idle jobs, each with the instant it went idle — kept as jobs
     /// enter and leave the state, never by scanning `jobs`.
     idle: BTreeMap<JobId, SimTime>,
@@ -242,7 +243,6 @@ impl Schedd {
             flock: None,
             pool_breakers: BTreeMap::new(),
             flock_states: BTreeMap::new(),
-            flock_probe_job: BTreeMap::new(),
             idle: BTreeMap::new(),
             ticking: false,
             machine_pool: BTreeMap::new(),
@@ -506,7 +506,7 @@ impl Actor<Msg> for Schedd {
                         pool,
                     },
                 );
-                ctx.send_self_after(CLAIM_TIMEOUT, Msg::ClaimTimeout { job, machine });
+                ctx.send_self_after(CLAIM_TIMEOUT, Msg::deadline(Site::Claim, job, epoch));
             }
 
             Msg::ClaimAccept { job, epoch } => {
@@ -598,7 +598,7 @@ impl Actor<Msg> for Schedd {
                 if let Some(lease) = self.policy.lease {
                     let rec = self.jobs.get_mut(&job).unwrap();
                     rec.last_heartbeat = ctx.now;
-                    ctx.send_self_after(lease.timeout, Msg::LeaseCheck { job, epoch });
+                    ctx.send_self_after(lease.timeout, Msg::deadline(Site::Lease, job, epoch));
                 }
                 // A resumed attempt may discard its checkpoint and cold-
                 // restart, owing the full execution time again — give the
@@ -606,14 +606,7 @@ impl Actor<Msg> for Schedd {
                 // attempt vanished.
                 let budget = if resuming { spec.exec_time } else { remaining };
                 let deadline = budget + budget + REPORT_SLACK;
-                ctx.send_self_after(
-                    deadline,
-                    Msg::ReportTimeout {
-                        job,
-                        machine,
-                        attempt: attempt_no,
-                    },
-                );
+                ctx.send_self_after(deadline, Msg::deadline(Site::Report, job, epoch));
             }
 
             Msg::ClaimReject { job, epoch, .. } => {
@@ -637,34 +630,52 @@ impl Actor<Msg> for Schedd {
                 self.went_idle(job, ctx);
             }
 
-            Msg::ClaimTimeout { job, machine } => {
-                let Some(rec) = self.jobs.get_mut(&job) else {
+            Msg::Deadline { site, id, epoch } => {
+                // The one stale test: every end of a claim (or of a probe)
+                // moves the epoch its deadlines were armed with.
+                if self.live_epoch(site, id) != Some(epoch) {
                     return;
-                };
-                if rec.state == (JobState::Claiming { machine }) {
-                    ctx.emit(obs::Event::Claim {
-                        job: u64::from(job),
-                        machine: machine as u64,
-                        outcome: obs::ClaimOutcome::TimedOut,
-                    });
-                    self.metrics.failed_claims += 1;
-                    rec.epoch += 1; // a late accept is now stale
-                    rec.state = JobState::Waiting;
-                    // A silent claim is a machine-scope signal: feed the
-                    // breaker and back off instead of hammering the link.
-                    self.machine_failure(machine, ctx);
-                    // On a flocked machine the silence sits on an inter-pool
-                    // link: surface it at pool scope too.
-                    self.note_remote_fault(
-                        job,
-                        machine,
-                        "claim",
-                        "FlockClaimSilent",
-                        format!("flocked claim for job {job} timed out on machine {machine}"),
-                        ctx,
-                    );
-                    let delay = self.backoff_delay(job, ctx);
-                    ctx.send_self_after(delay, Msg::RetryJob { job });
+                }
+                if site == Site::FlockProbe {
+                    return self.probe_unanswered(id, ctx);
+                }
+                let job = JobId::try_from(id).expect("a live deadline names a job");
+                match (site, &self.jobs[&job].state) {
+                    // A claim request went unanswered.
+                    (Site::Claim, &JobState::Claiming { machine }) => {
+                        ctx.emit(obs::Event::Claim {
+                            job: u64::from(job),
+                            machine: machine as u64,
+                            outcome: obs::ClaimOutcome::TimedOut,
+                        });
+                        self.metrics.failed_claims += 1;
+                        let rec = self.jobs.get_mut(&job).expect("a live deadline's job");
+                        rec.epoch += 1; // a late accept is now stale
+                        rec.state = JobState::Waiting;
+                        // A silent claim is a machine-scope signal: feed
+                        // the breaker and back off instead of hammering
+                        // the link.
+                        self.machine_failure(machine, ctx);
+                        // On a flocked machine the silence sits on an
+                        // inter-pool link: surface it at pool scope too.
+                        self.note_remote_fault(
+                            job,
+                            machine,
+                            "claim",
+                            "FlockClaimSilent",
+                            format!("flocked claim for job {job} timed out on machine {machine}"),
+                            ctx,
+                        );
+                        let delay = self.backoff_delay(job, ctx);
+                        ctx.send_self_after(delay, Msg::RetryJob { job });
+                    }
+                    (Site::Report, &JobState::Running { machine }) => {
+                        self.claim_vanished(job, machine, site, ctx)
+                    }
+                    (Site::Lease, &JobState::Running { machine }) => {
+                        self.check_lease(job, machine, epoch, ctx)
+                    }
+                    _ => {}
                 }
             }
 
@@ -688,10 +699,6 @@ impl Actor<Msg> for Schedd {
                 ctx.send_net(from, Msg::HeartbeatAck { job, epoch });
             }
 
-            Msg::LeaseCheck { job, epoch } => {
-                self.check_lease(job, epoch, ctx);
-            }
-
             Msg::StarterReport {
                 job,
                 report,
@@ -701,50 +708,6 @@ impl Actor<Msg> for Schedd {
                 epoch,
             } => {
                 self.handle_report(job, from, *report, cpu, started, ckpt, epoch, ctx);
-            }
-
-            Msg::ReportTimeout {
-                job,
-                machine,
-                attempt,
-            } => {
-                let Some(rec) = self.jobs.get_mut(&job) else {
-                    return;
-                };
-                if rec.state != (JobState::Running { machine }) || rec.attempts.len() != attempt {
-                    return; // a report arrived; stale timer
-                }
-                // The claim evaporated: machine crash or partition. An
-                // escaping error whose only representation is silence —
-                // time gives it scope (§5).
-                ctx.emit(obs::Event::Reschedule {
-                    job: u64::from(job),
-                    machine: machine as u64,
-                    reason: "no report: machine crashed or unreachable".into(),
-                });
-                let exec_time = rec.spec.exec_time;
-                rec.epoch += 1; // a late report is now stale
-                rec.attempts.push(Attempt {
-                    machine,
-                    started: ctx.now,
-                    ended: ctx.now,
-                    scope: None,
-                    note: "no report: machine crashed or unreachable".into(),
-                });
-                self.metrics.vanished_attempts += 1;
-                self.metrics.wasted_cpu += exec_time;
-                *self.chronic.entry(machine).or_insert(0) += 1;
-                self.machine_failure(machine, ctx);
-                self.note_remote_fault(
-                    job,
-                    machine,
-                    "claim",
-                    "FlockClaimVanished",
-                    format!("flocked job {job} vanished on remote machine {machine}"),
-                    ctx,
-                );
-                let delay = self.backoff_delay(job, ctx);
-                self.reschedule_or_hold(job, delay, ctx);
             }
 
             Msg::RetryJob { job } => {
@@ -761,11 +724,8 @@ impl Actor<Msg> for Schedd {
                 let Some(target) = cfg.pools.iter().find(|t| t.pool == pool).copied() else {
                     return;
                 };
-                if !matches!(self.flock_states.get(&pool), Some(FlockState::Probing)) {
+                let Some(&FlockState::Probing { job, .. }) = self.flock_states.get(&pool) else {
                     return; // the probe already timed out; stale grant
-                }
-                let Some(&job) = self.flock_probe_job.get(&pool) else {
-                    return;
                 };
                 // Either way the matchmaker answered: the link is healthy.
                 self.pool_breaker_success(pool, target.matchmaker, ctx);
@@ -793,37 +753,6 @@ impl Actor<Msg> for Schedd {
                         ctx,
                     );
                 }
-            }
-
-            Msg::FlockTimeout { pool } => {
-                let Some(cfg) = self.flock.clone() else {
-                    return;
-                };
-                if !matches!(self.flock_states.get(&pool), Some(FlockState::Probing)) {
-                    return; // a grant arrived first; stale timer
-                }
-                let Some(target) = cfg.pools.iter().find(|t| t.pool == pool).copied() else {
-                    return;
-                };
-                let Some(&job) = self.flock_probe_job.get(&pool) else {
-                    return;
-                };
-                // Silence from the remote matchmaker: an unreachable pool,
-                // made explicit by time (§5) instead of hanging the probe.
-                self.flock_states
-                    .insert(pool, FlockState::Denied { at: ctx.now });
-                self.pool_fault(
-                    job,
-                    pool,
-                    "unreachable",
-                    "PoolUnreachable",
-                    format!(
-                        "pool {pool} matchmaker silent for {}: unreachable",
-                        FLOCK_PROBE_TIMEOUT
-                    ),
-                    ctx,
-                );
-                self.pool_breaker_failure(pool, target.matchmaker, ctx);
             }
 
             Msg::ClaimRevoked { job, epoch } => {
@@ -1024,7 +953,7 @@ impl Schedd {
                 .unwrap_or(FlockState::Unprobed)
             {
                 FlockState::Granted => continue,
-                FlockState::Probing => return, // one probe in flight
+                FlockState::Probing { .. } => return, // one probe in flight
                 FlockState::Denied { at } if ctx.now.since(at) < FLOCK_DENIAL_DELAY => continue,
                 FlockState::Unprobed | FlockState::Denied { .. } => {}
             }
@@ -1035,11 +964,13 @@ impl Schedd {
             if blocked {
                 continue;
             }
-            self.flock_states.insert(target.pool, FlockState::Probing);
-            self.flock_probe_job.insert(target.pool, job);
             self.metrics.flock_escalations += 1;
+            let probe = self.metrics.flock_escalations;
+            self.flock_states
+                .insert(target.pool, FlockState::Probing { job, probe });
             ctx.send_net(target.matchmaker, Msg::FlockRequest { pool: target.pool });
-            ctx.send_self_after(FLOCK_PROBE_TIMEOUT, Msg::FlockTimeout { pool: target.pool });
+            let deadline = Msg::deadline(Site::FlockProbe, target.pool, probe);
+            ctx.send_self_after(FLOCK_PROBE_TIMEOUT, deadline);
             return;
         }
     }
@@ -1173,41 +1104,77 @@ impl Schedd {
         ctx.send_self_after(delay, Msg::RetryJob { job });
     }
 
+    /// The epoch a deadline at `site` for `id` must carry to be live: the
+    /// job's claim epoch, or the number of the pool's outstanding probe.
+    fn live_epoch(&self, site: Site, id: u64) -> Option<u64> {
+        match site {
+            Site::FlockProbe => match self.flock_states.get(&id)? {
+                FlockState::Probing { probe, .. } => Some(*probe),
+                _ => None,
+            },
+            _ => Some(self.jobs.get(&JobId::try_from(id).ok()?)?.epoch),
+        }
+    }
+
     /// The submit-side half of the lease: has the running claim been heard
     /// from within the lease timeout? If not, the silent partition becomes
     /// an explicit scope-of-the-claim error *now*, instead of waiting for
     /// the much longer report timeout.
-    fn check_lease(&mut self, job: JobId, epoch: u64, ctx: &mut Context<'_, Msg>) {
+    fn check_lease(&mut self, job: JobId, machine: usize, epoch: u64, ctx: &mut Context<'_, Msg>) {
         let Some(lease) = self.policy.lease else {
             return;
         };
-        let Some(rec) = self.jobs.get_mut(&job) else {
-            return;
-        };
-        if epoch != rec.epoch {
-            return; // the claim already closed; this timer is stale
-        }
-        let JobState::Running { machine } = rec.state else {
-            return;
-        };
-        let silent = ctx.now.since(rec.last_heartbeat);
+        let silent = ctx.now.since(self.jobs[&job].last_heartbeat);
         if silent < lease.timeout {
             // Heard from within the window: re-arm for the remainder.
             let remaining =
                 SimDuration::from_micros(lease.timeout.as_micros() - silent.as_micros());
-            ctx.send_self_after(remaining, Msg::LeaseCheck { job, epoch });
+            ctx.send_self_after(remaining, Msg::deadline(Site::Lease, job, epoch));
             return;
         }
-        ctx.emit(obs::Event::LeaseExpired {
-            job: u64::from(job),
-            machine: machine as u64,
-            side: "schedd".to_string(),
-        });
+        self.claim_vanished(job, machine, Site::Lease, ctx);
+    }
+
+    /// A running claim went silent: no report by its deadline
+    /// ([`Site::Report`]: machine crash or partition), or its lease
+    /// unrenewed ([`Site::Lease`]). An escaping error whose only
+    /// representation is silence — time gives it scope (§5): the attempt
+    /// ends, charged to the machine, and the job tries again.
+    fn claim_vanished(
+        &mut self,
+        job: JobId,
+        machine: usize,
+        cause: Site,
+        ctx: &mut Context<'_, Msg>,
+    ) {
+        let lease = cause == Site::Lease;
+        if lease {
+            ctx.emit(obs::Event::LeaseExpired {
+                job: u64::from(job),
+                machine: machine as u64,
+                side: "schedd".to_string(),
+            });
+            self.metrics.leases_expired += 1;
+        }
+        let (reason, kind, code) = if lease {
+            (
+                "lease expired: claim unreachable",
+                "lease",
+                "FlockLeaseExpired",
+            )
+        } else {
+            (
+                "no report: machine crashed or unreachable",
+                "claim",
+                "FlockClaimVanished",
+            )
+        };
         ctx.emit(obs::Event::Reschedule {
             job: u64::from(job),
             machine: machine as u64,
-            reason: "lease expired: claim unreachable".into(),
+            reason: reason.into(),
         });
+        let rec = self.jobs.get_mut(&job).expect("a live deadline's job");
         let exec_time = rec.spec.exec_time;
         rec.epoch += 1; // the claim is dead; its report would be stale
         rec.attempts.push(Attempt {
@@ -1215,23 +1182,44 @@ impl Schedd {
             started: ctx.now,
             ended: ctx.now,
             scope: None,
-            note: "lease expired: claim unreachable".into(),
+            note: reason.into(),
         });
-        self.metrics.leases_expired += 1;
         self.metrics.vanished_attempts += 1;
         self.metrics.wasted_cpu += exec_time;
         *self.chronic.entry(machine).or_insert(0) += 1;
         self.machine_failure(machine, ctx);
-        self.note_remote_fault(
-            job,
-            machine,
-            "lease",
-            "FlockLeaseExpired",
-            format!("lease on flocked machine {machine} expired for job {job}"),
-            ctx,
-        );
+        let note = if lease {
+            format!("lease on flocked machine {machine} expired for job {job}")
+        } else {
+            format!("flocked job {job} vanished on remote machine {machine}")
+        };
+        self.note_remote_fault(job, machine, kind, code, note, ctx);
         let delay = self.backoff_delay(job, ctx);
         self.reschedule_or_hold(job, delay, ctx);
+    }
+
+    /// No [`Msg::FlockGrant`] answered the probe of `pool` in time.
+    fn probe_unanswered(&mut self, pool: u64, ctx: &mut Context<'_, Msg>) {
+        let Some(&FlockState::Probing { job, .. }) = self.flock_states.get(&pool) else {
+            return;
+        };
+        let mut pools = self.flock.iter().flat_map(|cfg| &cfg.pools);
+        let Some(target) = pools.find(|t| t.pool == pool).copied() else {
+            return;
+        };
+        // Silence from the remote matchmaker: an unreachable pool, made
+        // explicit by time (§5) instead of hanging the probe.
+        self.flock_states
+            .insert(pool, FlockState::Denied { at: ctx.now });
+        self.pool_fault(
+            job,
+            pool,
+            "unreachable",
+            "PoolUnreachable",
+            format!("pool {pool} matchmaker silent for {FLOCK_PROBE_TIMEOUT}: unreachable"),
+            ctx,
+        );
+        self.pool_breaker_failure(pool, target.matchmaker, ctx);
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -20,7 +20,7 @@ use crate::faults::FaultPlan;
 use crate::job::Universe;
 use crate::machine::{child_ad, MachineSpec, SharedConfig};
 use crate::metrics::MachineStats;
-use crate::msg::{Activation, CkptAttempt, ExecutionReport, Msg, StoredCkpt};
+use crate::msg::{Activation, CkptAttempt, ExecutionReport, Msg, Site, StoredCkpt};
 use chirp::backend::MemFs;
 use chirp::client::{ChirpClient, ClientDiscipline};
 use chirp::cookie::Cookie;
@@ -242,6 +242,17 @@ impl Startd {
         );
     }
 
+    /// The claim this startd holds, as `(job, epoch)`: what a deadline it
+    /// armed must still name to be live.
+    fn claim_held(&self) -> Option<(u64, u64)> {
+        let (job, epoch) = match &self.state {
+            State::Free => return None,
+            State::Claimed { job, epoch, .. } | State::Running { job, epoch, .. } => (*job, *epoch),
+            State::AwaitCkpt { act, .. } => (act.job, act.epoch),
+        };
+        Some((job.into(), epoch))
+    }
+
     /// Every way a claim ends comes through here: the machine is free, and
     /// says so at once instead of at the next tick — so a black hole that
     /// "fails fast" is back in the pool the instant it fails (§5).
@@ -363,19 +374,8 @@ impl Actor<Msg> for Startd {
                 ctx.send_net(from, Msg::ClaimAccept { job, epoch });
                 // If the activation never arrives (lost, or the schedd gave
                 // up), free the machine instead of wedging on a dead claim.
-                ctx.send_self_after(CLAIM_ACTIVATION_TIMEOUT, Msg::ClaimExpire { job, epoch });
-            }
-            Msg::ClaimExpire { job, epoch } => {
-                if let State::Claimed {
-                    job: claimed,
-                    epoch: current,
-                    ..
-                } = self.state
-                {
-                    if claimed == job && current == epoch {
-                        self.release(ctx);
-                    }
-                }
+                let deadline = Msg::deadline(Site::Activation, job, epoch);
+                ctx.send_self_after(CLAIM_ACTIVATION_TIMEOUT, deadline);
             }
             Msg::ActivateClaim(act) => {
                 let State::Claimed { schedd, job, epoch } = self.state else {
@@ -421,7 +421,8 @@ impl Actor<Msg> for Startd {
                     )));
                     self.state = State::AwaitCkpt { schedd, act };
                     ctx.send_net(server, Msg::CkptRequest { frames });
-                    ctx.send_self_after(CKPT_FETCH_TIMEOUT, Msg::CkptFetchTimeout { job, epoch });
+                    let deadline = Msg::deadline(Site::CkptFetch, job, epoch);
+                    ctx.send_self_after(CKPT_FETCH_TIMEOUT, deadline);
                     return;
                 }
                 self.activate(schedd, act, None, CkptAttempt::None, SimDuration::ZERO, ctx);
@@ -479,31 +480,35 @@ impl Actor<Msg> for Startd {
                     Err(reason) => self.discard_and_restart(schedd, act, reason, ctx),
                 }
             }
-            Msg::CkptFetchTimeout { job, epoch } => {
-                if !matches!(&self.state, State::AwaitCkpt { act, .. }
-                    if act.job == job && act.epoch == epoch)
-                {
-                    return; // the fetch was answered; stale timer
-                }
-                if self.crashed(ctx.now) {
-                    self.release(ctx);
+            Msg::Deadline { site, id, epoch } => {
+                // The one stale test: live only while this startd still
+                // holds the claim the deadline was armed for.
+                if self.claim_held() != Some((id, epoch)) {
                     return;
                 }
-                // The checkpoint fetch never answered (lost on the network,
-                // or the server is gone). An unreachable checkpoint is the
-                // same explicit error as a corrupt one: discard and
-                // cold-restart.
-                let State::AwaitCkpt { schedd, act } =
-                    std::mem::replace(&mut self.state, State::Free)
-                else {
-                    unreachable!()
-                };
-                self.discard_and_restart(
-                    schedd,
-                    act,
-                    "checkpoint server unreachable".to_string(),
-                    ctx,
-                );
+                match site {
+                    Site::Activation if matches!(self.state, State::Claimed { .. }) => {
+                        self.release(ctx)
+                    }
+                    Site::CkptFetch if matches!(self.state, State::AwaitCkpt { .. }) => {
+                        if self.crashed(ctx.now) {
+                            self.release(ctx);
+                            return;
+                        }
+                        // The fetch never answered (lost on the network, or
+                        // the server is gone). An unreachable checkpoint is
+                        // the same explicit error as a corrupt one: discard
+                        // and cold-restart.
+                        let State::AwaitCkpt { schedd, act } =
+                            std::mem::replace(&mut self.state, State::Free)
+                        else {
+                            unreachable!()
+                        };
+                        let reason = "checkpoint server unreachable".to_string();
+                        self.discard_and_restart(schedd, act, reason, ctx);
+                    }
+                    _ => {}
+                }
             }
             Msg::ExecutionComplete { job } => {
                 let State::Running {

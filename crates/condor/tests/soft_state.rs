@@ -16,8 +16,9 @@ use classads::ClassAd;
 use common::Wiretap;
 use condor::matchmaker::{AD_LIFETIME, NEGOTIATE_PERIOD};
 use condor::prelude::*;
+use condor::schedd::CLAIM_TIMEOUT;
 use condor::startd::KEEPALIVE_PERIOD;
-use condor::{Activation, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd, Startd};
+use condor::{Activation, FsSnapshot, MatchEngine, Matchmaker, Msg, Schedd, Site, Startd};
 use desim::prelude::*;
 use gridvm::programs;
 use std::sync::Arc;
@@ -466,8 +467,16 @@ fn the_schedd_says_what_changed_the_instant_it_changes() {
         (3, matched(machine)),
         (4, rejected),
         (6, matched(machine)),
-        // Silence: the job waits out its 7-s retry delay, to 14.
-        (7, Msg::ClaimTimeout { job: 1, machine }),
+        // Silence: the second claim's deadline (epoch 3) ends it, and the
+        // job waits out its 7-s retry delay, to 14.
+        (
+            7,
+            Msg::Deadline {
+                site: Site::Claim,
+                id: 1,
+                epoch: 3,
+            },
+        ),
         // By now (the chronic count moves at 16) the host is avoided.
         (22, matched(shunned)),
         // The answer to the probe the tick at 45 sent: idle since 14,
@@ -516,6 +525,50 @@ fn the_schedd_says_what_changed_the_instant_it_changes() {
         .map(|(at, _, epoch, _)| (ms(*at), *epoch))
         .collect();
     assert_eq!(seen, [(46_001, 5), (60_001, 5)]);
+}
+
+/// A claim's deadline ends that claim and no other. The first claim opens
+/// at 3 s and is rejected at 4; the job is matched to the same machine
+/// again at 6, and the machine stays silent. The first claim's deadline
+/// comes at 23 s and finds the job claiming that machine again, but under
+/// a newer epoch, so it is stale: the second claim times out
+/// `CLAIM_TIMEOUT` after it opened, at 26 s. A deadline that compared the
+/// machine instead would end the second claim at 23 s.
+#[test]
+fn a_claim_deadline_ends_only_its_own_claim() {
+    let mut world: World<Msg> = World::new(8);
+    let home = world.add_actor(Box::new(Wiretap::default()));
+    let mut schedd = Schedd::new(home, ScheddPolicy::default(), FaultPlan::none().build());
+    schedd.submit(idle_job(1, 64));
+    let schedd = world.add_actor(Box::new(schedd));
+    let machine = schedd;
+    let matched = || Msg::MatchNotify {
+        job: 1,
+        machine,
+        pool: 0,
+    };
+    let rejected = Msg::ClaimReject {
+        job: 1,
+        reason: "busy".into(),
+        epoch: 1,
+    };
+    for (at, msg) in [(3, matched()), (4, rejected), (6, matched())] {
+        world.inject_after(SimDuration::from_secs(at), schedd, msg);
+    }
+    world.run_until(secs(40));
+    let timed_out: Vec<u64> = (world.telemetry().iter())
+        .filter(|r| {
+            matches!(
+                r.event,
+                obs::Event::Claim {
+                    outcome: obs::ClaimOutcome::TimedOut,
+                    ..
+                }
+            )
+        })
+        .map(|r| r.at_us)
+        .collect();
+    assert_eq!(timed_out, [(secs(6) + CLAIM_TIMEOUT).as_micros()]);
 }
 
 /// N idle jobs over T seconds cost the submission and `⌊T / 15⌋` renewal

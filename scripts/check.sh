@@ -65,6 +65,12 @@ if grep -rnF --include=*.rs 'heap.push(vec![0;' crates/gridvm \
     exit 1
 fi
 
+echo "==> one deadline: no retired timeout message comes back beside Msg::Deadline"
+if grep -rnw --include=*.rs -e ClaimTimeout -e ReportTimeout -e LeaseCheck -e ClaimExpire \
+    -e CkptFetchTimeout -e FlockTimeout crates src tests examples; then
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
