@@ -12,7 +12,6 @@ use classads::ClassAd;
 use desim::{SimDuration, SimTime};
 use errorscope::resultfile::ResultFile;
 use errorscope::Scope;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Identifies a job within one schedd's queue.
@@ -230,8 +229,6 @@ pub struct JobRecord {
     pub submitted: SimTime,
     /// Completion time (entering a terminal state).
     pub finished: Option<SimTime>,
-    /// Machines this job should avoid (chronic-failure policy).
-    pub avoid: BTreeMap<usize, u32>,
     /// Checkpointed work (Standard universe): execution time already
     /// banked from evicted attempts. Vanilla/Java evictions reset to the
     /// full execution time.
@@ -262,7 +259,6 @@ impl JobRecord {
             attempts: Vec::new(),
             submitted: now,
             finished: None,
-            avoid: BTreeMap::new(),
             progress: SimDuration::ZERO,
             ckpt_key: None,
             epoch: 0,

@@ -11,6 +11,15 @@
 //! discipline, every exit is delivered to the user as a result — and the
 //! *user* pays for the missing scope information with postmortem time.
 //!
+//! # One writer of a job's state
+//!
+//! After submission a job's state changes only in [`Schedd::transition`]:
+//! it checks the edge against one table, moves the claim epoch when a claim
+//! opens or closes, keeps the idle set, and stamps and counts a terminal
+//! state. What a change tells anyone — events, messages, timers, the user's
+//! log — stays at the call site, in its order. The five messages that speak
+//! for a claim pass one guard, [`Schedd::live_claim`].
+//!
 //! # What the matchmaker hears, and when
 //!
 //! The schedd's half of the soft-state bargain is the startd's. A job is
@@ -416,6 +425,34 @@ impl Schedd {
         });
     }
 
+    /// The claim an inbound claim message speaks for, if it is the live
+    /// one. A message for a job this queue does not hold is ignored; one
+    /// stamped with another epoch is counted and dropped as `kind`; one for
+    /// a job with no claim open, or from a machine other than the claim's,
+    /// is ignored. What comes back is the claim's phase — `Claiming` or
+    /// `Running`, on `from` — for the caller to match on.
+    fn live_claim(
+        &mut self,
+        job: JobId,
+        epoch: u64,
+        from: ActorId,
+        kind: &str,
+        ctx: &mut Context<'_, Msg>,
+    ) -> Option<JobState> {
+        let rec = self.jobs.get(&job)?;
+        if epoch != rec.epoch {
+            let current = rec.epoch;
+            self.drop_stale(job, kind, epoch, current, ctx);
+            return None;
+        }
+        match rec.state {
+            JobState::Claiming { machine } | JobState::Running { machine } if machine == from => {
+                Some(rec.state.clone())
+            }
+            _ => None,
+        }
+    }
+
     /// The retry delay for `job`'s *next* environmental retry, advancing
     /// its consecutive-failure level.
     fn backoff_delay(&mut self, job: JobId, ctx: &mut Context<'_, Msg>) -> SimDuration {
@@ -487,10 +524,8 @@ impl Actor<Msg> for Schedd {
                 }
                 // Opening a claim starts a new epoch: every message about
                 // this claim carries it, and older epochs are fenced.
-                rec.epoch += 1;
-                let epoch = rec.epoch;
-                rec.state = JobState::Claiming { machine };
-                self.idle.remove(&job);
+                self.transition(job, JobState::Claiming { machine }, ctx);
+                let epoch = self.jobs[&job].epoch;
                 let ad = self.plain_ad(job);
                 ctx.emit(obs::Event::Claim {
                     job: u64::from(job),
@@ -510,20 +545,11 @@ impl Actor<Msg> for Schedd {
             }
 
             Msg::ClaimAccept { job, epoch } => {
-                let Some(rec) = self.jobs.get(&job) else {
+                let Some(JobState::Claiming { machine }) =
+                    self.live_claim(job, epoch, from, "claim-accept", ctx)
+                else {
                     return;
                 };
-                if epoch != rec.epoch {
-                    let current = rec.epoch;
-                    self.drop_stale(job, "claim-accept", epoch, current, ctx);
-                    return;
-                }
-                let JobState::Claiming { machine } = rec.state else {
-                    return;
-                };
-                if machine != from {
-                    return;
-                }
                 // The shadow stages the job. If the home file system is
                 // down right now, staging itself fails: a local-resource
                 // error the shadow reports to the schedd ("the job cannot
@@ -540,12 +566,11 @@ impl Actor<Msg> for Schedd {
                         reason: format!("{}-scope error: {fault} while staging", fault.scope()),
                     });
                     self.metrics.reschedules += 1;
-                    let rec = self.jobs.get_mut(&job).unwrap();
-                    rec.epoch += 1; // claim closed without activating
-                    rec.state = JobState::Waiting;
+                    self.transition(job, JobState::Waiting, ctx);
                     ctx.send_self_after(LOCAL_RESOURCE_DELAY, Msg::RetryJob { job });
                     return;
                 }
+                self.transition(job, JobState::Running { machine }, ctx);
                 let rec = self.jobs.get_mut(&job).unwrap();
                 let spec = rec.spec.clone();
                 // Standard-universe jobs resume from their checkpoint: only
@@ -559,7 +584,6 @@ impl Actor<Msg> for Schedd {
                 } else {
                     spec.exec_time
                 };
-                rec.state = JobState::Running { machine };
                 let attempt_no = rec.attempts.len();
                 // A stored checkpoint from an earlier attempt: ask the
                 // starter to resume from it.
@@ -610,23 +634,12 @@ impl Actor<Msg> for Schedd {
             }
 
             Msg::ClaimReject { job, epoch, .. } => {
-                let Some(rec) = self.jobs.get(&job) else {
+                let Some(JobState::Claiming { .. }) =
+                    self.live_claim(job, epoch, from, "claim-reject", ctx)
+                else {
                     return;
                 };
-                if epoch != rec.epoch {
-                    let current = rec.epoch;
-                    self.drop_stale(job, "claim-reject", epoch, current, ctx);
-                    return;
-                }
-                let JobState::Claiming { machine } = rec.state else {
-                    return;
-                };
-                if machine != from {
-                    return;
-                }
                 self.metrics.failed_claims += 1;
-                let rec = self.jobs.get_mut(&job).unwrap();
-                rec.epoch += 1; // claim closed
                 self.went_idle(job, ctx);
             }
 
@@ -649,9 +662,8 @@ impl Actor<Msg> for Schedd {
                             outcome: obs::ClaimOutcome::TimedOut,
                         });
                         self.metrics.failed_claims += 1;
-                        let rec = self.jobs.get_mut(&job).expect("a live deadline's job");
-                        rec.epoch += 1; // a late accept is now stale
-                        rec.state = JobState::Waiting;
+                        // A late accept is now stale.
+                        self.transition(job, JobState::Waiting, ctx);
                         // A silent claim is a machine-scope signal: feed
                         // the breaker and back off instead of hammering
                         // the link.
@@ -680,21 +692,12 @@ impl Actor<Msg> for Schedd {
             }
 
             Msg::Heartbeat { job, epoch } => {
-                let Some(rec) = self.jobs.get(&job) else {
+                let Some(JobState::Running { .. }) =
+                    self.live_claim(job, epoch, from, "heartbeat", ctx)
+                else {
                     return;
                 };
-                if epoch != rec.epoch {
-                    let current = rec.epoch;
-                    self.drop_stale(job, "heartbeat", epoch, current, ctx);
-                    return;
-                }
-                let JobState::Running { machine } = rec.state else {
-                    return;
-                };
-                if machine != from {
-                    return;
-                }
-                let rec = self.jobs.get_mut(&job).unwrap();
+                let rec = self.jobs.get_mut(&job).expect("a live claim's job");
                 rec.last_heartbeat = ctx.now;
                 ctx.send_net(from, Msg::HeartbeatAck { job, epoch });
             }
@@ -756,28 +759,17 @@ impl Actor<Msg> for Schedd {
             }
 
             Msg::ClaimRevoked { job, epoch } => {
-                let Some(rec) = self.jobs.get(&job) else {
-                    return;
-                };
-                if epoch != rec.epoch {
-                    let current = rec.epoch;
-                    self.drop_stale(job, "claim-revoked", epoch, current, ctx);
-                    return;
-                }
-                let (JobState::Running { machine } | JobState::Claiming { machine }) = rec.state
+                let Some(JobState::Running { machine } | JobState::Claiming { machine }) =
+                    self.live_claim(job, epoch, from, "claim-revoked", ctx)
                 else {
                     return;
                 };
-                if machine != from {
-                    return;
-                }
                 ctx.emit(obs::Event::Reschedule {
                     job: u64::from(job),
                     machine: machine as u64,
                     reason: "flocked claim revoked by remote pool".into(),
                 });
-                let rec = self.jobs.get_mut(&job).unwrap();
-                rec.epoch += 1; // the claim is dead; anything later is stale
+                let rec = self.jobs.get_mut(&job).expect("a live claim's job");
                 rec.attempts.push(Attempt {
                     machine,
                     started: ctx.now,
@@ -822,11 +814,68 @@ impl Actor<Msg> for Schedd {
     }
 }
 
+/// The edges of a job's life, by the state it leaves. Submission, the one
+/// edge into `Idle` from nowhere, is [`JobRecord::new`]'s.
+fn legal_edge(from: &JobState, to: &JobState) -> bool {
+    use JobState::*;
+    match from {
+        Idle => matches!(to, Claiming { .. }),
+        Claiming { .. } => matches!(to, Running { .. } | Idle | Waiting | Held { .. }),
+        Running { .. } => matches!(
+            to,
+            Waiting
+                | Held { .. }
+                | Completed { .. }
+                | Unexecutable { .. }
+                | AwaitingPostmortem { .. }
+        ),
+        AwaitingPostmortem { .. } => matches!(to, Waiting | Held { .. }),
+        Waiting => matches!(to, Idle),
+        Completed { .. } | Unexecutable { .. } | Held { .. } => false,
+    }
+}
+
 impl Schedd {
+    /// The one writer of a job's state after submission. An edge outside
+    /// [`legal_edge`] is a kernel bug: reported as a principle-3
+    /// [`obs::Event::Violation`], and still taken. A claim opens on entering
+    /// `Claiming` and closes on leaving `Claiming` or `Running` for anything
+    /// but `Running`; either moves the epoch, fencing every message stamped
+    /// with the old one.
+    fn transition(&mut self, job: JobId, to: JobState, ctx: &mut Context<'_, Msg>) {
+        let rec = self.jobs.get_mut(&job).expect("job exists");
+        if !legal_edge(&rec.state, &to) {
+            ctx.emit(obs::Event::Violation {
+                principle: 3,
+                machine: 0,
+                detail: format!("job {job} moved {:?} -> {to:?}, an illegal edge", rec.state),
+            });
+        }
+        let claimed =
+            |s: &JobState| matches!(s, JobState::Claiming { .. } | JobState::Running { .. });
+        if matches!(to, JobState::Claiming { .. }) || (claimed(&rec.state) && !claimed(&to)) {
+            rec.epoch += 1;
+        }
+        if to == JobState::Idle {
+            self.idle.insert(job, ctx.now);
+        } else if rec.state == JobState::Idle {
+            self.idle.remove(&job);
+        }
+        if to.is_terminal() {
+            rec.finished = Some(ctx.now);
+        }
+        match to {
+            JobState::Completed { .. } => self.metrics.jobs_completed += 1,
+            JobState::Unexecutable { .. } => self.metrics.jobs_unexecutable += 1,
+            JobState::Held { .. } => self.metrics.jobs_held += 1,
+            _ => {}
+        }
+        rec.state = to;
+    }
+
     /// `job` enters the idle state: stamped, and advertised at once.
     fn went_idle(&mut self, job: JobId, ctx: &mut Context<'_, Msg>) {
-        self.jobs.get_mut(&job).expect("job exists").state = JobState::Idle;
-        self.idle.insert(job, ctx.now);
+        self.transition(job, JobState::Idle, ctx);
         self.advertise(job, ctx);
         self.keep_ticking(ctx);
     }
@@ -1089,18 +1138,14 @@ impl Schedd {
     /// Reschedule after `delay`, or hold the job if its attempt budget is
     /// exhausted.
     fn reschedule_or_hold(&mut self, job: JobId, delay: SimDuration, ctx: &mut Context<'_, Msg>) {
-        let max = self.policy.max_attempts;
-        let rec = self.jobs.get_mut(&job).expect("job exists");
-        if rec.attempts.len() as u32 >= max {
-            rec.state = JobState::Held {
-                reason: format!("{} failed attempts", rec.attempts.len()),
-            };
-            rec.finished = Some(ctx.now);
-            self.metrics.jobs_held += 1;
+        let attempts = self.jobs[&job].attempts.len();
+        if attempts as u32 >= self.policy.max_attempts {
+            let reason = format!("{attempts} failed attempts");
+            self.transition(job, JobState::Held { reason }, ctx);
             self.user_sees(ctx.now, job, "job held: too many failed attempts");
             return;
         }
-        rec.state = JobState::Waiting;
+        self.transition(job, JobState::Waiting, ctx);
         ctx.send_self_after(delay, Msg::RetryJob { job });
     }
 
@@ -1176,7 +1221,6 @@ impl Schedd {
         });
         let rec = self.jobs.get_mut(&job).expect("a live deadline's job");
         let exec_time = rec.spec.exec_time;
-        rec.epoch += 1; // the claim is dead; its report would be stale
         rec.attempts.push(Attempt {
             machine,
             started: ctx.now,
@@ -1226,7 +1270,7 @@ impl Schedd {
     fn handle_report(
         &mut self,
         job: JobId,
-        machine: ActorId,
+        from: ActorId,
         report: ExecutionReport,
         cpu: SimDuration,
         started: SimTime,
@@ -1234,24 +1278,15 @@ impl Schedd {
         epoch: u64,
         ctx: &mut Context<'_, Msg>,
     ) {
-        let Some(rec) = self.jobs.get(&job) else {
+        // A report from a closed claim — a duplicated frame, a late
+        // delivery from a healed partition, or a claim the lease check
+        // already expired — is counted, never acted on. The report closes
+        // the claim: every arm below ends in the transition that moves the
+        // epoch, so anything stamped with this one from then on is stale.
+        let Some(JobState::Running { machine }) = self.live_claim(job, epoch, from, "report", ctx)
+        else {
             return;
         };
-        if epoch != rec.epoch {
-            // A report from a closed claim: a duplicated frame, a late
-            // delivery from a healed partition, or a claim the lease check
-            // already expired. Count it; never act on it.
-            let current = rec.epoch;
-            self.drop_stale(job, "report", epoch, current, ctx);
-            return;
-        }
-        if rec.state != (JobState::Running { machine }) {
-            return; // late report after a timeout already acted
-        }
-        // The report closes the claim: anything stamped with this epoch
-        // from here on (duplicates, partition echoes) is stale.
-        let rec = self.jobs.get_mut(&job).unwrap();
-        rec.epoch += 1;
 
         // Settle the attempt's checkpoint-resume outcome first: it adjusts
         // the banked progress the report's own accounting builds on.
@@ -1335,28 +1370,22 @@ impl Schedd {
                 truth_scope,
                 truth_note,
             } => {
-                {
-                    let rec = self.jobs.get_mut(&job).unwrap();
-                    rec.attempts.push(Attempt {
-                        machine,
-                        started,
-                        ended: ctx.now,
-                        scope: Some(truth_scope),
-                        note: truth_note.clone(),
-                    });
-                }
+                let rec = self.jobs.get_mut(&job).expect("a live claim's job");
+                rec.attempts.push(Attempt {
+                    machine,
+                    started,
+                    ended: ctx.now,
+                    scope: Some(truth_scope),
+                    note: truth_note.clone(),
+                });
                 self.metrics.record_outcome(truth_scope, cpu);
                 // The naive schedd believes every exit is a result, so the
                 // machine looks healthy regardless of the hidden truth — it
                 // has no scope information to feed the breaker.
                 self.machine_success(machine, ctx);
                 if truth_scope == Scope::Program {
-                    let rec = self.jobs.get_mut(&job).unwrap();
-                    rec.state = JobState::Completed {
-                        result: ResultFile::completed(code),
-                    };
-                    rec.finished = Some(ctx.now);
-                    self.metrics.jobs_completed += 1;
+                    let result = ResultFile::completed(code);
+                    self.transition(job, JobState::Completed { result }, ctx);
                     self.user_sees(ctx.now, job, format!("job exited with code {code}"));
                 } else {
                     // The environmental error reaches the user dressed as a
@@ -1374,8 +1403,7 @@ impl Schedd {
                     });
                     let shown = format!("job exited with code {code}");
                     self.user_sees(ctx.now, job, shown.clone());
-                    let rec = self.jobs.get_mut(&job).unwrap();
-                    rec.state = JobState::AwaitingPostmortem { shown };
+                    self.transition(job, JobState::AwaitingPostmortem { shown }, ctx);
                     ctx.send_self_after(self.policy.postmortem_delay, Msg::PostmortemDone { job });
                 }
             }
@@ -1384,16 +1412,14 @@ impl Schedd {
             ExecutionReport::Scoped { result, journey } => {
                 let scope = result.scope();
                 let note = result.to_string();
-                {
-                    let rec = self.jobs.get_mut(&job).unwrap();
-                    rec.attempts.push(Attempt {
-                        machine,
-                        started,
-                        ended: ctx.now,
-                        scope: Some(scope),
-                        note: note.clone(),
-                    });
-                }
+                let rec = self.jobs.get_mut(&job).expect("a live claim's job");
+                rec.attempts.push(Attempt {
+                    machine,
+                    started,
+                    ended: ctx.now,
+                    scope: Some(scope),
+                    note: note.clone(),
+                });
                 self.metrics.record_outcome(scope, cpu);
                 // Advance the error's journey through the submission side:
                 // the startd emitted every hop up to here; the schedd emits
@@ -1419,7 +1445,6 @@ impl Schedd {
                 match disposition {
                     Disposition::ReturnCompleted => {
                         self.machine_success(machine, ctx);
-                        let rec = self.jobs.get_mut(&job).unwrap();
                         let text = match &result.outcome {
                             Outcome::Completed { exit_code } => {
                                 format!("job completed with exit code {exit_code}")
@@ -1429,21 +1454,15 @@ impl Schedd {
                             }
                             Outcome::EnvironmentFailure { .. } => unreachable!(),
                         };
-                        rec.state = JobState::Completed { result };
-                        rec.finished = Some(ctx.now);
-                        self.metrics.jobs_completed += 1;
+                        self.transition(job, JobState::Completed { result }, ctx);
                         self.user_sees(ctx.now, job, text);
                     }
                     Disposition::ReturnUnexecutable => {
                         // The machine faithfully ran the job far enough to
                         // prove the *job* is at fault: a healthy host.
                         self.machine_success(machine, ctx);
-                        let rec = self.jobs.get_mut(&job).unwrap();
-                        rec.state = JobState::Unexecutable {
-                            reason: note.clone(),
-                        };
-                        rec.finished = Some(ctx.now);
-                        self.metrics.jobs_unexecutable += 1;
+                        let reason = note.clone();
+                        self.transition(job, JobState::Unexecutable { reason }, ctx);
                         self.user_sees(ctx.now, job, format!("job is unexecutable: {note}"));
                     }
                     Disposition::LogAndReschedule | Disposition::EscalateToHuman => {

@@ -220,6 +220,24 @@ impl Startd {
         })
     }
 
+    /// Refuse `from`'s claim request: counted, recorded and answered.
+    fn reject_claim(
+        &mut self,
+        from: ActorId,
+        job: u32,
+        epoch: u64,
+        reason: &str,
+        ctx: &mut Context<'_, Msg>,
+    ) {
+        self.stats.claims_rejected += 1;
+        let outcome = obs::ClaimOutcome::Rejected {
+            reason: reason.into(),
+        };
+        self.emit_claim(ctx, job, outcome);
+        let reason = reason.into();
+        ctx.send_net(from, Msg::ClaimReject { job, reason, epoch });
+    }
+
     /// Tell the matchmaker this machine is on offer — if it is: free, up,
     /// and its owner away (an owner at the keyboard withdraws the machine
     /// from the pool; a job running at the window onset was evicted by
@@ -300,69 +318,22 @@ impl Actor<Msg> for Startd {
                 if self.crashed(ctx.now) {
                     return; // silence; the schedd's claim timeout fires
                 }
-                if pool != self.pool_id {
-                    // A claim fenced to the wrong pool (a stale flock
-                    // target, or a schedd with an outdated map): explicit
-                    // rejection, never a cross-pool activation.
-                    self.stats.claims_rejected += 1;
-                    self.emit_claim(
-                        ctx,
-                        job,
-                        obs::ClaimOutcome::Rejected {
-                            reason: "pool mismatch".into(),
-                        },
-                    );
-                    ctx.send_net(
-                        from,
-                        Msg::ClaimReject {
-                            job,
-                            reason: "pool mismatch".into(),
-                            epoch,
-                        },
-                    );
-                    return;
-                }
-                if !matches!(self.state, State::Free) {
-                    self.stats.claims_rejected += 1;
-                    self.emit_claim(
-                        ctx,
-                        job,
-                        obs::ClaimOutcome::Rejected {
-                            reason: "busy".into(),
-                        },
-                    );
-                    ctx.send_net(
-                        from,
-                        Msg::ClaimReject {
-                            job,
-                            reason: "busy".into(),
-                            epoch,
-                        },
-                    );
-                    return;
-                }
-                // "Matched processes are individually responsible for …
-                // verifying that their needs are met." Against the very ad
-                // the match was made on.
-                let my_ad = self.ad(ctx.self_id);
-                if !requirements_met(my_ad, &ad) || !requirements_met(&ad, my_ad) {
-                    self.stats.claims_rejected += 1;
-                    self.emit_claim(
-                        ctx,
-                        job,
-                        obs::ClaimOutcome::Rejected {
-                            reason: "requirements no longer met".into(),
-                        },
-                    );
-                    ctx.send_net(
-                        from,
-                        Msg::ClaimReject {
-                            job,
-                            reason: "requirements no longer met".into(),
-                            epoch,
-                        },
-                    );
-                    return;
+                // A claim fenced to the wrong pool (a stale flock target, or
+                // a schedd with an outdated map) is refused explicitly, never
+                // activated across pools; and "matched processes are
+                // individually responsible for … verifying that their needs
+                // are met", against the very ad the match was made on.
+                let refusal = if pool != self.pool_id {
+                    Some("pool mismatch")
+                } else if !matches!(self.state, State::Free) {
+                    Some("busy")
+                } else {
+                    let my_ad = self.ad(ctx.self_id);
+                    let met = requirements_met(my_ad, &ad) && requirements_met(&ad, my_ad);
+                    (!met).then_some("requirements no longer met")
+                };
+                if let Some(reason) = refusal {
+                    return self.reject_claim(from, job, epoch, reason, ctx);
                 }
                 self.stats.claims_accepted += 1;
                 self.emit_claim(ctx, job, obs::ClaimOutcome::Accepted);

@@ -51,46 +51,6 @@ fn duplicate_match_notifications_are_idempotent() {
 }
 
 #[test]
-fn stale_claim_messages_are_ignored() {
-    let (mut world, schedd_id, machines) = one_job_pool(52);
-    // Bogus accepts/rejects for jobs that were never claimed.
-    world.inject(schedd_id, Msg::ClaimAccept { job: 1, epoch: 0 });
-    world.inject(schedd_id, Msg::ClaimAccept { job: 77, epoch: 0 });
-    world.inject(
-        schedd_id,
-        Msg::ClaimReject {
-            job: 1,
-            reason: "spoofed".into(),
-            epoch: 0,
-        },
-    );
-    // Bogus reports before anything ran.
-    world.inject(
-        schedd_id,
-        Msg::StarterReport {
-            job: 1,
-            report: Box::new(condor::ExecutionReport::NaiveExit {
-                code: 0,
-                stdout: String::new(),
-                truth_scope: errorscope::Scope::Program,
-                truth_note: "forged".into(),
-            }),
-            cpu: SimDuration::from_secs(1),
-            started: SimTime::ZERO,
-            ckpt: condor::CkptAttempt::None,
-            epoch: 0,
-        },
-    );
-    world.run_until(SimTime::from_secs(600));
-    let s = world.get::<Schedd>(schedd_id).unwrap();
-    assert_eq!(s.metrics.jobs_completed, 1);
-    // The forged report did not complete the job early: the real attempt
-    // has a believable start time.
-    assert!(s.jobs[&1].attempts[0].started > SimTime::ZERO);
-    let _ = machines;
-}
-
-#[test]
 fn stale_activations_do_not_run_jobs() {
     let (mut world, _schedd_id, machines) = one_job_pool(53);
     // Activate a claim that was never granted.
@@ -118,22 +78,36 @@ fn stale_activations_do_not_run_jobs() {
     assert!(st.stats.executions <= 1);
 }
 
-/// `(second, actor, message)`: what is injected into a [`deadline_world`].
+/// `(second, actor, message)`: what is injected into a [`scripted_world`].
 type Script = [(u64, usize, Msg)];
 
-/// Actor ids in [`deadline_world`].
+/// Actor ids in [`scripted_world`].
 const TAP: usize = 0;
 const SCHEDD: usize = 1;
 const STARTD: usize = 2;
+const RELAY: usize = 3;
+
+/// Passes what is injected into it on to the schedd as its own: a message
+/// from a machine the schedd never claimed.
+struct Relay;
+
+impl desim::Actor<Msg> for Relay {
+    fn name(&self) -> String {
+        "relay".into()
+    }
+    fn on_message(&mut self, from: usize, msg: Msg, ctx: &mut desim::Context<'_, Msg>) {
+        if from == ctx.self_id {
+            ctx.send(SCHEDD, msg);
+        }
+    }
+}
 
 /// A leasing, flocking schedd with one idle job and an idle startd, both
 /// talking to a wiretap that stands for every matchmaker and the
 /// checkpoint server, so nothing answers them but the `script`: each
-/// `(second, actor, message)` arrives as if the actor had sent it itself.
-/// What is returned is what a stale deadline must not change: the
-/// schedd's counters and queue, the startd's counters, the recorded
-/// events, and the deliveries other than the script's own.
-fn deadline_world(script: &Script) -> (String, String, Vec<obs::EventRecord>, u64) {
+/// `(second, actor, message)` arrives as if the actor had sent it itself
+/// (what goes to the [`Relay`] reaches the schedd from the relay).
+fn scripted_world(script: &Script) -> World<Msg> {
     obs::reset_span_ids(1);
     let mut world: World<Msg> = World::new(9);
     assert_eq!(world.add_actor(Box::new(Wiretap::default())), TAP);
@@ -162,10 +136,19 @@ fn deadline_world(script: &Script) -> (String, String, Vec<obs::EventRecord>, u6
     )
     .with_ckpt_server(TAP, chirp::cookie::Cookie::generate(1));
     assert_eq!(world.add_actor(Box::new(startd)), STARTD);
+    assert_eq!(world.add_actor(Box::new(Relay)), RELAY);
     for (at, to, msg) in script {
         world.inject_after(SimDuration::from_secs(*at), *to, msg.clone());
     }
     world.run_until(SimTime::from_secs(120));
+    world
+}
+
+/// What a stale deadline must not change in a [`scripted_world`]: the
+/// schedd's counters and queue, the startd's counters, the recorded
+/// events, and the deliveries other than the script's own.
+fn deadline_world(script: &Script) -> (String, String, Vec<obs::EventRecord>, u64) {
+    let world = scripted_world(script);
     let s = world.get::<Schedd>(SCHEDD).unwrap();
     let st = world.get::<Startd>(STARTD).unwrap();
     let events = world.telemetry().iter().map(|r| r.to_record()).collect();
@@ -279,6 +262,126 @@ fn unknown_timer_messages_are_harmless() {
         (5, SCHEDD, Msg::PostmortemDone { job: 999 }),
     ];
     assert!(deadline_world(&noise) == quiet);
+}
+
+/// What a claim message must not change in a [`scripted_world`] unless it
+/// speaks for the live claim: the schedd's counters and queue and the
+/// recorded events — less the stale drops, returned apart.
+fn claim_world(script: &Script) -> (String, Vec<obs::EventRecord>, u64) {
+    let world = scripted_world(script);
+    let s = world.get::<Schedd>(SCHEDD).unwrap();
+    let mut metrics = s.metrics.clone();
+    let dropped = std::mem::take(&mut metrics.stale_epochs_dropped);
+    let events = (world.telemetry().iter())
+        .map(|r| r.to_record())
+        .filter(|r| !matches!(r.event, obs::Event::StaleEpochDropped { .. }))
+        .collect();
+    (format!("{metrics:?} {:?}", s.jobs), events, dropped)
+}
+
+/// One guard table over the five messages that speak for a claim. Each
+/// row's message, injected at 7 s into the phase it acts in, is ignored
+/// for a job nobody holds, dropped as stale (one `StaleEpochDropped`) with
+/// an older epoch, and ignored from a machine other than the claim's and
+/// in a phase it does not act in: each leaves the run as the same script
+/// without it. The live message — right job, epoch, sender and phase —
+/// does change the run, so no row passes by accident. With the guard's
+/// sender comparison taken out, every wrong-sender case would act. The
+/// live case of each message is covered elsewhere, as named.
+#[test]
+fn stale_claim_messages_are_ignored() {
+    let claimed = Msg::MatchNotify {
+        job: 1,
+        machine: SCHEDD,
+        pool: 0,
+    };
+    // A phase: the script that puts job 1 there, and its live epoch.
+    // Claiming from 3 s until the claim's deadline at 23, and running from
+    // 4 s until the lease expires at 34, both under epoch 1; idle
+    // throughout under epoch 0.
+    type Phase<'a> = (&'a Script, u64);
+    let claiming_script = [(3, SCHEDD, claimed.clone())];
+    let running_script = [
+        (3, SCHEDD, claimed),
+        (4, SCHEDD, Msg::ClaimAccept { job: 1, epoch: 1 }),
+    ];
+    let claiming: Phase = (&claiming_script, 1);
+    let running: Phase = (&running_script, 1);
+    let idle: Phase = (&[], 0);
+    let report = |job, epoch| Msg::StarterReport {
+        job,
+        report: Box::new(condor::ExecutionReport::NaiveExit {
+            code: 0,
+            stdout: String::new(),
+            truth_scope: errorscope::Scope::Program,
+            truth_note: "forged".into(),
+        }),
+        cpu: SimDuration::from_secs(1),
+        started: SimTime::ZERO,
+        ckpt: condor::CkptAttempt::None,
+        epoch,
+    };
+    // (the message for a job and epoch, the phase it acts in, a phase it
+    // ignores)
+    type Make = fn(u32, u64) -> Msg;
+    let rows: [(Make, Phase, Phase); 5] = [
+        // Live: robustness.rs `duplicate_match_notifications_are_idempotent`
+        // (every claim a pool runs is accepted).
+        (
+            |job, epoch| Msg::ClaimAccept { job, epoch },
+            claiming,
+            running,
+        ),
+        // Live: soft_state.rs `a_claim_deadline_ends_only_its_own_claim`.
+        (
+            |job, epoch| Msg::ClaimReject {
+                job,
+                reason: "spoofed".into(),
+                epoch,
+            },
+            claiming,
+            running,
+        ),
+        // Live: pool.rs
+        // `lease_converts_partition_into_explicit_error_on_both_sides`.
+        (
+            |job, epoch| Msg::Heartbeat { job, epoch },
+            running,
+            claiming,
+        ),
+        // Live: this table's own live case; E12's campaigns revoke flocked
+        // claims under the oracle.
+        (|job, epoch| Msg::ClaimRevoked { job, epoch }, running, idle),
+        // Live: every pool that completes a job, e.g. the first test here.
+        (report, running, claiming),
+    ];
+    let with = |script: &Script, to, msg: Msg| {
+        let mut script = script.to_vec();
+        script.push((7, to, msg));
+        claim_world(&script)
+    };
+    for (make, (phase, live), (other, other_live)) in rows {
+        let (schedd, events, dropped) = claim_world(phase);
+        // (recipient, message, the stale drops it adds)
+        let cases = [
+            (SCHEDD, make(99, live), 0),    // a job nobody holds
+            (SCHEDD, make(1, live - 1), 1), // an older epoch
+            (RELAY, make(1, live), 0),      // a machine the claim is not on
+        ];
+        for (to, msg, stale) in cases {
+            let quiet = (schedd.clone(), events.clone(), dropped + stale);
+            assert!(
+                with(phase, to, msg.clone()) == quiet,
+                "{msg:?} to {to} changed the run"
+            );
+        }
+        let msg = make(1, other_live);
+        let acted = with(other, SCHEDD, msg.clone()) != claim_world(other);
+        assert!(!acted, "{msg:?} acted in a phase it must ignore");
+        let msg = make(1, live);
+        let acted = with(phase, SCHEDD, msg.clone()) != (schedd, events, dropped);
+        assert!(acted, "the live {msg:?} changed nothing");
+    }
 }
 
 #[test]

@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The committed artifacts as the gate found them: every step below must
+# leave them so (the experiments export into a scratch directory).
+bench_files() { git ls-files -z 'BENCH_*' | xargs -0 sha256sum; }
+bench_at_start=$(bench_files)
+
 echo "==> every package is a path package (prints any that has a source)"
 cargo metadata --format-version 1 --offline | { ! grep -o '"source":"[^"]*"'; }
 
@@ -71,6 +76,33 @@ if grep -rnw --include=*.rs -e ClaimTimeout -e ReportTimeout -e LeaseCheck -e Cl
     exit 1
 fi
 
+# "<file>:<line>: <fn> <arm> | <text>" for each line of the named files
+# matching the pattern: the function it sits in and the `Msg::` arm within.
+where_matches() {
+    local pattern=$1
+    shift
+    awk -v pat="$pattern" '
+        /^ *(pub[(a-z)]* )?fn [a-z_0-9]+/ {
+            match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3); arm = ""
+        }
+        /^ *Msg::[A-Za-z]+/ { match($0, /Msg::[A-Za-z]+/); arm = substr($0, RSTART + 5, RLENGTH - 5) }
+        $0 ~ pat { print FILENAME ":" FNR ": " fn " " arm " |" $0 }' "$@"
+}
+
+echo "==> a job's state has one writer: JobState is set only in Schedd::transition and JobRecord::new"
+if where_matches 'state: JobState::|[.]state *= *[^=]' crates/condor/src/*.rs \
+    | grep -v -e '| *self[.]state = ' -e '^crates/condor/src/schedd[.]rs:[0-9]*: transition ' \
+        -e '^crates/condor/src/job[.]rs:[0-9]*: new '; then
+    exit 1
+fi
+
+echo "==> a claim's epoch moves in Schedd::transition, and by hand only where a MatchNotify is declined"
+bumps=$(where_matches 'epoch [+]= 1' crates/condor/src/schedd.rs | grep -v '^[^ ]* transition ' || true)
+if [ "$(grep -c . <<<"$bumps")" -ne 1 ] || ! grep -q '^[^ ]* on_message MatchNotify ' <<<"$bumps"; then
+    echo "$bumps"
+    exit 1
+fi
+
 echo "==> the event stream is read field by field: collector.rs and event.rs build no json::parse tree"
 if grep -nE '\bjson::parse\b|\bparse\(' crates/obs/src/collector.rs crates/obs/src/event.rs; then
     exit 1
@@ -88,16 +120,28 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> every experiment at smoke size (each one's gates are assertions)"
-cargo run --release -p bench --bin exp -- all --smoke
-cargo run --release -p bench --bin exp -- e7 --localize
-cargo run --release -p bench --bin exp -- e13 --phases --smoke
-cargo run --release -p bench --bin exp -- e13 --crossover --smoke
-cargo run --release -p bench --bin exp -- census --cost --smoke
+echo "==> every experiment at smoke size (each one's gates are assertions), exporting into target/check-artifacts"
+artifacts="$PWD/target/check-artifacts"
+rm -rf "$artifacts"
+mkdir -p "$artifacts"
+(
+    cd "$artifacts"
+    cargo run --release -p bench --bin exp -- all --smoke
+    cargo run --release -p bench --bin exp -- e7 --localize
+    cargo run --release -p bench --bin exp -- e13 --phases --smoke
+    cargo run --release -p bench --bin exp -- e13 --crossover --smoke
+    cargo run --release -p bench --bin exp -- census --cost --smoke
+)
 
 echo "==> every example runs (each one's assert!s are its gate)"
 for example in quickstart java_universe blackhole_pool io_proxy; do
     cargo run --release --quiet --example "$example" >/dev/null
 done
+
+echo "==> the gate left every committed artifact as it found it"
+if [ "$(bench_files)" != "$bench_at_start" ]; then
+    diff <(echo "$bench_at_start") <(bench_files)
+    exit 1
+fi
 
 echo "All checks passed."
