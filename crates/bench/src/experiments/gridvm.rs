@@ -45,7 +45,7 @@ use chirp::ChirpClient;
 use ckpt::fnv1a;
 use gridvm::jvmio::{ChirpJobIo, NoIo};
 use gridvm::machine::{load_and_run, Machine, RunOutput, Termination};
-use gridvm::programs;
+use gridvm::programs::{self, Counted};
 use gridvm::{Installation, Instr, IoMode, ProgramImage, TraceConfig};
 use std::collections::BTreeMap;
 
@@ -222,47 +222,6 @@ fn corpus_differential(seeds: u64) -> CorpusResult {
 // Forced adversarial cases: every guard class fires mid-trace
 // ---------------------------------------------------------------------
 
-/// A counted loop `for (i = 0; i < bound; i++) { body }` over locals
-/// `0 = acc, 1 = i`, preceded by `prologue`, with `body` spliced in at
-/// the loop's top. The body must be net-stack-zero; jump targets inside
-/// the body must be written relative to a zero-length prologue (they are
-/// shifted here).
-fn counted_loop(name: &str, prologue: Vec<Instr>, bound: i64, body: Vec<Instr>) -> ProgramImage {
-    let shift = prologue.len() as u32;
-    let head = 4 + shift;
-    let mut code = prologue;
-    code.extend([
-        Instr::Push(0),
-        Instr::Store(0),
-        Instr::Push(0),
-        Instr::Store(1),
-        // loop head:
-        Instr::Load(1),
-        Instr::Push(bound),
-        Instr::CmpLt,
-        Instr::JumpIfZero(0), // patched below
-    ]);
-    code.extend(body.into_iter().map(|i| match i {
-        Instr::Jump(t) => Instr::Jump(t + shift),
-        Instr::JumpIfZero(t) => Instr::JumpIfZero(t + shift),
-        Instr::JumpIfNonZero(t) => Instr::JumpIfNonZero(t + shift),
-        other => other,
-    }));
-    code.extend([
-        Instr::Load(1),
-        Instr::Push(1),
-        Instr::Add,
-        Instr::Store(1),
-        Instr::Jump(head),
-    ]);
-    let exit = code.len() as u32;
-    code[head as usize + 3] = Instr::JumpIfZero(exit);
-    code.extend([Instr::Load(0), Instr::Print, Instr::Halt]);
-    let mut img = ProgramImage::single(name, 4, code);
-    img.strings = vec!["input.txt".into()];
-    img
-}
-
 struct Forced {
     name: &'static str,
     image: Vec<u8>,
@@ -297,10 +256,9 @@ fn forced_cases() -> Vec<Forced> {
         guarded(
             "div-zero-mid-loop",
             "exception:ArithmeticException",
-            counted_loop(
-                "div0",
+            programs::counted_loop(
                 vec![],
-                60,
+                Counted::upto(60),
                 vec![
                     Instr::Load(0),
                     Instr::Load(1),
@@ -316,10 +274,9 @@ fn forced_cases() -> Vec<Forced> {
         guarded(
             "bounds-mid-loop",
             "exception:ArrayIndexOutOfBoundsException",
-            counted_loop(
-                "oob",
+            programs::counted_loop(
                 vec![Instr::Push(20), Instr::NewArray, Instr::Store(2)],
-                64,
+                Counted::upto(64),
                 vec![
                     Instr::Load(2),
                     Instr::Load(1),
@@ -337,10 +294,9 @@ fn forced_cases() -> Vec<Forced> {
         guarded(
             "null-deref-mid-loop",
             "exception:NullPointerException",
-            counted_loop(
-                "null",
+            programs::counted_loop(
                 vec![Instr::Push(8), Instr::NewArray, Instr::Store(2)],
-                64,
+                Counted::upto(64),
                 vec![
                     Instr::Load(2),
                     Instr::Push(1),
@@ -366,15 +322,14 @@ fn forced_cases() -> Vec<Forced> {
             ..guarded(
                 "user-throw-mid-loop",
                 "exception:UserException6",
-                counted_loop(
-                    "thrower",
+                programs::counted_loop(
                     vec![],
-                    64,
+                    Counted::upto(64),
                     vec![
                         Instr::Load(1),
                         Instr::Push(40),
                         Instr::CmpEq,
-                        Instr::JumpIfZero(13), // skip the throw
+                        Instr::JumpIfZero(5), // skip the throw
                         Instr::Throw(6),
                     ],
                 )
@@ -387,10 +342,9 @@ fn forced_cases() -> Vec<Forced> {
             ..guarded(
                 "heap-exhaustion-mid-loop",
                 "env:virtual-machine:OutOfMemoryError",
-                counted_loop(
-                    "oom",
+                programs::counted_loop(
                     vec![],
-                    200,
+                    Counted::upto(200),
                     vec![
                         Instr::Load(1),
                         Instr::Push(1),
@@ -423,10 +377,9 @@ fn forced_cases() -> Vec<Forced> {
             ..guarded(
                 "bad-install-stdcall",
                 "env:remote-resource:MisconfiguredInstallation",
-                counted_loop(
-                    "stdcall",
+                programs::counted_loop(
                     vec![],
-                    64,
+                    Counted::upto(64),
                     vec![Instr::Load(0), Instr::StdCall(0), Instr::Store(0)],
                 )
                 .to_bytes(),
@@ -445,21 +398,23 @@ fn forced_cases() -> Vec<Forced> {
             ..guarded(
                 "offline-io-mid-loop",
                 "env:local-resource:FilesystemOffline",
-                counted_loop(
-                    "io-loop",
-                    vec![],
-                    64,
-                    vec![
-                        Instr::IoOpen {
-                            path: 0,
-                            mode: IoMode::Read,
-                        },
-                        Instr::Dup,
-                        Instr::IoReadSum,
-                        Instr::Pop,
-                        Instr::IoClose,
-                    ],
-                )
+                ProgramImage {
+                    strings: vec!["input.txt".into()],
+                    ..programs::counted_loop(
+                        vec![],
+                        Counted::upto(64),
+                        vec![
+                            Instr::IoOpen {
+                                path: 0,
+                                mode: IoMode::Read,
+                            },
+                            Instr::Dup,
+                            Instr::IoReadSum,
+                            Instr::Pop,
+                            Instr::IoClose,
+                        ],
+                    )
+                }
                 .to_bytes(),
             )
         },
@@ -469,10 +424,9 @@ fn forced_cases() -> Vec<Forced> {
         guarded(
             "isqrt-negative-mid-loop",
             "exception:ArithmeticException",
-            counted_loop(
-                "isqrt",
+            programs::counted_loop(
                 vec![],
-                64,
+                Counted::upto(64),
                 vec![
                     Instr::Push(100),
                     Instr::Load(1),
@@ -623,15 +577,14 @@ struct Throughput {
     instructions: u64,
 }
 
-fn throughput_study(n: i64) -> Throughput {
-    let bytes = programs::cpu_bound(n);
+fn throughput_study(bytes: &[u8]) -> Throughput {
     let best = |cfg: TraceConfig| -> (f64, u64) {
         let install = Installation::healthy().with_fuel(u64::MAX).with_trace(cfg);
         let mut best_rate = 0f64;
         let mut instructions = 0u64;
         for _ in 0..3 {
             let start = std::time::Instant::now();
-            let out = load_and_run(&bytes, &install, &mut NoIo);
+            let out = load_and_run(bytes, &install, &mut NoIo);
             let secs = start.elapsed().as_secs_f64();
             assert!(matches!(out.termination, Termination::Completed { .. }));
             instructions = out.instructions;
@@ -648,6 +601,24 @@ fn throughput_study(n: i64) -> Throughput {
         speedup: compiled_mips / interp_mips,
         instructions: i1,
     }
+}
+
+/// What the circuit plans of `programs`' traces look like: traces
+/// compiled, those whose loop test was hoisted, and chained ops.
+fn plan_census(programs: impl Iterator<Item = Vec<u8>>) -> (usize, usize, usize) {
+    let install = Installation::healthy().with_trace(TraceConfig::eager());
+    let mut census = (0, 0, 0);
+    for bytes in programs {
+        let img = ProgramImage::from_bytes(&bytes).expect("program loads");
+        let mut m = Machine::new(&img);
+        let _ = m.run(&img, &install, &mut NoIo, None);
+        for t in m.trace_state().compiled_traces() {
+            census.0 += 1;
+            census.1 += usize::from(t.hoists_bound());
+            census.2 += t.plan().iter().filter(|op| op.kind.is_chained()).count();
+        }
+    }
+    census
 }
 
 // ---------------------------------------------------------------------
@@ -813,21 +784,42 @@ fn report(pass: &Pass) {
 /// Run the hot-loop study, print and gate it, and return its JSON section.
 fn throughput_section(size: Size) -> String {
     let loop_n: i64 = size.pick(200_000, 2_000_000);
-    let t = throughput_study(loop_n);
+    let heap_n: i64 = size.pick(100_000, 1_000_000);
+    let t = throughput_study(&programs::cpu_bound(loop_n));
+    let h = throughput_study(&programs::heap_sum(heap_n));
+    let rows: Vec<Vec<String>> = [("cpu-bound", &t), ("heap-sum", &h)]
+        .into_iter()
+        .map(|(program, r)| {
+            vec![
+                program.into(),
+                f(r.interp_mips, 1),
+                f(r.compiled_mips, 1),
+                format!("{:.2}x", r.speedup),
+            ]
+        })
+        .collect();
     println!(
         "{}",
         render_table(
-            &["tier", "Minstr/s", "speedup"],
             &[
-                vec!["interpreter".into(), f(t.interp_mips, 1), "1.00x".into()],
-                vec![
-                    "trace-compiled".into(),
-                    f(t.compiled_mips, 1),
-                    format!("{:.2}x", t.speedup),
-                ],
+                "loop",
+                "interpreter Minstr/s",
+                "trace-compiled Minstr/s",
+                "speedup"
             ],
+            &rows,
         )
     );
+    // Stdout only: what the circuit plans look like, over the corpus and
+    // the two timed loops.
+    let corpus = plan_census((0..size.pick(80, 600)).map(programs::generate));
+    let timed = plan_census([programs::cpu_bound(100), programs::heap_sum(100)].into_iter());
+    for (what, (traces, hoisted, chained)) in [("corpus", corpus), ("timed loops", timed)] {
+        println!(
+            "circuit plans, {what}: {traces} traces, {hoisted} with the loop test hoisted, \
+             {chained} chained ops"
+        );
+    }
     let gated = size == Size::Full;
     if gated {
         assert!(
@@ -844,7 +836,16 @@ fn throughput_section(size: Size) -> String {
     }
     format!(
         "{{\"loop_n\":{loop_n},\"instructions\":{},\"interpreter_minstr_s\":{:.3},\
-         \"compiled_minstr_s\":{:.3},\"speedup\":{:.3},\"gated\":{gated}}}",
-        t.instructions, t.interp_mips, t.compiled_mips, t.speedup
+         \"compiled_minstr_s\":{:.3},\"speedup\":{:.3},\"gated\":{gated},\
+         \"heap_sum\":{{\"n\":{heap_n},\"instructions\":{},\"interpreter_minstr_s\":{:.3},\
+         \"compiled_minstr_s\":{:.3},\"speedup\":{:.3}}}}}",
+        t.instructions,
+        t.interp_mips,
+        t.compiled_mips,
+        t.speedup,
+        h.instructions,
+        h.interp_mips,
+        h.compiled_mips,
+        h.speedup
     )
 }

@@ -22,6 +22,28 @@
 //! So `cpu_bound`'s 15-instruction circuit is five ops, none of which
 //! touches the operand stack.
 //!
+//! **The circuit plan.** Those ops are the *exact* program: every op
+//! charges its group and owns its exits, and the last, partial circuit
+//! of an execution — the one fuel or a run budget cuts short — runs them
+//! one by one, checking the headroom before each group. Whole circuits
+//! need none of that, so lowering also derives a *plan* from the same
+//! ops, kept in the tail of the same buffer ([`CompiledTrace::plan`]):
+//!
+//! * *No loop-back op.* Repeating the body is the runner's own loop,
+//!   which pushes whatever the loop-back leaves on the stack.
+//! * *A hoisted bound.* A counted loop opens with `br i < n` (stay),
+//!   writes `i` only by `i = i + #c` with `c > 0` and never writes `n`.
+//!   On entry the runner computes, in `i128`, how many circuits pass the
+//!   test, runs that many (or as many as the headroom holds) without it,
+//!   and evaluates the test again only after them.
+//! * *Chained temps.* An unguarded `Add`/`Sub`/`Mul` writing a temp that
+//!   the next unguarded one reads become one op, `dst = (a op b) op' c`
+//!   ([`OpKind::MulAdd`] and its kin); the temp is still written.
+//!
+//! Guarded ops and branches stay in the plan as they are, with their
+//! snapshots, so every way out of a whole circuit is one the exact
+//! program has; `cpu_bound`'s circuit is two plan ops.
+//!
 //! **Snapshots.** A symbol is only a name; the interpreter's operand
 //! stack does not hold the value while the trace runs. Every way out of
 //! the trace is therefore a [`Snapshot`]: the pc to resume at, how much
@@ -97,8 +119,11 @@ pub struct TraceOp {
 }
 
 /// The operation set. Operands are registers, the destination first;
-/// guarded ops check before they write anything.
+/// guarded ops check before they write anything. The tag is a plain
+/// leading byte (`repr(u8)`), so a runner's dispatch is one table lookup
+/// on it, never a niche decoded out of an operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum OpKind {
     /// `dst = src` — a `Store` of a value no op just produced, or a
     /// pending local saved ahead of an overwrite.
@@ -154,13 +179,87 @@ pub enum OpKind {
     /// to the head and whatever rides with it), push the second snapshot
     /// (values the body left on the stack) and continue from op 0.
     LoopBack,
+    /// Plan only, never among [`CompiledTrace::ops`], like the eight
+    /// below: an unguarded arithmetic op and the next one, which reads
+    /// its temp, as one. `(t, a, b, dst, c)` is `t = a + b` followed by
+    /// `dst = t + c`; `t` is written as before, so every snapshot naming
+    /// it holds.
+    AddAdd(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a + b`, then `dst = t - c`.
+    AddSub(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a + b`, then `dst = t * c`.
+    AddMul(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a - b`, then `dst = t + c`.
+    SubAdd(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a - b`, then `dst = t - c`.
+    SubSub(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a - b`, then `dst = t * c`.
+    SubMul(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a * b`, then `dst = t + c`.
+    MulAdd(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a * b`, then `dst = t - c`.
+    MulSub(Reg, Reg, Reg, Reg, Reg),
+    /// `t = a * b`, then `dst = t * c`.
+    MulMul(Reg, Reg, Reg, Reg, Reg),
     /// Terminal guard exit: the recording ended at an instruction the tier
     /// leaves to the interpreter (I/O, `Call`, `Ret`, terminators) —
     /// commit the closing group and resume the interpreter there.
     Bail,
 }
 
+/// The arithmetic a chained op ([`OpKind::MulAdd`] and its kin) does
+/// in each half.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
+}
+
 impl OpKind {
+    /// An unguarded `Add`, `Sub` or `Mul` as `(op, dst, a, b)`.
+    fn arith(self) -> Option<(Arith, Reg, Reg, Reg)> {
+        match self {
+            OpKind::Add(dst, a, b) => Some((Arith::Add, dst, a, b)),
+            OpKind::Sub(dst, a, b) => Some((Arith::Sub, dst, a, b)),
+            OpKind::Mul(dst, a, b) => Some((Arith::Mul, dst, a, b)),
+            _ => None,
+        }
+    }
+
+    /// Is this one of the chained ops ([`OpKind::MulAdd`] and its kin)
+    /// that only a circuit plan holds?
+    pub fn is_chained(&self) -> bool {
+        self.chained().is_some()
+    }
+
+    /// `(first, then, [t, a, b, dst, c])` of a chained op: `t = a first
+    /// b`, then `dst = t then c`.
+    pub(crate) fn chained(self) -> Option<(Arith, Arith, [Reg; 5])> {
+        use Arith::{Add, Mul, Sub};
+        let (first, then, regs) = match self {
+            OpKind::AddAdd(t, a, b, d, c) => (Add, Add, [t, a, b, d, c]),
+            OpKind::AddSub(t, a, b, d, c) => (Add, Sub, [t, a, b, d, c]),
+            OpKind::AddMul(t, a, b, d, c) => (Add, Mul, [t, a, b, d, c]),
+            OpKind::SubAdd(t, a, b, d, c) => (Sub, Add, [t, a, b, d, c]),
+            OpKind::SubSub(t, a, b, d, c) => (Sub, Sub, [t, a, b, d, c]),
+            OpKind::SubMul(t, a, b, d, c) => (Sub, Mul, [t, a, b, d, c]),
+            OpKind::MulAdd(t, a, b, d, c) => (Mul, Add, [t, a, b, d, c]),
+            OpKind::MulSub(t, a, b, d, c) => (Mul, Sub, [t, a, b, d, c]),
+            OpKind::MulMul(t, a, b, d, c) => (Mul, Mul, [t, a, b, d, c]),
+            _ => return None,
+        };
+        Some((first, then, regs))
+    }
+
+    /// The register this op writes, if any.
+    fn writes(mut self) -> Option<Reg> {
+        match self {
+            OpKind::Mov(dst, _) | OpKind::PopReal(dst) => Some(dst),
+            _ => self.dst_mut().copied(),
+        }
+    }
+
     /// The register a value-producing op writes.
     fn dst_mut(&mut self) -> Option<&mut Reg> {
         match self {
@@ -210,6 +309,15 @@ pub struct Snapshot<'a> {
     pub regs: &'a [Reg],
 }
 
+/// The counted-loop test a circuit plan hoists: `br i < n` at op 0, with
+/// `i` growing by `step > 0` a circuit and `n` never written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Bound {
+    i: Reg,
+    n: Reg,
+    step: i64,
+}
+
 /// A compiled trace: a register program for one hot loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrace {
@@ -217,9 +325,14 @@ pub struct CompiledTrace {
     pub func: u32,
     /// The loop-head pc the trace starts at.
     pub head: u32,
-    /// The program: linear, ending in its only [`OpKind::LoopBack`] or
-    /// [`OpKind::Bail`].
-    pub ops: Vec<TraceOp>,
+    /// The exact program ([`CompiledTrace::ops`]), then the circuit plan
+    /// derived from it ([`CompiledTrace::plan`]): one buffer, so the plan
+    /// costs the trace no allocation of its own.
+    ops: Vec<TraceOp>,
+    /// Length of the exact program at the head of `ops`.
+    exact: usize,
+    /// The loop test the plan runs on entry instead of every circuit.
+    bound: Option<Bound>,
     /// Base instructions per full circuit (the sum of op costs).
     pub base_len: u32,
     /// Registers `0..nlocals` mirror the frame's locals of the same index
@@ -235,6 +348,27 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
+    /// The exact program: linear, ending in its only [`OpKind::LoopBack`]
+    /// or [`OpKind::Bail`]. The partial last circuit runs it.
+    pub fn ops(&self) -> &[TraceOp] {
+        &self.ops[..self.exact]
+    }
+
+    /// The circuit plan whole circuits run: the exact body without its
+    /// loop-back, without the loop test where
+    /// [`CompiledTrace::hoists_bound`], with temps chained
+    /// ([`OpKind::MulAdd`] and its kin); a terminal [`OpKind::Bail`]
+    /// stays.
+    pub fn plan(&self) -> &[TraceOp] {
+        &self.ops[self.exact..]
+    }
+
+    /// Whether the plan runs the counted-loop test once per batch of
+    /// circuits instead of once per circuit.
+    pub fn hoists_bound(&self) -> bool {
+        self.bound.is_some()
+    }
+
     /// Snapshot `i` (see [`TraceOp::snap`]).
     pub fn snapshot(&self, i: u32) -> Snapshot<'_> {
         let [pc, committed, start, len] = self.snaps[i as usize];
@@ -346,16 +480,106 @@ impl Lowering {
             None => OpKind::LoopBack,
         });
         self.snapshot_after(end);
+        let exact = self.ops.len();
+        let bound = self.plan();
         Some(CompiledTrace {
             func: r.func,
             head: r.head,
             ops: self.ops.clone(),
+            exact,
+            bound,
             base_len: self.circuit,
             nlocals: self.nlocals,
             consts: self.consts.clone(),
             snaps: self.snaps.clone(),
             snap_regs: self.snap_regs.clone(),
         })
+    }
+
+    /// Append the circuit plan to the exact program in `ops`, and say
+    /// which loop test it hoisted.
+    fn plan(&mut self) -> Option<Bound> {
+        let exact = self.ops.len();
+        let bound = self.counted_bound();
+        let closes = self.ops[exact - 1].kind == OpKind::LoopBack;
+        for k in usize::from(bound.is_some())..exact - usize::from(closes) {
+            let op = self.ops[k];
+            let last = self.ops.len() - 1;
+            let chained = if last >= exact {
+                self.chain(self.ops[last].kind, op.kind)
+            } else {
+                None
+            };
+            match chained {
+                Some(kind) => {
+                    self.ops[last].kind = kind;
+                    self.ops[last].cost += op.cost;
+                }
+                None => self.ops.push(op),
+            }
+        }
+        bound
+    }
+
+    /// `next` reading the temp `prev` wrote, as one op, when both are
+    /// unguarded arithmetic and the temp is `next`'s left operand (or
+    /// either, `next` being commutative).
+    fn chain(&self, prev: OpKind, next: OpKind) -> Option<OpKind> {
+        use Arith::{Add, Mul, Sub};
+        let (first, t, a, b) = prev.arith()?;
+        let (then, d, x, y) = next.arith()?;
+        if usize::from(t) < self.nlocals + self.consts.len() {
+            return None;
+        }
+        let c = match (then, x == t, y == t) {
+            (_, true, _) => y,
+            (Add | Mul, false, true) => x,
+            _ => return None,
+        };
+        Some(match (first, then) {
+            (Add, Add) => OpKind::AddAdd(t, a, b, d, c),
+            (Add, Sub) => OpKind::AddSub(t, a, b, d, c),
+            (Add, Mul) => OpKind::AddMul(t, a, b, d, c),
+            (Sub, Add) => OpKind::SubAdd(t, a, b, d, c),
+            (Sub, Sub) => OpKind::SubSub(t, a, b, d, c),
+            (Sub, Mul) => OpKind::SubMul(t, a, b, d, c),
+            (Mul, Add) => OpKind::MulAdd(t, a, b, d, c),
+            (Mul, Sub) => OpKind::MulSub(t, a, b, d, c),
+            (Mul, Mul) => OpKind::MulMul(t, a, b, d, c),
+        })
+    }
+
+    /// The loop test of a counted loop: op 0 is `br i < n` (stay) over a
+    /// local `i` and a local or constant `n`; the body writes `i` only by
+    /// adding positive constants to it and never writes `n`.
+    fn counted_bound(&self) -> Option<Bound> {
+        let (first, body) = self.ops.split_first()?;
+        let OpKind::BrLt(i, n, true) = first.kind else {
+            return None;
+        };
+        let locals = self.nlocals;
+        if usize::from(i) >= locals || usize::from(n) >= locals + self.consts.len() || i == n {
+            return None;
+        }
+        if body.last()?.kind != OpKind::LoopBack {
+            return None;
+        }
+        let mut step: i64 = 0;
+        for op in body {
+            match op.kind.writes() {
+                Some(w) if w == n => return None,
+                Some(w) if w == i => {
+                    let c = match op.kind {
+                        OpKind::Add(_, a, c) | OpKind::Add(_, c, a) if a == i && c != i => c,
+                        _ => return None,
+                    };
+                    let c = usize::from(c).checked_sub(locals)?;
+                    step = step.checked_add(*self.consts.get(c).filter(|&&c| c > 0)?)?;
+                }
+                _ => {}
+            }
+        }
+        (step > 0).then_some(Bound { i, n, step })
     }
 
     fn open_group(&mut self, pc: u32) {
@@ -603,6 +827,17 @@ pub struct TraceExit {
     pub guard: bool,
 }
 
+/// The machine state a trace touches besides its registers, borrowed for
+/// one execution: one pointer down the runners instead of six.
+struct Env<'a> {
+    stack: &'a mut Vec<i64>,
+    heap: &'a mut Vec<Vec<i64>>,
+    heap_words: &'a mut u64,
+    arrays: &'a mut Arrays,
+    stdout: &'a mut String,
+    install: &'a Installation,
+}
+
 /// Execute a compiled trace against borrowed machine state. `r` is
 /// scratch the caller keeps between executions. `remaining` is the
 /// instruction headroom (the lesser of fuel and any run budget): the
@@ -628,21 +863,24 @@ pub(crate) fn run_trace(
     r[..n].copy_from_slice(&locals[..n]);
     r[n..n + t.consts.len()].copy_from_slice(&t.consts);
     // A circuit is linear, so every op's place in it is known: while a
-    // whole circuit fits the headroom, no op in it needs to ask. Only the
-    // last, partial circuit is run with the fuel/budget guard on.
+    // whole circuit fits the headroom, no op in it needs to ask, and the
+    // plan runs. Only the last, partial circuit runs the exact program
+    // with the fuel/budget guard on.
+    let mut env = Env {
+        stack,
+        heap,
+        heap_words,
+        arrays,
+        stdout,
+        install,
+    };
     let circuit = u64::from(t.base_len);
     let (mut circuits, mut exit) = (0, None);
     if remaining >= circuit {
-        (circuits, exit) = run_ops::<false>(
-            t, r, stack, heap, heap_words, arrays, stdout, install, remaining,
-        );
+        (circuits, exit) = run_plan(t, r, &mut env, remaining);
     }
-    let (snap, guard) = exit.unwrap_or_else(|| {
-        let left = remaining - circuits * circuit;
-        run_ops::<true>(t, r, stack, heap, heap_words, arrays, stdout, install, left)
-            .1
-            .expect("a circuit that does not fit cannot close")
-    });
+    let (snap, guard) =
+        exit.unwrap_or_else(|| run_ops(t, r, &mut env, remaining - circuits * circuit));
     let out = t.snapshot(snap);
     stack.extend(out.regs.iter().map(|&s| r[usize::from(s)]));
     locals[..n].copy_from_slice(&r[..n]);
@@ -653,170 +891,228 @@ pub(crate) fn run_trace(
     }
 }
 
-/// The dispatch loop, from op 0 with `left` instructions of headroom.
-/// Returns the whole circuits completed and the way out: the snapshot to
-/// leave by and whether that is a guard exit. With `TIGHT` off, `left`
-/// must cover a circuit, no op checks it, and the loop hands back
-/// (`None`) at op 0 once the next circuit no longer fits; with it on,
-/// every op checks. Kept out of line so its registers are not shared
-/// with the interpreter loop's.
-#[allow(clippy::too_many_arguments)]
+/// Whole circuits by the plan, with `left >= base_len` instructions of
+/// headroom. Returns the circuits completed and the way out: the snapshot
+/// to leave by and whether that is a guard exit, or `None` once the next
+/// circuit no longer fits. Kept out of line so its registers are not
+/// shared with the interpreter loop's.
 #[inline(never)]
-fn run_ops<const TIGHT: bool>(
+fn run_plan(
     t: &CompiledTrace,
     r: &mut [i64; MAX_REGS],
-    stack: &mut Vec<i64>,
-    heap: &mut Vec<Vec<i64>>,
-    heap_words: &mut u64,
-    arrays: &mut Arrays,
-    stdout: &mut String,
-    install: &Installation,
+    env: &mut Env,
     mut left: u64,
 ) -> (u64, Option<(u32, bool)>) {
     let circuit = u64::from(t.base_len);
+    let ops = t.ops();
+    // What the loop-back leaves on the stack. (A terminal bail's plan
+    // never finishes a circuit, so its second snapshot is not pushed.)
+    let kept = t.snapshot(ops[ops.len() - 1].snap + 1).regs;
     let mut circuits: u64 = 0;
-    let mut ops = t.ops.iter();
     loop {
-        let Some(op) = ops.next() else {
-            unreachable!("a trace ends in LoopBack or Bail")
-        };
-        // Fuel/budget guard: never start a group that would overrun.
-        if TIGHT && u64::from(t.snapshot(op.snap).committed + op.cost) > left {
-            return (circuits, Some((op.snap, true)));
+        let mut run = left / circuit;
+        if let Some(Bound { i, n, step }) = t.bound {
+            let (i, n) = (r[usize::from(i)], r[usize::from(n)]);
+            if i >= n {
+                // The test fails now: the exact op 0's committed exit.
+                return (circuits, Some((ops[0].snap + 1, false)));
+            }
+            // Circuits until `i` reaches `n`, `i` not wrapping before the
+            // last of them; after them the test is evaluated again.
+            let (i, n, step) = (i128::from(i), i128::from(n), i128::from(step));
+            let trips = (n - i + step - 1) / step;
+            run = run.min(u64::try_from(trips).unwrap_or(u64::MAX));
         }
-        // Guard exit at the op's own instruction: nothing of it has
-        // happened, and the snapshot puts its operands back.
-        macro_rules! bail {
-            () => {
-                return (circuits, Some((op.snap + 1, true)))
-            };
+        debug_assert!(run > 0, "a batch that runs no circuit never ends");
+        for done in 0..run {
+            for op in t.plan() {
+                if let Some(exit) = exec(op, r, env) {
+                    return (circuits + done, Some(exit));
+                }
+            }
+            if !kept.is_empty() {
+                env.stack.extend(kept.iter().map(|&s| r[usize::from(s)]));
+            }
         }
-        macro_rules! reg {
-            ($r:expr) => {
-                r[usize::from($r)]
-            };
-        }
-        macro_rules! binop {
-            ($dst:expr, $a:expr, $b:expr, $f:ident) => {
-                reg!($dst) = reg!($a).$f(reg!($b))
-            };
-        }
-        // Committed side exit: the group ran, the branch went the other
-        // way.
-        macro_rules! branch {
-            ($holds:expr, $stay:expr) => {
-                if ($holds) != $stay {
-                    return (circuits, Some((op.snap + 1, false)));
-                }
-            };
-        }
-        // The array behind a handle; `None` for null or dangling.
-        macro_rules! array {
-            ($h:expr) => {
-                usize::try_from($h)
-                    .ok()
-                    .and_then(|h| h.checked_sub(1))
-                    .and_then(|h| heap.get_mut(h))
-            };
-        }
-        match op.kind {
-            OpKind::Mov(dst, src) => reg!(dst) = reg!(src),
-            OpKind::PopReal(dst) => match stack.pop() {
-                Some(v) => reg!(dst) = v,
-                // The verifier rules this out; the interpreter survives
-                // it with an explicit VM-scope error, so it gets to.
-                None => bail!(),
-            },
-            OpKind::Add(dst, a, b) => binop!(dst, a, b, wrapping_add),
-            OpKind::Sub(dst, a, b) => binop!(dst, a, b, wrapping_sub),
-            OpKind::Mul(dst, a, b) => binop!(dst, a, b, wrapping_mul),
-            OpKind::Div(dst, a, b) => {
-                if reg!(b) == 0 {
-                    bail!(); // ArithmeticException, raised by the interpreter
-                }
-                binop!(dst, a, b, wrapping_div);
-            }
-            OpKind::Mod(dst, a, b) => {
-                if reg!(b) == 0 {
-                    bail!();
-                }
-                binop!(dst, a, b, wrapping_rem);
-            }
-            OpKind::Neg(dst, a) => reg!(dst) = reg!(a).wrapping_neg(),
-            OpKind::CmpEq(dst, a, b) => reg!(dst) = i64::from(reg!(a) == reg!(b)),
-            OpKind::CmpLt(dst, a, b) => reg!(dst) = i64::from(reg!(a) < reg!(b)),
-            OpKind::CmpGt(dst, a, b) => reg!(dst) = i64::from(reg!(a) > reg!(b)),
-            OpKind::BrEq(a, b, stay) => branch!(reg!(a) == reg!(b), stay),
-            OpKind::BrLt(a, b, stay) => branch!(reg!(a) < reg!(b), stay),
-            OpKind::BrGt(a, b, stay) => branch!(reg!(a) > reg!(b), stay),
-            OpKind::Br(a, stay) => branch!(reg!(a) != 0, stay),
-            OpKind::Print(a) => {
-                stdout.push_str(decimal(reg!(a), &mut [0; 20]));
-                stdout.push('\n');
-            }
-            OpKind::NewArray(dst, size) => {
-                let size = reg!(size);
-                if size < 0 {
-                    bail!(); // NegativeArraySizeException
-                }
-                let words = size as u64;
-                if *heap_words + words > install.heap_limit {
-                    bail!(); // OutOfMemoryError, VM scope
-                }
-                *heap_words += words;
-                heap.push(arrays.take(size as usize));
-                reg!(dst) = heap.len() as i64;
-            }
-            OpKind::ALen(dst, arr) => match array!(reg!(arr)) {
-                Some(a) => reg!(dst) = a.len() as i64,
-                None => bail!(), // NullPointerException
-            },
-            OpKind::ALoad(dst, arr, idx) => {
-                let Some(a) = array!(reg!(arr)) else {
-                    bail!(); // NullPointerException
-                };
-                let Some(v) = usize::try_from(reg!(idx)).ok().and_then(|at| a.get(at)) else {
-                    bail!(); // ArrayIndexOutOfBoundsException
-                };
-                reg!(dst) = *v;
-            }
-            OpKind::AStore(arr, idx, val) => {
-                let Some(a) = array!(reg!(arr)) else {
-                    bail!();
-                };
-                let Some(slot) = usize::try_from(reg!(idx)).ok().and_then(|at| a.get_mut(at))
-                else {
-                    bail!();
-                };
-                *slot = reg!(val);
-            }
-            OpKind::StdCall(dst, a, routine) => {
-                if !install.has_stdlib() {
-                    bail!(); // MisconfiguredInstallation, remote-resource scope
-                }
-                let v = reg!(a);
-                reg!(dst) = match routine {
-                    0 => v.wrapping_abs(),
-                    1 => v.signum(),
-                    2 if v >= 0 => (v as f64).sqrt() as i64,
-                    // isqrt of a negative: ArithmeticException; an unknown
-                    // routine: NoSuchMethodError.
-                    _ => bail!(),
-                };
-            }
-            OpKind::LoopBack => {
-                let kept = t.snapshot(op.snap + 1).regs;
-                stack.extend(kept.iter().map(|&s| reg!(s)));
-                circuits += 1;
-                left -= circuit;
-                if left < circuit {
-                    return (circuits, None);
-                }
-                ops = t.ops.iter();
-            }
-            OpKind::Bail => bail!(),
+        circuits += run;
+        left -= run * circuit;
+        if left < circuit {
+            return (circuits, None);
         }
     }
+}
+
+/// The exact program from op 0 with `left` instructions of headroom, less
+/// than a circuit: every op first checks that its group fits. Returns the
+/// snapshot to leave by and whether that is a guard exit.
+#[inline(never)]
+fn run_ops(t: &CompiledTrace, r: &mut [i64; MAX_REGS], env: &mut Env, left: u64) -> (u32, bool) {
+    for op in t.ops() {
+        // Fuel/budget guard: never start a group that would overrun.
+        if u64::from(t.snapshot(op.snap).committed + op.cost) > left {
+            return (op.snap, true);
+        }
+        if let Some(exit) = exec(op, r, env) {
+            return exit;
+        }
+    }
+    unreachable!("a circuit that does not fit cannot close")
+}
+
+/// Run one op: `None` to go on to the next, else the snapshot to leave by
+/// and whether that is a guard exit.
+#[inline(always)]
+fn exec(op: &TraceOp, r: &mut [i64; MAX_REGS], env: &mut Env) -> Option<(u32, bool)> {
+    let Env {
+        stack,
+        heap,
+        heap_words,
+        arrays,
+        stdout,
+        install,
+    } = env;
+    // Guard exit at the op's own instruction: nothing of it has happened,
+    // and the snapshot puts its operands back.
+    macro_rules! bail {
+        () => {
+            return Some((op.snap + 1, true))
+        };
+    }
+    macro_rules! reg {
+        ($r:expr) => {
+            r[usize::from($r)]
+        };
+    }
+    macro_rules! binop {
+        ($dst:expr, $a:expr, $b:expr, $f:ident) => {
+            reg!($dst) = reg!($a).$f(reg!($b))
+        };
+    }
+    // `t = a f b`, then `dst = t g c`: the temp is stored and used from
+    // the register it is in, and `c` read after the store (it may be `t`).
+    macro_rules! chain {
+        ($t:expr, $a:expr, $b:expr, $f:ident, $dst:expr, $c:expr, $g:ident) => {{
+            let x = reg!($a).$f(reg!($b));
+            reg!($t) = x;
+            reg!($dst) = x.$g(reg!($c));
+        }};
+    }
+    // Committed side exit: the group ran, the branch went the other way.
+    macro_rules! branch {
+        ($holds:expr, $stay:expr) => {
+            if ($holds) != $stay {
+                return Some((op.snap + 1, false));
+            }
+        };
+    }
+    // The array behind a handle; `None` for null or dangling.
+    macro_rules! array {
+        ($h:expr) => {
+            usize::try_from($h)
+                .ok()
+                .and_then(|h| h.checked_sub(1))
+                .and_then(|h| heap.get_mut(h))
+        };
+    }
+    match op.kind {
+        OpKind::Mov(dst, src) => reg!(dst) = reg!(src),
+        OpKind::PopReal(dst) => match stack.pop() {
+            Some(v) => reg!(dst) = v,
+            // The verifier rules this out; the interpreter survives it
+            // with an explicit VM-scope error, so it gets to.
+            None => bail!(),
+        },
+        OpKind::Add(dst, a, b) => binop!(dst, a, b, wrapping_add),
+        OpKind::Sub(dst, a, b) => binop!(dst, a, b, wrapping_sub),
+        OpKind::Mul(dst, a, b) => binop!(dst, a, b, wrapping_mul),
+        OpKind::AddAdd(t, a, b, d, c) => chain!(t, a, b, wrapping_add, d, c, wrapping_add),
+        OpKind::AddSub(t, a, b, d, c) => chain!(t, a, b, wrapping_add, d, c, wrapping_sub),
+        OpKind::AddMul(t, a, b, d, c) => chain!(t, a, b, wrapping_add, d, c, wrapping_mul),
+        OpKind::SubAdd(t, a, b, d, c) => chain!(t, a, b, wrapping_sub, d, c, wrapping_add),
+        OpKind::SubSub(t, a, b, d, c) => chain!(t, a, b, wrapping_sub, d, c, wrapping_sub),
+        OpKind::SubMul(t, a, b, d, c) => chain!(t, a, b, wrapping_sub, d, c, wrapping_mul),
+        OpKind::MulAdd(t, a, b, d, c) => chain!(t, a, b, wrapping_mul, d, c, wrapping_add),
+        OpKind::MulSub(t, a, b, d, c) => chain!(t, a, b, wrapping_mul, d, c, wrapping_sub),
+        OpKind::MulMul(t, a, b, d, c) => chain!(t, a, b, wrapping_mul, d, c, wrapping_mul),
+        OpKind::Div(dst, a, b) => {
+            if reg!(b) == 0 {
+                bail!(); // ArithmeticException, raised by the interpreter
+            }
+            binop!(dst, a, b, wrapping_div);
+        }
+        OpKind::Mod(dst, a, b) => {
+            if reg!(b) == 0 {
+                bail!();
+            }
+            binop!(dst, a, b, wrapping_rem);
+        }
+        OpKind::Neg(dst, a) => reg!(dst) = reg!(a).wrapping_neg(),
+        OpKind::CmpEq(dst, a, b) => reg!(dst) = i64::from(reg!(a) == reg!(b)),
+        OpKind::CmpLt(dst, a, b) => reg!(dst) = i64::from(reg!(a) < reg!(b)),
+        OpKind::CmpGt(dst, a, b) => reg!(dst) = i64::from(reg!(a) > reg!(b)),
+        OpKind::BrEq(a, b, stay) => branch!(reg!(a) == reg!(b), stay),
+        OpKind::BrLt(a, b, stay) => branch!(reg!(a) < reg!(b), stay),
+        OpKind::BrGt(a, b, stay) => branch!(reg!(a) > reg!(b), stay),
+        OpKind::Br(a, stay) => branch!(reg!(a) != 0, stay),
+        OpKind::Print(a) => {
+            stdout.push_str(decimal(reg!(a), &mut [0; 20]));
+            stdout.push('\n');
+        }
+        OpKind::NewArray(dst, size) => {
+            let size = reg!(size);
+            if size < 0 {
+                bail!(); // NegativeArraySizeException
+            }
+            let words = size as u64;
+            if **heap_words + words > install.heap_limit {
+                bail!(); // OutOfMemoryError, VM scope
+            }
+            **heap_words += words;
+            heap.push(arrays.take(size as usize));
+            reg!(dst) = heap.len() as i64;
+        }
+        OpKind::ALen(dst, arr) => match array!(reg!(arr)) {
+            Some(a) => reg!(dst) = a.len() as i64,
+            None => bail!(), // NullPointerException
+        },
+        OpKind::ALoad(dst, arr, idx) => {
+            let Some(a) = array!(reg!(arr)) else {
+                bail!(); // NullPointerException
+            };
+            let Some(v) = usize::try_from(reg!(idx)).ok().and_then(|at| a.get(at)) else {
+                bail!(); // ArrayIndexOutOfBoundsException
+            };
+            reg!(dst) = *v;
+        }
+        OpKind::AStore(arr, idx, val) => {
+            let Some(a) = array!(reg!(arr)) else {
+                bail!();
+            };
+            let Some(slot) = usize::try_from(reg!(idx)).ok().and_then(|at| a.get_mut(at)) else {
+                bail!();
+            };
+            *slot = reg!(val);
+        }
+        OpKind::StdCall(dst, a, routine) => {
+            if !install.has_stdlib() {
+                bail!(); // MisconfiguredInstallation, remote-resource scope
+            }
+            let v = reg!(a);
+            reg!(dst) = match routine {
+                0 => v.wrapping_abs(),
+                1 => v.signum(),
+                2 if v >= 0 => (v as f64).sqrt() as i64,
+                // isqrt of a negative: ArithmeticException; an unknown
+                // routine: NoSuchMethodError.
+                _ => bail!(),
+            };
+        }
+        // The plan has no loop-back, and the exact program reaches it
+        // only in a circuit that fits, which the plan runs.
+        OpKind::LoopBack => unreachable!("a partial circuit cannot close"),
+        OpKind::Bail => bail!(),
+    }
+    None
 }
 
 #[cfg(test)]
@@ -892,7 +1188,7 @@ mod tests {
         assert_eq!((t.nlocals, &t.consts[..]), (2, &[1, n][..]));
         let group = |o: &TraceOp| t.snapshot(o.snap);
         let ops: Vec<_> = t
-            .ops
+            .ops()
             .iter()
             .map(|o| (group(o).pc, o.cost, o.kind))
             .collect();
@@ -906,15 +1202,20 @@ mod tests {
                 (18, 1, OpKind::LoopBack),
             ]
         );
-        let before: Vec<_> = t.ops.iter().map(|o| group(o).committed).collect();
+        let before: Vec<_> = t.ops().iter().map(|o| group(o).committed).collect();
         assert_eq!(before, [0, 4, 8, 10, 14]);
+        // The plan: the test hoisted, the square chained into the sum.
+        assert!(t.hoists_bound());
+        let plan: Vec<_> = t.plan().iter().map(|o| o.kind).collect();
+        let square = OpKind::MulAdd(4, 1, 1, 0, 0);
+        assert_eq!(plan, [square, OpKind::Add(1, 1, 2)]);
         // The branch leaves to 19 with its four instructions counted.
-        let leave = t.snapshot(t.ops[0].snap + 1);
+        let leave = t.snapshot(t.ops()[0].snap + 1);
         assert_eq!((leave.pc, leave.committed, leave.regs.len()), (19, 4, 0));
         // `Load 0` is pending while the multiply runs.
         let no_regs: &[Reg] = &[];
-        assert_eq!(t.snapshot(t.ops[1].snap).regs, no_regs);
-        assert_eq!(t.snapshot(t.ops[2].snap).regs, &[0, 4]);
+        assert_eq!(t.snapshot(t.ops()[1].snap).regs, no_regs);
+        assert_eq!(t.snapshot(t.ops()[2].snap).regs, &[0, 4]);
         // Three circuits and the diverging fourth condition.
         let (exit, stack, locals) = run(&t, &[], &[0, n - 3], u64::MAX);
         assert_eq!((exit.pc, exit.committed, exit.guard), (19, 49, false));
@@ -927,6 +1228,89 @@ mod tests {
         assert_eq!((stack, locals), (vec![], vec![25, 6]));
     }
 
+    /// `while l1 < bound { body; l1 += step }` from pc 0, `body` at pc 4.
+    fn counted(bound: Instr, body: &[Instr], step: i64) -> CompiledTrace {
+        let mut steps = vec![(0, Instr::Load(1), false), (1, bound, false)];
+        steps.push((2, Instr::CmpLt, false));
+        let end = 4 + body.len() as u32 + 5;
+        steps.push((3, Instr::JumpIfZero(end), false));
+        steps.extend((4..).zip(body).map(|(pc, &ins)| (pc, ins, false)));
+        let pc = 4 + body.len() as u32;
+        steps.extend([
+            (pc, Instr::Load(1), false),
+            (pc + 1, Instr::Push(step), false),
+            (pc + 2, Instr::Add, false),
+            (pc + 3, Instr::Store(1), false),
+            (pc + 4, Instr::Jump(0), true),
+        ]);
+        compile(&rec(steps), None).unwrap()
+    }
+
+    #[test]
+    fn a_hoisted_bound_runs_on_past_a_wrap() {
+        // i + 5 wraps past i64::MAX on the second circuit, and the wrapped
+        // i is below the bound again: the loop goes on, as interpreted.
+        let t = counted(Instr::Push(i64::MAX), &[], 5);
+        assert!(t.hoists_bound());
+        assert!(t.plan().len() == 1);
+        let (exit, _, locals) = run(&t, &[], &[0, i64::MAX - 7], 4 * 9);
+        assert_eq!((exit.pc, exit.committed, exit.guard), (0, 36, true));
+        assert_eq!(locals[1], (i64::MAX - 7).wrapping_add(20));
+        // Not entered at all: the test fails at once and commits.
+        let (exit, _, locals) = run(&t, &[], &[0, i64::MAX], u64::MAX);
+        assert_eq!((exit.pc, exit.committed, exit.guard), (9, 4, false));
+        assert_eq!(locals[1], i64::MAX);
+        // The last circuit overshoots the bound; the trip count is rounded up.
+        let t = counted(Instr::Push(10), &[], 3);
+        let (exit, _, locals) = run(&t, &[], &[0, 0], u64::MAX);
+        assert_eq!((exit.pc, exit.committed), (9, 4 * 9 + 4));
+        assert_eq!(locals[1], 12);
+    }
+
+    #[test]
+    fn a_bound_is_hoisted_only_off_a_counted_loop() {
+        use Instr::*;
+        // The bound, a local, written in the body.
+        let t = counted(Load(2), &[Load(2), Push(1), Sub, Store(2)], 1);
+        assert!(!t.hoists_bound());
+        // A step that is not positive.
+        assert!(!counted(Push(9), &[], 0).hoists_bound());
+        assert!(!counted(Push(9), &[], -1).hoists_bound());
+        // The counter written by anything but an add of a constant.
+        assert!(!counted(Push(9), &[Load(1), Load(1), Add, Store(1)], 1).hoists_bound());
+        // Written twice by constant adds: the steps sum.
+        let t = counted(Push(9), &[Load(1), Push(2), Add, Store(1)], 1);
+        assert_eq!(t.bound.map(|b| b.step), Some(3));
+        let (exit, _, locals) = run(&t, &[], &[0, 0], u64::MAX);
+        assert_eq!((exit.pc, exit.committed), (13, 3 * 13 + 4));
+        assert_eq!(locals[1], 9);
+    }
+
+    #[test]
+    fn guarded_ops_are_never_chained() {
+        use Instr::*;
+        // acc += arr[i], then acc = acc * 3 - i and acc = i - acc * 3:
+        // the load feeds the add unchained; the multiply's temp feeds the
+        // subtract only as its left operand.
+        let body = [Load(2), Load(0), Load(1), ALoad, Add, Store(2)];
+        let t = counted(Push(9), &body, 1);
+        let plan: Vec<_> = t.plan().iter().map(|o| o.kind).collect();
+        assert!(matches!(
+            plan[..],
+            [OpKind::ALoad(..), OpKind::Add(..), OpKind::Add(..)]
+        ));
+        let body = [Load(2), Push(3), Mul, Load(1), Sub, Store(2)];
+        let t = counted(Push(9), &body, 1);
+        let plan: Vec<_> = t.plan().iter().map(|o| o.kind).collect();
+        assert!(matches!(plan[0], OpKind::MulSub(_, 2, _, 2, 1)));
+        let (_, _, locals) = run(&t, &[], &[0, 0, 1], u64::MAX);
+        assert_eq!(locals[2], (0..9).fold(1i64, |acc, i| acc * 3 - i));
+        let body = [Load(2), Push(3), Mul, Load(1), Swap, Sub, Store(2)];
+        let t = counted(Push(9), &body, 1);
+        let plan: Vec<_> = t.plan().iter().map(|o| o.kind).collect();
+        assert!(matches!(plan[..2], [OpKind::Mul(..), OpKind::Sub(..)]));
+    }
+
     #[test]
     fn div_by_constant_zero_is_not_fused() {
         let r = rec(vec![
@@ -937,8 +1321,8 @@ mod tests {
         let t = compile(&r, None).unwrap();
         // The dividend was pushed before the head; the zero divisor is an
         // ordinary register, so the Div guard still fires.
-        assert_eq!(t.ops[0].kind, OpKind::PopReal(1));
-        assert_eq!(t.ops[1].kind, OpKind::Div(2, 1, 0));
+        assert_eq!(t.ops()[0].kind, OpKind::PopReal(1));
+        assert_eq!(t.ops()[1].kind, OpKind::Div(2, 1, 0));
         // It fires at the `Div`: the push counts, and both operands are
         // back on the stack.
         let (exit, stack, _) = run(&t, &[9, 7], &[], u64::MAX);
@@ -954,7 +1338,7 @@ mod tests {
     fn terminal_bail_is_appended_for_unsupported_tails() {
         let r = rec(vec![(3, Instr::Load(0), false)]);
         let t = compile(&r, Some(4)).unwrap();
-        let bail = t.ops.last().unwrap();
+        let bail = t.ops().last().unwrap();
         assert_eq!(t.snapshot(bail.snap).pc, 3);
         assert_eq!((bail.cost, bail.kind), (1, OpKind::Bail));
         // Room for the load: it commits and its value is on the stack.
@@ -977,7 +1361,7 @@ mod tests {
             (4, Instr::Jump(0), true),
         ]);
         let t = compile(&r, None).unwrap();
-        assert_eq!(t.ops[0].kind, OpKind::Sub(2, 2, 3));
+        assert_eq!(t.ops()[0].kind, OpKind::Sub(2, 2, 3));
         let (exit, _, locals) = run(&t, &[], &[0, 0, 7], 5); // exactly one circuit
         assert_eq!(locals[2], 7i64.wrapping_sub(i64::MIN));
         assert_eq!(exit.committed, 5);
@@ -1022,7 +1406,7 @@ mod tests {
             (4, Instr::Jump(0), true),
         ]);
         let t = compile(&r, None).unwrap();
-        let kinds: Vec<_> = t.ops.iter().map(|o| o.kind).collect();
+        let kinds: Vec<_> = t.ops().iter().map(|o| o.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -1050,7 +1434,7 @@ mod tests {
             (2, Instr::Jump(0), true),
         ]);
         let t = compile(&r, None).unwrap();
-        assert_eq!(t.ops.len(), 1);
+        assert_eq!(t.ops().len(), 1);
         let (exit, stack, _) = run(&t, &[1], &[8], 7);
         assert_eq!((exit.pc, exit.committed), (0, 6));
         assert_eq!(stack, [1, 8, 5, 8, 5]);
@@ -1068,7 +1452,7 @@ mod tests {
         }
         steps.push((3000, Instr::Jump(0), true));
         let t = compile(&rec(steps), None).unwrap();
-        let written = t.ops.iter().filter_map(|o| match o.kind {
+        let written = t.ops().iter().filter_map(|o| match o.kind {
             OpKind::Neg(dst, _) => Some(dst),
             _ => None,
         });
@@ -1089,7 +1473,7 @@ mod tests {
         };
         let fits = MAX_REGS as u32 - 1; // one register is local 0
         let t = compile(&body(fits), None).unwrap();
-        assert_eq!(t.snapshot(t.ops.last().unwrap().snap + 1).regs.len(), 255);
+        assert_eq!(t.snapshot(t.ops().last().unwrap().snap + 1).regs.len(), 255);
         assert!(compile(&body(fits + 1), None).is_none());
     }
 }

@@ -5,7 +5,7 @@
 //! Used for debugging job images and in tests as an inverse of the
 //! assembler.
 
-use crate::compile::{CompiledTrace, OpKind, Reg, TraceOp};
+use crate::compile::{Arith, CompiledTrace, OpKind, Reg, TraceOp};
 use crate::image::ProgramImage;
 use crate::isa::{Instr, IoMode};
 use std::collections::BTreeSet;
@@ -45,11 +45,12 @@ pub fn disassemble(img: &ProgramImage) -> String {
 
 /// Render a compiled trace as a listing: one register op per line with
 /// the first pc and instruction count of the group it covers, and the
-/// operand-stack snapshot where one is not empty. Registers print as
-/// `l<n>` (a local), `#<value>` (a constant) or `t<n>` (a temp). Not
-/// assembler input — traces are an execution artifact, not a program
-/// representation — but the format mirrors [`disassemble`] so the two
-/// read side by side.
+/// operand-stack snapshot where one is not empty — the exact program,
+/// then, under a `.plan` line, the circuit plan whole circuits run.
+/// Registers print as `l<n>` (a local), `#<value>` (a constant) or
+/// `t<n>` (a temp). Not assembler input — traces are an execution
+/// artifact, not a program representation — but the format mirrors
+/// [`disassemble`] so the two read side by side.
 pub fn disassemble_trace(t: &CompiledTrace) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -57,24 +58,34 @@ pub fn disassemble_trace(t: &CompiledTrace) -> String {
         ".trace func={} head=L{} ops={} base_len={}",
         t.func,
         t.head,
-        t.ops.len(),
+        t.ops().len(),
         t.base_len
     );
-    for op in &t.ops {
-        let group = t.snapshot(op.snap);
-        let _ = write!(
-            out,
-            "    [pc {:>4} cost {}] {}",
-            group.pc,
-            op.cost,
-            render_op(t, op)
-        );
-        if !group.regs.is_empty() {
-            let regs: Vec<String> = group.regs.iter().map(|&r| reg(t, r)).collect();
-            let _ = write!(out, " ; stack [{}]", regs.join(" "));
+    let listing = |out: &mut String, ops: &[TraceOp]| {
+        for op in ops {
+            let group = t.snapshot(op.snap);
+            let _ = write!(
+                out,
+                "    [pc {:>4} cost {}] {}",
+                group.pc,
+                op.cost,
+                render_op(t, op)
+            );
+            if !group.regs.is_empty() {
+                let regs: Vec<String> = group.regs.iter().map(|&r| reg(t, r)).collect();
+                let _ = write!(out, " ; stack [{}]", regs.join(" "));
+            }
+            out.push('\n');
         }
-        out.push('\n');
-    }
+    };
+    listing(&mut out, t.ops());
+    let test = if t.hoists_bound() {
+        "on entry"
+    } else {
+        "every circuit"
+    };
+    let _ = writeln!(out, ".plan ops={} loop-test={test}", t.plan().len());
+    listing(&mut out, t.plan());
     out
 }
 
@@ -128,8 +139,38 @@ fn render_op(t: &CompiledTrace, op: &TraceOp) -> String {
         OpKind::StdCall(dst, a, routine) => {
             format!("{} = stdcall {routine} {} ; guards install", r(dst), r(a))
         }
+        OpKind::AddAdd(..)
+        | OpKind::AddSub(..)
+        | OpKind::AddMul(..)
+        | OpKind::SubAdd(..)
+        | OpKind::SubSub(..)
+        | OpKind::SubMul(..)
+        | OpKind::MulAdd(..)
+        | OpKind::MulSub(..)
+        | OpKind::MulMul(..) => {
+            let (first, then, [tmp, a, b, dst, c]) = op.kind.chained().expect("a chained op");
+            format!(
+                "{} = {} {} {} ; {} = {} {} {}",
+                r(&tmp),
+                r(&a),
+                sym(first),
+                r(&b),
+                r(&dst),
+                r(&tmp),
+                sym(then),
+                r(&c)
+            )
+        }
         OpKind::LoopBack => "loopback".into(),
         OpKind::Bail => format!("bail L{} ; terminal guard exit", leaves_to()),
+    }
+}
+
+fn sym(op: Arith) -> &'static str {
+    match op {
+        Arith::Add => "+",
+        Arith::Sub => "-",
+        Arith::Mul => "*",
     }
 }
 
@@ -274,8 +315,16 @@ mod tests {
         assert!(src.contains("br l1 < #100 stay-if-true else L19"), "{src}");
         assert!(src.contains("l1 = l1 + #1"), "{src}");
         assert!(src.contains("loopback"), "{src}");
-        // One line per op plus the header.
-        assert_eq!(src.lines().count(), traces[0].ops.len() + 1, "{src}");
+        // The plan: the test hoisted, the square chained into the sum.
+        assert!(src.contains(".plan ops=2 loop-test=on entry"), "{src}");
+        assert!(src.contains("t0 = l1 * l1 ; l0 = t0 + l0"), "{src}");
+        // One line per op plus the two headers.
+        let t = traces[0];
+        assert_eq!(
+            src.lines().count(),
+            t.ops().len() + t.plan().len() + 2,
+            "{src}"
+        );
     }
 
     #[test]

@@ -232,6 +232,88 @@ pub fn heap_sum(n: i64) -> Vec<u8> {
     .to_bytes()
 }
 
+/// A value a [`counted_loop`]'s header reads: a constant or a local.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// `Push(v)`.
+    Const(i64),
+    /// `Load(n)`.
+    Local(u8),
+}
+
+impl Operand {
+    fn instr(self) -> Instr {
+        match self {
+            Operand::Const(v) => Instr::Push(v),
+            Operand::Local(n) => Instr::Load(n),
+        }
+    }
+}
+
+/// The header of a [`counted_loop`]: `for (i = start; i < bound; i += step)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counted {
+    /// The counter's first value.
+    pub start: Operand,
+    /// The loop runs while the counter is below this.
+    pub bound: Operand,
+    /// Added to the counter after each pass through the body.
+    pub step: Operand,
+}
+
+impl Counted {
+    /// `for (i = 0; i < bound; i += 1)`.
+    pub fn upto(bound: i64) -> Counted {
+        Counted {
+            start: Operand::Const(0),
+            bound: Operand::Const(bound),
+            step: Operand::Const(1),
+        }
+    }
+}
+
+/// `prologue`, then `acc = 0` and the loop `head` over locals 0 = acc and
+/// 1 = i, with `body` inside it, then `print acc; halt` — the shape
+/// [`generate`] emits and the trace tier's circuit plan is built for.
+/// Jump targets inside `body` are relative to its first instruction
+/// (shifted here); one equal to `body.len()` lands on the counter's
+/// increment. The function has eight locals and no strings.
+pub fn counted_loop(prologue: Vec<Instr>, head: Counted, body: Vec<Instr>) -> ProgramImage {
+    let mut code = prologue;
+    code.extend([
+        Instr::Push(0),
+        Instr::Store(0),
+        head.start.instr(),
+        Instr::Store(1),
+    ]);
+    let top = code.len() as u32;
+    let shift = top + 4;
+    let exit = shift + body.len() as u32 + 5;
+    code.extend([
+        Instr::Load(1),
+        head.bound.instr(),
+        Instr::CmpLt,
+        Instr::JumpIfZero(exit),
+    ]);
+    code.extend(body.into_iter().map(|i| match i {
+        Instr::Jump(t) => Instr::Jump(t + shift),
+        Instr::JumpIfZero(t) => Instr::JumpIfZero(t + shift),
+        Instr::JumpIfNonZero(t) => Instr::JumpIfNonZero(t + shift),
+        other => other,
+    }));
+    code.extend([
+        Instr::Load(1),
+        head.step.instr(),
+        Instr::Add,
+        Instr::Store(1),
+        Instr::Jump(top),
+        Instr::Load(0),
+        Instr::Print,
+        Instr::Halt,
+    ]);
+    ProgramImage::single("counted-loop", 8, code)
+}
+
 /// A program that throws a user exception — "program generated errors such
 /// as an ArrayIndexOutOfBoundsException" that must reach the user.
 pub fn throws_user_exception() -> Vec<u8> {

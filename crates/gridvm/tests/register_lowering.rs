@@ -10,6 +10,7 @@
 
 use gridvm::jvmio::NoIo;
 use gridvm::machine::Machine;
+use gridvm::programs::Counted;
 use gridvm::{
     execute, programs, verify, Installation, Instr, ProgramImage, RunOutput, TraceConfig, VmStats,
 };
@@ -132,42 +133,9 @@ fn corpus_agrees_without_a_stdlib() {
 // ---------------------------------------------------------------------
 
 /// `for (i = 0; i < bound; i++) { body }` over locals 0 = acc, 1 = i,
-/// after `prologue`, printing acc. Jump targets inside `body` are written
-/// relative to its own first instruction.
+/// after `prologue`, printing acc ([`programs::counted_loop`]), verified.
 fn counted_loop(prologue: Vec<Instr>, bound: i64, body: Vec<Instr>) -> ProgramImage {
-    let mut code = prologue;
-    code.extend([
-        Instr::Push(0),
-        Instr::Store(0),
-        Instr::Push(0),
-        Instr::Store(1),
-    ]);
-    let head = code.len() as u32;
-    let exit = head + 4 + body.len() as u32 + 5;
-    code.extend([
-        Instr::Load(1),
-        Instr::Push(bound),
-        Instr::CmpLt,
-        Instr::JumpIfZero(exit),
-    ]);
-    let shift = head + 4;
-    code.extend(body.into_iter().map(|i| match i {
-        Instr::Jump(t) => Instr::Jump(t + shift),
-        Instr::JumpIfZero(t) => Instr::JumpIfZero(t + shift),
-        Instr::JumpIfNonZero(t) => Instr::JumpIfNonZero(t + shift),
-        other => other,
-    }));
-    code.extend([
-        Instr::Load(1),
-        Instr::Push(1),
-        Instr::Add,
-        Instr::Store(1),
-        Instr::Jump(head),
-        Instr::Load(0),
-        Instr::Print,
-        Instr::Halt,
-    ]);
-    let img = ProgramImage::single("hazard", 4, code);
+    let img = programs::counted_loop(prologue, Counted::upto(bound), body);
     verify(&img).expect("hazard program verifies");
     img
 }
@@ -671,4 +639,112 @@ fn outputs_and_checkpoints_equal_the_recorded_ones() {
         (RECORDED_OUTPUTS, RECORDED_TIER, RECORDED_CHECKPOINTS),
         "got ({outputs:#018x}, {tier:#018x}, {checkpoints:#018x})"
     );
+}
+
+// ---------------------------------------------------------------------
+// Circuit plans
+// ---------------------------------------------------------------------
+
+/// A counted loop around the circuit plan's edges, over locals 0 = acc,
+/// 1 = i, 2..=4 = start, bound and step when they are locals, 5 = an
+/// array: bounds within a step or so of `i64::MAX` (so `i + step`
+/// wraps), loops that never run, non-positive steps, a bound the body
+/// writes, a counter written twice, and bodies mixing arithmetic —
+/// chained or not — array and print statements and a side exit.
+fn any_counted_loop(g: &mut propcheck::Gen) -> ProgramImage {
+    use gridvm::programs::Operand::{self, Const, Local};
+    use Instr::*;
+    let (start, bound, step) = match g.below(3) {
+        0 => {
+            let step = g.int(1i64..=9);
+            let bound = i64::MAX - g.int(0i64..3);
+            (bound - step * g.int(0i64..40) - g.int(0i64..3), bound, step)
+        }
+        1 => (g.int(-20i64..20), g.int(-20i64..60), *g.pick(&[1, 2, 3, 7])),
+        _ => (g.int(-20i64..20), g.int(-20i64..60), *g.pick(&[0, -1, -3])),
+    };
+    let len = g.int(1i64..16);
+    let mut prologue = vec![Push(len), NewArray, Store(5)];
+    let mut operand = |g: &mut propcheck::Gen, v: i64, local: u8| -> Operand {
+        if g.bool() {
+            return Const(v);
+        }
+        prologue.extend([Push(v), Store(local)]);
+        Local(local)
+    };
+    let head = Counted {
+        start: operand(g, start, 2),
+        bound: operand(g, bound, 3),
+        step: operand(g, step, 4),
+    };
+    let mut body = Vec::new();
+    for _ in 0..g.int(1..=4) {
+        let k = g.int(-5i64..9);
+        let statement: Vec<Instr> = match g.below(10) {
+            0 => {
+                let x = *g.pick(&[Push(k), Load(1), Load(0)]);
+                vec![Load(0), x, *g.pick(&[Add, Sub, Mul]), Store(0)]
+            }
+            // acc = acc * k + i: the product's temp feeds the sum.
+            1 => vec![Load(0), Push(k), Mul, Load(1), Add, Store(0)],
+            // acc = i * i - acc, then acc = acc - (i - k): the second
+            // temp is the subtrahend, which does not chain.
+            2 => vec![Load(1), Load(1), Mul, Load(0), Sub, Store(0)],
+            3 => vec![Load(0), Load(1), Push(k), Sub, Sub, Store(0)],
+            // acc += i * k, printing i * k: the temp outlives its chain.
+            4 => vec![Load(1), Push(k), Mul, Dup, Load(0), Add, Store(0), Print],
+            5 => vec![Load(5), Load(1), Push(len), Mod, Load(0), AStore],
+            6 => vec![
+                Load(0),
+                Load(5),
+                Load(1),
+                Push(len),
+                Mod,
+                ALoad,
+                Add,
+                Store(0),
+            ],
+            7 if head.bound == Local(3) => vec![Load(3), Push(k), Sub, Store(3)],
+            7 => vec![Load(0), Print],
+            8 => vec![Load(1), Push(k), Add, Store(1)],
+            // if (i == k) print acc
+            _ => {
+                let past = body.len() as u32 + 6;
+                vec![Load(1), Push(k), CmpEq, JumpIfZero(past), Load(0), Print]
+            }
+        };
+        body.extend(statement);
+    }
+    let img = programs::counted_loop(prologue, head, body);
+    verify(&img).expect("a counted loop verifies");
+    img
+}
+
+#[test]
+fn circuit_plans_agree_with_the_interpreter() {
+    let (mut compiled, mut hoisted, mut tested, mut chained) = (0, 0, 0, 0);
+    propcheck::check(2000, |g| {
+        let img = any_counted_loop(g);
+        let install = Installation::healthy().with_fuel(g.int(100..1500));
+        agree("counted loop", &img, &install, TraceConfig::eager(), None);
+        let mut m = Machine::new(&img);
+        m.run(
+            &img,
+            &install.with_trace(TraceConfig::eager()),
+            &mut NoIo,
+            None,
+        );
+        for t in m.trace_state().compiled_traces() {
+            compiled += 1;
+            hoisted += usize::from(t.hoists_bound());
+            tested += usize::from(!t.hoists_bound());
+            chained += t.plan().iter().filter(|op| op.kind.is_chained()).count();
+        }
+    });
+    assert!(compiled > 1000, "only {compiled} traces compiled");
+    assert!(
+        hoisted > 300 && tested > 300,
+        "{hoisted} hoisted, {tested} not"
+    );
+    assert!(chained > 500, "only {chained} chained ops");
 }

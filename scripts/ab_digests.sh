@@ -21,7 +21,7 @@
 # altogether. Timings are not compared — that is `ledger compare` and the
 # benchmark driver's job — but the two binaries are what a perf table is
 # usually taken from next, so the script prints where each side's
-# `gridvm::compile::run_ops` instantiations start mod 64 and the per-job
+# trace runners (`gridvm::compile::run_*`) start mod 64 and 4096 and the per-job
 # path's decoder, verifier and interpreter loops start mod 4096, and each row
 # shows both sides' `peak_rss_mb`, read off the same `gate --entry` line
 # as the digest: one sample a side, printed and never compared, so it
@@ -47,19 +47,32 @@ cargo build --release --quiet -p ledger
 head_bin="$target/release/ledger"
 base_bin="$target/ab_digests/build/release/ledger"
 
-# Where the trace executor landed on each side. `vm_hot_loops` reads up to
-# 20 % apart between two builds of identical `run_ops` machine code as its
-# start moves mod 64 (ROADMAP 1(i)); `.cargo/config.toml` pins every
-# function to 0x00 from PR 18 on, so a base built before that — or any
-# build under an environment RUSTFLAGS — says so here, next to whatever
-# timings are taken from these two binaries.
+# Where the trace executor landed on each side: every `gridvm::compile::run_*`
+# function a compiled circuit runs in (the plan runner, the exact-program
+# runner for the partial last circuit, and `run_trace` around them), start
+# mod 64 and mod 4096. `vm_hot_loops` reads up to 20 % apart between two
+# builds of identical runner machine code as its start moves mod 64
+# (ROADMAP 1(i)); `.cargo/config.toml` pins every function to 0x00 from
+# PR 18 on, so a base built before that — or any build under an environment
+# RUSTFLAGS — says so here, next to whatever timings are taken from these
+# two binaries. A side with none of them fails the script: a rename must
+# not drop the report silently.
 placement() {
-    nm -S -C "$1" | grep 'gridvm::compile::run_ops' | while read -r addr size _; do
-        printf ' 0x%02x (%d bytes)' $((0x$addr % 64)) $((0x$size))
-    done
+    local found
+    found=$(nm -S -C "$1" | awk '$4 ~ /^gridvm::compile::run_/ { print $1, $2, $4 }')
+    if [ -z "$found" ]; then
+        echo "ab_digests: no gridvm::compile::run_* function in $1" >&2
+        return 1
+    fi
+    while read -r addr size name; do
+        printf ' %s 0x%02x/0x%03x (%d bytes)' "${name#gridvm::compile::}" \
+            $((0x$addr % 64)) $((0x$addr % 4096)) $((0x$size))
+    done <<<"$found"
 }
-printf 'run_ops start mod 64, base:  %s\n' "$(placement "$base_bin")"
-printf 'run_ops start mod 64, change:%s\n' "$(placement "$head_bin")"
+base_place=$(placement "$base_bin")
+head_place=$(placement "$head_bin")
+printf 'trace runners start mod 64/4096, base:  %s\n' "$base_place"
+printf 'trace runners start mod 64/4096, change:%s\n' "$head_place"
 
 # Where the per-job path's other jump-table loops landed, mod 4096: a
 # change to anything linked ahead of `gridvm` moves them all, and
