@@ -64,10 +64,12 @@ pub const MAGIC: &[u8; 4] = b"CKP1";
 /// other versions are rejected with [`CkptError::VersionMismatch`].
 pub const VERSION: u16 = 2;
 
-/// FNV-1a over a byte slice — the same integrity primitive the program
-/// image format uses, duplicated here so the format crate stays
-/// dependency-free. Callers use it as the image-binding digest; the body
-/// sum uses it for the sub-block tail.
+/// FNV-1a over a byte slice: the digest that binds a checkpoint to its
+/// program image ([`MachineState::image_digest`]), the step that folds
+/// [`body_sum`]'s sub-block tail in, and the sum a retired version-1
+/// checkpoint is recognised by. It is neither format's integrity sum:
+/// checkpoints and program images both trail their body with
+/// [`body_sum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = OFFSET_BASIS;
     for b in bytes {
@@ -90,8 +92,10 @@ fn mix(h: u64, w: u64) -> u64 {
 
 /// The version-2 body sum (see the module docs): four FNV-style lanes
 /// over little-endian 8-byte words, folded in order, then the tail
-/// through [`fnv1a`], then the length.
-fn body_sum(body: &[u8]) -> u64 {
+/// through [`fnv1a`], then the length. One integrity sum for both
+/// formats: it also trails every `gridvm` program image (format `GVM2`),
+/// so the argument that any single-word change is caught covers both.
+pub fn body_sum(body: &[u8]) -> u64 {
     let mut lanes = [OFFSET_BASIS; 4];
     let mut blocks = body.chunks_exact(32);
     for block in &mut blocks {

@@ -62,14 +62,18 @@ impl Attr {
     }
 }
 
-// Where `lc_name` is in `attrs`, or where it would go.
-fn find(attrs: &[Attr], lc_name: &str) -> Result<usize, usize> {
-    attrs.binary_search_by(|attr| attr.key().cmp(lc_name))
+// Where the attribute called `name`, in any case, is in `attrs`, or where
+// it would go. Each key is compared with `name` lower-cased a byte at a
+// time, in the order a lower-cased copy would sort in, so a lookup
+// copies nothing.
+fn find(attrs: &[Attr], name: &str) -> Result<usize, usize> {
+    let lower = || name.bytes().map(|b| b.to_ascii_lowercase());
+    attrs.binary_search_by(|attr| attr.key().bytes().cmp(lower()))
 }
 
-// The attribute called `lc_name` in `attrs`.
-fn lookup<'a>(attrs: &'a [Attr], lc_name: &str) -> Option<&'a Attr> {
-    attrs.get(find(attrs, lc_name).ok()?)
+// The attribute called `name`, in any case, in `attrs`.
+fn lookup<'a>(attrs: &'a [Attr], name: &str) -> Option<&'a Attr> {
+    attrs.get(find(attrs, name).ok()?)
 }
 
 /// A classified advertisement.
@@ -183,28 +187,26 @@ impl ClassAd {
         self
     }
 
-    fn entry(&self, lc_name: &str) -> Option<&Attr> {
-        let inherited = || lookup(&self.parent.as_ref()?.attrs, lc_name);
-        lookup(&self.attrs, lc_name).or_else(inherited)
+    fn entry(&self, name: &str) -> Option<&Attr> {
+        let inherited = || lookup(&self.parent.as_ref()?.attrs, name);
+        lookup(&self.attrs, name).or_else(inherited)
     }
 
     /// Look up an attribute's expression by (case-insensitive) name.
     pub fn get(&self, name: &str) -> Option<&Expr> {
-        self.entry(&name.to_ascii_lowercase())
-            .map(|attr| &attr.expr)
+        self.entry(name).map(|attr| &attr.expr)
     }
 
     /// Remove an attribute. Returns whether it was present. Removing an
     /// inherited attribute unchains the ad first (it becomes the flat copy
     /// of itself), so the parent's value cannot show through.
     pub fn remove(&mut self, name: &str) -> bool {
-        let name = name.to_ascii_lowercase();
-        let inherited = |p: &Arc<ClassAd>| find(&p.attrs, &name).is_ok();
+        let inherited = |p: &Arc<ClassAd>| find(&p.attrs, name).is_ok();
         if self.parent.as_ref().is_some_and(inherited) {
             self.attrs = self.entries().cloned().collect();
             self.parent = None;
         }
-        let Ok(at) = find(&self.attrs, &name) else {
+        let Ok(at) = find(&self.attrs, name) else {
             return false;
         };
         self.attrs.remove(at);
@@ -214,7 +216,7 @@ impl ClassAd {
 
     /// True if the attribute exists.
     pub fn has(&self, name: &str) -> bool {
-        self.entry(&name.to_ascii_lowercase()).is_some()
+        self.entry(name).is_some()
     }
 
     /// Number of attributes.

@@ -17,19 +17,24 @@ pub(crate) const MAX_DEPTH: usize = 64;
 struct Env<'a> {
     me: &'a ClassAd,
     target: Option<&'a ClassAd>,
-    // (which ad: false=me/true=target, lowercase name) currently being
-    // resolved, for cycle detection.
-    in_progress: Vec<(bool, String)>,
+}
+
+/// An attribute being resolved, for cycle detection: which ad's
+/// (false = me, true = target), its expression — one per attribute of an
+/// ad, whatever case a reference spells its name in — how many are being
+/// resolved counting it, and the one whose evaluation asked for it. One
+/// link lives in each `resolve` frame, so chasing references allocates
+/// nothing.
+struct Chasing<'a, 'up> {
+    which: bool,
+    expr: &'a Expr,
+    depth: usize,
+    up: Option<&'up Chasing<'a, 'up>>,
 }
 
 /// Evaluate `expr` with `me` as the self ad and `target` as the candidate.
 pub fn eval(me: &ClassAd, target: Option<&ClassAd>, expr: &Expr) -> Value {
-    let mut env = Env {
-        me,
-        target,
-        in_progress: Vec::new(),
-    };
-    eval_in(&mut env, false, expr)
+    eval_in(&Env { me, target }, None, false, expr)
 }
 
 /// Evaluate the named attribute of `me` (used for `Rank`, `Requirements`,
@@ -44,30 +49,36 @@ pub fn eval_attr(me: &ClassAd, target: Option<&ClassAd>, name: &str) -> Value {
 /// `current_is_target`: which ad unqualified/MY references resolve against
 /// right now. When we chase a reference into the target ad, MY flips —
 /// the expression is evaluated *in that ad's frame*, as in real ClassAds.
-fn eval_in(env: &mut Env<'_>, current_is_target: bool, expr: &Expr) -> Value {
+/// `chain`: the attributes being resolved, innermost first.
+fn eval_in<'a>(
+    env: &Env<'a>,
+    chain: Option<&Chasing<'a, '_>>,
+    current_is_target: bool,
+    expr: &'a Expr,
+) -> Value {
     match expr {
         Expr::Lit(v) => v.clone(),
-        Expr::Attr { scope, name, .. } => resolve(env, current_is_target, *scope, name),
+        Expr::Attr { scope, name, .. } => resolve(env, chain, current_is_target, *scope, name),
         Expr::Unary(op, e) => {
-            let v = eval_in(env, current_is_target, e);
+            let v = eval_in(env, chain, current_is_target, e);
             match op {
                 UnOp::Not => v.not(),
                 UnOp::Neg => v.neg(),
             }
         }
         Expr::Binary(op, a, b) => {
-            let va = eval_in(env, current_is_target, a);
+            let va = eval_in(env, chain, current_is_target, a);
             // && and || could short-circuit, but ClassAd semantics require
             // inspecting both sides in general (False && Error == False
             // works either way; we evaluate both for simplicity and
             // determinism).
-            let vb = eval_in(env, current_is_target, b);
+            let vb = eval_in(env, chain, current_is_target, b);
             apply_bin(*op, &va, &vb)
         }
         Expr::Call { name, args } => {
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_in(env, current_is_target, a))
+                .map(|a| eval_in(env, chain, current_is_target, a))
                 .collect();
             call_builtin(name, &vals)
         }
@@ -96,7 +107,13 @@ pub(crate) fn apply_bin(op: BinOp, a: &Value, b: &Value) -> Value {
     }
 }
 
-fn resolve(env: &mut Env<'_>, current_is_target: bool, scope: AttrScope, name: &str) -> Value {
+fn resolve<'a>(
+    env: &Env<'a>,
+    chain: Option<&Chasing<'a, '_>>,
+    current_is_target: bool,
+    scope: AttrScope,
+    name: &str,
+) -> Value {
     // Decide which ad(s) to search, in order.
     let candidates: [Option<bool>; 2] = match scope {
         AttrScope::My => [Some(current_is_target), None],
@@ -108,15 +125,20 @@ fn resolve(env: &mut Env<'_>, current_is_target: bool, scope: AttrScope, name: &
         let ad: Option<&ClassAd> = if which { env.target } else { Some(env.me) };
         let Some(ad) = ad else { continue };
         if let Some(expr) = ad.get(name) {
-            let key = (which, name.to_string());
-            if env.in_progress.contains(&key) || env.in_progress.len() >= MAX_DEPTH {
+            let depth = chain.map_or(0, |link| link.depth);
+            let mut links = std::iter::successors(chain, |link| link.up);
+            if depth >= MAX_DEPTH
+                || links.any(|link| link.which == which && std::ptr::eq(link.expr, expr))
+            {
                 return Value::Error; // cycle or pathological depth
             }
-            env.in_progress.push(key);
-            let expr = expr.clone();
-            let v = eval_in(env, which, &expr);
-            env.in_progress.pop();
-            return v;
+            let link = Chasing {
+                which,
+                expr,
+                depth: depth + 1,
+                up: chain,
+            };
+            return eval_in(env, Some(&link), which, expr);
         }
     }
     Value::Undefined
@@ -383,6 +405,26 @@ mod tests {
         assert_eq!(ad.value_of("a"), Value::Error);
         let selfref = ClassAd::new().with_expr("x", "x");
         assert_eq!(selfref.value_of("x"), Value::Error);
+    }
+
+    #[test]
+    fn cycles_are_error_whatever_case_names_them() {
+        // `Alpha` reached as `ALPHA` is the attribute being resolved, not
+        // a new one: a cycle however its references spell the names.
+        let ad = ClassAd::new()
+            .with_expr("Alpha", "BETA + 1")
+            .with_expr("beta", "ALPHA + 1");
+        assert_eq!(ad.value_of("alpha"), Value::Error);
+        assert_eq!(ad.value_of("BeTa"), Value::Error);
+        let selfref = ClassAd::new().with_expr("Loop", "MY.lOOP");
+        assert_eq!(selfref.value_of("LOOP"), Value::Error);
+        // A chain of distinct names that only differ from each other in
+        // case is still one attribute each: no false cycle.
+        let chain = ClassAd::new()
+            .with_expr("Top", "MIDDLE * 2")
+            .with_expr("middle", "bottom + 1")
+            .with_int("BOTTOM", 20);
+        assert_eq!(chain.value_of("top"), Value::Int(42));
     }
 
     #[test]

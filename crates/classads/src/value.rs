@@ -154,7 +154,11 @@ impl Value {
             (Value::Error, _) | (_, Value::Error) => CmpOut::Err,
             (Value::Bool(a), Value::Bool(b)) => CmpOut::Ord(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => {
-                CmpOut::Ord(a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase()))
+                // The order of the lower-cased copies, taken a byte at a
+                // time without making them.
+                let (a, b) = (a.bytes(), b.bytes());
+                let lower = |c: u8| c.to_ascii_lowercase();
+                CmpOut::Ord(a.map(lower).cmp(b.map(lower)))
             }
             (x, y) => match (x.as_number(), y.as_number()) {
                 (Some(a), Some(b)) => a

@@ -591,8 +591,8 @@ mod tests {
         // not: a well-summed 27-byte image whose one function claims
         // u32::MAX instructions. The loader must refuse it, not size a
         // vector by it and take the starter's process down.
-        let mut oversized = b"GVM1\0\0\x01\0\0\0\0\0\x01\0\0\xff\xff\xff\xff".to_vec();
-        let sum = ckpt::fnv1a(&oversized);
+        let mut oversized = b"GVM2\0\0\x01\0\0\0\0\0\x01\0\0\xff\xff\xff\xff".to_vec();
+        let sum = ckpt::body_sum(&oversized);
         oversized.extend_from_slice(&sum.to_le_bytes());
         for image in [programs::corrupt_image(), oversized] {
             let report = PoolBuilder::new(3)

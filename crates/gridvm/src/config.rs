@@ -13,6 +13,8 @@
 //! experiment: a startd self-test that only runs a trivial program will
 //! certify a partially broken installation as healthy.
 
+use std::borrow::Cow;
+
 /// The health of one machine's VM installation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstallHealth {
@@ -90,8 +92,10 @@ impl TraceConfig {
 /// An installation descriptor, as the machine owner would configure it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Installation {
-    /// Owner-configured path to the VM (display only).
-    pub path: String,
+    /// Owner-configured path to the VM (display only). Borrowed from a
+    /// constant unless an owner names another, so the descriptor every
+    /// job and every machine is handed costs no allocation.
+    pub path: Cow<'static, str>,
     /// Maximum heap, in words.
     pub heap_limit: u64,
     /// Maximum call depth.
@@ -115,7 +119,7 @@ impl Installation {
     /// A healthy default installation.
     pub fn healthy() -> Installation {
         Installation {
-            path: "/usr/local/gridvm/bin/gvm".into(),
+            path: Cow::Borrowed("/usr/local/gridvm/bin/gvm"),
             heap_limit: 1 << 20, // 1M words = 8 MiB
             max_call_depth: 512,
             fuel: 50_000_000,

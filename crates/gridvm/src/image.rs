@@ -6,14 +6,26 @@
 //! disk — fails the checksum and is a **job-scope** error: "Exception: the
 //! program image was corrupt → Job" (Figure 4). The schedd must mark such a
 //! job unexecutable rather than retry it elsewhere.
+//!
+//! ## Format version 2 (`GVM2`)
+//!
+//! Magic, entry index, functions (name, arity bytes, code), string table,
+//! then eight bytes of [`ckpt::body_sum`] over everything before them:
+//! the checkpoint format's word-wise four-lane sum, whose argument that
+//! any single-word — hence any single-bit — change is caught covers the
+//! image too (`ckpt`'s module docs, DESIGN §5b). Version 1 (`GVM1`) laid
+//! out the same fields under a byte-wise FNV-1a sum; no decoder for it is
+//! kept, so such an image is refused at the magic check, job scope like
+//! any other image that cannot be loaded.
 
 use crate::isa::{Instr, IoMode};
 use crate::machine::SPARE_BYTES;
+use ckpt::body_sum;
 use std::cell::Cell;
 use std::fmt;
 
-/// Magic bytes at the front of every image.
-pub const MAGIC: &[u8; 4] = b"GVM1";
+/// Magic bytes at the front of every image: format version 2.
+pub const MAGIC: &[u8; 4] = b"GVM2";
 
 /// One function's code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,13 +148,16 @@ pub(crate) fn with_decoded<T>(
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Bytes [`encode_instr`] writes for `i`: its opcode and its operands.
+fn instr_len(i: &Instr) -> usize {
+    1 + match i {
+        Instr::Push(_) => 8,
+        Instr::Jump(_) | Instr::JumpIfZero(_) | Instr::JumpIfNonZero(_) => 4,
+        Instr::IoOpen { .. } => 3,
+        Instr::Call(_) | Instr::Throw(_) => 2,
+        Instr::Load(_) | Instr::Store(_) | Instr::StdCall(_) => 1,
+        _ => 0,
     }
-    h
 }
 
 fn encode_instr(out: &mut Vec<u8>, i: &Instr) {
@@ -336,9 +351,22 @@ impl ProgramImage {
         }
     }
 
+    /// Exact length of [`ProgramImage::to_bytes`]'s output, so an image
+    /// is written into one allocation of its own size.
+    fn encoded_len(&self) -> usize {
+        let functions: usize = self
+            .functions
+            .iter()
+            .map(|f| 4 + f.name.len() + 3 + 4 + f.code.iter().map(instr_len).sum::<usize>())
+            .sum();
+        let strings: usize = self.strings.iter().map(|s| 4 + s.len()).sum();
+        MAGIC.len() + 2 + 2 + functions + 2 + strings + 8
+    }
+
     /// Serialise to the on-disk/wire format, checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
+        let len = self.encoded_len();
+        let mut body = Vec::with_capacity(len);
         body.extend_from_slice(MAGIC);
         body.extend_from_slice(&self.entry.to_le_bytes());
         body.extend_from_slice(&(self.functions.len() as u16).to_le_bytes());
@@ -358,8 +386,9 @@ impl ProgramImage {
             body.extend_from_slice(&(s.len() as u32).to_le_bytes());
             body.extend_from_slice(s.as_bytes());
         }
-        let sum = fnv1a(&body);
+        let sum = body_sum(&body);
         body.extend_from_slice(&sum.to_le_bytes());
+        debug_assert_eq!(body.len(), len, "encoded_len disagrees with to_bytes");
         body
     }
 
@@ -392,7 +421,7 @@ impl ProgramImage {
         if body.len() < 4 || &body[..4] != MAGIC {
             return Err(ImageError::BadMagic);
         }
-        if fnv1a(body) != stored {
+        if body_sum(body) != stored {
             return Err(ImageError::ChecksumMismatch);
         }
         let mut r = Reader { b: body, pos: 4 };

@@ -6,6 +6,7 @@
 //! The counts are a function of the code and the inputs, not of the host,
 //! so the budgets below gate anywhere, and are exact.
 
+use gridvm::image::MAGIC;
 use gridvm::jvmio::NoIo;
 use gridvm::{
     execute, programs, run_wrapped, verify, Function, ImageError, Installation, Instr,
@@ -191,11 +192,11 @@ fn the_verifier_allocates_its_depth_array_and_nothing_else() {
 // ---------------------------------------------------------------------
 
 /// Re-sum `body`: the decoder, not the checksum, is what is under test.
-/// (`ckpt::fnv1a` is the image checksum's own FNV-1a — the valid images
+/// (`ckpt::body_sum` is the image format's own sum — the valid images
 /// below would not load otherwise.)
 fn summed(body: &[u8]) -> Vec<u8> {
     let mut bytes = body.to_vec();
-    bytes.extend_from_slice(&ckpt::fnv1a(body).to_le_bytes());
+    bytes.extend_from_slice(&ckpt::body_sum(body).to_le_bytes());
     bytes
 }
 
@@ -225,18 +226,18 @@ fn load(bytes: &[u8], what: &str) -> Result<ProgramImage, ImageError> {
 
 #[test]
 fn a_count_the_bytes_cannot_back_is_truncation_before_allocation() {
-    // `GVM1`, entry 0, one function named "", 1 local, no args, no rets,
+    // `GVM2`, entry 0, one function named "", 1 local, no args, no rets,
     // and a code length of u32::MAX: 27 bytes with a matching sum.
-    let mut code_length = b"GVM1".to_vec();
+    let mut code_length = MAGIC.to_vec();
     code_length.extend_from_slice(&[0, 0, 1, 0]);
     code_length.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0]);
     code_length.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(summed(&code_length).len(), 27);
     // Its siblings, one per count: functions, a name's length, strings, a
     // string's length.
-    let functions = [&b"GVM1"[..], &[0, 0, 0xff, 0xff]].concat();
-    let name_length = [&b"GVM1"[..], &[0, 0, 1, 0], &u32::MAX.to_le_bytes()].concat();
-    let no_functions = [&b"GVM1"[..], &[0, 0, 0, 0]].concat();
+    let functions = [&MAGIC[..], &[0, 0, 0xff, 0xff]].concat();
+    let name_length = [&MAGIC[..], &[0, 0, 1, 0], &u32::MAX.to_le_bytes()].concat();
+    let no_functions = [&MAGIC[..], &[0, 0, 0, 0]].concat();
     let strings = [&no_functions[..], &[0xff, 0xff]].concat();
     let string_length = [&no_functions[..], &[1, 0], &u32::MAX.to_le_bytes()].concat();
     for (what, body) in [
@@ -255,8 +256,9 @@ fn a_count_the_bytes_cannot_back_is_truncation_before_allocation() {
     }
 }
 
-#[test]
-fn every_prefix_and_every_bit_flip_of_a_valid_image_loads_or_is_refused() {
+/// Three valid images: one with I/O and a string table, one generated,
+/// and one with two functions and an unused string.
+fn three_images() -> [(&'static str, Vec<u8>); 3] {
     let two_functions = ProgramImage {
         entry: 0,
         functions: vec![
@@ -277,15 +279,19 @@ fn every_prefix_and_every_bit_flip_of_a_valid_image_loads_or_is_refused() {
         ],
         strings: vec!["unused.txt".into()],
     };
-    let images = [
+    [
         ("reads_and_writes", programs::reads_and_writes()),
         ("generate(7)", programs::generate(7)),
         ("two functions", two_functions.to_bytes()),
-    ];
+    ]
+}
+
+#[test]
+fn every_prefix_and_every_bit_flip_of_a_valid_image_loads_or_is_refused() {
     let (mut loaded, mut refused) = (0, 0);
-    for (name, bytes) in images {
+    for (name, bytes) in three_images() {
         let body = &bytes[..bytes.len() - 8];
-        assert_eq!(summed(body), bytes, "{name}: the image sum is FNV-1a");
+        assert_eq!(summed(body), bytes, "{name}: the image sum is ckpt's");
         load(&bytes, name).expect("valid image loads");
         let mut tally = |outcome: Result<ProgramImage, ImageError>| match outcome {
             Ok(_) => loaded += 1,
@@ -308,4 +314,102 @@ fn every_prefix_and_every_bit_flip_of_a_valid_image_loads_or_is_refused() {
         loaded > 500 && refused > 500,
         "{loaded} loaded, {refused} refused"
     );
+}
+
+// ---------------------------------------------------------------------
+// Format version 2: the checkpoint format's sum, at exact size
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_single_bit_flip_of_a_v2_image_is_refused_before_it_allocates() {
+    for (name, bytes) in three_images() {
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let (loaded, allocations, _) = allocated(|| ProgramImage::from_bytes(&flipped));
+            // A flip in the magic is no image at all; anywhere else —
+            // the sum's own eight bytes included — the sum catches it.
+            let expected = if bit < 8 * MAGIC.len() {
+                ImageError::BadMagic
+            } else {
+                ImageError::ChecksumMismatch
+            };
+            assert_eq!(loaded, Err(expected), "{name} bit {bit}");
+            assert_eq!(allocations, 0, "{name} bit {bit}");
+        }
+    }
+}
+
+/// `bytes` as format version 1 wrote it: the same fields under `GVM1`
+/// and a byte-wise FNV-1a sum.
+fn as_version_1(bytes: &[u8]) -> Vec<u8> {
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    body[..4].copy_from_slice(b"GVM1");
+    let sum = ckpt::fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+#[test]
+fn a_version_1_image_is_job_scope_and_runs_nothing() {
+    for (name, bytes) in three_images() {
+        let old = as_version_1(&bytes);
+        assert_eq!(
+            ProgramImage::from_bytes(&old),
+            Err(ImageError::BadMagic),
+            "{name}"
+        );
+        let w = run_wrapped(&old, &Installation::healthy(), &mut NoIo);
+        assert_eq!(w.result_file.scope(), errorscope::Scope::Job, "{name}");
+        assert_eq!(w.instructions, 0, "{name}");
+        assert!(w.stdout.is_empty(), "{name}");
+    }
+}
+
+#[test]
+fn an_image_is_encoded_into_one_allocation_of_its_own_size() {
+    let builders = [
+        ("completes_main", programs::completes_main()),
+        ("calls_exit", programs::calls_exit(3)),
+        ("null_dereference", programs::null_dereference()),
+        ("index_out_of_bounds", programs::index_out_of_bounds()),
+        ("exhausts_memory", programs::exhausts_memory()),
+        ("uses_stdlib", programs::uses_stdlib()),
+        ("reads_and_writes", programs::reads_and_writes()),
+        ("corrupt_image", programs::corrupt_image()),
+        ("cpu_bound", programs::cpu_bound(1000)),
+        ("heap_sum", programs::heap_sum(1000)),
+        ("throws_user_exception", programs::throws_user_exception()),
+    ];
+    for (name, bytes) in builders {
+        assert_eq!(bytes.capacity(), bytes.len(), "{name}");
+    }
+    for seed in 0..SEEDS {
+        let bytes = programs::generate(seed);
+        assert_eq!(bytes.capacity(), bytes.len(), "generate({seed})");
+        // One allocation, the bytes' own.
+        let img = ProgramImage::from_bytes(&bytes).expect("loads");
+        let (again, allocations, requested) = allocated(|| img.to_bytes());
+        assert_eq!(again, bytes, "generate({seed})");
+        assert_eq!(
+            (allocations, requested),
+            (1, bytes.len() as u64),
+            "generate({seed})"
+        );
+    }
+}
+
+#[test]
+fn an_installation_allocates_nothing() {
+    for (name, make) in [
+        ("healthy", Installation::healthy as fn() -> Installation),
+        ("bad_path", Installation::bad_path),
+        ("missing_stdlib", Installation::missing_stdlib),
+    ] {
+        let (install, allocations, _) = allocated(make);
+        assert_eq!(allocations, 0, "{name}");
+        // Nor does a copy of one (what a startd hands a direct universe).
+        let (_, allocations, _) = allocated(|| install.clone());
+        assert_eq!(allocations, 0, "{name} cloned");
+    }
 }

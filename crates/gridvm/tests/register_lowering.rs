@@ -580,12 +580,18 @@ fn call_chain() -> ProgramImage {
 /// reach an output or a checkpoint. The hot threshold is spelled out —
 /// it was the parent's default — so the tier's counters are the parent's
 /// whatever the default has moved to since.
+///
+/// A checkpoint carries the FNV-1a digest of its image's bytes, so the
+/// checkpoint constant moved once, with image format 2 (new magic, new
+/// sum): it was `0x7f7b_b4db_03e2_2b1c` with the digests taken over the
+/// same images spelled in format 1, which this body reproduces when it
+/// computes them so — no other checkpoint byte moved.
 #[test]
 fn outputs_and_checkpoints_equal_the_recorded_ones() {
     use gridvm::run_wrapped;
     const RECORDED_OUTPUTS: u64 = 0xf965_9126_7fe3_95f5;
     const RECORDED_TIER: u64 = 0x8756_7454_ff36_0761;
-    const RECORDED_CHECKPOINTS: u64 = 0x7f7b_b4db_03e2_2b1c;
+    const RECORDED_CHECKPOINTS: u64 = 0xbd52_946e_fc55_5638;
     let at_16 = TraceConfig {
         hot_threshold: 16,
         ..TraceConfig::default()

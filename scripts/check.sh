@@ -70,6 +70,13 @@ if grep -rnF --include=*.rs 'heap.push(vec![0;' crates/gridvm \
     exit 1
 fi
 
+echo "==> one integrity sum: gridvm defines no checksum of its own (an image is summed by ckpt::body_sum)"
+if grep -rnE -e 'fn [a-z0-9_]*(fnv|checksum|crc|hash|body_sum)[a-z0-9_]*' \
+    -e 'fn [a-z0-9_]+(<[^>]*>)?\([a-z_]+: &\[u8\]\) -> u64' \
+    -e 'cbf2_?9ce4_?8422_?2325' -e '0x0*100_?0000_?01b3' crates/gridvm/src; then
+    exit 1
+fi
+
 echo "==> one deadline: no retired timeout message comes back beside Msg::Deadline"
 if grep -rnw --include=*.rs -e ClaimTimeout -e ReportTimeout -e LeaseCheck -e ClaimExpire \
     -e CkptFetchTimeout -e FlockTimeout crates src tests examples; then
