@@ -6,7 +6,10 @@
 //! `pool_drain`'s busy pool, `fed_scale`'s idle federation, and
 //! `campaign_sweep`'s fuzzed campaigns (every 64th with its fault-free
 //! reference arm). Each column sums to the workload's `desim.events`.
-//! Under the sums, the traffic the event queue is shaped for: how many
+//! Under the sums, the deliveries the engine dropped unhandled because
+//! their recipient was down, or were timers its crash forgot
+//! ([`desim::World::dropped_down`]), and the traffic the event queue is
+//! shaped for: how many
 //! instants each workload drained — the queue opens each as one batch —
 //! and the largest batch. This is the table every change to a periodic
 //! message is sized from; it writes nothing.
@@ -40,6 +43,8 @@ struct Column {
     census: Census,
     /// Estimated handler nanoseconds by kind ([`World::census_cost`]).
     cost: Census,
+    /// Deliveries dropped while down, as [`World::dropped_down`].
+    dropped_down: u64,
     /// Instants drained, and the largest batch, as [`World::batches`].
     instants: u64,
     largest: usize,
@@ -63,6 +68,7 @@ impl Column {
         for (kind, ns) in world.census_cost() {
             *self.cost.entry(kind).or_default() += ns;
         }
+        self.dropped_down += world.dropped_down();
         let (instants, largest) = world.batches();
         self.instants += instants;
         self.largest = self.largest.max(largest);
@@ -162,13 +168,13 @@ pub fn run(size: Size, cost: bool) {
             row
         })
         .collect();
-    for (i, name) in ["all", "instants", "largest batch"].into_iter().enumerate() {
+    let sums = ["all", "dropped while down", "instants", "largest batch"];
+    for (i, name) in sums.into_iter().enumerate() {
         let mut row = vec![name.to_string()];
-        row.extend(
-            columns.iter().map(|(_, c)| {
-                [c.census.values().sum(), c.instants, c.largest as u64][i].to_string()
-            }),
-        );
+        row.extend(columns.iter().map(|(_, c)| {
+            let all = c.census.values().sum();
+            [all, c.dropped_down, c.instants, c.largest as u64][i].to_string()
+        }));
         rows.push(row);
     }
     let mut header = vec!["deliveries"];

@@ -1,11 +1,12 @@
 //! Plans no generator draws, written by hand as `Fault` lists over a
 //! generated campaign's topology and queue.
 //!
-//! `generate` crashes at most one machine and never the matchmaker. A
-//! plan is just a list, so a test can replace a campaign's: here two
-//! machines go down with overlapping windows while the matchmaker itself
-//! is down, and the oracle must still find every error delivered to its
-//! scope's manager and every job finished on the machines left standing.
+//! `generate` crashes at most one machine and never the matchmaker or the
+//! schedd. A plan is just a list, so a test can replace a campaign's: here
+//! two machines go down with overlapping windows while the matchmaker
+//! itself is down, and the oracle must still find every error delivered to
+//! its scope's manager and every job finished on the machines left
+//! standing; and the schedd goes down, which the engine alone makes so.
 
 use campaign::{check, generate, RunSummary};
 use condor::{Fault, PoolBuilder as PB, Window};
@@ -61,4 +62,28 @@ fn two_machine_crashes_and_a_matchmaker_crash_run_clean() {
         "oracle fired: {violations:?}\n{}",
         campaign.describe()
     );
+}
+
+/// The schedd crashes mid-run, with no schedd code: the engine takes it
+/// down and drops what is sent to it. It comes back holding every job and
+/// claim it had, but the crash forgot its lease and report deadlines, so
+/// what it was running stays running: the oracle reports `no-lost-work`
+/// three times (the run is not quiescent; jobs 1 and 2 end `Running`).
+/// That finding is ROADMAP item 17's case (a crash forgets, and the schedd
+/// replays its log); this test holds only the engine's half.
+#[test]
+fn a_schedd_crash_drops_what_is_sent_to_it() {
+    let mut campaign = (0..)
+        .map(generate)
+        .find(|c| c.machines == 3)
+        .expect("some seed samples three machines");
+    campaign.faults = vec![Fault::Crash {
+        actor: PB::SCHEDD_ID,
+        window: window(100, 400),
+    }];
+    let builder = campaign.build_pool(true);
+    let layout = builder.layout();
+    let (mut world, _, _) = builder.build();
+    layout.drain(&mut world, campaign::gen::deadline());
+    assert!(world.dropped_down() > 0, "{}", campaign.describe());
 }

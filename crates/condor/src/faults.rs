@@ -3,7 +3,8 @@
 //! Experiments describe faults declaratively — "the submitter's file system
 //! is offline from t=100s to t=300s", "machine 7 crashes at t=200s" — as a
 //! list of [`Fault`] entries, and every daemon consults the shared plan
-//! deterministically. Static misconfiguration lives in
+//! deterministically — except for crashes, which are the engine's
+//! ([`crate::netdriver::install_crashes`]). Static misconfiguration lives in
 //! [`crate::machine::MachineSpec`]; the plan holds the *timed* faults and
 //! the damage done to stored or restored checkpoint images.
 
@@ -164,8 +165,10 @@ pub enum Fault {
         /// What the file system does.
         fault: EnvFault,
     },
-    /// `actor` is crashed (silent, unreachable) during `window`. The
-    /// startds and the matchmaker read this entry.
+    /// `actor` is crashed (silent, unreachable) during `window`. No daemon
+    /// reads this entry: [`crate::netdriver::install_crashes`] hands it to
+    /// the engine, which drops every delivery to the actor inside the
+    /// window and brings it back through `Actor::on_restart` at its end.
     Crash {
         /// The victim (actor id).
         actor: usize,
@@ -549,21 +552,6 @@ impl FaultPlan {
         })
     }
 
-    /// Is `actor` crashed at instant `t`?
-    pub fn crashed_at(&self, actor: usize, t: SimTime) -> bool {
-        self.faults.iter().any(
-            |f| matches!(f, Fault::Crash { actor: a, window } if *a == actor && window.contains(t)),
-        )
-    }
-
-    /// Does `actor` crash at any point during `[start, end]`?
-    pub fn crashes_during(&self, actor: usize, start: SimTime, end: SimTime) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::Crash { actor: a, window }
-                if *a == actor && window.overlaps(start, end))
-        })
-    }
-
     /// Does `machine` revoke flocked claims at instant `t`?
     pub fn flock_revoked_at(&self, machine: usize, t: SimTime) -> bool {
         self.faults.iter().any(|f| {
@@ -814,22 +802,33 @@ mod tests {
         assert_eq!(plan.fs_fault_during(1, t(0), t(99)), None);
     }
 
+    /// A crash silences its machine and no other: installed in a world,
+    /// the window from 50 s on stops machine 3's ads after the keep-alive
+    /// at 45 s, and machine 4 keeps going.
     #[test]
     fn crashes_are_per_machine() {
+        use crate::machine::MachineSpec;
+        use crate::startd::{Startd, StartdPolicy};
+        use crate::{Matchmaker, Msg};
         let plan = FaultPlan::new(vec![crash(3, Window::from(t(50)))]).build();
-        assert!(!plan.crashed_at(3, t(49)));
-        assert!(plan.crashed_at(3, t(50)));
-        assert!(plan.crashed_at(3, t(1_000_000)));
-        assert!(!plan.crashed_at(4, t(100)));
-        assert!(plan.crashes_during(3, t(0), t(60)));
-        assert!(!plan.crashes_during(3, t(0), t(49)));
+        let mut world: desim::World<Msg> = desim::World::new(1);
+        world.add_actor(Box::new(Matchmaker::new()));
+        for i in 1..=4 {
+            let spec = MachineSpec::healthy(&format!("m{i}"), 256);
+            let startd = Startd::new(spec, StartdPolicy::default(), 0, Arc::clone(&plan));
+            world.add_actor(Box::new(startd));
+        }
+        crate::netdriver::install_crashes(&plan, &mut world);
+        world.run_until(t(100));
+        let ads = |id| world.get::<Startd>(id).unwrap().stats.ads_sent;
+        assert_eq!((ads(2), ads(3), ads(4)), (7, 4, 7));
+        assert_eq!(world.dropped_down(), 1, "the keep-alive at 60 s");
     }
 
     #[test]
     fn empty_plan_is_quiet() {
         let plan = FaultPlan::none().build();
         assert_eq!(plan.fs_fault_at(0, t(100)), None);
-        assert!(!plan.crashed_at(0, t(100)));
         assert!(!plan.owner_busy_at(0, t(100)));
         assert_eq!(plan.owner_returns_during(0, t(0), t(100)), None);
     }

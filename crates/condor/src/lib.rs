@@ -13,8 +13,9 @@
 //!   migrate through.
 //! * [`faults`] — the timed fault plan (crashes, file-system outages,
 //!   network partitions/loss/latency/duplication windows).
-//! * [`netdriver`] — the actor that applies the plan's network faults to
-//!   the simulated fabric at window edges.
+//! * [`netdriver`] — the plan's crash windows handed to the engine, and
+//!   the actor that applies its network faults to the simulated fabric at
+//!   window edges.
 //! * [`health`] — adaptive retry (exponential backoff with deterministic
 //!   jitter) and per-machine circuit breakers.
 //! * [`pool`] — one-stop assembly and run reports for one pool or a
@@ -75,7 +76,7 @@ pub use msg::{
     Activation, CkptAttempt, ExecutionReport, FsSnapshot, JobAdvert, LeaseInfo, Msg, ResumeInfo,
     Site, StoredCkpt,
 };
-pub use netdriver::NetFaultDriver;
+pub use netdriver::{install_crashes, NetFaultDriver};
 pub use pool::{Layout, PoolBuilder, RunReport};
 pub use schedd::{FlockConfig, FlockTarget, Schedd, ScheddPolicy, UserEvent};
 pub use startd::{Startd, StartdPolicy};

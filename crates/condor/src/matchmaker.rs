@@ -89,7 +89,6 @@
 //! leaves its shape, and a consumed ad leaves it the moment it is picked,
 //! so later jobs in the same cycle never see it.
 
-use crate::faults::FaultPlan;
 use crate::msg::{JobAdvert, Msg};
 use classads::ast::{AttrScope, Expr};
 use classads::compile::{CompiledAd, MatchKey, Scratch};
@@ -932,16 +931,12 @@ fn members_of(
 
 /// The matchmaker actor: wraps a [`MatchEngine`] behind the pool's message
 /// protocol.
+#[derive(Default)]
 pub struct Matchmaker {
     engine: MatchEngine,
     /// The pool this matchmaker serves; stamped on every match
     /// notification and flock grant. Defaults to 0 (the home pool).
     pub(crate) pool_id: u64,
-    /// The fault plan, consulted for matchmaker-down windows (the
-    /// matchmaker is an actor; [`FaultPlan::crash`] on its id silences
-    /// it): while crashed, every inbound ad and flock request is dropped
-    /// silently.
-    plan: Arc<FaultPlan>,
     /// Total matches produced.
     pub matches_made: u64,
     /// Negotiation cycles run.
@@ -953,17 +948,9 @@ pub struct Matchmaker {
 }
 
 impl Matchmaker {
-    /// A new matchmaker under `plan`.
-    pub fn new(plan: Arc<FaultPlan>) -> Matchmaker {
-        Matchmaker {
-            engine: MatchEngine::new(),
-            pool_id: 0,
-            plan,
-            matches_made: 0,
-            cycles: 0,
-            flock_grants: 0,
-            ticking: false,
-        }
+    /// A new matchmaker.
+    pub fn new() -> Matchmaker {
+        Matchmaker::default()
     }
 
     /// Serve pool `pool_id` instead of the default pool 0.
@@ -977,8 +964,15 @@ impl Matchmaker {
         &self.engine.stats
     }
 
-    fn down(&self, self_id: ActorId, now: SimTime) -> bool {
-        self.plan.crashed_at(self_id, now)
+    /// Run cycles on the 10-s grid while there is a job to place (or a
+    /// fence to lower): arm the grid's next instant unless a tick is on
+    /// its way.
+    fn arm_cycles(&mut self, ctx: &mut Context<'_, Msg>) {
+        if !self.ticking && !self.engine.is_idle() {
+            self.ticking = true;
+            let wait = until_next(NEGOTIATE_PERIOD, ctx.now);
+            ctx.send_self_after(wait, Msg::NegotiateTick);
+        }
     }
 }
 
@@ -987,17 +981,15 @@ impl Actor<Msg> for Matchmaker {
         "matchmaker".into()
     }
 
+    /// Back from a crash (the engine dropped everything sent here in the
+    /// window, and the tick it had armed): the cycles resume on the grid if
+    /// something is still held. Ads and fences are kept (ROADMAP item 17).
+    fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.ticking = false;
+        self.arm_cycles(ctx);
+    }
+
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        // A crashed matchmaker is silent: ads and flock requests vanish
-        // into it, and negotiation halts until the window closes. A timer
-        // that was armed keeps re-arming so it wakes up when the crash
-        // ends.
-        if self.down(ctx.self_id, ctx.now) {
-            if let Msg::NegotiateTick = msg {
-                ctx.send_self_after(NEGOTIATE_PERIOD, Msg::NegotiateTick);
-            }
-            return;
-        }
         match msg {
             Msg::MachineAd { ad, claims } => {
                 self.engine.machine_ad(from, ad, claims, ctx.now);
@@ -1007,14 +999,8 @@ impl Actor<Msg> for Matchmaker {
                     self.engine
                         .job_ad(from, *job, Arc::clone(ad), *epoch, ctx.now);
                 }
-                // Cycles run on the 10-s grid while there is a job to place
-                // (or a fence to lower): the first job ad to arrive arms
-                // the grid's next instant.
-                if !self.ticking && !self.engine.is_idle() {
-                    self.ticking = true;
-                    let wait = until_next(NEGOTIATE_PERIOD, ctx.now);
-                    ctx.send_self_after(wait, Msg::NegotiateTick);
-                }
+                // The first job ad to arrive arms the grid.
+                self.arm_cycles(ctx);
             }
             Msg::FlockRequest { .. } => {
                 // Grant with the current machine-ad count: zero is an
@@ -1186,7 +1172,7 @@ mod tests {
     #[test]
     fn two_way_match_prefers_highest_rank() {
         let mut w: World<Msg> = World::new(2);
-        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+        let mm = w.add_actor(Box::new(Matchmaker::new()));
         let job = JobSpec::java(1, "ada", vec![], JavaMode::Scoped);
         let schedd = w.add_actor(Box::new(AdSender::job(mm, 1, job.ad())));
         let _small = w.add_actor(Box::new(AdSender::machine(
@@ -1211,7 +1197,7 @@ mod tests {
     #[test]
     fn consumed_ads_are_not_rematched() {
         let mut w: World<Msg> = World::new(4);
-        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+        let mm = w.add_actor(Box::new(Matchmaker::new()));
         let j1 = JobSpec::java(1, "ada", vec![], JavaMode::Scoped);
         let j2 = JobSpec::java(2, "bob", vec![], JavaMode::Scoped);
         let s1 = w.add_actor(Box::new(AdSender::job(mm, 1, j1.ad())));
@@ -1232,7 +1218,7 @@ mod tests {
     #[test]
     fn stale_machine_ads_expire() {
         let mut w: World<Msg> = World::new(3);
-        let mm = w.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+        let mm = w.add_actor(Box::new(Matchmaker::new()));
         let _m = w.add_actor(Box::new(AdSender::machine(
             mm,
             MachineSpec::healthy("m", 512).ad(true),

@@ -242,6 +242,9 @@ pub enum Msg {
     ExecutionComplete {
         /// Which job.
         job: JobId,
+        /// The claim epoch of the run it was armed for: a stale timer
+        /// never completes a later attempt on the same machine.
+        epoch: u64,
     },
     /// Periodic (startd): send the next heartbeat for an active claim.
     HeartbeatTick {

@@ -1,18 +1,33 @@
-//! The network-fault driver: applies the plan's timed network faults to
-//! the simulated fabric as the clock crosses window edges.
+//! The plan's world-level faults: crash windows handed to the engine, and
+//! the network-fault driver that applies the plan's timed network faults
+//! to the simulated fabric as the clock crosses window edges.
 //!
-//! Filesystem faults and crashes are *consulted* by the affected daemons,
-//! but network faults must reconfigure the shared fabric itself — so one
+//! Filesystem faults are *consulted* by the affected daemons. A crash is
+//! the engine's: [`install_crashes`] hands every window to
+//! [`World::take_down`] before the world starts, and no daemon reads one.
+//! Network faults must reconfigure the shared fabric itself — so one
 //! dedicated actor walks [`crate::faults::FaultPlan::net_fault_edges`],
 //! wakes at every edge, and applies or clears each fault whose window
 //! opened or closed. Everything is scheduled up front from the declarative
 //! plan, so a run with the same seed and plan reconfigures the fabric at
 //! identical instants: chaos, deterministically.
 
-use crate::faults::{FaultPlan, NetFault};
+use crate::faults::{Fault, FaultPlan, NetFault};
 use crate::msg::Msg;
 use desim::prelude::*;
 use std::sync::Arc;
+
+/// Hand every [`Fault::Crash`] of `plan` to `world`, which takes the actor
+/// down over its window and brings it back at the end
+/// ([`World::take_down`]): the one place a crash is read. Call it on a
+/// built world before it starts; [`crate::PoolBuilder::build`] does.
+pub fn install_crashes(plan: &FaultPlan, world: &mut World<Msg>) {
+    for fault in plan.faults() {
+        if let Fault::Crash { actor, window } = fault {
+            world.take_down(*actor, window.from..window.to);
+        }
+    }
+}
 
 /// The actor. Registered by the pool builder when the plan schedules any
 /// network faults; harmless (and never woken) otherwise.

@@ -370,7 +370,7 @@ impl PoolBuilder {
         let n_pools = self.pools.len();
 
         for p in 0..n_pools as u64 {
-            let mm = Matchmaker::new(Arc::clone(&plan)).with_pool(p);
+            let mm = Matchmaker::new().with_pool(p);
             assert_eq!(world.add_actor(Box::new(mm)), Self::matchmaker_id(p));
         }
 
@@ -429,6 +429,7 @@ impl PoolBuilder {
                 &plan,
             ))));
         }
+        crate::netdriver::install_crashes(&plan, &mut world);
         (world, schedd_id, machine_ids)
     }
 }
@@ -1464,6 +1465,46 @@ mod partition_tests {
             .count();
         assert_eq!(programs_run, 1, "{:?}", rec.attempts);
         assert!(rec.finished.unwrap() >= t(600), "completes after the heal");
+    }
+
+    /// A run's completion belongs to its claim. One machine, a 600-s job
+    /// and the 10-s / 30-s lease: the machine loses the first attempt's
+    /// claim — crashed over 100–130 s, or cut off from the schedd over
+    /// 100–150 s — and is claimed for the second attempt, which runs its
+    /// full 600 s. Without the epoch (and, for the crash, the engine's
+    /// timer fence) the first attempt's timer, due at about 600 s, ends
+    /// the second one there: at 610.005 s, 470 s after it started at
+    /// 140.004 s, after the crash; 420 s in, after the cut.
+    #[test]
+    fn a_stale_completion_never_ends_a_later_attempt() {
+        let machine = PoolBuilder::FIRST_MACHINE_ID;
+        let crash = Fault::Crash {
+            actor: machine,
+            window: Window::new(t(100), t(130)),
+        };
+        let cut = schedd_cut_from(&[machine], Window::new(t(100), t(150)));
+        for (name, fault) in [("crash", crash), ("partition", cut)] {
+            let report = PoolBuilder::new(81)
+                .machine(MachineSpec::healthy("m1", 256))
+                .schedd_policy(ScheddPolicy {
+                    lease: lease(),
+                    ..ScheddPolicy::default()
+                })
+                .faults(FaultPlan::new(vec![fault]))
+                .job(
+                    JobSpec::java(1, "ada", programs::completes_main(), JavaMode::Scoped)
+                        .with_exec_time(SimDuration::from_secs(600)),
+                )
+                .run(SimTime::from_secs(3600));
+            assert!(report.quiescent, "{name}");
+            let attempts = &report.jobs[&1].attempts;
+            let last = attempts.last().expect("attempts");
+            assert!(attempts.len() >= 2, "{name}: {attempts:?}");
+            assert_eq!(last.scope, Some(errorscope::Scope::Program), "{name}");
+            let ran = last.ended.since(last.started).as_micros();
+            let full = SimDuration::from_secs(600).as_micros();
+            assert!((full..full + 10_000).contains(&ran), "{name}: {attempts:?}");
+        }
     }
 
     /// The same partition without leasing recovers only via the report

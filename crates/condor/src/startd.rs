@@ -141,9 +141,6 @@ pub struct Startd {
     /// The checkpoint server to migrate Standard-universe jobs through,
     /// if the pool runs one.
     ckpt_server: Option<(ActorId, Cookie)>,
-    /// This actor's id, learned from the context (used as the fault-plan
-    /// key).
-    stats_id: usize,
     /// Accumulated statistics.
     pub stats: MachineStats,
 }
@@ -184,7 +181,6 @@ impl Startd {
             ad: None,
             pool_id: 0,
             ckpt_server: None,
-            stats_id: usize::MAX,
             stats,
         }
     }
@@ -204,10 +200,6 @@ impl Startd {
     /// Is the machine currently advertising Java capability?
     pub fn advertising_java(&self) -> bool {
         self.advertising_java
-    }
-
-    fn crashed(&self, now: SimTime) -> bool {
-        self.plan.crashed_at(self.stats_id, now)
     }
 
     /// The machine's ad as it stands, `id` being this actor's.
@@ -238,15 +230,12 @@ impl Startd {
         ctx.send_net(from, Msg::ClaimReject { job, reason, epoch });
     }
 
-    /// Tell the matchmaker this machine is on offer — if it is: free, up,
-    /// and its owner away (an owner at the keyboard withdraws the machine
-    /// from the pool; a job running at the window onset was evicted by
-    /// the `ExecutionComplete` path).
+    /// Tell the matchmaker this machine is on offer — if it is: free and
+    /// its owner away (an owner at the keyboard withdraws the machine from
+    /// the pool; a job running at the window onset was evicted by the
+    /// `ExecutionComplete` path).
     fn advertise(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !matches!(self.state, State::Free)
-            || self.crashed(ctx.now)
-            || self.plan.owner_busy_at(ctx.self_id, ctx.now)
-        {
+        if !matches!(self.state, State::Free) || self.plan.owner_busy_at(ctx.self_id, ctx.now) {
             return;
         }
         let ad = Arc::clone(self.ad(ctx.self_id));
@@ -286,27 +275,26 @@ impl Actor<Msg> for Startd {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.stats_id = ctx.self_id;
         // §5: test the installation before advertising the capability.
         self.advertising_java =
             self.config.asserts_java && self_test(&self.config.installation, self.policy.self_test);
         self.stats.advertising_java = self.advertising_java;
+        self.on_restart(ctx);
+    }
+
+    /// On offer, and keeping alive: at start-up, and back from a crash,
+    /// which wiped any in-flight work (the shadow's lease or timeout is
+    /// what notices) and every timer, but kept the self-test's verdict.
+    fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
         self.release(ctx);
         ctx.send_self_after(KEEPALIVE_PERIOD, Msg::AdvertiseTick);
     }
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        self.stats_id = ctx.self_id;
         match msg {
             Msg::AdvertiseTick => {
-                if self.crashed(ctx.now) {
-                    // Crash wipes any in-flight work; the shadow's timeout
-                    // is what notices.
-                    self.release(ctx);
-                } else {
-                    // The keep-alive: the same ad again, if still on offer.
-                    self.advertise(ctx);
-                }
+                // The keep-alive: the same ad again, if still on offer.
+                self.advertise(ctx);
                 ctx.send_self_after(KEEPALIVE_PERIOD, Msg::AdvertiseTick);
             }
             Msg::ClaimRequest {
@@ -315,9 +303,6 @@ impl Actor<Msg> for Startd {
                 epoch,
                 pool,
             } => {
-                if self.crashed(ctx.now) {
-                    return; // silence; the schedd's claim timeout fires
-                }
                 // A claim fenced to the wrong pool (a stale flock target, or
                 // a schedd with an outdated map) is refused explicitly, never
                 // activated across pools; and "matched processes are
@@ -352,7 +337,7 @@ impl Actor<Msg> for Startd {
                 let State::Claimed { schedd, job, epoch } = self.state else {
                     return; // stale activation
                 };
-                if schedd != from || act.job != job || self.crashed(ctx.now) {
+                if schedd != from || act.job != job {
                     return;
                 }
                 if act.epoch != epoch {
@@ -401,10 +386,6 @@ impl Actor<Msg> for Startd {
             Msg::CkptResponse { frames } => {
                 if !matches!(self.state, State::AwaitCkpt { .. }) {
                     return; // stale response (e.g. the ack of a PUT)
-                }
-                if self.crashed(ctx.now) {
-                    self.release(ctx);
-                    return;
                 }
                 let State::AwaitCkpt { schedd, act } =
                     std::mem::replace(&mut self.state, State::Free)
@@ -462,10 +443,6 @@ impl Actor<Msg> for Startd {
                         self.release(ctx)
                     }
                     Site::CkptFetch if matches!(self.state, State::AwaitCkpt { .. }) => {
-                        if self.crashed(ctx.now) {
-                            self.release(ctx);
-                            return;
-                        }
                         // The fetch never answered (lost on the network, or
                         // the server is gone). An unreachable checkpoint is
                         // the same explicit error as a corrupt one: discard
@@ -481,28 +458,16 @@ impl Actor<Msg> for Startd {
                     _ => {}
                 }
             }
-            Msg::ExecutionComplete { job } => {
-                let State::Running {
-                    job: running,
-                    started,
-                    ..
-                } = self.state
-                else {
-                    return;
-                };
-                if running != job {
-                    return;
-                }
-                if self.plan.crashes_during(ctx.self_id, started, ctx.now) {
-                    // The machine died mid-run: no report, ever. The claim
-                    // evaporates; the shadow's timeout is the escaping
-                    // error's only witness.
-                    self.release(ctx);
+            Msg::ExecutionComplete { job, epoch } => {
+                // Live only for the run it was armed for: a later attempt
+                // of the same job on this machine holds another epoch.
+                if !matches!(self.state, State::Running { .. })
+                    || self.claim_held() != Some((job.into(), epoch))
+                {
                     return;
                 }
                 let State::Running {
                     schedd,
-                    epoch,
                     report,
                     cpu,
                     started,
@@ -558,7 +523,7 @@ impl Actor<Msg> for Startd {
                 else {
                     return; // claim gone (or unleased); the loop dies with it
                 };
-                if running != job || current != epoch || self.crashed(ctx.now) {
+                if running != job || current != epoch {
                     return;
                 }
                 if ctx.now.since(last_ack) >= lease.timeout {
@@ -717,7 +682,8 @@ impl Startd {
             let epoch = act.epoch;
             ctx.send_self_after(lease.interval, Msg::HeartbeatTick { job, epoch });
         }
-        ctx.send_self_after(cpu, Msg::ExecutionComplete { job });
+        let epoch = act.epoch;
+        ctx.send_self_after(cpu, Msg::ExecutionComplete { job, epoch });
     }
 
     /// The resume failed: the checkpoint is explicitly discarded and the

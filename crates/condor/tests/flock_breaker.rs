@@ -149,9 +149,7 @@ impl Actor<Msg> for Prober {
 #[test]
 fn a_pool_of_silent_startds_denies_a_lifetime_later_with_no_job_queued() {
     let mut world: World<Msg> = World::new(62);
-    let mm = world.add_actor(Box::new(
-        Matchmaker::new(FaultPlan::none().build()).with_pool(1),
-    ));
+    let mm = world.add_actor(Box::new(Matchmaker::new().with_pool(1)));
     let silent_from = Window::new(t(20), SimTime::MAX);
     let plan = FaultPlan::new(vec![
         Fault::Crash {
@@ -177,6 +175,7 @@ fn a_pool_of_silent_startds_denies_a_lifetime_later_with_no_job_queued() {
         at: vec![last_ad + AD_LIFETIME, last_ad + AD_LIFETIME + hop],
         free: Vec::new(),
     }));
+    condor::install_crashes(&plan, &mut world);
     world.run_until(t(100));
     assert_eq!(world.get::<Prober>(prober).unwrap().free, [2, 0]);
     let stats = world.get::<Matchmaker>(mm).unwrap().stats();

@@ -169,12 +169,13 @@ fn job(universe: Universe) -> JobSpec {
     }
 }
 
-/// One stale-deadline table over every site. Each row's script puts the
-/// record a site guards in the state its deadline acts on; then a deadline
-/// at that site with a stale epoch, and one naming an id nobody holds,
-/// must change nothing against the same script without them. With the one
-/// epoch comparison an actor makes taken out, every row's stale deadline
-/// would act. The live case of each site is covered elsewhere, as named.
+/// One stale-timer table over every deadline site and the run's own
+/// completion. Each row's script puts the record a timer guards in the
+/// state it acts on; then that timer with a stale epoch, and one naming an
+/// id nobody holds, must change nothing against the same script without
+/// them. With the one epoch comparison an actor makes taken out, every
+/// row's stale timer would act. The live case of each is covered
+/// elsewhere, as named.
 #[test]
 fn unknown_timer_messages_are_harmless() {
     let claimed = |machine| Msg::MatchNotify {
@@ -192,39 +193,53 @@ fn unknown_timer_messages_are_harmless() {
         epoch: 1,
         pool: 0,
     };
-    let resume = Msg::ActivateClaim(Box::new(condor::Activation {
-        job: 1,
-        image: programs::completes_main(),
-        universe: Universe::Standard,
-        snapshot: condor::FsSnapshot::default(),
-        exec_time: SimDuration::from_secs(10),
-        does_remote_io: false,
-        schedd: SCHEDD,
-        attempt: 1,
-        resume: Some(condor::ResumeInfo {
+    let activation = |exec_s, resume| {
+        Msg::ActivateClaim(Box::new(condor::Activation {
+            job: 1,
+            image: programs::completes_main(),
+            universe: Universe::Standard,
+            snapshot: condor::FsSnapshot::default(),
+            exec_time: SimDuration::from_secs(exec_s),
+            does_remote_io: false,
+            schedd: SCHEDD,
+            attempt: 1,
+            resume,
+            epoch: 1,
+            lease: None,
+            pool: 0,
+        }))
+    };
+    let resume = activation(
+        10,
+        Some(condor::ResumeInfo {
             key: "ckpt/job1/0".into(),
             banked: SimDuration::from_secs(5),
         }),
-        epoch: 1,
-        lease: None,
-        pool: 0,
-    }));
-    // (site, script, the actor its deadlines go to, the instant they come)
-    let rows: Vec<(Site, Vec<_>, usize, u64)> = vec![
+    );
+    type Timer = Box<dyn Fn(u32, u64) -> Msg>;
+    let deadline =
+        |site: Site| -> Timer { Box::new(move |id, epoch| Msg::deadline(site, id, epoch)) };
+    // (the timer, script, the actor it goes to, the instant it comes)
+    let rows: Vec<(Timer, Vec<_>, usize, u64)> = vec![
         // Claiming from 3 s until its own deadline at 23. Live: soft_state.rs
         // `a_claim_deadline_ends_only_its_own_claim`.
-        (Site::Claim, vec![(3, SCHEDD, claimed(SCHEDD))], SCHEDD, 7),
+        (
+            deadline(Site::Claim),
+            vec![(3, SCHEDD, claimed(SCHEDD))],
+            SCHEDD,
+            7,
+        ),
         // Running from 4 s; nothing reports. Live: pool.rs
         // `machine_crash_vanishes_report_and_job_recovers`.
-        (Site::Report, running.to_vec(), SCHEDD, 7),
+        (deadline(Site::Report), running.to_vec(), SCHEDD, 7),
         // Running from 4 s; nothing heartbeats, and the lease expires at
         // 34 — a stale check would re-arm a second chain. Live: pool.rs
         // `lease_converts_partition_into_explicit_error_on_both_sides`.
-        (Site::Lease, running.to_vec(), SCHEDD, 7),
+        (deadline(Site::Lease), running.to_vec(), SCHEDD, 7),
         // Claimed from 3 s, never activated, until 63. Live: soft_state.rs
         // `a_machine_says_so_the_instant_it_frees_itself`, its first row.
         (
-            Site::Activation,
+            deadline(Site::Activation),
             vec![(3, STARTD, claim_request.clone())],
             STARTD,
             7,
@@ -233,21 +248,33 @@ fn unknown_timer_messages_are_harmless() {
         // pool.rs `unreachable_checkpoint_server_is_discarded_one_fetch_
         // timeout_after_the_request`.
         (
-            Site::CkptFetch,
-            vec![(3, STARTD, claim_request), (4, STARTD, resume)],
+            deadline(Site::CkptFetch),
+            vec![(3, STARTD, claim_request.clone()), (4, STARTD, resume)],
             STARTD,
             7,
         ),
         // The job starves past 30 s and pool 1 is probed at 30, its first
         // probe, unanswered until 40. Live: flock_breaker.rs
         // `pool_breaker_reopens_on_probe_timeout_and_closes_on_negotiation`.
-        (Site::FlockProbe, Vec::new(), SCHEDD, 31),
+        (deadline(Site::FlockProbe), Vec::new(), SCHEDD, 31),
+        // Running on the startd from 4 s until its own completion at 64: a
+        // completion armed for an earlier attempt must not end this one.
+        // Live: pool.rs `a_stale_completion_never_ends_a_later_attempt`.
+        (
+            Box::new(|job, epoch| Msg::ExecutionComplete { job, epoch }),
+            vec![
+                (3, STARTD, claim_request),
+                (4, STARTD, activation(60, None)),
+            ],
+            STARTD,
+            7,
+        ),
     ];
     // Every record a row guards is job 1's first claim, or pool 1's first
     // probe: epoch 1. Epoch 0 is stale, and nothing is numbered 99.
-    for (site, script, to, at) in rows {
+    for (timer, script, to, at) in rows {
         let quiet = deadline_world(&script);
-        for stale in [Msg::deadline(site, 1u32, 0), Msg::deadline(site, 99u32, 1)] {
+        for stale in [timer(1, 0), timer(99, 1)] {
             let mut noisy = script.clone();
             noisy.push((at, to, stale.clone()));
             assert!(deadline_world(&noisy) == quiet, "{stale:?} changed the run");
@@ -256,7 +283,7 @@ fn unknown_timer_messages_are_harmless() {
     // And the other timers, for a job nobody has.
     let quiet = deadline_world(&[]);
     let noise = [
-        (5, STARTD, Msg::ExecutionComplete { job: 999 }),
+        (5, STARTD, Msg::ExecutionComplete { job: 999, epoch: 1 }),
         (5, STARTD, Msg::ReleaseClaim { job: 999 }),
         (5, SCHEDD, Msg::RetryJob { job: 999 }),
         (5, SCHEDD, Msg::PostmortemDone { job: 999 }),

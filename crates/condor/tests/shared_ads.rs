@@ -306,7 +306,8 @@ fn an_owner_policy_may_read_the_machine_id() {
 fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // Start-up and the keep-alive at 15 advertise; those at 30 and 45 fall
     // in the crash window; the ad last renewed at t≈15 outlives the t=40
-    // cycle and is gone at t=50.
+    // cycle and is gone at t=50. The restart at 58 advertises, and keeps
+    // alive from there.
     let crash = Window::new(SimTime::from_secs(20), SimTime::from_secs(58));
     let spec = || MachineSpec::healthy("m", 256);
 
@@ -322,17 +323,18 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         spec(),
         StartdPolicy::default(),
         tap,
-        plan,
+        Arc::clone(&plan),
     )));
+    condor::install_crashes(&plan, &mut world);
     world.run_until(SimTime::from_secs(76));
     let ads = &world.get::<Wiretap>(tap).unwrap().machine_ads;
     let at: Vec<u64> = ads.iter().map(|seen| seen.at.as_micros() / 1000).collect();
-    assert_eq!(at, [1, 15_001, 60_001, 75_001], "ms; one network hop each");
+    assert_eq!(at, [1, 15_001, 58_001, 73_001], "ms; one network hop each");
     assert!(ads.iter().all(|seen| Arc::ptr_eq(&seen.ad, &ads[0].ad)));
 
     // At the matchmaker: expiry, then re-admission into a new shape.
     let mut world: World<Msg> = World::new(5);
-    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+    let mm = world.add_actor(Box::new(Matchmaker::new()));
     let plan = FaultPlan::new(vec![Fault::Crash {
         actor: mm + 1,
         window: crash,
@@ -342,11 +344,12 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
         spec(),
         StartdPolicy::default(),
         mm,
-        plan,
+        Arc::clone(&plan),
     )));
     // A job that never matches: the machine's shape is probed (and the
     // pair's verdict reused) every cycle.
     world.add_actor(common::stuck_schedd(mm));
+    condor::install_crashes(&plan, &mut world);
     let stats = |world: &World<Msg>| {
         let s = world.get::<Matchmaker>(mm).unwrap().stats();
         (s.pairs_evaluated, s.cache_hits, s.ads_active)
@@ -355,18 +358,18 @@ fn silenced_startd_expires_and_is_readmitted_with_the_same_ad() {
     // once, then reuse, while the ad lives.
     world.run_until(SimTime::from_secs(45));
     assert_eq!(stats(&world), (2, 3, 2));
-    // Cycles at 50 and 60: the ad expired; only the job is left.
-    world.run_until(SimTime::from_secs(65));
+    // Cycle at 50: the ad expired; only the job is left.
+    world.run_until(SimTime::from_secs(55));
     assert_eq!(stats(&world), (2, 3, 1));
-    // Cycle at 70: the same ad is back, its old shape long gone — ranked
+    // Cycle at 60: the same ad is back, its old shape long gone — ranked
     // and evaluated again.
-    world.run_until(SimTime::from_secs(75));
+    world.run_until(SimTime::from_secs(65));
     assert_eq!(stats(&world), (4, 3, 2));
-    // Cycle at 80: and from then on the verdict is reused again.
-    world.run_until(SimTime::from_secs(85));
+    // Cycle at 70: and from then on the verdict is reused again.
+    world.run_until(SimTime::from_secs(75));
     assert_eq!(stats(&world), (4, 4, 2));
     // The same story in the ad census: admitted twice, renewed at 15 and
-    // 75, expired once.
+    // 73, expired once.
     let s = world.get::<Matchmaker>(mm).unwrap().stats();
     assert_eq!(
         (s.ads_admitted, s.ads_refreshed, s.ads_expired, s.ads_fenced),

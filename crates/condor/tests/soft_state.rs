@@ -87,7 +87,7 @@ fn idle_startds_keep_alive_at_half_the_ad_lifetime() {
     }
 
     let mut world: World<Msg> = World::new(1);
-    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+    let mm = world.add_actor(Box::new(Matchmaker::new()));
     for i in 0..N {
         world.add_actor(idle_startd(&format!("m{i}"), mm, FaultPlan::none()));
     }
@@ -120,14 +120,16 @@ fn idle_startds_keep_alive_at_half_the_ad_lifetime() {
 fn ads_of(plan: FaultPlan, script: Vec<(u64, Msg)>, until: u64) -> Vec<(u64, u64)> {
     let mut world: World<Msg> = World::new(7);
     let tap = world.add_actor(Box::new(Wiretap::default()));
+    let plan = plan.build();
     let startd = Startd::new(
         MachineSpec::healthy("m", 256),
         StartdPolicy::default(),
         tap,
-        plan.build(),
+        Arc::clone(&plan),
     )
     .with_ckpt_server(tap, chirp::cookie::Cookie::generate(1));
     let startd = world.add_actor(Box::new(startd));
+    condor::install_crashes(&plan, &mut world);
     for (at, msg) in script {
         world.inject_after(SimDuration::from_secs(at), startd, msg);
     }
@@ -172,9 +174,10 @@ fn activation(universe: Universe, exec_s: u64) -> Activation {
 
 /// The eight ways a machine frees itself, each through `Startd::release`:
 /// the ad leaves in the same instant — stamped with the claim accepted
-/// since, so it clears the fence its own match left behind — unless the
-/// machine is crashed or its owner is at the keyboard, in which case the
-/// first keep-alive after the window speaks for it. Every row's machine
+/// since, so it clears the fence its own match left behind. A crashed
+/// machine frees itself when the engine brings it back, at the window's
+/// end, and keeps alive from there; one whose owner is at the keyboard
+/// waits for the first keep-alive after the window. Every row's machine
 /// advertises at start-up and keeps alive at 15 before the story starts;
 /// a machine that is claimed, running or fetching is silent.
 #[test]
@@ -254,24 +257,26 @@ fn a_machine_says_so_the_instant_it_frees_itself() {
             vec![(51_001, 1), (60_001, 1)],
         ),
         (
-            // Freed by the tick at 30, or it would sit claimed (and silent)
-            // until the claim expired at 80.
-            "a tick finds the machine crashed: freed, but silent while down",
+            // The crash forgot the claim's deadline at 80.
+            "the machine crashes while claimed: freed at the window's end",
             crash(25, 50),
             vec![(20, claim(java))],
             79,
-            vec![(60_001, 1), (75_001, 1)],
+            vec![(50_001, 1), (65_001, 1)],
         ),
         (
-            // No tick falls in the window; the end of the run notices.
-            "the machine crashed during the run: no report, but back at once",
+            // No tick falls in the window, and the end of the run at 29
+            // was forgotten with the rest.
+            "the machine crashed during the run: no report, back at the window's end",
             crash(20, 25),
             vec![(16, claim(java)), (17, activate(activation(java, 12)))],
-            40,
-            vec![(29_001, 1), (30_001, 1)],
+            41,
+            vec![(25_001, 1), (40_001, 1)],
         ),
         (
-            "the checkpoint arrives at a crashed machine: freed, silent while down",
+            // The response at 22 is dropped, and the fetch deadline at 27
+            // forgotten.
+            "the checkpoint arrives at a crashed machine: freed at the window's end",
             crash(20, 29),
             vec![
                 (16, claim(Universe::Standard)),
@@ -288,7 +293,7 @@ fn a_machine_says_so_the_instant_it_frees_itself() {
                 (22, Msg::CkptResponse { frames: Vec::new() }),
             ],
             50,
-            vec![(30_001, 1), (45_001, 1)],
+            vec![(29_001, 1), (44_001, 1)],
         ),
         (
             // Evicted at the window's onset: the report goes, the ad waits.
@@ -317,7 +322,8 @@ fn a_machine_says_so_the_instant_it_frees_itself() {
 /// (crashed, or cut off from the matchmaker) is in the pool at every cycle
 /// up to `AD_LIFETIME` after its last ad, gone at the first cycle later
 /// than that — at most a negotiation period more — and back with its
-/// first ad after the window.
+/// first ad after the window: at the window's end for a crash, at the
+/// first keep-alive after it for a partition.
 #[test]
 fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
     for onset in [1, 7, 14, 16, 22, 29, 31, 44, 58] {
@@ -332,9 +338,10 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
                 }])
             };
             let mut world: World<Msg> = World::new(3);
-            let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
-            let startd = world.add_actor(idle_startd("m", mm, plan));
+            let mm = world.add_actor(Box::new(Matchmaker::new()));
+            let startd = world.add_actor(idle_startd("m", mm, FaultPlan::none()));
             world.add_actor(common::stuck_schedd(mm));
+            condor::install_crashes(&plan, &mut world);
             world.run_until(secs(onset));
             if partitioned {
                 world.net_mut().partition(mm, startd);
@@ -360,8 +367,13 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
 
             world.run_until(secs(end));
             world.net_mut().heal(mm, startd);
-            // The first keep-alive after the window, and the cycle after it.
-            let back = end.div_ceil(15) * 15;
+            // The ad at the window's end (a restart) or the first keep-alive
+            // after it (a heal), and the cycle after it.
+            let back = if partitioned {
+                end.div_ceil(15) * 15
+            } else {
+                end
+            };
             world.run_until(secs(back.div_ceil(10) * 10 + 11));
             assert_eq!(machines_held(&world, mm), 1, "onset {onset}");
             let s = world.get::<Matchmaker>(mm).unwrap().stats();
@@ -376,7 +388,7 @@ fn a_silent_startd_leaves_within_a_lifetime_and_a_cycle() {
 #[test]
 fn one_lost_keepalive_is_survived_two_are_not() {
     let mut world: World<Msg> = World::new(4);
-    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+    let mm = world.add_actor(Box::new(Matchmaker::new()));
     let startd = world.add_actor(idle_startd("m", mm, FaultPlan::none()));
     world.add_actor(common::stuck_schedd(mm));
     let cut = |world: &mut World<Msg>, from: u64, to: u64| {
@@ -626,7 +638,7 @@ fn idle_jobs_are_renewed_in_one_message_at_half_the_ad_lifetime() {
 fn one_lost_renewal_is_survived_two_are_not() {
     const N: u32 = 5;
     let mut world: World<Msg> = World::new(4);
-    let mm = world.add_actor(Box::new(Matchmaker::new(FaultPlan::none().build())));
+    let mm = world.add_actor(Box::new(Matchmaker::new()));
     let mut schedd = Schedd::new(mm, ScheddPolicy::default(), FaultPlan::none().build());
     for id in 1..=N {
         schedd.submit(idle_job(id, 1 << 20));

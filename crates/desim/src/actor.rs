@@ -21,8 +21,15 @@ pub trait Actor<M>: Any {
     /// Stable display name used in telemetry records.
     fn name(&self) -> String;
 
-    /// Called once when the world starts, before any messages flow.
+    /// Called once when the world starts, before any messages flow (or, for
+    /// an actor taken down from the start, at its window's end).
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
+
+    /// Called at the end of each window the actor was taken down for
+    /// ([`crate::World::take_down`]), before any delivery to it at that
+    /// instant. The crash forgot every timer the actor had armed; what it
+    /// still needs, it arms here.
+    fn on_restart(&mut self, _ctx: &mut Context<'_, M>) {}
 
     /// Deliver one message.
     fn on_message(&mut self, from: ActorId, msg: M, ctx: &mut Context<'_, M>);

@@ -293,6 +293,7 @@ impl<M: Send + 'static> World<M> {
             let mine = |id: usize| first.actors[id].take_if(|_| placement.shard_of(id) == s);
             shard.actors = (0..n).map(mine).collect();
             shard.sent = vec![0; n];
+            shard.lives = first.lives.clone();
             shard.census_kind = first.census_kind;
             shards.push(shard);
         }
@@ -456,12 +457,12 @@ impl<M: Send + 'static> ParWorld<M> {
         self.start_if_needed();
         let before = self.events_processed();
         while !self.stopped {
-            // Jump the window to the global next event — quiet stretches
-            // of simulated time cost nothing.
+            // Jump the window to the global next event or restart — quiet
+            // stretches of simulated time cost nothing.
             let Some(t) = self
                 .shards
                 .iter()
-                .filter_map(|s| s.lock().expect("shard mutex").queue.peek_time())
+                .filter_map(|s| s.lock().expect("shard mutex").next_time())
                 .min()
             else {
                 break;
@@ -497,6 +498,7 @@ impl<M: Send + 'static> ParWorld<M> {
         let mut net_stats = NetStats::default();
         let mut census = BTreeMap::new();
         let mut events_processed = 0;
+        let mut dropped_down = 0;
 
         // Each shard's stream is already time-sorted, so a stable sort on
         // time alone yields `(at, shard, in-shard order)`. Records
@@ -506,6 +508,7 @@ impl<M: Send + 'static> ParWorld<M> {
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("shard mutex");
             events_processed += shard.events;
+            dropped_down += shard.dropped_down;
             net_stats.merge(shard.net.stats());
             for (kind, count) in &shard.census {
                 *census.entry(*kind).or_default() += count;
@@ -529,6 +532,7 @@ impl<M: Send + 'static> ParWorld<M> {
             net_stats,
             census,
             events_processed,
+            dropped_down,
             now: self.now,
         }
     }
@@ -549,6 +553,9 @@ pub struct ParFinished<M> {
     pub census: BTreeMap<&'static str, u64>,
     /// Total events processed across all shards.
     pub events_processed: u64,
+    /// Deliveries dropped because their recipient was down, summed across
+    /// shards, as [`World::dropped_down`] would read.
+    pub dropped_down: u64,
     /// Virtual time when the run ended.
     pub now: SimTime,
 }
@@ -1090,6 +1097,113 @@ mod tests {
                     (0..n).filter(|&a| placement.shard_of(a) == home).collect();
                 assert_eq!(local_from, locals, "actor {id}, {shards} shards");
             }
+        }
+    }
+
+    /// Ticks every `period`, recording each tick and probing the next
+    /// actor over the network; arms its tick at start and at restart, and
+    /// counts what it hears.
+    struct Pulse {
+        period: SimDuration,
+        peers: usize,
+        life: (u32, u32, u32),
+    }
+    impl Actor<Msg> for Pulse {
+        fn name(&self) -> String {
+            "pulse".into()
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.life.0 += 1;
+            ctx.send_self_after(self.period, Msg::Kick);
+        }
+        fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.life.1 += 1;
+            ctx.send_self_after(self.period, Msg::Kick);
+        }
+        fn on_message(&mut self, _f: ActorId, m: Msg, ctx: &mut Context<'_, Msg>) {
+            match m {
+                Msg::Kick => {
+                    ctx.emit(Event::IoOp {
+                        op: format!("tick {}", ctx.self_id),
+                        outcome: obs::IoOutcome::Ok,
+                    });
+                    ctx.send_net((ctx.self_id + 1) % self.peers, Msg::Probe);
+                    ctx.send_self_after(self.period, Msg::Kick);
+                }
+                _ => self.life.2 += 1,
+            }
+        }
+    }
+
+    /// The crash rule is the engine's, on every shard: a world and its
+    /// runs at one and three shards agree on the stream, the events, the
+    /// clock, the deliveries dropped while down, the census and each
+    /// actor's starts, restarts and probes heard, with windows on actors
+    /// of all three shards — one down from the start, one down twice.
+    #[test]
+    fn a_crash_is_the_same_run_on_every_shard_count() {
+        // Prime periods around 1 ms: no two ticks share an instant, so the
+        // sharded merge orders the stream as the world does.
+        let periods = [997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049];
+        let ms = |us: u64| SimTime::from_micros(us);
+        let windows = [
+            (2, ms(0)..ms(12_345)),
+            (4, ms(10_000)..ms(23_500)),
+            (6, ms(5_000)..ms(40_000)),
+            (7, ms(3_000)..ms(4_000)),
+            (7, ms(30_000)..ms(31_500)),
+        ];
+        let build = || {
+            let mut w: World<Msg> = World::new(11);
+            for us in periods {
+                w.add_actor(Box::new(Pulse {
+                    period: SimDuration::from_micros(us),
+                    peers: periods.len(),
+                    life: (0, 0, 0),
+                }));
+            }
+            for (id, window) in windows.clone() {
+                w.take_down(id, window);
+            }
+            w.count_deliveries_by(kind);
+            w
+        };
+        let placement = Placement::new(periods.len(), 3);
+        let homes: Vec<usize> = windows
+            .iter()
+            .map(|(id, _)| placement.shard_of(*id))
+            .collect();
+        assert_eq!(homes, [2, 0, 1, 2, 2]);
+        let horizon = SimTime::from_millis(60);
+        let mut world = build();
+        world.run_until(horizon);
+        let lives = |get: &dyn Fn(ActorId) -> (u32, u32, u32)| -> Vec<(u32, u32, u32)> {
+            (0..periods.len()).map(get).collect()
+        };
+        let want = (
+            world.telemetry().to_jsonl_with_meta(),
+            world.events_processed(),
+            world.now(),
+            world.dropped_down(),
+            world.census(),
+            lives(&|id| world.get::<Pulse>(id).unwrap().life),
+        );
+        assert!(want.3 > 0, "the windows must drop something");
+        assert_eq!(want.5[2], (1, 0, want.5[2].2), "down from the start");
+        assert_eq!((want.5[7].0, want.5[7].1), (1, 2), "down twice");
+        for shards in [1, 3] {
+            let mut pw = build().into_parallel(ParConfig::new(shards, 2));
+            pw.run_until(horizon);
+            let fin = pw.finish();
+            let got = (
+                fin.telemetry.to_jsonl_with_meta(),
+                fin.events_processed,
+                fin.now,
+                fin.dropped_down,
+                fin.census.clone(),
+                lives(&|id| fin.get::<Pulse>(id).unwrap().life),
+            );
+            assert_eq!(got, want, "{shards} shard(s)");
         }
     }
 

@@ -16,6 +16,12 @@
 //! stream. A shard knows its own actors as its head id and its range, so
 //! routing a send is two comparisons; only a send that leaves the shard
 //! asks the placement where it goes.
+//!
+//! An actor's liveness is the engine's too: [`World::take_down`] gives it
+//! down windows before the world starts, and the shard's one delivery
+//! site drops what reaches it inside one, and every timer it armed
+//! before, then brings it back with [`Actor::on_restart`] at the
+//! window's end (DESIGN §5l).
 
 use crate::actor::{Actor, ActorId, Context};
 use crate::net::Network;
@@ -78,6 +84,39 @@ pub(crate) struct Shard<M> {
     pub(crate) census: BTreeMap<&'static str, u64>,
     /// Nanoseconds in the sampled handlers, by kind, while the census is on.
     pub(crate) cost: BTreeMap<&'static str, u64>,
+    /// Per actor id, its down windows ([`World::take_down`]); empty in a
+    /// world none is taken down in, so the delivery check is one bound.
+    pub(crate) lives: Vec<Life>,
+    /// This shard's window ends still ahead, as `(end, actor)`, latest
+    /// first: the last is the next restart.
+    restarts: Vec<(SimTime, ActorId)>,
+    /// Deliveries dropped by the crash rule.
+    pub(crate) dropped_down: u64,
+}
+
+/// How the engine keeps one actor's liveness.
+#[derive(Clone, Default)]
+pub(crate) struct Life {
+    /// Down windows `[from, to)` not yet over, disjoint and latest first:
+    /// the last is the current or the next one.
+    windows: Vec<(SimTime, SimTime)>,
+    /// The actor's send count at its last restart: a self-send numbered
+    /// below it was armed before the crash, and the crash forgot it.
+    fence: u64,
+    /// Whether `on_start` has run: an actor down at start-up runs it at
+    /// its window's end instead of `on_restart`.
+    started: bool,
+}
+
+impl Life {
+    /// Does the crash rule drop this delivery to actor `id`: inside a
+    /// window, or a timer armed before the last one? Every window that
+    /// ended by `key.at` is gone already: its restart ran first.
+    #[inline]
+    fn drops(&self, key: EventKey, id: ActorId) -> bool {
+        self.windows.last().is_some_and(|&(from, _)| from <= key.at)
+            || (key.src == id as u64 && key.seq < self.fence)
+    }
 }
 
 impl<M: 'static> Shard<M> {
@@ -100,6 +139,9 @@ impl<M: 'static> Shard<M> {
             census_kind: None,
             census: BTreeMap::new(),
             cost: BTreeMap::new(),
+            lives: Vec::new(),
+            restarts: Vec::new(),
+            dropped_down: 0,
         }
     }
 
@@ -150,17 +192,66 @@ impl<M: 'static> Shard<M> {
     }
 
     /// Run `on_start` for each of this shard's actors, in id order: its
-    /// head, then its range.
+    /// head, then its range. An actor down at start-up starts at its
+    /// window's end instead.
     pub(crate) fn start(&mut self, names: &[String]) {
         let range = self.range.start..self.range.end.min(self.actors.len());
         for id in std::iter::once(self.index).chain(range) {
+            let Some(life) = self.lives.get_mut(id) else {
+                self.invoke(id, names, |actor, ctx| actor.on_start(ctx));
+                continue;
+            };
+            let ends = life.windows.iter().map(|&(_, to)| (to, id));
+            self.restarts.extend(ends);
+            life.started = life.windows.last().is_none_or(|&(from, _)| from > self.now);
+            if life.started {
+                self.invoke(id, names, |actor, ctx| actor.on_start(ctx));
+            }
+        }
+        self.restarts.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Bring actor `id` back at `at`, the end of its current window: its
+    /// older timers are fenced off, and it runs `on_restart` (`on_start`
+    /// if it was down from the start).
+    fn restart(&mut self, at: SimTime, id: ActorId, names: &[String]) {
+        self.now = at;
+        let life = &mut self.lives[id];
+        life.windows.pop();
+        life.fence = self.sent[id];
+        if std::mem::replace(&mut life.started, true) {
+            self.invoke(id, names, |actor, ctx| actor.on_restart(ctx));
+        } else {
             self.invoke(id, names, |actor, ctx| actor.on_start(ctx));
+        }
+    }
+
+    /// When the next thing on this shard is due: a delivery, or a restart.
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        let restart = self.restarts.last().map(|&(at, _)| at);
+        self.queue.peek_time().into_iter().chain(restart).min()
+    }
+
+    /// Run the next thing due at or before `last` — a restart before a
+    /// delivery of the same instant. Returns `false` if nothing is.
+    #[inline]
+    fn step(&mut self, last: SimTime, names: &[String]) -> bool {
+        let next = self.queue.peek_time().filter(|&t| t <= last);
+        match self.restarts.last() {
+            Some(&(at, id)) if at <= last && next.is_none_or(|t| at <= t) => {
+                self.restarts.pop();
+                self.restart(at, id, names);
+                true
+            }
+            _ => next.is_some() && self.dispatch(names),
         }
     }
 
     /// Deliver the earliest pending event. Returns `false` if none is
     /// pending. The sender is the key's source; an injection, keyed
-    /// [`EventKey::EXTERNAL`], comes from its recipient.
+    /// [`EventKey::EXTERNAL`], comes from its recipient. A delivery the
+    /// crash rule drops is counted and goes no further: no census, no
+    /// handler.
     #[inline]
     fn dispatch(&mut self, names: &[String]) -> bool {
         let Some((key, (to, msg))) = self.queue.pop() else {
@@ -172,6 +263,10 @@ impl<M: 'static> Shard<M> {
         };
         debug_assert!(key.at >= self.now, "time must not run backwards");
         self.now = key.at;
+        if self.lives.get(to).is_some_and(|life| life.drops(key, to)) {
+            self.dropped_down += 1;
+            return true;
+        }
         self.events += 1;
         // Counted, and every 64th counted delivery timed: a clock read on
         // each side of the one handler call.
@@ -187,12 +282,10 @@ impl<M: 'static> Shard<M> {
         true
     }
 
-    /// Deliver every pending event up to and including `last`, until a
-    /// handler stops the world.
+    /// Deliver every pending event up to and including `last`, and run
+    /// every restart due by then, until a handler stops the world.
     pub(crate) fn deliver_through(&mut self, last: SimTime, names: &[String]) {
-        while !self.stop && self.queue.peek_time().is_some_and(|t| t <= last) {
-            self.dispatch(names);
-        }
+        while !self.stop && self.step(last, names) {}
     }
 }
 
@@ -226,6 +319,45 @@ impl<M: 'static> World<M> {
         self.shard.actors.push(Some(actor));
         self.shard.sent.push(0);
         id
+    }
+
+    /// Take `actor` down over `window` — a crash, declared before the
+    /// world starts. Inside it every delivery to the actor is dropped
+    /// unhandled; at its end the actor runs [`Actor::on_restart`] (or
+    /// `on_start`, if it was down from the start), and every timer it armed
+    /// before is dropped whenever it comes due. Overlapping and touching
+    /// windows merge; an empty one is ignored.
+    pub fn take_down(&mut self, actor: ActorId, window: Range<SimTime>) {
+        assert!(
+            !self.started,
+            "an actor is taken down before the world starts"
+        );
+        assert!(
+            actor < self.names.len(),
+            "actor {actor} is not in the world"
+        );
+        if window.is_empty() {
+            return;
+        }
+        self.shard
+            .lives
+            .resize_with(self.names.len(), Life::default);
+        let windows = &mut self.shard.lives[actor].windows;
+        windows.push((window.start, window.end));
+        windows.sort_unstable_by(|a, b| b.cmp(a));
+        windows.dedup_by(|earlier, kept| {
+            let touches = earlier.1 >= kept.0;
+            if touches {
+                *kept = (earlier.0, kept.1.max(earlier.1));
+            }
+            touches
+        });
+    }
+
+    /// Deliveries dropped so far because their recipient was down, or was
+    /// a timer its crash forgot ([`World::take_down`]).
+    pub fn dropped_down(&self) -> u64 {
+        self.shard.dropped_down
     }
 
     /// Current virtual time.
@@ -340,11 +472,11 @@ impl<M: 'static> World<M> {
         }
     }
 
-    /// Process the single earliest event. Returns `false` when the queue is
-    /// empty or a stop was requested.
+    /// Process the single earliest event, or the restart due before it.
+    /// Returns `false` when nothing is pending or a stop was requested.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        !self.shard.stop && self.shard.dispatch(&self.names)
+        !self.shard.stop && self.shard.step(SimTime::MAX, &self.names)
     }
 
     /// Run until the queue drains, a stop is requested, or `max_events`
@@ -595,6 +727,166 @@ mod tests {
         assert!(w.shard.crossbox.is_empty());
         assert_eq!(w.events_processed(), 2 * (n * (n + 1)) as u64);
         assert_eq!(w.pending(), 0);
+    }
+
+    /// Records its life: when it started, restarted, ticked (every
+    /// `period`, if it has one, re-armed at start and restart) and heard
+    /// from the network.
+    #[derive(Default)]
+    struct Phoenix {
+        period: Option<SimDuration>,
+        starts: Vec<SimTime>,
+        restarts: Vec<SimTime>,
+        ticks: Vec<SimTime>,
+        got: Vec<SimTime>,
+    }
+    impl Phoenix {
+        fn every(secs: u64) -> Phoenix {
+            Phoenix {
+                period: Some(SimDuration::from_secs(secs)),
+                ..Phoenix::default()
+            }
+        }
+        fn arm(&self, ctx: &mut Context<'_, Msg>) {
+            if let Some(period) = self.period {
+                ctx.send_self_after(period, Msg::Tick);
+            }
+        }
+    }
+    impl Actor<Msg> for Phoenix {
+        fn name(&self) -> String {
+            "phoenix".into()
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.starts.push(ctx.now);
+            self.arm(ctx);
+        }
+        fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.restarts.push(ctx.now);
+            self.arm(ctx);
+        }
+        fn on_message(&mut self, _f: ActorId, m: Msg, ctx: &mut Context<'_, Msg>) {
+            match m {
+                Msg::Tick => {
+                    self.ticks.push(ctx.now);
+                    self.arm(ctx);
+                }
+                Msg::Net(_) => self.got.push(ctx.now),
+            }
+        }
+    }
+
+    fn window(from: u64, to: u64) -> Range<SimTime> {
+        SimTime::from_secs(from)..SimTime::from_secs(to)
+    }
+
+    /// A world of one [`Phoenix`] taken down over `windows`, and one
+    /// message injected at each whole second of `0..sends`, run to `until`.
+    fn phoenix(
+        actor: Phoenix,
+        windows: &[Range<SimTime>],
+        sends: u64,
+        until: u64,
+    ) -> (Phoenix, u64, u64) {
+        let mut w: World<Msg> = World::new(3);
+        let id = w.add_actor(Box::new(actor));
+        for window in windows {
+            w.take_down(id, window.clone());
+        }
+        for s in 0..sends {
+            w.inject_after(SimDuration::from_secs(s), id, Msg::Net(0));
+        }
+        w.run_until(SimTime::from_secs(until));
+        let life = std::mem::take(w.get_mut::<Phoenix>(id).unwrap());
+        (life, w.events_processed(), w.dropped_down())
+    }
+
+    fn at(secs: &[u64]) -> Vec<SimTime> {
+        secs.iter().map(|&s| SimTime::from_secs(s)).collect()
+    }
+
+    /// Inside its window an actor handles nothing, and every delivery to
+    /// it is dropped and counted; the rest are handled.
+    #[test]
+    fn a_down_actor_handles_nothing_and_each_drop_is_counted() {
+        // Injections at 1 µs, 1 s, … 29 s: those at 10 s … 19 s fall in
+        // `[10 s, 20 s)`, and the one at 20 s arrives after the restart.
+        let (life, events, dropped) = phoenix(Phoenix::default(), &[window(10, 20)], 30, 60);
+        let arrivals = (0..30).filter(|s| !(10..20).contains(s));
+        let arrivals: Vec<SimTime> = arrivals
+            .map(|s| SimTime::from_secs(s).max(SimTime::from_micros(1)))
+            .collect();
+        assert_eq!(life.got, arrivals);
+        assert_eq!((events, dropped), (20, 10));
+        assert_eq!((life.starts, life.restarts), (at(&[0]), at(&[20])));
+    }
+
+    /// A crash forgets its timers: one armed before the window and due
+    /// after it is dropped when it comes due, and `on_restart`, which arms
+    /// none here, leaves the actor quiet.
+    #[test]
+    fn a_timer_armed_before_the_window_is_dropped_after_it() {
+        struct Alarm(Vec<SimTime>);
+        impl Actor<Msg> for Alarm {
+            fn name(&self) -> String {
+                "alarm".into()
+            }
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.send_self_after(SimDuration::from_secs(30), Msg::Tick);
+            }
+            fn on_message(&mut self, _f: ActorId, _m: Msg, ctx: &mut Context<'_, Msg>) {
+                self.0.push(ctx.now);
+            }
+        }
+        let mut w: World<Msg> = World::new(1);
+        let id = w.add_actor(Box::new(Alarm(Vec::new())));
+        w.take_down(id, window(10, 20));
+        w.run_until(SimTime::from_secs(60));
+        assert!(w.get::<Alarm>(id).unwrap().0.is_empty());
+        assert_eq!(
+            (w.events_processed(), w.dropped_down(), w.pending()),
+            (0, 1, 0)
+        );
+    }
+
+    /// A window shorter than a periodic timer's period, holding no tick of
+    /// it, leaves one chain: the one `on_restart` arms. Without the fence
+    /// the chain armed before the crash would tick on beside it.
+    #[test]
+    fn a_window_between_two_ticks_leaves_one_timer_chain() {
+        let (life, _, dropped) = phoenix(Phoenix::every(15), &[window(20, 25)], 0, 90);
+        assert_eq!(life.ticks, at(&[15, 40, 55, 70, 85]));
+        // The forgotten tick at 30 s.
+        assert_eq!(dropped, 1);
+    }
+
+    /// `on_restart` runs once per window, at its end, whatever the window
+    /// held; overlapping and touching windows are one.
+    #[test]
+    fn on_restart_runs_once_per_window_at_its_end() {
+        let windows = [
+            window(10, 20),
+            window(35, 45),
+            window(30, 40),
+            window(60, 70),
+            window(50, 60),
+        ];
+        let (life, _, _) = phoenix(Phoenix::every(4), &windows, 0, 100);
+        assert_eq!(life.starts, at(&[0]));
+        assert_eq!(life.restarts, at(&[20, 45, 70]));
+        let ticks = [4, 8, 24, 28, 49, 74, 78, 82, 86, 90, 94, 98];
+        assert_eq!(life.ticks, at(&ticks));
+    }
+
+    /// An actor down from the start runs `on_start` at its window's end,
+    /// and no `on_restart`.
+    #[test]
+    fn an_actor_down_from_the_start_starts_at_the_window_end() {
+        let (life, events, dropped) = phoenix(Phoenix::every(10), &[window(0, 25)], 5, 50);
+        assert_eq!((life.starts, life.restarts), (at(&[25]), vec![]));
+        assert_eq!(life.ticks, at(&[35, 45]));
+        assert!(life.got.is_empty());
+        assert_eq!((events, dropped), (2, 5));
     }
 
     #[test]

@@ -35,7 +35,7 @@ if grep -rnF -e Request::Unlink -e Request::Rename -e Request::GetFile -e Reques
     exit 1
 fi
 
-echo "==> one fault vocabulary: no campaign fault type, plan builder method or off-plan checkpoint corrupter comes back"
+echo "==> one fault vocabulary: no campaign fault type, plan builder method or off-plan checkpoint corrupter comes back, and no daemon reads a crash"
 if grep -rnF --include=*.rs -e CrashPlan -e NetPlan -e NetKind -e FlipPlan -e FlockFaultPlan \
     -e FlockFaultKind -e TimedNetFault -e owner_window -e corrupt_checkpoints_for \
     -e corrupt_key_prefix -e flip_bit_key_prefix -e ckpt_flip_jobs -e '.fault_plan(' \
@@ -44,6 +44,19 @@ if grep -rnF --include=*.rs -e CrashPlan -e NetPlan -e NetKind -e FlipPlan -e Fl
     -e '.ckpt_flip(' -e Window::checked -e culprit_pool crates src tests examples; then
     exit 1
 fi
+# One crash site: the engine takes an actor down, from netdriver::install_crashes.
+if grep -rnw --include=*.rs -e crashed_at -e crashes_during crates src tests examples \
+    || grep -nw 'fn crashed' crates/condor/src/*.rs \
+    || grep -nw 'fn down' crates/condor/src/matchmaker.rs; then
+    exit 1
+fi
+for f in crates/condor/src/*.rs; do
+    case "$f" in crates/condor/src/faults.rs | crates/condor/src/netdriver.rs) continue ;; esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Fault::Crash'; then
+        echo "$f names Fault::Crash outside its tests: netdriver::install_crashes is the one install site"
+        exit 1
+    fi
+done
 
 echo "==> one assembler, one drain, one run report: no federation report, flock summary or machine-to-pool map comes back"
 if grep -rnw --include=*.rs -e FlockReport -e of_flock -e pool_of_machine crates src tests examples \
